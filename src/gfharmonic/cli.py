@@ -58,7 +58,33 @@ GF9_FROB_PROJ_1 = (
 def _parse_modulus(text):
     if text is None:
         return None
-    return [int(c) for c in text.split(",")]
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--modulus must be comma-separated integers; "
+                          f"got {text!r}") from None
+
+
+def _label(field, text, flag):
+    """Field element from an index ``k`` or coefficients ``m_0,...,m_{ell-1}``.
+
+    Labels must be in range (0 <= k < q, 0 <= m_j < p): a label that
+    ``GFField.element`` would silently reduce is rejected instead.
+    """
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be an index or comma-separated "
+                          f"coefficients; got {text!r}") from None
+    if len(parts) == 1:
+        if not 0 <= parts[0] < field.order:
+            raise ConfigError(f"{flag} index {parts[0]} is outside "
+                              f"0..{field.order - 1}")
+        return field.element(parts[0])
+    if len(parts) != field.ell or not all(0 <= c < field.p for c in parts):
+        raise ConfigError(f"{flag} needs {field.ell} coefficients in "
+                          f"0..{field.p - 1}; got {text!r}")
+    return field.element(parts)
 
 
 def _build_field(args):
@@ -135,24 +161,25 @@ def cmd_op(args) -> int:
     elif kind == "zpow":
         if args.alpha is None:
             raise ConfigError("zpow needs --alpha")
-        mat = hb.z_power(field, field.element(args.alpha))
+        mat = hb.z_power(field, _label(field, args.alpha, "--alpha"))
     elif kind == "xpow":
         if args.beta is None:
             raise ConfigError("xpow needs --beta")
-        mat = hb.x_power(field, field.element(args.beta))
+        mat = hb.x_power(field, _label(field, args.beta, "--beta"))
     elif kind == "displace":
         if args.alpha is None or args.beta is None:
             raise ConfigError("displace needs --alpha and --beta")
-        mat = hb.displacement(field, field.element(args.alpha),
-                              field.element(args.beta))
+        mat = hb.displacement(field, _label(field, args.alpha, "--alpha"),
+                              _label(field, args.beta, "--beta"))
     elif kind == "symplectic":
         if args.r is None or args.s is None or args.t is None:
             raise ConfigError("symplectic needs --r, --s and --t")
-        r = field.element(args.r)
-        s = field.element(args.s)
-        t = field.element(args.t)
+        r = _label(field, args.r, "--r")
+        s = _label(field, args.s, "--s")
+        t = _label(field, args.t, "--t")
         if args.u is not None:
-            params = sp.SymplecticParams(r=r, s=s, t=t, u=field.element(args.u))
+            params = sp.SymplecticParams(r=r, s=s, t=t,
+                                         u=_label(field, args.u, "--u"))
         else:
             params = sp.SymplecticParams.from_rst(field, r, s, t)
         mat = sp.synthesize(field, params)
@@ -163,7 +190,7 @@ def cmd_op(args) -> int:
         return 0
     elif kind == "projector":
         if args.point is not None:
-            mat = hs.point_projector(field, field.element(args.point))
+            mat = hs.point_projector(field, _label(field, args.point, "--point"))
         elif args.subspace is not None:
             mat = hs.subspace_projector(field, args.subspace)
         else:
@@ -201,6 +228,8 @@ def cmd_verify(args) -> int:
         exhaustive=args.exhaustive,
         displacement_phase_coeff=args.perturb_displacement_phase,
     )
+    if args.p is None and (args.ell is not None or args.modulus is not None):
+        raise ConfigError("--ell and --modulus need --p")
     if args.p is not None:
         grid = [(args.p, args.ell if args.ell is not None else 1)]
         moduli = [_parse_modulus(args.modulus)]
@@ -413,3 +442,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -22,6 +22,8 @@ import cmath
 import math
 from functools import lru_cache, reduce
 
+import numpy as np
+
 from .errors import BackendMismatch, DivisionByZero
 
 
@@ -96,6 +98,7 @@ class CycloRing:
         self._i_exp = order // 4
         self._sqrt = self._build_sqrt_char()
         self._unit_phases = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
+        self._fold = None  # built by the first matmul
         self._zero = CycloScalar(self, (0,) * self.degree, 0, 1)
         one = [0] * self.degree
         one[0] = 1
@@ -236,6 +239,70 @@ class CycloRing:
             q //= g
             vec = [c // g for c in vec]
         return CycloScalar(self, tuple(vec), e, q)
+
+    # -- packed dense products -------------------------------------------------
+
+    def _fold_table(self):
+        # T[k, l] = zeta^(k+l) in the power basis, with its largest |entry|
+        if self._fold is None:
+            deg, n, pows = self.degree, self.order, self._zeta_pows
+            table = np.array([[pows[(k + l) % n] for l in range(deg)]
+                              for k in range(deg)], dtype=np.int64)
+            self._fold = (table, int(np.abs(table).max()))
+        return self._fold
+
+    def _pack(self, rows):
+        """Align a matrix of scalars to one (scale_exp, denom).
+
+        Returns the flat coefficient list (row-major, ``degree`` per entry),
+        the largest |coefficient|, and the common (E, Q): E is the largest
+        scale exponent and Q the lcm of the denominators of the nonzero
+        entries.  Each entry is rewritten as (1/Q) p^(-E/2) sum c_j zeta^j.
+        """
+        nonzero = [x for row in rows for x in row if x._nz]
+        e_max = max((x.scale_exp for x in nonzero), default=0)
+        q_lcm = math.lcm(*(x.denom for x in nonzero))
+        p, sqrt = self.char, self._sqrt
+        flat = []
+        for row in rows:
+            for x in row:
+                de, m = e_max - x.scale_exp, q_lcm // x.denom
+                if not x._nz or (de == 0 and m == 1):
+                    flat.extend(x.coeffs)
+                    continue
+                vec = self._mul(x.coeffs, sqrt) if de % 2 else x.coeffs
+                m *= p ** (de // 2)
+                flat.extend(m * c for c in vec)
+        top = max(max(flat), -min(flat))
+        return flat, top, e_max, q_lcm
+
+    def matmul(self, a_rows, b_rows) -> list:
+        """Exact product of two matrices of scalars from this ring.
+
+        Both operands are packed into integer tensors of shape
+        (rows, cols, degree) over one common scale each, multiplied with one
+        integer matmul, folded back to the power basis with the zeta^(k+l)
+        table, and canonicalised entry by entry.  Everything runs in int64
+        when the operands and n * degree^2 * max|A| * max|B| * max|T| (n the
+        inner dimension), which bounds every intermediate, stay below 2^63;
+        otherwise on Python integers (dtype=object).
+        """
+        n, inner, m = len(a_rows), len(b_rows), len(b_rows[0])
+        deg = self.degree
+        table, t_max = self._fold_table()
+        a_flat, a_max, ea, qa = self._pack(a_rows)
+        b_flat, b_max, eb, qb = self._pack(b_rows)
+        bound = max(inner * deg * deg * a_max * b_max * t_max, a_max, b_max)
+        if bound <= 2 ** 63 - 1:
+            dtype = np.int64
+        else:
+            dtype, table = object, table.astype(object)
+        a = np.array(a_flat, dtype=dtype).reshape(n, inner, deg)
+        b = np.array(b_flat, dtype=dtype).reshape(inner, m * deg)
+        prod = a.transpose(0, 2, 1).reshape(n * deg, inner) @ b
+        folded = np.tensordot(prod.reshape(n, deg, m, deg), table, ([1, 3], [0, 1]))
+        e, q = ea + eb, qa * qb
+        return [[self.scalar(c, e, q) for c in row] for row in folded.tolist()]
 
     # -- convenience constructors --------------------------------------------
 

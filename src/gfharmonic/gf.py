@@ -68,6 +68,7 @@ def _is_irreducible(coeffs, p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _default_modulus(p: int, ell: int) -> tuple[int, ...]:
     # Lexicographically smallest (by low-order coefficients) monic irreducible.
     for tail in itertools.product(range(p), repeat=ell):
@@ -189,26 +190,10 @@ class GFField:
     """GF(p^ell) with all derived tables; construct via :func:`make_field`."""
 
     def __init__(self, p: int, ell: int, modulus=None):
-        if ell < 1:
-            raise DegreeMismatch("extension degree must be >= 1")
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if modulus is None:
-            mod = _default_modulus(p, ell)
-        else:
-            mod = tuple(c % p for c in modulus)
-            if len(mod) == ell:
-                mod = mod + (1,)
-            if len(mod) != ell + 1 or mod[-1] != 1:
-                raise DegreeMismatch(
-                    f"modulus must be monic of degree {ell}; got {list(modulus)}")
-            if not _is_irreducible(mod, p):
-                raise ReducibleModulus(
-                    f"polynomial {list(mod)} factors over Z_{p}")
+        self.modulus = _resolve_modulus(p, ell, modulus)
         self.p = p
         self.ell = ell
         self.order = p ** ell
-        self.modulus = mod
         self._build_tables()
 
     # -- table construction ----------------------------------------------------
@@ -459,8 +444,32 @@ class GFField:
         return f"GFField(p={self.p}, ell={self.ell}, modulus={list(self.modulus)})"
 
 
+def _resolve_modulus(p: int, ell: int, modulus) -> tuple[int, ...]:
+    """Validate (p, ell, modulus) and return the monic modulus reduced mod p.
+
+    ``None`` selects the default modulus; ``ell`` coefficients get the
+    leading 1 appended.  Every spelling of one polynomial resolves to the
+    same tuple.
+    """
+    if ell < 1:
+        raise DegreeMismatch("extension degree must be >= 1")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if modulus is None:
+        return _default_modulus(p, ell)
+    mod = tuple(int(c) % p for c in modulus)
+    if len(mod) == ell:
+        mod = mod + (1,)
+    if len(mod) != ell + 1 or mod[-1] != 1:
+        raise DegreeMismatch(
+            f"modulus must be monic of degree {ell}; got {list(modulus)}")
+    if not _is_irreducible(mod, p):
+        raise ReducibleModulus(f"polynomial {list(mod)} factors over Z_{p}")
+    return mod
+
+
 @lru_cache(maxsize=None)
-def _cached_field(p: int, ell: int, modulus) -> GFField:
+def _cached_field(p: int, ell: int, modulus: tuple[int, ...]) -> GFField:
     return GFField(p, ell, modulus)
 
 
@@ -469,8 +478,8 @@ def make_field(p: int, ell: int, modulus=None) -> GFField:
 
     When no modulus is given, the lexicographically smallest monic
     irreducible polynomial of degree ell is used.  Fields with identical
-    (p, ell, modulus) are the same object, so their elements interoperate.
+    (p, ell, modulus) are the same object, so their elements interoperate;
+    the modulus is compared after resolution, so the default modulus and its
+    explicit spellings give one field.
     """
-    if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
-    return _cached_field(p, ell, modulus)
+    return _cached_field(p, ell, _resolve_modulus(p, ell, modulus))

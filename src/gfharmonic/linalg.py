@@ -2,9 +2,11 @@
 
 Two backends share one interface: the exact backend stores CycloScalar
 entries and supports decidable equality; the float backend stores a numpy
-complex matrix and supports norm-based comparison.  Monomial matrices
-(permutation plus a root-of-unity phase per column) get a dedicated
-representation so products and conjugations stay O(dim^2).
+complex matrix and supports norm-based comparison.  The exact dense product
+also runs on numpy: ``CycloRing.matmul`` packs both operands into integer
+tensors over the ring's power basis and does one integer matmul plus one
+fold.  Monomial matrices (permutation plus a root-of-unity phase per column)
+get a dedicated representation so products and conjugations stay O(dim^2).
 """
 
 from __future__ import annotations
@@ -98,20 +100,8 @@ class OperatorMatrix:
         self._require_same(other)
         if self.backend == FLOAT:
             return OperatorMatrix(self.dim, FLOAT, None, self.rows @ other.rows)
-        n = self.dim
-        ring = self.ring
-        cols = [[other.rows[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = ScalarAccumulator(ring)
-                for a, b in zip(row, col):
-                    if a._nz and b._nz:
-                        acc.add_product(a, b)
-                out_row.append(acc.value())
-            out.append(out_row)
-        return OperatorMatrix(n, EXACT, ring, out)
+        return OperatorMatrix(self.dim, EXACT, self.ring,
+                              self.ring.matmul(self.rows, other.rows))
 
     def adjoint(self) -> "OperatorMatrix":
         if self.backend == FLOAT:

@@ -634,6 +634,9 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     rep.add("gauss_sum_magnitude", ok)
     rep.add("gauss_sum_at_zero", sp.gauss_sum(field, 0).value == ring.from_int(q))
 
+    # action-law labels: the power basis {eps^k : k < ell}, which spans
+    # GF(p^ell) over Z_p ({1, eps} does so only for ell <= 2)
+    gen_labels = [field.generator ** k for k in range(field.ell)]
     # exhaustive group sweeps by default only at q <= 9; the flag extends
     # the sweep to q <= 27 (beyond that the group is too large to enumerate
     # usefully at desk scale)
@@ -641,7 +644,6 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         group = sp.enumerate_group(field)
         rep.add("group_order_count", len(group) == q * (q * q - 1),
                 detail=f"count={len(group)}")
-        gen_labels = [field.one, field.generator] if field.ell > 1 else [field.one]
         ok = True
         for params in group:
             res = sp.action_check(field, params, labels=gen_labels)
@@ -654,7 +656,6 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                 len(sp.enumerate_group(field)) == q * (q * q - 1))
         sampled = _sample_params(field, rng, 8)
         sampled.append(sp.fourier_params(field))
-        gen_labels = [field.one, field.generator]
         ok = True
         for params in sampled:
             res = sp.action_check(field, params, labels=gen_labels)

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import gfharmonic
 
 from gfharmonic.cli import main
 from gfharmonic.gf import make_field
@@ -210,3 +215,29 @@ def test_verify_verbose(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "gf.frobenius_order: pass" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3", "--ell", "2", "--modulus", "a"],
+    ["op", "zpow", "--p", "3", "--ell", "2", "--alpha", "x,y"],
+    ["op", "zpow", "--p", "3", "--ell", "2", "--alpha", "99"],
+    ["op", "zpow", "--p", "3", "--ell", "2", "--alpha", "3,0"],
+    ["op", "projector", "--p", "3", "--ell", "1", "--point", "-1"],
+    ["verify", "gf", "--ell", "2"],
+])
+def test_bad_input_exits_2_with_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(gfharmonic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfharmonic.cli", "field", "--p", "3",
+         "--ell", "1"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["order"] == 3

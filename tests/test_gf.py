@@ -238,3 +238,12 @@ def test_galois_group_exponents(gf9):
 def test_field_caching():
     assert make_field(3, 2, [2, 1, 1]) is make_field(3, 2, (2, 1, 1))
     assert make_field(3, 2) is not make_field(3, 2, [2, 1, 1])
+
+
+def test_field_cache_keys_on_resolved_modulus():
+    # the default modulus of GF(9) is x^2 + 1
+    default = make_field(3, 2)
+    for spelling in ([1, 0, 1], (1, 0), [4, 3, 1], [1, 0, 4]):
+        assert make_field(3, 2, spelling) is default
+    a = make_field(3, 2, [1, 0, 1])
+    assert (a.one + default.one) == default.element(2)

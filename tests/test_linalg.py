@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfharmonic.cyclo import get_ring
+from gfharmonic.cyclo import ScalarAccumulator, get_ring
 from gfharmonic.errors import BackendMismatch, DimensionMismatch
 from gfharmonic.linalg import (Monomial, OperatorMatrix, StateVector,
                                conjugate, inner_product,
@@ -171,3 +173,92 @@ def test_tensor_list(ring):
                     * ms[1].rows[(n // 2) % 2][(m // 2) % 2]
                     * ms[2].rows[n // 4][m // 4])
             assert t.rows[n][m] == want
+
+
+# -- differential check of the packed product against the per-entry loop ----
+
+def reference_matmul(ring, a_rows, b_rows):
+    """The per-entry accumulator product that the packed kernel replaced."""
+    n = len(b_rows)
+    cols = [[b_rows[k][j] for k in range(n)] for j in range(len(b_rows[0]))]
+    out = []
+    for row in a_rows:
+        out_row = []
+        for col in cols:
+            acc = ScalarAccumulator(ring)
+            for a, b in zip(row, col):
+                if a._nz and b._nz:
+                    acc.add_product(a, b)
+            out_row.append(acc.value())
+        out.append(out_row)
+    return out
+
+
+def as_tuples(rows):
+    return [[(x.coeffs, x.scale_exp, x.denom) for x in row] for row in rows]
+
+
+def mixed_matrix(ring, dim, rng, bound, zero_rows=()):
+    """Random matrix with mixed scale exponents, denominators and zeros."""
+    rows = []
+    for i in range(dim):
+        row = []
+        for _ in range(dim):
+            if i in zero_rows or rng.random() < 0.2:
+                row.append(ring.zero)
+                continue
+            vec = [rng.randint(-bound, bound) for _ in range(ring.degree)]
+            row.append(ring.scalar(vec, rng.randint(0, 3),
+                                   rng.choice((1, 2, 3, 4, 6))))
+        rows.append(row)
+    return rows
+
+
+# (ring order, characteristic) -> ring degree 4, 8, 12, 24
+DIFF_RINGS = [(12, 3), (20, 5), (28, 7), (52, 13)]
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 2 ** 40, 10 ** 30])
+def test_packed_matmul_matches_accumulator_loop(order, char, bound):
+    # 2^40 fits int64 per coefficient but not through the product, and
+    # 10^30 does not fit int64 at all: both must take the exact object path.
+    ring = get_ring(order, char)
+    rng = random.Random(order * 1000 + bound % 997)
+    dim = 5
+    a = mixed_matrix(ring, dim, rng, bound, zero_rows=(1,))
+    b = mixed_matrix(ring, dim, rng, bound, zero_rows=(3,))
+    assert as_tuples(ring.matmul(a, b)) == as_tuples(reference_matmul(ring, a, b))
+    zero = OperatorMatrix.zeros(ring, dim).rows
+    assert as_tuples(ring.matmul(zero, b)) == as_tuples(reference_matmul(ring, zero, b))
+    assert as_tuples(ring.matmul(a, zero)) == as_tuples(zero)
+
+
+def test_packed_matmul_on_operator_products():
+    from gfharmonic.fourier import fourier_matrix
+    from gfharmonic.gf import make_field
+    f = fourier_matrix(make_field(3, 2))
+    for a, b in ((f, f), (f, f.adjoint())):
+        assert as_tuples((a @ b).rows) == as_tuples(
+            reference_matmul(f.ring, a.rows, b.rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_key=st.sampled_from(DIFF_RINGS),
+       data=st.data(),
+       scale_exp=st.integers(0, 3), denom=st.sampled_from((1, 2, 3, 4, 6)),
+       extra_exp=st.integers(0, 3), extra_denom=st.integers(1, 12))
+def test_canonical_form_independent_of_spelling(ring_key, data, scale_exp, denom,
+                                                extra_exp, extra_denom):
+    # The packed product rescales every entry to a common (e, denom) before
+    # canonicalising; it is bit-identical only if canonical form ignores that.
+    ring = get_ring(*ring_key)
+    vec = data.draw(st.lists(st.integers(-50, 50), min_size=ring.degree,
+                             max_size=ring.degree))
+    # e = 0 keeps the vector verbatim, so this is the raw product by sqrt(p)^k
+    lifted = (ring.scalar(vec) * ring.sqrt_char() ** extra_exp).coeffs
+    respelled = ring.scalar([extra_denom * c for c in lifted],
+                            scale_exp + extra_exp, denom * extra_denom)
+    x = ring.scalar(vec, scale_exp, denom)
+    assert (respelled.coeffs, respelled.scale_exp, respelled.denom) == \
+        (x.coeffs, x.scale_exp, x.denom)

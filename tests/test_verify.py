@@ -47,3 +47,19 @@ def test_report_json_shape():
     assert all({"name", "status"} <= set(item) for item in data["items"])
     assert set(SUITE_NAMES) == {"gf", "fourier", "frobenius", "heisenberg",
                                 "symplectic"}
+
+
+def test_action_law_checks_the_full_power_basis(monkeypatch):
+    import gfharmonic.verify as vf
+    field = make_field(3, 3)
+    seen = set()
+    real = vf.sp.action_check
+
+    def recording(f, params, labels=None, **kwargs):
+        seen.update(field.element(x).index for x in labels)
+        return real(f, params, labels=labels, **kwargs)
+
+    monkeypatch.setattr(vf.sp, "action_check", recording)
+    report = run_suite(field, "symplectic", VerifyConfig())
+    assert report.passed
+    assert seen == {(field.generator ** k).index for k in range(3)}
