@@ -154,7 +154,7 @@ def cmd_op(args) -> int:
     field = _build_field(args)
     kind = args.kind
     if kind == "fourier":
-        mat = (fr.subfield_fourier(field, args.d) if args.d
+        mat = (fr.subfield_fourier(field, args.d) if args.d is not None
                else fr.fourier_matrix(field))
     elif kind == "frobenius":
         mat = fb.frobenius_matrix(field)

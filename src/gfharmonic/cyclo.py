@@ -99,6 +99,7 @@ class CycloRing:
         self._sqrt = self._build_sqrt_char()
         self._unit_phases = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
         self._fold = None  # built by the first matmul
+        self._root_scaled = {}  # filled by root_scaled, one entry per use
         self._zero = CycloScalar(self, (0,) * self.degree, 0, 1)
         one = [0] * self.degree
         one[0] = 1
@@ -327,6 +328,18 @@ class CycloRing:
     def root(self, k: int) -> "CycloScalar":
         """zeta^k."""
         return CycloScalar(self, self._zeta_pows[k % self.order], 0, 1)
+
+    def root_scaled(self, k: int, e: int) -> "CycloScalar":
+        """The canonical scalar zeta^k p^(-e/2), memoised per (k mod N, e).
+
+        Character-valued matrices repeat a handful of such values q^2 times;
+        each is canonicalised once here and then shared.
+        """
+        key = (k % self.order, e)
+        x = self._root_scaled.get(key)
+        if x is None:
+            x = self._root_scaled[key] = self.scalar(self._zeta_pows[key[0]], e, 1)
+        return x
 
     def omega(self, a: int) -> "CycloScalar":
         """The additive character value omega^a = exp(2*pi*i*a/p)."""

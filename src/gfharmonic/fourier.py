@@ -14,21 +14,13 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .gf import GFField
-from .hilbert import ring_for, subspace_projector
+from .hilbert import operator_cache, ring_for, subspace_projector
 from .linalg import EXACT, OperatorMatrix, StateVector
-
-
-def _cache(field: GFField) -> dict:
-    cache = getattr(field, "_op_cache", None)
-    if cache is None:
-        cache = {}
-        field._op_cache = cache
-    return cache
 
 
 def fourier_matrix(field: GFField) -> OperatorMatrix:
     """The p^ell x p^ell Fourier matrix, cached per field."""
-    cache = _cache(field)
+    cache = operator_cache(field)
     if "fourier" not in cache:
         ring = ring_for(field)
         q = field.order
@@ -37,8 +29,7 @@ def fourier_matrix(field: GFField) -> OperatorMatrix:
             row = []
             for m in range(q):
                 t = field.trace_index(field.mul_index(n, m))
-                row.append(ring.scalar(ring._zeta_pows[ring.omega_exponent(t)],
-                                       field.ell, 1))
+                row.append(ring.root_scaled(ring.omega_exponent(t), field.ell))
             rows.append(row)
         cache["fourier"] = OperatorMatrix(q, EXACT, ring, rows)
     return cache["fourier"]
@@ -65,8 +56,7 @@ def subfield_fourier(field: GFField, d: int) -> OperatorMatrix:
     for n in sub:
         for m in sub:
             t = field.subfield_trace(field.mul_index(n, m), d)
-            out.rows[n][m] = ring.scalar(
-                ring._zeta_pows[ring.omega_exponent(t)], d, 1)
+            out.rows[n][m] = ring.root_scaled(ring.omega_exponent(t), d)
     return out
 
 
@@ -153,7 +143,7 @@ class FourierSpectrum:
 
 def fourier_spectrum(field: GFField) -> FourierSpectrum:
     """Spectral projectors (1/4) sum_k (i^-r F)^k for r = 0..3."""
-    cache = _cache(field)
+    cache = operator_cache(field)
     if "fourier_spectrum" not in cache:
         ring = ring_for(field)
         q = field.order

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotUnitary
-from .fourier import _cache, fourier_matrix, fourier_spectrum
+from .fourier import fourier_matrix, fourier_spectrum
 from .gf import GFField
-from .hilbert import ring_for, subspace_projector
+from .hilbert import operator_cache, ring_for, subspace_projector
 from .linalg import Monomial, OperatorMatrix, conjugate
 
 
@@ -27,7 +27,7 @@ def frobenius_monomial(field: GFField) -> Monomial:
 
 def frobenius_matrix(field: GFField) -> OperatorMatrix:
     """Dense form of the Frobenius permutation operator."""
-    cache = _cache(field)
+    cache = operator_cache(field)
     if "frobenius" not in cache:
         cache["frobenius"] = frobenius_monomial(field).to_matrix()
     return cache["frobenius"]
@@ -79,7 +79,7 @@ class FrobeniusSpectrum:
 
 def frobenius_spectrum(field: GFField) -> FrobeniusSpectrum:
     """Projectors (1/ell) sum_k (root^-lambda G)^k, lambda = 0..ell-1."""
-    cache = _cache(field)
+    cache = operator_cache(field)
     if "frobenius_spectrum" not in cache:
         ring = ring_for(field)
         ell = field.ell

@@ -398,6 +398,17 @@ class GFField:
         idx = self.element(m).index
         return idx in set(self._subfields[d])
 
+    def require_in_subfield(self, m, d: int,
+                            message: str | None = None) -> FieldElement:
+        """Coerce m, raising NotInSubfield unless it lies in GF(p^d).
+
+        The default message names the element as a label.
+        """
+        el = self.element(m)
+        if not self.in_subfield(el, d):
+            raise NotInSubfield(message or f"label {el} is not in GF({self.p}^{d})")
+        return el
+
     def subfield_trace(self, m, d: int) -> int:
         """Trace of m relative to the degree-d subfield extension of Z_p."""
         self._check_divisor(d)

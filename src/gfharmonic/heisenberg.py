@@ -331,10 +331,7 @@ def subfield_z_power(field: GFField, d: int, alpha) -> OperatorMatrix:
     """
     field._check_divisor(d)
     ring = ring_for(field)
-    a = field.element(alpha)
-    if not field.in_subfield(a, d):
-        from .errors import NotInSubfield
-        raise NotInSubfield(f"label {a} is not in GF({field.p}^{d})")
+    a = field.require_in_subfield(alpha, d)
     out = OperatorMatrix.zeros(ring, field.order)
     for m in field.subfield_indices(d):
         t = field.subfield_trace(field.mul_index(a.index, m), d)
@@ -346,10 +343,7 @@ def subfield_x_power(field: GFField, d: int, beta) -> OperatorMatrix:
     """Subfield shift operator, embedded on GF(p^d) indices."""
     field._check_divisor(d)
     ring = ring_for(field)
-    b = field.element(beta)
-    if not field.in_subfield(b, d):
-        from .errors import NotInSubfield
-        raise NotInSubfield(f"label {b} is not in GF({field.p}^{d})")
+    b = field.require_in_subfield(beta, d)
     out = OperatorMatrix.zeros(ring, field.order)
     for m in field.subfield_indices(d):
         out.rows[field.add_index(m, b.index)][m] = ring.one
@@ -401,12 +395,8 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
     _require_odd(field)
     field._check_divisor(d)
     ring = ring_for(field)
-    a = field.element(alpha)
-    b = field.element(beta)
-    for el in (a, b):
-        if not field.in_subfield(el, d):
-            from .errors import NotInSubfield
-            raise NotInSubfield(f"label {el} is not in GF({field.p}^{d})")
+    a = field.require_in_subfield(alpha, d)
+    b = field.require_in_subfield(beta, d)
     half = field.element(field.two_inverse)
     base = field.subfield_trace(half * a * b, d)
     out = OperatorMatrix.zeros(ring, field.order)

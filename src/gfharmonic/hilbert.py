@@ -2,7 +2,8 @@
 
 Point projectors, subfield-support projectors, and the character basis
 phi_n(m) = p^(-ell/2) omega^(-Tr(n m)) with its tensor factorisation into
-p-dimensional component functions.
+p-dimensional component functions.  Operators derived from a field are
+cached per field by :func:`operator_cache`.
 """
 
 from __future__ import annotations
@@ -13,14 +14,27 @@ from .linalg import EXACT, OperatorMatrix, StateVector
 from .linalg import inner_product  # re-export: scalar product lives with states
 
 __all__ = [
-    "ring_for", "inner_product", "point_projector", "subspace_projector",
-    "phi_basis", "phi_basis_matrix", "tensor_factorize_phi",
+    "ring_for", "operator_cache", "inner_product", "point_projector",
+    "subspace_projector", "phi_basis", "phi_basis_matrix", "tensor_factorize_phi",
 ]
 
 
 def ring_for(field: GFField):
     """The shared cyclotomic scalar ring for operators over this field."""
     return get_ring(ring_order(field.p, field.ell), field.p)
+
+
+_OPERATOR_CACHES: dict = {}  # field -> {key: operator}
+
+
+def operator_cache(field: GFField) -> dict:
+    """Per-field store for derived operators (Fourier matrix, spectra, shears).
+
+    Kept here, not on the field, which is immutable once built.  Fields come
+    from the process-wide ``make_field`` cache, so keying on the field object
+    keeps nothing alive that is not alive already.
+    """
+    return _OPERATOR_CACHES.setdefault(field, {})
 
 
 def point_projector(field: GFField, k) -> OperatorMatrix:
@@ -48,8 +62,7 @@ def phi_basis(field: GFField, n) -> StateVector:
     vals = []
     for m in range(field.order):
         t = field.trace_index(field.mul_index(n_idx, m))
-        vals.append(ring.scalar(ring._zeta_pows[ring.omega_exponent(-t)],
-                                field.ell, 1))
+        vals.append(ring.root_scaled(ring.omega_exponent(-t), field.ell))
     return StateVector(field.order, EXACT, ring, vals)
 
 
@@ -66,8 +79,7 @@ def component_character(field: GFField, a: int) -> StateVector:
     """p-dimensional component function with values p^(-1/2) omega^(-a b)."""
     ring = ring_for(field)
     p = field.p
-    vals = [ring.scalar(ring._zeta_pows[ring.omega_exponent(-a * b)], 1, 1)
-            for b in range(p)]
+    vals = [ring.root_scaled(ring.omega_exponent(-a * b), 1) for b in range(p)]
     return StateVector(p, EXACT, ring, vals)
 
 

@@ -7,8 +7,10 @@ S satisfies, by definition of the action,
 
 and more generally S D(alpha, beta) S+ = D(u alpha + s beta, t alpha + r beta).
 S is synthesised from three generator subgroups: index scaling, a diagonal
-quadratic phase, and the Fourier conjugate of the latter.  In the generic
-chart (r != 0 and 1 + s*t != 0)
+quadratic phase, and the Fourier conjugate of the latter.  That conjugate is
+a convolution over the additive group (its entry (n, m) depends only on
+n - m), so it is built from its q distinct entries, one character sum each.
+In the generic chart (r != 0 and 1 + s*t != 0)
 
     S = [F S(1, -xi1, 0) F+] . S(1, xi2, 0) . S(xi3, 0, 0)
     xi1 = r t (1+s t)^-1,  xi2 = s r^-1 (1+s t),  xi3 = r (1+s t)^-1
@@ -28,14 +30,14 @@ from dataclasses import dataclass
 from .cyclo import CycloScalar, ScalarAccumulator
 from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, WrongFixture, ZeroScaling)
-from .fourier import _cache, fourier_matrix
+from .fourier import fourier_matrix
 from .gf import FieldElement, GFField
 from .heisenberg import (GF9_FIXTURE_MODULUS, _require_gf9_fixture,
                          component_displacement_monomial, displacement,
                          displacement_monomial, marginal_sum_alpha,
                          marginal_sum_beta, parity_monomial, x_monomial,
                          z_monomial)
-from .hilbert import point_projector, ring_for
+from .hilbert import operator_cache, point_projector, ring_for
 from .linalg import (EXACT, Monomial, OperatorMatrix, conjugate,
                      proportionality_phase, tensor_list)
 
@@ -126,33 +128,37 @@ def generator_shear_z(field: GFField, xi) -> Monomial:
 
 
 def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
-    """Fourier conjugate of the diagonal quadratic phase, cached per parameter.
+    """Fourier conjugate F S(1, xi, 0) F+ of the diagonal quadratic phase,
+    cached per parameter.
 
-    Computed as the exact triple product with the Fourier matrix expanded:
-    entry (n, m) is p^-ell sum_k omega^(Tr(k n) + 2^-1 Tr(xi k^2) - Tr(k m)).
+    Conjugating a diagonal operator by F gives a convolution over (GF(q), +):
+    the result commutes with every shift, so entry (n, m) depends only on
+    n - m.  Expanding the triple product, entry (n, m) is g(n - m) with
+
+        g(d) = p^-ell sum_k omega^(Tr(k d) + 2^-1 Tr(xi k^2)),
+
+    because Tr(k n) - Tr(k m) = Tr(k (n - m)).  The q values g(d) are summed
+    once each, so the matrix costs q character sums instead of q^2, and
+    entries on one difference share one scalar.  The exponents agree with
+    those of the full triple product mod N, so every entry is bit-identical
+    to it; :func:`shear_x_closed_form` evaluates that sum independently.
     """
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
     xi = field.element(xi)
-    cache = _cache(field)
+    cache = operator_cache(field)
     key = ("shear_x", xi.index)
     if key not in cache:
         ring = ring_for(field)
         q = field.order
-        diag = generator_shear_z(field, xi)
+        phase = generator_shear_z(field, xi).phase
         step = ring.order // ring.char
-        tr_rows = [[step * field.trace_index(field.mul_index(n, k))
-                    for k in range(q)] for n in range(q)]
-        rows = []
-        for n in range(q):
-            tn = tr_rows[n]
-            row = []
-            for m in range(q):
-                tm = tr_rows[m]
-                row.append(ring.sum_of_roots(
-                    (tn[k] + diag.phase[k] - tm[k] for k in range(q)),
-                    2 * field.ell))
-            rows.append(row)
+        g = [ring.sum_of_roots(
+                (step * field.trace_index(field.mul_index(k, d)) + phase[k]
+                 for k in range(q)), 2 * field.ell)
+             for d in range(q)]
+        sub = field.sub_index
+        rows = [[g[sub(n, m)] for m in range(q)] for n in range(q)]
         cache[key] = OperatorMatrix(q, EXACT, ring, rows)
     return cache[key]
 
@@ -332,11 +338,9 @@ def frobenius_action_check(field: GFField, params: SymplecticParams,
     result = {"covariant": ok, "phases": phases}
     if subfield_d is not None:
         d = subfield_d
-        in_sub = all(field.in_subfield(x, d)
-                     for x in (params.r, params.s, params.t, params.u))
-        if not in_sub:
-            from .errors import NotInSubfield
-            raise NotInSubfield("parameters are not all in the requested subfield")
+        for x in (params.r, params.s, params.t, params.u):
+            field.require_in_subfield(
+                x, d, "parameters are not all in the requested subfield")
         conj_op = (g ** d).conjugate_dense(s_op)
         phase = proportionality_phase(conj_op, s_op)
         result["subfield_fixed"] = phase is not None

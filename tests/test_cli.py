@@ -224,6 +224,9 @@ def test_verify_verbose(capsys):
     ["op", "zpow", "--p", "3", "--ell", "2", "--alpha", "3,0"],
     ["op", "projector", "--p", "3", "--ell", "1", "--point", "-1"],
     ["verify", "gf", "--ell", "2"],
+    ["op", "fourier", "--p", "3", "--ell", "2", "--d", "0"],
+    ["op", "fourier", "--p", "3", "--ell", "2", "--d", "-1"],
+    ["op", "projector", "--p", "3", "--ell", "2", "--subspace", "0"],
 ])
 def test_bad_input_exits_2_with_error_line(capsys, argv):
     code = main(argv)

@@ -67,6 +67,39 @@ def test_sqrt_char_squares_to_char(p):
     assert cmath.isclose(embed_float(s), math.sqrt(p), abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("p,ell", [(2, 1), (3, 2), (5, 1), (7, 3), (13, 2)])
+def test_root_scaled_matches_scalar(p, ell):
+    ring = get_ring(ring_order(p, ell), p)
+    for k in range(ring.order):
+        for e in range(4):
+            x = ring.root_scaled(k, e)
+            assert x == ring.scalar(ring.root(k).coeffs, e, 1)
+            assert ring.root_scaled(k - ring.order, e) is x
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(want)), n
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_sqrt_char_gauss_sum_sign_matches_sympy(p):
+    # sqrt(p) is built from the quadratic Gauss sum g = sum_k omega^(k^2),
+    # which is +sqrt(p) for p = 1 mod 4 and +i sqrt(p) for p = 3 mod 4
+    sympy = pytest.importorskip("sympy")
+    ring = get_ring(ring_order(p, 1), p)
+    g = ring.sum_of_roots(ring.omega_exponent(k * k) for k in range(p))
+    g_sympy = sum(sympy.exp(2 * sympy.pi * sympy.I * k * k / p) for k in range(p))
+    assert cmath.isclose(complex(g), complex(sympy.N(g_sympy, 30)), abs_tol=1e-9)
+    unit = 1 if p % 4 == 1 else ring.imag_unit()
+    assert g == ring.sqrt_char() * unit
+    assert cmath.isclose(complex(ring.sqrt_char()), float(sympy.sqrt(p)),
+                         abs_tol=1e-12)
+
+
 def test_half_scale_arithmetic(ring3):
     inv_sqrt = ring3.scalar([1, 0, 0, 0], scale_exp=1)
     assert inv_sqrt * inv_sqrt == ring3.rational(1, 3)

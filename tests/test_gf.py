@@ -125,6 +125,16 @@ def test_subfield_trace(gf9):
         gf9.subfield_trace(1, 3)
 
 
+def test_require_in_subfield(gf9):
+    assert gf9.require_in_subfield(2, 1) == gf9.element(2)
+    with pytest.raises(NotInSubfield, match=r"label 0,1 is not in GF\(3\^1\)"):
+        gf9.require_in_subfield(gf9.generator, 1)
+    with pytest.raises(NotInSubfield, match="custom"):
+        gf9.require_in_subfield(gf9.generator, 1, "custom")
+    with pytest.raises(NotADivisor):
+        gf9.require_in_subfield(1, 3)
+
+
 def test_gf27_prime_subfield_trace_vanishes():
     f = make_field(3, 3)
     for c in range(3):

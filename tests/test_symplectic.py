@@ -5,11 +5,12 @@ import random
 import pytest
 
 from gfharmonic.errors import (ConstraintViolated, DomainRestriction,
-                               EvenCharacteristic, WrongFixture, ZeroScaling)
+                               EvenCharacteristic, NotInSubfield, WrongFixture,
+                               ZeroScaling)
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import make_field
 from gfharmonic.heisenberg import displacement, x_power, z_power
-from gfharmonic.hilbert import ring_for
+from gfharmonic.hilbert import operator_cache, ring_for
 from gfharmonic.linalg import (Monomial, OperatorMatrix, conjugate,
                                proportionality_phase)
 from gfharmonic.symplectic import (SymplecticParams, action_check,
@@ -91,6 +92,48 @@ def test_generator_shear_x(gf3, gf9):
             assert built.is_unitary()
     lhs = generator_shear_x(gf9, 2) @ generator_shear_x(gf9, 5)
     assert lhs.equals(generator_shear_x(gf9, gf9.add_index(2, 5)))
+
+
+def reference_shear_x(field, xi):
+    """Every entry of the shear as its own q-term character sum, the q^2 loop
+    that generator_shear_x replaced."""
+    ring = ring_for(field)
+    q = field.order
+    phase = generator_shear_z(field, xi).phase
+    step = ring.order // ring.char
+    tr_rows = [[step * field.trace_index(field.mul_index(n, k))
+                for k in range(q)] for n in range(q)]
+    return [[ring.sum_of_roots(
+                (tr_rows[n][k] + phase[k] - tr_rows[m][k] for k in range(q)),
+                2 * field.ell)
+             for m in range(q)] for n in range(q)]
+
+
+@pytest.mark.parametrize("p,ell,xis", [
+    (3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (5, 2, None),
+    (3, 3, None), (7, 2, (1, 3, 48)),
+])
+def test_shear_x_convolution_matches_entrywise_sums(p, ell, xis):
+    # canonical tuples, not __eq__, so a vacuous equality cannot pass
+    field = make_field(p, ell)
+    for xi in (range(field.order) if xis is None else xis):
+        built = generator_shear_x(field, xi)
+        want = reference_shear_x(field, xi)
+        for n in range(field.order):
+            for m in range(field.order):
+                x, y = built.rows[n][m], want[n][m]
+                assert ((x.coeffs, x.scale_exp, x.denom)
+                        == (y.coeffs, y.scale_exp, y.denom)), (p, ell, xi, n, m)
+
+
+def test_operator_cache_lives_off_the_field():
+    field = make_field(5, 1)
+    f = fourier_matrix(field)
+    shear = generator_shear_x(field, 2)
+    assert fourier_matrix(field) is f
+    assert generator_shear_x(field, 2) is shear
+    assert operator_cache(field)["fourier"] is f
+    assert not hasattr(field, "_op_cache")
 
 
 def test_symplectic_params_validation(gf9):
@@ -212,6 +255,9 @@ def test_frobenius_covariance(gf9):
     base = SymplecticParams.from_rst(gf9, 1, 1, 2)
     rep = frobenius_action_check(gf9, base, subfield_d=1)
     assert rep["covariant"] and rep["subfield_fixed"]
+    with pytest.raises(NotInSubfield,
+                       match="parameters are not all in the requested subfield"):
+        frobenius_action_check(gf9, params, subfield_d=1)
 
 
 def test_transformed_marginals(gf3, gf9):
