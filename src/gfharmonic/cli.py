@@ -108,10 +108,6 @@ def _emit(args, payload) -> None:
         print(text)
 
 
-def _element_str(el) -> str:
-    return str(el)
-
-
 def _matrix_payload(args, mat: OperatorMatrix) -> dict:
     if args.backend == "float":
         mat = mat.embed()
@@ -135,14 +131,14 @@ def cmd_field(args) -> int:
         "ell": field.ell,
         "order": field.order,
         "modulus": list(field.modulus),
-        "elements": [_element_str(e) for e in field.elements()],
+        "elements": [str(e) for e in field.elements()],
         "traces": [field.trace_index(i) for i in range(field.order)],
         "subfield_traces": traces,
         "gram": [list(r) for r in dual.gram],
         "gram_inverse": [list(r) for r in dual.gram_inv],
-        "dual_basis": [_element_str(e) for e in dual.elements],
+        "dual_basis": [str(e) for e in dual.elements],
         "subfields": {
-            str(d): [_element_str(e) for e in field.subfield_elements(d)]
+            str(d): [str(e) for e in field.subfield_elements(d)]
             for d in field.divisors()
         },
     }
@@ -185,7 +181,7 @@ def cmd_op(args) -> int:
         mat = sp.synthesize(field, params)
         payload = _matrix_payload(args, mat)
         payload["parameter_matrix"] = [
-            [_element_str(x) for x in row] for row in params.matrix()]
+            [str(x) for x in row] for row in params.matrix()]
         _emit(args, payload)
         return 0
     elif kind == "projector":

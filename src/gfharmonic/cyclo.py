@@ -27,6 +27,37 @@ import numpy as np
 from .errors import BackendMismatch, DivisionByZero
 
 
+INT64_MAX = 2 ** 63 - 1
+BLOCK_ENTRIES = 2048  # matrix entries per vectorised pass of unpack and times_roots
+
+
+def _dtype_for(bound: int):
+    """int64 when every value stays within bound <= 2^63 - 1, else Python ints."""
+    return np.int64 if bound <= INT64_MAX else object
+
+
+def _max_abs(a) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+# storage dtypes, each used only for |values| <= its limit, so abs() cannot wrap
+_STORAGE = ((np.int8, 2 ** 7 - 1), (np.int16, 2 ** 15 - 1),
+            (np.int32, 2 ** 31 - 1), (np.int64, INT64_MAX))
+
+
+def _storage_dtype(top: int):
+    return next((t for t, limit in _STORAGE if top <= limit), object)
+
+
+def compact(data):
+    """data in the narrowest integer dtype that holds it, Python ints past int64.
+
+    Packed matrices are stored this way; arithmetic widens again to int64
+    or Python ints from its own bound.
+    """
+    return data.astype(_storage_dtype(_max_abs(data)), copy=False)
+
+
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -98,7 +129,7 @@ class CycloRing:
         self._i_exp = order // 4
         self._sqrt = self._build_sqrt_char()
         self._unit_phases = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
-        self._fold = None  # built by the first matmul
+        self._packed_tables = None  # built by the first packed operation
         self._root_scaled = {}  # filled by root_scaled, one entry per use
         self._zero = CycloScalar(self, (0,) * self.degree, 0, 1)
         one = [0] * self.degree
@@ -241,69 +272,198 @@ class CycloRing:
             vec = [c // g for c in vec]
         return CycloScalar(self, tuple(vec), e, q)
 
-    # -- packed dense products -------------------------------------------------
+    # -- packed matrices -------------------------------------------------------
+    #
+    # A packed matrix is a triple (data, E, Q).  data is an (n, m, degree)
+    # integer array over the power basis, and entry (i, j) is the scalar
+    # (1/Q) p^(-E/2) sum_k data[i, j, k] zeta^k.  In normal form E is the
+    # largest scale exponent and Q the lcm of the denominators of the
+    # canonical entries (E = 0, Q = 1 for the zero matrix).  Both are fixed
+    # by the values and the power basis is a Z-basis, so two matrices are
+    # equal exactly when their triples are.  Arithmetic runs in int64 while
+    # a computed bound on every intermediate stays below 2^63, and on Python
+    # integers (dtype=object) otherwise; matrices store their arrays
+    # compacted (see compact).
 
-    def _fold_table(self):
-        # T[k, l] = zeta^(k+l) in the power basis, with its largest |entry|
-        if self._fold is None:
-            deg, n, pows = self.degree, self.order, self._zeta_pows
-            table = np.array([[pows[(k + l) % n] for l in range(deg)]
-                              for k in range(deg)], dtype=np.int64)
-            self._fold = (table, int(np.abs(table).max()))
-        return self._fold
+    def _tables(self):
+        """Integer tables, built on first use, each with its largest |entry|.
 
-    def _pack(self, rows):
-        """Align a matrix of scalars to one (scale_exp, denom).
-
-        Returns the flat coefficient list (row-major, ``degree`` per entry),
-        the largest |coefficient|, and the common (E, Q): E is the largest
-        scale exponent and Q the lcm of the denominators of the nonzero
-        entries.  Each entry is rewritten as (1/Q) p^(-E/2) sum c_j zeta^j.
+        roots[k, i] is zeta^(i+k) in the power basis, so v @ roots[k] is
+        v zeta^k and roots[:degree] folds a product of two vectors; conj
+        and sqrt are the matrices of zeta -> zeta^-1 and of x -> sqrt(p) x.
         """
-        nonzero = [x for row in rows for x in row if x._nz]
+        if self._packed_tables is None:
+            deg, n, pows = self.degree, self.order, self._zeta_pows
+            roots = np.array([[pows[(i + k) % n] for i in range(deg)]
+                              for k in range(n)], dtype=np.int64)
+            conj = np.array([pows[-i % n] for i in range(deg)], dtype=np.int64)
+            sqrt = np.array([self._mul(pows[i], self._sqrt) for i in range(deg)],
+                            dtype=np.int64)
+            for t in (roots, conj, sqrt):
+                t.setflags(write=False)
+            self._packed_tables = {name: (t, int(np.abs(t).max()))
+                                   for name, t in (("roots", roots), ("conj", conj),
+                                                   ("sqrt", sqrt))}
+        return self._packed_tables
+
+    def root_coeffs(self):
+        """(N, degree) int64 array whose row k is zeta^k in the power basis."""
+        return self._tables()["roots"][0][:, 0]
+
+    def _times_table(self, data, name):
+        """data @ table over the last axis, in int64 when that cannot overflow."""
+        table, t_max = self._tables()[name]
+        dtype = _dtype_for(self.degree * _max_abs(data) * t_max)
+        return data.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
+
+    def pack(self, rows):
+        """Normal-form packed triple of a matrix of canonical scalars.
+
+        Each distinct scalar object is aligned to the common (E, Q) once, so
+        matrices that repeat a few values (character tables, convolutions)
+        pack at the cost of a gather.
+        """
+        n, m = len(rows), len(rows[0])
+        slot, distinct, picks = {}, [], []
+        for row in rows:
+            for x in row:
+                k = slot.get(id(x))
+                if k is None:
+                    k = slot[id(x)] = len(distinct)
+                    distinct.append(x)
+                picks.append(k)
+        nonzero = [x for x in distinct if x._nz]
         e_max = max((x.scale_exp for x in nonzero), default=0)
         q_lcm = math.lcm(*(x.denom for x in nonzero))
         p, sqrt = self.char, self._sqrt
-        flat = []
-        for row in rows:
-            for x in row:
-                de, m = e_max - x.scale_exp, q_lcm // x.denom
-                if not x._nz or (de == 0 and m == 1):
-                    flat.extend(x.coeffs)
-                    continue
-                vec = self._mul(x.coeffs, sqrt) if de % 2 else x.coeffs
-                m *= p ** (de // 2)
-                flat.extend(m * c for c in vec)
-        top = max(max(flat), -min(flat))
-        return flat, top, e_max, q_lcm
+        aligned = []
+        for x in distinct:
+            de, mult = e_max - x.scale_exp, q_lcm // x.denom
+            if not x._nz or (de == 0 and mult == 1):
+                aligned.append(x.coeffs)
+                continue
+            vec = self._mul(x.coeffs, sqrt) if de % 2 else x.coeffs
+            mult *= p ** (de // 2)
+            aligned.append([mult * c for c in vec])
+        top = max(abs(c) for vec in aligned for c in vec)
+        table = compact(np.array(aligned, dtype=_dtype_for(top)))
+        return table[picks].reshape(n, m, self.degree), e_max, q_lcm
 
-    def matmul(self, a_rows, b_rows) -> list:
-        """Exact product of two matrices of scalars from this ring.
+    def _normalise(self, data, e: int, q: int):
+        """Normal form of the packed triple (data, e, q), q prime to p.
 
-        Both operands are packed into integer tensors of shape
-        (rows, cols, degree) over one common scale each, multiplied with one
-        integer matmul, folded back to the power basis with the zeta^(k+l)
-        table, and canonicalised entry by entry.  Everything runs in int64
-        when the operands and n * degree^2 * max|A| * max|B| * max|T| (n the
-        inner dimension), which bounds every intermediate, stay below 2^63;
-        otherwise on Python integers (dtype=object).
+        Strips sqrt(p) from the whole matrix while every entry is divisible
+        by it, then divides out the gcd of q and all coefficients.
         """
-        n, inner, m = len(a_rows), len(b_rows), len(b_rows[0])
-        deg = self.degree
-        table, t_max = self._fold_table()
-        a_flat, a_max, ea, qa = self._pack(a_rows)
-        b_flat, b_max, eb, qb = self._pack(b_rows)
-        bound = max(inner * deg * deg * a_max * b_max * t_max, a_max, b_max)
-        if bound <= 2 ** 63 - 1:
-            dtype = np.int64
-        else:
-            dtype, table = object, table.astype(object)
-        a = np.array(a_flat, dtype=dtype).reshape(n, inner, deg)
-        b = np.array(b_flat, dtype=dtype).reshape(inner, m * deg)
-        prod = a.transpose(0, 2, 1).reshape(n * deg, inner) @ b
-        folded = np.tensordot(prod.reshape(n, deg, m, deg), table, ([1, 3], [0, 1]))
-        e, q = ea + eb, qa * qb
-        return [[self.scalar(c, e, q) for c in row] for row in folded.tolist()]
+        if not data.any():
+            return np.zeros(data.shape, dtype=np.int64), 0, 1
+        p = self.char
+        while e >= 1:
+            w = self._times_table(data, "sqrt")
+            if (w % p).any():
+                break
+            data, e = w // p, e - 1
+        g = math.gcd(q, int(np.gcd.reduce(data.ravel())))
+        if g > 1:
+            data, q = data // g, q // g
+        return data, e, q
+
+    def unpack(self, packed) -> tuple:
+        """Rows of canonical scalars of a packed triple.
+
+        Entry by entry this is ``scalar(data[i, j], E, Q)``, bit for bit,
+        vectorised over blocks of nonzero entries; the block size bounds
+        the temporaries to a few hundred kB at any matrix size.
+        """
+        data, e, q = packed
+        n, m, deg = data.shape
+        flat = data.reshape(n * m, deg)
+        out = [self._zero] * (n * m)
+        live = np.flatnonzero((flat != 0).any(axis=1))
+        for start in range(0, len(live), BLOCK_ENTRIES):
+            idx = live[start:start + BLOCK_ENTRIES]
+            for i, x in zip(idx.tolist(), self._canonical(flat[idx], e, q)):
+                out[i] = x
+        return tuple(tuple(out[i * m:(i + 1) * m]) for i in range(n))
+
+    def _canonical(self, vecs, e: int, q: int) -> list:
+        # scalar(vec, e, q) for each nonzero row vec, q prime to p: strip
+        # sqrt(p) from each row while it is divisible (at most e times), then
+        # divide out each row's gcd with q
+        vecs = vecs.astype(object if vecs.dtype == object else np.int64)
+        exps = np.full(len(vecs), e)
+        todo = np.arange(len(vecs))
+        p = self.char
+        for _ in range(e):
+            if not todo.size:
+                break
+            w = self._times_table(vecs[todo], "sqrt")
+            ok = ~(w % p).any(axis=1)
+            todo = todo[ok]
+            if w.dtype == object:
+                vecs = vecs.astype(object, copy=False)
+            vecs[todo] = w[ok] // p
+            exps[todo] -= 1
+        g = np.gcd(np.gcd.reduce(vecs, axis=1), q)
+        if (g > 1).any():
+            vecs = vecs // g[:, None]
+        return [CycloScalar(self, vec, ei, qi)
+                for vec, ei, qi in zip(map(tuple, vecs.tolist()), exps.tolist(),
+                                       (q // g).tolist())]
+
+    def matmul(self, a, b):
+        """Exact product of two packed matrices, in normal form.
+
+        One integer matmul of A (transposed to (rows * degree, inner)) by B
+        ((inner, cols * degree)), one fold of each entry's degree x degree
+        block of coefficient products with the zeta^(k+l) table, and one
+        whole-matrix normalisation at (E_a + E_b, Q_a Q_b).  int64 is used
+        when the operands and inner * degree^2 * max|A| * max|B| * max|T|,
+        which bounds every intermediate, stay below 2^63.
+        """
+        (ad, ea, qa), (bd, eb, qb) = a, b
+        n, inner, deg = ad.shape
+        m = bd.shape[1]
+        table, t_max = self._tables()["roots"]
+        a_max, b_max = _max_abs(ad), _max_abs(bd)
+        dtype = _dtype_for(max(inner * deg * deg * a_max * b_max * t_max,
+                               a_max, b_max))
+        ad, bd = ad.astype(dtype, copy=False), bd.astype(dtype, copy=False)
+        prod = ad.transpose(0, 2, 1).reshape(n * deg, inner) @ bd.reshape(inner, m * deg)
+        pairs = prod.reshape(n, deg, m, deg).transpose(0, 2, 1, 3).reshape(n, m, deg * deg)
+        folded = pairs @ table[:deg].reshape(deg * deg, deg).astype(dtype, copy=False)
+        return self._normalise(folded, ea + eb, qa * qb)
+
+    def times_roots(self, data, row_roots=None, col_roots=None):
+        """Entry (n, m) of a packed coefficient array times
+        zeta^(row_roots[n] + col_roots[m]); either exponent array may be None.
+
+        Units keep every entry canonical, so a packed triple keeps its
+        (E, Q).  Each factor grows |coefficients| by at most degree * max|T|,
+        which picks the arithmetic dtype.  Rows go through in blocks of
+        about BLOCK_ENTRIES entries, so temporaries stay small at any size.
+        """
+        table, t_max = self._tables()["roots"]
+        factors = sum(r is not None for r in (row_roots, col_roots))
+        bound = _max_abs(data) * (self.degree * t_max) ** factors
+        dtype = _dtype_for(bound)
+        table = table.astype(dtype, copy=False)
+        cols = None if col_roots is None else table[np.asarray(col_roots) % self.order]
+        out = np.empty(data.shape, dtype=_storage_dtype(bound))
+        step = max(1, BLOCK_ENTRIES // data.shape[1])
+        for i in range(0, data.shape[0], step):
+            block = data[i:i + step].astype(dtype)
+            if row_roots is not None:
+                rows = table[np.asarray(row_roots[i:i + step]) % self.order]
+                block = np.einsum("nmi,nij->nmj", block, rows)
+            if cols is not None:
+                block = np.einsum("nmi,mij->nmj", block, cols)
+            out[i:i + step] = block
+        return out
+
+    def conj_coeffs(self, data):
+        """Complex conjugate of every entry of a packed coefficient array."""
+        return self._times_table(data, "conj")
 
     # -- convenience constructors --------------------------------------------
 
@@ -401,10 +561,6 @@ class CycloScalar:
 
     def __bool__(self) -> bool:
         return self._nz
-
-    @property
-    def is_rational(self) -> bool:
-        return self.scale_exp % 2 == 0 and not any(self.coeffs[1:])
 
     # -- arithmetic -----------------------------------------------------------
 

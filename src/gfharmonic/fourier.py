@@ -51,13 +51,11 @@ def subfield_fourier(field: GFField, d: int) -> OperatorMatrix:
     """
     ring = ring_for(field)
     q = field.order
-    out = OperatorMatrix.zeros(ring, q)
     sub = field.subfield_indices(d)
-    for n in sub:
-        for m in sub:
-            t = field.subfield_trace(field.mul_index(n, m), d)
-            out.rows[n][m] = ring.root_scaled(ring.omega_exponent(t), d)
-    return out
+    return OperatorMatrix.from_sparse(ring, q, {
+        (n, m): ring.root_scaled(
+            ring.omega_exponent(field.subfield_trace(field.mul_index(n, m), d)), d)
+        for n in sub for m in sub})
 
 
 def subfield_block(field: GFField, mat: OperatorMatrix, d: int) -> OperatorMatrix:

@@ -332,11 +332,10 @@ def subfield_z_power(field: GFField, d: int, alpha) -> OperatorMatrix:
     field._check_divisor(d)
     ring = ring_for(field)
     a = field.require_in_subfield(alpha, d)
-    out = OperatorMatrix.zeros(ring, field.order)
-    for m in field.subfield_indices(d):
-        t = field.subfield_trace(field.mul_index(a.index, m), d)
-        out.rows[m][m] = ring.root(ring.omega_exponent(t))
-    return out
+    return OperatorMatrix.from_sparse(ring, field.order, {
+        (m, m): ring.root(ring.omega_exponent(
+            field.subfield_trace(field.mul_index(a.index, m), d)))
+        for m in field.subfield_indices(d)})
 
 
 def subfield_x_power(field: GFField, d: int, beta) -> OperatorMatrix:
@@ -344,10 +343,9 @@ def subfield_x_power(field: GFField, d: int, beta) -> OperatorMatrix:
     field._check_divisor(d)
     ring = ring_for(field)
     b = field.require_in_subfield(beta, d)
-    out = OperatorMatrix.zeros(ring, field.order)
-    for m in field.subfield_indices(d):
-        out.rows[field.add_index(m, b.index)][m] = ring.one
-    return out
+    return OperatorMatrix.from_sparse(ring, field.order, {
+        (field.add_index(m, b.index), m): ring.one
+        for m in field.subfield_indices(d)})
 
 
 def subfield_fourier_intertwining_check(field: GFField, d: int,
@@ -399,12 +397,10 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
     b = field.require_in_subfield(beta, d)
     half = field.element(field.two_inverse)
     base = field.subfield_trace(half * a * b, d)
-    out = OperatorMatrix.zeros(ring, field.order)
-    for m in field.subfield_indices(d):
-        n = field.add_index(m, b.index)
-        t = base + field.subfield_trace(field.mul_index(a.index, m), d)
-        out.rows[n][m] = ring.root(ring.omega_exponent(t))
-    return out
+    return OperatorMatrix.from_sparse(ring, field.order, {
+        (field.add_index(m, b.index), m): ring.root(ring.omega_exponent(
+            base + field.subfield_trace(field.mul_index(a.index, m), d)))
+        for m in field.subfield_indices(d)})
 
 
 def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
@@ -456,10 +452,8 @@ def z_spectrum_example(field: GFField) -> dict:
             groups[t].append(m)
         projs = []
         for r in range(3):
-            pr = OperatorMatrix.zeros(ring, field.order)
-            for m in groups[r]:
-                pr.rows[m][m] = ring.one
-            projs.append(pr)
+            projs.append(OperatorMatrix.from_sparse(
+                ring, field.order, {(m, m): ring.one for m in groups[r]}))
         recomposed = projs[0]
         for r in (1, 2):
             recomposed = recomposed + projs[r].scaled(ring.omega(r))

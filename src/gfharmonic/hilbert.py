@@ -41,18 +41,15 @@ def point_projector(field: GFField, k) -> OperatorMatrix:
     """Rank-one projector onto the point mass at field element k."""
     ring = ring_for(field)
     idx = field.element(k).index
-    out = OperatorMatrix.zeros(ring, field.order)
-    out.rows[idx][idx] = ring.one
-    return out
+    return OperatorMatrix.from_sparse(ring, field.order, {(idx, idx): ring.one})
 
 
 def subspace_projector(field: GFField, d: int) -> OperatorMatrix:
     """Projector onto functions supported on the subfield GF(p^d)."""
     ring = ring_for(field)
-    out = OperatorMatrix.zeros(ring, field.order)
-    for idx in field.subfield_indices(d):
-        out.rows[idx][idx] = ring.one
-    return out
+    return OperatorMatrix.from_sparse(
+        ring, field.order,
+        {(idx, idx): ring.one for idx in field.subfield_indices(d)})
 
 
 def phi_basis(field: GFField, n) -> StateVector:

@@ -1,55 +1,98 @@
 """Operator matrices and state vectors over exact cyclotomic scalars.
 
-Two backends share one interface: the exact backend stores CycloScalar
+Two backends share one interface: the exact backend holds CycloScalar
 entries and supports decidable equality; the float backend stores a numpy
-complex matrix and supports norm-based comparison.  The exact dense product
-also runs on numpy: ``CycloRing.matmul`` packs both operands into integer
-tensors over the ring's power basis and does one integer matmul plus one
-fold.  Monomial matrices (permutation plus a root-of-unity phase per column)
-get a dedicated representation so products and conjugations stay O(dim^2).
+complex matrix and supports norm-based comparison.
+
+An exact matrix has two views of one value, each built on first use from
+the other and then kept: ``rows``, a tuple of tuples of canonical scalars,
+and ``packed``, the triple ``(data, E, Q)`` of ``CycloRing``: an
+``(n, n, degree)`` integer array over the ring's power basis, with E the
+largest entry scale exponent and Q the lcm of the entry denominators.  The
+triple is fixed by the values, so equality is ``np.array_equal``.  Dense
+products, monomial products, adjoints and equality run on the packed form
+with numpy; ``rows`` is unpacked in one vectorised pass when an entry is
+read.  Matrices are immutable, which is what lets each view be cached.
+Monomial matrices (permutation plus a root-of-unity phase per column) get a
+dedicated representation so products and conjugations stay O(dim^2).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .cyclo import CycloRing, CycloScalar, ScalarAccumulator
-from .errors import BackendMismatch, DimensionMismatch, NotUnitary
+from .cyclo import CycloRing, CycloScalar, ScalarAccumulator, compact
+from .errors import BackendMismatch, DimensionMismatch
 
 EXACT = "exact"
 FLOAT = "float"
 
 
-class OperatorMatrix:
-    """Dense square matrix in canonical element order."""
+def _stored(packed):
+    # a packed triple as a matrix keeps it: compact, and read-only because
+    # every matrix built from the triple shares it
+    data, e, q = packed
+    data = compact(data)
+    data.setflags(write=False)
+    return data, e, q
 
-    __slots__ = ("dim", "backend", "ring", "rows")
+
+class OperatorMatrix:
+    """Dense square matrix in canonical element order; immutable."""
+
+    __slots__ = ("dim", "backend", "ring", "_rows", "_packed")
 
     def __init__(self, dim, backend, ring, rows):
         self.dim = dim
         self.backend = backend
         self.ring = ring
-        self.rows = rows
+        self._rows = rows if backend == FLOAT else tuple(map(tuple, rows))
+        self._packed = None
+
+    @property
+    def rows(self):
+        """Entries as rows: tuples of CycloScalar (exact) or a numpy array (float)."""
+        if self._rows is None:
+            self._rows = self.ring.unpack(self._packed)
+        return self._rows
+
+    @property
+    def packed(self):
+        """The normal-form triple (data, E, Q) of an exact matrix."""
+        if self._packed is None:
+            self._packed = _stored(self.ring.pack(self._rows))
+        return self._packed
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, ring: CycloRing, rows) -> "OperatorMatrix":
-        dim = len(rows)
-        return cls(dim, EXACT, ring, [list(r) for r in rows])
+    def from_packed(cls, ring: CycloRing, packed) -> "OperatorMatrix":
+        """Exact matrix from a normal-form packed triple; rows come lazily."""
+        out = cls.__new__(cls)
+        out.dim = packed[0].shape[0]
+        out.backend = EXACT
+        out.ring = ring
+        out._rows = None
+        out._packed = _stored(packed)
+        return out
 
     @classmethod
     def identity(cls, ring: CycloRing, dim: int) -> "OperatorMatrix":
-        one, zero = ring.one, ring.zero
-        rows = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        return cls(dim, EXACT, ring, rows)
+        data = np.zeros((dim, dim, ring.degree), dtype=np.int64)
+        data[np.arange(dim), np.arange(dim), 0] = 1
+        return cls.from_packed(ring, (data, 0, 1))
 
     @classmethod
     def zeros(cls, ring: CycloRing, dim: int) -> "OperatorMatrix":
-        zero = ring.zero
-        rows = [[zero] * dim for _ in range(dim)]
+        return cls.from_packed(
+            ring, (np.zeros((dim, dim, ring.degree), dtype=np.int64), 0, 1))
+
+    @classmethod
+    def from_sparse(cls, ring: CycloRing, dim: int, entries) -> "OperatorMatrix":
+        """Exact matrix with the given {(n, m): scalar} entries, zero elsewhere."""
+        rows = [[ring.zero] * dim for _ in range(dim)]
+        for (n, m), x in entries.items():
+            rows[n][m] = x
         return cls(dim, EXACT, ring, rows)
 
     @classmethod
@@ -100,15 +143,16 @@ class OperatorMatrix:
         self._require_same(other)
         if self.backend == FLOAT:
             return OperatorMatrix(self.dim, FLOAT, None, self.rows @ other.rows)
-        return OperatorMatrix(self.dim, EXACT, self.ring,
-                              self.ring.matmul(self.rows, other.rows))
+        return OperatorMatrix.from_packed(
+            self.ring, self.ring.matmul(self.packed, other.packed))
 
     def adjoint(self) -> "OperatorMatrix":
         if self.backend == FLOAT:
             return OperatorMatrix(self.dim, FLOAT, None, self.rows.conj().T)
-        n = self.dim
-        rows = [[self.rows[j][i].conj() for j in range(n)] for i in range(n)]
-        return OperatorMatrix(n, EXACT, self.ring, rows)
+        # conjugation is an automorphism fixing sqrt(p): (E, Q) carry over
+        data, e, q = self.packed
+        return OperatorMatrix.from_packed(
+            self.ring, (self.ring.conj_coeffs(data.transpose(1, 0, 2)), e, q))
 
     def trace(self):
         if self.backend == FLOAT:
@@ -169,8 +213,8 @@ class OperatorMatrix:
         self._require_same(other)
         if self.backend == FLOAT:
             raise BackendMismatch("exact equality is undefined on the float backend")
-        return all(a == b for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        (a, ea, qa), (b, eb, qb) = self.packed, other.packed
+        return ea == eb and qa == qb and np.array_equal(a, b)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
@@ -403,11 +447,10 @@ class Monomial:
 
     def to_matrix(self) -> OperatorMatrix:
         ring = self.ring
-        zero = ring.zero
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for m in range(self.dim):
-            rows[self.perm[m]][m] = ring.root(self.phase[m])
-        return OperatorMatrix(self.dim, EXACT, ring, rows)
+        roots = ring.root_coeffs()
+        data = np.zeros((self.dim, self.dim, ring.degree), dtype=np.int64)
+        data[list(self.perm), np.arange(self.dim)] = roots[list(self.phase)]
+        return OperatorMatrix.from_packed(ring, (data, 0, 1))
 
     def trace(self) -> CycloScalar:
         acc = ScalarAccumulator(self.ring)
@@ -417,44 +460,37 @@ class Monomial:
                 acc.add(one, root=self.phase[m])
         return acc.value()
 
+    def _arrays(self):
+        # (perm, inverse permutation, phase) as index arrays
+        perm = np.array(self.perm)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(self.dim)
+        return perm, inv, np.array(self.phase)
+
     def left_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
-        """self @ a in O(dim^2): row permutation plus phase."""
+        """self @ a: row n is row inv[n] of a times zeta^phase[inv[n]]."""
         self._check_dense(a)
-        inv = [0] * self.dim
-        for m, n in enumerate(self.perm):
-            inv[n] = m
-        rows = []
-        for n in range(self.dim):
-            src = inv[n]
-            k = self.phase[src]
-            rows.append([x.times_root(k) for x in a.rows[src]])
-        return OperatorMatrix(self.dim, EXACT, a.ring, rows)
+        _, inv, phase = self._arrays()
+        data, e, q = a.packed
+        out = self.ring.times_roots(data[inv], row_roots=phase[inv])
+        return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def right_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
-        """a @ self in O(dim^2): column permutation plus phase."""
+        """a @ self: column m is column perm[m] of a times zeta^phase[m]."""
         self._check_dense(a)
-        rows = []
-        for row in a.rows:
-            rows.append([row[self.perm[m]].times_root(self.phase[m])
-                         for m in range(self.dim)])
-        return OperatorMatrix(self.dim, EXACT, a.ring, rows)
+        perm, _, phase = self._arrays()
+        data, e, q = a.packed
+        out = self.ring.times_roots(data[:, perm], col_roots=phase)
+        return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def conjugate_dense(self, a: OperatorMatrix) -> OperatorMatrix:
-        """self @ a @ self^dagger in O(dim^2)."""
+        """self @ a @ self^dagger: entry (n, m) is a(inv[n], inv[m]) times
+        zeta^(phase[inv[n]] - phase[inv[m]])."""
         self._check_dense(a)
-        inv = [0] * self.dim
-        for m, n in enumerate(self.perm):
-            inv[n] = m
-        rows = []
-        for n in range(self.dim):
-            rn = inv[n]
-            kn = self.phase[rn]
-            row = []
-            for m in range(self.dim):
-                rm = inv[m]
-                row.append(a.rows[rn][rm].times_root(kn - self.phase[rm]))
-            rows.append(row)
-        return OperatorMatrix(self.dim, EXACT, a.ring, rows)
+        _, inv, phase = self._arrays()
+        data, e, q = a.packed
+        out = self.ring.times_roots(data[np.ix_(inv, inv)], phase[inv], -phase[inv])
+        return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def _check_dense(self, a: OperatorMatrix):
         if a.backend != EXACT:

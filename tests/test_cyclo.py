@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfharmonic.cyclo import (CycloScalar, ScalarAccumulator,
                               cyclotomic_polynomial, embed_float, get_ring,
@@ -199,3 +201,68 @@ def test_scalar_hash_consistency(ring3):
     b = ring3.scalar([1, 0, 0, 0], 2, 1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- hypothesis properties of the scalar ring ---------------------------------
+
+# (ring order, characteristic) -> ring degree 4, 8, 12, 24
+PROPERTY_RINGS = [(12, 3), (20, 5), (28, 7), (52, 13)]
+
+
+@st.composite
+def scalars(draw, ring, nonzero=False):
+    vec = draw(st.lists(st.integers(-5, 5), min_size=ring.degree,
+                        max_size=ring.degree))
+    if nonzero and not any(vec):
+        vec[draw(st.integers(0, ring.degree - 1))] = 1
+    return ring.scalar(vec, draw(st.integers(0, 3)),
+                       draw(st.sampled_from((1, 2, 3, 4, 6))))
+
+
+@st.composite
+def ring_and_scalars(draw, count, nonzero=False):
+    ring = get_ring(*draw(st.sampled_from(PROPERTY_RINGS)))
+    return ring, [draw(scalars(ring, nonzero)) for _ in range(count)]
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(ring_and_scalars(3))
+def test_ring_axioms(rs):
+    ring, (a, b, c) = rs
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + ring.zero == a
+    assert a + (-a) == ring.zero
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * ring.one == a
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=25, deadline=None)
+@given(ring_and_scalars(1, nonzero=True))
+def test_inverse_is_exact(rs):
+    ring, (x,) = rs
+    assert x * x.inverse() == ring.one
+
+
+@PROPERTY_SETTINGS
+@given(ring_and_scalars(2))
+def test_conj_is_involutive_ring_homomorphism(rs):
+    ring, (a, b) = rs
+    assert a.conj().conj() == a
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert ring.one.conj() == ring.one
+
+
+@PROPERTY_SETTINGS
+@given(ring_and_scalars(2))
+def test_complex_embedding_is_homomorphism(rs):
+    ring, (a, b) = rs
+    assert abs(complex(a + b) - (complex(a) + complex(b))) < 1e-9
+    assert abs(complex(a * b) - complex(a) * complex(b)) < 1e-9
+    assert abs(complex(a.conj()) - complex(a).conjugate()) < 1e-9

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfharmonic import cyclo
 from gfharmonic.cyclo import ScalarAccumulator, get_ring
 from gfharmonic.errors import BackendMismatch, DimensionMismatch
 from gfharmonic.linalg import (Monomial, OperatorMatrix, StateVector,
@@ -194,6 +196,10 @@ def reference_matmul(ring, a_rows, b_rows):
     return out
 
 
+def packed_product(ring, a_rows, b_rows):
+    return ring.unpack(ring.matmul(ring.pack(a_rows), ring.pack(b_rows)))
+
+
 def as_tuples(rows):
     return [[(x.coeffs, x.scale_exp, x.denom) for x in row] for row in rows]
 
@@ -228,10 +234,10 @@ def test_packed_matmul_matches_accumulator_loop(order, char, bound):
     dim = 5
     a = mixed_matrix(ring, dim, rng, bound, zero_rows=(1,))
     b = mixed_matrix(ring, dim, rng, bound, zero_rows=(3,))
-    assert as_tuples(ring.matmul(a, b)) == as_tuples(reference_matmul(ring, a, b))
+    assert as_tuples(packed_product(ring, a, b)) == as_tuples(reference_matmul(ring, a, b))
     zero = OperatorMatrix.zeros(ring, dim).rows
-    assert as_tuples(ring.matmul(zero, b)) == as_tuples(reference_matmul(ring, zero, b))
-    assert as_tuples(ring.matmul(a, zero)) == as_tuples(zero)
+    assert as_tuples(packed_product(ring, zero, b)) == as_tuples(reference_matmul(ring, zero, b))
+    assert as_tuples(packed_product(ring, a, zero)) == as_tuples(zero)
 
 
 def test_packed_matmul_on_operator_products():
@@ -262,3 +268,159 @@ def test_canonical_form_independent_of_spelling(ring_key, data, scale_exp, denom
     x = ring.scalar(vec, scale_exp, denom)
     assert (respelled.coeffs, respelled.scale_exp, respelled.denom) == \
         (x.coeffs, x.scale_exp, x.denom)
+
+
+# -- differential checks of the packed representation ------------------------
+
+def coprime_denoms(p):
+    return [d for d in (1, 2, 3, 4, 6) if d % p]
+
+
+def raw_packed(ring, dim, rng, bound):
+    """A packed triple (data, E, Q) that is not in normal form: each entry is
+    a random vector times sqrt(p)^k and a divisor of Q, with zeros mixed in,
+    so unpacking strips a different number of sqrt(p) per entry."""
+    p = ring.char
+    e, q = 4, math.lcm(*coprime_denoms(p))
+    sqrt = ring.sqrt_char()
+    entries = []
+    for _ in range(dim * dim):
+        if rng.random() < 0.2:
+            entries.append([0] * ring.degree)
+            continue
+        vec = [rng.randint(-bound, bound) for _ in range(ring.degree)]
+        lifted = (ring.scalar(vec) * sqrt ** rng.randint(0, e)).coeffs
+        mult = rng.choice([d for d in coprime_denoms(p) if q % d == 0])
+        entries.append([mult * c for c in lifted])
+    top = max(abs(c) for vec in entries for c in vec)
+    dtype = np.int64 if top < 2 ** 63 else object
+    return np.array(entries, dtype=dtype).reshape(dim, dim, ring.degree), e, q
+
+
+@pytest.fixture(params=["one_block", "small_blocks"])
+def blocks(request, monkeypatch):
+    """Run a packed kernel in one vectorised block, and in blocks of 3 entries."""
+    if request.param == "small_blocks":
+        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", 3)
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 2 ** 50, 10 ** 30])
+def test_unpack_matches_per_entry_scalar(order, char, bound, blocks):
+    # 2^50 stays int64 in the array but not through the sqrt(p) strip, and
+    # 10^30 starts past the int64 bound.
+    ring = get_ring(order, char)
+    rng = random.Random(order * 7 + bound % 991)
+    data, e, q = raw_packed(ring, 4, rng, bound)
+    want = [[ring.scalar(data[i, j].tolist(), e, q) for j in range(4)]
+            for i in range(4)]
+    got = ring.unpack((data, e, q))
+    assert as_tuples(got) == as_tuples(want)
+    assert all(type(c) is int for row in got for x in row for c in x.coeffs)
+    # pack is the inverse of unpack on canonical entries
+    rows = mixed_matrix(ring, 4, rng, bound, zero_rows=(2,))
+    assert as_tuples(ring.unpack(ring.pack(rows))) == as_tuples(rows)
+
+
+def reference_monomial_rows(mono, rows, side):
+    """Per-entry times_root products, as the monomial methods once did."""
+    n = mono.dim
+    inv = [0] * n
+    for m, k in enumerate(mono.perm):
+        inv[k] = m
+    ph = mono.phase
+    if side == "left":
+        return [[rows[inv[i]][j].times_root(ph[inv[i]]) for j in range(n)]
+                for i in range(n)]
+    if side == "right":
+        return [[rows[i][mono.perm[j]].times_root(ph[j]) for j in range(n)]
+                for i in range(n)]
+    return [[rows[inv[i]][inv[j]].times_root(ph[inv[i]] - ph[inv[j]])
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 2 ** 58, 10 ** 30])
+def test_packed_monomial_products_match_times_root(order, char, bound, blocks):
+    # 2^58 fits int64 as data but not through a root product
+    ring = get_ring(order, char)
+    rng = random.Random(order + bound % 983)
+    dim = 5
+    rows = mixed_matrix(ring, dim, rng, bound, zero_rows=(0,))
+    a = OperatorMatrix(dim, "exact", ring, rows)
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    mono = Monomial(ring, perm, [rng.randrange(order) for _ in range(dim)])
+    for side, got in (("left", mono.left_mul_dense(a)),
+                      ("right", mono.right_mul_dense(a)),
+                      ("conjugate", mono.conjugate_dense(a))):
+        want = reference_monomial_rows(mono, rows, side)
+        assert as_tuples(got.rows) == as_tuples(want), side
+        assert got.equals(OperatorMatrix(dim, "exact", ring, want)), side
+    adj = [[rows[j][i].conj() for j in range(dim)] for i in range(dim)]
+    assert as_tuples(a.adjoint().rows) == as_tuples(adj)
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+def test_equals_separates_coefficient_scale_and_denominator(order, char):
+    ring = get_ring(order, char)
+    rng = random.Random(order)
+    rows = mixed_matrix(ring, 4, rng, 5)
+    rows[0][0] = ring.one  # keeps (data, E, Q) in normal form for any E, Q
+    a = OperatorMatrix(4, "exact", ring, rows)
+    data, e, q = a.packed
+    assert a.equals(OperatorMatrix.from_packed(ring, (data.copy(), e, q)))
+    bumped = data.copy()
+    bumped[3, 2, ring.degree - 1] += 1
+    variants = {
+        "coefficient": (bumped, e, q),
+        "scale": (data, e + 1, q),
+        "denominator": (data, e, q * 2 if ring.char != 2 else q * 3),
+    }
+    for what, packed in variants.items():
+        b = OperatorMatrix.from_packed(ring, packed)
+        assert not a.equals(b), what
+        assert not b.equals(a), what
+        # the entrywise comparison agrees
+        assert any(x != y for ra, rb in zip(a.rows, b.rows)
+                   for x, y in zip(ra, rb)), what
+
+
+def test_fourier_matrix_differs_from_its_adjoint():
+    from gfharmonic.fourier import fourier_matrix
+    from gfharmonic.gf import make_field
+    f = fourier_matrix(make_field(3, 2))
+    assert not f.equals(f.adjoint())
+    assert f.equals(f.adjoint().adjoint())
+    assert f.is_unitary()
+    assert not f.scaled(f.ring.from_int(2)).is_unitary()
+
+
+def test_operator_matrix_is_immutable(ring):
+    a = random_matrix(ring, 3, 25)
+    with pytest.raises(TypeError):
+        a.rows[0][0] = ring.one
+    b = OperatorMatrix.from_packed(ring, a.packed)
+    with pytest.raises(TypeError):
+        b.rows[1][1] = ring.one
+    with pytest.raises(ValueError):
+        b.packed[0][0, 0, 0] += 1
+    assert b.equals(a)
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 10 ** 30])
+def test_packed_product_is_in_normal_form(order, char, bound):
+    # equality compares packed triples, so a product must come out with the
+    # same (data, E, Q) as the packing of its canonical entries
+    ring = get_ring(order, char)
+    rng = random.Random(order * 31 + bound % 977)
+    a = mixed_matrix(ring, 4, rng, bound)
+    b = mixed_matrix(ring, 4, rng, bound)
+    got_data, got_e, got_q = ring.matmul(ring.pack(a), ring.pack(b))
+    want_data, want_e, want_q = ring.pack(reference_matmul(ring, a, b))
+    assert (got_e, got_q) == (want_e, want_q)
+    assert np.array_equal(got_data, want_data)
+    half = OperatorMatrix.identity(ring, 4).scaled(ring.rational(1, 2))
+    double = OperatorMatrix.identity(ring, 4).scaled(ring.from_int(2))
+    assert (half @ double).equals(OperatorMatrix.identity(ring, 4))
