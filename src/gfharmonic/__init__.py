@@ -6,7 +6,7 @@ and verification suites that check every operator identity bit-exactly at
 desk scale.
 """
 
-from .cyclo import CycloRing, CycloScalar, cyclotomic_polynomial, embed_float, get_ring, ring_order
+from .cyclo import CycloRing, CycloScalar, cyclotomic_polynomial, get_ring, ring_order
 from .errors import (BackendMismatch, ConfigError, ConstraintViolated,
                      DegreeMismatch, DimensionMismatch, DivisionByZero,
                      DomainRestriction, EvenCharacteristic, GFHarmonicError,
@@ -20,7 +20,7 @@ from .linalg import (Monomial, OperatorMatrix, StateVector, conjugate,
 __all__ = [
     "make_field", "GFField", "FieldElement", "DualBasisData",
     "CycloRing", "CycloScalar", "cyclotomic_polynomial", "get_ring",
-    "ring_order", "embed_float",
+    "ring_order",
     "OperatorMatrix", "StateVector", "Monomial", "conjugate",
     "inner_product", "proportionality_phase", "tensor_list",
     "GFHarmonicError", "ConfigError", "NotPrime", "DegreeMismatch",

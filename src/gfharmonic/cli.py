@@ -109,9 +109,7 @@ def _emit(args, payload) -> None:
 
 
 def _matrix_payload(args, mat: OperatorMatrix) -> dict:
-    if args.backend == "float":
-        mat = mat.embed()
-    return matrix_to_json(mat)
+    return matrix_to_json(mat.embed() if args.backend != "exact" else mat)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def cmd_weyl(args) -> int:
     with open(args.theta, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     theta = matrix_from_json(data, hs.ring_for(field))
-    if theta.backend != "exact":
+    if not isinstance(theta, OperatorMatrix):
         raise ConfigError("weyl expansion needs an exact-backend matrix")
     table = hb.weyl_expand(field, theta, source=args.theta)
     payload = {
@@ -219,7 +217,6 @@ def cmd_weyl(args) -> int:
 
 def cmd_verify(args) -> int:
     config = vf.VerifyConfig(
-        backend=args.backend,
         tolerance=args.tolerance,
         exhaustive=args.exhaustive,
         displacement_phase_coeff=args.perturb_displacement_phase,
@@ -233,7 +230,7 @@ def cmd_verify(args) -> int:
         grid = list(vf.DEFAULT_GRID)
         moduli = [None] * len(grid)
     suites = (list(vf.SUITE_NAMES) if args.suite == "all" else [args.suite])
-    if args.backend == "float":
+    if args.backend != "exact":
         suites = ["float"]
     fields_payload = []
     all_pass = True
@@ -355,7 +352,8 @@ def _add_common(parser):
                         help="comma-separated modulus coefficients c0,c1,...")
     parser.add_argument("--backend", choices=["exact", "float"], default="exact")
     parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="float-backend comparison tolerance")
+                        help="Frobenius-norm tolerance of the float suite "
+                        "(verify --backend float)")
     parser.add_argument("--json", default=None, help="write output to this path")
     parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                         help="largest allowed field order")

@@ -702,6 +702,7 @@ class CycloScalar:
     # -- embedding ------------------------------------------------------------
 
     def __complex__(self) -> complex:
+        """Double-precision complex embedding zeta_N -> exp(2*pi*i/N)."""
         ring = self.ring
         total = 0j
         for j, c in enumerate(self.coeffs):
@@ -712,11 +713,6 @@ class CycloScalar:
     def __repr__(self):
         return (f"CycloScalar({list(self.coeffs)}, scale_exp={self.scale_exp}, "
                 f"denom={self.denom}, N={self.ring.order})")
-
-
-def embed_float(x: CycloScalar) -> complex:
-    """Double-precision complex embedding zeta_N -> exp(2*pi*i/N)."""
-    return complex(x)
 
 
 class ScalarAccumulator:

@@ -47,7 +47,8 @@ class DimensionMismatch(GFHarmonicError):
 
 
 class BackendMismatch(GFHarmonicError):
-    """Mixed exact/float operands, or operands from different scalar rings."""
+    """A non-exact backend or payload, a non-matrix operand, or operands from
+    different scalar rings."""
 
 
 class NotUnitary(GFHarmonicError):

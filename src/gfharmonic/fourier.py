@@ -10,12 +10,10 @@ three powers of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch
 from .gf import GFField
 from .hilbert import operator_cache, ring_for, subspace_projector
-from .linalg import EXACT, OperatorMatrix, StateVector
+from .linalg import EXACT, OperatorMatrix, Spectrum, StateVector, cyclic_spectrum
 
 
 def fourier_matrix(field: GFField) -> OperatorMatrix:
@@ -124,36 +122,13 @@ def subfield_power_relation_check(field: GFField, d: int) -> dict:
     return {"holds": ok, "power": power, "witness": bad}
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Eigenprojectors of F for eigenvalues 1, i, -1, -i (in that order)."""
-
-    projectors: tuple
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        out = []
-        for pr in self.projectors:
-            tr = pr.trace()
-            out.append(int(tr.coeffs[0] // tr.denom) if not tr.is_zero else 0)
-        return tuple(out)
-
-
-def fourier_spectrum(field: GFField) -> FourierSpectrum:
-    """Spectral projectors (1/4) sum_k (i^-r F)^k for r = 0..3."""
+def fourier_spectrum(field: GFField) -> Spectrum:
+    """Projectors for the eigenvalues 1, i, -1, -i of F, from F^0..F^3."""
     cache = operator_cache(field)
     if "fourier_spectrum" not in cache:
         ring = ring_for(field)
-        q = field.order
         f = fourier_matrix(field)
-        powers = [OperatorMatrix.identity(ring, q), f, f @ f]
+        powers = [OperatorMatrix.identity(ring, field.order), f, f @ f]
         powers.append(powers[2] @ f)
-        i_exp = ring.order // 4
-        projs = []
-        for r in range(4):
-            acc = powers[0]
-            for k in range(1, 4):
-                acc = acc + powers[k].scaled(ring.root(-r * k * i_exp))
-            projs.append(acc.scaled(ring.rational(1, 4)))
-        cache["fourier_spectrum"] = FourierSpectrum(projectors=tuple(projs))
+        cache["fourier_spectrum"] = cyclic_spectrum(powers, ring)
     return cache["fourier_spectrum"]

@@ -9,13 +9,11 @@ eigenvalues exp(2*pi*i*k/ell) carry entries with denominator ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotUnitary
 from .fourier import fourier_matrix, fourier_spectrum
 from .gf import GFField
 from .hilbert import operator_cache, ring_for, subspace_projector
-from .linalg import Monomial, OperatorMatrix, conjugate
+from .linalg import Monomial, OperatorMatrix, Spectrum, conjugate, cyclic_spectrum
 
 
 def frobenius_monomial(field: GFField) -> Monomial:
@@ -61,38 +59,14 @@ def frobenius_fourier_commutation_check(field: GFField) -> dict:
     return {"commutes_with_fourier": ok_f, "commutes_with_projectors": ok_proj}
 
 
-@dataclass(frozen=True)
-class FrobeniusSpectrum:
-    """Eigenprojectors of the Frobenius operator; projector k belongs to
-    the eigenvalue exp(2*pi*i*k/ell)."""
-
-    projectors: tuple
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        out = []
-        for pr in self.projectors:
-            tr = pr.trace()
-            out.append(int(tr.coeffs[0] // tr.denom) if not tr.is_zero else 0)
-        return tuple(out)
-
-
-def frobenius_spectrum(field: GFField) -> FrobeniusSpectrum:
-    """Projectors (1/ell) sum_k (root^-lambda G)^k, lambda = 0..ell-1."""
+def frobenius_spectrum(field: GFField) -> Spectrum:
+    """Projectors for the eigenvalues exp(2*pi*i*k/ell) of G, k = 0..ell-1,
+    from G^0..G^(ell-1)."""
     cache = operator_cache(field)
     if "frobenius_spectrum" not in cache:
-        ring = ring_for(field)
-        ell = field.ell
         g = frobenius_monomial(field)
-        powers = [(g ** k).to_matrix() for k in range(ell)]
-        step = ring.order // ell
-        projs = []
-        for lam in range(ell):
-            acc = powers[0]
-            for k in range(1, ell):
-                acc = acc + powers[k].scaled(ring.root(-lam * k * step))
-            projs.append(acc.scaled(ring.rational(1, ell)))
-        cache["frobenius_spectrum"] = FrobeniusSpectrum(projectors=tuple(projs))
+        powers = [(g ** k).to_matrix() for k in range(field.ell)]
+        cache["frobenius_spectrum"] = cyclic_spectrum(powers, ring_for(field))
     return cache["frobenius_spectrum"]
 
 

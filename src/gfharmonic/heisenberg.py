@@ -255,38 +255,32 @@ def overcomplete_expansion_check(field: GFField, psi: StateVector,
     return {"holds": rebuilt.equals(chi)}
 
 
-def marginal_sum_alpha(field: GFField, beta) -> OperatorMatrix:
-    """p^-ell sum over alpha of D(alpha, beta), as a dense exact matrix."""
+def _label_sum(field: GFField, held, label_pair) -> OperatorMatrix:
+    """p^-ell sum over k of D(label_pair(h, k)), h the index of the held
+    label, as a dense exact matrix."""
     _require_odd(field)
     ring = ring_for(field)
     q = field.order
-    b = field.element(beta).index
+    h = field.element(held).index
     acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
     one = ring.one
-    for a in range(q):
-        mono = displacement_monomial(field, a, b)
+    for k in range(q):
+        mono = displacement_monomial(field, *label_pair(h, k))
         for m in range(q):
             acc[mono.perm[m]][m].add(one, root=mono.phase[m])
     inv_q = ring.rational(1, q)
     rows = [[cell.value() * inv_q for cell in row] for row in acc]
     return OperatorMatrix(q, EXACT, ring, rows)
+
+
+def marginal_sum_alpha(field: GFField, beta) -> OperatorMatrix:
+    """p^-ell sum over alpha of D(alpha, beta), as a dense exact matrix."""
+    return _label_sum(field, beta, lambda b, a: (a, b))
 
 
 def marginal_sum_beta(field: GFField, alpha) -> OperatorMatrix:
     """p^-ell sum over beta of D(alpha, beta), as a dense exact matrix."""
-    _require_odd(field)
-    ring = ring_for(field)
-    q = field.order
-    a = field.element(alpha).index
-    acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
-    one = ring.one
-    for b in range(q):
-        mono = displacement_monomial(field, a, b)
-        for m in range(q):
-            acc[mono.perm[m]][m].add(one, root=mono.phase[m])
-    inv_q = ring.rational(1, q)
-    rows = [[cell.value() * inv_q for cell in row] for row in acc]
-    return OperatorMatrix(q, EXACT, ring, rows)
+    return _label_sum(field, alpha, lambda a, b: (a, b))
 
 
 def marginal_projectors(field: GFField) -> dict:

@@ -1,18 +1,21 @@
 """JSON encodings for scalars, matrices, and states.
 
 Scalars serialise as {"coeffs", "scale_exp", "denom", "N"}; matrices as
-{"dim", "backend", "entries"} with row-major entries; states use "values".
-Float entries are [re, im] pairs.  Decoding takes the target ring, since a
-scalar payload pins only the ring order.
+{"dim", "backend", "entries"} with row-major entries; states as
+{"dim", "backend", "values"}.  An exact OperatorMatrix or StateVector has
+backend "exact" and scalar entries.  A complex numpy array (an embedded
+matrix) has backend "float" and [re, im] entries, and decodes back to an
+array.  Decoding exact payloads takes the target ring, since a scalar
+payload pins only the ring order.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cyclo import CycloRing, CycloScalar
 from .errors import BackendMismatch, DimensionMismatch
-from .linalg import EXACT, FLOAT, OperatorMatrix, StateVector
-
-import numpy as np
+from .linalg import EXACT, OperatorMatrix, StateVector
 
 
 def scalar_to_json(x: CycloScalar) -> dict:
@@ -31,23 +34,22 @@ def scalar_from_json(data: dict, ring: CycloRing) -> CycloScalar:
     return ring.scalar(data["coeffs"], data["scale_exp"], data["denom"])
 
 
-def matrix_to_json(mat: OperatorMatrix) -> dict:
-    if mat.backend == EXACT:
+def matrix_to_json(mat: OperatorMatrix | np.ndarray) -> dict:
+    if isinstance(mat, OperatorMatrix):
         entries = [scalar_to_json(x) for row in mat.rows for x in row]
-    else:
-        entries = [[float(z.real), float(z.imag)]
-                   for row in mat.rows for z in row]
-    return {"dim": mat.dim, "backend": mat.backend, "entries": entries}
+        return {"dim": mat.dim, "backend": EXACT, "entries": entries}
+    entries = [[float(z.real), float(z.imag)] for z in mat.flat]
+    return {"dim": mat.shape[0], "backend": "float", "entries": entries}
 
 
-def matrix_from_json(data: dict, ring: CycloRing | None = None) -> OperatorMatrix:
+def matrix_from_json(data: dict,
+                     ring: CycloRing | None = None) -> OperatorMatrix | np.ndarray:
     dim = data["dim"]
     entries = data["entries"]
     if len(entries) != dim * dim:
         raise DimensionMismatch("entry count does not match dim^2")
-    if data["backend"] == FLOAT:
-        arr = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
-        return OperatorMatrix.from_complex(arr)
+    if data["backend"] == "float":
+        return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
     if ring is None:
         raise BackendMismatch("decoding an exact matrix needs a target ring")
     rows = [[scalar_from_json(entries[n * dim + m], ring) for m in range(dim)]
@@ -56,19 +58,14 @@ def matrix_from_json(data: dict, ring: CycloRing | None = None) -> OperatorMatri
 
 
 def state_to_json(state: StateVector) -> dict:
-    if state.backend == EXACT:
-        values = [scalar_to_json(x) for x in state.values]
-    else:
-        values = [[float(z.real), float(z.imag)] for z in state.values]
-    return {"dim": state.dim, "backend": state.backend, "values": values}
+    values = [scalar_to_json(x) for x in state.values]
+    return {"dim": state.dim, "backend": EXACT, "values": values}
 
 
 def state_from_json(data: dict, ring: CycloRing | None = None) -> StateVector:
-    dim = data["dim"]
-    if data["backend"] == FLOAT:
-        arr = np.array([complex(re, im) for re, im in data["values"]])
-        return StateVector(dim, FLOAT, None, arr)
+    if data["backend"] != EXACT:
+        raise BackendMismatch(f"state backend {data['backend']!r} is not {EXACT!r}")
     if ring is None:
         raise BackendMismatch("decoding an exact state needs a target ring")
-    return StateVector(dim, EXACT, ring,
+    return StateVector(data["dim"], EXACT, ring,
                        [scalar_from_json(v, ring) for v in data["values"]])

@@ -1,10 +1,10 @@
 """Operator matrices and state vectors over exact cyclotomic scalars.
 
-Two backends share one interface: the exact backend holds CycloScalar
-entries and supports decidable equality; the float backend stores a numpy
-complex matrix and supports norm-based comparison.
+Entries are CycloScalars and equality is decidable.  ``embed()`` is the one
+way out to floating point: it returns a complex numpy array, ``complex(x)``
+per entry, for numerical checks and the float JSON payload.
 
-An exact matrix has two views of one value, each built on first use from
+A matrix has two views of one value, each built on first use from
 the other and then kept: ``rows``, a tuple of tuples of canonical scalars,
 and ``packed``, the triple ``(data, E, Q)`` of ``CycloRing``: an
 ``(n, n, degree)`` integer array over the ring's power basis, with E the
@@ -19,13 +19,20 @@ dedicated representation so products and conjugations stay O(dim^2).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .cyclo import CycloRing, CycloScalar, ScalarAccumulator, compact
 from .errors import BackendMismatch, DimensionMismatch
 
 EXACT = "exact"
-FLOAT = "float"
+
+
+def _require_exact(backend):
+    # the constructors keep their (dim, backend, ring, values) signature
+    if backend != EXACT:
+        raise BackendMismatch(f"unknown backend {backend!r}; only {EXACT!r} exists")
 
 
 def _stored(packed):
@@ -40,25 +47,25 @@ def _stored(packed):
 class OperatorMatrix:
     """Dense square matrix in canonical element order; immutable."""
 
-    __slots__ = ("dim", "backend", "ring", "_rows", "_packed")
+    __slots__ = ("dim", "ring", "_rows", "_packed")
 
     def __init__(self, dim, backend, ring, rows):
+        _require_exact(backend)
         self.dim = dim
-        self.backend = backend
         self.ring = ring
-        self._rows = rows if backend == FLOAT else tuple(map(tuple, rows))
+        self._rows = tuple(map(tuple, rows))
         self._packed = None
 
     @property
     def rows(self):
-        """Entries as rows: tuples of CycloScalar (exact) or a numpy array (float)."""
+        """Entries as a tuple of tuples of CycloScalar."""
         if self._rows is None:
             self._rows = self.ring.unpack(self._packed)
         return self._rows
 
     @property
     def packed(self):
-        """The normal-form triple (data, E, Q) of an exact matrix."""
+        """The normal-form triple (data, E, Q)."""
         if self._packed is None:
             self._packed = _stored(self.ring.pack(self._rows))
         return self._packed
@@ -67,10 +74,9 @@ class OperatorMatrix:
 
     @classmethod
     def from_packed(cls, ring: CycloRing, packed) -> "OperatorMatrix":
-        """Exact matrix from a normal-form packed triple; rows come lazily."""
+        """Matrix from a normal-form packed triple; rows come lazily."""
         out = cls.__new__(cls)
         out.dim = packed[0].shape[0]
-        out.backend = EXACT
         out.ring = ring
         out._rows = None
         out._packed = _stored(packed)
@@ -89,26 +95,20 @@ class OperatorMatrix:
 
     @classmethod
     def from_sparse(cls, ring: CycloRing, dim: int, entries) -> "OperatorMatrix":
-        """Exact matrix with the given {(n, m): scalar} entries, zero elsewhere."""
+        """Matrix with the given {(n, m): scalar} entries, zero elsewhere."""
         rows = [[ring.zero] * dim for _ in range(dim)]
         for (n, m), x in entries.items():
             rows[n][m] = x
         return cls(dim, EXACT, ring, rows)
 
-    @classmethod
-    def from_complex(cls, array) -> "OperatorMatrix":
-        arr = np.asarray(array, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch("float matrix must be square")
-        return cls(arr.shape[0], FLOAT, None, arr)
-
-    def _require_same(self, other: "OperatorMatrix"):
+    def _require_ring(self, other: "OperatorMatrix"):
         if not isinstance(other, OperatorMatrix):
             raise BackendMismatch("operand is not an OperatorMatrix")
-        if self.backend != other.backend:
-            raise BackendMismatch("mixed exact/float operands")
-        if self.backend == EXACT and self.ring is not other.ring:
+        if self.ring is not other.ring:
             raise BackendMismatch("operands from different scalar rings")
+
+    def _require_same(self, other: "OperatorMatrix"):
+        self._require_ring(other)
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
 
@@ -116,24 +116,18 @@ class OperatorMatrix:
 
     def __add__(self, other):
         self._require_same(other)
-        if self.backend == FLOAT:
-            return OperatorMatrix(self.dim, FLOAT, None, self.rows + other.rows)
         rows = [[a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)]
         return OperatorMatrix(self.dim, EXACT, self.ring, rows)
 
     def __sub__(self, other):
         self._require_same(other)
-        if self.backend == FLOAT:
-            return OperatorMatrix(self.dim, FLOAT, None, self.rows - other.rows)
         rows = [[a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)]
         return OperatorMatrix(self.dim, EXACT, self.ring, rows)
 
     def scaled(self, factor) -> "OperatorMatrix":
-        """Scalar multiple; factor is a CycloScalar/int (exact) or complex."""
-        if self.backend == FLOAT:
-            return OperatorMatrix(self.dim, FLOAT, None, self.rows * complex(factor))
+        """Scalar multiple by a CycloScalar or int."""
         rows = [[x * factor for x in row] for row in self.rows]
         return OperatorMatrix(self.dim, EXACT, self.ring, rows)
 
@@ -141,22 +135,16 @@ class OperatorMatrix:
         if isinstance(other, Monomial):
             return other.right_mul_dense(self)
         self._require_same(other)
-        if self.backend == FLOAT:
-            return OperatorMatrix(self.dim, FLOAT, None, self.rows @ other.rows)
         return OperatorMatrix.from_packed(
             self.ring, self.ring.matmul(self.packed, other.packed))
 
     def adjoint(self) -> "OperatorMatrix":
-        if self.backend == FLOAT:
-            return OperatorMatrix(self.dim, FLOAT, None, self.rows.conj().T)
         # conjugation is an automorphism fixing sqrt(p): (E, Q) carry over
         data, e, q = self.packed
         return OperatorMatrix.from_packed(
             self.ring, (self.ring.conj_coeffs(data.transpose(1, 0, 2)), e, q))
 
     def trace(self):
-        if self.backend == FLOAT:
-            return complex(np.trace(self.rows))
         acc = ScalarAccumulator(self.ring)
         for i in range(self.dim):
             acc.add(self.rows[i][i])
@@ -168,10 +156,7 @@ class OperatorMatrix:
         The first factor acts on the least significant digit, matching the
         canonical element index sum(m_j * p**j).
         """
-        self._require_same_family(other)
-        if self.backend == FLOAT:
-            return OperatorMatrix(self.dim * other.dim, FLOAT, None,
-                                  np.kron(other.rows, self.rows))
+        self._require_ring(other)
         da, db = self.dim, other.dim
         dim = da * db
         rows = []
@@ -184,19 +169,11 @@ class OperatorMatrix:
             rows.append(row)
         return OperatorMatrix(dim, EXACT, self.ring, rows)
 
-    def _require_same_family(self, other):
-        if self.backend != other.backend:
-            raise BackendMismatch("mixed exact/float operands")
-        if self.backend == EXACT and self.ring is not other.ring:
-            raise BackendMismatch("tensor factors from different scalar rings")
-
     def apply(self, state: "StateVector") -> "StateVector":
+        if not isinstance(state, StateVector):
+            raise BackendMismatch("operand is not a StateVector")
         if state.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} != {state.dim}")
-        if self.backend == FLOAT or state.backend == FLOAT:
-            if self.backend != FLOAT or state.backend != FLOAT:
-                raise BackendMismatch("mixed exact/float operands")
-            return StateVector(self.dim, FLOAT, None, self.rows @ state.values)
         out = []
         for row in self.rows:
             acc = ScalarAccumulator(self.ring)
@@ -209,10 +186,8 @@ class OperatorMatrix:
     # -- comparisons ----------------------------------------------------------------
 
     def equals(self, other: "OperatorMatrix") -> bool:
-        """Exact equality; only defined on the exact backend."""
+        """Exact equality of every entry."""
         self._require_same(other)
-        if self.backend == FLOAT:
-            raise BackendMismatch("exact equality is undefined on the float backend")
         (a, ea, qa), (b, eb, qb) = self.packed, other.packed
         return ea == eb and qa == qb and np.array_equal(a, b)
 
@@ -224,47 +199,31 @@ class OperatorMatrix:
     def __hash__(self):
         return None
 
-    def frobenius_distance(self, other: "OperatorMatrix") -> float:
-        a = self.embed().rows if self.backend == EXACT else self.rows
-        b = other.embed().rows if other.backend == EXACT else other.rows
-        if a.shape != b.shape:
-            raise DimensionMismatch("shape mismatch")
-        return float(np.linalg.norm(a - b))
-
-    def close_to(self, other: "OperatorMatrix", tol: float = 1e-9) -> bool:
-        return self.frobenius_distance(other) <= tol
-
     def is_unitary(self) -> bool:
-        if self.backend == FLOAT:
-            eye = np.eye(self.dim, dtype=complex)
-            return bool(np.linalg.norm(self.rows @ self.rows.conj().T - eye) <= 1e-9)
         return (self @ self.adjoint()).equals(
             OperatorMatrix.identity(self.ring, self.dim))
 
     # -- conversion -------------------------------------------------------------------
 
-    def embed(self) -> "OperatorMatrix":
-        """Lossy one-way conversion to the float backend."""
-        if self.backend == FLOAT:
-            return self
-        arr = np.array([[complex(x) for x in row] for row in self.rows])
-        return OperatorMatrix(self.dim, FLOAT, None, arr)
+    def embed(self) -> np.ndarray:
+        """Lossy one-way conversion to a complex (dim, dim) numpy array."""
+        return np.array([[complex(x) for x in row] for row in self.rows])
 
     def entry(self, n: int, m: int):
         return self.rows[n][m]
 
     def __repr__(self):
-        return f"OperatorMatrix(dim={self.dim}, backend={self.backend!r})"
+        return f"OperatorMatrix(dim={self.dim})"
 
 
 class StateVector:
     """Complex function on the field, as a column vector in canonical order."""
 
-    __slots__ = ("dim", "backend", "ring", "values")
+    __slots__ = ("dim", "ring", "values")
 
     def __init__(self, dim, backend, ring, values):
+        _require_exact(backend)
         self.dim = dim
-        self.backend = backend
         self.ring = ring
         self.values = values
 
@@ -284,36 +243,28 @@ class StateVector:
 
     def __add__(self, other):
         self._require_same(other)
-        if self.backend == FLOAT:
-            return StateVector(self.dim, FLOAT, None, self.values + other.values)
         return StateVector(self.dim, EXACT, self.ring,
                            [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
         self._require_same(other)
-        if self.backend == FLOAT:
-            return StateVector(self.dim, FLOAT, None, self.values - other.values)
         return StateVector(self.dim, EXACT, self.ring,
                            [a - b for a, b in zip(self.values, other.values)])
 
     def scaled(self, factor) -> "StateVector":
-        if self.backend == FLOAT:
-            return StateVector(self.dim, FLOAT, None, self.values * complex(factor))
         return StateVector(self.dim, EXACT, self.ring,
                            [v * factor for v in self.values])
 
     def _require_same(self, other):
-        if self.backend != other.backend:
-            raise BackendMismatch("mixed exact/float operands")
+        if not isinstance(other, StateVector):
+            raise BackendMismatch("operand is not a StateVector")
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        if self.backend == EXACT and self.ring is not other.ring:
+        if self.ring is not other.ring:
             raise BackendMismatch("states from different scalar rings")
 
     def equals(self, other) -> bool:
         self._require_same(other)
-        if self.backend == FLOAT:
-            raise BackendMismatch("exact equality is undefined on the float backend")
         return all(a == b for a, b in zip(self.values, other.values))
 
     def __eq__(self, other):
@@ -324,26 +275,55 @@ class StateVector:
     def __hash__(self):
         return None
 
-    def embed(self) -> "StateVector":
-        if self.backend == FLOAT:
-            return self
-        return StateVector(self.dim, FLOAT, None,
-                           np.array([complex(v) for v in self.values]))
+    def embed(self) -> np.ndarray:
+        """Lossy one-way conversion to a complex (dim,) numpy array."""
+        return np.array([complex(v) for v in self.values])
 
     def __repr__(self):
-        return f"StateVector(dim={self.dim}, backend={self.backend!r})"
+        return f"StateVector(dim={self.dim})"
 
 
 def inner_product(chi: StateVector, h: StateVector):
     """Scalar product (chi, h) = sum_m conj(chi(m)) h(m)."""
     chi._require_same(h)
-    if chi.backend == FLOAT:
-        return complex(np.vdot(chi.values, h.values))
     acc = ScalarAccumulator(chi.ring)
     for a, b in zip(chi.values, h.values):
         if a._nz and b._nz:
             acc.add_conj_product(a, b)
     return acc.value()
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenprojectors of an operator U with U^n = 1; projector r belongs to
+    the eigenvalue exp(2*pi*i*r/n)."""
+
+    projectors: tuple
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        out = []
+        for pr in self.projectors:
+            tr = pr.trace()
+            out.append(int(tr.coeffs[0] // tr.denom) if not tr.is_zero else 0)
+        return tuple(out)
+
+
+def cyclic_spectrum(powers, ring: CycloRing) -> Spectrum:
+    """Spectral projectors of U from powers = [U^0, ..., U^(n-1)], U^n = 1.
+
+    Projector r is (1/n) sum_k zeta^(-r k N/n) U^k, with N the ring order
+    (a multiple of n).
+    """
+    n = len(powers)
+    step = ring.order // n
+    projs = []
+    for r in range(n):
+        acc = powers[0]
+        for k in range(1, n):
+            acc = acc + powers[k].scaled(ring.root(-r * k * step))
+        projs.append(acc.scaled(ring.rational(1, n)))
+    return Spectrum(tuple(projs))
 
 
 def conjugate(u: OperatorMatrix, a: OperatorMatrix) -> OperatorMatrix:
@@ -493,8 +473,8 @@ class Monomial:
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def _check_dense(self, a: OperatorMatrix):
-        if a.backend != EXACT:
-            raise BackendMismatch("monomial products need the exact backend")
+        if not isinstance(a, OperatorMatrix):
+            raise BackendMismatch("operand is not an OperatorMatrix")
         if a.ring is not self.ring:
             raise BackendMismatch("operands from different scalar rings")
         if a.dim != self.dim:
@@ -523,12 +503,10 @@ def tensor_list(mats):
 def proportionality_phase(a: OperatorMatrix, b: OperatorMatrix):
     """If a = phase * b entrywise, return the exact unit phase, else None.
 
-    Both operands must be exact.  The phase is checked constant across all
-    entries by cross-multiplication, then verified to have unit modulus.
+    The phase is checked constant across all entries by cross-multiplication,
+    then verified to have unit modulus.
     """
     a._require_same(b)
-    if a.backend != EXACT:
-        raise BackendMismatch("phase extraction needs the exact backend")
     ref = None
     for i in range(a.dim):
         for j in range(a.dim):

@@ -1,9 +1,9 @@
 """Verification suites: every operator identity, checked bit-exactly.
 
 Each suite returns a :class:`SuiteReport` whose items carry a descriptive
-name and a pass/fail/skip status.  The exact backend asserts equality of
-canonical scalars; the float backend re-runs the headline identities on
-embedded numpy matrices against a Frobenius-norm tolerance.
+name and a pass/fail/skip status.  The exact suites assert equality of
+canonical scalars; the float suite re-runs the headline identities on the
+embedded complex numpy arrays against a Frobenius-norm tolerance.
 
 Suites that need the inverse of 2 (displacements, symplectic) report a
 single skip item in characteristic 2 instead of failing.
@@ -32,7 +32,6 @@ SUITE_NAMES = ("gf", "fourier", "frobenius", "heisenberg", "symplectic")
 
 @dataclass
 class VerifyConfig:
-    backend: str = EXACT
     tolerance: float = 1e-9
     exhaustive: bool = False
     seed: int = 12345
@@ -732,24 +731,24 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 
 
 # ---------------------------------------------------------------------------
-# float backend suite
+# float suite
 
 
 def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteReport:
-    """Re-run the headline identities on embedded numpy matrices."""
+    """Re-run the headline identities on embedded complex numpy arrays."""
     config = config or VerifyConfig()
     tol = config.tolerance
     rng = random.Random(config.seed + 4)
     rep = SuiteReport("float", _desc(field))
     q = field.order
-    f = fr.fourier_matrix(field).embed().rows
+    f = fr.fourier_matrix(field).embed()
     eye = np.eye(q, dtype=complex)
 
     rep.add("unitary", np.linalg.norm(f @ f.conj().T - eye) <= tol)
     rep.add("fourth_power_is_identity",
             np.linalg.norm(np.linalg.matrix_power(f, 4) - eye) <= tol)
 
-    projs = [pr.embed().rows for pr in fr.fourier_spectrum(field).projectors]
+    projs = [pr.embed() for pr in fr.fourier_spectrum(field).projectors]
     ok = np.linalg.norm(sum(projs) - eye) <= tol
     for r in range(4):
         for s in range(4):
@@ -759,19 +758,19 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
     ok = ok and np.linalg.norm(recon - f) <= tol
     rep.add("fourier_spectral_algebra", ok)
 
-    g = fb.frobenius_matrix(field).embed().rows
+    g = fb.frobenius_matrix(field).embed()
     rep.add("frobenius_order",
             np.linalg.norm(np.linalg.matrix_power(g, field.ell) - eye) <= tol)
     rep.add("frobenius_commutes_with_fourier",
             np.linalg.norm(f @ g - g @ f) <= tol)
     ok = True
     for d in field.divisors():
-        pi = hs.subspace_projector(field, d).embed().rows
+        pi = hs.subspace_projector(field, d).embed()
         if np.linalg.norm(g @ pi - pi @ g) > tol:
             ok = False
     rep.add("frobenius_commutes_with_subspace_projectors", ok)
 
-    fprojs = [pr.embed().rows for pr in fb.frobenius_spectrum(field).projectors]
+    fprojs = [pr.embed() for pr in fb.frobenius_spectrum(field).projectors]
     root = np.exp(2j * np.pi / field.ell)
     recon = sum(fprojs[k] * root ** k for k in range(field.ell))
     rep.add("frobenius_spectral_algebra",
@@ -783,7 +782,7 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
 
         def dfl(a, b):
             if (a, b) not in dm:
-                dm[(a, b)] = hb.displacement(field, a, b).embed().rows
+                dm[(a, b)] = hb.displacement(field, a, b).embed()
             return dm[(a, b)]
 
         half = field.two_inverse
@@ -807,19 +806,19 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
                 ok = False
         rep.add("fourier_maps_labels", ok)
 
-        par = hb.parity_monomial(field).to_matrix().embed().rows
+        par = hb.parity_monomial(field).to_matrix().embed()
         half_el = field.element(half)
         ok = True
         for idx in [0, 1, q - 1]:
             el = field.element(idx)
-            lhs = hb.marginal_sum_alpha(field, el).embed().rows
-            proj = hs.point_projector(field, -(half_el * el)).embed().rows
+            lhs = hb.marginal_sum_alpha(field, el).embed()
+            proj = hs.point_projector(field, -(half_el * el)).embed()
             if np.linalg.norm(lhs - par @ proj) > tol:
                 ok = False
         rep.add("marginal_alpha_sums", ok)
 
         total = np.zeros((q, q), dtype=complex)
-        q0 = hs.point_projector(field, 0).embed().rows
+        q0 = hs.point_projector(field, 0).embed()
         for a in range(q):
             for b in range(q):
                 d = dfl(a, b)
@@ -830,11 +829,11 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
         params = _sample_params(field, rng, 2)
         ok = True
         for pr in params:
-            s_op = sp.synthesize(field, pr).embed().rows
+            s_op = sp.synthesize(field, pr).embed()
             if np.linalg.norm(s_op @ s_op.conj().T - eye) > tol:
                 ok = False
-            za = hb.z_power(field, field.one).embed().rows
-            target = hb.displacement(field, *pr.apply(field.one, field.zero)).embed().rows
+            za = hb.z_power(field, field.one).embed()
+            target = hb.displacement(field, *pr.apply(field.one, field.zero)).embed()
             if np.linalg.norm(s_op @ za @ s_op.conj().T - target) > tol:
                 ok = False
         rep.add("symplectic_action", ok)
@@ -863,7 +862,4 @@ def run_suite(field: GFField, name: str, config: VerifyConfig | None = None) -> 
 
 def run_all(field: GFField, config: VerifyConfig | None = None) -> list[SuiteReport]:
     config = config or VerifyConfig()
-    names = list(SUITE_NAMES)
-    if config.backend == "float":
-        names = ["float"]
-    return [run_suite(field, name, config) for name in names]
+    return [run_suite(field, name, config) for name in SUITE_NAMES]

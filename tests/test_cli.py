@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gfharmonic
 
 from gfharmonic.cli import main
+from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import make_field
-from gfharmonic.hilbert import ring_for
-from gfharmonic.jsonio import matrix_from_json
+from gfharmonic.hilbert import point_projector, ring_for
+from gfharmonic.jsonio import matrix_from_json, matrix_to_json
 
 
 def run_cli(capsys, argv):
@@ -102,8 +104,19 @@ def test_op_float_backend(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["backend"] == "float"
-    mat = matrix_from_json(data)
-    assert mat.is_unitary()
+    f = matrix_from_json(data)
+    assert isinstance(f, np.ndarray) and f.shape == (3, 3)
+    assert np.linalg.norm(f @ f.conj().T - np.eye(3)) <= 1e-9
+
+
+def test_op_float_entries_embed_the_exact_matrix(capsys):
+    code, out = run_cli(capsys, ["op", "fourier", "--p", "3", "--ell", "2",
+                                 "--backend", "float"])
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    exact = fourier_matrix(make_field(3, 2))
+    assert entries == [[complex(x).real, complex(x).imag]
+                       for row in exact.rows for x in row]
 
 
 def test_op_projector(capsys):
@@ -208,6 +221,19 @@ def test_weyl_command(tmp_path, capsys):
     assert all(b == 0 for _, b in support) and len(support) == 9
     code, _ = run_cli(capsys, ["weyl", "--p", "3", "--ell", "1"])
     assert code == 2
+
+
+def test_weyl_rejects_float_theta(tmp_path, capsys):
+    field = make_field(3, 2, [2, 1, 1])
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(
+        matrix_to_json(point_projector(field, 2).embed())))
+    code = main(["weyl", "--theta", str(theta_path), "--p", "3", "--ell",
+                 "2", "--modulus", "2,1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_verify_verbose(capsys):
