@@ -34,7 +34,7 @@ def frobenius_matrix(field: GFField) -> OperatorMatrix:
 def galois_group_H(field: GFField, d: int) -> list[OperatorMatrix]:
     """The ell/d Frobenius powers {G^d, G^2d, ..., G^ell = 1} that fix
     every function supported on GF(p^d)."""
-    field._check_divisor(d)
+    field.check_divisor(d)
     g = frobenius_monomial(field)
     return [(g ** (d * k)).to_matrix() for k in range(1, field.ell // d + 1)]
 
@@ -42,7 +42,7 @@ def galois_group_H(field: GFField, d: int) -> list[OperatorMatrix]:
 def conjugated_galois_group(field: GFField, u: OperatorMatrix,
                             d: int) -> list[OperatorMatrix]:
     """Conjugates {U G^(kd) U^dagger} fixing the rotated subspace U h_d."""
-    field._check_divisor(d)
+    field.check_divisor(d)
     if not u.is_unitary():
         raise NotUnitary("conjugating operator is not unitary")
     return [conjugate(u, g) for g in galois_group_H(field, d)]
@@ -76,7 +76,7 @@ def combined_eigenspace_projector(field: GFField, d: int) -> OperatorMatrix:
     These are the projectors at indices j*ell/d; the subfield-support
     subspace for GF(p^d) sits inside this combined eigenspace.
     """
-    field._check_divisor(d)
+    field.check_divisor(d)
     spec = frobenius_spectrum(field)
     step = field.ell // d
     acc = spec.projectors[0]

@@ -7,6 +7,9 @@ a generator of the multiplicative group; addition through an eager table.
 All derived data (Frobenius permutation, traces, trace Gram matrix and its
 inverse, dual basis, subfield lists) is computed at construction time and
 immutable afterwards, so fields are safe for unrestricted concurrent reads.
+The one exception is :meth:`GFField.tables`, read-only numpy copies of the
+index tables for vectorised sweeps, built on first use (a concurrent first
+use builds them twice, with the same values).
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (DegreeMismatch, DivisionByZero, NotADivisor,
                      NotInSubfield, NotPrime, ReducibleModulus, SingularGram)
@@ -186,6 +192,22 @@ class DualBasisData:
     elements: tuple[FieldElement, ...]
 
 
+class FieldTables(NamedTuple):
+    """Index arithmetic of a field as read-only int64 arrays.
+
+    ``add[a, b]``, ``neg[a]``, ``mul[a, b]`` and ``trace[a]`` hold the
+    indices (the trace as an integer in Z_p) that the scalar accessors
+    return, so any index array can be mapped with one gather.  ``inv[0]``
+    is 0, a placeholder for the undefined inverse of zero.
+    """
+
+    add: np.ndarray
+    neg: np.ndarray
+    mul: np.ndarray
+    inv: np.ndarray
+    trace: np.ndarray
+
+
 class GFField:
     """GF(p^ell) with all derived tables; construct via :func:`make_field`."""
 
@@ -195,6 +217,7 @@ class GFField:
         self.ell = ell
         self.order = p ** ell
         self._build_tables()
+        self._arrays = None
 
     # -- table construction ----------------------------------------------------
 
@@ -296,6 +319,30 @@ class GFField:
 
     # -- index-level arithmetic --------------------------------------------------
 
+    def tables(self) -> FieldTables:
+        """The index tables as arrays, built on first use and then kept.
+
+        Lazy, so building a field costs no more than before; sweeps over
+        many elements or labels call this once and then gather.
+        """
+        if self._arrays is None:
+            n = self.order - 1
+            exp = np.array(self._exp, dtype=np.int64)
+            log = np.array([0] + self._log[1:], dtype=np.int64)
+            mul = exp[(log[:, None] + log[None, :]) % n]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            inv = exp[-log % n]
+            inv[0] = 0
+            arrays = FieldTables(add=np.array(self._add, dtype=np.int64),
+                                 neg=np.array(self._neg, dtype=np.int64),
+                                 mul=mul, inv=inv,
+                                 trace=np.array(self._trace, dtype=np.int64))
+            for a in arrays:
+                a.setflags(write=False)
+            self._arrays = arrays
+        return self._arrays
+
     def add_index(self, a: int, b: int) -> int:
         return self._add[a][b]
 
@@ -381,12 +428,13 @@ class GFField:
     def divisors(self) -> list[int]:
         return [d for d in range(1, self.ell + 1) if self.ell % d == 0]
 
-    def _check_divisor(self, d: int):
+    def check_divisor(self, d: int):
+        """Raise NotADivisor unless d divides ell (GF(p^d) is a subfield)."""
         if d < 1 or self.ell % d != 0:
             raise NotADivisor(f"{d} does not divide {self.ell}")
 
     def subfield_indices(self, d: int) -> tuple[int, ...]:
-        self._check_divisor(d)
+        self.check_divisor(d)
         return self._subfields[d]
 
     def subfield_elements(self, d: int) -> list[FieldElement]:
@@ -394,7 +442,7 @@ class GFField:
         return [FieldElement(self, i) for i in self.subfield_indices(d)]
 
     def in_subfield(self, m, d: int) -> bool:
-        self._check_divisor(d)
+        self.check_divisor(d)
         idx = self.element(m).index
         return idx in set(self._subfields[d])
 
@@ -411,7 +459,7 @@ class GFField:
 
     def subfield_trace(self, m, d: int) -> int:
         """Trace of m relative to the degree-d subfield extension of Z_p."""
-        self._check_divisor(d)
+        self.check_divisor(d)
         idx = self.element(m).index
         if self._frob_iter(idx, d) != idx:
             raise NotInSubfield(f"element {idx} is not in GF({self.p}^{d})")
@@ -441,7 +489,7 @@ class GFField:
 
     def galois_group_exponents(self, d: int) -> list[int]:
         """Frobenius iterate exponents {d, 2d, ..., ell} fixing GF(p^d)."""
-        self._check_divisor(d)
+        self.check_divisor(d)
         return [d * k for k in range(1, self.ell // d + 1)]
 
     @property

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .cyclo import CycloScalar, ScalarAccumulator
 from .errors import (DimensionMismatch, EvenCharacteristic, WrongFixture,
                      ZeroTrace)
@@ -70,27 +72,31 @@ def x_power(field: GFField, beta) -> OperatorMatrix:
     return x_monomial(field, beta).to_matrix()
 
 
-def displacement_monomial(field: GFField, alpha, beta,
-                          phase_coeff: int | None = None) -> Monomial:
-    """Monomial form of D(alpha, beta).
+def displacement_arrays(field: GFField, alpha, beta, phase_coeff: int | None = None):
+    """(perm, phase) of D(alpha, beta) for index arrays (or ints) alpha, beta.
 
-    Entries omega^(Tr(c*alpha*beta + alpha*m)) at (m + beta, m) with
-    c = inverse of 2 in Z_p.  ``phase_coeff`` overrides c and exists only so
-    verification suites can prove they detect a wrong phase.
+    D(alpha, beta) has entry omega^(Tr(c*alpha*beta + alpha*m)) at
+    (m + beta, m), c = inverse of 2 in Z_p; ``phase`` holds the root
+    exponents.  Both outputs have shape ``shape(alpha) + (q,)``: rows of
+    the field's index arrays, gathered once per label.  ``phase_coeff``
+    overrides c and exists only so verification suites can prove they
+    detect a wrong phase.
     """
     _require_odd(field)
-    ring = ring_for(field)
-    a = field.element(alpha).index
-    b = field.element(beta).index
+    t = field.tables()
     c = field.two_inverse if phase_coeff is None else phase_coeff % field.p
-    half = field.mul_index(field.element(c).index, field.mul_index(a, b))
-    base = field.trace_index(half)
-    perm = []
-    phase = []
-    for m in range(field.order):
-        perm.append(field.add_index(m, b))
-        phase.append(ring.omega_exponent(base + field.trace_index(field.mul_index(a, m))))
-    return Monomial(ring, perm, phase)
+    base = t.trace[t.mul[c, t.mul[alpha, beta]]]
+    phase = ((t.trace[t.mul[alpha]] + base[..., None]) % field.p
+             * (ring_for(field).order // field.p))
+    return t.add[beta], phase
+
+
+def displacement_monomial(field: GFField, alpha, beta,
+                          phase_coeff: int | None = None) -> Monomial:
+    """Monomial form of D(alpha, beta); see :func:`displacement_arrays`."""
+    perm, phase = displacement_arrays(field, field.element(alpha).index,
+                                      field.element(beta).index, phase_coeff)
+    return Monomial(ring_for(field), perm.tolist(), phase.tolist())
 
 
 def displacement(field: GFField, alpha, beta) -> OperatorMatrix:
@@ -152,7 +158,7 @@ def _trace_dense_times_monomial(theta: OperatorMatrix, mono: Monomial) -> CycloS
     acc = ScalarAccumulator(mono.ring)
     for m in range(mono.dim):
         x = theta.rows[m][mono.perm[m]]
-        if x._nz:
+        if not x.is_zero:
             acc.add(x, root=mono.phase[m])
     return acc.value()
 
@@ -183,7 +189,7 @@ def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
         na = field.neg_index(a)
         for b in range(q):
             w = table.values[na][field.neg_index(b)]
-            if not w._nz:
+            if w.is_zero:
                 continue
             mono = displacement_monomial(field, a, b)
             for m in range(q):
@@ -218,7 +224,7 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
                 arow = acc[n]
                 for m in range(q):
                     x = row[inv[m]]
-                    if x._nz:
+                    if not x.is_zero:
                         arow[m].add(x, root=kn - mono.phase[inv[m]])
     inv_q = ring.rational(1, q)
     rows = [[cell.value() * inv_q for cell in row] for row in acc]
@@ -244,11 +250,11 @@ def overcomplete_expansion_check(field: GFField, psi: StateVector,
             mono = displacement_monomial(field, a, b)
             moved = mono.apply(psi)
             u = inner_product(moved, chi)
-            if not u._nz:
+            if u.is_zero:
                 continue
             for n in range(q):
                 v = moved.values[n]
-                if v._nz:
+                if not v.is_zero:
                     acc[n].add(u * v)
     inv_q = ring.rational(1, q)
     rebuilt = StateVector(q, EXACT, ring, [c.value() * inv_q for c in acc])
@@ -323,7 +329,7 @@ def subfield_z_power(field: GFField, d: int, alpha) -> OperatorMatrix:
 
     Diagonal entries use the subfield trace; zero off the subfield support.
     """
-    field._check_divisor(d)
+    field.check_divisor(d)
     ring = ring_for(field)
     a = field.require_in_subfield(alpha, d)
     return OperatorMatrix.from_sparse(ring, field.order, {
@@ -334,7 +340,7 @@ def subfield_z_power(field: GFField, d: int, alpha) -> OperatorMatrix:
 
 def subfield_x_power(field: GFField, d: int, beta) -> OperatorMatrix:
     """Subfield shift operator, embedded on GF(p^d) indices."""
-    field._check_divisor(d)
+    field.check_divisor(d)
     ring = ring_for(field)
     b = field.require_in_subfield(beta, d)
     return OperatorMatrix.from_sparse(ring, field.order, {
@@ -385,7 +391,7 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
     in the subfield.
     """
     _require_odd(field)
-    field._check_divisor(d)
+    field.check_divisor(d)
     ring = ring_for(field)
     a = field.require_in_subfield(alpha, d)
     b = field.require_in_subfield(beta, d)

@@ -48,6 +48,9 @@ class OperatorMatrix:
     """Dense square matrix in canonical element order; immutable."""
 
     __slots__ = ("dim", "ring", "_rows", "_packed")
+    # numpy defers ``ndarray @ matrix`` to __rmatmul__ instead of wrapping
+    # the matrix in a 0-d object array
+    __array_ufunc__ = None
 
     def __init__(self, dim, backend, ring, rows):
         _require_exact(backend)
@@ -137,6 +140,11 @@ class OperatorMatrix:
         self._require_same(other)
         return OperatorMatrix.from_packed(
             self.ring, self.ring.matmul(self.packed, other.packed))
+
+    def __rmatmul__(self, other):
+        # Monomial @ matrix is handled by Monomial; anything else (an
+        # embedded ndarray) is a different representation
+        raise BackendMismatch(f"cannot multiply {type(other).__name__} by an OperatorMatrix")
 
     def adjoint(self) -> "OperatorMatrix":
         # conjugation is an automorphism fixing sqrt(p): (E, Q) carry over
@@ -363,6 +371,25 @@ class Monomial:
     def permutation(cls, ring: CycloRing, perm) -> "Monomial":
         return cls(ring, perm, [0] * len(perm))
 
+    @classmethod
+    def from_dense(cls, a: OperatorMatrix) -> "Monomial | None":
+        """The monomial equal to a, or None when a is not monomial.
+
+        A monomial's triple has E = 0, Q = 1 and one nonzero entry in each
+        row and column, each a row of ``root_coeffs``.
+        """
+        data, e, q = a.packed
+        live = data.any(axis=2)
+        if e or q != 1 or not ((live.sum(axis=0) == 1).all()
+                               and (live.sum(axis=1) == 1).all()):
+            return None
+        perm = live.argmax(axis=0)
+        vecs = data[perm, np.arange(a.dim)]
+        match = (vecs[:, None, :] == a.ring.root_coeffs()[None]).all(axis=2)
+        if not match.any(axis=1).all():
+            return None
+        return cls(a.ring, perm.tolist(), match.argmax(axis=1).tolist())
+
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             return self.left_mul_dense(other)
@@ -481,6 +508,8 @@ class Monomial:
             raise DimensionMismatch(f"{self.dim} != {a.dim}")
 
     def apply(self, state: StateVector) -> StateVector:
+        if not isinstance(state, StateVector):
+            raise BackendMismatch("operand is not a StateVector")
         if state.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} != {state.dim}")
         vals = [None] * self.dim
@@ -503,29 +532,30 @@ def tensor_list(mats):
 def proportionality_phase(a: OperatorMatrix, b: OperatorMatrix):
     """If a = phase * b entrywise, return the exact unit phase, else None.
 
-    The phase is checked constant across all entries by cross-multiplication,
-    then verified to have unit modulus.
+    The reference entry is the first nonzero entry of b in row-major
+    order.  The phase is checked constant across all entries by
+    cross-multiplication on the packed triples, a_ij b0 = a0 b_ij, as two
+    (dim^2 x 1) by (1 x 1) products in normal form, then verified to have
+    unit modulus.
     """
     a._require_same(b)
-    ref = None
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if b.rows[i][j]._nz:
-                ref = (i, j)
-                break
-        if ref:
-            break
-    if ref is None:
+    (ad, ea, qa), (bd, eb, qb) = a.packed, b.packed
+    nonzero = np.argwhere(bd.any(axis=2))
+    if not len(nonzero):
         return None
-    i0, j0 = ref
-    if not a.rows[i0][j0]._nz:
+    i0, j0 = nonzero[0]
+    if not ad[i0, j0].any():
         return None
-    a0, b0 = a.rows[i0][j0], b.rows[i0][j0]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if a.rows[i][j] * b0 != a0 * b.rows[i][j]:
-                return None
+    ring, n, deg = a.ring, a.dim, a.ring.degree
+    ref_a = (ad[i0, j0].reshape(1, 1, deg), ea, qa)
+    ref_b = (bd[i0, j0].reshape(1, 1, deg), eb, qb)
+    lhs = ring.matmul((ad.reshape(n * n, 1, deg), ea, qa), ref_b)
+    rhs = ring.matmul((bd.reshape(n * n, 1, deg), eb, qb), ref_a)
+    if lhs[1:] != rhs[1:] or not np.array_equal(lhs[0], rhs[0]):
+        return None
+    (a0,), = ring.unpack(ref_a)
+    (b0,), = ring.unpack(ref_b)
     phase = a0 / b0
-    if phase * phase.conj() != a.ring.one:
+    if phase * phase.conj() != ring.one:
         return None
     return phase

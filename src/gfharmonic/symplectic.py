@@ -21,11 +21,20 @@ two checks below pin down - the action contract, and exact agreement with
 the Gauss-sum closed form for the matrix elements.)  Degenerate parameters
 are pushed into the generic chart by composing with the Fourier matrix,
 which is itself the symplectic element (u, s, t, r) = (0, 1, -1, 0).
+
+So every unitary is S_x(x) . N: one of at most q conjugated shears times a
+monomial N, or a monomial times F+.  :func:`action_sweep` uses this to
+check the action law per shear rather than per element: the law reduces
+to S_x Y = D S_x with Y = N Lambda N+ monomial, and each entry of that is
+one lookup in the root rotations of S_x, batched over every element and
+label that share it.  :func:`action_check` is the per-element reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cyclo import CycloScalar, ScalarAccumulator
 from .errors import (ConstraintViolated, DomainRestriction,
@@ -34,7 +43,8 @@ from .fourier import fourier_matrix
 from .gf import FieldElement, GFField
 from .heisenberg import (GF9_FIXTURE_MODULUS, _require_gf9_fixture,
                          component_displacement_monomial, displacement,
-                         displacement_monomial, marginal_sum_alpha,
+                         displacement_arrays, displacement_monomial,
+                         marginal_sum_alpha,
                          marginal_sum_beta, parity_monomial, x_monomial,
                          z_monomial)
 from .hilbert import operator_cache, point_projector, ring_for
@@ -222,6 +232,11 @@ def action_check(field: GFField, params: SymplecticParams,
     value (equivalent to the conjugation form, given unitarity, but O(dim^2)
     per label), the general law on displacement labels, and the preserved
     commutation phase of the transformed pair.
+
+    This is the per-element reference for :func:`action_sweep`, which
+    returns the same verdicts for many elements at once: the tests compare
+    the two element by element, and the benchmark's tracer patches this
+    function by name.
     """
     s_op = synthesize(field, params)
     ring = ring_for(field)
@@ -257,6 +272,170 @@ def action_check(field: GFField, params: SymplecticParams,
                 ok_comm = False
     return {"unitary": True, "z_action": ok_z, "x_action": ok_x,
             "displacement_action": ok_d, "commutation": ok_comm}
+
+
+ACTION_KEYS = ("unitary", "z_action", "x_action", "displacement_action",
+               "commutation")
+SWEEP_ENTRIES = 1 << 15  # gathered entries per block of action_sweep: ~1 MB of temporaries
+
+
+def _param_indices(elements):
+    # the (r, s, t, u) field indices of a list of elements, as four arrays
+    return tuple(np.array([getattr(g, k).index for g in elements], dtype=np.int64)
+                 for k in "rstu")
+
+
+@dataclass(frozen=True)
+class ElementFactors:
+    """The factors U(g) = S_x(shear) . M . (F+ where fourier) that
+    :func:`synthesize` multiplies, one row per element.
+
+    M = S(1, xi2, 0) . S(xi3, 0, 0) is monomial, M(perm[m], m) =
+    zeta^phase[m]; ``shear`` is the field index of -xi1.  ``fourier`` marks
+    the elements outside the chart r != 0, 1 + s t != 0, whose factors are
+    those of the Fourier-composed element.
+    """
+
+    shear: np.ndarray    # (G,)
+    perm: np.ndarray     # (G, q)
+    phase: np.ndarray    # (G, q), root exponents
+    fourier: np.ndarray  # (G,) bool
+
+
+def element_factors(field: GFField, elements) -> ElementFactors:
+    """Factors of every element, from gathers on the field's index arrays."""
+    t = field.tables()
+    r, s, tt, u = _param_indices(elements)
+    fourier = (r == 0) | (t.add[t.mul[s, tt], 1] == 0)
+    # the Fourier-composed element (t, u, -r, -s) lies in the generic chart
+    r, s, tt = (np.where(fourier, tt, r), np.where(fourier, u, s),
+                np.where(fourier, t.neg[r], tt))
+    w = t.add[t.mul[s, tt], 1]
+    xi3 = t.mul[r, t.inv[w]]
+    xi2 = t.mul[t.mul[s, t.inv[r]], w]
+    perm = t.mul[xi3[:, None], np.arange(field.order)]
+    half_xi2 = t.mul[field.two_inverse, xi2]
+    step = ring_for(field).order // field.p
+    phase = t.trace[t.mul[half_xi2[:, None], t.mul[perm, perm]]] * step
+    return ElementFactors(shear=t.neg[t.mul[xi3, tt]], perm=perm, phase=phase,
+                          fourier=fourier)
+
+
+def _fourier_conjugates(field: GFField, perm, phase):
+    """(perm, phase) of W = F+ D F for each label's D, or None unless F is
+    unitary and every W is monomial."""
+    f = fourier_matrix(field)
+    if not f.is_unitary():
+        return None
+    ring = ring_for(field)
+    f_adj = f.adjoint()
+    conj = [Monomial.from_dense(f_adj @ Monomial(ring, pm, ph).left_mul_dense(f))
+            for pm, ph in zip(perm.tolist(), phase.tolist())]
+    if any(w is None for w in conj):
+        return None
+    return np.array([w.perm for w in conj]), np.array([w.phase for w in conj])
+
+
+def _rotation_codes(ring, datas):
+    """codes[b, k, i, j]: an integer naming zeta^k datas[b][i, j], for k in
+    [0, 2N), so that equal codes mean equal coefficient vectors."""
+    deg, order = ring.degree, ring.order
+    q = datas[0].shape[0]
+    vals, idx = np.unique(np.stack(datas).reshape(-1, deg), axis=0,
+                          return_inverse=True)
+    rot = ring.times_roots(np.broadcast_to(vals, (order,) + vals.shape),
+                           row_roots=np.arange(order))
+    _, rot_id = np.unique(rot.reshape(-1, deg), axis=0, return_inverse=True)
+    codes = rot_id.reshape(order, len(vals))[:, idx.reshape(len(datas), q, q)]
+    return np.concatenate([codes, codes]).transpose(1, 0, 2, 3).astype(np.int32)
+
+
+def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
+    """The :func:`action_check` verdicts of many elements, as a (G, 5) bool
+    array with columns in ACTION_KEYS order.
+
+    With the factors U = S_x . N of :func:`element_factors` (N = M, or
+    M F+), U Lambda = D(g lambda) U holds exactly when S_x Y = D(g lambda)
+    S_x with Y = N Lambda N+ = M Lambda' M+, a monomial: Lambda' is Lambda,
+    or W = F+ Lambda F, computed once per label.  For each of the at most q
+    bases S_x, codes of its root rotations zeta^k S_x are built once; then
+    entry (j, m) of the law, S_x(pi_D j, pi_Y m) zeta^(phi_Y m - phi_D j) =
+    S_x(j, m), is one gather, batched over elements and labels.  U is
+    unitary exactly when its base is (N is unitary); a non-unitary U gets
+    five False, as in action_check.  The commutation phase is
+    monomial-only.  If F is not unitary or some W is not monomial, the
+    elements that end with F+ go through action_check instead.
+    """
+    if field.p == 2:
+        raise EvenCharacteristic("symplectic unitaries need odd characteristic")
+    elements = list(elements)
+    out = np.zeros((len(elements), len(ACTION_KEYS)), dtype=bool)
+    if not elements:
+        return out
+    ring = ring_for(field)
+    q, order = field.order, ring.order
+    t = field.tables()
+    els = (np.arange(q) if labels is None else
+           np.array([field.element(x).index for x in labels], dtype=np.int64))
+    n = len(els)
+    zeros = np.zeros(n, dtype=np.int64)
+    # labels (a, 0), then (0, b), then (a, b), for a and b in els
+    la = np.concatenate([els, zeros, np.repeat(els, n)])
+    lb = np.concatenate([zeros, els, np.tile(els, n)])
+    fac = element_factors(field, elements)
+    lam = displacement_arrays(field, la, lb)
+    conj = lam
+    fallback = np.zeros(len(elements), dtype=bool)
+    if fac.fourier.any():
+        conj = _fourier_conjugates(field, *lam)
+        if conj is None:
+            conj, fallback = lam, fac.fourier
+    lam_perm, lam_phase = np.stack([lam[0], conj[0]]), np.stack([lam[1], conj[1]])
+
+    bases, base_of = np.unique(fac.shear, return_inverse=True)
+    mats = [generator_shear_x(field, int(x)) for x in bases]
+    unitary = np.array([m.is_unitary() for m in mats])[base_of]
+    codes = _rotation_codes(ring, [m.packed[0] for m in mats])
+    flat = codes.reshape(-1)
+
+    r, s, tt, u = _param_indices(elements)
+    alpha = t.add[t.mul[u[:, None], la], t.mul[s[:, None], lb]]
+    beta = t.add[t.mul[tt[:, None], la], t.mul[r[:, None], lb]]
+    shift = -t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
+    m_idx = np.arange(q)
+    block = max(1, SWEEP_ENTRIES // (len(la) * q * q))
+    for start in range(0, len(elements), block):
+        sl = slice(start, start + block)
+        d_perm, d_phase = displacement_arrays(field, alpha[sl], beta[sl])
+        chart = fac.fourier[sl].astype(np.intp)
+        y_src, y_phase = lam_perm[chart], lam_phase[chart]
+        m_perm, m_phase = fac.perm[sl], fac.phase[sl]
+        g = np.arange(len(m_perm))[:, None, None]
+        # column pi_M m of Y is pi_M(pi_Lambda' m), times zeta^y
+        y_col = m_perm[g, y_src]
+        y = (y_phase - m_phase[:, None, :] + m_phase[g, y_src]) % order
+        # flat index of codes[b, N + y(m) - phi_D(j), pi_D(j), y_col(m)]
+        b_off = base_of[sl][:, None, None] * (2 * order * q * q)
+        by_m = b_off + (order + y) * (q * q) + y_col
+        by_j = d_perm * q - d_phase * (q * q)
+        lhs = flat[by_m[:, :, None, :] + by_j[:, :, :, None]]
+        rhs = codes[base_of[sl][:, None, None], 0, m_idx[:, None], m_perm[:, None, :]]
+        law = (lhs == rhs[:, None]).all(axis=(2, 3))
+        # D(g(a, 0)) and D(g(0, b)) keep the Weyl commutation phase
+        zp, zph = d_perm[:, :n, None], d_phase[:, :n, None]
+        xp, xph = d_perm[:, None, n:2 * n], d_phase[:, None, n:2 * n]
+        comm = ((np.take_along_axis(xp, zp, 3) == np.take_along_axis(zp, xp, 3))
+                & ((zph + np.take_along_axis(xph, zp, 3) - xph
+                    - np.take_along_axis(zph, xp, 3) - shift[:, :, None])
+                   % order == 0)).all(axis=(1, 2, 3))
+        verdict = np.stack([law[:, :n].all(1), law[:, n:2 * n].all(1),
+                            law[:, 2 * n:].all(1), comm], axis=1)
+        out[sl, 0] = unitary[sl]
+        out[sl, 1:] = verdict & unitary[sl, None]
+    for i in np.flatnonzero(fallback):
+        res = action_check(field, elements[i], labels=labels)
+        out[i] = [res[k] for k in ACTION_KEYS]
+    return out
 
 
 def closed_form_matrix(field: GFField, params: SymplecticParams) -> OperatorMatrix:

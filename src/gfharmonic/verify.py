@@ -392,6 +392,8 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     half = field.two_inverse
     n_order = ring.order
     step = n_order // field.p
+    tables = field.tables()
+    tr_prod = tables.trace[tables.mul]  # Tr(a b)
 
     if exhaustive_pairs:
         # Vectorised comparison of the constructed monomial data over every
@@ -399,10 +401,6 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         # the displacement at the summed label with the half-trace phase.
         perm_of = [np.array(cache[(0, b)].perm, dtype=np.int64) for b in range(q)]
         ok = all(cache[(a, b)].perm == cache[(0, b)].perm for a, b in labels)
-        add_tab = np.array([[field.add_index(a, b) for b in range(q)]
-                            for a in range(q)], dtype=np.int64)
-        tr_prod = np.array([[field.trace_index(field.mul_index(a, b))
-                             for b in range(q)] for a in range(q)], dtype=np.int64)
         # stacked phase tables: phases[b][a, m] is the phase row of D(a, b)
         phases = [np.array([cache[(a, b)].phase for a in range(q)],
                            dtype=np.int64) for b in range(q)]
@@ -420,7 +418,7 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                 ph_b3 = phases[b3]
                 for a1 in range(q):
                     f1_at = phases[b1][a1][p2]
-                    base_rows = ph_b3[add_tab[a1]]
+                    base_rows = ph_b3[tables.add[a1]]
                     # shift[a2] = omega exponent of the composition phase
                     shift = (step * ((half * (tr_prod[a1, b2]
                                               - tr_prod[b1])) % field.p)) % n_order
@@ -453,9 +451,7 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 
     # F D(a, b) = D(b, -a) F compared through the root-exponent tables of
     # both sides (every entry of either side is p^(-ell/2) zeta^e)
-    tr_tab = np.array([[field.trace_index(field.mul_index(n, m))
-                        for m in range(q)] for n in range(q)], dtype=np.int64)
-    f_exp = (step * tr_tab) % n_order
+    f_exp = (step * tr_prod) % n_order
     ok = True
     for a, b in labels:
         mono = cache[(a, b)]
@@ -643,23 +639,14 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         group = sp.enumerate_group(field)
         rep.add("group_order_count", len(group) == q * (q * q - 1),
                 detail=f"count={len(group)}")
-        ok = True
-        for params in group:
-            res = sp.action_check(field, params, labels=gen_labels)
-            if not all(res.values()):
-                ok = False
-                break
+        ok = bool(sp.action_sweep(field, group, gen_labels).all())
         rep.add("action_law_exhaustive", ok, detail=f"elements={len(group)}")
     else:
         rep.add("group_order_count",
                 len(sp.enumerate_group(field)) == q * (q * q - 1))
         sampled = _sample_params(field, rng, 8)
         sampled.append(sp.fourier_params(field))
-        ok = True
-        for params in sampled:
-            res = sp.action_check(field, params, labels=gen_labels)
-            if not all(res.values()):
-                ok = False
+        ok = bool(sp.action_sweep(field, sampled, gen_labels).all())
         rep.add("action_law_sampled", ok, detail=f"elements={len(sampled)}")
 
     # conjugation action is a homomorphism on labels

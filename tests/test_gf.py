@@ -257,3 +257,30 @@ def test_field_cache_keys_on_resolved_modulus():
         assert make_field(3, 2, spelling) is default
     a = make_field(3, 2, [1, 0, 1])
     assert (a.one + default.one) == default.element(2)
+
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+def test_index_arrays_match_scalar_tables(p, ell):
+    from gfharmonic.gf import GFField
+    field = GFField(p, ell)
+    assert field._arrays is None  # built on first use, not with the field
+    t = field.tables()
+    assert field.tables() is t
+    q = field.order
+    for a in range(q):
+        assert t.neg[a] == field.neg_index(a)
+        assert t.trace[a] == field.trace_index(a)
+        assert t.inv[a] == (field.inv_index(a) if a else 0)
+        for b in range(q):
+            assert t.add[a, b] == field.add_index(a, b)
+            assert t.mul[a, b] == field.mul_index(a, b)
+    for arr in t:
+        assert arr.dtype == "int64" and not arr.flags.writeable
+
+
+def test_check_divisor_is_public(gf9):
+    gf9.check_divisor(1)
+    gf9.check_divisor(2)
+    for d in (0, 3, -1):
+        with pytest.raises(NotADivisor):
+            gf9.check_divisor(d)

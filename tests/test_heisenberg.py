@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gfharmonic.errors import (DimensionMismatch, EvenCharacteristic,
@@ -8,7 +9,8 @@ from gfharmonic.fourier import fourier_matrix
 from gfharmonic.frobenius import frobenius_monomial
 from gfharmonic.gf import make_field
 from gfharmonic.heisenberg import (all_labels, component_displacement_monomial,
-                                   displacement, displacement_monomial,
+                                   displacement, displacement_arrays,
+                                   displacement_monomial,
                                    marginal_projectors, marginal_sum_alpha,
                                    marginal_sum_beta,
                                    overcomplete_expansion_check,
@@ -111,6 +113,36 @@ def test_displacement_entry_formula(gf9):
         assert direct == product
     assert displacement(gf9, 4, 0).equals(z_power(gf9, 4))
     assert displacement(gf9, 0, 4).equals(x_power(gf9, 4))
+
+
+def reference_displacement_monomial(field, a, b, phase_coeff=None):
+    """The per-entry loop of scalar table calls the gathers replaced."""
+    ring = ring_for(field)
+    c = field.two_inverse if phase_coeff is None else phase_coeff % field.p
+    base = field.trace_index(field.mul_index(c, field.mul_index(a, b)))
+    perm = [field.add_index(m, b) for m in range(field.order)]
+    phase = [ring.omega_exponent(base + field.trace_index(field.mul_index(a, m)))
+             for m in range(field.order)]
+    return Monomial(ring, perm, phase)
+
+
+@pytest.mark.parametrize("p,ell", [(3, 2), (5, 2)])
+@pytest.mark.parametrize("phase_coeff", [None, 1])
+def test_displacement_gathers_match_table_loop(p, ell, phase_coeff):
+    field = make_field(p, ell)
+    q = field.order
+    alpha, beta = np.divmod(np.arange(q * q), q)
+    perm, phase = displacement_arrays(field, alpha, beta, phase_coeff)
+    assert perm.shape == phase.shape == (q * q, q)
+    for k, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        want = reference_displacement_monomial(field, a, b, phase_coeff)
+        assert displacement_monomial(field, a, b, phase_coeff) == want
+        assert Monomial(ring_for(field), perm[k], phase[k]) == want
+    # the perturbed phase differs from the true one on some label
+    if phase_coeff is not None:
+        assert any(displacement_monomial(field, a, b)
+                   != displacement_monomial(field, a, b, phase_coeff)
+                   for a in range(q) for b in range(q))
 
 
 def test_displacement_rejects_char_two():

@@ -442,3 +442,113 @@ def test_packed_product_is_in_normal_form(order, char, bound):
     half = OperatorMatrix.identity(ring, 4).scaled(ring.rational(1, 2))
     double = OperatorMatrix.identity(ring, 4).scaled(ring.from_int(2))
     assert (half @ double).equals(OperatorMatrix.identity(ring, 4))
+
+
+# -- packed proportionality phase against the per-entry loop ----------------
+
+def reference_proportionality_phase(a, b):
+    """The per-entry cross-multiplication loop the packed version replaced."""
+    ref = None
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if not b.rows[i][j].is_zero:
+                ref = (i, j)
+                break
+        if ref:
+            break
+    if ref is None:
+        return None
+    i0, j0 = ref
+    if a.rows[i0][j0].is_zero:
+        return None
+    a0, b0 = a.rows[i0][j0], b.rows[i0][j0]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if a.rows[i][j] * b0 != a0 * b.rows[i][j]:
+                return None
+    phase = a0 / b0
+    if phase * phase.conj() != a.ring.one:
+        return None
+    return phase
+
+
+def same_phase(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and (got.coeffs, got.scale_exp, got.denom)
+            == (want.coeffs, want.scale_exp, want.denom))
+
+
+def proportionality_cases():
+    from gfharmonic.frobenius import frobenius_monomial
+    from gfharmonic.gf import make_field
+    from gfharmonic.hilbert import ring_for
+    from gfharmonic.symplectic import (closed_form_matrix, enumerate_group,
+                                       synthesize)
+
+    field = make_field(3, 2, [2, 1, 1])
+    ring = ring_for(field)
+    g = frobenius_monomial(field)
+    cases = []
+    valid = [g for g in enumerate_group(field)
+             if not (g.r.is_zero or g.t.is_zero or (g.s * g.t + 1).is_zero)]
+    for params in valid[::97][:4]:
+        built = synthesize(field, params)
+        cases.append((built, closed_form_matrix(field, params)))
+        cases.append((g.conjugate_dense(built),
+                      synthesize(field, params.frobenius(1))))
+    built = cases[0][0]
+    zero = OperatorMatrix.zeros(ring, field.order)
+    rows = [list(row) for row in built.rows]
+    rows[4][7] = rows[4][7].times_root(3)
+    one_off = OperatorMatrix(field.order, "exact", ring, rows)
+    cases += [(zero, built), (built, zero), (zero, zero), (built, one_off),
+              (one_off, built), (built.scaled(ring.rational(3, 2)), built),
+              (built.scaled(ring.sqrt_char()), built),
+              (built.scaled(ring.root(5)), built)]
+    return cases
+
+
+def test_packed_proportionality_phase_matches_entry_loop():
+    cases = proportionality_cases()
+    verdicts = []
+    for a, b in cases:
+        want = reference_proportionality_phase(a, b)
+        assert same_phase(proportionality_phase(a, b), want)
+        verdicts.append(want is not None)
+    # both outcomes occur: the closed-form and Frobenius pairs and the root
+    # multiple are proportional; zero, one-entry and non-unit cases are not
+    assert verdicts == [True] * 8 + [False] * 7 + [True]
+
+
+def test_operator_matrix_rejects_ndarray_operands(ring):
+    a = random_matrix(ring, 3, 30)
+    with pytest.raises(BackendMismatch):
+        a.embed() @ a
+    with pytest.raises(BackendMismatch):
+        random_monomial(ring, 3, 31).apply(np.ones(3))
+    with pytest.raises(BackendMismatch):
+        random_monomial(ring, 3, 31).apply([ring.one] * 3)
+    # a monomial on the left still takes the dense product
+    m = random_monomial(ring, 3, 32)
+    assert (m @ a).equals(m.to_matrix() @ a)
+
+
+def test_monomial_from_dense(ring):
+    for seed in range(5):
+        m = random_monomial(ring, 6, 40 + seed)
+        assert Monomial.from_dense(m.to_matrix()) == m
+    ident = OperatorMatrix.identity(ring, 4)
+    assert Monomial.from_dense(ident) == Monomial.identity(ring, 4)
+    assert Monomial.from_dense(ident.scaled(2)) is None
+    assert Monomial.from_dense(ident.scaled(ring.sqrt_char())) is None
+    assert Monomial.from_dense(OperatorMatrix.zeros(ring, 4)) is None
+    assert Monomial.from_dense(random_matrix(ring, 4, 45)) is None
+    # one root per column, but two in one row
+    rows = [[ring.zero] * 3 for _ in range(3)]
+    rows[0][0] = rows[0][1] = rows[2][2] = ring.root(1)
+    assert Monomial.from_dense(OperatorMatrix(3, "exact", ring, rows)) is None
+    # the right support, but 1 + zeta is not a root of unity
+    rows = [[ring.one + ring.root(1) if n == m else ring.zero for m in range(3)]
+            for n in range(3)]
+    assert Monomial.from_dense(OperatorMatrix(3, "exact", ring, rows)) is None

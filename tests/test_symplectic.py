@@ -2,8 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+import gfharmonic.symplectic as sp
 from gfharmonic.errors import (ConstraintViolated, DomainRestriction,
                                EvenCharacteristic, NotInSubfield, WrongFixture,
                                ZeroScaling)
@@ -13,9 +15,11 @@ from gfharmonic.heisenberg import displacement, x_power, z_power
 from gfharmonic.hilbert import operator_cache, ring_for
 from gfharmonic.linalg import (Monomial, OperatorMatrix, conjugate,
                                proportionality_phase)
-from gfharmonic.symplectic import (SymplecticParams, action_check,
+from gfharmonic.symplectic import (ACTION_KEYS, SymplecticParams,
+                                   action_check, action_sweep,
                                    closed_form_elements_check,
-                                   closed_form_matrix, enumerate_group,
+                                   closed_form_matrix, element_factors,
+                                   enumerate_group,
                                    fourier_params, gauss_sum,
                                    generator_scaling, generator_shear_x,
                                    generator_shear_z,
@@ -301,3 +305,113 @@ def test_even_characteristic_rejected():
     f4 = make_field(2, 2)
     with pytest.raises(EvenCharacteristic):
         synthesize(f4, SymplecticParams.from_rst(f4, 1, 0, 0))
+
+
+# -- the per-base action sweep against the per-element reference -----------
+
+def reference_verdicts(field, elements, labels):
+    return np.array([[res[k] for k in ACTION_KEYS]
+                     for res in (action_check(field, g, labels=labels)
+                                 for g in elements)])
+
+
+def power_basis(field):
+    return [field.generator ** k for k in range(field.ell)]
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_action_sweep_matches_action_check(p, ell):
+    field = make_field(p, ell)
+    group = enumerate_group(field)
+    got = action_sweep(field, group, power_basis(field))
+    assert got.shape == (len(group), len(ACTION_KEYS)) and got.dtype == bool
+    assert np.array_equal(got, reference_verdicts(field, group, power_basis(field)))
+    assert got.all()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_action_sweep_on_every_label(p):
+    field = make_field(p, 1)
+    group = enumerate_group(field)
+    assert np.array_equal(action_sweep(field, group),
+                          reference_verdicts(field, group, None))
+    assert action_sweep(field, []).shape == (0, len(ACTION_KEYS))
+
+
+def test_element_factors_rebuild_synthesize(gf9):
+    ring = ring_for(gf9)
+    group = enumerate_group(gf9)
+    fac = element_factors(gf9, group)
+    f_adj = fourier_matrix(gf9).adjoint()
+    for k, params in enumerate(group):
+        assert fac.fourier[k] == (params.r.is_zero
+                                  or (params.s * params.t + 1).is_zero)
+        u = (generator_shear_x(gf9, int(fac.shear[k]))
+             @ Monomial(ring, fac.perm[k], fac.phase[k]))
+        if fac.fourier[k]:
+            u = u @ f_adj
+        assert u.equals(synthesize(gf9, params)), str(params)
+
+
+def flip_shear_sign(monkeypatch, field):
+    orig = sp.generator_shear_x
+    monkeypatch.setattr(sp, "generator_shear_x",
+                        lambda f, xi: orig(f, -f.element(xi)))
+
+
+def scale_shear(monkeypatch, field):
+    orig = sp.generator_shear_x
+    monkeypatch.setattr(sp, "generator_shear_x",
+                        lambda f, xi: orig(f, xi).scaled(2))
+
+
+def drop_fourier_adjoint(monkeypatch, field):
+    ident = OperatorMatrix.identity(ring_for(field), field.order)
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: ident)
+
+
+def adjoint_fourier(monkeypatch, field):
+    wrong = fourier_matrix(field).adjoint()
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
+
+
+def scale_fourier(monkeypatch, field):
+    wrong = fourier_matrix(field).scaled(2)
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
+
+
+# fault -> (some element still passes, the sweep falls back to action_check)
+PLANTED = {
+    "flipped_shear_sign": (flip_shear_sign, True, False),
+    "dropped_fourier_adjoint": (drop_fourier_adjoint, True, False),
+    "wrong_fourier_adjoint": (adjoint_fourier, True, False),
+    "wrong_fourier_not_unitary": (scale_fourier, True, True),
+    "shear_not_unitary": (scale_shear, False, False),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_planted_faults_fail_on_the_same_elements(gf9, monkeypatch, fault):
+    plant, some_pass, falls_back = PLANTED[fault]
+    plant(monkeypatch, gf9)
+    group = enumerate_group(gf9)
+    labels = power_basis(gf9)
+    want = reference_verdicts(gf9, group, labels)
+    calls = []
+    orig_check = sp.action_check
+    monkeypatch.setattr(sp, "action_check",
+                        lambda *a, **k: calls.append(a) or orig_check(*a, **k))
+    got = action_sweep(gf9, group, labels)
+    assert np.array_equal(got, want)
+    passed = want.all(axis=1)
+    assert not passed.all()
+    assert passed.any() == some_pass
+    fourier_chart = element_factors(gf9, group).fourier
+    assert len(calls) == (fourier_chart.sum() if falls_back else 0)
+
+
+def test_action_sweep_exhaustive_gf25_and_gf27():
+    for p, ell in ((5, 2), (3, 3)):
+        field = make_field(p, ell)
+        group = enumerate_group(field)
+        assert action_sweep(field, group, power_basis(field)).all()

@@ -53,13 +53,13 @@ def test_action_law_checks_the_full_power_basis(monkeypatch):
     import gfharmonic.verify as vf
     field = make_field(3, 3)
     seen = set()
-    real = vf.sp.action_check
+    real = vf.sp.action_sweep
 
-    def recording(f, params, labels=None, **kwargs):
+    def recording(f, elements, labels=None):
         seen.update(field.element(x).index for x in labels)
-        return real(f, params, labels=labels, **kwargs)
+        return real(f, elements, labels)
 
-    monkeypatch.setattr(vf.sp, "action_check", recording)
+    monkeypatch.setattr(vf.sp, "action_sweep", recording)
     report = run_suite(field, "symplectic", VerifyConfig())
     assert report.passed
     assert seen == {(field.generator ** k).index for k in range(3)}
