@@ -156,7 +156,7 @@ class CycloRing:
         p = self.char
         if p == 2:
             k = self.order // 8
-            vec = self._addv(self._zeta_pows[k], self._zeta_pows[self.order - k])
+            vec = [a + b for a, b in zip(self._zeta_pows[k], self._zeta_pows[-k])]
         else:
             vec = [0] * self.degree
             for a in range(1, p):
@@ -164,7 +164,7 @@ class CycloRing:
                 row = self._zeta_pows[(a * self._omega_step) % self.order]
                 vec = [x + sign * r for x, r in zip(vec, row)]
             if p % 4 == 3:
-                vec = self._root_mul(vec, 3 * self.order // 4)
+                vec = self._substitute(vec, 1, 3 * self.order // 4)
         square = self._mul(vec, vec)
         expected = [0] * self.degree
         expected[0] = p
@@ -173,10 +173,6 @@ class CycloRing:
         return tuple(vec)
 
     # -- raw vector arithmetic (power basis, length == degree) --------------
-
-    @staticmethod
-    def _addv(u, v):
-        return [a + b for a, b in zip(u, v)]
 
     def _mul(self, u, v):
         deg = self.degree
@@ -195,17 +191,14 @@ class CycloRing:
                 out = [o + c * r for o, r in zip(out, row)]
         return out
 
-    def _root_mul(self, v, k):
-        # v * zeta^k ; exponents reduced mod N via zeta^N = 1
-        k %= self.order
-        if k == 0:
-            return list(v)
-        n = self.order
-        pows = self._zeta_pows
+    def _substitute(self, v, k: int, shift: int = 0):
+        # v(zeta^k) * zeta^shift: coefficient j moves to zeta^(j k + shift),
+        # exponents reduced mod N via zeta^N = 1
+        n, pows = self.order, self._zeta_pows
         out = [0] * self.degree
         for j, c in enumerate(v):
             if c:
-                row = pows[(j + k) % n]
+                row = pows[(j * k + shift) % n]
                 out = [o + c * r for o, r in zip(out, row)]
         return out
 
@@ -213,27 +206,6 @@ class CycloRing:
         for _ in range(times):
             v = self._mul(v, self._sqrt)
         return v
-
-    def _conj(self, v):
-        n = self.order
-        pows = self._zeta_pows
-        out = [0] * self.degree
-        for j, c in enumerate(v):
-            if c:
-                row = pows[(n - j) % n]
-                out = [o + c * r for o, r in zip(out, row)]
-        return out
-
-    def _galois_conj(self, v, k):
-        # zeta -> zeta^k for gcd(k, N) = 1
-        n = self.order
-        pows = self._zeta_pows
-        out = [0] * self.degree
-        for j, c in enumerate(v):
-            if c:
-                row = pows[(j * k) % n]
-                out = [o + c * r for o, r in zip(out, row)]
-        return out
 
     # -- canonical scalar construction ---------------------------------------
 
@@ -465,6 +437,59 @@ class CycloRing:
         """Complex conjugate of every entry of a packed coefficient array."""
         return self._times_table(data, "conj")
 
+    def root_sum(self, data, roots, dest, shape, e: int = 0, q: int = 1):
+        """Normal-form triple of the array of the given shape whose flat entry
+        s is the sum of data[i] zeta^roots[i] over every i with dest[i] == s,
+        all at (e, q).
+
+        ``roots`` (or None, for no rotation) has the shape of ``dest``, and
+        ``data`` broadcasts against ``dest.shape + (degree,)``, so a value
+        shared by many terms is stored once.  Terms are added in
+        Z[x]/(x^N - 1), where the product by zeta^k moves coefficient j to
+        position j + k mod N: one np.add.at per block of about BLOCK_ENTRIES
+        terms along the first axis, then one fold by ``root_coeffs``.  That
+        runs in int64 while N max|T| times the most terms per slot times
+        max|data| stays below 2^63.
+        """
+        dest = np.asarray(dest)
+        n, deg = self.order, self.degree
+        data = np.asarray(data)
+        terms = int(np.bincount(dest.ravel()).max()) if dest.size else 0
+        dtype = _dtype_for(n * self._tables()["roots"][1] * terms * _max_abs(data))
+        data = np.broadcast_to(data, dest.shape + (deg,))
+        roots = np.broadcast_to(0 if roots is None else roots, dest.shape)
+        acc = np.zeros(math.prod(shape) * n, dtype=dtype)
+        step = max(1, BLOCK_ENTRIES // max(1, math.prod(dest.shape[1:])))
+        for i in range(0, len(dest), step):
+            slot = dest[i:i + step].reshape(-1, 1) * n
+            pos = (roots[i:i + step].reshape(-1, 1) + np.arange(deg)) % n
+            np.add.at(acc, (slot + pos).ravel(),
+                      data[i:i + step].reshape(-1).astype(dtype, copy=False))
+        out = acc.reshape(-1, n) @ self.root_coeffs().astype(dtype, copy=False)
+        return self._normalise(out.reshape(tuple(shape) + (deg,)), e, q)
+
+    def add(self, a, b):
+        """Normal form of the entrywise sum of two packed triples of one shape.
+
+        Both are brought to the common (max E, lcm Q) the way ``pack``
+        aligns scalars, then added as arrays.
+        """
+        e, q = max(a[1], b[1]), math.lcm(a[2], b[2])
+        da, db = self._aligned(a, e, q), self._aligned(b, e, q)
+        dtype = _dtype_for(_max_abs(da) + _max_abs(db))
+        return self._normalise(da.astype(dtype, copy=False) + db.astype(dtype, copy=False),
+                               e, q)
+
+    def _aligned(self, packed, e: int, q: int):
+        # the data of a packed triple at (e, q), e >= its E and q a multiple of its Q
+        data, de, dq = packed
+        if (e - de) % 2:
+            data = self._times_table(data, "sqrt")
+        mult = q // dq * self.char ** ((e - de) // 2)
+        if mult == 1:
+            return data
+        return data.astype(_dtype_for(_max_abs(data) * mult), copy=False) * mult
+
     # -- convenience constructors --------------------------------------------
 
     @property
@@ -519,19 +544,12 @@ class CycloRing:
     def sum_of_roots(self, exponents, scale_exp: int = 0, denom: int = 1) -> "CycloScalar":
         """Exact sum of zeta^e over an iterable of exponents, rescaled.
 
-        Collects equal residues first, so summing q roots costs O(q) integer
-        ops plus one basis fold; used by character-sum-shaped entries.
+        Counts equal residues first (one bincount), then folds the counts
+        with ``root_coeffs``; used by character-sum-shaped entries.
         """
-        counts = [0] * self.order
-        for e in exponents:
-            counts[e % self.order] += 1
-        vec = [0] * self.degree
-        pows = self._zeta_pows
-        for r, c in enumerate(counts):
-            if c:
-                row = pows[r]
-                vec = [v + c * x for v, x in zip(vec, row)]
-        return self.scalar(vec, scale_exp, denom)
+        exps = np.fromiter(exponents, dtype=np.int64) % self.order
+        counts = np.bincount(exps, minlength=self.order)
+        return self.scalar((counts @ self.root_coeffs()).tolist(), scale_exp, denom)
 
     def __repr__(self):
         return f"CycloRing(order={self.order}, char={self.char})"
@@ -632,14 +650,14 @@ class CycloScalar:
         """Multiply by zeta^k; preserves canonical form (units do)."""
         if not self._nz or k % self.ring.order == 0:
             return self
-        vec = self.ring._root_mul(self.coeffs, k)
+        vec = self.ring._substitute(self.coeffs, 1, k)
         return CycloScalar(self.ring, tuple(vec), self.scale_exp, self.denom)
 
     def conj(self) -> "CycloScalar":
         """Complex conjugation zeta -> zeta^-1."""
         if not self._nz:
             return self
-        vec = self.ring._conj(self.coeffs)
+        vec = self.ring._substitute(self.coeffs, -1)
         return CycloScalar(self.ring, tuple(vec), self.scale_exp, self.denom)
 
     def __pow__(self, n: int):
@@ -670,7 +688,7 @@ class CycloScalar:
         w = [0] * ring.degree
         w[0] = 1
         for k in units:
-            w = ring._mul(w, ring._galois_conj(self.coeffs, k))
+            w = ring._mul(w, ring._substitute(self.coeffs, k))
         norm_vec = ring._mul(self.coeffs, w)
         if any(norm_vec[1:]):
             raise ArithmeticError("field norm is not rational")
@@ -716,9 +734,11 @@ class CycloScalar:
 
 
 class ScalarAccumulator:
-    """Mutable exact sum used by inner loops (dots, label sums).
+    """Mutable exact sum, one term at a time.
 
-    Avoids per-term canonicalisation: terms are accumulated as raw
+    The per-term reference for the packed kernels (``root_sum``, ``matmul``,
+    ``add``): tests compare them with loops over it, and the benchmark
+    times its ``add`` and ``add_product``.  Terms are accumulated as raw
     coefficient vectors over a running common denominator and scale, and a
     single canonical scalar is produced at the end.
     """
@@ -755,29 +775,18 @@ class ScalarAccumulator:
             self.vec = [a + m * b for a, b in zip(self.vec, vec)]
         self.nonzero = True
 
-    def add(self, x: CycloScalar, root: int = 0, sign: int = 1):
-        """Accumulate sign * zeta^root * x."""
+    def add(self, x: CycloScalar, root: int = 0):
+        """Accumulate zeta^root * x."""
         if not x._nz:
             return
-        vec = self.ring._root_mul(x.coeffs, root) if root else list(x.coeffs)
-        if sign < 0:
-            vec = [-c for c in vec]
+        vec = self.ring._substitute(x.coeffs, 1, root) if root else list(x.coeffs)
         self._add_raw(vec, x.scale_exp, x.denom)
 
-    def add_product(self, a: CycloScalar, b: CycloScalar, sign: int = 1):
-        """Accumulate sign * a * b."""
+    def add_product(self, a: CycloScalar, b: CycloScalar):
+        """Accumulate a * b."""
         if not a._nz or not b._nz:
             return
         vec = self.ring._mul(a.coeffs, b.coeffs)
-        if sign < 0:
-            vec = [-c for c in vec]
-        self._add_raw(vec, a.scale_exp + b.scale_exp, a.denom * b.denom)
-
-    def add_conj_product(self, a: CycloScalar, b: CycloScalar):
-        """Accumulate conj(a) * b."""
-        if not a._nz or not b._nz:
-            return
-        vec = self.ring._mul(self.ring._conj(a.coeffs), b.coeffs)
         self._add_raw(vec, a.scale_exp + b.scale_exp, a.denom * b.denom)
 
     def value(self) -> CycloScalar:

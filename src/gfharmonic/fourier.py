@@ -10,6 +10,8 @@ three powers of F.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DimensionMismatch
 from .gf import GFField
 from .hilbert import operator_cache, ring_for, subspace_projector
@@ -20,21 +22,17 @@ def fourier_matrix(field: GFField) -> OperatorMatrix:
     """The p^ell x p^ell Fourier matrix, cached per field."""
     cache = operator_cache(field)
     if "fourier" not in cache:
-        ring = ring_for(field)
-        q = field.order
-        rows = []
-        for n in range(q):
-            row = []
-            for m in range(q):
-                t = field.trace_index(field.mul_index(n, m))
-                row.append(ring.root_scaled(ring.omega_exponent(t), field.ell))
-            rows.append(row)
-        cache["fourier"] = OperatorMatrix(q, EXACT, ring, rows)
+        ring, q, tb = ring_for(field), field.order, field.tables()
+        # entry (n, m) is p^(-ell/2) zeta^e with e the root exponent of Tr(n m)
+        cache["fourier"] = OperatorMatrix.from_packed(ring, ring.root_sum(
+            ring.root_coeffs()[0], tb.trace[tb.mul] * (ring.order // field.p),
+            np.arange(q * q).reshape(q, q), (q, q), field.ell))
     return cache["fourier"]
 
 
 def fourier_transform(field: GFField, chi: StateVector) -> StateVector:
-    """chi -> F chi; the n-th output is the overlap of phi_n with chi."""
+    """The paper's Fourier transform chi -> F chi of a function on the field;
+    the n-th output is the overlap of phi_n with chi."""
     if chi.dim != field.order:
         raise DimensionMismatch(f"state dim {chi.dim} != field order {field.order}")
     return fourier_matrix(field).apply(chi)

@@ -41,7 +41,8 @@ def galois_group_H(field: GFField, d: int) -> list[OperatorMatrix]:
 
 def conjugated_galois_group(field: GFField, u: OperatorMatrix,
                             d: int) -> list[OperatorMatrix]:
-    """Conjugates {U G^(kd) U^dagger} fixing the rotated subspace U h_d."""
+    """The paper's rotated Galois group: the conjugates {U G^(kd) U^dagger},
+    which fix the rotated subspace U h_d."""
     field.check_divisor(d)
     if not u.is_unitary():
         raise NotUnitary("conjugating operator is not unitary")

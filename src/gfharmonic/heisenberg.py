@@ -3,8 +3,11 @@
 Z^alpha is the diagonal phase operator with character exponents Tr(alpha m),
 X^beta the shift by beta, and D(alpha, beta) their symmetrised product with
 the half-trace phase (the field inverse of 2; undefined for p = 2).  All
-three are monomial matrices, which keeps the big label sums (operator
-expansion, resolution of the identity, marginals) at O(dim^2) per label.
+three are monomial: :func:`displacement_arrays` gives the permutation and
+root phases of D for a whole array of labels in one gather.  So each big
+label sum (operator expansion and reconstruction, resolution of the
+identity, overcomplete expansion, marginals) is one ``CycloRing.root_sum``
+of entries times zeta^phase into the slots the permutations name.
 
 Note on the marginal sums: summing D(alpha, beta) over one label yields the
 conjugate-basis point projector composed with the parity operator (the
@@ -15,31 +18,17 @@ formula; for beta = 0 it drops out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import CycloScalar, ScalarAccumulator
+from .cyclo import CycloScalar
 from .errors import (DimensionMismatch, EvenCharacteristic, WrongFixture,
                      ZeroTrace)
 from .fourier import fourier_matrix
-from .gf import FieldElement, GFField
+from .gf import GFField
 from .hilbert import point_projector, ring_for
-from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
-                     inner_product, tensor_list)
-
-
-class DisplacementLabel(NamedTuple):
-    """Phase-space point (alpha, beta) labelling a displacement operator."""
-
-    alpha: FieldElement
-    beta: FieldElement
-
-
-def all_labels(field: GFField):
-    """All p^(2 ell) displacement labels in canonical order."""
-    els = field.elements()
-    return [DisplacementLabel(a, b) for a in els for b in els]
+from .linalg import (Monomial, OperatorMatrix, StateVector, conjugate,
+                     inner_product)
 
 
 def _require_odd(field: GFField):
@@ -111,8 +100,7 @@ def parity_monomial(field: GFField) -> Monomial:
                                        for m in range(field.order)])
 
 
-def component_displacement_monomial(field: GFField, a: int, b: int,
-                                    dim: int | None = None) -> Monomial:
+def component_displacement_monomial(field: GFField, a: int, b: int) -> Monomial:
     """p-dimensional displacement on a component space, labels in Z_p."""
     _require_odd(field)
     ring = ring_for(field)
@@ -153,54 +141,69 @@ class WeylTable:
             self.field.element(beta).index]
 
 
-def _trace_dense_times_monomial(theta: OperatorMatrix, mono: Monomial) -> CycloScalar:
-    # tr(theta @ mono) = sum_m theta(m, perm[m]) * zeta^phase[m]
-    acc = ScalarAccumulator(mono.ring)
-    for m in range(mono.dim):
-        x = theta.rows[m][mono.perm[m]]
-        if not x.is_zero:
-            acc.add(x, root=mono.phase[m])
-    return acc.value()
+def _label_grid(q: int):
+    # every label (a, b) as two index arrays, in the order a * q + b
+    idx = np.arange(q)
+    return np.repeat(idx, q), np.tile(idx, q)
+
+
+def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
+    """p^-ell sum over l of w_l D(alpha[l], beta[l]), for index arrays of
+    labels, as a dense exact matrix.
+
+    ``weights`` is a packed triple with one entry per label, or None for
+    all ones.  Entry (perm_l[m], m) of D(l) is zeta^phase_l[m], so the sum
+    is one root-sum of the weights into the q * q entries; the factor
+    p^-ell = 1/q raises the scale exponent by 2 ell.
+    """
+    ring = ring_for(field)
+    q = field.order
+    perm, phase = displacement_arrays(field, alpha, beta)
+    data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
+    data = np.asarray(data).reshape(-1, 1, ring.degree)
+    return OperatorMatrix.from_packed(ring, ring.root_sum(
+        data, phase, perm * q + np.arange(q), (q, q), e + 2 * field.ell, den))
 
 
 def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> WeylTable:
-    """Coefficient table tr(Theta D(alpha, beta)) over all labels."""
+    """Coefficient table tr(Theta D(alpha, beta)) over all labels.
+
+    tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: one gather
+    of Theta per label and one root-sum into the q * q table slots.
+    """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
     q = field.order
-    rows = []
-    for a in range(q):
-        row = []
-        for b in range(q):
-            mono = displacement_monomial(field, a, b)
-            row.append(_trace_dense_times_monomial(theta, mono))
-        rows.append(tuple(row))
-    return WeylTable(field=field, values=tuple(rows), source=source)
+    ring = ring_for(field)
+    perm, phase = displacement_arrays(field, *_label_grid(q))
+    data, e, den = theta.packed
+    slots = np.broadcast_to(np.arange(q * q)[:, None], perm.shape)
+    table = ring.root_sum(data[np.arange(q), perm], phase, slots, (q, q), e, den)
+    return WeylTable(field=field, values=ring.unpack(table), source=source)
 
 
 def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
     """Rebuild the operator p^-ell sum_labels D(alpha, beta) W(-alpha, -beta)."""
     _require_odd(field)
-    ring = ring_for(field)
-    q = field.order
-    acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
-    for a in range(q):
-        na = field.neg_index(a)
-        for b in range(q):
-            w = table.values[na][field.neg_index(b)]
-            if w.is_zero:
-                continue
-            mono = displacement_monomial(field, a, b)
-            for m in range(q):
-                acc[mono.perm[m]][m].add(w, root=mono.phase[m])
-    inv_q = ring.rational(1, q)
-    rows = [[cell.value() * inv_q for cell in row] for row in acc]
-    return OperatorMatrix(q, EXACT, ring, rows)
+    alpha, beta = _label_grid(field.order)
+    neg = field.tables().neg
+    weights = ring_for(field).pack(
+        [(table.values[a][b],) for a, b in zip(neg[alpha].tolist(), neg[beta].tolist())])
+    return label_sum(field, alpha, beta, weights)
+
+
+LABEL_BLOCK_ENTRIES = 1 << 16  # terms per root-sum of the resolution of the identity
 
 
 def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
-    """Brute-force check of p^-ell sum_labels D (Theta/tr Theta) D^dagger = 1."""
+    """Brute-force check of p^-ell sum_labels D Theta D^dagger = tr(Theta) 1.
+
+    This is the identity for the normalised Theta / tr(Theta) without the
+    division; it needs tr(Theta) != 0.  Entry (i, j) of Theta lands at
+    (perm[i], perm[j]) of D Theta D^dagger times zeta^(phase[i] - phase[j]),
+    so each block of labels is one root-sum into the q * q entries.
+    """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
@@ -209,27 +212,18 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
         raise ZeroTrace("resolution of identity needs tr(Theta) != 0")
     ring = ring_for(field)
     q = field.order
-    scaled = theta.scaled(tr.inverse())
-    acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
-    for a in range(q):
-        for b in range(q):
-            mono = displacement_monomial(field, a, b)
-            inv = [0] * q
-            for m, n in enumerate(mono.perm):
-                inv[n] = m
-            for n in range(q):
-                rn = inv[n]
-                kn = mono.phase[rn]
-                row = scaled.rows[rn]
-                arow = acc[n]
-                for m in range(q):
-                    x = row[inv[m]]
-                    if not x.is_zero:
-                        arow[m].add(x, root=kn - mono.phase[inv[m]])
-    inv_q = ring.rational(1, q)
-    rows = [[cell.value() * inv_q for cell in row] for row in acc]
-    total = OperatorMatrix(q, EXACT, ring, rows)
-    return {"holds": total.equals(OperatorMatrix.identity(ring, q))}
+    data, e, den = theta.packed
+    perm, phase = displacement_arrays(field, *_label_grid(q))
+    step = max(1, LABEL_BLOCK_ENTRIES // (q * q))
+    total = None
+    for i in range(0, q * q, step):
+        pm, ph = perm[i:i + step], phase[i:i + step]
+        part = ring.root_sum(data, ph[:, :, None] - ph[:, None, :],
+                             pm[:, :, None] * q + pm[:, None, :], (q, q),
+                             e + 2 * field.ell, den)
+        total = part if total is None else ring.add(total, part)
+    want = OperatorMatrix.identity(ring, q).scaled(tr)
+    return {"holds": OperatorMatrix.from_packed(ring, total).equals(want)}
 
 
 def overcomplete_expansion_check(field: GFField, psi: StateVector,
@@ -237,56 +231,35 @@ def overcomplete_expansion_check(field: GFField, psi: StateVector,
     """Expand chi over the p^(2 ell) displaced copies of a unit vector psi.
 
     Verifies chi = p^-ell sum_labels (D psi, chi) D psi exactly; requires
-    (psi, psi) = 1.
+    (psi, psi) = 1.  Row l of ``moved`` is D(l) psi, entry perm_l[m] being
+    psi(m) zeta^phase_l[m]; the overlaps are one product of the conjugated
+    rows with chi, and the sum one product of their transpose with the
+    overlaps.
     """
     _require_odd(field)
     ring = ring_for(field)
     q = field.order
     if inner_product(psi, psi) != ring.one:
         raise ZeroTrace("expansion vector must be normalised")
-    acc = [ScalarAccumulator(ring) for _ in range(q)]
-    for a in range(q):
-        for b in range(q):
-            mono = displacement_monomial(field, a, b)
-            moved = mono.apply(psi)
-            u = inner_product(moved, chi)
-            if u.is_zero:
-                continue
-            for n in range(q):
-                v = moved.values[n]
-                if not v.is_zero:
-                    acc[n].add(u * v)
-    inv_q = ring.rational(1, q)
-    rebuilt = StateVector(q, EXACT, ring, [c.value() * inv_q for c in acc])
-    return {"holds": rebuilt.equals(chi)}
-
-
-def _label_sum(field: GFField, held, label_pair) -> OperatorMatrix:
-    """p^-ell sum over k of D(label_pair(h, k)), h the index of the held
-    label, as a dense exact matrix."""
-    _require_odd(field)
-    ring = ring_for(field)
-    q = field.order
-    h = field.element(held).index
-    acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
-    one = ring.one
-    for k in range(q):
-        mono = displacement_monomial(field, *label_pair(h, k))
-        for m in range(q):
-            acc[mono.perm[m]][m].add(one, root=mono.phase[m])
-    inv_q = ring.rational(1, q)
-    rows = [[cell.value() * inv_q for cell in row] for row in acc]
-    return OperatorMatrix(q, EXACT, ring, rows)
+    perm, phase = displacement_arrays(field, *_label_grid(q))
+    data, e, den = psi.packed
+    slots = np.arange(q * q)[:, None] * q + perm
+    moved, e, den = ring.root_sum(data[:, 0], phase, slots, (q * q, q), e, den)
+    overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
+    rebuilt = ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
+    return {"holds": StateVector.from_packed(ring, rebuilt).equals(chi)}
 
 
 def marginal_sum_alpha(field: GFField, beta) -> OperatorMatrix:
     """p^-ell sum over alpha of D(alpha, beta), as a dense exact matrix."""
-    return _label_sum(field, beta, lambda b, a: (a, b))
+    q = field.order
+    return label_sum(field, np.arange(q), np.full(q, field.element(beta).index))
 
 
 def marginal_sum_beta(field: GFField, alpha) -> OperatorMatrix:
     """p^-ell sum over beta of D(alpha, beta), as a dense exact matrix."""
-    return _label_sum(field, alpha, lambda a, b: (a, b))
+    q = field.order
+    return label_sum(field, np.full(q, field.element(alpha).index), np.arange(q))
 
 
 def marginal_projectors(field: GFField) -> dict:
@@ -297,26 +270,15 @@ def marginal_projectors(field: GFField) -> dict:
     conjugate of the point projector at alpha/2 composed with parity.
     """
     _require_odd(field)
-    q = field.order
     par = parity_monomial(field)
     f = fourier_matrix(field)
     half = field.element(field.two_inverse)
-    ok_alpha = True
-    ok_beta = True
-    for idx in range(q):
-        el = field.element(idx)
-        lhs = marginal_sum_alpha(field, el)
-        target = par.left_mul_dense(point_projector(field, -(half * el)))
-        if not lhs.equals(target):
-            ok_alpha = False
-            break
-    for idx in range(q):
-        el = field.element(idx)
-        lhs = marginal_sum_beta(field, el)
-        q_tilde = conjugate(f, point_projector(field, half * el))
-        if not lhs.equals(par.right_mul_dense(q_tilde)):
-            ok_beta = False
-            break
+    ok_alpha = all(marginal_sum_alpha(field, el).equals(
+        par.left_mul_dense(point_projector(field, -(half * el))))
+        for el in field.elements())
+    ok_beta = all(marginal_sum_beta(field, el).equals(
+        par.right_mul_dense(conjugate(f, point_projector(field, half * el))))
+        for el in field.elements())
     return {
         "alpha_sums": ok_alpha,
         "beta_sums": ok_beta,
@@ -415,11 +377,7 @@ def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
     small = subfield_displacement(field, d, alpha, beta)
     power = field.ell // d
     sub = field.subfield_indices(d)
-    if power == 1:
-        ok = all(dop.rows[n][m] == small.rows[n][m] for n in sub for m in sub)
-    else:
-        ok = all(dop.rows[n][m] == small.rows[n][m] ** power
-                 for n in sub for m in sub)
+    ok = all(dop.rows[n][m] == small.rows[n][m] ** power for n in sub for m in sub)
     return {"holds": ok, "power": power}
 
 

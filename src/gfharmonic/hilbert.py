@@ -65,11 +65,8 @@ def phi_basis(field: GFField, n) -> StateVector:
 
 def phi_basis_matrix(field: GFField) -> OperatorMatrix:
     """Unitary whose columns are the phi_n, in canonical order."""
-    ring = ring_for(field)
-    cols = [phi_basis(field, n) for n in range(field.order)]
-    rows = [[cols[n].values[m] for n in range(field.order)]
-            for m in range(field.order)]
-    return OperatorMatrix(field.order, EXACT, ring, rows)
+    rows = zip(*(phi_basis(field, n).values for n in range(field.order)))
+    return OperatorMatrix(field.order, EXACT, ring_for(field), rows)
 
 
 def component_character(field: GFField, a: int) -> StateVector:

@@ -1,11 +1,10 @@
-"""JSON encodings for scalars, matrices, and states.
+"""JSON encodings for scalars and matrices.
 
 Scalars serialise as {"coeffs", "scale_exp", "denom", "N"}; matrices as
-{"dim", "backend", "entries"} with row-major entries; states as
-{"dim", "backend", "values"}.  An exact OperatorMatrix or StateVector has
-backend "exact" and scalar entries.  A complex numpy array (an embedded
-matrix) has backend "float" and [re, im] entries, and decodes back to an
-array.  Decoding exact payloads takes the target ring, since a scalar
+{"dim", "backend", "entries"} with row-major entries.  An exact
+OperatorMatrix has backend "exact" and scalar entries.  A complex numpy
+array (an embedded matrix) has backend "float" and [re, im] entries, and
+decodes back to an array.  Decoding exact payloads takes the target ring, since a scalar
 payload pins only the ring order.
 """
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .cyclo import CycloRing, CycloScalar
 from .errors import BackendMismatch, DimensionMismatch
-from .linalg import EXACT, OperatorMatrix, StateVector
+from .linalg import EXACT, OperatorMatrix
 
 
 def scalar_to_json(x: CycloScalar) -> dict:
@@ -55,17 +54,3 @@ def matrix_from_json(data: dict,
     rows = [[scalar_from_json(entries[n * dim + m], ring) for m in range(dim)]
             for n in range(dim)]
     return OperatorMatrix(dim, EXACT, ring, rows)
-
-
-def state_to_json(state: StateVector) -> dict:
-    values = [scalar_to_json(x) for x in state.values]
-    return {"dim": state.dim, "backend": EXACT, "values": values}
-
-
-def state_from_json(data: dict, ring: CycloRing | None = None) -> StateVector:
-    if data["backend"] != EXACT:
-        raise BackendMismatch(f"state backend {data['backend']!r} is not {EXACT!r}")
-    if ring is None:
-        raise BackendMismatch("decoding an exact state needs a target ring")
-    return StateVector(data["dim"], EXACT, ring,
-                       [scalar_from_json(v, ring) for v in data["values"]])

@@ -1,20 +1,20 @@
 """Operator matrices and state vectors over exact cyclotomic scalars.
 
-Entries are CycloScalars and equality is decidable.  ``embed()`` is the one
-way out to floating point: it returns a complex numpy array, ``complex(x)``
-per entry, for numerical checks and the float JSON payload.
-
-A matrix has two views of one value, each built on first use from
-the other and then kept: ``rows``, a tuple of tuples of canonical scalars,
-and ``packed``, the triple ``(data, E, Q)`` of ``CycloRing``: an
-``(n, n, degree)`` integer array over the ring's power basis, with E the
-largest entry scale exponent and Q the lcm of the entry denominators.  The
-triple is fixed by the values, so equality is ``np.array_equal``.  Dense
-products, monomial products, adjoints and equality run on the packed form
-with numpy; ``rows`` is unpacked in one vectorised pass when an entry is
-read.  Matrices are immutable, which is what lets each view be cached.
-Monomial matrices (permutation plus a root-of-unity phase per column) get a
-dedicated representation so products and conjugations stay O(dim^2).
+An ``OperatorMatrix`` and a ``StateVector`` each hold one value in two
+views, each built on first use from the other and then kept.  ``packed`` is
+the triple ``(data, E, Q)`` of ``CycloRing``: an ``(n, m, degree)`` integer
+array over the ring's power basis ((n, n) for a matrix, (n, 1) for a
+state), with E the largest entry scale exponent and Q the lcm of the entry
+denominators.  ``rows`` (``values`` for a state) is the boundary view of
+canonical CycloScalars, read by JSON and fixtures.  The triple is
+fixed by the values, so equality is ``np.array_equal``, and all arithmetic
+runs on it: products and ``apply`` are ``ring.matmul``, ``+`` and ``-`` one
+aligned ``ring.add``, scalar multiples, tensor and outer products a matmul
+by a one-entry or one-row operand, traces one ``ring.root_sum``.  Objects
+are immutable, which is what lets each view be cached; ``embed()`` is the
+one way out to floating point.  Monomial matrices (permutation plus a
+root-of-unity phase per column) get a dedicated representation, and their
+products with dense operands are gathers plus root rotations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycloRing, CycloScalar, ScalarAccumulator, compact
+from .cyclo import CycloRing, CycloScalar, compact
 from .errors import BackendMismatch, DimensionMismatch
 
 EXACT = "exact"
@@ -44,20 +44,45 @@ def _stored(packed):
     return data, e, q
 
 
-class OperatorMatrix:
-    """Dense square matrix in canonical element order; immutable."""
+def _scalar(ring: CycloRing, packed) -> CycloScalar:
+    # the canonical scalar of a one-entry packed triple
+    (x,), = ring.unpack(packed)
+    return x
+
+
+def _conj_transposed(ring: CycloRing, packed):
+    # conjugation is an automorphism fixing sqrt(p): (E, Q) carry over
+    data, e, q = packed
+    return ring.conj_coeffs(data.transpose(1, 0, 2)), e, q
+
+
+def _negated(packed):
+    data, e, q = packed
+    return -data, e, q
+
+
+def _scaled(ring: CycloRing, packed, factor):
+    # every entry times an int or scalar factor: the (n*m, 1) column of
+    # entries by the (1, 1) factor
+    if isinstance(factor, int):
+        factor = ring.from_int(factor)
+    if not isinstance(factor, CycloScalar) or factor.ring is not ring:
+        raise BackendMismatch("factor is not a scalar of this ring")
+    data, e, q = packed
+    n, m, deg = data.shape
+    out, e, q = ring.matmul((data.reshape(n * m, 1, deg), e, q), ring.pack(((factor,),)))
+    return out.reshape(n, m, deg), e, q
+
+
+class _Packed:
+    """The storage OperatorMatrix and StateVector share: a normal-form
+    packed triple and rows of canonical scalars, each made from the other
+    on first use."""
 
     __slots__ = ("dim", "ring", "_rows", "_packed")
-    # numpy defers ``ndarray @ matrix`` to __rmatmul__ instead of wrapping
-    # the matrix in a 0-d object array
+    # numpy defers ``ndarray @ x`` to __rmatmul__ instead of wrapping x in
+    # a 0-d object array
     __array_ufunc__ = None
-
-    def __init__(self, dim, backend, ring, rows):
-        _require_exact(backend)
-        self.dim = dim
-        self.ring = ring
-        self._rows = tuple(map(tuple, rows))
-        self._packed = None
 
     @property
     def rows(self):
@@ -73,17 +98,50 @@ class OperatorMatrix:
             self._packed = _stored(self.ring.pack(self._rows))
         return self._packed
 
-    # -- constructors -----------------------------------------------------------
-
     @classmethod
-    def from_packed(cls, ring: CycloRing, packed) -> "OperatorMatrix":
-        """Matrix from a normal-form packed triple; rows come lazily."""
+    def from_packed(cls, ring: CycloRing, packed):
+        """The value of a normal-form packed triple; rows come lazily."""
         out = cls.__new__(cls)
         out.dim = packed[0].shape[0]
         out.ring = ring
         out._rows = None
         out._packed = _stored(packed)
         return out
+
+    def _require_ring(self, other):
+        if not isinstance(other, type(self)):
+            raise BackendMismatch(f"operand is not a {type(self).__name__}")
+        if self.ring is not other.ring:
+            raise BackendMismatch("operands from different scalar rings")
+
+    def _require_same(self, other):
+        self._require_ring(other)
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"{self.dim} != {other.dim}")
+
+    def _same_triple(self, other) -> bool:
+        (a, ea, qa), (b, eb, qb) = self.packed, other.packed
+        return ea == eb and qa == qb and np.array_equal(a, b)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.equals(other)
+
+
+class OperatorMatrix(_Packed):
+    """Dense square matrix in canonical element order; immutable."""
+
+    __slots__ = ()
+
+    def __init__(self, dim, backend, ring, rows):
+        _require_exact(backend)
+        self.dim = dim
+        self.ring = ring
+        self._rows = tuple(map(tuple, rows))
+        self._packed = None
+
+    # -- constructors -----------------------------------------------------------
 
     @classmethod
     def identity(cls, ring: CycloRing, dim: int) -> "OperatorMatrix":
@@ -104,35 +162,20 @@ class OperatorMatrix:
             rows[n][m] = x
         return cls(dim, EXACT, ring, rows)
 
-    def _require_ring(self, other: "OperatorMatrix"):
-        if not isinstance(other, OperatorMatrix):
-            raise BackendMismatch("operand is not an OperatorMatrix")
-        if self.ring is not other.ring:
-            raise BackendMismatch("operands from different scalar rings")
-
-    def _require_same(self, other: "OperatorMatrix"):
-        self._require_ring(other)
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-
     # -- algebra -----------------------------------------------------------------
 
     def __add__(self, other):
         self._require_same(other)
-        rows = [[a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)]
-        return OperatorMatrix(self.dim, EXACT, self.ring, rows)
+        return OperatorMatrix.from_packed(self.ring, self.ring.add(self.packed, other.packed))
 
     def __sub__(self, other):
         self._require_same(other)
-        rows = [[a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)]
-        return OperatorMatrix(self.dim, EXACT, self.ring, rows)
+        return OperatorMatrix.from_packed(
+            self.ring, self.ring.add(self.packed, _negated(other.packed)))
 
     def scaled(self, factor) -> "OperatorMatrix":
         """Scalar multiple by a CycloScalar or int."""
-        rows = [[x * factor for x in row] for row in self.rows]
-        return OperatorMatrix(self.dim, EXACT, self.ring, rows)
+        return OperatorMatrix.from_packed(self.ring, _scaled(self.ring, self.packed, factor))
 
     def __matmul__(self, other):
         if isinstance(other, Monomial):
@@ -147,65 +190,43 @@ class OperatorMatrix:
         raise BackendMismatch(f"cannot multiply {type(other).__name__} by an OperatorMatrix")
 
     def adjoint(self) -> "OperatorMatrix":
-        # conjugation is an automorphism fixing sqrt(p): (E, Q) carry over
-        data, e, q = self.packed
-        return OperatorMatrix.from_packed(
-            self.ring, (self.ring.conj_coeffs(data.transpose(1, 0, 2)), e, q))
+        return OperatorMatrix.from_packed(self.ring, _conj_transposed(self.ring, self.packed))
 
     def trace(self):
-        acc = ScalarAccumulator(self.ring)
-        for i in range(self.dim):
-            acc.add(self.rows[i][i])
-        return acc.value()
+        data, e, q = self.packed
+        diag = np.arange(self.dim)
+        return _scalar(self.ring, self.ring.root_sum(
+            data[diag, diag], None, np.zeros(self.dim, dtype=np.intp), (1, 1), e, q))
 
     def tensor(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Tensor product with little-endian indexing: n = n_self + dim_self*n_other.
 
         The first factor acts on the least significant digit, matching the
-        canonical element index sum(m_j * p**j).
+        canonical element index sum(m_j * p**j).  The products of all entry
+        pairs are one (da^2, 1) by (1, db^2) product, reordered.
         """
         self._require_ring(other)
-        da, db = self.dim, other.dim
-        dim = da * db
-        rows = []
-        for n in range(dim):
-            na, nb = n % da, n // da
-            row = []
-            for m in range(dim):
-                ma, mb = m % da, m // da
-                row.append(self.rows[na][ma] * other.rows[nb][mb])
-            rows.append(row)
-        return OperatorMatrix(dim, EXACT, self.ring, rows)
+        (ad, ea, qa), (bd, eb, qb) = self.packed, other.packed
+        da, db, deg = self.dim, other.dim, self.ring.degree
+        out, e, q = self.ring.matmul((ad.reshape(da * da, 1, deg), ea, qa),
+                                     (bd.reshape(1, db * db, deg), eb, qb))
+        out = out.reshape(da, da, db, db, deg).transpose(2, 0, 3, 1, 4)
+        return OperatorMatrix.from_packed(
+            self.ring, (out.reshape(da * db, da * db, deg), e, q))
 
     def apply(self, state: "StateVector") -> "StateVector":
-        if not isinstance(state, StateVector):
-            raise BackendMismatch("operand is not a StateVector")
+        if not isinstance(state, StateVector) or state.ring is not self.ring:
+            raise BackendMismatch("operand is not a StateVector of this ring")
         if state.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} != {state.dim}")
-        out = []
-        for row in self.rows:
-            acc = ScalarAccumulator(self.ring)
-            for a, b in zip(row, state.values):
-                if a._nz and b._nz:
-                    acc.add_product(a, b)
-            out.append(acc.value())
-        return StateVector(self.dim, EXACT, self.ring, out)
+        return StateVector.from_packed(self.ring, self.ring.matmul(self.packed, state.packed))
 
     # -- comparisons ----------------------------------------------------------------
 
     def equals(self, other: "OperatorMatrix") -> bool:
         """Exact equality of every entry."""
         self._require_same(other)
-        (a, ea, qa), (b, eb, qb) = self.packed, other.packed
-        return ea == eb and qa == qb and np.array_equal(a, b)
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self.equals(other)
-
-    def __hash__(self):
-        return None
+        return self._same_triple(other)
 
     def is_unitary(self) -> bool:
         return (self @ self.adjoint()).equals(
@@ -217,23 +238,29 @@ class OperatorMatrix:
         """Lossy one-way conversion to a complex (dim, dim) numpy array."""
         return np.array([[complex(x) for x in row] for row in self.rows])
 
-    def entry(self, n: int, m: int):
-        return self.rows[n][m]
-
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim})"
 
 
-class StateVector:
-    """Complex function on the field, as a column vector in canonical order."""
+class StateVector(_Packed):
+    """Complex function on the field, as a column vector in canonical order.
 
-    __slots__ = ("dim", "ring", "values")
+    Stored as a one-column matrix: an (n, 1, degree) packed triple, with
+    ``values`` the boundary view of its canonical scalars.
+    """
+
+    __slots__ = ()
 
     def __init__(self, dim, backend, ring, values):
         _require_exact(backend)
         self.dim = dim
         self.ring = ring
-        self.values = values
+        self._rows = tuple((x,) for x in values)
+        self._packed = None
+
+    @property
+    def values(self) -> tuple:
+        return tuple(x for (x,) in self.rows)
 
     @classmethod
     def from_values(cls, ring: CycloRing, values) -> "StateVector":
@@ -242,46 +269,28 @@ class StateVector:
 
     @classmethod
     def point_mass(cls, ring: CycloRing, dim: int, k: int) -> "StateVector":
-        vals = [ring.zero] * dim
-        vals[k] = ring.one
-        return cls(dim, EXACT, ring, vals)
+        data = np.zeros((dim, 1, ring.degree), dtype=np.int64)
+        data[k, 0, 0] = 1
+        return cls.from_packed(ring, (data, 0, 1))
 
     def __getitem__(self, i):
-        return self.values[int(i)]
+        return self.rows[int(i)][0]
 
     def __add__(self, other):
         self._require_same(other)
-        return StateVector(self.dim, EXACT, self.ring,
-                           [a + b for a, b in zip(self.values, other.values)])
+        return StateVector.from_packed(self.ring, self.ring.add(self.packed, other.packed))
 
     def __sub__(self, other):
         self._require_same(other)
-        return StateVector(self.dim, EXACT, self.ring,
-                           [a - b for a, b in zip(self.values, other.values)])
+        return StateVector.from_packed(
+            self.ring, self.ring.add(self.packed, _negated(other.packed)))
 
     def scaled(self, factor) -> "StateVector":
-        return StateVector(self.dim, EXACT, self.ring,
-                           [v * factor for v in self.values])
-
-    def _require_same(self, other):
-        if not isinstance(other, StateVector):
-            raise BackendMismatch("operand is not a StateVector")
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        if self.ring is not other.ring:
-            raise BackendMismatch("states from different scalar rings")
+        return StateVector.from_packed(self.ring, _scaled(self.ring, self.packed, factor))
 
     def equals(self, other) -> bool:
         self._require_same(other)
-        return all(a == b for a, b in zip(self.values, other.values))
-
-    def __eq__(self, other):
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.equals(other)
-
-    def __hash__(self):
-        return None
+        return self._same_triple(other)
 
     def embed(self) -> np.ndarray:
         """Lossy one-way conversion to a complex (dim,) numpy array."""
@@ -292,13 +301,17 @@ class StateVector:
 
 
 def inner_product(chi: StateVector, h: StateVector):
-    """Scalar product (chi, h) = sum_m conj(chi(m)) h(m)."""
+    """Scalar product (chi, h) = sum_m conj(chi(m)) h(m), as a (1, n) by
+    (n, 1) product."""
     chi._require_same(h)
-    acc = ScalarAccumulator(chi.ring)
-    for a, b in zip(chi.values, h.values):
-        if a._nz and b._nz:
-            acc.add_conj_product(a, b)
-    return acc.value()
+    return _scalar(chi.ring, chi.ring.matmul(_conj_transposed(chi.ring, chi.packed), h.packed))
+
+
+def outer(u: StateVector, v: StateVector) -> OperatorMatrix:
+    """The rank-one operator |u><v|: entry (n, m) is u(n) conj(v(m))."""
+    u._require_same(v)
+    return OperatorMatrix.from_packed(
+        u.ring, u.ring.matmul(u.packed, _conj_transposed(u.ring, v.packed)))
 
 
 @dataclass(frozen=True)
@@ -310,11 +323,8 @@ class Spectrum:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        out = []
-        for pr in self.projectors:
-            tr = pr.trace()
-            out.append(int(tr.coeffs[0] // tr.denom) if not tr.is_zero else 0)
-        return tuple(out)
+        traces = [pr.trace() for pr in self.projectors]
+        return tuple(int(tr.coeffs[0] // tr.denom) for tr in traces)
 
 
 def cyclic_spectrum(powers, ring: CycloRing) -> Spectrum:
@@ -405,11 +415,8 @@ class Monomial:
         return Monomial(self.ring, perm, phase)
 
     def adjoint(self) -> "Monomial":
-        inv = [0] * self.dim
-        for m, n in enumerate(self.perm):
-            inv[n] = m
-        phase = [-self.phase[inv[n]] for n in range(self.dim)]
-        return Monomial(self.ring, inv, phase)
+        _, inv, phase = self._arrays()
+        return Monomial(self.ring, inv.tolist(), (-phase[inv]).tolist())
 
     def scaled_by_root(self, k: int) -> "Monomial":
         """Multiply the whole matrix by zeta^k."""
@@ -422,15 +429,10 @@ class Monomial:
         """Little-endian tensor product, matching OperatorMatrix.tensor."""
         if other.ring is not self.ring:
             raise BackendMismatch("monomials from different rings")
-        da = self.dim
-        dim = da * other.dim
-        perm = []
-        phase = []
-        for m in range(dim):
-            ma, mb = m % da, m // da
-            perm.append(self.perm[ma] + da * other.perm[mb])
-            phase.append(self.phase[ma] + other.phase[mb])
-        return Monomial(self.ring, perm, phase)
+        (pa, _, fa), (pb, _, fb) = self._arrays(), other._arrays()
+        # column m = ma + da mb sits at [mb, ma]
+        perm, phase = pa + self.dim * pb[:, None], fa + fb[:, None]
+        return Monomial(self.ring, perm.ravel().tolist(), phase.ravel().tolist())
 
     def __pow__(self, n: int) -> "Monomial":
         out = Monomial.identity(self.ring, self.dim)
@@ -460,12 +462,8 @@ class Monomial:
         return OperatorMatrix.from_packed(ring, (data, 0, 1))
 
     def trace(self) -> CycloScalar:
-        acc = ScalarAccumulator(self.ring)
-        one = self.ring.one
-        for m in range(self.dim):
-            if self.perm[m] == m:
-                acc.add(one, root=self.phase[m])
-        return acc.value()
+        return self.ring.sum_of_roots(self.phase[m] for m in range(self.dim)
+                                      if self.perm[m] == m)
 
     def _arrays(self):
         # (perm, inverse permutation, phase) as index arrays
@@ -474,13 +472,16 @@ class Monomial:
         inv[perm] = np.arange(self.dim)
         return perm, inv, np.array(self.phase)
 
+    def _left_mul(self, packed):
+        # row n of self @ a is row inv[n] of a times zeta^phase[inv[n]]
+        _, inv, phase = self._arrays()
+        data, e, q = packed
+        return self.ring.times_roots(data[inv], row_roots=phase[inv]), e, q
+
     def left_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """self @ a: row n is row inv[n] of a times zeta^phase[inv[n]]."""
         self._check_dense(a)
-        _, inv, phase = self._arrays()
-        data, e, q = a.packed
-        out = self.ring.times_roots(data[inv], row_roots=phase[inv])
-        return OperatorMatrix.from_packed(a.ring, (out, e, q))
+        return OperatorMatrix.from_packed(a.ring, self._left_mul(a.packed))
 
     def right_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """a @ self: column m is column perm[m] of a times zeta^phase[m]."""
@@ -508,14 +509,11 @@ class Monomial:
             raise DimensionMismatch(f"{self.dim} != {a.dim}")
 
     def apply(self, state: StateVector) -> StateVector:
-        if not isinstance(state, StateVector):
-            raise BackendMismatch("operand is not a StateVector")
+        if not isinstance(state, StateVector) or state.ring is not self.ring:
+            raise BackendMismatch("operand is not a StateVector of this ring")
         if state.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} != {state.dim}")
-        vals = [None] * self.dim
-        for m in range(self.dim):
-            vals[self.perm[m]] = state.values[m].times_root(self.phase[m])
-        return StateVector(self.dim, EXACT, state.ring, vals)
+        return StateVector.from_packed(state.ring, self._left_mul(state.packed))
 
     def __repr__(self):
         return f"Monomial(dim={self.dim})"
@@ -553,9 +551,7 @@ def proportionality_phase(a: OperatorMatrix, b: OperatorMatrix):
     rhs = ring.matmul((bd.reshape(n * n, 1, deg), eb, qb), ref_a)
     if lhs[1:] != rhs[1:] or not np.array_equal(lhs[0], rhs[0]):
         return None
-    (a0,), = ring.unpack(ref_a)
-    (b0,), = ring.unpack(ref_b)
-    phase = a0 / b0
+    phase = _scalar(ring, ref_a) / _scalar(ring, ref_b)
     if phase * phase.conj() != ring.one:
         return None
     return phase

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycloScalar, ScalarAccumulator
+from .cyclo import CycloScalar
 from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, WrongFixture, ZeroScaling)
 from .fourier import fourier_matrix
@@ -44,12 +44,11 @@ from .gf import FieldElement, GFField
 from .heisenberg import (GF9_FIXTURE_MODULUS, _require_gf9_fixture,
                          component_displacement_monomial, displacement,
                          displacement_arrays, displacement_monomial,
-                         marginal_sum_alpha,
-                         marginal_sum_beta, parity_monomial, x_monomial,
-                         z_monomial)
+                         label_sum, marginal_sum_alpha, marginal_sum_beta,
+                         parity_monomial, x_monomial, z_monomial)
 from .hilbert import operator_cache, point_projector, ring_for
-from .linalg import (EXACT, Monomial, OperatorMatrix, conjugate,
-                     proportionality_phase, tensor_list)
+from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
+                     outer, proportionality_phase, tensor_list)
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,9 @@ def gauss_sum(field: GFField, a) -> GaussSumValue:
     """sum over k of omega^(Tr(a k^2)), evaluated by brute force."""
     ring = ring_for(field)
     a = field.element(a)
-    acc = ScalarAccumulator(ring)
-    one = ring.one
-    for k in range(field.order):
-        t = field.trace_index(field.mul_index(a.index, field.mul_index(k, k)))
-        acc.add(one, root=ring.omega_exponent(t))
-    return GaussSumValue(a=a, value=acc.value())
+    return GaussSumValue(a=a, value=ring.sum_of_roots(
+        ring.omega_exponent(field.trace_index(field.mul_index(a.index, field.mul_index(k, k))))
+        for k in range(field.order)))
 
 
 def generator_scaling(field: GFField, xi) -> Monomial:
@@ -180,19 +176,11 @@ def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
     half = field.element(field.two_inverse)
     c = (half * xi).index
     q = field.order
-    rows = []
-    for n in range(q):
-        row = []
-        for m in range(q):
-            acc = ScalarAccumulator(ring)
-            one = ring.one
-            for k in range(q):
-                e = (field.trace_index(field.mul_index(c, field.mul_index(k, k)))
-                     + field.trace_index(field.mul_index(k, n))
-                     - field.trace_index(field.mul_index(k, m)))
-                acc.add(one, root=ring.omega_exponent(e))
-            row.append(acc.value() * ring.rational(1, q))
-        rows.append(row)
+    tr, mul = field.trace_index, field.mul_index
+    rows = [[ring.sum_of_roots(
+                (ring.omega_exponent(tr(mul(c, mul(k, k))) + tr(mul(k, n)) - tr(mul(k, m)))
+                 for k in range(q)), 2 * field.ell)
+             for m in range(q)] for n in range(q)]
     return OperatorMatrix(q, EXACT, ring, rows)
 
 
@@ -459,21 +447,16 @@ def closed_form_matrix(field: GFField, params: SymplecticParams) -> OperatorMatr
     scale = g * ring.rational(1, field.order)
     coef = (field.element(2) * r * t).inverse().index
     q = field.order
-    w_i, r_i = w.index, r.index
-    rr = field.mul_index(r_i, r_i)
-    two_r = field.add_index(r_i, r_i)
-    mul, add, sub = field.mul_index, field.add_index, field.sub_index
-    rows = []
-    for n in range(q):
-        wn2 = mul(w_i, mul(n, n))
-        row = []
-        for m in range(q):
-            b_idx = mul(coef, sub(add(wn2, mul(rr, mul(m, m))),
-                                  mul(two_r, mul(n, m))))
-            row.append(scale.times_root(
-                ring.omega_exponent(field.trace_index(b_idx))))
-        rows.append(row)
-    return OperatorMatrix(q, EXACT, ring, rows)
+    tb = field.tables()
+    n, m = np.arange(q)[:, None], np.arange(q)
+    # B(n, m) = coef (w n^2 + r^2 m^2 - 2 r n m), one gather per term
+    b_idx = tb.mul[coef, tb.add[tb.add[tb.mul[w.index, tb.mul[n, n]],
+                                       tb.mul[tb.mul[r.index, r.index], tb.mul[m, m]]],
+                                tb.neg[tb.mul[tb.add[r.index, r.index], tb.mul[n, m]]]]]
+    data, e, den = ring.pack(((scale,),))
+    return OperatorMatrix.from_packed(ring, ring.root_sum(
+        data[0, 0], tb.trace[b_idx] * (ring.order // field.p),
+        np.arange(q * q).reshape(q, q), (q, q), e, den))
 
 
 def closed_form_elements_check(field: GFField, params: SymplecticParams) -> dict:
@@ -527,24 +510,14 @@ def frobenius_action_check(field: GFField, params: SymplecticParams,
     return result
 
 
-def _conjugated_matrix_unit(field, s_op: OperatorMatrix, a: int, b: int) -> OperatorMatrix:
-    # S E_{a,b} S+ as the outer product of column a of S with column b conjugated
-    ring = ring_for(field)
-    q = field.order
-    col_a = [s_op.rows[n][a] for n in range(q)]
-    col_b = [s_op.rows[n][b].conj() for n in range(q)]
-    rows = [[col_a[n] * col_b[m] for m in range(q)] for n in range(q)]
-    return OperatorMatrix(q, EXACT, ring, rows)
-
-
 def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
     """Marginal identities transported to a rotated phase-space frame.
 
     The primed displacements D'(a, b) = S D(a, b) S+ are displacements at
-    the transformed labels, so the primed label sums are evaluated directly
+    the transformed labels, so each primed label sum is :func:`label_sum`
     on those labels; the primed right-hand sides S (parity . projector) S+
-    are rank-one and computed as outer products of columns of S.  For small
-    fields the fully explicit conjugation is also compared.
+    are rank one, outer products of columns of S.  For small fields the
+    fully explicit conjugation is also compared.
     """
     s_op = synthesize(field, params)
     par = parity_monomial(field)
@@ -553,18 +526,24 @@ def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
     q = field.order
     half = field.element(field.two_inverse)
     explicit = q <= 9
+    t = field.tables()
+    idx = np.arange(q)
+    r, s, tt, u = (x.index for x in (params.r, params.s, params.t, params.u))
+    # image labels g(a, b) = (u a + s b, t a + r b), indexed [a, b]
+    img_a = t.add[t.mul[u, idx][:, None], t.mul[s, idx]]
+    img_b = t.add[t.mul[tt, idx][:, None], t.mul[r, idx]]
+
+    def column(mat, k):
+        return mat.apply(StateVector.point_mass(ring, q, k))
+
     ok_alpha = True
     ok_beta = True
-    for idx in range(q):
-        beta = field.element(idx)
-        acc = None
-        for a_idx in range(q):
-            mono = displacement_monomial(field, *params.apply(field.element(a_idx), beta))
-            mat = mono.to_matrix()
-            acc = mat if acc is None else acc + mat
-        lhs = acc.scaled(ring.rational(1, q))
+    for b in range(q):
+        beta = field.element(b)
+        lhs = label_sum(field, img_a[:, b], img_b[:, b])
         k = -(half * beta)
-        target = _conjugated_matrix_unit(field, s_op, field.neg_index(k.index), k.index)
+        # S E(-k, k) S+ = |S e_-k><S e_k|
+        target = outer(column(s_op, field.neg_index(k.index)), column(s_op, k.index))
         if not lhs.equals(target):
             ok_alpha = False
             break
@@ -574,41 +553,22 @@ def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
             if not (direct.equals(lhs) and direct.equals(ref)):
                 ok_alpha = False
                 break
-    for idx in range(q):
-        alpha = field.element(idx)
-        acc = None
-        for b_idx in range(q):
-            mono = displacement_monomial(field, *params.apply(alpha, field.element(b_idx)))
-            mat = mono.to_matrix()
-            acc = mat if acc is None else acc + mat
-        lhs = acc.scaled(ring.rational(1, q))
+    for a in range(q):
+        alpha = field.element(a)
+        lhs = label_sum(field, img_a[a], img_b[a])
         k = half * alpha
-        q_tilde = conjugate(f, point_projector(field, k))
-        target = conjugate(s_op, par.right_mul_dense(q_tilde)) if explicit else None
         if explicit:
+            q_tilde = conjugate(f, point_projector(field, k))
+            target = conjugate(s_op, par.right_mul_dense(q_tilde))
             direct = conjugate(s_op, marginal_sum_beta(field, alpha))
             if not (direct.equals(lhs) and direct.equals(target)):
                 ok_beta = False
                 break
         else:
             # Q~_k P = F Q_k F+ F^2 = F Q_k F is rank one, so the conjugated
-            # target is the outer product of (S F) e_k with the k-th row of
-            # F composed with S+.
-            u = []
-            w = []
-            frow = f.rows[k.index]
-            for n in range(q):
-                srow = s_op.rows[n]
-                acc_u = ScalarAccumulator(ring)
-                acc_w = ScalarAccumulator(ring)
-                for j in range(q):
-                    acc_u.add_product(srow[j], f.rows[j][k.index])
-                    acc_w.add_product(frow[j], srow[j].conj())
-                u.append(acc_u.value())
-                w.append(acc_w.value())
-            target = OperatorMatrix(
-                q, EXACT, ring,
-                [[u[n] * w[m] for m in range(q)] for n in range(q)])
+            # target is |S F e_k><S F+ e_k|
+            target = outer(s_op.apply(column(f, k.index)),
+                           s_op.apply(column(f.adjoint(), k.index)))
             if not lhs.equals(target):
                 ok_beta = False
                 break

@@ -23,8 +23,8 @@ from . import hilbert as hs
 from . import symplectic as sp
 from .errors import EvenCharacteristic
 from .gf import GFField
-from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
-                     inner_product, proportionality_phase)
+from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
+                     inner_product, outer)
 
 DEFAULT_GRID = ((3, 1), (3, 2), (5, 1), (3, 3), (5, 2), (7, 1))
 SUITE_NAMES = ("gf", "fourier", "frobenius", "heisenberg", "symplectic")
@@ -105,19 +105,10 @@ def _random_state(field, rng) -> StateVector:
 
 def _random_rank_one(field, rng) -> OperatorMatrix:
     # |u><v| with nonzero trace (v, u)
-    ring = hs.ring_for(field)
-    q = field.order
     while True:
-        u = [_random_scalar(ring, rng) for _ in range(q)]
-        v = [_random_scalar(ring, rng) for _ in range(q)]
-        tr = ring.zero
-        for a, b in zip(u, v):
-            tr = tr + b.conj() * a
-        if not tr.is_zero:
-            break
-    return OperatorMatrix(q, EXACT, ring,
-                          [[u[n] * v[m].conj() for m in range(q)]
-                           for n in range(q)])
+        u, v = _random_state(field, rng), _random_state(field, rng)
+        if not inner_product(v, u).is_zero:
+            return outer(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +390,11 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         # Vectorised comparison of the constructed monomial data over every
         # pair of labels: perms and phases of the composed operator against
         # the displacement at the summed label with the half-trace phase.
-        perm_of = [np.array(cache[(0, b)].perm, dtype=np.int64) for b in range(q)]
-        ok = all(cache[(a, b)].perm == cache[(0, b)].perm for a, b in labels)
-        # stacked phase tables: phases[b][a, m] is the phase row of D(a, b)
-        phases = [np.array([cache[(a, b)].phase for a in range(q)],
-                           dtype=np.int64) for b in range(q)]
+        # phases[b, a] is the phase row of D(a, b), whose perm is perm_of[b]
+        idx = np.arange(q)
+        perm_of, phases = hb.displacement_arrays(field, idx, idx[:, None], coeff)
+        perm_of = perm_of[:, 0]
+        ok = True
         for b1 in range(q):
             if not ok:
                 break
@@ -454,16 +445,10 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     f_exp = (step * tr_prod) % n_order
     ok = True
     for a, b in labels:
-        mono = cache[(a, b)]
-        perm = np.array(mono.perm, dtype=np.int64)
-        phase = np.array(mono.phase, dtype=np.int64)
-        lhs = f_exp[:, perm] + phase[np.newaxis, :]
-        other = cache[(b, field.neg_index(a))]
-        inv = np.empty(q, dtype=np.int64)
-        inv[np.array(other.perm)] = np.arange(q)
-        oph = np.array(other.phase, dtype=np.int64)
-        rhs = oph[inv][:, np.newaxis] + f_exp[inv, :]
-        if ((lhs - rhs) % n_order).any():
+        perm, phase = hb.displacement_arrays(field, a, b, coeff)
+        other, o_phase = hb.displacement_arrays(field, b, field.neg_index(a), coeff)
+        inv = np.argsort(other)
+        if ((f_exp[:, perm] + phase - o_phase[inv][:, None] - f_exp[inv]) % n_order).any():
             ok = False
             break
     rep.add("fourier_maps_labels", ok)
@@ -635,15 +620,14 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     # exhaustive group sweeps by default only at q <= 9; the flag extends
     # the sweep to q <= 27 (beyond that the group is too large to enumerate
     # usefully at desk scale)
+    group = sp.enumerate_group(field)
     if q <= 9 or (config.exhaustive and q <= 27):
-        group = sp.enumerate_group(field)
         rep.add("group_order_count", len(group) == q * (q * q - 1),
                 detail=f"count={len(group)}")
         ok = bool(sp.action_sweep(field, group, gen_labels).all())
         rep.add("action_law_exhaustive", ok, detail=f"elements={len(group)}")
     else:
-        rep.add("group_order_count",
-                len(sp.enumerate_group(field)) == q * (q * q - 1))
+        rep.add("group_order_count", len(group) == q * (q * q - 1))
         sampled = _sample_params(field, rng, 8)
         sampled.append(sp.fourier_params(field))
         ok = bool(sp.action_sweep(field, sampled, gen_labels).all())
@@ -664,7 +648,7 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     rep.add("label_action_homomorphism", ok)
 
     # closed form vs synthesis
-    valid = [params for params in sp.enumerate_group(field)
+    valid = [params for params in group
              if not (params.r.is_zero or params.t.is_zero
                      or (params.s * params.t + 1).is_zero)]
     if len(valid) > 50:
@@ -848,5 +832,6 @@ def run_suite(field: GFField, name: str, config: VerifyConfig | None = None) -> 
 
 
 def run_all(field: GFField, config: VerifyConfig | None = None) -> list[SuiteReport]:
+    """Every suite of SUITE_NAMES on one field: ``verify all`` as a library call."""
     config = config or VerifyConfig()
     return [run_suite(field, name, config) for name in SUITE_NAMES]

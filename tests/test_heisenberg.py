@@ -8,7 +8,7 @@ from gfharmonic.errors import (DimensionMismatch, EvenCharacteristic,
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.frobenius import frobenius_monomial
 from gfharmonic.gf import make_field
-from gfharmonic.heisenberg import (all_labels, component_displacement_monomial,
+from gfharmonic.heisenberg import (component_displacement_monomial,
                                    displacement, displacement_arrays,
                                    displacement_monomial,
                                    marginal_projectors, marginal_sum_alpha,
@@ -396,12 +396,6 @@ def test_z_spectrum_example(gf9):
     assert rep["families_differ"]
     with pytest.raises(WrongFixture):
         z_spectrum_example(make_field(3, 2))
-
-
-def test_all_labels(gf9):
-    labels = all_labels(gf9)
-    assert len(labels) == 81
-    assert labels[0].alpha == gf9.zero and labels[0].beta == gf9.zero
 
 
 def test_subfield_generator_operators(gf9):

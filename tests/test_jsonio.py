@@ -8,10 +8,9 @@ from gfharmonic.cyclo import get_ring
 from gfharmonic.errors import BackendMismatch
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import make_field
-from gfharmonic.hilbert import phi_basis, ring_for
+from gfharmonic.hilbert import ring_for
 from gfharmonic.jsonio import (matrix_from_json, matrix_to_json,
-                               scalar_from_json, scalar_to_json,
-                               state_from_json, state_to_json)
+                               scalar_from_json, scalar_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +51,3 @@ def test_matrix_round_trip_float(gf9):
     assert data["backend"] == "float"
     back = matrix_from_json(data)
     assert np.linalg.norm(back - f) < 1e-15
-
-
-def test_state_round_trip(gf9):
-    ring = ring_for(gf9)
-    phi = phi_basis(gf9, gf9.generator)
-    data = json.loads(json.dumps(state_to_json(phi)))
-    assert state_from_json(data, ring).equals(phi)
-    data["backend"] = "float"
-    data["values"] = [[z.real, z.imag] for z in phi.embed()]
-    with pytest.raises(BackendMismatch):
-        state_from_json(data, ring)

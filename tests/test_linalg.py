@@ -142,6 +142,14 @@ def test_state_guards(ring):
         OperatorMatrix(1, "float", None, [[0j]])
 
 
+def test_matrices_and_states_are_unhashable(ring):
+    # equality is by value and no __hash__ is defined: neither may key a dict
+    with pytest.raises(TypeError):
+        hash(OperatorMatrix.identity(ring, 2))
+    with pytest.raises(TypeError):
+        hash(StateVector.point_mass(ring, 2, 0))
+
+
 def test_inner_product_conjugate_symmetry(ring):
     rng = random.Random(15)
     u = StateVector.from_values(ring, [ring.scalar(

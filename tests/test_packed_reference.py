@@ -1,0 +1,336 @@
+"""Differential tests: the packed kernels against the per-entry loops they
+replaced.
+
+The reference functions below are the earlier implementations, which add
+one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
+unique, so equal values must give identical (coeffs, scale_exp, denom)
+triples entry by entry.  Inputs mix scale exponents, denominators and
+zeros, and the ``big`` variants put one entry past the int64 bound so that
+the Python-int paths of ``root_sum``, ``add`` and ``matmul`` run.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from gfharmonic import cyclo, heisenberg
+from gfharmonic.cyclo import ScalarAccumulator
+from gfharmonic.fourier import fourier_matrix
+from gfharmonic.gf import make_field
+from gfharmonic.heisenberg import (displacement_monomial, label_sum,
+                                   marginal_sum_alpha, marginal_sum_beta,
+                                   overcomplete_expansion_check,
+                                   resolution_of_identity_check, weyl_expand,
+                                   weyl_reconstruct)
+from gfharmonic.hilbert import phi_basis, ring_for
+from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
+                               inner_product, outer)
+from gfharmonic.symplectic import SymplecticParams, synthesize
+
+FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
+BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
+
+
+def canonical(rows):
+    return [[(x.coeffs, x.scale_exp, x.denom) for x in row] for row in rows]
+
+
+def random_scalar(ring, rng):
+    if rng.random() < 0.2:
+        return ring.zero
+    return ring.scalar([rng.randint(-3, 3) for _ in range(ring.degree)],
+                       rng.randint(0, 3), rng.choice((1, 2, 3, 4, 6)))
+
+
+def random_rows(ring, n, m, rng, big=False):
+    rows = [[random_scalar(ring, rng) for _ in range(m)] for _ in range(n)]
+    if big:
+        rows[n // 2][m - 1] = ring.scalar([BIG + k for k in range(ring.degree)], 1, 1)
+    return rows
+
+
+def random_operator(field, rng, big=False):
+    ring = ring_for(field)
+    return OperatorMatrix(field.order, EXACT, ring,
+                          random_rows(ring, field.order, field.order, rng, big))
+
+
+def random_state(ring, n, rng, big=False):
+    return StateVector.from_values(ring, [row[0] for row in random_rows(ring, n, 1, rng, big)])
+
+
+# -- the per-entry references ---------------------------------------------------
+
+def ref_trace(rows):
+    acc = ScalarAccumulator(rows[0][0].ring)
+    for i in range(len(rows)):
+        acc.add(rows[i][i])
+    return acc.value()
+
+
+def ref_dot(ring, xs, ys):
+    acc = ScalarAccumulator(ring)
+    for a, b in zip(xs, ys):
+        acc.add_product(a, b)
+    return acc.value()
+
+
+def ref_tensor(a, b):
+    da, db = len(a), len(b)
+    return [[a[n % da][m % da] * b[n // da][m // da] for m in range(da * db)]
+            for n in range(da * db)]
+
+
+def ref_weyl_expand(field, theta_rows):
+    q = field.order
+    out = []
+    for a in range(q):
+        row = []
+        for b in range(q):
+            mono = displacement_monomial(field, a, b)
+            acc = ScalarAccumulator(mono.ring)
+            for m in range(q):
+                acc.add(theta_rows[m][mono.perm[m]], root=mono.phase[m])
+            row.append(acc.value())
+        out.append(row)
+    return out
+
+
+def ref_label_sum(field, labels, weights):
+    """p^-ell sum of w D(label), adding entry by entry."""
+    ring = ring_for(field)
+    q = field.order
+    acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
+    for (a, b), w in zip(labels, weights):
+        mono = displacement_monomial(field, a, b)
+        for m in range(q):
+            acc[mono.perm[m]][m].add(w, root=mono.phase[m])
+    inv_q = ring.rational(1, q)
+    return [[cell.value() * inv_q for cell in row] for row in acc]
+
+
+def ref_weyl_reconstruct(field, values):
+    q = field.order
+    labels = [(a, b) for a in range(q) for b in range(q)]
+    return ref_label_sum(field, labels, [values[field.neg_index(a)][field.neg_index(b)]
+                                         for a, b in labels])
+
+
+def ref_resolution_holds(field, theta_rows):
+    """The divide-first check: p^-ell sum D (Theta / tr Theta) D+ = 1."""
+    ring = ring_for(field)
+    q = field.order
+    inv_tr = ref_trace(theta_rows).inverse()
+    scaled = [[x * inv_tr for x in row] for row in theta_rows]
+    acc = [[ScalarAccumulator(ring) for _ in range(q)] for _ in range(q)]
+    for a in range(q):
+        for b in range(q):
+            mono = displacement_monomial(field, a, b)
+            inv = [0] * q
+            for m, n in enumerate(mono.perm):
+                inv[n] = m
+            for n in range(q):
+                for m in range(q):
+                    acc[n][m].add(scaled[inv[n]][inv[m]],
+                                  root=mono.phase[inv[n]] - mono.phase[inv[m]])
+    inv_q = ring.rational(1, q)
+    total = [[cell.value() * inv_q for cell in row] for row in acc]
+    return canonical(total) == canonical(OperatorMatrix.identity(ring, q).rows)
+
+
+def ref_overcomplete_holds(field, psi, chi):
+    ring = ring_for(field)
+    q = field.order
+    acc = [ScalarAccumulator(ring) for _ in range(q)]
+    for a in range(q):
+        for b in range(q):
+            mono = displacement_monomial(field, a, b)
+            moved = [None] * q
+            for m in range(q):
+                moved[mono.perm[m]] = psi[m].times_root(mono.phase[m])
+            u = ref_dot(ring, [x.conj() for x in moved], chi)
+            for n in range(q):
+                acc[n].add(u * moved[n])
+    inv_q = ring.rational(1, q)
+    return canonical([[c.value() * inv_q for c in acc]]) == canonical([chi])
+
+
+def perturbed_arrays(monkeypatch, field):
+    """Make D(0, 1) wrong in one phase, for the per-label and the array path."""
+    original = heisenberg.displacement_arrays
+    step = ring_for(field).order // field.p
+
+    def wrong(field_, alpha, beta, phase_coeff=None):
+        perm, phase = original(field_, alpha, beta, phase_coeff)
+        hit = (np.asarray(alpha) == 0) & (np.asarray(beta) == 1)
+        return perm, phase + np.where(hit[..., None] & (np.arange(field_.order) == 0), step, 0)
+
+    monkeypatch.setattr(heisenberg, "displacement_arrays", wrong)
+
+
+@pytest.fixture(params=FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
+def field(request):
+    return make_field(*request.param)
+
+
+# -- label sums -------------------------------------------------------------------
+
+@pytest.mark.parametrize("big", [False, True])
+def test_weyl_round_trip_matches_reference(field, big):
+    rng = random.Random(field.order * 10 + big)
+    theta = random_operator(field, rng, big)
+    table = weyl_expand(field, theta)
+    assert canonical(table.values) == canonical(ref_weyl_expand(field, theta.rows))
+    rebuilt = weyl_reconstruct(field, table)
+    assert canonical(rebuilt.rows) == canonical(ref_weyl_reconstruct(field, table.values))
+    assert rebuilt.equals(theta)
+
+
+def test_root_sum_blocks_agree(field, monkeypatch):
+    theta = random_operator(field, random.Random(field.order), big=True)
+    want = canonical(weyl_expand(field, theta).values)
+    monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", 3)
+    assert canonical(weyl_expand(field, theta).values) == want
+
+
+def test_marginal_sums_match_reference(field):
+    q = field.order
+    ring = ring_for(field)
+    held = range(q) if q <= 9 else (0, 1, q - 1)
+    for h in held:
+        assert canonical(marginal_sum_alpha(field, h).rows) == canonical(
+            ref_label_sum(field, [(a, h) for a in range(q)], [ring.one] * q))
+        assert canonical(marginal_sum_beta(field, h).rows) == canonical(
+            ref_label_sum(field, [(h, b) for b in range(q)], [ring.one] * q))
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_weighted_label_sum_matches_reference(field, big):
+    # repeated labels and weights with mixed (E, Q), packed as one column
+    rng = random.Random(field.order * 7 + big)
+    ring = ring_for(field)
+    q = field.order
+    labels = [(rng.randrange(q), rng.randrange(q)) for _ in range(2 * q)]
+    weights = [row[0] for row in random_rows(ring, len(labels), 1, rng, big)]
+    alpha, beta = (np.array(x) for x in zip(*labels))
+    got = label_sum(field, alpha, beta, ring.pack([(w,) for w in weights]))
+    assert canonical(got.rows) == canonical(ref_label_sum(field, labels, weights))
+
+
+def rank_one_with_trace(field, rng):
+    ring = ring_for(field)
+    while True:
+        u = random_state(ring, field.order, rng)
+        v = random_state(ring, field.order, rng)
+        if not inner_product(v, u).is_zero:
+            return outer(u, v)
+
+
+def test_resolution_of_identity_matches_divide_first_reference(field, monkeypatch):
+    # one rank-one Theta everywhere; on q <= 9 also a dense Theta, and both
+    # again with one displacement phase perturbed, where both checks must fail
+    rng = random.Random(field.order)
+    thetas = [rank_one_with_trace(field, rng)]
+    if field.order <= 9:
+        thetas.append(random_operator(field, rng))
+    assert not ref_trace(thetas[-1].rows).is_zero
+    for perturb in (False, True) if field.order <= 9 else (False,):
+        if perturb:
+            perturbed_arrays(monkeypatch, field)
+        for theta in thetas:
+            want = ref_resolution_holds(field, theta.rows)
+            assert want is not perturb
+            assert resolution_of_identity_check(field, theta)["holds"] is want
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_overcomplete_expansion_matches_reference(field, perturb, monkeypatch):
+    ring = ring_for(field)
+    psi = phi_basis(field, 0)
+    chi = random_state(ring, field.order, random.Random(field.order), big=True)
+    if perturb:
+        perturbed_arrays(monkeypatch, field)
+    want = ref_overcomplete_holds(field, psi.values, chi.values)
+    assert want is not perturb
+    assert overcomplete_expansion_check(field, psi, chi)["holds"] is want
+
+
+def test_transformed_marginal_sums_match_reference(field):
+    # the primed sums: label_sum on the image labels against the sum of the
+    # displacements' dense matrices; the rank-one targets against the
+    # per-entry products of columns of S
+    q = field.order
+    ring = ring_for(field)
+    params = SymplecticParams.from_rst(field, field.one, field.one, field.element(2))
+    s_op = synthesize(field, params)
+    tb = field.tables()
+    for b in (range(q) if q <= 9 else (0, 1)):
+        labels = [tuple(x.index for x in params.apply(field.element(a), field.element(b)))
+                  for a in range(q)]
+        got = label_sum(field, *(np.array(x) for x in zip(*labels)))
+        dense = [displacement_monomial(field, *lab).to_matrix().rows for lab in labels]
+        total = dense[0]
+        for mat in dense[1:]:
+            total = [[x + y for x, y in zip(r, s)] for r, s in zip(total, mat)]
+        want = [[x * ring.rational(1, q) for x in row] for row in total]
+        assert canonical(got.rows) == canonical(want)
+        k = int(tb.mul[field.two_inverse, b])
+        col = [s_op.rows[n][k] for n in range(q)]
+        neg_col = [s_op.rows[n][field.neg_index(k)] for n in range(q)]
+        unit = outer(StateVector.from_values(ring, neg_col), StateVector.from_values(ring, col))
+        assert canonical(unit.rows) == canonical([[x * y.conj() for y in col] for x in neg_col])
+    f = fourier_matrix(field)
+    k = 1 % q
+    u = [ref_dot(ring, s_op.rows[n], [f.rows[j][k] for j in range(q)]) for n in range(q)]
+    w = [ref_dot(ring, f.rows[k], [s_op.rows[n][j].conj() for j in range(q)]) for n in range(q)]
+    point = StateVector.point_mass(ring, q, k)
+    got = outer(s_op.apply(f.apply(point)), s_op.apply(f.adjoint().apply(point)))
+    assert canonical(got.rows) == canonical([[x * y for y in w] for x in u])
+
+
+# -- elementwise ops, traces, products with states ------------------------------
+
+@pytest.mark.parametrize("big", [False, True])
+def test_elementwise_ops_match_reference(field, big):
+    rng = random.Random(field.order * 3 + big)
+    ring = ring_for(field)
+    q = field.order
+    a, b = random_operator(field, rng), random_operator(field, rng, big)
+    ar, br = a.rows, b.rows
+    assert canonical((a + b).rows) == canonical(
+        [[x + y for x, y in zip(r, s)] for r, s in zip(ar, br)])
+    assert canonical((a - b).rows) == canonical(
+        [[x - y for x, y in zip(r, s)] for r, s in zip(ar, br)])
+    assert (a - a).equals(OperatorMatrix.zeros(ring, q))
+    factor = ring.scalar([rng.randint(-3, 3) for _ in range(ring.degree)], 3, 5)
+    for f in (factor, -2, 0, ring.zero):
+        assert canonical(b.scaled(f).rows) == canonical([[x * f for x in r] for r in br])
+    for m in (a, b):
+        assert m.trace() == ref_trace(m.rows)
+
+    small = [OperatorMatrix(n, EXACT, ring, random_rows(ring, n, n, rng, big))
+             for n in (2, 3)]
+    assert canonical(small[0].tensor(small[1]).rows) == canonical(
+        ref_tensor(small[0].rows, small[1].rows))
+
+    x, y = random_state(ring, q, rng), random_state(ring, q, rng, big)
+    xv, yv = x.values, y.values
+    assert canonical([(x + y).values]) == canonical([[s + t for s, t in zip(xv, yv)]])
+    assert canonical([(x - y).values]) == canonical([[s - t for s, t in zip(xv, yv)]])
+    assert canonical([y.scaled(factor).values]) == canonical([[t * factor for t in yv]])
+    assert inner_product(x, y) == ref_dot(ring, [s.conj() for s in xv], yv)
+    assert canonical([b.apply(x).values]) == canonical(
+        [[ref_dot(ring, row, xv) for row in br]])
+
+    perm = [0] + rng.sample(range(1, q), q - 1)  # at least one fixed point
+    mono = Monomial(ring, perm, [rng.randrange(ring.order) for _ in range(q)])
+    acc = ScalarAccumulator(ring)
+    for m in range(q):
+        if mono.perm[m] == m:
+            acc.add(ring.one, root=mono.phase[m])
+    assert mono.trace() == acc.value()
+    moved = [None] * q
+    for m in range(q):
+        moved[mono.perm[m]] = yv[m].times_root(mono.phase[m])
+    assert canonical([mono.apply(y).values]) == canonical([moved])
