@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .gf import GFField
-from .hilbert import operator_cache, ring_for, subspace_projector
+from .hilbert import operator_cache, ring_for
 from .linalg import EXACT, OperatorMatrix, Spectrum, StateVector, cyclic_spectrum
 
 
@@ -107,17 +107,9 @@ def subfield_power_relation_check(field: GFField, d: int) -> dict:
     sub_f = subfield_fourier(field, d)
     power = field.ell // d
     sub = field.subfield_indices(d)
-    ok = True
-    bad = None
-    for n in sub:
-        for m in sub:
-            if f.rows[n][m] != sub_f.rows[n][m] ** power:
-                ok = False
-                bad = (n, m)
-                break
-        if not ok:
-            break
-    return {"holds": ok, "power": power, "witness": bad}
+    bad = next(((n, m) for n in sub for m in sub
+                if f.rows[n][m] != sub_f.rows[n][m] ** power), None)
+    return {"holds": bad is None, "power": power, "witness": bad}
 
 
 def fourier_spectrum(field: GFField) -> Spectrum:

@@ -4,10 +4,14 @@ Z^alpha is the diagonal phase operator with character exponents Tr(alpha m),
 X^beta the shift by beta, and D(alpha, beta) their symmetrised product with
 the half-trace phase (the field inverse of 2; undefined for p = 2).  All
 three are monomial: :func:`displacement_arrays` gives the permutation and
-root phases of D for a whole array of labels in one gather.  So each big
-label sum (operator expansion and reconstruction, resolution of the
-identity, overcomplete expansion, marginals) is one ``CycloRing.root_sum``
-of entries times zeta^phase into the slots the permutations name.
+root phases of D for a whole array of labels in one gather, and
+:func:`label_grid` gives them for all q^2 labels, row l = a * q + b.  So
+each big label sum (operator expansion and reconstruction, resolution of
+the identity, overcomplete expansion, marginals) is one
+``CycloRing.root_sum`` of entries times zeta^phase into the slots the
+permutations name, and each label identity (composition law, adjoint,
+Fourier and Frobenius covariance, trace orthogonality) is an integer
+comparison of grid rows.
 
 Note on the marginal sums: summing D(alpha, beta) over one label yields the
 conjugate-basis point projector composed with the parity operator (the
@@ -141,10 +145,46 @@ class WeylTable:
             self.field.element(beta).index]
 
 
-def _label_grid(q: int):
-    # every label (a, b) as two index arrays, in the order a * q + b
-    idx = np.arange(q)
-    return np.repeat(idx, q), np.tile(idx, q)
+LABEL_BLOCK_ENTRIES = 1 << 16  # entries per block of a label-grid sum or check
+
+
+def label_grid(field: GFField, phase_coeff: int | None = None):
+    """(perm, phase) of D(a, b) for every label, row l = a * q + b.
+
+    Two int32 arrays of shape (q * q, q) from one :func:`displacement_arrays`
+    gather: D(l) maps column m to row perm[l, m] with entry
+    zeta^phase[l, m].  Not cached; at q = 343 the pair takes 0.3 GB.
+    """
+    q = field.order
+    perm, phase = displacement_arrays(field, *np.divmod(np.arange(q * q), q), phase_coeff)
+    return perm.astype(np.int32), phase.astype(np.int32)
+
+
+def label_blocks(count: int, width: int):
+    """Slices covering range(count), LABEL_BLOCK_ENTRIES // width rows each."""
+    step = max(1, LABEL_BLOCK_ENTRIES // width)
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def composition_law_holds(field: GFField, perm, phase, first, second) -> bool:
+    """D(l1) D(l2) = omega^(c (Tr(a1 b2) - Tr(b1 a2))) D(l1 + l2), c = 1/2,
+    for every pair l1 = first[k], l2 = second[k] of rows of a :func:`label_grid`.
+
+    The product maps m to perm1[perm2[m]] with phase phase2[m] +
+    phase1[perm2[m]]; both are compared with the row of the summed label.
+    """
+    q, p, t = field.order, field.p, field.tables()
+    step = ring_for(field).order // p
+    for s in label_blocks(len(first), q):
+        (a1, b1), (a2, b2) = np.divmod(first[s], q), np.divmod(second[s], q)
+        l3 = t.add[a1, a2] * q + t.add[b1, b2]
+        after = first[s][:, None] * q + perm[second[s]]  # flat index of (l1, perm2[m])
+        shift = field.two_inverse * (t.trace[t.mul[a1, b2]] - t.trace[t.mul[b1, a2]]) % p
+        got = phase[second[s]] + phase.reshape(-1)[after] - phase[l3]
+        if not (np.array_equal(perm.reshape(-1)[after], perm[l3])
+                and (got % (p * step) == shift[:, None] * step).all()):
+            return False
+    return True
 
 
 def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
@@ -156,9 +196,12 @@ def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
     is one root-sum of the weights into the q * q entries; the factor
     p^-ell = 1/q raises the scale exponent by 2 ell.
     """
+    return _displacement_sum(field, *displacement_arrays(field, alpha, beta), weights)
+
+
+def _displacement_sum(field: GFField, perm, phase, weights) -> OperatorMatrix:
     ring = ring_for(field)
     q = field.order
-    perm, phase = displacement_arrays(field, alpha, beta)
     data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
     data = np.asarray(data).reshape(-1, 1, ring.degree)
     return OperatorMatrix.from_packed(ring, ring.root_sum(
@@ -176,7 +219,7 @@ def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> Weyl
         raise DimensionMismatch("operator dimension does not match the field")
     q = field.order
     ring = ring_for(field)
-    perm, phase = displacement_arrays(field, *_label_grid(q))
+    perm, phase = label_grid(field)
     data, e, den = theta.packed
     slots = np.broadcast_to(np.arange(q * q)[:, None], perm.shape)
     table = ring.root_sum(data[np.arange(q), perm], phase, slots, (q, q), e, den)
@@ -185,15 +228,9 @@ def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> Weyl
 
 def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
     """Rebuild the operator p^-ell sum_labels D(alpha, beta) W(-alpha, -beta)."""
-    _require_odd(field)
-    alpha, beta = _label_grid(field.order)
-    neg = field.tables().neg
-    weights = ring_for(field).pack(
-        [(table.values[a][b],) for a, b in zip(neg[alpha].tolist(), neg[beta].tolist())])
-    return label_sum(field, alpha, beta, weights)
-
-
-LABEL_BLOCK_ENTRIES = 1 << 16  # terms per root-sum of the resolution of the identity
+    neg = field.tables().neg.tolist()
+    weights = ring_for(field).pack([(table.values[a][b],) for a in neg for b in neg])
+    return _displacement_sum(field, *label_grid(field), weights)
 
 
 def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
@@ -213,11 +250,10 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
     ring = ring_for(field)
     q = field.order
     data, e, den = theta.packed
-    perm, phase = displacement_arrays(field, *_label_grid(q))
-    step = max(1, LABEL_BLOCK_ENTRIES // (q * q))
+    perm, phase = label_grid(field)
     total = None
-    for i in range(0, q * q, step):
-        pm, ph = perm[i:i + step], phase[i:i + step]
+    for s in label_blocks(q * q, q * q):
+        pm, ph = perm[s], phase[s]
         part = ring.root_sum(data, ph[:, :, None] - ph[:, None, :],
                              pm[:, :, None] * q + pm[:, None, :], (q, q),
                              e + 2 * field.ell, den)
@@ -241,7 +277,7 @@ def overcomplete_expansion_check(field: GFField, psi: StateVector,
     q = field.order
     if inner_product(psi, psi) != ring.one:
         raise ZeroTrace("expansion vector must be normalised")
-    perm, phase = displacement_arrays(field, *_label_grid(q))
+    perm, phase = label_grid(field)
     data, e, den = psi.packed
     slots = np.arange(q * q)[:, None] * q + perm
     moved, e, den = ring.root_sum(data[:, 0], phase, slots, (q * q, q), e, den)
@@ -287,27 +323,15 @@ def marginal_projectors(field: GFField) -> dict:
 
 
 def subfield_z_power(field: GFField, d: int, alpha) -> OperatorMatrix:
-    """Subfield diagonal phase operator, embedded on GF(p^d) indices.
-
-    Diagonal entries use the subfield trace; zero off the subfield support.
-    """
-    field.check_divisor(d)
-    ring = ring_for(field)
-    a = field.require_in_subfield(alpha, d)
-    return OperatorMatrix.from_sparse(ring, field.order, {
-        (m, m): ring.root(ring.omega_exponent(
-            field.subfield_trace(field.mul_index(a.index, m), d)))
-        for m in field.subfield_indices(d)})
+    """Subfield diagonal phase operator, embedded on GF(p^d) indices: the
+    subfield displacement at (alpha, 0)."""
+    return subfield_displacement(field, d, alpha, 0)
 
 
 def subfield_x_power(field: GFField, d: int, beta) -> OperatorMatrix:
-    """Subfield shift operator, embedded on GF(p^d) indices."""
-    field.check_divisor(d)
-    ring = ring_for(field)
-    b = field.require_in_subfield(beta, d)
-    return OperatorMatrix.from_sparse(ring, field.order, {
-        (field.add_index(m, b.index), m): ring.one
-        for m in field.subfield_indices(d)})
+    """Subfield shift operator, embedded on GF(p^d) indices: the subfield
+    displacement at (0, beta)."""
+    return subfield_displacement(field, d, 0, beta)
 
 
 def subfield_fourier_intertwining_check(field: GFField, d: int,
@@ -384,8 +408,13 @@ def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
 GF9_FIXTURE_MODULUS = (2, 1, 1)
 
 
-def _require_gf9_fixture(field: GFField):
-    if (field.p, field.ell, field.modulus) != (3, 2, GF9_FIXTURE_MODULUS):
+def is_gf9_fixture(field: GFField) -> bool:
+    """Whether the field is the pinned GF(9) of the worked examples."""
+    return (field.p, field.ell, field.modulus) == (3, 2, GF9_FIXTURE_MODULUS)
+
+
+def require_gf9_fixture(field: GFField):
+    if not is_gf9_fixture(field):
         raise WrongFixture(
             "this worked example is pinned to GF(9) with modulus 2,1,1")
 
@@ -397,7 +426,7 @@ def z_spectrum_example(field: GFField) -> dict:
     operators and verifies the spectral decompositions exactly; the two
     projector families must differ as sets.
     """
-    _require_gf9_fixture(field)
+    require_gf9_fixture(field)
     ring = ring_for(field)
     eps = field.generator
     report = {}

@@ -322,9 +322,15 @@ class Spectrum:
     projectors: tuple
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        traces = [pr.trace() for pr in self.projectors]
-        return tuple(int(tr.coeffs[0] // tr.denom) for tr in traces)
+    def ranks(self) -> tuple:
+        """The trace of each projector as an exact integer, or None where
+        the trace is no integer (the operator is then no projector)."""
+        out = []
+        for pr in self.projectors:
+            tr = pr.trace()
+            k = round(complex(tr).real)
+            out.append(k if tr == pr.ring.from_int(k) else None)
+        return tuple(out)
 
 
 def cyclic_spectrum(powers, ring: CycloRing) -> Spectrum:

@@ -38,14 +38,14 @@ import numpy as np
 
 from .cyclo import CycloScalar
 from .errors import (ConstraintViolated, DomainRestriction,
-                     EvenCharacteristic, WrongFixture, ZeroScaling)
+                     EvenCharacteristic, ZeroScaling)
 from .fourier import fourier_matrix
 from .gf import FieldElement, GFField
-from .heisenberg import (GF9_FIXTURE_MODULUS, _require_gf9_fixture,
-                         component_displacement_monomial, displacement,
+from .heisenberg import (component_displacement_monomial, displacement,
                          displacement_arrays, displacement_monomial,
                          label_sum, marginal_sum_alpha, marginal_sum_beta,
-                         parity_monomial, x_monomial, z_monomial)
+                         parity_monomial, require_gf9_fixture, x_monomial,
+                         z_monomial)
 from .hilbert import operator_cache, point_projector, ring_for
 from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
                      outer, proportionality_phase, tensor_list)
@@ -608,7 +608,7 @@ def non_factorization_witness(field: GFField) -> dict:
     generator, whose image is the displacement at (2e, 1+2e) with factors
     D(1,1) and D(0,2).
     """
-    _require_gf9_fixture(field)
+    require_gf9_fixture(field)
     ring = ring_for(field)
     eps = field.generator
     params = SymplecticParams.from_rst(field, field.one, field.one + eps, eps)

@@ -11,6 +11,7 @@ single skip item in characteristic 2 instead of failing.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -21,7 +22,6 @@ from . import frobenius as fb
 from . import heisenberg as hb
 from . import hilbert as hs
 from . import symplectic as sp
-from .errors import EvenCharacteristic
 from .gf import GFField
 from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
                      inner_product, outer)
@@ -207,7 +207,32 @@ def gf_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# fourier suite
+# fourier and frobenius suites
+
+
+def _spectral_items(rep: SuiteReport, spec, u: OperatorMatrix):
+    """The projectors P_r of U^n = 1 resolve the identity, are orthogonal
+    idempotents and rebuild U = sum_r zeta^(r N/n) P_r."""
+    projs, ring = spec.projectors, u.ring
+    total = projs[0]
+    for pr in projs[1:]:
+        total = total + pr
+    rep.add("projectors_resolve_identity", total.equals(OperatorMatrix.identity(ring, u.dim)))
+    zero = OperatorMatrix.zeros(ring, u.dim)
+    rep.add("projectors_orthogonal_idempotent", all(
+        (pr @ ps).equals(pr if r == s else zero)
+        for r, pr in enumerate(projs) for s, ps in enumerate(projs)))
+    recon = projs[0]
+    for r in range(1, len(projs)):
+        recon = recon + projs[r].scaled(ring.root(r * ring.order // len(projs)))
+    rep.add("eigen_reconstruction", recon.equals(u))
+
+
+def _ranks_item(rep: SuiteReport, spec, q: int):
+    ranks = spec.ranks
+    rep.add("projector_ranks_partition",
+            None not in ranks and sum(ranks) == q and all(r >= 0 for r in ranks),
+            detail=f"ranks={ranks}")
 
 
 def fourier_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteReport:
@@ -230,30 +255,10 @@ def fourier_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRe
     rep.add("entries_frobenius_symmetric", ok)
 
     spec = fr.fourier_spectrum(field)
-    total = spec.projectors[0]
-    for pr in spec.projectors[1:]:
-        total = total + pr
-    rep.add("projectors_resolve_identity", total.equals(ident))
-    zero = OperatorMatrix.zeros(ring, q)
-    ok = True
-    for r in range(4):
-        for s in range(4):
-            prod = spec.projectors[r] @ spec.projectors[s]
-            want = spec.projectors[r] if r == s else zero
-            if not prod.equals(want):
-                ok = False
-    rep.add("projectors_orthogonal_idempotent", ok)
-    i_unit = ring.imag_unit()
-    recon = spec.projectors[0]
-    recon = recon + spec.projectors[1].scaled(i_unit)
-    recon = recon - spec.projectors[2]
-    recon = recon - spec.projectors[3].scaled(i_unit)
-    rep.add("eigen_reconstruction", recon.equals(f))
+    _spectral_items(rep, spec, f)
     rep.add("eigen_equation",
-            (f @ spec.projectors[1]).equals(spec.projectors[1].scaled(i_unit)))
-    ranks = spec.ranks
-    rep.add("projector_ranks_partition", sum(ranks) == q and all(r >= 0 for r in ranks),
-            detail=f"ranks={ranks}")
+            (f @ spec.projectors[1]).equals(spec.projectors[1].scaled(ring.imag_unit())))
+    _ranks_item(rep, spec, q)
 
     chi = _random_state(field, rng)
     out = chi
@@ -280,10 +285,6 @@ def fourier_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRe
         rep.add(f"subfield_power_relation[d={d}]", rel["holds"],
                 detail=f"power={rel['power']}")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# frobenius suite
 
 
 def frobenius_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteReport:
@@ -324,24 +325,7 @@ def frobenius_suite(field: GFField, config: VerifyConfig | None = None) -> Suite
     rep.add("galois_groups_fix_subspaces", ok)
 
     spec = fb.frobenius_spectrum(field)
-    total = spec.projectors[0]
-    for pr in spec.projectors[1:]:
-        total = total + pr
-    rep.add("projectors_resolve_identity", total.equals(ident))
-    zero = OperatorMatrix.zeros(ring, q)
-    ok = True
-    for lam in range(ell):
-        for mu in range(ell):
-            prod = spec.projectors[lam] @ spec.projectors[mu]
-            want = spec.projectors[lam] if lam == mu else zero
-            if not prod.equals(want):
-                ok = False
-    rep.add("projectors_orthogonal_idempotent", ok)
-    step = ring.order // ell
-    recon = spec.projectors[0]
-    for lam in range(1, ell):
-        recon = recon + spec.projectors[lam].scaled(ring.root(lam * step))
-    rep.add("eigen_reconstruction", recon.equals(g_dense))
+    _spectral_items(rep, spec, g_dense)
     ok = all((f @ pr).equals(pr @ f) for pr in spec.projectors)
     rep.add("projectors_commute_with_fourier", ok)
 
@@ -352,10 +336,7 @@ def frobenius_suite(field: GFField, config: VerifyConfig | None = None) -> Suite
             ok = False
     rep.add("subspace_inside_combined_eigenspace", ok)
 
-    ranks = spec.ranks
-    rep.add("projector_ranks_partition",
-            sum(ranks) == q and all(r >= 0 for r in ranks),
-            detail=f"ranks={ranks}")
+    _ranks_item(rep, spec, q)
     return rep
 
 
@@ -371,122 +352,79 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         rep.skip("all", "characteristic 2: displacement phases undefined")
         return rep
     ring = hs.ring_for(field)
-    q = field.order
+    q, n, t = field.order, ring.order, field.tables()
     coeff = config.displacement_phase_coeff
+    perm, phase = hb.label_grid(field, coeff)
+    a_of, b_of = np.divmod(np.arange(q * q), q)  # label l = a * q + b
 
-    def dmono(a, b):
-        return hb.displacement_monomial(field, a, b, phase_coeff=coeff)
+    def holds(count, width, check):
+        return all(check(s) for s in hb.label_blocks(count, width))
 
-    exhaustive_pairs = q <= 27
-    labels = [(a, b) for a in range(q) for b in range(q)]
-    cache = {lab: dmono(*lab) for lab in labels}
-    half = field.two_inverse
-    n_order = ring.order
-    step = n_order // field.p
-    tables = field.tables()
-    tr_prod = tables.trace[tables.mul]  # Tr(a b)
+    def at(rows, cols):
+        return np.take_along_axis(rows, cols, axis=1)
 
-    if exhaustive_pairs:
-        # Vectorised comparison of the constructed monomial data over every
-        # pair of labels: perms and phases of the composed operator against
-        # the displacement at the summed label with the half-trace phase.
-        # phases[b, a] is the phase row of D(a, b), whose perm is perm_of[b]
-        idx = np.arange(q)
-        perm_of, phases = hb.displacement_arrays(field, idx, idx[:, None], coeff)
-        perm_of = perm_of[:, 0]
-        ok = True
-        for b1 in range(q):
-            if not ok:
-                break
-            p1 = perm_of[b1]
-            for b2 in range(q):
-                p2 = perm_of[b2]
-                b3 = field.add_index(b1, b2)
-                if not np.array_equal(p1[p2], perm_of[b3]):
-                    ok = False
-                    break
-                ph_b2 = phases[b2]
-                ph_b3 = phases[b3]
-                for a1 in range(q):
-                    f1_at = phases[b1][a1][p2]
-                    base_rows = ph_b3[tables.add[a1]]
-                    # shift[a2] = omega exponent of the composition phase
-                    shift = (step * ((half * (tr_prod[a1, b2]
-                                              - tr_prod[b1])) % field.p)) % n_order
-                    delta = (ph_b2 + f1_at[np.newaxis, :]
-                             - base_rows - shift[:, np.newaxis]) % n_order
-                    if delta.any():
-                        ok = False
-                        break
-                if not ok:
-                    break
-        rep.add("composition_law", ok, detail=f"pairs={q**4}")
-    else:
-        ok = True
-        for _ in range(400):
-            a1, b1, a2, b2 = (rng.randrange(q) for _ in range(4))
-            lhs = cache[(a1, b1)] @ cache[(a2, b2)]
-            ph = half * (field.trace_index(field.mul_index(a1, b2))
-                         - field.trace_index(field.mul_index(b1, a2)))
-            rhs = cache[(field.add_index(a1, a2),
-                         field.add_index(b1, b2))].scaled_by_omega(ph)
-            if lhs != rhs:
-                ok = False
-                break
-        rep.add("composition_law", ok, detail="pairs=400 sampled")
+    if q <= 27:
+        first, second = np.divmod(np.arange(q ** 4, dtype=np.int32), q * q)
+        detail = f"pairs={q**4}"
+    else:  # rows (a1, b1, a2, b2) -> label pair (a1 q + b1, a2 q + b2)
+        quads = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(400)])
+        first, second = (quads.reshape(-1, 2, 2) @ (q, 1)).T
+        detail = "pairs=400 sampled"
+    rep.add("composition_law",
+            hb.composition_law_holds(field, perm, phase, first, second), detail=detail)
 
-    ok = all(cache[(a, b)].adjoint()
-             == cache[(field.neg_index(a), field.neg_index(b))]
-             for a, b in labels)
-    rep.add("adjoint_negates_label", ok)
+    # D(l)^dagger = D(-l): D(-l) maps perm_l[m] back to m with phase -phase_l[m]
+    neg = t.neg[a_of] * q + t.neg[b_of]
+    rep.add("adjoint_negates_label", holds(q * q, q, lambda s: np.array_equal(
+        at(perm[neg[s]], perm[s]), np.broadcast_to(np.arange(q), perm[s].shape))
+        and not ((at(phase[neg[s]], perm[s]) + phase[s]) % n).any()))
 
     # F D(a, b) = D(b, -a) F compared through the root-exponent tables of
-    # both sides (every entry of either side is p^(-ell/2) zeta^e)
-    f_exp = (step * tr_prod) % n_order
-    ok = True
-    for a, b in labels:
-        perm, phase = hb.displacement_arrays(field, a, b, coeff)
-        other, o_phase = hb.displacement_arrays(field, b, field.neg_index(a), coeff)
-        inv = np.argsort(other)
-        if ((f_exp[:, perm] + phase - o_phase[inv][:, None] - f_exp[inv]) % n_order).any():
-            ok = False
-            break
-    rep.add("fourier_maps_labels", ok)
+    # both sides (every entry of either side is p^(-ell/2) zeta^e),
+    # indexed [label, row, column]
+    f_exp = (n // field.p) * t.trace[t.mul] % n
+    image = b_of * q + t.neg[a_of]
+
+    def fourier_ok(s):
+        inv = np.argsort(perm[image[s]], axis=1)
+        lhs = f_exp[np.arange(q)[:, None], perm[s][:, None, :]] + phase[s][:, None, :]
+        return not ((lhs - at(phase[image[s]], inv)[:, :, None] - f_exp[inv]) % n).any()
+    rep.add("fourier_maps_labels", holds(q * q, q * q, fourier_ok))
+
+    # G D(rows) G^dagger = D(target), G the Frobenius power moving m to pi[m]
+    def frobenius_covariant(pi, rows, target):
+        return holds(len(rows), q, lambda s: np.array_equal(
+            perm[target[s]][:, pi], pi[perm[rows[s]]])
+            and not ((phase[target[s]][:, pi] - phase[rows[s]]) % n).any())
 
     g = fb.frobenius_monomial(field)
-    ok = True
-    for lam in range(field.ell):
-        gl = g ** lam
-        gli = gl.adjoint()
-        for a, b in labels:
-            lhs = (gl @ cache[(a, b)]) @ gli
-            rhs = dmono(field.frobenius_index(a, lam), field.frobenius_index(b, lam))
-            if lhs != rhs:
-                ok = False
-                break
-    rep.add("frobenius_maps_labels", ok)
-
+    powers = [np.arange(q)]
+    for _ in range(1, field.ell):
+        powers.append(np.asarray(g.perm)[powers[-1]])
+    rep.add("frobenius_maps_labels", all(
+        frobenius_covariant(pi, np.arange(q * q), pi[a_of] * q + pi[b_of]) for pi in powers))
     ok = True
     for d in field.divisors():
-        gd = g ** d
-        gdi = gd.adjoint()
-        for a in field.subfield_indices(d):
-            for b in field.subfield_indices(d):
-                dd = dmono(a, b)
-                if (gd @ dd) @ gdi != dd:
-                    ok = False
+        sub = np.asarray(field.subfield_indices(d))
+        rows = (sub[:, None] * q + sub).ravel()
+        ok = frobenius_covariant(powers[d % field.ell], rows, rows) and ok
     rep.add("subfield_labels_fixed_by_frobenius", ok)
 
-    ortho_pairs = ([(x, y) for x in labels for y in labels] if q <= 9 else
-                   [(rng.choice(labels), rng.choice(labels)) for _ in range(300)])
-    ok = True
-    for lab1, lab2 in ortho_pairs:
-        tr = (cache[lab1].adjoint() @ cache[lab2]).trace()
-        want = ring.from_int(q) if lab1 == lab2 else ring.zero
-        if tr != want:
-            ok = False
-            break
-    rep.add("orthogonality_under_trace", ok)
+    # tr(D(l1)^dagger D(l2)) - q [l1 == l2] as one root-sum per block: a
+    # term zeta^(phase2[m] - phase1[m]) for each m with perm1[m] == perm2[m]
+    if q > 9:  # else all pairs, as for the composition law
+        drawn = [rng.choice(range(q * q)) for _ in range(600)]
+        first, second = np.array(drawn).reshape(-1, 2).T
+
+    def orthogonal(s):
+        l1, l2 = first[s], second[s]
+        pair, m = np.nonzero(perm[l1] == perm[l2])
+        diag = np.flatnonzero(l1 == l2)
+        weights = np.repeat([1, -q], [len(pair), len(diag)])[:, None] * ring.root_coeffs()[0]
+        roots = np.concatenate([phase[l2[pair], m] - phase[l1[pair], m], np.zeros_like(diag)])
+        trace = ring.root_sum(weights, roots, np.concatenate([pair, diag]), (len(l1),))
+        return not trace[0].any()
+    rep.add("orthogonality_under_trace", holds(len(first), q + 1, orthogonal))
 
     if coeff is None:
         ok = True
@@ -535,11 +473,11 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                 ok = False
         rep.add("subfield_generator_fourier_intertwining", ok)
 
-    if field.ell >= 2:
-        z_gen = hb.z_monomial(field, field.generator)
+    if field.ell >= 2:  # Z^eps = D(eps, 0)
+        z_gen = np.array([field.generator.index * q])
         rep.add("frobenius_not_commuting_with_generator_phase",
-                (g @ z_gen) != (z_gen @ g))
-    if (field.p, field.ell, field.modulus) == (3, 2, hb.GF9_FIXTURE_MODULUS):
+                not frobenius_covariant(powers[1], z_gen, z_gen))
+    if hb.is_gf9_fixture(field):
         ex = hb.z_spectrum_example(field)
         rep.add("spectrum_example",
                 ex["z"]["decomposition"] and ex["z_eps"]["decomposition"]
@@ -682,7 +620,7 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     tm_params = [sp.SymplecticParams.from_rst(field, field.one, field.zero,
                                               field.zero)]
     tm_params += _sample_params(field, rng, 1)
-    if (field.p, field.ell, field.modulus) == (3, 2, hb.GF9_FIXTURE_MODULUS):
+    if hb.is_gf9_fixture(field):
         tm_params.append(sp.SymplecticParams.from_rst(
             field, field.one, field.one + field.generator, field.generator))
     ok = True
@@ -692,7 +630,7 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
             ok = False
     rep.add("transformed_marginals", ok)
 
-    if (field.p, field.ell, field.modulus) == (3, 2, hb.GF9_FIXTURE_MODULUS):
+    if hb.is_gf9_fixture(field):
         wit = sp.non_factorization_witness(field)
         rep.add("non_factorization_witness",
                 wit["not_tensor_product"] and wit["x_eps_is_identity_tensor_shift"]
@@ -749,13 +687,7 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
             and np.linalg.norm(recon - g) <= tol)
 
     if field.p != 2:
-        dm = {}
-
-        def dfl(a, b):
-            if (a, b) not in dm:
-                dm[(a, b)] = hb.displacement(field, a, b).embed()
-            return dm[(a, b)]
-
+        dfl = functools.cache(lambda a, b: hb.displacement(field, a, b).embed())
         half = field.two_inverse
         ok = True
         for _ in range(40):

@@ -1,0 +1,25 @@
+"""The ``verify`` reports, byte for byte against recorded output.
+
+The files under ``data/`` are the stdout of the two commands below.  An
+intended change of report output regenerates them, for example with
+``python -m gfharmonic.cli verify all > tests/data/verify_all_default_grid.json``.
+"""
+
+import pathlib
+
+import pytest
+
+from gfharmonic.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("verify_all_default_grid.json", ["verify", "all"], 0),
+    ("verify_heisenberg_gf9_perturbed.json",
+     ["verify", "heisenberg", "--p", "3", "--ell", "2",
+      "--perturb-displacement-phase", "1"], 1),
+])
+def test_verify_report_matches_recorded_output(name, argv, code, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()

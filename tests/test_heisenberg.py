@@ -23,7 +23,7 @@ from gfharmonic.heisenberg import (component_displacement_monomial,
                                    z_monomial, z_power, z_spectrum_example)
 from gfharmonic.hilbert import phi_basis, point_projector, ring_for
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
-                               conjugate, inner_product, tensor_list)
+                               conjugate, tensor_list)
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,49 @@
+"""Import hygiene of the package modules, by a stdlib ``ast`` scan.
+
+Every name a module imports must be used in it, unless the module re-exports
+it (``__all__`` or the package ``__init__``), and no module imports another
+module's private (underscore) names.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gfharmonic"
+
+
+def import_problems(source: str, reexports_all: bool = False):
+    """(unused imported names, private names imported from modules)."""
+    tree = ast.parse(source)
+    imports = []  # (bound name, imported name, from-module or None)
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [((a.asname or a.name).split(".")[0], a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imports += [(a.asname or a.name, a.name, node.module or "") for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(bound for bound, _, _ in imports
+                    if bound not in used | exported and not reexports_all)
+    private = sorted(f"{module}.{name}" for _, name, module in imports
+                     if module is not None and name.startswith("_"))
+    return unused, private
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_or_private_imports(path):
+    unused, private = import_problems(path.read_text(), path.name == "__init__.py")
+    assert not unused, f"{path.name} imports unused names {unused}"
+    assert not private, f"{path.name} imports private names {private}"
+
+
+def test_scan_finds_unused_and_private_imports():
+    source = ("import numpy as np\nimport random\n"
+              "from .heisenberg import _hidden, shown\n"
+              "__all__ = ['kept']\nfrom .linalg import kept\n"
+              "shown(np.arange(3))\n")
+    assert import_problems(source) == (["_hidden", "random"], ["heisenberg._hidden"])

@@ -1,5 +1,6 @@
 """Differential tests: the packed kernels against the per-entry loops they
-replaced.
+replaced, and the label-grid identity checks of the heisenberg suite
+against the per-label Monomial loops they replaced.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -14,10 +15,10 @@ import random
 import numpy as np
 import pytest
 
-from gfharmonic import cyclo, heisenberg
+from gfharmonic import cyclo, frobenius, heisenberg
 from gfharmonic.cyclo import ScalarAccumulator
 from gfharmonic.fourier import fourier_matrix
-from gfharmonic.gf import make_field
+from gfharmonic.gf import GFField, make_field
 from gfharmonic.heisenberg import (displacement_monomial, label_sum,
                                    marginal_sum_alpha, marginal_sum_beta,
                                    overcomplete_expansion_check,
@@ -27,6 +28,7 @@ from gfharmonic.hilbert import phi_basis, ring_for
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
                                inner_product, outer)
 from gfharmonic.symplectic import SymplecticParams, synthesize
+from gfharmonic.verify import VerifyConfig, heisenberg_suite
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
@@ -334,3 +336,182 @@ def test_elementwise_ops_match_reference(field, big):
     for m in range(q):
         moved[mono.perm[m]] = yv[m].times_root(mono.phase[m])
     assert canonical([mono.apply(y).values]) == canonical([moved])
+
+
+# -- label identities of the heisenberg suite -----------------------------------
+
+LABEL_ITEMS = ("composition_law", "adjoint_negates_label", "fourier_maps_labels",
+               "frobenius_maps_labels", "subfield_labels_fixed_by_frobenius",
+               "orthogonality_under_trace")
+LABEL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+
+
+def ref_composition_exhaustive(field, coeff):
+    """All-pairs composition law over the displacement rows, phases[b, a]
+    the phase row of D(a, b)."""
+    q = field.order
+    half = field.two_inverse
+    n_order = ring_for(field).order
+    step = n_order // field.p
+    tables = field.tables()
+    tr_prod = tables.trace[tables.mul]
+    idx = np.arange(q)
+    perm_of, phases = heisenberg.displacement_arrays(field, idx, idx[:, None], coeff)
+    perm_of = perm_of[:, 0]
+    for b1 in range(q):
+        p1 = perm_of[b1]
+        for b2 in range(q):
+            p2 = perm_of[b2]
+            b3 = field.add_index(b1, b2)
+            if not np.array_equal(p1[p2], perm_of[b3]):
+                return False
+            for a1 in range(q):
+                f1_at = phases[b1][a1][p2]
+                base_rows = phases[b3][tables.add[a1]]
+                shift = (step * ((half * (tr_prod[a1, b2] - tr_prod[b1])) % field.p)) % n_order
+                delta = (phases[b2] + f1_at[np.newaxis, :] - base_rows
+                         - shift[:, np.newaxis]) % n_order
+                if delta.any():
+                    return False
+    return True
+
+
+def ref_composition_sampled(field, cache, quads):
+    half = field.two_inverse
+    for a1, b1, a2, b2 in quads:
+        ph = half * (field.trace_index(field.mul_index(a1, b2))
+                     - field.trace_index(field.mul_index(b1, a2)))
+        rhs = cache[(field.add_index(a1, a2), field.add_index(b1, b2))].scaled_by_omega(ph)
+        if cache[(a1, b1)] @ cache[(a2, b2)] != rhs:
+            return False
+    return True
+
+
+def monomial_cache(field, coeff):
+    q = field.order
+    return {(a, b): displacement_monomial(field, a, b, phase_coeff=coeff)
+            for a in range(q) for b in range(q)}
+
+
+def ref_label_verdicts(field, coeff):
+    """The six label identities through a q^2-entry Monomial cache."""
+    rng = random.Random(VerifyConfig().seed + 2)
+    q = field.order
+    ring = ring_for(field)
+    labels = [(a, b) for a in range(q) for b in range(q)]
+    cache = monomial_cache(field, coeff)
+    out = {"composition_law": ref_composition_exhaustive(field, coeff)}
+    out["adjoint_negates_label"] = all(
+        cache[(a, b)].adjoint() == cache[(field.neg_index(a), field.neg_index(b))]
+        for a, b in labels)
+
+    n_order = ring.order
+    tables = field.tables()
+    f_exp = (n_order // field.p * tables.trace[tables.mul]) % n_order
+    ok = True
+    for a, b in labels:
+        perm, phase = heisenberg.displacement_arrays(field, a, b, coeff)
+        other, o_phase = heisenberg.displacement_arrays(field, b, field.neg_index(a), coeff)
+        inv = np.argsort(other)
+        if ((f_exp[:, perm] + phase - o_phase[inv][:, None] - f_exp[inv]) % n_order).any():
+            ok = False
+            break
+    out["fourier_maps_labels"] = ok
+
+    g = frobenius.frobenius_monomial(field)
+    ok = True
+    for lam in range(field.ell):
+        gl = g ** lam
+        for a, b in labels:
+            rhs = cache[(field.frobenius_index(a, lam), field.frobenius_index(b, lam))]
+            if (gl @ cache[(a, b)]) @ gl.adjoint() != rhs:
+                ok = False
+                break
+    out["frobenius_maps_labels"] = ok
+    ok = True
+    for d in field.divisors():
+        gd = g ** d
+        for a in field.subfield_indices(d):
+            for b in field.subfield_indices(d):
+                if (gd @ cache[(a, b)]) @ gd.adjoint() != cache[(a, b)]:
+                    ok = False
+    out["subfield_labels_fixed_by_frobenius"] = ok
+
+    pairs = ([(x, y) for x in labels for y in labels] if q <= 9 else
+             [(rng.choice(labels), rng.choice(labels)) for _ in range(300)])
+    out["orthogonality_under_trace"] = all(
+        (cache[l1].adjoint() @ cache[l2]).trace()
+        == (ring.from_int(q) if l1 == l2 else ring.zero) for l1, l2 in pairs)
+    return out
+
+
+def grid_label_verdicts(field, coeff):
+    rep = heisenberg_suite(field, VerifyConfig(displacement_phase_coeff=coeff))
+    return {item.name: item.status == "pass" for item in rep.items
+            if item.name in LABEL_ITEMS}
+
+
+@pytest.mark.parametrize("coeff", [None, 1])
+@pytest.mark.parametrize("pe", LABEL_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
+def test_label_identities_match_monomial_reference(pe, coeff):
+    field = make_field(*pe)
+    want = ref_label_verdicts(field, coeff)
+    assert grid_label_verdicts(field, coeff) == want
+    # the true phase passes everything, the wrong one breaks the phase laws
+    assert all(want.values()) is (coeff is None)
+
+
+@pytest.mark.parametrize("coeff", [None, 1])
+@pytest.mark.parametrize("pe", LABEL_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
+def test_sampled_composition_matches_monomial_reference(pe, coeff):
+    field = make_field(*pe)
+    q = field.order
+    rng = random.Random(q)
+    quads = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(400)]
+    first, second = (np.array(quads).reshape(-1, 2, 2) @ (q, 1)).T
+    got = heisenberg.composition_law_holds(
+        field, *heisenberg.label_grid(field, coeff), first, second)
+    assert got is ref_composition_sampled(field, monomial_cache(field, coeff), quads)
+    assert got is (coeff is None)
+
+
+def wrong_frobenius(monkeypatch):
+    """Make the Frobenius permutation swap two points of the prime field."""
+    original = frobenius.frobenius_monomial
+
+    def wrong(field):
+        perm = list(original(field).perm)
+        perm[1], perm[2] = perm[2], perm[1]
+        return Monomial.permutation(ring_for(field), perm)
+
+    monkeypatch.setattr(frobenius, "frobenius_monomial", wrong)
+
+
+@pytest.mark.parametrize("fault", ["phase", "frobenius", "shift"])
+def test_planted_faults_give_the_reference_verdicts(fault, monkeypatch):
+    field = make_field(3, 2)
+    coeff = None
+    if fault == "phase":
+        perturbed_arrays(monkeypatch, field)
+        broken = "composition_law"
+    elif fault == "frobenius":
+        wrong_frobenius(monkeypatch)
+        broken = "frobenius_maps_labels"
+    else:  # the true displacements, with the composition phase's 1/2 read as 0
+        coeff = field.two_inverse
+        monkeypatch.setattr(GFField, "two_inverse", property(lambda self: 0))
+        broken = "composition_law"
+    got = grid_label_verdicts(field, coeff)
+    assert got == ref_label_verdicts(field, coeff)
+    assert not got[broken]
+
+
+def test_composition_law_compares_the_permutations():
+    # for l2 = (0, 1), D(l1) D(l2) never reads the permutation of l1 in
+    # its phase, so only the permutation half sees a wrong row for l1
+    field = make_field(3, 2)
+    perm, phase = heisenberg.label_grid(field)
+    first, second = np.array([5]), np.array([1])
+    assert heisenberg.composition_law_holds(field, perm, phase, first, second)
+    perm[5, [0, 1]] = perm[5, [1, 0]]
+    assert not heisenberg.composition_law_holds(field, perm, phase, first, second)

@@ -63,3 +63,22 @@ def test_action_law_checks_the_full_power_basis(monkeypatch):
     report = run_suite(field, "symplectic", VerifyConfig())
     assert report.passed
     assert seen == {(field.generator ** k).index for k in range(3)}
+
+
+def test_spectrum_ranks_are_exact_traces(monkeypatch):
+    from gfharmonic import fourier, frobenius, verify
+    from gfharmonic.hilbert import ring_for
+    from gfharmonic.linalg import OperatorMatrix, Spectrum
+
+    gf3, gf9 = make_field(3, 1), make_field(3, 2)
+    ident = OperatorMatrix.identity(ring_for(gf3), 3)
+    assert Spectrum((fourier.fourier_matrix(gf3), ident)).ranks == (None, 3)  # tr F = i
+    half = OperatorMatrix.identity(ring_for(gf9), 9).scaled(ring_for(gf9).rational(1, 2))
+    assert Spectrum((half, half)).ranks == (None, None)  # tr = 9/2 each
+    assert fourier.fourier_spectrum(gf9).ranks == (3, 2, 2, 2)
+    # a rank that is no integer fails the partition item of both suites
+    for module, attr, suite in ((fourier, "fourier_spectrum", verify.fourier_suite),
+                                (frobenius, "frobenius_spectrum", verify.frobenius_suite)):
+        monkeypatch.setattr(module, attr, lambda field: Spectrum((half, half)))
+        status = {i.name: i.status for i in suite(gf9).items}
+        assert status["projector_ranks_partition"] == "fail"
