@@ -22,8 +22,8 @@ from . import symplectic as sp
 from . import verify as vf
 from .errors import ConfigError, GFHarmonicError
 from .gf import make_field
-from .jsonio import matrix_from_json, matrix_to_json, scalar_to_json
-from .linalg import OperatorMatrix, conjugate, tensor_list
+from .jsonio import matrix_from_json, matrix_to_json, scalar_to_json, write_json
+from .linalg import EXACT, OperatorMatrix, conjugate, tensor_list
 
 DEFAULT_MAX_ORDER = 343
 
@@ -100,16 +100,18 @@ def _build_field(args):
 
 
 def _emit(args, payload) -> None:
-    text = json.dumps(payload, indent=2, default=str)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            write_json(payload, fh)
     else:
-        print(text)
+        write_json(payload, sys.stdout)
 
 
 def _matrix_payload(args, mat: OperatorMatrix) -> dict:
-    return matrix_to_json(mat.embed() if args.backend != "exact" else mat)
+    # matrix_to_json's dict, with the exact entries left for write_json
+    if args.backend != "exact":
+        return matrix_to_json(mat.embed())
+    return {"dim": mat.dim, "backend": EXACT, "entries": mat}
 
 
 # ---------------------------------------------------------------------------

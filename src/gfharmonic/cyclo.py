@@ -28,7 +28,7 @@ from .errors import BackendMismatch, DivisionByZero
 
 
 INT64_MAX = 2 ** 63 - 1
-BLOCK_ENTRIES = 2048  # matrix entries per vectorised pass of unpack and times_roots
+BLOCK_ENTRIES = 2048  # matrix entries per vectorised pass of unpack, times_roots and JSON
 
 
 def _dtype_for(bound: int):
@@ -354,14 +354,16 @@ class CycloRing:
         live = np.flatnonzero((flat != 0).any(axis=1))
         for start in range(0, len(live), BLOCK_ENTRIES):
             idx = live[start:start + BLOCK_ENTRIES]
-            for i, x in zip(idx.tolist(), self._canonical(flat[idx], e, q)):
-                out[i] = x
+            vecs, exps, denoms = self.canonical(flat[idx], e, q)
+            for i, vec, ei, qi in zip(idx.tolist(), map(tuple, vecs.tolist()),
+                                      exps.tolist(), denoms.tolist()):
+                out[i] = CycloScalar(self, vec, ei, qi)
         return tuple(tuple(out[i * m:(i + 1) * m]) for i in range(n))
 
-    def _canonical(self, vecs, e: int, q: int) -> list:
-        # scalar(vec, e, q) for each nonzero row vec, q prime to p: strip
-        # sqrt(p) from each row while it is divisible (at most e times), then
-        # divide out each row's gcd with q
+    def canonical(self, vecs, e: int, q: int):
+        """Arrays (coeffs, scale_exp, denom) of scalar(vec, e, q) per row vec,
+        q prime to p, a zero row giving (0, 0, 1): strip sqrt(p) from each row
+        while it is divisible (at most e times), then divide out its gcd with q."""
         vecs = vecs.astype(object if vecs.dtype == object else np.int64)
         exps = np.full(len(vecs), e)
         todo = np.arange(len(vecs))
@@ -379,9 +381,7 @@ class CycloRing:
         g = np.gcd(np.gcd.reduce(vecs, axis=1), q)
         if (g > 1).any():
             vecs = vecs // g[:, None]
-        return [CycloScalar(self, vec, ei, qi)
-                for vec, ei, qi in zip(map(tuple, vecs.tolist()), exps.tolist(),
-                                       (q // g).tolist())]
+        return vecs, exps, q // g
 
     def matmul(self, a, b):
         """Exact product of two packed matrices, in normal form.

@@ -6,12 +6,19 @@ OperatorMatrix has backend "exact" and scalar entries.  A complex numpy
 array (an embedded matrix) has backend "float" and [re, im] entries, and
 decodes back to an array.  Decoding exact payloads takes the target ring, since a scalar
 payload pins only the ring order.
+
+``write_json`` writes ``json.dumps(payload, indent=2, default=str)`` byte for
+byte without the slow pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
 
+import math
+from json.encoder import encode_basestring_ascii as _quote
+
 import numpy as np
 
+from . import cyclo
 from .cyclo import CycloRing, CycloScalar
 from .errors import BackendMismatch, DimensionMismatch
 from .linalg import EXACT, OperatorMatrix
@@ -54,3 +61,78 @@ def matrix_from_json(data: dict,
     rows = [[scalar_from_json(entries[n * dim + m], ring) for m in range(dim)]
             for n in range(dim)]
     return OperatorMatrix(dim, EXACT, ring, rows)
+
+
+def write_json(payload, fh) -> None:
+    """Write ``json.dumps(payload, indent=2, default=str) + "\n"`` to fh, where
+    an exact OperatorMatrix stands for its ``matrix_to_json`` entries and is
+    streamed from its packed triple, BLOCK_ENTRIES entries per write."""
+    parts = []
+    _encode(payload, 0, parts, fh)
+    fh.write("".join(parts) + "\n")
+
+
+def _atom(o):
+    # the stdlib text of a str, None, bool, int or float; None for the rest
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return ("NaN" if o != o else "Infinity" if o == math.inf
+                else "-Infinity" if o == -math.inf else float.__repr__(o))
+    return None
+
+
+def _key(k) -> str:
+    text = _atom(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return (text if isinstance(k, str) else f'"{text}"') + ": "
+
+
+def _encode(o, level: int, parts: list, fh) -> None:
+    # the stdlib encoder's order: atoms, list or tuple, dict, then default=str
+    text = _atom(o)
+    if text is not None:
+        parts.append(text)
+        return
+    pad = "\n" + "  " * (level + 1)
+    is_dict = isinstance(o, dict)
+    if isinstance(o, OperatorMatrix):
+        fh.write("".join(parts))
+        parts.clear()
+        _write_entries(o, pad, fh)
+    elif not (is_dict or isinstance(o, (list, tuple))):
+        parts.append(_quote(str(o)))
+    elif not o:
+        parts.append("{}" if is_dict else "[]")
+    elif not is_dict and all(type(x) is int for x in o):
+        parts.append("[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]")
+    else:
+        heads = map(_key, o) if is_dict else [""] * len(o)
+        parts.append("{" if is_dict else "[")
+        for i, (head, v) in enumerate(zip(heads, o.values() if is_dict else o)):
+            parts.append(("," if i else "") + pad + head)
+            _encode(v, level + 1, parts, fh)
+        parts.append(pad[:-2] + ("}" if is_dict else "]"))
+
+
+def _write_entries(mat: OperatorMatrix, pad: str, fh) -> None:
+    # each block's rows [coeffs..., scale_exp, denom] fill one entry template
+    ring = mat.ring
+    data, e, q = mat.packed
+    flat = data.reshape(-1, ring.degree)
+    key = pad + "  "
+    entry = ("{" + key + '"coeffs": [' + ",".join([key + "  %d"] * ring.degree) + key
+             + "]," + key + '"scale_exp": %d,' + key + '"denom": %d,' + key
+             + f'"N": {ring.order}' + pad + "}")
+    fh.write("[" + pad)
+    for start in range(0, len(flat), cyclo.BLOCK_ENTRIES):
+        vecs, exps, denoms = ring.canonical(flat[start:start + cyclo.BLOCK_ENTRIES], e, q)
+        values = np.concatenate([vecs, exps[:, None], denoms[:, None]], axis=1)
+        fh.write(("," + pad if start else "")
+                 + ("," + pad).join([entry] * len(vecs)) % tuple(values.ravel().tolist()))
+    fh.write(pad[:-2] + "]")

@@ -227,7 +227,6 @@ def action_check(field: GFField, params: SymplecticParams,
     function by name.
     """
     s_op = synthesize(field, params)
-    ring = ring_for(field)
     if check_unitary and not s_op.is_unitary():
         return {"unitary": False, "z_action": False, "x_action": False,
                 "displacement_action": False, "commutation": False}
@@ -487,7 +486,6 @@ def frobenius_action_check(field: GFField, params: SymplecticParams,
     from .frobenius import frobenius_monomial
     g = frobenius_monomial(field)
     s_op = synthesize(field, params)
-    ring = ring_for(field)
     phases = []
     ok = True
     for k in range(field.ell):

@@ -515,7 +515,6 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         return rep
     ring = hs.ring_for(field)
     q = field.order
-    ident = OperatorMatrix.identity(ring, q)
     els = field.elements()
     nonzero = els[1:]
 

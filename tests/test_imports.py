@@ -1,8 +1,9 @@
-"""Import hygiene of the package modules, by a stdlib ``ast`` scan.
+"""Import and local-name hygiene of the package modules, by a stdlib ``ast`` scan.
 
 Every name a module imports must be used in it, unless the module re-exports
 it (``__all__`` or the package ``__init__``), and no module imports another
-module's private (underscore) names.
+module's private (underscore) names.  No function stores a local name that
+it, or a function nested in it, never reads.
 """
 
 import ast
@@ -47,3 +48,46 @@ def test_scan_finds_unused_and_private_imports():
               "__all__ = ['kept']\nfrom .linalg import kept\n"
               "shown(np.arange(3))\n")
     assert import_problems(source) == (["_hidden", "random"], ["heisenberg._hidden"])
+
+
+def unused_locals(source: str):
+    """``function.name`` for each local a function stores but never loads.
+
+    Loads in nested functions count (closures); stores in them belong to
+    the nested function.  Underscore names and global/nonlocal names are
+    exempt.
+    """
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loaded = {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        loaded |= {name for n in ast.walk(fn)
+                   if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        stack = list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, scopes):
+                continue
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id not in loaded and not node.id.startswith("_")):
+                found.add(f"{fn.name}.{node.id}")
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    unused = unused_locals(path.read_text())
+    assert not unused, f"{path.name} stores locals it never reads: {unused}"
+
+
+def test_scan_finds_unused_locals():
+    source = ("def f(xs):\n"
+              "    ring = 1\n    kept = 2\n    for _, item in xs:\n        pass\n"
+              "    def inner():\n        shadow = kept\n        return None\n"
+              "    total = 0\n    total += 1\n"
+              "    return inner\n")
+    assert unused_locals(source) == ["f.item", "f.ring", "f.total", "inner.shadow"]

@@ -1,0 +1,210 @@
+"""``jsonio.write_json`` against ``json.dumps(indent=2, default=str)``, byte for byte.
+
+The stdlib call is the reference: on nested plain values, on the payload of
+every CLI command and on exact matrices, whose entries the writer renders
+from the packed triple.  The reference renders each matrix entry through
+``ring.scalar``, so it shares no code with the writer's block path.
+"""
+
+import hashlib
+import io
+import json
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gfharmonic import cli, cyclo
+from gfharmonic.gf import make_field
+from gfharmonic.hilbert import point_projector, ring_for
+from gfharmonic.jsonio import matrix_to_json, scalar_to_json, write_json
+from gfharmonic.linalg import EXACT, OperatorMatrix
+
+
+def reference_entries(mat):
+    data, e, q = mat.packed
+    vecs = data.reshape(-1, mat.ring.degree)
+    return [scalar_to_json(mat.ring.scalar(v.tolist(), e, q)) for v in vecs]
+
+
+def resolved(value):
+    """The payload with every exact matrix replaced by its entry dicts."""
+    if isinstance(value, OperatorMatrix):
+        return reference_entries(value)
+    if isinstance(value, dict):
+        return {k: resolved(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [resolved(v) for v in value]
+    return value
+
+
+def written(payload) -> str:
+    buf = io.StringIO()
+    write_json(payload, buf)
+    return buf.getvalue()
+
+
+def reference(payload) -> str:
+    return json.dumps(resolved(payload), indent=2, default=str) + "\n"
+
+
+# -- plain values ------------------------------------------------------------
+
+
+class Opaque:
+    """An object json cannot encode, so default=str decides its bytes."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __str__(self):
+        return f"opaque<{self.tag}>é\n"
+
+
+big_ints = st.integers(min_value=2 ** 63 - 2, max_value=2 ** 80) | st.integers(
+    max_value=-2 ** 63, min_value=-2 ** 80)
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), big_ints,
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, math.nan, -math.inf]),
+    st.text(), st.text(st.characters(max_codepoint=0x1F) | st.characters(categories=["Cs"])),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=9)),
+    st.complex_numbers(allow_nan=False), st.builds(Opaque, st.integers()),
+    st.integers(min_value=-2 ** 40, max_value=2 ** 40).map(np.int64),
+)
+keys = st.one_of(st.text(), st.integers(), big_ints, st.booleans(), st.none(),
+                 st.floats(allow_nan=True, allow_infinity=True))
+nested = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(keys, inner),
+        st.lists(st.integers() | big_ints | st.booleans())),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested)
+def test_plain_values_match_stdlib(value):
+    assert written(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"a": {}}, [1, True, 2], [0, -0.0, 2 ** 64], (1, 2, 3),
+    {1: "int", 2.5: "float", True: "bool", None: "none"}, "☃\x00\x1f",
+    {"nan": math.nan, "inf": [math.inf, -math.inf]}, Opaque(1),
+])
+def test_edge_values_match_stdlib(value):
+    assert written(value) == reference(value)
+
+
+def test_bad_key_raises_type_error():
+    with pytest.raises(TypeError):
+        written({(1, 2): 0})
+
+
+# -- exact matrices ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gf9():
+    return make_field(3, 2, [2, 1, 1])
+
+
+def random_matrix(ring, dim, seed, top, zero_share=0.3):
+    rng = random.Random(seed)
+    rows = [[ring.scalar([rng.randint(-top, top) for _ in range(ring.degree)],
+                         rng.randint(0, 3), rng.randint(1, 6))
+             if rng.random() > zero_share else ring.zero
+             for _ in range(dim)] for _ in range(dim)]
+    return OperatorMatrix(dim, EXACT, ring, rows)
+
+
+def exact_matrices(field):
+    ring = ring_for(field)
+    big = random_matrix(ring, 3, 1, 2 ** 70)
+    return {
+        "object_dtype": big,
+        "mixed_scale_denom": random_matrix(ring, 4, 2, 5),
+        "zero_entries": point_projector(field, 2),
+        "all_zero": OperatorMatrix(2, EXACT, ring, [[ring.zero] * 2] * 2),
+        "one_entry": OperatorMatrix(1, EXACT, ring, [[ring.rational(-7, 2)]]),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_exact_matrices_match_stdlib(gf9, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
+    mats = exact_matrices(gf9)
+    assert mats["object_dtype"].packed[0].dtype == object
+    for name, mat in mats.items():
+        payload = {"dim": mat.dim, "backend": EXACT, "entries": mat}
+        assert written(payload) == reference(payload), name
+        assert resolved(payload) == matrix_to_json(mat), name
+    # matrices at other nesting depths, and as the whole payload
+    for payload in (mats["object_dtype"], [mats["all_zero"], {"m": [mats["one_entry"]]}]):
+        assert written(payload) == reference(payload)
+
+
+# -- every CLI command -------------------------------------------------------
+
+
+GF9 = ["--p", "3", "--ell", "2"]
+GF25 = ["--p", "5", "--ell", "2"]
+OPS = [["fourier"], ["fourier", "--d", "1"], ["frobenius"], ["zpow", "--alpha", "1"],
+       ["xpow", "--beta", "2"], ["displace", "--alpha", "1", "--beta", "2"],
+       ["symplectic", "--r", "1", "--s", "2", "--t", "3"],
+       ["projector", "--point", "2"], ["projector", "--subspace", "1"]]
+COMMANDS = ([["op", *op, *field] for field in (GF9, GF25) for op in OPS]
+            + [["op", "fourier", *GF9, "--backend", "float"],
+               ["field", "--p", "3", "--ell", "4"],
+               ["verify", "all", *GF9], ["fixtures"]])
+
+
+def check_command(argv, monkeypatch, capsys):
+    payloads = []
+
+    def recording(payload, fh):
+        payloads.append(payload)
+        write_json(payload, fh)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(payloads) == 1
+    assert out == reference(payloads[0])
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_payload_matches_stdlib(argv, monkeypatch, capsys):
+    check_command(argv, monkeypatch, capsys)
+
+
+def test_weyl_payload_matches_stdlib(gf9, tmp_path, monkeypatch, capsys):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(matrix_to_json(point_projector(gf9, 2))))
+    check_command(["weyl", "--theta", str(theta), *GF9, "--modulus", "2,1,1"],
+                  monkeypatch, capsys)
+
+
+# -- pinned exact op outputs -------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["symplectic", "--p", "13", "--ell", "2", "--r", "65", "--s", "133", "--t", "159"],
+     "64421ea85edfecf2ee1b51c7a6e3876a70d233911e6c9f49e2abad1feb2ebce9"),
+    (["fourier", "--p", "3", "--ell", "3"],
+     "82387cbb193160ca4fa4c4ca5117555046b3f1627e032697bc1da35364b633db"),
+    (["frobenius", "--p", "3", "--ell", "2"],
+     "ce377b922aa295c6e4d1d7ba2c6e1719336f182d00e96338f647e738936000f6"),
+    (["projector", "--subspace", "1", "--p", "3", "--ell", "2"],
+     "6a52a817262b50785cf756c911d1d8c635cc8b50c9a0d470ce0919e3669d9a85"),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_op_output_is_pinned(argv, digest, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    assert cli.main(["op", *argv, "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert cli.main(["op", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
