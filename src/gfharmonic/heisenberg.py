@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclo import CycloScalar
-from .errors import (DimensionMismatch, EvenCharacteristic, WrongFixture,
-                     ZeroTrace)
+from .errors import (DimensionMismatch, EvenCharacteristic, NotInSubfield,
+                     WrongFixture, ZeroTrace)
 from .fourier import fourier_matrix
 from .gf import GFField
 from .hilbert import point_projector, ring_for
@@ -187,6 +187,17 @@ def composition_law_holds(field: GFField, perm, phase, first, second) -> bool:
     return True
 
 
+def braiding_holds(first, second, shift, order: int):
+    """Entrywise truth of M1 M2 = zeta^shift M2 M1 for monomials given as
+    (perm, phase) pairs whose leading axes broadcast, perms indexing the
+    last axis.  M1 M2 maps m to perm1[perm2[m]] with phase phase2[m] +
+    phase1[perm2[m]], as in :func:`composition_law_holds`."""
+    (p1, f1), (p2, f2) = first, second
+    p12, p21 = np.take_along_axis(p1, p2, -1), np.take_along_axis(p2, p1, -1)
+    f12, f21 = np.take_along_axis(f1, p2, -1), np.take_along_axis(f2, p1, -1)
+    return (p12 == p21) & ((f2 + f12 - f1 - f21 - shift) % order == 0)
+
+
 def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
     """p^-ell sum over l of w_l D(alpha[l], beta[l]), for index arrays of
     labels, as a dense exact matrix.
@@ -341,32 +352,58 @@ def subfield_fourier_intertwining_check(field: GFField, d: int,
     For each checked subfield label a: F_d Z_d^a F_d+ = X_d^(-a) and
     F_d X_d^a F_d+ = Z_d^a, all as embedded operators; also the Weyl
     braiding Z_d^a X_d^b = X_d^b Z_d^a omega^(subfield-trace of a b) over
-    the label pairs.  Defaults to every subfield label.
-    """
-    from .fourier import subfield_fourier
-    sub_f = subfield_fourier(field, d)
-    sub_f_adj = sub_f.adjoint()
-    idxs = (list(field.subfield_indices(d)) if labels is None else
-            [field.element(x).index for x in labels])
-    ok_z = True
-    ok_x = True
-    ok_braid = True
-    for a in idxs:
-        z_a = subfield_z_power(field, d, a)
-        x_a = subfield_x_power(field, d, a)
-        if not ((sub_f @ z_a) @ sub_f_adj).equals(
-                subfield_x_power(field, d, field.neg_index(a))):
-            ok_z = False
-        if not ((sub_f @ x_a) @ sub_f_adj).equals(z_a):
-            ok_x = False
-        for b in idxs:
-            x_b = subfield_x_power(field, d, b)
-            t = field.subfield_trace(field.mul_index(a, b), d)
-            lhs = z_a @ x_b
-            rhs = (x_b @ z_a).scaled(ring_for(field).omega(t))
-            if not lhs.equals(rhs):
-                ok_braid = False
-    return {"z_to_shift": ok_z, "shift_to_z": ok_x, "braiding": ok_braid}
+    the label pairs (:func:`braiding_holds`).  Defaults to every subfield
+    label.  F_d(i, j) = p^(-d/2) zeta^f[i, j] on the block, f[i] the phases
+    of Z_d^(sub i), so (F_d M F_d+)(i, j) = p^-d sum_k zeta^(f[i, perm k] +
+    phase k - f[j, k]) for a monomial M: one root-sum per block of rows."""
+    sub = np.asarray(field.subfield_indices(d))
+    s, ring = len(sub), ring_for(field)
+    idx = sub if labels is None else np.array([field.element(x).index for x in labels], int)
+    zero = np.zeros_like(idx)
+    z = subfield_displacement_arrays(field, d, idx, zero)
+    x = subfield_displacement_arrays(field, d, zero, idx)
+    f = subfield_displacement_arrays(field, d, sub, np.zeros_like(sub))[1]
+    unit = ring.root_coeffs()
+
+    def conjugates_to(perm, phase, target):
+        for blk in label_blocks(len(idx) * s, s * s):
+            lab, i = np.divmod(np.arange(len(idx) * s)[blk], s)
+            roots = f[i[:, None, None], perm[lab][:, None, :]] + phase[lab][:, None, :] - f
+            slots = np.broadcast_to(np.arange(len(i) * s).reshape(-1, s, 1), roots.shape)
+            got = ring.root_sum(unit[0], roots, slots, (len(i), s), 2 * d)
+            want = np.where((target[0][lab] == i[:, None])[..., None], unit[target[1][lab]], 0)
+            if got[1:] != (0, 1) or not np.array_equal(got[0], want):
+                return False
+        return True
+
+    minus = subfield_displacement_arrays(field, d, zero, field.tables().neg[idx])
+    return {"z_to_shift": conjugates_to(*z, minus), "shift_to_z": conjugates_to(*x, z),
+            "braiding": bool(braiding_holds(
+                (z[0][:, None], z[1][:, None]), (x[0][None], x[1][None]),
+                z[1][:, np.searchsorted(sub, idx), None], ring.order).all())}
+
+
+def subfield_displacement_arrays(field: GFField, d: int, alpha, beta):
+    """(perm, phase) of the subfield displacement D_d(alpha, beta) on the
+    GF(p^d) block, for index arrays (or ints) of subfield labels, shaped as
+    in :func:`displacement_arrays`.  Block position k is the field index
+    sub[k] (``field.subfield_indices(d)``); D_d maps it to the position of
+    sub[k] + beta with the root of omega^(subfield-trace of (c*alpha*beta +
+    alpha*sub[k])), c the inverse of 2."""
+    _require_odd(field)
+    sub = np.asarray(field.subfield_indices(d))
+    t, q = field.tables(), field.order
+    pos = np.full(q, -1)
+    pos[sub] = np.arange(len(sub))
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    if (pos[alpha] < 0).any() or (pos[beta] < 0).any():
+        raise NotInSubfield(f"labels are not all in GF({field.p}^{d})")
+    tr = np.zeros(q, dtype=np.int64)
+    tr[sub] = [field.subfield_trace(int(m), d) for m in sub]
+    base = tr[t.mul[field.two_inverse, t.mul[alpha, beta]]]
+    phase = ((tr[t.mul[alpha[..., None], sub]] + base[..., None]) % field.p
+             * (ring_for(field).order // field.p))
+    return pos[t.add[beta[..., None], sub]], phase
 
 
 def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix:
@@ -377,31 +414,27 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
     in the subfield.
     """
     _require_odd(field)
-    field.check_divisor(d)
-    ring = ring_for(field)
-    a = field.require_in_subfield(alpha, d)
-    b = field.require_in_subfield(beta, d)
-    half = field.element(field.two_inverse)
-    base = field.subfield_trace(half * a * b, d)
+    a, b = (field.require_in_subfield(x, d).index for x in (alpha, beta))
+    perm, phase = subfield_displacement_arrays(field, d, a, b)
+    sub, ring = field.subfield_indices(d), ring_for(field)
     return OperatorMatrix.from_sparse(ring, field.order, {
-        (field.add_index(m, b.index), m): ring.root(ring.omega_exponent(
-            base + field.subfield_trace(field.mul_index(a.index, m), d)))
-        for m in field.subfield_indices(d)})
+        (sub[i], m): ring.root(k) for m, i, k in zip(sub, perm.tolist(), phase.tolist())})
 
 
 def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
     """Entrywise: the subfield block of D(alpha, beta) equals the
-    (ell/d)-th power of the subfield displacement.
-
-    Masking D to subfield indices is the product with the subfield-support
-    projector on both sides; off-block entries of both sides vanish by
-    construction, so only the block is compared.
-    """
-    dop = displacement(field, alpha, beta)
-    small = subfield_displacement(field, d, alpha, beta)
+    (ell/d)-th power of the subfield displacement, for two labels or two
+    index arrays of labels in GF(p^d).  Both are monomial and keep the
+    block, so per block column the rows must agree and D's phase must be
+    (ell/d) times the subfield phase; off-block entries vanish on both."""
+    if not isinstance(alpha, np.ndarray):
+        alpha, beta = field.element(alpha).index, field.element(beta).index
+    sub = np.asarray(field.subfield_indices(d))
+    small_perm, small_phase = subfield_displacement_arrays(field, d, alpha, beta)
+    perm, phase = displacement_arrays(field, alpha, beta)
     power = field.ell // d
-    sub = field.subfield_indices(d)
-    ok = all(dop.rows[n][m] == small.rows[n][m] ** power for n in sub for m in sub)
+    ok = (np.array_equal(perm[..., sub], sub[small_perm])
+          and not ((phase[..., sub] - power * small_phase) % ring_for(field).order).any())
     return {"holds": ok, "power": power}
 
 

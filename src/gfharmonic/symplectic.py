@@ -28,6 +28,7 @@ check the action law per shear rather than per element: the law reduces
 to S_x Y = D S_x with Y = N Lambda N+ monomial, and each entry of that is
 one lookup in the root rotations of S_x, batched over every element and
 label that share it.  :func:`action_check` is the per-element reference.
+:func:`closed_form_sweep` compares U with the Gauss-sum closed form the same way.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, ZeroScaling)
 from .fourier import fourier_matrix
 from .gf import FieldElement, GFField
-from .heisenberg import (component_displacement_monomial, displacement,
-                         displacement_arrays, displacement_monomial,
+from .heisenberg import (braiding_holds, component_displacement_monomial,
+                         displacement, displacement_arrays, displacement_monomial,
                          label_sum, marginal_sum_alpha, marginal_sum_beta,
                          parity_monomial, require_gf9_fixture, x_monomial,
                          z_monomial)
@@ -170,18 +171,18 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
 
 
 def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
-    """Direct evaluation of the shear's matrix-element sum, as a cross-check."""
-    ring = ring_for(field)
-    xi = field.element(xi)
-    half = field.element(field.two_inverse)
-    c = (half * xi).index
-    q = field.order
-    tr, mul = field.trace_index, field.mul_index
-    rows = [[ring.sum_of_roots(
-                (ring.omega_exponent(tr(mul(c, mul(k, k))) + tr(mul(k, n)) - tr(mul(k, m)))
-                 for k in range(q)), 2 * field.ell)
-             for m in range(q)] for n in range(q)]
-    return OperatorMatrix(q, EXACT, ring, rows)
+    """Direct evaluation of the shear's matrix-element sum, as a cross-check:
+    entry (n, m) is p^-ell sum_k omega^(Tr(2^-1 xi k^2) + Tr(k n) - Tr(k m)),
+    all q^3 terms in one root-sum."""
+    ring, q, t = ring_for(field), field.order, field.tables()
+    c = t.mul[field.two_inverse, field.element(xi).index]
+    k = np.arange(q)
+    tr_nk = t.trace[t.mul[k[:, None], k]]
+    roots = ((t.trace[t.mul[c, t.mul[k, k]]] + tr_nk[:, None, :] - tr_nk) % field.p
+             * (ring.order // field.p))
+    slots = np.broadcast_to(np.arange(q * q).reshape(q, q, 1), roots.shape)
+    return OperatorMatrix.from_packed(ring, ring.root_sum(
+        ring.root_coeffs()[0], roots, slots, (q, q), 2 * field.ell))
 
 
 def fourier_params(field: GFField) -> SymplecticParams:
@@ -388,11 +389,13 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     r, s, tt, u = _param_indices(elements)
     alpha = t.add[t.mul[u[:, None], la], t.mul[s[:, None], lb]]
     beta = t.add[t.mul[tt[:, None], la], t.mul[r[:, None], lb]]
-    shift = -t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
-    m_idx = np.arange(q)
-    block = max(1, SWEEP_ENTRIES // (len(la) * q * q))
-    for start in range(0, len(elements), block):
-        sl = slice(start, start + block)
+    shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
+    # O(G L q) arrays per outer block (a quarter of SWEEP_ENTRIES each, as
+    # several are alive at once), the O(G L q^2) gather per inner block
+    outer = max(1, SWEEP_ENTRIES // (4 * len(la) * q))
+    inner = max(1, SWEEP_ENTRIES // (len(la) * q * q))
+    for start in range(0, len(elements), outer):
+        sl = slice(start, start + outer)
         d_perm, d_phase = displacement_arrays(field, alpha[sl], beta[sl])
         chart = fac.fourier[sl].astype(np.intp)
         y_src, y_phase = lam_perm[chart], lam_phase[chart]
@@ -405,16 +408,16 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
         b_off = base_of[sl][:, None, None] * (2 * order * q * q)
         by_m = b_off + (order + y) * (q * q) + y_col
         by_j = d_perm * q - d_phase * (q * q)
-        lhs = flat[by_m[:, :, None, :] + by_j[:, :, :, None]]
-        rhs = codes[base_of[sl][:, None, None], 0, m_idx[:, None], m_perm[:, None, :]]
-        law = (lhs == rhs[:, None]).all(axis=(2, 3))
+        rhs = codes[base_of[sl][:, None, None], 0, np.arange(q)[:, None], m_perm[:, None, :]]
+        law = np.empty(by_m.shape[:2], dtype=bool)
+        for i in range(0, len(law), inner):
+            b = slice(i, i + inner)
+            lhs = flat[by_m[b, :, None, :] + by_j[b, :, :, None]]
+            law[b] = (lhs == rhs[b, None]).all(axis=(2, 3))
         # D(g(a, 0)) and D(g(0, b)) keep the Weyl commutation phase
-        zp, zph = d_perm[:, :n, None], d_phase[:, :n, None]
-        xp, xph = d_perm[:, None, n:2 * n], d_phase[:, None, n:2 * n]
-        comm = ((np.take_along_axis(xp, zp, 3) == np.take_along_axis(zp, xp, 3))
-                & ((zph + np.take_along_axis(xph, zp, 3) - xph
-                    - np.take_along_axis(zph, xp, 3) - shift[:, :, None])
-                   % order == 0)).all(axis=(1, 2, 3))
+        comm = braiding_holds((d_perm[:, :n, None], d_phase[:, :n, None]),
+                              (d_perm[:, None, n:2 * n], d_phase[:, None, n:2 * n]),
+                              shift[:, :, None], order).all(axis=(1, 2, 3))
         verdict = np.stack([law[:, :n].all(1), law[:, n:2 * n].all(1),
                             law[:, 2 * n:].all(1), comm], axis=1)
         out[sl, 0] = unitary[sl]
@@ -425,6 +428,27 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     return out
 
 
+def _closed_form_parts(field: GFField, elements):
+    """(a, b) per element: a the field index of the Gauss-sum multiplier A,
+    b the (G, q, q) root exponents of Tr B(n, m)."""
+    if field.p == 2:
+        raise EvenCharacteristic("closed form needs odd characteristic")
+    tb = field.tables()
+    r, s, t, _ = _param_indices(elements)
+    w = tb.add[tb.mul[s, t], 1]
+    if not (r.all() and t.all() and w.all()):
+        raise DomainRestriction("closed form needs r != 0, t != 0 and 1 + s*t != 0")
+    rt = tb.mul[r, t]
+    a = tb.neg[tb.mul[field.two_inverse, tb.mul[tb.inv[w], rt]]]
+    coef, r, w = (x[:, None, None] for x in (tb.inv[tb.add[rt, rt]], r, w))
+    n, m = np.arange(field.order)[:, None], np.arange(field.order)
+    # B(n, m) = coef (w n^2 + r^2 m^2 - 2 r n m), one gather per term
+    b_idx = tb.mul[coef, tb.add[tb.add[tb.mul[w, tb.mul[n, n]],
+                                       tb.mul[tb.mul[r, r], tb.mul[m, m]]],
+                                tb.neg[tb.mul[tb.add[r, r], tb.mul[n, m]]]]]
+    return a, tb.trace[b_idx] * (ring_for(field).order // field.p)
+
+
 def closed_form_matrix(field: GFField, params: SymplecticParams) -> OperatorMatrix:
     """Gauss-sum closed form for the matrix elements of a generic element.
 
@@ -432,46 +456,55 @@ def closed_form_matrix(field: GFField, params: SymplecticParams) -> OperatorMatr
     B = (2 r t)^-1 ((1+s t) n^2 - 2 n m r + m^2 r^2).  Requires r, t != 0
     and 1 + s t != 0 (the expression divides by all three).
     """
-    if field.p == 2:
-        raise EvenCharacteristic("closed form needs odd characteristic")
-    r, s, t = params.r, params.s, params.t
-    w = s * t + 1
-    if r.is_zero or t.is_zero or w.is_zero:
-        raise DomainRestriction(
-            "closed form needs r != 0, t != 0 and 1 + s*t != 0")
-    ring = ring_for(field)
-    half = field.element(field.two_inverse)
-    a_val = -(half * w.inverse() * r * t)
-    g = gauss_sum(field, a_val).value
-    scale = g * ring.rational(1, field.order)
-    coef = (field.element(2) * r * t).inverse().index
-    q = field.order
-    tb = field.tables()
-    n, m = np.arange(q)[:, None], np.arange(q)
-    # B(n, m) = coef (w n^2 + r^2 m^2 - 2 r n m), one gather per term
-    b_idx = tb.mul[coef, tb.add[tb.add[tb.mul[w.index, tb.mul[n, n]],
-                                       tb.mul[tb.mul[r.index, r.index], tb.mul[m, m]]],
-                                tb.neg[tb.mul[tb.add[r.index, r.index], tb.mul[n, m]]]]]
+    a, b = _closed_form_parts(field, [params])
+    ring, q = ring_for(field), field.order
+    scale = gauss_sum(field, int(a[0])).value * ring.rational(1, q)
     data, e, den = ring.pack(((scale,),))
     return OperatorMatrix.from_packed(ring, ring.root_sum(
-        data[0, 0], tb.trace[b_idx] * (ring.order // field.p),
-        np.arange(q * q).reshape(q, q), (q, q), e, den))
+        data[0, 0], b[0], np.arange(q * q).reshape(q, q), (q, q), e, den))
+
+
+def closed_form_sweep(field: GFField, elements) -> list[dict]:
+    """The :func:`closed_form_elements_check` result of every element.
+
+    In the generic chart U(n, m) = S_x(n, perm m) zeta^phase(m)
+    (:func:`element_factors`) and the closed form is scale zeta^B(n, m), so
+    they are proportional exactly when the root-rotation code of S_x(n,
+    perm m) by phase(m) - B(n, m) is constant: one gather per element, O(G
+    q^2) memory.  The phase U(0, 0) zeta^-B(0, 0) / scale must have modulus 1."""
+    elements = list(elements)
+    a, b = _closed_form_parts(field, elements)
+    if not elements:
+        return []
+    ring, q = ring_for(field), field.order
+    fac = element_factors(field, elements)
+    bases, base_of = np.unique(fac.shear, return_inverse=True)
+    mats = [generator_shear_x(field, int(x)) for x in bases]
+    rot = (fac.phase[:, None, :] - b) % ring.order
+    codes = _rotation_codes(ring, [m.packed[0] for m in mats])[
+        base_of[:, None, None], rot, np.arange(q)[:, None], fac.perm[:, None, :]]
+    constant = (codes == codes[:, :1, :1]).all(axis=(1, 2))
+    inv_scale, out = {}, []
+    for k, x in enumerate(a.tolist()):
+        if x not in inv_scale:
+            scale = gauss_sum(field, x).value * ring.rational(1, q)
+            inv_scale[x] = scale.inverse() if scale else ring.zero
+        phase = (mats[base_of[k]].rows[0][fac.perm[k, 0]].times_root(int(rot[k, 0, 0]))
+                 * inv_scale[x])
+        if not constant[k] or phase * phase.conj() != ring.one:
+            phase = None
+        out.append({"proportional": phase is not None, "phase": phase,
+                    "phase_is_one": phase == ring.one})
+    return out
 
 
 def closed_form_elements_check(field: GFField, params: SymplecticParams) -> dict:
     """Compare the synthesised unitary against the Gauss-sum closed form.
 
     Equality is asserted up to one global unit-modulus phase, which is
-    extracted exactly and reported.
+    extracted exactly and reported; the one-element :func:`closed_form_sweep`.
     """
-    built = synthesize(field, params)
-    closed = closed_form_matrix(field, params)
-    phase = proportionality_phase(built, closed)
-    return {
-        "proportional": phase is not None,
-        "phase": phase,
-        "phase_is_one": phase == ring_for(field).one if phase is not None else False,
-    }
+    return closed_form_sweep(field, [params])[0]
 
 
 def frobenius_action_check(field: GFField, params: SymplecticParams,

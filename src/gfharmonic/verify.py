@@ -454,11 +454,10 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 
         ok = True
         for d in field.divisors():
-            sub = field.subfield_indices(d)
-            for a in sub:
-                for b in sub:
-                    if not hb.subfield_power_relation_check(field, d, a, b)["holds"]:
-                        ok = False
+            sub = np.asarray(field.subfield_indices(d))
+            a, b = np.repeat(sub, len(sub)), np.tile(sub, len(sub))
+            ok = holds(len(a), q, lambda s: hb.subfield_power_relation_check(
+                field, d, a[s], b[s])["holds"]) and ok
         rep.add("subfield_displacement_power_relation", ok)
 
         ok = True
@@ -590,16 +589,11 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                      or (params.s * params.t + 1).is_zero)]
     if len(valid) > 50:
         valid = [valid[rng.randrange(len(valid))] for _ in range(50)]
-    ok = True
-    all_unit = True
-    for params in valid:
-        res = sp.closed_form_elements_check(field, params)
-        if not res["proportional"]:
-            ok = False
-        if not res["phase_is_one"]:
-            all_unit = False
-    rep.add("closed_form_matches_synthesis", ok,
-            detail=f"triples={len(valid)}, phase_one={all_unit}")
+    results = sp.closed_form_sweep(field, valid)
+    bad = [params for params, res in zip(valid, results) if not res["proportional"]]
+    detail = (f"triples={len(valid)}, phase_one={all(res['phase_is_one'] for res in results)}"
+              + (f", witness=({bad[0].r}, {bad[0].s}, {bad[0].t})" if bad else ""))
+    rep.add("closed_form_matches_synthesis", not bad, detail=detail)
 
     sampled = _sample_params(field, rng, 3)
     ok = all(sp.synthesize(field, params).is_unitary() for params in sampled)

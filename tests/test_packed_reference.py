@@ -1,6 +1,8 @@
 """Differential tests: the packed kernels against the per-entry loops they
-replaced, and the label-grid identity checks of the heisenberg suite
-against the per-label Monomial loops they replaced.
+replaced, the label-grid identity checks of the heisenberg suite against
+the per-label Monomial loops they replaced, and the whole-family closed
+form, shear element sum and subfield checks against their per-element and
+per-label dense loops, also under planted faults.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -15,8 +17,10 @@ import random
 import numpy as np
 import pytest
 
-from gfharmonic import cyclo, frobenius, heisenberg
+from gfharmonic import cyclo, fourier, frobenius, heisenberg
+from gfharmonic import symplectic as sp
 from gfharmonic.cyclo import ScalarAccumulator
+from gfharmonic.errors import DomainRestriction, NotInSubfield
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import GFField, make_field
 from gfharmonic.heisenberg import (displacement_monomial, label_sum,
@@ -26,9 +30,9 @@ from gfharmonic.heisenberg import (displacement_monomial, label_sum,
                                    weyl_reconstruct)
 from gfharmonic.hilbert import phi_basis, ring_for
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
-                               inner_product, outer)
+                               inner_product, outer, proportionality_phase)
 from gfharmonic.symplectic import SymplecticParams, synthesize
-from gfharmonic.verify import VerifyConfig, heisenberg_suite
+from gfharmonic.verify import VerifyConfig, heisenberg_suite, symplectic_suite
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
@@ -515,3 +519,298 @@ def test_composition_law_compares_the_permutations():
     assert heisenberg.composition_law_holds(field, perm, phase, first, second)
     perm[5, [0, 1]] = perm[5, [1, 0]]
     assert not heisenberg.composition_law_holds(field, perm, phase, first, second)
+
+
+# -- whole-family kernels of the symplectic and subfield checks -------------------
+#
+# The references are the per-element and per-label bodies these kernels
+# replaced: dense products, per-entry sum_of_roots and CycloScalar powers.
+
+def ref_closed_form_matrix(field, params):
+    """The closed form built from field-element arithmetic, one Gauss sum."""
+    ring = ring_for(field)
+    r, s, t = params.r, params.s, params.t
+    w = s * t + 1
+    half = field.element(field.two_inverse)
+    scale = sp.gauss_sum(field, -(half * w.inverse() * r * t)).value * ring.rational(1, field.order)
+    coef = (field.element(2) * r * t).inverse()
+    rows = [[scale * ring.omega(field.trace_index(
+                (coef * (w * n * n + r * r * m * m - field.element(2) * r * n * m)).index))
+             for m in field.elements()] for n in field.elements()]
+    return OperatorMatrix(field.order, EXACT, ring, rows)
+
+
+def ref_closed_form_check(field, params):
+    """The per-element check: synthesis against the closed form, densely."""
+    phase = proportionality_phase(synthesize(field, params), sp.closed_form_matrix(field, params))
+    return {"proportional": phase is not None, "phase": phase,
+            "phase_is_one": phase == ring_for(field).one if phase is not None else False}
+
+
+def ref_shear_x_closed_form(field, xi):
+    """Every entry as its own q-term sum_of_roots."""
+    ring = ring_for(field)
+    c = (field.element(field.two_inverse) * field.element(xi)).index
+    tr, mul = field.trace_index, field.mul_index
+    q = field.order
+    return [[ring.sum_of_roots(
+                (ring.omega_exponent(tr(mul(c, mul(k, k))) + tr(mul(k, n)) - tr(mul(k, m)))
+                 for k in range(q)), 2 * field.ell)
+             for m in range(q)] for n in range(q)]
+
+
+def ref_intertwining(field, d, labels):
+    """Dense conjugations by the embedded subfield Fourier matrix."""
+    sub_f = fourier.subfield_fourier(field, d)
+    sub_f_adj = sub_f.adjoint()
+    ring = ring_for(field)
+    ok_z = ok_x = ok_braid = True
+    for a in labels:
+        z_a = heisenberg.subfield_z_power(field, d, a)
+        x_a = heisenberg.subfield_x_power(field, d, a)
+        if not ((sub_f @ z_a) @ sub_f_adj).equals(
+                heisenberg.subfield_x_power(field, d, field.neg_index(a))):
+            ok_z = False
+        if not ((sub_f @ x_a) @ sub_f_adj).equals(z_a):
+            ok_x = False
+        for b in labels:
+            x_b = heisenberg.subfield_x_power(field, d, b)
+            t = field.subfield_trace(field.mul_index(a, b), d)
+            if not (z_a @ x_b).equals((x_b @ z_a).scaled(ring.omega(t))):
+                ok_braid = False
+    return {"z_to_shift": ok_z, "shift_to_z": ok_x, "braiding": ok_braid}
+
+
+def ref_power_relation(field, d, a, b):
+    """Dense matrices, compared entry by entry as CycloScalar powers."""
+    dop = heisenberg.displacement(field, a, b)
+    small = heisenberg.subfield_displacement(field, d, a, b)
+    power = field.ell // d
+    sub = field.subfield_indices(d)
+    return all(dop.rows[n][m] == small.rows[n][m] ** power for n in sub for m in sub)
+
+
+def generic_elements(field):
+    return [g for g in sp.enumerate_group(field)
+            if not (g.r.is_zero or g.t.is_zero or (g.s * g.t + 1).is_zero)]
+
+
+def suite_closed_form_draws(field, monkeypatch):
+    """The elements symplectic_suite hands to closed_form_sweep."""
+    seen = []
+    original = sp.closed_form_sweep
+    monkeypatch.setattr(sp, "closed_form_sweep",
+                        lambda f, els: seen.append(list(els)) or original(f, els))
+    symplectic_suite(field)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def assert_same_closed_form(field, elements):
+    got = sp.closed_form_sweep(field, elements)
+    want = [ref_closed_form_check(field, g) for g in elements]
+    assert [(r["proportional"], r["phase_is_one"]) for r in got] == \
+        [(r["proportional"], r["phase_is_one"]) for r in want]
+    # canonical scalars are unique, so equal phases have equal triples
+    assert [None if r["phase"] is None else canonical([[r["phase"]]]) for r in got] == \
+        [None if r["phase"] is None else canonical([[r["phase"]]]) for r in want]
+    return got
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2)], ids=str)
+def test_closed_form_sweep_matches_per_element_check_on_every_element(pe):
+    field = make_field(*pe)
+    elements = generic_elements(field)
+    got = assert_same_closed_form(field, elements)
+    assert all(r["proportional"] and r["phase_is_one"] for r in got)
+    for g in elements[::7]:
+        assert canonical(sp.closed_form_matrix(field, g).rows) == \
+            canonical(ref_closed_form_matrix(field, g).rows)
+    assert sp.closed_form_elements_check(field, elements[-1]) == got[-1]
+
+
+@pytest.mark.parametrize("pe", [(5, 2), (3, 3)], ids=str)
+def test_closed_form_sweep_matches_on_the_suite_draws(pe, monkeypatch):
+    field = make_field(*pe)
+    elements = suite_closed_form_draws(field, monkeypatch)
+    assert len(elements) == 50
+    assert all(r["proportional"] for r in assert_same_closed_form(field, elements))
+
+
+def test_closed_form_sweep_domain():
+    field = make_field(3, 2)
+    with pytest.raises(DomainRestriction):
+        sp.closed_form_sweep(field, [SymplecticParams.from_rst(field, 1, 1, 0)])
+    with pytest.raises(DomainRestriction):
+        sp.closed_form_elements_check(field, sp.fourier_params(field))
+    assert sp.closed_form_sweep(field, []) == []
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2), (3, 3)], ids=str)
+def test_shear_x_closed_form_matches_entrywise_sums(pe):
+    field = make_field(*pe)
+    xis = range(field.order) if field.order <= 9 else (0, 1, field.order - 2)
+    for xi in xis:
+        got = sp.shear_x_closed_form(field, xi)
+        assert canonical(got.rows) == canonical(ref_shear_x_closed_form(field, xi))
+        assert got.equals(sp.generator_shear_x(field, xi))
+
+
+def intertwining_labels(field, d):
+    sub = field.subfield_indices(d)
+    rng = random.Random(field.order * 10 + d)
+    return list(sub) if len(sub) <= 9 else [sub[rng.randrange(len(sub))] for _ in range(3)]
+
+
+SUBFIELD_CASES = [((p, ell), d) for p, ell in ((3, 2), (5, 2), (3, 3), (3, 4))
+                  for d in range(1, ell + 1) if ell % d == 0]
+
+
+@pytest.mark.parametrize("pe,d", SUBFIELD_CASES, ids=str)
+def test_subfield_intertwining_matches_dense_loop(pe, d):
+    field = make_field(*pe)
+    labels = intertwining_labels(field, d)
+    got = heisenberg.subfield_fourier_intertwining_check(field, d, labels)
+    assert got == ref_intertwining(field, d, labels)
+    assert all(got.values())
+
+
+@pytest.mark.parametrize("pe,d", SUBFIELD_CASES, ids=str)
+def test_subfield_power_relation_matches_dense_loop(pe, d, monkeypatch):
+    field = make_field(*pe)
+    sub = np.asarray(field.subfield_indices(d))
+    pairs = [(int(a), int(b)) for a in sub for b in sub]
+    if len(pairs) > 100:
+        pairs = random.Random(d).sample(pairs, 100)
+    for a, b in pairs:
+        assert heisenberg.subfield_power_relation_check(field, d, a, b) == {
+            "holds": ref_power_relation(field, d, a, b), "power": field.ell // d}
+    # the whole block of labels in one call, as the suite makes it
+    a, b = np.repeat(sub, len(sub)), np.tile(sub, len(sub))
+    assert heisenberg.subfield_power_relation_check(field, d, a, b)["holds"]
+    if d < field.ell:
+        outside = np.setdiff1d(np.arange(field.order), sub)[:1]
+        with pytest.raises(NotInSubfield):
+            heisenberg.subfield_power_relation_check(field, d, a[:1], outside)
+    # one wrong phase in one block column of every D, or two block columns
+    # of every D sent to each other's rows: each half of the check sees one
+    perm, phase = heisenberg.displacement_arrays(field, a, b)
+    swapped = perm.copy()
+    swapped[:, sub[:2]] = perm[:, sub[1::-1]]
+    for wrong in ((perm, phase + (np.arange(field.order) == sub[-1])), (swapped, phase)):
+        monkeypatch.setattr(heisenberg, "displacement_arrays", lambda *args: wrong)
+        assert not heisenberg.subfield_power_relation_check(field, d, a, b)["holds"]
+
+
+def test_action_sweep_blocks_agree(monkeypatch):
+    field = make_field(3, 2)
+    group = sp.enumerate_group(field)
+    labels = [field.one, field.generator]
+    want = sp.action_sweep(field, group, labels)
+    monkeypatch.setattr(sp, "SWEEP_ENTRIES", 1)
+    assert np.array_equal(sp.action_sweep(field, group[:40], labels), want[:40])
+    monkeypatch.setattr(sp, "SWEEP_ENTRIES", 3000)
+    assert np.array_equal(sp.action_sweep(field, group, labels), want)
+
+
+# -- planted faults fail on both paths -------------------------------------------
+
+def flip_b(monkeypatch, field):
+    original = sp._closed_form_parts
+    order = ring_for(field).order
+    monkeypatch.setattr(sp, "_closed_form_parts",
+                        lambda f, els: (lambda a, b: (a, -b % order))(*original(f, els)))
+
+
+def flip_gauss_sign(monkeypatch, field):
+    original = sp.gauss_sum
+    monkeypatch.setattr(sp, "gauss_sum", lambda f, a: sp.GaussSumValue(
+        a=f.element(a), value=-original(f, a).value))
+
+
+def scale_shear_base(monkeypatch, field):
+    original = sp.generator_shear_x
+    monkeypatch.setattr(sp, "generator_shear_x", lambda f, xi: original(f, xi).scaled(2))
+
+
+def swap_shear_base(monkeypatch, field):
+    original = sp.generator_shear_x
+    monkeypatch.setattr(sp, "generator_shear_x", lambda f, xi: original(
+        f, 2 if f.element(xi).index == 1 else xi))
+
+
+CLOSED_FORM_FAULTS = {"b_sign": flip_b, "gauss_sign": flip_gauss_sign,
+                      "swapped_base": swap_shear_base, "scaled_base": scale_shear_base}
+
+
+@pytest.mark.parametrize("fault", sorted(CLOSED_FORM_FAULTS))
+def test_closed_form_faults_fail_on_both_paths(fault, monkeypatch):
+    field = make_field(3, 2)
+    elements = generic_elements(field)
+    CLOSED_FORM_FAULTS[fault](monkeypatch, field)
+    got = assert_same_closed_form(field, elements)
+    proportional = [r["proportional"] for r in got]
+    if fault == "gauss_sign":  # still proportional, with phase -1 everywhere
+        assert all(proportional) and not any(r["phase_is_one"] for r in got)
+    elif fault == "scaled_base":  # proportional by 2, which is not a unit phase
+        assert not any(proportional)
+    else:
+        assert not all(proportional)
+    if fault == "swapped_base":  # exactly the elements built on that shear
+        shear = sp.element_factors(field, elements).shear
+        assert proportional == [int(x) != 1 for x in shear]
+
+
+def test_closed_form_witness_names_the_first_failing_element(monkeypatch):
+    field = make_field(3, 2)
+    elements = suite_closed_form_draws(field, monkeypatch)
+    swap_shear_base(monkeypatch, field)
+    first = next(g for g in elements if not ref_closed_form_check(field, g)["proportional"])
+    item = next(i for i in symplectic_suite(field).items
+                if i.name == "closed_form_matches_synthesis")
+    assert item.status == "fail"
+    assert item.detail.endswith(f", witness=({first.r}, {first.s}, {first.t})")
+
+
+def drop_braiding_phase(monkeypatch, field):
+    original = heisenberg.braiding_holds
+    monkeypatch.setattr(heisenberg, "braiding_holds",
+                        lambda first, second, shift, order: original(first, second, 0, order))
+    monkeypatch.setattr(type(ring_for(field)), "omega", lambda ring, a: ring.one)
+
+
+def shift_not_negated(monkeypatch, field):
+    tables = field.tables()
+    monkeypatch.setattr(field, "tables",
+                        lambda: tables._replace(neg=np.arange(field.order)))
+    monkeypatch.setattr(field, "neg_index", lambda a: a)
+
+
+@pytest.mark.parametrize("fault,broken", [(drop_braiding_phase, "braiding"),
+                                          (shift_not_negated, "z_to_shift")], ids=str)
+@pytest.mark.parametrize("pe,d", [((3, 2), 1), ((3, 2), 2), ((5, 2), 2)], ids=str)
+def test_intertwining_faults_fail_on_both_paths(fault, broken, pe, d, monkeypatch):
+    field = make_field(*pe)
+    labels = intertwining_labels(field, d)
+    fault(monkeypatch, field)
+    got = heisenberg.subfield_fourier_intertwining_check(field, d, labels)
+    assert got == ref_intertwining(field, d, labels)
+    assert got == {"z_to_shift": True, "shift_to_z": True, "braiding": True, broken: False}
+
+
+def test_intertwining_compares_the_scale(monkeypatch):
+    # F_d M F_d+ at half its value has the target's coefficients over Q = 2
+    field = make_field(3, 2)
+    original = cyclo.CycloRing.root_sum
+    monkeypatch.setattr(cyclo.CycloRing, "root_sum", lambda ring, data, roots, dest, shape, e=0,
+                        q=1: original(ring, data, roots, dest, shape, e, 2 * q))
+    got = heisenberg.subfield_fourier_intertwining_check(field, 1)
+    assert got == {"z_to_shift": False, "shift_to_z": False, "braiding": True}
+
+
+def test_braiding_compares_the_permutations():
+    # two transpositions that do not commute, all phases zero
+    first = (np.array([1, 0, 2]), np.zeros(3, dtype=int))
+    second = (np.array([0, 2, 1]), np.zeros(3, dtype=int))
+    assert heisenberg.braiding_holds(first, first, 0, 4).all()
+    assert not heisenberg.braiding_holds(first, second, 0, 4).all()
