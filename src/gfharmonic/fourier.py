@@ -95,7 +95,7 @@ def component_factorization_check(field: GFField) -> dict:
     }
 
 
-def subfield_power_relation_check(field: GFField, d: int) -> dict:
+def subfield_fourier_power_relation_check(field: GFField, d: int) -> dict:
     """Entrywise check that the subfield block of F is the (ell/d)-th power
     of the subfield Fourier matrix.
 

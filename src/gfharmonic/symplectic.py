@@ -29,6 +29,8 @@ to S_x Y = D S_x with Y = N Lambda N+ monomial, and each entry of that is
 one lookup in the root rotations of S_x, batched over every element and
 label that share it.  :func:`action_check` is the per-element reference.
 :func:`closed_form_sweep` compares U with the Gauss-sum closed form the same way.
+The sweeps take element arrays (:func:`enumerate_group`); one element is a
+:class:`SymplecticParams`.
 """
 
 from __future__ import annotations
@@ -71,13 +73,10 @@ class SymplecticParams:
 
     @classmethod
     def from_rst(cls, field: GFField, r, s, t) -> "SymplecticParams":
-        r = field.element(r)
-        s = field.element(s)
-        t = field.element(t)
-        if r.is_zero:
+        r, s, t = (field.element(x).index for x in (r, s, t))
+        if r == 0:
             raise ConstraintViolated("r = 0 leaves u undetermined; supply it")
-        u = r.inverse() * (s * t + 1)
-        return cls(r, s, t, u)
+        return cls.from_row(field, _complete_rows(field, np.array([[r, s, t, 0]]))[0])
 
     def matrix(self):
         """Rows of the label-action matrix ((u, s), (t, r))."""
@@ -90,6 +89,15 @@ class SymplecticParams:
     def frobenius(self, k: int = 1) -> "SymplecticParams":
         return SymplecticParams(self.r.frobenius(k), self.s.frobenius(k),
                                 self.t.frobenius(k), self.u.frobenius(k))
+
+    def to_row(self) -> np.ndarray:
+        """The field indices (r, s, t, u): one row of an element array."""
+        return np.array([x.index for x in (self.r, self.s, self.t, self.u)], dtype=np.int64)
+
+    @classmethod
+    def from_row(cls, field: GFField, row) -> "SymplecticParams":
+        """The element at one row (r, s, t, u) of an element array."""
+        return cls(*(field.element(int(x)) for x in row))
 
     def __str__(self):
         return f"(r={self.r}, s={self.s}, t={self.t}, u={self.u})"
@@ -187,30 +195,17 @@ def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
 
 def fourier_params(field: GFField) -> SymplecticParams:
     """The Fourier matrix as a group element: (u, s, t, r) = (0, 1, -1, 0)."""
-    zero, one = field.zero, field.one
-    return SymplecticParams(r=zero, s=one, t=-one, u=zero)
-
-
-def _compose_with_fourier(params: SymplecticParams) -> SymplecticParams:
-    # Right multiplication of the label-action matrix by the Fourier element:
-    # ((u, s), (t, r)) . ((0, 1), (-1, 0)) = ((-s, u), (-r, t))
-    return SymplecticParams(r=params.t, s=params.u, t=-params.r, u=-params.s)
+    return SymplecticParams.from_row(field, (0, 1, field.neg_index(1), 0))
 
 
 def synthesize(field: GFField, params: SymplecticParams) -> OperatorMatrix:
-    """Unitary realising the conjugation action of a group element."""
-    if field.p == 2:
-        raise EvenCharacteristic("symplectic unitaries need odd characteristic")
-    r, s, t = params.r, params.s, params.t
-    w = s * t + 1
-    if (not r.is_zero) and (not w.is_zero):
-        xi1 = r * t * w.inverse()
-        xi2 = s * r.inverse() * w
-        xi3 = r * w.inverse()
-        mono = generator_shear_z(field, xi2) @ generator_scaling(field, xi3)
-        return mono.right_mul_dense(generator_shear_x(field, -xi1))
-    shifted = synthesize(field, _compose_with_fourier(params))
-    return shifted @ fourier_matrix(field).adjoint()
+    """Unitary realising the conjugation action of a group element: the
+    one-row case of :func:`element_factors`, S_x(shear) . M, times F+
+    outside the generic chart."""
+    fac = element_factors(field, params.to_row()[None])
+    mono = Monomial(ring_for(field), fac.perm[0].tolist(), fac.phase[0].tolist())
+    u = mono.right_mul_dense(generator_shear_x(field, int(fac.shear[0])))
+    return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
 
 
 def action_check(field: GFField, params: SymplecticParams,
@@ -267,16 +262,54 @@ ACTION_KEYS = ("unitary", "z_action", "x_action", "displacement_action",
 SWEEP_ENTRIES = 1 << 15  # gathered entries per block of action_sweep: ~1 MB of temporaries
 
 
-def _param_indices(elements):
-    # the (r, s, t, u) field indices of a list of elements, as four arrays
-    return tuple(np.array([getattr(g, k).index for g in elements], dtype=np.int64)
-                 for k in "rstu")
+def _complete_rows(field: GFField, rows: np.ndarray) -> np.ndarray:
+    """Rows (r, s, t, u) of field indices completed to r u - s t = 1 in their
+    chart: u = r^-1 (1 + s t) where r != 0, s = -t^-1 where r = 0 (t != 0)."""
+    tb = field.tables()
+    r, s, t, u = rows.T
+    generic = r != 0
+    return np.stack([r, np.where(generic, s, tb.neg[tb.inv[t]]), t,
+                     np.where(generic, tb.mul[tb.inv[r], tb.add[tb.mul[s, t], 1]], u)],
+                    axis=1)
+
+
+def enumerate_group(field: GFField) -> np.ndarray:
+    """All q(q^2 - 1) group elements as an element array: a (G, 4) int64
+    array whose rows are the field indices (r, s, t, u) of G elements.  The
+    r != 0 chart comes first, ordered by (r, s, t), then the r = 0 chart
+    (s = -t^-1), ordered by (t, u)."""
+    q = field.order
+    rst = np.indices((q - 1, q, q)).reshape(3, -1).T + (1, 0, 0)
+    tu = np.indices((q - 1, q)).reshape(2, -1).T + (1, 0)
+    return _complete_rows(field, np.concatenate([np.pad(rst, ((0, 0), (0, 1))),
+                                                 np.pad(tu, ((0, 0), (2, 0)))]))
+
+
+def sample_group(field: GFField, rng, count: int) -> np.ndarray:
+    """count elements as an element array: each draws the field index r,
+    then (s, t) where r != 0 or (t != 0, u) where r = 0, one ``rng.choice``
+    each, and is completed in its chart as in :func:`enumerate_group`."""
+    q = field.order
+    rows = []
+    for _ in range(count):
+        r = rng.choice(range(q))
+        rows.append((r, rng.choice(range(q)), rng.choice(range(q)), 0) if r else
+                    (0, 0, rng.choice(range(1, q)), rng.choice(range(q))))
+    return _complete_rows(field, np.array(rows, dtype=np.int64).reshape(-1, 4))
+
+
+def closed_form_domain(field: GFField, elements) -> np.ndarray:
+    """Mask of the elements where :func:`closed_form_matrix` is defined:
+    r, t and 1 + s t all nonzero."""
+    tb = field.tables()
+    r, s, t, _ = elements.T
+    return (r != 0) & (t != 0) & (tb.add[tb.mul[s, t], 1] != 0)
 
 
 @dataclass(frozen=True)
 class ElementFactors:
-    """The factors U(g) = S_x(shear) . M . (F+ where fourier) that
-    :func:`synthesize` multiplies, one row per element.
+    """The factors U(g) = S_x(shear) . M . (F+ where fourier) of
+    :func:`synthesize`, one row per element.
 
     M = S(1, xi2, 0) . S(xi3, 0, 0) is monomial, M(perm[m], m) =
     zeta^phase[m]; ``shear`` is the field index of -xi1.  ``fourier`` marks
@@ -292,8 +325,10 @@ class ElementFactors:
 
 def element_factors(field: GFField, elements) -> ElementFactors:
     """Factors of every element, from gathers on the field's index arrays."""
+    if field.p == 2:
+        raise EvenCharacteristic("symplectic unitaries need odd characteristic")
     t = field.tables()
-    r, s, tt, u = _param_indices(elements)
+    r, s, tt, u = elements.T
     fourier = (r == 0) | (t.add[t.mul[s, tt], 1] == 0)
     # the Fourier-composed element (t, u, -r, -s) lies in the generic chart
     r, s, tt = (np.where(fourier, tt, r), np.where(fourier, u, s),
@@ -310,18 +345,15 @@ def element_factors(field: GFField, elements) -> ElementFactors:
 
 
 def _fourier_conjugates(field: GFField, perm, phase):
-    """(perm, phase) of W = F+ D F for each label's D, or None unless F is
-    unitary and every W is monomial."""
+    """Whether F is unitary, and (perm, phase) of W = F+ D F for each label's
+    D, with the identity where W is not monomial."""
     f = fourier_matrix(field)
-    if not f.is_unitary():
-        return None
     ring = ring_for(field)
     f_adj = f.adjoint()
     conj = [Monomial.from_dense(f_adj @ Monomial(ring, pm, ph).left_mul_dense(f))
             for pm, ph in zip(perm.tolist(), phase.tolist())]
-    if any(w is None for w in conj):
-        return None
-    return np.array([w.perm for w in conj]), np.array([w.phase for w in conj])
+    conj = [Monomial.identity(ring, field.order) if w is None else w for w in conj]
+    return f.is_unitary(), (np.array([w.perm for w in conj]), np.array([w.phase for w in conj]))
 
 
 def _rotation_codes(ring, datas):
@@ -351,14 +383,14 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     S_x(j, m), is one gather, batched over elements and labels.  U is
     unitary exactly when its base is (N is unitary); a non-unitary U gets
     five False, as in action_check.  The commutation phase is
-    monomial-only.  If F is not unitary or some W is not monomial, the
-    elements that end with F+ go through action_check instead.
+    monomial-only.  If F is not unitary, the elements that end with F+ get
+    five False.  Where a label's W is not monomial, Y = I stands in: S_x =
+    D S_x fails at every label but 0, as the true law does, since a Clifford
+    shear S_x maps no non-monomial Y = M W M+ to a displacement.
     """
-    if field.p == 2:
-        raise EvenCharacteristic("symplectic unitaries need odd characteristic")
-    elements = list(elements)
+    fac = element_factors(field, elements)
     out = np.zeros((len(elements), len(ACTION_KEYS)), dtype=bool)
-    if not elements:
+    if not len(elements):
         return out
     ring = ring_for(field)
     q, order = field.order, ring.order
@@ -370,23 +402,19 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     # labels (a, 0), then (0, b), then (a, b), for a and b in els
     la = np.concatenate([els, zeros, np.repeat(els, n)])
     lb = np.concatenate([zeros, els, np.tile(els, n)])
-    fac = element_factors(field, elements)
     lam = displacement_arrays(field, la, lb)
-    conj = lam
-    fallback = np.zeros(len(elements), dtype=bool)
+    f_unitary, conj = True, lam
     if fac.fourier.any():
-        conj = _fourier_conjugates(field, *lam)
-        if conj is None:
-            conj, fallback = lam, fac.fourier
+        f_unitary, conj = _fourier_conjugates(field, *lam)
     lam_perm, lam_phase = np.stack([lam[0], conj[0]]), np.stack([lam[1], conj[1]])
 
     bases, base_of = np.unique(fac.shear, return_inverse=True)
     mats = [generator_shear_x(field, int(x)) for x in bases]
-    unitary = np.array([m.is_unitary() for m in mats])[base_of]
+    unitary = np.array([m.is_unitary() for m in mats])[base_of] & (f_unitary | ~fac.fourier)
     codes = _rotation_codes(ring, [m.packed[0] for m in mats])
     flat = codes.reshape(-1)
 
-    r, s, tt, u = _param_indices(elements)
+    r, s, tt, u = elements.T
     alpha = t.add[t.mul[u[:, None], la], t.mul[s[:, None], lb]]
     beta = t.add[t.mul[tt[:, None], la], t.mul[r[:, None], lb]]
     shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
@@ -422,9 +450,6 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
                             law[:, 2 * n:].all(1), comm], axis=1)
         out[sl, 0] = unitary[sl]
         out[sl, 1:] = verdict & unitary[sl, None]
-    for i in np.flatnonzero(fallback):
-        res = action_check(field, elements[i], labels=labels)
-        out[i] = [res[k] for k in ACTION_KEYS]
     return out
 
 
@@ -433,11 +458,11 @@ def _closed_form_parts(field: GFField, elements):
     b the (G, q, q) root exponents of Tr B(n, m)."""
     if field.p == 2:
         raise EvenCharacteristic("closed form needs odd characteristic")
-    tb = field.tables()
-    r, s, t, _ = _param_indices(elements)
-    w = tb.add[tb.mul[s, t], 1]
-    if not (r.all() and t.all() and w.all()):
+    if not closed_form_domain(field, elements).all():
         raise DomainRestriction("closed form needs r != 0, t != 0 and 1 + s*t != 0")
+    tb = field.tables()
+    r, s, t, _ = elements.T
+    w = tb.add[tb.mul[s, t], 1]
     rt = tb.mul[r, t]
     a = tb.neg[tb.mul[field.two_inverse, tb.mul[tb.inv[w], rt]]]
     coef, r, w = (x[:, None, None] for x in (tb.inv[tb.add[rt, rt]], r, w))
@@ -456,7 +481,7 @@ def closed_form_matrix(field: GFField, params: SymplecticParams) -> OperatorMatr
     B = (2 r t)^-1 ((1+s t) n^2 - 2 n m r + m^2 r^2).  Requires r, t != 0
     and 1 + s t != 0 (the expression divides by all three).
     """
-    a, b = _closed_form_parts(field, [params])
+    a, b = _closed_form_parts(field, params.to_row()[None])
     ring, q = ring_for(field), field.order
     scale = gauss_sum(field, int(a[0])).value * ring.rational(1, q)
     data, e, den = ring.pack(((scale,),))
@@ -472,9 +497,8 @@ def closed_form_sweep(field: GFField, elements) -> list[dict]:
     they are proportional exactly when the root-rotation code of S_x(n,
     perm m) by phase(m) - B(n, m) is constant: one gather per element, O(G
     q^2) memory.  The phase U(0, 0) zeta^-B(0, 0) / scale must have modulus 1."""
-    elements = list(elements)
     a, b = _closed_form_parts(field, elements)
-    if not elements:
+    if not len(elements):
         return []
     ring, q = ring_for(field), field.order
     fac = element_factors(field, elements)
@@ -504,7 +528,7 @@ def closed_form_elements_check(field: GFField, params: SymplecticParams) -> dict
     Equality is asserted up to one global unit-modulus phase, which is
     extracted exactly and reported; the one-element :func:`closed_form_sweep`.
     """
-    return closed_form_sweep(field, [params])[0]
+    return closed_form_sweep(field, params.to_row()[None])[0]
 
 
 def frobenius_action_check(field: GFField, params: SymplecticParams,
@@ -559,7 +583,7 @@ def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
     explicit = q <= 9
     t = field.tables()
     idx = np.arange(q)
-    r, s, tt, u = (x.index for x in (params.r, params.s, params.t, params.u))
+    r, s, tt, u = params.to_row()
     # image labels g(a, b) = (u a + s b, t a + r b), indexed [a, b]
     img_a = t.add[t.mul[u, idx][:, None], t.mul[s, idx]]
     img_b = t.add[t.mul[tt, idx][:, None], t.mul[r, idx]]
@@ -604,27 +628,6 @@ def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
                 ok_beta = False
                 break
     return {"alpha_sums": ok_alpha, "beta_sums": ok_beta}
-
-
-def enumerate_group(field: GFField):
-    """All q(q^2 - 1) group elements: the r != 0 chart plus the r = 0,
-    s t = -1 chart with u free."""
-    els = field.elements()
-    out = []
-    for r in els:
-        if r.is_zero:
-            continue
-        for s in els:
-            for t in els:
-                out.append(SymplecticParams.from_rst(field, r, s, t))
-    zero = field.zero
-    for t in els:
-        if t.is_zero:
-            continue
-        s = -t.inverse()
-        for u in els:
-            out.append(SymplecticParams(r=zero, s=s, t=t, u=u))
-    return out
 
 
 def non_factorization_witness(field: GFField) -> dict:

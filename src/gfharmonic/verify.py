@@ -281,7 +281,7 @@ def fourier_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRe
                 (sub_f @ sub_f.adjoint()).equals(pi))
         sf2 = sub_f @ sub_f
         rep.add(f"subfield_fourth_power[d={d}]", (sf2 @ sf2).equals(pi))
-        rel = fr.subfield_power_relation_check(field, d)
+        rel = fr.subfield_fourier_power_relation_check(field, d)
         rep.add(f"subfield_power_relation[d={d}]", rel["holds"],
                 detail=f"power={rel['power']}")
     return rep
@@ -489,20 +489,15 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 # symplectic suite
 
 
-def _sample_params(field: GFField, rng, count: int):
-    out = []
-    els = field.elements()
-    nonzero = els[1:]
-    while len(out) < count:
-        r = rng.choice(els)
-        if r.is_zero:
-            t = rng.choice(nonzero)
-            out.append(sp.SymplecticParams(r=field.zero, s=-t.inverse(), t=t,
-                                           u=rng.choice(els)))
-        else:
-            out.append(sp.SymplecticParams.from_rst(
-                field, r, rng.choice(els), rng.choice(els)))
-    return out
+def _row_text(field: GFField, row) -> str:
+    return "(" + ", ".join(str(field.element(int(x))) for x in row) + ")"
+
+
+def _determinant(field: GFField, rows) -> np.ndarray:
+    """r u - s t of each row (r, s, t, u) of an element array."""
+    tb = field.tables()
+    r, s, t, u = rows.T
+    return tb.add[tb.mul[r, u], tb.neg[tb.mul[s, t]]]
 
 
 def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteReport:
@@ -557,70 +552,69 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     # the sweep to q <= 27 (beyond that the group is too large to enumerate
     # usefully at desk scale)
     group = sp.enumerate_group(field)
+    count = len(np.unique(group[_determinant(field, group) == 1] @ q ** np.arange(3, -1, -1)))
+    ok = count == len(group) == q * (q * q - 1)
     if q <= 9 or (config.exhaustive and q <= 27):
-        rep.add("group_order_count", len(group) == q * (q * q - 1),
-                detail=f"count={len(group)}")
-        ok = bool(sp.action_sweep(field, group, gen_labels).all())
-        rep.add("action_law_exhaustive", ok, detail=f"elements={len(group)}")
+        rep.add("group_order_count", ok, detail=f"count={count}")
+        name, elements = "action_law_exhaustive", group
     else:
-        rep.add("group_order_count", len(group) == q * (q * q - 1))
-        sampled = _sample_params(field, rng, 8)
-        sampled.append(sp.fourier_params(field))
-        ok = bool(sp.action_sweep(field, sampled, gen_labels).all())
-        rep.add("action_law_sampled", ok, detail=f"elements={len(sampled)}")
+        rep.add("group_order_count", ok)
+        name = "action_law_sampled"
+        elements = np.vstack([sp.sample_group(field, rng, 8), sp.fourier_params(field).to_row()])
+    verdicts = sp.action_sweep(field, elements, gen_labels)
+    failing = np.flatnonzero(~verdicts.all(axis=1))
+    detail = f"elements={len(elements)}"
+    if len(failing):
+        row, key = elements[failing[0]], sp.ACTION_KEYS[verdicts[failing[0]].argmin()]
+        detail += f", witness={_row_text(field, row)}:{key}"
+    rep.add(name, not len(failing), detail=detail)
 
-    # conjugation action is a homomorphism on labels
-    hom_pairs = [(rng.choice(_sample_params(field, rng, 1)),
-                  rng.choice(_sample_params(field, rng, 1))) for _ in range(6)]
-    ok = True
-    for p1, p2 in hom_pairs:
-        prod = sp.SymplecticParams(
-            r=p1.t * p2.s + p1.r * p2.r, s=p1.u * p2.s + p1.s * p2.r,
-            t=p1.t * p2.u + p1.r * p2.t, u=p1.u * p2.u + p1.s * p2.t)
-        for a in (field.one, field.generator):
-            for b in (field.zero, field.one):
-                if prod.apply(a, b) != p1.apply(*p2.apply(a, b)):
-                    ok = False
-    rep.add("label_action_homomorphism", ok)
+    # conjugation action is a homomorphism on labels: the product of six
+    # pairs of elements (a column each) has r u - s t = 1 and maps the labels
+    # (a, b), a in {1, eps}, b in {0, 1}, as the two factors in turn
+    add, mul = field.tables().add, field.tables().mul
+    g1, g2 = np.array([(rng.choice(sp.sample_group(field, rng, 1)),
+                        rng.choice(sp.sample_group(field, rng, 1)))
+                       for _ in range(6)]).transpose(1, 2, 0)
+    (r1, s1, t1, u1), (r2, s2, t2, u2) = g1, g2
+    prod = np.array([add[mul[t1, s2], mul[r1, r2]], add[mul[u1, s2], mul[s1, r2]],
+                     add[mul[t1, u2], mul[r1, t2]], add[mul[u1, u2], mul[s1, t2]]])
+    eps = field.generator.index
+    a, b = np.array([[1, 1, eps, eps], [0, 1, 0, 1]])[:, :, None]
+
+    def act(g, a, b):  # label images (u a + s b, t a + r b)
+        return np.array([add[mul[g[3], a], mul[g[1], b]], add[mul[g[2], a], mul[g[0], b]]])
+    rep.add("label_action_homomorphism", bool((_determinant(field, prod.T) == 1).all())
+            and np.array_equal(act(prod, a, b), act(g1, *act(g2, a, b))))
 
     # closed form vs synthesis
-    valid = [params for params in group
-             if not (params.r.is_zero or params.t.is_zero
-                     or (params.s * params.t + 1).is_zero)]
+    valid = group[sp.closed_form_domain(field, group)]
     if len(valid) > 50:
-        valid = [valid[rng.randrange(len(valid))] for _ in range(50)]
+        valid = valid[[rng.randrange(len(valid)) for _ in range(50)]]
     results = sp.closed_form_sweep(field, valid)
-    bad = [params for params, res in zip(valid, results) if not res["proportional"]]
+    bad = [row for row, res in zip(valid, results) if not res["proportional"]]
     detail = (f"triples={len(valid)}, phase_one={all(res['phase_is_one'] for res in results)}"
-              + (f", witness=({bad[0].r}, {bad[0].s}, {bad[0].t})" if bad else ""))
+              + (f", witness={_row_text(field, bad[0][:3])}" if bad else ""))
     rep.add("closed_form_matches_synthesis", not bad, detail=detail)
 
-    sampled = _sample_params(field, rng, 3)
-    ok = all(sp.synthesize(field, params).is_unitary() for params in sampled)
+    ok = all(sp.synthesize(field, sp.SymplecticParams.from_row(field, row)).is_unitary()
+             for row in sp.sample_group(field, rng, 3))
     rep.add("synthesis_unitary", ok)
 
-    ok = True
-    for params in _sample_params(field, rng, 2):
-        res = sp.frobenius_action_check(field, params)
-        if not res["covariant"]:
-            ok = False
-    base_params = sp.SymplecticParams.from_rst(field, field.one, field.one,
-                                               field.element(2))
-    res = sp.frobenius_action_check(field, base_params, subfield_d=1)
-    ok = ok and res["covariant"] and res["subfield_fixed"]
-    rep.add("frobenius_covariance", ok)
+    ok = all(sp.frobenius_action_check(field, sp.SymplecticParams.from_row(field, row))
+             ["covariant"] for row in sp.sample_group(field, rng, 2))
+    res = sp.frobenius_action_check(field, sp.SymplecticParams.from_rst(field, 1, 1, 2),
+                                    subfield_d=1)
+    rep.add("frobenius_covariance", ok and res["covariant"] and res["subfield_fixed"])
 
-    tm_params = [sp.SymplecticParams.from_rst(field, field.one, field.zero,
-                                              field.zero)]
-    tm_params += _sample_params(field, rng, 1)
+    # the identity, one drawn element and the GF(9) fixture's example
+    tm_rows = [np.array([1, 0, 0, 1]), *sp.sample_group(field, rng, 1)]
     if hb.is_gf9_fixture(field):
-        tm_params.append(sp.SymplecticParams.from_rst(
-            field, field.one, field.one + field.generator, field.generator))
-    ok = True
-    for params in tm_params:
-        res = sp.transformed_marginals(field, params)
-        if not (res["alpha_sums"] and res["beta_sums"]):
-            ok = False
+        tm_rows.append(sp.SymplecticParams.from_rst(
+            field, 1, field.one + field.generator, field.generator).to_row())
+    ok = all(res["alpha_sums"] and res["beta_sums"] for res in (
+        sp.transformed_marginals(field, sp.SymplecticParams.from_row(field, row))
+        for row in tm_rows))
     rep.add("transformed_marginals", ok)
 
     if hb.is_gf9_fixture(field):
@@ -722,14 +716,13 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
         rep.add("resolution_of_identity",
                 np.linalg.norm(total / q - eye) <= tol)
 
-        params = _sample_params(field, rng, 2)
         ok = True
-        for pr in params:
-            s_op = sp.synthesize(field, pr).embed()
+        for row in sp.sample_group(field, rng, 2):
+            s_op = sp.synthesize(field, sp.SymplecticParams.from_row(field, row)).embed()
             if np.linalg.norm(s_op @ s_op.conj().T - eye) > tol:
                 ok = False
             za = hb.z_power(field, field.one).embed()
-            target = hb.displacement(field, *pr.apply(field.one, field.zero)).embed()
+            target = hb.displacement(field, int(row[3]), int(row[2])).embed()  # D(u, t)
             if np.linalg.norm(s_op @ za @ s_op.conj().T - target) > tol:
                 ok = False
         rep.add("symplectic_action", ok)

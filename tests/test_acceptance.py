@@ -127,7 +127,8 @@ def test_criterion_3_exhaustive_symplectic_action(gf9):
         q = field.order
         assert len(group) == want == q * (q * q - 1)
         labels = [field.one, field.generator] if field.ell > 1 else [field.one]
-        for params in group:
+        for row in group:
+            params = SymplecticParams.from_row(field, row)
             rep = action_check(field, params, labels=labels)
             assert all(rep.values()), str(params)
     elapsed = time.monotonic() - start
@@ -142,7 +143,8 @@ def test_criterion_4_closed_form_against_synthesis():
     counts = {}
     for p, ell in GRID:
         field = make_field(p, ell)
-        valid = [params for params in enumerate_group(field)
+        valid = [params for params in (SymplecticParams.from_row(field, row)
+                                       for row in enumerate_group(field))
                  if not (params.r.is_zero or params.t.is_zero
                          or (params.s * params.t + 1).is_zero)]
         rng.shuffle(valid)

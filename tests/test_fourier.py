@@ -6,7 +6,7 @@ from gfharmonic.errors import NotADivisor
 from gfharmonic.fourier import (component_factorization_check, fourier_matrix,
                                 fourier_spectrum, fourier_transform,
                                 subfield_block, subfield_fourier,
-                                subfield_power_relation_check)
+                                subfield_fourier_power_relation_check)
 from gfharmonic.gf import make_field
 from gfharmonic.hilbert import inner_product, ring_for, subspace_projector
 from gfharmonic.linalg import OperatorMatrix, StateVector
@@ -124,7 +124,7 @@ def test_subfield_fourier_projector_algebra(p, ell, d):
 
 def test_power_relation_gf9(gf9):
     ring = ring_for(gf9)
-    rep = subfield_power_relation_check(gf9, 1)
+    rep = subfield_fourier_power_relation_check(gf9, 1)
     assert rep["holds"] and rep["power"] == 2
     # frozen block oracle: (1/3) omega^(2 n m) on the prime subfield
     f = fourier_matrix(gf9)
@@ -133,14 +133,14 @@ def test_power_relation_gf9(gf9):
             want = ring.scalar(ring._zeta_pows[ring.omega_exponent(2 * n * m)],
                                2)
             assert f.rows[n][m] == want
-    assert subfield_power_relation_check(gf9, 2)["holds"]
+    assert subfield_fourier_power_relation_check(gf9, 2)["holds"]
 
 
 def test_power_relation_gf27_trace_degeneracy():
     # ell/d = p forces a constant subfield block 27^(-1/2)
     f = make_field(3, 3)
     ring = ring_for(f)
-    rep = subfield_power_relation_check(f, 1)
+    rep = subfield_fourier_power_relation_check(f, 1)
     assert rep["holds"] and rep["power"] == 3
     fmat = fourier_matrix(f)
     const = ring.scalar([1, 0, 0, 0], 3)

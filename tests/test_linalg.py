@@ -491,14 +491,15 @@ def proportionality_cases():
     from gfharmonic.frobenius import frobenius_monomial
     from gfharmonic.gf import make_field
     from gfharmonic.hilbert import ring_for
-    from gfharmonic.symplectic import (closed_form_matrix, enumerate_group,
-                                       synthesize)
+    from gfharmonic.symplectic import (SymplecticParams, closed_form_matrix,
+                                       enumerate_group, synthesize)
 
     field = make_field(3, 2, [2, 1, 1])
     ring = ring_for(field)
     g = frobenius_monomial(field)
     cases = []
-    valid = [g for g in enumerate_group(field)
+    valid = [g for g in (SymplecticParams.from_row(field, row)
+                         for row in enumerate_group(field))
              if not (g.r.is_zero or g.t.is_zero or (g.s * g.t + 1).is_zero)]
     for params in valid[::97][:4]:
         built = synthesize(field, params)

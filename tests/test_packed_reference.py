@@ -2,7 +2,9 @@
 replaced, the label-grid identity checks of the heisenberg suite against
 the per-label Monomial loops they replaced, and the whole-family closed
 form, shear element sum and subfield checks against their per-element and
-per-label dense loops, also under planted faults.
+per-label dense loops, also under planted faults; and the element arrays of
+Sp(2, GF(q)) (enumeration, sampling, synthesis from one row) against the
+object enumeration, the object sampler and the recursive synthesis.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -590,17 +592,23 @@ def ref_power_relation(field, d, a, b):
     return all(dop.rows[n][m] == small.rows[n][m] ** power for n in sub for m in sub)
 
 
+def params_of(field, elements):
+    return [SymplecticParams.from_row(field, row) for row in elements]
+
+
 def generic_elements(field):
-    return [g for g in sp.enumerate_group(field)
-            if not (g.r.is_zero or g.t.is_zero or (g.s * g.t + 1).is_zero)]
+    """The group's rows in the closed form's domain, filtered on field elements."""
+    group = sp.enumerate_group(field)
+    return group[[not (g.r.is_zero or g.t.is_zero or (g.s * g.t + 1).is_zero)
+                  for g in params_of(field, group)]]
 
 
 def suite_closed_form_draws(field, monkeypatch):
-    """The elements symplectic_suite hands to closed_form_sweep."""
+    """The element array symplectic_suite hands to closed_form_sweep."""
     seen = []
     original = sp.closed_form_sweep
     monkeypatch.setattr(sp, "closed_form_sweep",
-                        lambda f, els: seen.append(list(els)) or original(f, els))
+                        lambda f, els: seen.append(els.copy()) or original(f, els))
     symplectic_suite(field)
     monkeypatch.undo()
     return seen[0]
@@ -608,7 +616,7 @@ def suite_closed_form_draws(field, monkeypatch):
 
 def assert_same_closed_form(field, elements):
     got = sp.closed_form_sweep(field, elements)
-    want = [ref_closed_form_check(field, g) for g in elements]
+    want = [ref_closed_form_check(field, g) for g in params_of(field, elements)]
     assert [(r["proportional"], r["phase_is_one"]) for r in got] == \
         [(r["proportional"], r["phase_is_one"]) for r in want]
     # canonical scalars are unique, so equal phases have equal triples
@@ -623,10 +631,10 @@ def test_closed_form_sweep_matches_per_element_check_on_every_element(pe):
     elements = generic_elements(field)
     got = assert_same_closed_form(field, elements)
     assert all(r["proportional"] and r["phase_is_one"] for r in got)
-    for g in elements[::7]:
+    for g in params_of(field, elements[::7]):
         assert canonical(sp.closed_form_matrix(field, g).rows) == \
             canonical(ref_closed_form_matrix(field, g).rows)
-    assert sp.closed_form_elements_check(field, elements[-1]) == got[-1]
+    assert sp.closed_form_elements_check(field, params_of(field, elements[-1:])[0]) == got[-1]
 
 
 @pytest.mark.parametrize("pe", [(5, 2), (3, 3)], ids=str)
@@ -640,10 +648,10 @@ def test_closed_form_sweep_matches_on_the_suite_draws(pe, monkeypatch):
 def test_closed_form_sweep_domain():
     field = make_field(3, 2)
     with pytest.raises(DomainRestriction):
-        sp.closed_form_sweep(field, [SymplecticParams.from_rst(field, 1, 1, 0)])
+        sp.closed_form_sweep(field, SymplecticParams.from_rst(field, 1, 1, 0).to_row()[None])
     with pytest.raises(DomainRestriction):
         sp.closed_form_elements_check(field, sp.fourier_params(field))
-    assert sp.closed_form_sweep(field, []) == []
+    assert sp.closed_form_sweep(field, sp.enumerate_group(field)[:0]) == []
 
 
 @pytest.mark.parametrize("pe", [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2), (3, 3)], ids=str)
@@ -700,6 +708,125 @@ def test_subfield_power_relation_matches_dense_loop(pe, d, monkeypatch):
     for wrong in ((perm, phase + (np.arange(field.order) == sub[-1])), (swapped, phase)):
         monkeypatch.setattr(heisenberg, "displacement_arrays", lambda *args: wrong)
         assert not heisenberg.subfield_power_relation_check(field, d, a, b)["holds"]
+
+
+# -- element arrays against the object enumeration, sampler and synthesis ----
+
+def ref_enumerate_group(field):
+    """The r != 0 chart by (r, s, t), then the r = 0 chart by (t, u), as objects."""
+    els = field.elements()
+    out = [SymplecticParams.from_rst(field, r, s, t)
+           for r in els[1:] for s in els for t in els]
+    return out + [SymplecticParams(r=field.zero, s=-t.inverse(), t=t, u=u)
+                  for t in els[1:] for u in els]
+
+
+def ref_sample_params(field, rng, count):
+    out = []
+    els = field.elements()
+    while len(out) < count:
+        r = rng.choice(els)
+        if r.is_zero:
+            t = rng.choice(els[1:])
+            out.append(SymplecticParams(r=field.zero, s=-t.inverse(), t=t, u=rng.choice(els)))
+        else:
+            out.append(SymplecticParams.from_rst(field, r, rng.choice(els), rng.choice(els)))
+    return out
+
+
+def ref_synthesize(field, params):
+    """The generic chart from field-element arithmetic; any other element
+    composed with the Fourier element, ((u, s), (t, r)) . ((0, 1), (-1, 0))."""
+    r, s, t = params.r, params.s, params.t
+    w = s * t + 1
+    if r.is_zero or w.is_zero:
+        shifted = SymplecticParams(r=t, s=params.u, t=-r, u=-s)
+        return ref_synthesize(field, shifted) @ fourier_matrix(field).adjoint()
+    mono = (sp.generator_shear_z(field, s * r.inverse() * w)
+            @ sp.generator_scaling(field, r * w.inverse()))
+    return mono.right_mul_dense(sp.generator_shear_x(field, -(r * t * w.inverse())))
+
+
+def rows_of(params):
+    return [[g.r.index, g.s.index, g.t.index, g.u.index] for g in params]
+
+
+def assert_same_synthesis(field, params):
+    for g in params:
+        got, want = synthesize(field, g).packed, ref_synthesize(field, g).packed
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], str(g)
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=str)
+def test_enumerate_group_matches_object_enumeration(pe):
+    field = make_field(*pe)
+    assert sp.enumerate_group(field).tolist() == rows_of(ref_enumerate_group(field))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345 + 3, 2 ** 40])
+@pytest.mark.parametrize("pe", [(3, 1), (7, 1), (3, 2), (5, 2)], ids=str)
+def test_sample_group_matches_object_draws(pe, seed):
+    field = make_field(*pe)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 3, 8, 50):
+        got = sp.sample_group(field, rng, count)
+        assert got.shape == (count, 4) and got.dtype == np.int64
+        assert got.tolist() == rows_of(ref_sample_params(field, ref_rng, count))
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2)], ids=str)
+def test_synthesize_matches_recursive_synthesis_on_every_element(pe):
+    field = make_field(*pe)
+    assert_same_synthesis(field, params_of(field, sp.enumerate_group(field)))
+
+
+@pytest.mark.parametrize("pe", [(5, 2), (3, 3)], ids=str)
+def test_synthesize_matches_recursive_synthesis_on_the_suite_draws(pe, monkeypatch):
+    field = make_field(*pe)
+    seen = []
+    original = sp.synthesize
+    monkeypatch.setattr(sp, "synthesize", lambda f, g: seen.append(g) or original(f, g))
+    symplectic_suite(field)
+    monkeypatch.undo()
+    assert len(seen) > 10
+    draws = suite_closed_form_draws(field, monkeypatch)
+    assert_same_synthesis(field, seen + params_of(field, draws))
+
+
+@pytest.mark.parametrize("plant", ["duplicate", "determinant"])
+def test_group_order_count_fails_on_a_planted_row(plant, monkeypatch):
+    field = make_field(3, 1)
+    group = sp.enumerate_group(field)
+    item = next(i for i in symplectic_suite(field).items if i.name == "group_order_count")
+    assert (item.status, item.detail) == ("pass", "count=24")
+    planted = group.copy()
+    if plant == "duplicate":
+        planted[5] = planted[4]
+    else:  # u + 1 in the r = 1 chart: r u - s t = 2
+        assert planted[5, 0] == 1
+        planted[5, 3] = (planted[5, 3] + 1) % 3
+    monkeypatch.setattr(sp, "enumerate_group", lambda f: planted)
+    item = next(i for i in symplectic_suite(field).items if i.name == "group_order_count")
+    assert (item.status, item.detail) == ("fail", "count=23")
+
+
+def test_label_action_homomorphism_checks_the_determinant(monkeypatch):
+    # 2 g acts on labels as g then doubling, so products still compose, but
+    # the product of 2 g1 and g2 has r u - s t = 4 over GF(5)
+    field = make_field(5, 1)
+    original, calls = sp.sample_group, []
+
+    def first_factor_doubled(f, rng, count):
+        calls.append(count)
+        rows = original(f, rng, count)
+        return rows * 2 % 5 if len(calls) <= 12 and len(calls) % 2 else rows
+
+    item = next(i for i in symplectic_suite(field).items if i.name == "label_action_homomorphism")
+    assert item.status == "pass"
+    monkeypatch.setattr(sp, "sample_group", first_factor_doubled)
+    item = next(i for i in symplectic_suite(field).items if i.name == "label_action_homomorphism")
+    assert item.status == "fail" and calls[:12] == [1] * 12
 
 
 def test_action_sweep_blocks_agree(monkeypatch):
@@ -765,7 +892,8 @@ def test_closed_form_witness_names_the_first_failing_element(monkeypatch):
     field = make_field(3, 2)
     elements = suite_closed_form_draws(field, monkeypatch)
     swap_shear_base(monkeypatch, field)
-    first = next(g for g in elements if not ref_closed_form_check(field, g)["proportional"])
+    first = next(g for g in params_of(field, elements)
+                 if not ref_closed_form_check(field, g)["proportional"])
     item = next(i for i in symplectic_suite(field).items
                 if i.name == "closed_form_matches_synthesis")
     assert item.status == "fail"

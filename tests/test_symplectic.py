@@ -27,6 +27,7 @@ from gfharmonic.symplectic import (ACTION_KEYS, SymplecticParams,
                                    non_factorization_witness,
                                    shear_x_closed_form, synthesize,
                                    transformed_marginals)
+from gfharmonic.verify import symplectic_suite
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,11 @@ def test_symplectic_params_validation(gf9):
     params = SymplecticParams.from_rst(gf9, 1, gf9.one + gf9.generator,
                                        gf9.generator)
     assert params.u == gf9.element(2)
+    row = params.to_row()
+    assert row.tolist() == [1, 4, 3, 2] and row.dtype == np.int64
+    assert SymplecticParams.from_row(gf9, row) == params
+    with pytest.raises(ConstraintViolated):
+        SymplecticParams.from_row(gf9, [1, 4, 3, 1])
 
 
 def test_identity_synthesis(gf9):
@@ -167,13 +173,15 @@ def test_group_enumeration_counts():
         f = make_field(p, ell)
         q = f.order
         group = enumerate_group(f)
-        assert len(group) == q * (q * q - 1)
-        assert len({(g.r.index, g.s.index, g.t.index, g.u.index)
-                    for g in group}) == len(group)
+        assert group.shape == (q * (q * q - 1), 4) and group.dtype == np.int64
+        assert len({tuple(g) for g in group.tolist()}) == len(group)
+        for row in group:  # raises unless r u - s t = 1
+            SymplecticParams.from_row(f, row)
 
 
 def test_exhaustive_action_gf3(gf3):
-    for params in enumerate_group(gf3):
+    for row in enumerate_group(gf3):
+        params = SymplecticParams.from_row(gf3, row)
         rep = action_check(gf3, params)
         assert all(rep.values()), str(params)
 
@@ -233,7 +241,7 @@ def test_closed_form(gf3, gf9):
 def test_closed_form_many_triples(gf9):
     rng = random.Random(6)
     checked = 0
-    group = enumerate_group(gf9)
+    group = [SymplecticParams.from_row(gf9, row) for row in enumerate_group(gf9)]
     rng.shuffle(group)
     for params in group:
         if params.r.is_zero or params.t.is_zero or (params.s * params.t
@@ -311,7 +319,8 @@ def test_even_characteristic_rejected():
 
 def reference_verdicts(field, elements, labels):
     return np.array([[res[k] for k in ACTION_KEYS]
-                     for res in (action_check(field, g, labels=labels)
+                     for res in (action_check(field, SymplecticParams.from_row(field, g),
+                                              labels=labels)
                                  for g in elements)])
 
 
@@ -335,7 +344,7 @@ def test_action_sweep_on_every_label(p):
     group = enumerate_group(field)
     assert np.array_equal(action_sweep(field, group),
                           reference_verdicts(field, group, None))
-    assert action_sweep(field, []).shape == (0, len(ACTION_KEYS))
+    assert action_sweep(field, group[:0]).shape == (0, len(ACTION_KEYS))
 
 
 def test_element_factors_rebuild_synthesize(gf9):
@@ -343,7 +352,8 @@ def test_element_factors_rebuild_synthesize(gf9):
     group = enumerate_group(gf9)
     fac = element_factors(gf9, group)
     f_adj = fourier_matrix(gf9).adjoint()
-    for k, params in enumerate(group):
+    for k, row in enumerate(group):
+        params = SymplecticParams.from_row(gf9, row)
         assert fac.fourier[k] == (params.r.is_zero
                                   or (params.s * params.t + 1).is_zero)
         u = (generator_shear_x(gf9, int(fac.shear[k]))
@@ -380,34 +390,71 @@ def scale_fourier(monkeypatch, field):
     monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
 
 
-# fault -> (some element still passes, the sweep falls back to action_check)
+def non_clifford_fourier(monkeypatch, field):
+    # Delta F, Delta = diag(zeta^[m == 1]): unitary, but a one-point phase is
+    # no quadratic phase, so F+ Delta+ X Delta F is not monomial
+    ring = ring_for(field)
+    delta = Monomial(ring, range(field.order), [int(m == 1) for m in range(field.order)])
+    wrong = delta.left_mul_dense(fourier_matrix(field))
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
+
+
+# fault -> some element still passes
 PLANTED = {
-    "flipped_shear_sign": (flip_shear_sign, True, False),
-    "dropped_fourier_adjoint": (drop_fourier_adjoint, True, False),
-    "wrong_fourier_adjoint": (adjoint_fourier, True, False),
-    "wrong_fourier_not_unitary": (scale_fourier, True, True),
-    "shear_not_unitary": (scale_shear, False, False),
+    "flipped_shear_sign": (flip_shear_sign, True),
+    "dropped_fourier_adjoint": (drop_fourier_adjoint, True),
+    "wrong_fourier_adjoint": (adjoint_fourier, True),
+    "wrong_fourier_not_unitary": (scale_fourier, True),
+    "fourier_not_clifford": (non_clifford_fourier, True),
+    "shear_not_unitary": (scale_shear, False),
 }
+
+
+def test_planted_non_clifford_fourier_is_unitary(gf9, monkeypatch):
+    non_clifford_fourier(monkeypatch, gf9)
+    f = sp.fourier_matrix(gf9)
+    assert f.is_unitary()
+    assert Monomial.from_dense(f.adjoint() @ x_power(gf9, 1) @ f) is None
+    assert Monomial.from_dense(f.adjoint() @ z_power(gf9, 1) @ f) is not None
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED))
 def test_planted_faults_fail_on_the_same_elements(gf9, monkeypatch, fault):
-    plant, some_pass, falls_back = PLANTED[fault]
+    plant, some_pass = PLANTED[fault]
     plant(monkeypatch, gf9)
     group = enumerate_group(gf9)
     labels = power_basis(gf9)
     want = reference_verdicts(gf9, group, labels)
-    calls = []
-    orig_check = sp.action_check
-    monkeypatch.setattr(sp, "action_check",
-                        lambda *a, **k: calls.append(a) or orig_check(*a, **k))
     got = action_sweep(gf9, group, labels)
     assert np.array_equal(got, want)
     passed = want.all(axis=1)
     assert not passed.all()
     assert passed.any() == some_pass
-    fourier_chart = element_factors(gf9, group).fourier
-    assert len(calls) == (fourier_chart.sum() if falls_back else 0)
+
+
+@pytest.mark.parametrize("pe,fault,name", [
+    ((3, 2), "flipped_shear_sign", "action_law_exhaustive"),
+    ((3, 2), "fourier_not_clifford", "action_law_exhaustive"),
+    ((5, 2), "wrong_fourier_not_unitary", "action_law_sampled")], ids=str)
+def test_action_law_witness_names_the_first_failing_element(pe, fault, name, monkeypatch):
+    field = make_field(*pe)
+    item = next(i for i in symplectic_suite(field).items if i.name == name)
+    assert item.status == "pass" and "witness" not in item.detail
+    seen = []
+    original = sp.action_sweep
+    monkeypatch.setattr(sp, "action_sweep",
+                        lambda f, els, labels: seen.append(els) or original(f, els, labels))
+    PLANTED[fault][0](monkeypatch, field)
+    item = next(i for i in symplectic_suite(field).items if i.name == name)
+    for row in seen[0]:
+        params = SymplecticParams.from_row(field, row)
+        res = action_check(field, params, labels=power_basis(field))
+        if not all(res.values()):
+            break
+    key = next(k for k in ACTION_KEYS if not res[k])
+    assert item.status == "fail"
+    assert item.detail == (f"elements={len(seen[0])}, witness=({params.r}, {params.s}, "
+                           f"{params.t}, {params.u}):{key}")
 
 
 def test_action_sweep_exhaustive_gf25_and_gf27():
