@@ -28,12 +28,31 @@ from .errors import BackendMismatch, DivisionByZero
 
 
 INT64_MAX = 2 ** 63 - 1
+FLOAT64_EXACT = 2 ** 53  # float64 holds every integer of magnitude up to 2^53
 BLOCK_ENTRIES = 2048  # matrix entries per vectorised pass of unpack, times_roots and JSON
 
 
 def _dtype_for(bound: int):
-    """int64 when every value stays within bound <= 2^63 - 1, else Python ints."""
+    """int64 when every value stays within bound <= 2^63 - 1, else Python ints.
+
+    The dtype of the additive kernels; products go through _exact_matmul.
+    """
     return np.int64 if bound <= INT64_MAX else object
+
+
+def _exact_matmul(a, b, bound: int):
+    """Exact a @ b of integer arrays, as int64 or (past 2^63) Python ints.
+
+    ``bound`` must bound |x| for every entry of a and every partial sum of
+    every output entry (b is a small table, or bounded the same way).
+    Below 2^53 each of those is a float64 integer, so the product runs on
+    float64 BLAS and no summation order or FMA can round; up to 2^63 - 1
+    it runs in int64, and past that on Python ints (dtype=object).
+    """
+    if bound < FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    dtype = _dtype_for(bound)
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def _max_abs(a) -> int:
@@ -252,10 +271,11 @@ class CycloRing:
     # largest scale exponent and Q the lcm of the denominators of the
     # canonical entries (E = 0, Q = 1 for the zero matrix).  Both are fixed
     # by the values and the power basis is a Z-basis, so two matrices are
-    # equal exactly when their triples are.  Arithmetic runs in int64 while
-    # a computed bound on every intermediate stays below 2^63, and on Python
-    # integers (dtype=object) otherwise; matrices store their arrays
-    # compacted (see compact).
+    # equal exactly when their triples are.  Sums run in int64 while a
+    # computed bound on every intermediate stays below 2^63, and on Python
+    # integers (dtype=object) otherwise; products also take float64 BLAS
+    # below 2^53 (see _exact_matmul).  Matrices store their arrays compacted
+    # (see compact).
 
     def _tables(self):
         """Integer tables, built on first use, each with its largest |entry|.
@@ -283,10 +303,10 @@ class CycloRing:
         return self._tables()["roots"][0][:, 0]
 
     def _times_table(self, data, name):
-        """data @ table over the last axis, in int64 when that cannot overflow."""
+        """data @ table over the last axis, exact under the bound
+        degree * max|data| * max|table| (see _exact_matmul)."""
         table, t_max = self._tables()[name]
-        dtype = _dtype_for(self.degree * _max_abs(data) * t_max)
-        return data.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
+        return _exact_matmul(data, table, self.degree * _max_abs(data) * t_max)
 
     def pack(self, rows):
         """Normal-form packed triple of a matrix of canonical scalars.
@@ -386,25 +406,26 @@ class CycloRing:
     def matmul(self, a, b):
         """Exact product of two packed matrices, in normal form.
 
-        One integer matmul of A (transposed to (rows * degree, inner)) by B
-        ((inner, cols * degree)), one fold of each entry's degree x degree
-        block of coefficient products with the zeta^(k+l) table, and one
-        whole-matrix normalisation at (E_a + E_b, Q_a Q_b).  int64 is used
-        when the operands and inner * degree^2 * max|A| * max|B| * max|T|,
-        which bounds every intermediate, stay below 2^63.
+        Each entry of B is first multiplied by zeta^k for every k < degree
+        (one stacked product with the root table).  One integer matmul of A,
+        reshaped to (rows, inner * degree), by those products, reshaped to
+        (inner * degree, cols * degree), then gives the power-basis
+        coefficients of every entry, and one whole-matrix normalisation runs
+        at (E_a + E_b, Q_a Q_b).  The largest of inner * degree^2 * max|A| *
+        max|B| * max|T| (the partial sums of the second product), degree *
+        max|B| * max|T| (those of the first) and max|A| picks one rung of
+        _exact_matmul for both.
         """
         (ad, ea, qa), (bd, eb, qb) = a, b
         n, inner, deg = ad.shape
         m = bd.shape[1]
         table, t_max = self._tables()["roots"]
         a_max, b_max = _max_abs(ad), _max_abs(bd)
-        dtype = _dtype_for(max(inner * deg * deg * a_max * b_max * t_max,
-                               a_max, b_max))
-        ad, bd = ad.astype(dtype, copy=False), bd.astype(dtype, copy=False)
-        prod = ad.transpose(0, 2, 1).reshape(n * deg, inner) @ bd.reshape(inner, m * deg)
-        pairs = prod.reshape(n, deg, m, deg).transpose(0, 2, 1, 3).reshape(n, m, deg * deg)
-        folded = pairs @ table[:deg].reshape(deg * deg, deg).astype(dtype, copy=False)
-        return self._normalise(folded, ea + eb, qa * qb)
+        bound = max(inner * deg * deg * a_max * b_max * t_max, deg * b_max * t_max, a_max)
+        rotated = _exact_matmul(bd[:, None], table[:deg], bound)  # [i, k, j] = b[i, j] zeta^k
+        out = _exact_matmul(ad.reshape(n, inner * deg),
+                            rotated.reshape(inner * deg, m * deg), bound)
+        return self._normalise(out.reshape(n, m, deg), ea + eb, qa * qb)
 
     def times_roots(self, data, row_roots=None, col_roots=None):
         """Entry (n, m) of a packed coefficient array times
@@ -447,15 +468,17 @@ class CycloRing:
         shared by many terms is stored once.  Terms are added in
         Z[x]/(x^N - 1), where the product by zeta^k moves coefficient j to
         position j + k mod N: one np.add.at per block of about BLOCK_ENTRIES
-        terms along the first axis, then one fold by ``root_coeffs``.  That
-        runs in int64 while N max|T| times the most terms per slot times
-        max|data| stays below 2^63.
+        terms along the first axis, then one fold by ``root_coeffs``.  Both
+        are bounded by N max|T| times the most terms per slot times
+        max|data|: the sums run in int64 below 2^63 and on Python ints past
+        it, and the fold on the rung of _exact_matmul that the bound picks.
         """
         dest = np.asarray(dest)
         n, deg = self.order, self.degree
         data = np.asarray(data)
         terms = int(np.bincount(dest.ravel()).max()) if dest.size else 0
-        dtype = _dtype_for(n * self._tables()["roots"][1] * terms * _max_abs(data))
+        bound = n * self._tables()["roots"][1] * terms * _max_abs(data)
+        dtype = _dtype_for(bound)
         data = np.broadcast_to(data, dest.shape + (deg,))
         roots = np.broadcast_to(0 if roots is None else roots, dest.shape)
         acc = np.zeros(math.prod(shape) * n, dtype=dtype)
@@ -465,7 +488,7 @@ class CycloRing:
             pos = (roots[i:i + step].reshape(-1, 1) + np.arange(deg)) % n
             np.add.at(acc, (slot + pos).ravel(),
                       data[i:i + step].reshape(-1).astype(dtype, copy=False))
-        out = acc.reshape(-1, n) @ self.root_coeffs().astype(dtype, copy=False)
+        out = _exact_matmul(acc.reshape(-1, n), self.root_coeffs(), bound)
         return self._normalise(out.reshape(tuple(shape) + (deg,)), e, q)
 
     def add(self, a, b):
@@ -549,7 +572,8 @@ class CycloRing:
         """
         exps = np.fromiter(exponents, dtype=np.int64) % self.order
         counts = np.bincount(exps, minlength=self.order)
-        return self.scalar((counts @ self.root_coeffs()).tolist(), scale_exp, denom)
+        vec = _exact_matmul(counts, self.root_coeffs(), len(exps) * self._tables()["roots"][1])
+        return self.scalar(vec.tolist(), scale_exp, denom)
 
     def __repr__(self):
         return f"CycloRing(order={self.order}, char={self.char})"

@@ -15,13 +15,14 @@ use builds them twice, with the same values).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegreeMismatch, DivisionByZero, NotADivisor,
+from .errors import (ConfigError, DegreeMismatch, DivisionByZero, NotADivisor,
                      NotInSubfield, NotPrime, ReducibleModulus, SingularGram)
 
 
@@ -383,20 +384,26 @@ class GFField:
     # -- public API ----------------------------------------------------------------
 
     def element(self, value) -> FieldElement:
-        """Coerce an index, coefficient sequence, text encoding, or element."""
+        """Coerce an index (any integer, numpy ones included), coefficient
+        sequence, text encoding, or element."""
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise DegreeMismatch("element belongs to a different field")
             return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.order if 0 <= value < self.order
-                                else value % self.order)
         if isinstance(value, str):
             parts = value.split(",")
             if len(parts) == 1:
                 return self.element(int(parts[0]))
             return self.element([int(x) for x in parts])
-        coeffs = list(value)
+        try:
+            return FieldElement(self, operator.index(value) % self.order)
+        except TypeError:
+            pass
+        try:
+            coeffs = list(value)
+        except TypeError:
+            raise ConfigError(f"{value!r} is not a field element, index, "
+                              "coefficient sequence or text") from None
         if len(coeffs) != self.ell:
             raise DegreeMismatch(
                 f"expected {self.ell} coefficients, got {len(coeffs)}")

@@ -97,7 +97,7 @@ class SymplecticParams:
     @classmethod
     def from_row(cls, field: GFField, row) -> "SymplecticParams":
         """The element at one row (r, s, t, u) of an element array."""
-        return cls(*(field.element(int(x)) for x in row))
+        return cls(*(field.element(x) for x in row))
 
     def __str__(self):
         return f"(r={self.r}, s={self.s}, t={self.t}, u={self.u})"

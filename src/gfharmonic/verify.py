@@ -490,7 +490,7 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 
 
 def _row_text(field: GFField, row) -> str:
-    return "(" + ", ".join(str(field.element(int(x))) for x in row) + ")"
+    return "(" + ", ".join(str(field.element(x)) for x in row) + ")"
 
 
 def _determinant(field: GFField, rows) -> np.ndarray:

@@ -1,11 +1,14 @@
 import cmath
 import math
 import random
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfharmonic import cyclo
 from gfharmonic.cyclo import (CycloScalar, ScalarAccumulator,
                               cyclotomic_polynomial, get_ring, ring_order)
 from gfharmonic.errors import BackendMismatch, DivisionByZero
@@ -265,3 +268,138 @@ def test_complex_embedding_is_homomorphism(rs):
     assert abs(complex(a + b) - (complex(a) + complex(b))) < 1e-9
     assert abs(complex(a * b) - complex(a) * complex(b)) < 1e-9
     assert abs(complex(a.conj()) - complex(a).conjugate()) < 1e-9
+
+
+# -- the exact product ladder: float64, int64 and Python-int products ---------
+#
+# Every integer product of the packed kernels runs on the rung that its bound
+# picks: float64 BLAS below 2^53, int64 up to 2^63 - 1, Python ints past it.
+# Each property forces one rung by the operand magnitude and compares with
+# the same values computed in Python ints, one scalar at a time, so the three
+# rungs agree with each other.
+
+RUNGS = ("float64", "int64", "object")
+RUNG_TOP = {"float64": 2 ** 53 - 1, "int64": cyclo.INT64_MAX, "object": 2 ** 90}
+LADDER_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def rung(bound):
+    return "float64" if bound < 2 ** 53 else "int64" if bound <= cyclo.INT64_MAX else "object"
+
+
+@contextmanager
+def recorded_bounds():
+    """The bound of every exact product taken inside the block, in order."""
+    bounds = []
+    product = cyclo._exact_matmul
+
+    def spy(a, b, bound):
+        bounds.append(bound)
+        return product(a, b, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclo, "_exact_matmul", spy)
+        yield bounds
+
+
+@st.composite
+def int_arrays(draw, shape, top):
+    """An integer array of the given shape whose largest |entry| is top."""
+    values = draw(st.lists(st.integers(-top, top), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    values[0] = draw(st.sampled_from((top, -top)))
+    dtype = np.int64 if top <= cyclo.INT64_MAX else object
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def python_product(ring, ad, bd):
+    """Coefficient vectors of the matrix product, entry by entry in Python ints."""
+    a, b = ad.tolist(), bd.tolist()
+    inner, m = bd.shape[:2]
+    return [[[sum(c) for c in zip(*(ring._mul(row[k], b[k][j]) for k in range(inner)))]
+             for j in range(m)] for row in a]
+
+
+def packed_scalars(ring, vecs, e, q):
+    """Normal-form triple of a matrix of coefficient vectors at (e, q), as lists."""
+    data, e, q = ring.pack([[ring.scalar(v, e, q) for v in row] for row in vecs])
+    return data.tolist(), e, q
+
+
+def as_lists(packed):
+    data, e, q = packed
+    assert data.dtype in (np.int64, object)
+    return data.tolist(), e, q
+
+
+@LADDER_SETTINGS
+@given(ring_key=st.sampled_from(PROPERTY_RINGS), path=st.sampled_from(RUNGS),
+       dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       e=st.integers(0, 2), q=st.sampled_from((1, 2, 4)), data=st.data())
+def test_matmul_rungs_agree_with_python_ints(ring_key, path, dims, e, q, data):
+    ring = get_ring(*ring_key)
+    n, inner, m = dims
+    deg, t_max = ring.degree, ring._tables()["roots"][1]
+    top = math.isqrt(RUNG_TOP[path] // (inner * deg * deg * t_max))
+    ad = data.draw(int_arrays((n, inner, deg), top))
+    bd = data.draw(int_arrays((inner, m, deg), top))
+    with recorded_bounds() as bounds:
+        got = ring.matmul((ad, e, q), (bd, 0, 1))
+    assert rung(bounds[0]) == path
+    assert as_lists(got) == packed_scalars(ring, python_product(ring, ad, bd), e, q)
+
+
+@LADDER_SETTINGS
+@given(ring_key=st.sampled_from(PROPERTY_RINGS), path=st.sampled_from(RUNGS),
+       name=st.sampled_from(("sqrt", "conj")), rows=st.integers(1, 5), data=st.data())
+def test_times_table_rungs_agree_with_python_ints(ring_key, path, name, rows, data):
+    ring = get_ring(*ring_key)
+    table, t_max = ring._tables()[name]
+    vecs = data.draw(int_arrays((rows, ring.degree), RUNG_TOP[path] // (ring.degree * t_max)))
+    with recorded_bounds() as bounds:
+        got = ring._times_table(vecs, name)
+    assert rung(bounds[0]) == path
+    assert got.dtype in (np.int64, object)
+    cols = list(zip(*table.tolist()))
+    assert got.tolist() == [[sum(x * t for x, t in zip(row, col)) for col in cols]
+                            for row in vecs.tolist()]
+
+
+@LADDER_SETTINGS
+@given(ring_key=st.sampled_from(PROPERTY_RINGS), path=st.sampled_from(RUNGS),
+       slots=st.integers(1, 3), e=st.integers(0, 2), q=st.sampled_from((1, 2, 4)),
+       data=st.data())
+def test_root_sum_rungs_agree_with_python_ints(ring_key, path, slots, e, q, data):
+    ring = get_ring(*ring_key)
+    n, deg = ring.order, ring.degree
+    dest = np.array(data.draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=6)))
+    roots = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(dest),
+                                        max_size=len(dest))))
+    per_slot = int(np.bincount(dest).max())
+    top = RUNG_TOP[path] // (n * ring._tables()["roots"][1] * per_slot)
+    vecs = data.draw(int_arrays((len(dest), deg), top))
+    with recorded_bounds() as bounds:
+        got = ring.root_sum(vecs, roots, dest, (1, slots), e, q)
+    assert rung(bounds[0]) == path
+    acc = [[0] * deg for _ in range(slots)]
+    for vec, k, s in zip(vecs.tolist(), roots.tolist(), dest.tolist()):
+        acc[s] = [x + y for x, y in zip(acc[s], ring._substitute(vec, 1, k))]
+    assert as_lists(got) == packed_scalars(ring, [acc], e, q)
+
+
+@pytest.mark.parametrize("top,path", [(2 ** 24 + 1, "float64"), (2 ** 27 + 1, "int64")])
+def test_matmul_on_each_side_of_2_53(top, path):
+    # ring degree 4, where max|T| = 1: the product bound of two 1 x 1 matrices
+    # with every coefficient top is 16 top^2, just below 2^53 for top =
+    # 2^24 + 1.  For top = 2^27 + 1 the exact product has the odd coefficient
+    # -3 top^2, past 2^53, which no float64 holds: it must run in int64.
+    ring = get_ring(12, 3)
+    assert ring._tables()["roots"][1] == 1
+    ad = np.full((1, 1, ring.degree), top, dtype=np.int64)
+    want = python_product(ring, ad, ad)
+    with recorded_bounds() as bounds:
+        got = ring.matmul((ad, 0, 1), (ad, 0, 1))
+    assert rung(bounds[0]) == path
+    assert as_lists(got) == (want, 0, 1)
+    odd_past_2_53 = [c for c in want[0][0] if c % 2 and abs(c) > 2 ** 53]
+    assert bool(odd_past_2_53) == (path == "int64")

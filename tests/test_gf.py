@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from gfharmonic.errors import (DegreeMismatch, DivisionByZero, NotADivisor,
-                               NotInSubfield, NotPrime, ReducibleModulus)
+from gfharmonic.errors import (DegreeMismatch, DivisionByZero, GFHarmonicError,
+                               NotADivisor, NotInSubfield, NotPrime, ReducibleModulus)
 from gfharmonic.gf import make_field
 
 
@@ -82,6 +83,20 @@ def test_element_coercion_and_encoding(gf9):
     assert int(gf9.element([1, 2])) == 7
     with pytest.raises(DegreeMismatch):
         gf9.element([1, 2, 0])
+
+
+@pytest.mark.parametrize("index", [np.int64(4), np.int8(4), np.uint16(4), 4 + 9, -5])
+def test_element_accepts_any_integer_index(gf9, index):
+    # indices read out of element arrays are numpy integers
+    el = gf9.element(index)
+    assert el == gf9.element(4)
+    assert type(el.index) is int
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(4.0), None, object()])
+def test_element_rejects_a_non_integer_scalar(gf9, value):
+    with pytest.raises(GFHarmonicError):
+        gf9.element(value)
 
 
 def test_frobenius(gf9):
