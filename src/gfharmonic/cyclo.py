@@ -49,10 +49,15 @@ def _exact_matmul(a, b, bound: int):
     float64 BLAS and no summation order or FMA can round; up to 2^63 - 1
     it runs in int64, and past that on Python ints (dtype=object).
     """
-    if bound < FLOAT64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    dtype = _dtype_for(bound)
-    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    dtype = _product_dtype(bound)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
+
+
+def _product_dtype(bound: int):
+    """The rung of _exact_matmul for this bound: float64 below 2^53, else
+    the dtype of _dtype_for."""
+    return np.float64 if bound < FLOAT64_EXACT else _dtype_for(bound)
 
 
 def _max_abs(a) -> int:
@@ -422,7 +427,9 @@ class CycloRing:
         table, t_max = self._tables()["roots"]
         a_max, b_max = _max_abs(ad), _max_abs(bd)
         bound = max(inner * deg * deg * a_max * b_max * t_max, deg * b_max * t_max, a_max)
-        rotated = _exact_matmul(bd[:, None], table[:deg], bound)  # [i, k, j] = b[i, j] zeta^k
+        # [i, k, j] = b[i, j] zeta^k, kept on the rung of the second product
+        dtype = _product_dtype(bound)
+        rotated = bd[:, None].astype(dtype, copy=False) @ table[:deg].astype(dtype, copy=False)
         out = _exact_matmul(ad.reshape(n, inner * deg),
                             rotated.reshape(inner * deg, m * deg), bound)
         return self._normalise(out.reshape(n, m, deg), ea + eb, qa * qb)

@@ -121,18 +121,38 @@ def _encode(o, level: int, parts: list, fh) -> None:
 
 
 def _write_entries(mat: OperatorMatrix, pad: str, fh) -> None:
-    # each block's rows [coeffs..., scale_exp, denom] fill one entry template
+    # the distinct packed rows are canonicalised once each; each block's
+    # texts come from the entry template of the distinct rows it uses
     ring = mat.ring
     data, e, q = mat.packed
-    flat = data.reshape(-1, ring.degree)
-    key = pad + "  "
+    distinct, inverse = _distinct_rows(data.reshape(-1, ring.degree))
+    blocks = (ring.canonical(distinct[start:start + cyclo.BLOCK_ENTRIES], e, q)
+              for start in range(0, len(distinct), cyclo.BLOCK_ENTRIES))
+    values = np.concatenate([cyclo.compact(np.column_stack(b)) for b in blocks])
+    key, sep = pad + "  ", "," + pad
     entry = ("{" + key + '"coeffs": [' + ",".join([key + "  %d"] * ring.degree) + key
              + "]," + key + '"scale_exp": %d,' + key + '"denom": %d,' + key
              + f'"N": {ring.order}' + pad + "}")
     fh.write("[" + pad)
-    for start in range(0, len(flat), cyclo.BLOCK_ENTRIES):
-        vecs, exps, denoms = ring.canonical(flat[start:start + cyclo.BLOCK_ENTRIES], e, q)
-        values = np.concatenate([vecs, exps[:, None], denoms[:, None]], axis=1)
-        fh.write(("," + pad if start else "")
-                 + ("," + pad).join([entry] * len(vecs)) % tuple(values.ravel().tolist()))
+    for start in range(0, len(inverse), cyclo.BLOCK_ENTRIES):
+        used, local = np.unique(inverse[start:start + cyclo.BLOCK_ENTRIES],
+                                return_inverse=True)
+        texts = [entry % row for row in map(tuple, values[used].tolist())]
+        fh.write((sep if start else "") + sep.join([texts[i] for i in local.tolist()]))
     fh.write(pad[:-2] + "]")
+
+
+def _distinct_rows(flat):
+    """(distinct, inverse) with flat == distinct[inverse], the distinct rows
+    in lexicographic order; exact on every integer dtype, object included.
+    Run starts are marked one column at a time, so no temporary is as large
+    as flat."""
+    order = np.lexsort(flat.T[::-1])
+    starts = np.zeros(len(flat), dtype=bool)
+    starts[0] = True
+    for col in flat.T:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return flat[order[starts]], inverse

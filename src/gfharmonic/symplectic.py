@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycloScalar
+from .cyclo import CycloScalar, compact
 from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, ZeroScaling)
 from .fourier import fourier_matrix
@@ -50,7 +50,7 @@ from .heisenberg import (braiding_holds, component_displacement_monomial,
                          parity_monomial, require_gf9_fixture, x_monomial,
                          z_monomial)
 from .hilbert import operator_cache, point_projector, ring_for
-from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
+from .linalg import (Monomial, OperatorMatrix, StateVector, conjugate,
                      outer, proportionality_phase, tensor_list)
 
 
@@ -152,11 +152,11 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
 
         g(d) = p^-ell sum_k omega^(Tr(k d) + 2^-1 Tr(xi k^2)),
 
-    because Tr(k n) - Tr(k m) = Tr(k (n - m)).  The q values g(d) are summed
-    once each, so the matrix costs q character sums instead of q^2, and
-    entries on one difference share one scalar.  The exponents agree with
-    those of the full triple product mod N, so every entry is bit-identical
-    to it; :func:`shear_x_closed_form` evaluates that sum independently.
+    because Tr(k n) - Tr(k m) = Tr(k (n - m)).  The q values g(d) are one
+    root sum, and the matrix is their packed array gathered at n - m, so it
+    costs q character sums instead of q^2.  The exponents agree with those
+    of the full triple product mod N, so every entry is bit-identical to
+    it; :func:`shear_x_closed_form` evaluates that sum independently.
     """
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
@@ -164,17 +164,18 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
     cache = operator_cache(field)
     key = ("shear_x", xi.index)
     if key not in cache:
-        ring = ring_for(field)
-        q = field.order
-        phase = generator_shear_z(field, xi).phase
-        step = ring.order // ring.char
-        g = [ring.sum_of_roots(
-                (step * field.trace_index(field.mul_index(k, d)) + phase[k]
-                 for k in range(q)), 2 * field.ell)
-             for d in range(q)]
-        sub = field.sub_index
-        rows = [[g[sub(n, m)] for m in range(q)] for n in range(q)]
-        cache[key] = OperatorMatrix(q, EXACT, ring, rows)
+        ring, t = ring_for(field), field.tables()
+        c = t.mul[field.two_inverse, xi.index]
+        k = np.arange(field.order)
+        roots = (t.trace[t.mul[k[:, None], k]] + t.trace[t.mul[c, t.mul[k, k]]]) * (
+            ring.order // field.p)
+        slots = np.broadcast_to(k[:, None], roots.shape)
+        # every entry is one of the q values, so the (q, degree) array is
+        # compacted before the gather makes q copies of it
+        g, e, q = ring.root_sum(ring.root_coeffs()[0], roots, slots, (field.order,),
+                                2 * field.ell)
+        cache[key] = OperatorMatrix.from_packed(
+            ring, (compact(g)[t.add[k[:, None], t.neg[k]]], e, q))
     return cache[key]
 
 

@@ -3,7 +3,9 @@
 The stdlib call is the reference: on nested plain values, on the payload of
 every CLI command and on exact matrices, whose entries the writer renders
 from the packed triple.  The reference renders each matrix entry through
-``ring.scalar``, so it shares no code with the writer's block path.
+``ring.scalar``, so it shares no code with the writer's block path.  The
+writer canonicalises each distinct packed entry once and writes at most one
+block of entries per call; the last two tests pin that down.
 """
 
 import hashlib
@@ -18,6 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfharmonic import cli, cyclo
+from gfharmonic import symplectic as sp
+from gfharmonic.cyclo import CycloRing
 from gfharmonic.gf import make_field
 from gfharmonic.hilbert import point_projector, ring_for
 from gfharmonic.jsonio import matrix_to_json, scalar_to_json, write_json
@@ -121,11 +125,22 @@ def random_matrix(ring, dim, seed, top, zero_share=0.3):
     return OperatorMatrix(dim, EXACT, ring, rows)
 
 
+def repeated_matrix(ring, dim, seed, top):
+    """Entries drawn from three values and zero, so the writer deduplicates."""
+    rng = random.Random(seed)
+    values = [ring.scalar([rng.randint(-top, top) for _ in range(ring.degree)], e, q)
+              for e, q in ((0, 1), (1, 2), (3, 5))] + [ring.zero]
+    rows = [[rng.choice(values) for _ in range(dim)] for _ in range(dim)]
+    return OperatorMatrix(dim, EXACT, ring, rows)
+
+
 def exact_matrices(field):
     ring = ring_for(field)
     big = random_matrix(ring, 3, 1, 2 ** 70)
     return {
         "object_dtype": big,
+        "repeated_object_dtype": repeated_matrix(ring, 5, 3, 2 ** 70),
+        "repeated_small": repeated_matrix(ring, 6, 4, 3),
         "mixed_scale_denom": random_matrix(ring, 4, 2, 5),
         "zero_entries": point_projector(field, 2),
         "all_zero": OperatorMatrix(2, EXACT, ring, [[ring.zero] * 2] * 2),
@@ -133,12 +148,13 @@ def exact_matrices(field):
     }
 
 
-@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("block", [None, 3, 1])
 def test_exact_matrices_match_stdlib(gf9, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
     mats = exact_matrices(gf9)
     assert mats["object_dtype"].packed[0].dtype == object
+    assert mats["repeated_object_dtype"].packed[0].dtype == object
     for name, mat in mats.items():
         payload = {"dim": mat.dim, "backend": EXACT, "entries": mat}
         assert written(payload) == reference(payload), name
@@ -208,3 +224,61 @@ def test_op_output_is_pinned(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert cli.main(["op", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# -- distinct entries, streamed per block ------------------------------------
+
+PINNED_SYMPLECTIC = ["op", "symplectic", "--p", "13", "--ell", "2",
+                     "--r", "65", "--s", "133", "--t", "159"]
+
+
+class RecordingFile(io.StringIO):
+    """A text file that keeps every write as one string."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_writer_canonicalises_each_distinct_entry_once(monkeypatch):
+    payloads, rows = [], []
+    canonical = CycloRing.canonical
+
+    def spy(ring, vecs, e, q):
+        rows.append(len(vecs))
+        return canonical(ring, vecs, e, q)
+
+    def recording(payload, fh):
+        payloads.append(payload)
+        write_json(payload, fh)
+
+    monkeypatch.setattr(CycloRing, "canonical", spy)
+    monkeypatch.setattr(cli, "write_json", recording)
+    assert cli.main(PINNED_SYMPLECTIC) == 0
+    mat = payloads[0]["entries"]
+    flat = mat.packed[0].reshape(-1, mat.ring.degree)
+    distinct = len(np.unique(flat, axis=0))
+    assert len(flat) == 169 ** 2 and distinct == 13
+    assert sum(rows) == distinct
+
+
+@pytest.mark.parametrize("block", [None, 3, 1])
+def test_no_write_carries_more_than_one_block(gf9, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
+    field = make_field(13, 2)
+    mats = [*exact_matrices(gf9).values(),
+            sp.synthesize(field, sp.SymplecticParams.from_rst(field, 65, 133, 159))]
+    for mat in mats:
+        fh = RecordingFile()
+        write_json({"entries": mat}, fh)
+        per_write = [text.count('"N": ') for text in fh.writes]
+        assert max(per_write) <= cyclo.BLOCK_ENTRIES
+        assert sum(per_write) == mat.dim ** 2
+        # a bool, so that a mismatch does not diff two 9 MB texts
+        matches = fh.getvalue() == reference({"entries": mat})
+        assert matches, mat.dim

@@ -2,7 +2,8 @@
 replaced, the label-grid identity checks of the heisenberg suite against
 the per-label Monomial loops they replaced, and the whole-family closed
 form, shear element sum and subfield checks against their per-element and
-per-label dense loops, also under planted faults; and the element arrays of
+per-label dense loops, also under planted faults; the conjugated shear
+against its per-difference ``sum_of_roots`` construction; and the element arrays of
 Sp(2, GF(q)) (enumeration, sampling, synthesis from one row) against the
 object enumeration, the object sampler and the recursive synthesis.
 
@@ -662,6 +663,36 @@ def test_shear_x_closed_form_matches_entrywise_sums(pe):
         got = sp.shear_x_closed_form(field, xi)
         assert canonical(got.rows) == canonical(ref_shear_x_closed_form(field, xi))
         assert got.equals(sp.generator_shear_x(field, xi))
+
+
+def ref_generator_shear_x(field, xi):
+    """The convolution built from q per-difference sum_of_roots scalars,
+    gathered into rows at n - m and packed."""
+    ring = ring_for(field)
+    q = field.order
+    phase = sp.generator_shear_z(field, xi).phase
+    step = ring.order // ring.char
+    g = [ring.sum_of_roots(
+            (step * field.trace_index(field.mul_index(k, d)) + phase[k] for k in range(q)),
+            2 * field.ell)
+         for d in range(q)]
+    sub = field.sub_index
+    return OperatorMatrix(q, EXACT, ring, [[g[sub(n, m)] for m in range(q)] for n in range(q)])
+
+
+SHEAR_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (13, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("pe", SHEAR_FIELDS, ids=str)
+def test_generator_shear_x_matches_per_difference_sums(pe):
+    field = make_field(*pe)
+    q = field.order
+    xis = range(q) if q <= 49 else (1, q // 2, q - 1)
+    for xi in xis:
+        got = sp.generator_shear_x(field, xi).packed
+        want = ref_generator_shear_x(field, xi).packed
+        assert got[0].dtype == want[0].dtype, xi
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], xi
 
 
 def intertwining_labels(field, d):
