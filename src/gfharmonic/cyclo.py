@@ -355,14 +355,19 @@ class CycloRing:
         if not data.any():
             return np.zeros(data.shape, dtype=np.int64), 0, 1
         p = self.char
-        while e >= 1:
+        # two strips of sqrt(p) leave data / p, so they succeed exactly when
+        # p divides every coefficient (the first entry is tried first, which
+        # is cheap); after that at most one more can
+        while e >= 2 and not (data.flat[:self.degree] % p).any() and not (data % p).any():
+            data, e = data // p, e - 2
+        if e >= 1:
             w = self._times_table(data, "sqrt")
-            if (w % p).any():
-                break
-            data, e = w // p, e - 1
-        g = math.gcd(q, int(np.gcd.reduce(data.ravel())))
-        if g > 1:
-            data, q = data // g, q // g
+            if not (w % p).any():
+                data, e = w // p, e - 1
+        if q > 1:
+            g = math.gcd(q, int(np.gcd.reduce(data.ravel())))
+            if g > 1:
+                data, q = data // g, q // g
         return data, e, q
 
     def unpack(self, packed) -> tuple:
@@ -411,28 +416,30 @@ class CycloRing:
     def matmul(self, a, b):
         """Exact product of two packed matrices, in normal form.
 
-        Each entry of B is first multiplied by zeta^k for every k < degree
-        (one stacked product with the root table).  One integer matmul of A,
-        reshaped to (rows, inner * degree), by those products, reshaped to
-        (inner * degree, cols * degree), then gives the power-basis
-        coefficients of every entry, and one whole-matrix normalisation runs
-        at (E_a + E_b, Q_a Q_b).  The largest of inner * degree^2 * max|A| *
-        max|B| * max|T| (the partial sums of the second product), degree *
-        max|B| * max|T| (those of the first) and max|A| picks one rung of
-        _exact_matmul for both.
+        Leading batch axes broadcast as in numpy's matmul, one normal form
+        for the whole batch.  Each entry of B is first multiplied by zeta^k
+        for every k < degree (one stacked product with the root table).  One
+        integer matmul of A, reshaped to (rows, inner * degree), by those
+        products, reshaped to (inner * degree, cols * degree), then gives
+        the power-basis coefficients of every entry, and one normalisation
+        runs at (E_a + E_b, Q_a Q_b).  The largest of inner * degree^2 *
+        max|A| * max|B| * max|T| (the partial sums of the second product),
+        degree * max|B| * max|T| (those of the first) and max|A| picks one
+        rung of _exact_matmul for both.
         """
         (ad, ea, qa), (bd, eb, qb) = a, b
-        n, inner, deg = ad.shape
-        m = bd.shape[1]
+        *_, inner, deg = ad.shape
+        m = bd.shape[-2]
         table, t_max = self._tables()["roots"]
         a_max, b_max = _max_abs(ad), _max_abs(bd)
         bound = max(inner * deg * deg * a_max * b_max * t_max, deg * b_max * t_max, a_max)
-        # [i, k, j] = b[i, j] zeta^k, kept on the rung of the second product
+        # [..., i, k, j] = b[..., i, j] zeta^k, on the rung of the second product
         dtype = _product_dtype(bound)
-        rotated = bd[:, None].astype(dtype, copy=False) @ table[:deg].astype(dtype, copy=False)
-        out = _exact_matmul(ad.reshape(n, inner * deg),
-                            rotated.reshape(inner * deg, m * deg), bound)
-        return self._normalise(out.reshape(n, m, deg), ea + eb, qa * qb)
+        rotated = (bd[..., None, :, :].astype(dtype, copy=False)
+                   @ table[:deg].astype(dtype, copy=False))
+        out = _exact_matmul(ad.reshape(ad.shape[:-2] + (inner * deg,)),
+                            rotated.reshape(rotated.shape[:-4] + (inner * deg, m * deg)), bound)
+        return self._normalise(out.reshape(out.shape[:-1] + (m, deg)), ea + eb, qa * qb)
 
     def times_roots(self, data, row_roots=None, col_roots=None):
         """Entry (n, m) of a packed coefficient array times
@@ -501,24 +508,54 @@ class CycloRing:
     def add(self, a, b):
         """Normal form of the entrywise sum of two packed triples of one shape.
 
-        Both are brought to the common (max E, lcm Q) the way ``pack``
-        aligns scalars, then added as arrays.
+        Triples at different (E, Q) are first aligned as in ``stack``; then
+        the arrays are added.
         """
-        e, q = max(a[1], b[1]), math.lcm(a[2], b[2])
-        da, db = self._aligned(a, e, q), self._aligned(b, e, q)
+        if a[1:] == b[1:]:
+            (da, e, q), db = a, b[0]
+        else:
+            data, e, q = self._align((a, b))
+            da, db = data[:len(a[0])], data[len(a[0]):]
         dtype = _dtype_for(_max_abs(da) + _max_abs(db))
         return self._normalise(da.astype(dtype, copy=False) + db.astype(dtype, copy=False),
                                e, q)
 
-    def _aligned(self, packed, e: int, q: int):
-        # the data of a packed triple at (e, q), e >= its E and q a multiple of its Q
-        data, de, dq = packed
-        if (e - de) % 2:
-            data = self._times_table(data, "sqrt")
-        mult = q // dq * self.char ** ((e - de) // 2)
-        if mult == 1:
-            return data
-        return data.astype(_dtype_for(_max_abs(data) * mult), copy=False) * mult
+    def stack(self, triples):
+        """Normal-form triple of packed triples joined along their first axis.
+
+        Each part, normal or not, is brought to the common (max E, lcm Q),
+        the p-part of a denominator counting as scale (1/p = p^(-2/2)), and
+        the whole is normalised once: a stack of B (n, m) matrices is one
+        (B * n, m, degree) triple, equal for equal matrices.
+        """
+        return self._normalise(*self._align(triples))
+
+    def _align(self, triples):
+        # the triples joined along axis 0 at one (E, Q), Q prime to p; rows
+        # an odd number of half-scales below E take one product with the
+        # sqrt(p) table, and each row is multiplied by its Q ratio and p-power
+        p = self.char
+        parts = []
+        for data, e, q in triples:
+            while q % p == 0:
+                q, e = q // p, e + 2
+            parts.append((data, e, q))
+        e_top = max(e for _, e, _ in parts)
+        q_top = math.lcm(*(q for _, _, q in parts))
+        sizes = [len(data) for data, _, _ in parts]
+        data = np.concatenate([data for data, _, _ in parts])
+        odd = np.repeat([(e_top - e) % 2 == 1 for _, e, _ in parts], sizes)
+        if odd.any():
+            w = self._times_table(data[odd], "sqrt")
+            data = data.astype(object if object in (w.dtype, data.dtype) else np.int64)
+            data[odd] = w
+        mult = [q_top // q * p ** ((e_top - e) // 2) for _, e, q in parts]
+        top = max(mult)
+        if top > 1:
+            rows = np.repeat(np.array(mult, dtype=_dtype_for(top)), sizes)
+            data = (data.astype(_dtype_for(_max_abs(data) * top), copy=False)
+                    * rows.reshape((-1,) + (1,) * (data.ndim - 1)))
+        return data, e_top, q_top
 
     # -- convenience constructors --------------------------------------------
 

@@ -30,9 +30,9 @@ from .errors import (DimensionMismatch, EvenCharacteristic, NotInSubfield,
                      WrongFixture, ZeroTrace)
 from .fourier import fourier_matrix
 from .gf import GFField
-from .hilbert import point_projector, ring_for
-from .linalg import (Monomial, OperatorMatrix, StateVector, conjugate,
-                     inner_product)
+from .hilbert import ring_for
+from .linalg import (Monomial, OperatorMatrix, StateVector, blocks_equal,
+                     inner_product, outer_stack)
 
 
 def _require_odd(field: GFField):
@@ -200,23 +200,35 @@ def braiding_holds(first, second, shift, order: int):
 
 def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
     """p^-ell sum over l of w_l D(alpha[l], beta[l]), for index arrays of
-    labels, as a dense exact matrix.
+    labels, as a dense exact matrix: the one-block :func:`label_sum_stack`."""
+    return OperatorMatrix.from_packed(ring_for(field), label_sum_stack(
+        field, np.asarray(alpha)[None], np.asarray(beta)[None], weights))
 
-    ``weights`` is a packed triple with one entry per label, or None for
-    all ones.  Entry (perm_l[m], m) of D(l) is zeta^phase_l[m], so the sum
-    is one root-sum of the weights into the q * q entries; the factor
-    p^-ell = 1/q raises the scale exponent by 2 ell.
+
+def label_sum_stack(field: GFField, alpha, beta, weights=None):
+    """The stack of the label sums p^-ell sum over l of w_bl D(alpha[b, l],
+    beta[b, l]), one block per row b of (B, L) index arrays of labels: a
+    (B * q, q) normal-form triple.
+
+    ``weights`` is a packed triple with one entry per label, in row-major
+    order, or None for all ones.  Entry (perm_bl[m], m) of D(b, l) is
+    zeta^phase_bl[m], so all B sums are one root-sum of the weights into
+    the B * q * q entries; the factor p^-ell = 1/q raises the scale
+    exponent by 2 ell.
     """
     return _displacement_sum(field, *displacement_arrays(field, alpha, beta), weights)
 
 
-def _displacement_sum(field: GFField, perm, phase, weights) -> OperatorMatrix:
+def _displacement_sum(field: GFField, perm, phase, weights):
+    # perm and phase are (B, L, q); the root-sum runs over the B * L labels
     ring = ring_for(field)
     q = field.order
+    blocks, labels = perm.shape[:2]
     data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
     data = np.asarray(data).reshape(-1, 1, ring.degree)
-    return OperatorMatrix.from_packed(ring, ring.root_sum(
-        data, phase, perm * q + np.arange(q), (q, q), e + 2 * field.ell, den))
+    dest = (np.repeat(np.arange(blocks), labels)[:, None] * q + perm.reshape(-1, q)) * q
+    return ring.root_sum(data, phase.reshape(-1, q), dest + np.arange(q), (blocks * q, q),
+                         e + 2 * field.ell, den)
 
 
 def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> WeylTable:
@@ -240,8 +252,11 @@ def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> Weyl
 def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
     """Rebuild the operator p^-ell sum_labels D(alpha, beta) W(-alpha, -beta)."""
     neg = field.tables().neg.tolist()
-    weights = ring_for(field).pack([(table.values[a][b],) for a in neg for b in neg])
-    return _displacement_sum(field, *label_grid(field), weights)
+    ring = ring_for(field)
+    weights = ring.pack([(table.values[a][b],) for a in neg for b in neg])
+    perm, phase = label_grid(field)
+    return OperatorMatrix.from_packed(ring, _displacement_sum(field, perm[None], phase[None],
+                                                              weights))
 
 
 def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
@@ -309,26 +324,55 @@ def marginal_sum_beta(field: GFField, alpha) -> OperatorMatrix:
     return label_sum(field, np.full(q, field.element(alpha).index), np.arange(q))
 
 
+def marginal_labels(field: GFField):
+    """Labels (alpha, beta) of the 2q marginal sums, as two (2q, q) index
+    arrays: row b < q sums over alpha at beta = b, row q + a sums over
+    beta at alpha = a."""
+    idx = np.arange(field.order)
+    fixed, free = np.broadcast_arrays(idx[:, None], idx)
+    return np.concatenate([free, fixed]), np.concatenate([fixed, free])
+
+
+def marginal_targets(field: GFField, rows):
+    """The right-hand sides of the marginal sums at ascending rows of
+    :func:`marginal_labels`, as a stack.  The alpha sum at beta = b equals
+    P E_(-b/2) = |b/2><-b/2| (P the parity, E_x the point projector), a
+    matrix unit; the beta sum at alpha = a equals F E_k F^dagger P with
+    k = a/2, which is outer(F e_k, F e_k) with its columns permuted by P."""
+    ring, q, t = ring_for(field), field.order, field.tables()
+    deg = ring.degree
+    rows = np.asarray(rows)
+    k = t.mul[field.two_inverse, rows % q]
+    alpha = rows < q
+    units = np.zeros((alpha.sum(), q, q, deg), dtype=np.int8)
+    units[np.arange(len(units)), k[alpha], t.neg[k[alpha]], 0] = 1
+    f_data, e, den = fourier_matrix(field).packed
+    cols = (f_data.transpose(1, 0, 2)[k[~alpha]], e, den)
+    proj, e, den = outer_stack(ring, cols, cols)
+    proj = proj.reshape(-1, q, q, deg)[:, :, t.neg]
+    return ring.stack([(units.reshape(-1, q, deg), 0, 1), (proj.reshape(-1, q, deg), e, den)])
+
+
 def marginal_projectors(field: GFField) -> dict:
     """Both marginal identities, for every label value.
 
     The alpha-sum at fixed beta equals parity composed with the point
     projector at -beta/2; the beta-sum at fixed alpha equals the Fourier
-    conjugate of the point projector at alpha/2 composed with parity.
+    conjugate of the point projector at alpha/2 composed with parity.  All
+    2q sums are one stack (per block of rows at large q), compared block by
+    block with the stack of :func:`marginal_targets`.
     """
     _require_odd(field)
-    par = parity_monomial(field)
-    f = fourier_matrix(field)
-    half = field.element(field.two_inverse)
-    ok_alpha = all(marginal_sum_alpha(field, el).equals(
-        par.left_mul_dense(point_projector(field, -(half * el))))
-        for el in field.elements())
-    ok_beta = all(marginal_sum_beta(field, el).equals(
-        par.right_mul_dense(conjugate(f, point_projector(field, half * el))))
-        for el in field.elements())
+    ring, q = ring_for(field), field.order
+    alpha, beta = marginal_labels(field)
+    rows = np.arange(2 * q)
+    ok = np.concatenate([
+        blocks_equal(ring, [label_sum_stack(field, alpha[s], beta[s]),
+                            marginal_targets(field, rows[s])], len(rows[s]))
+        for s in label_blocks(2 * q, q * q * ring.order)])
     return {
-        "alpha_sums": ok_alpha,
-        "beta_sums": ok_beta,
+        "alpha_sums": bool(ok[:q].all()),
+        "beta_sums": bool(ok[q:].all()),
         "parity_factor_required": True,
     }
 

@@ -15,6 +15,15 @@ are immutable, which is what lets each view be cached; ``embed()`` is the
 one way out to floating point.  Monomial matrices (permutation plus a
 root-of-unity phase per column) get a dedicated representation, and their
 products with dense operands are gathers plus root rotations.
+
+A family of same-shape matrices is checked as one *stack*: the normal-form
+triple ``(data, E, Q)`` of the B matrices joined along the first axis, a
+``(B * n, m, degree)`` array brought to the common (max E, lcm Q) by
+``CycloRing.stack``.  The triple is fixed by the values, so two stacks are
+equal exactly when their triples are, and :func:`blocks_equal` compares
+stacks block by block.  :func:`conjugate_stack` and :func:`outer_stack`
+build a whole stack with two or one exact products, where one matrix at a
+time would take B times as many.
 """
 
 from __future__ import annotations
@@ -308,10 +317,36 @@ def inner_product(chi: StateVector, h: StateVector):
 
 
 def outer(u: StateVector, v: StateVector) -> OperatorMatrix:
-    """The rank-one operator |u><v|: entry (n, m) is u(n) conj(v(m))."""
+    """The rank-one operator |u><v|: entry (n, m) is u(n) conj(v(m)); the
+    one-block :func:`outer_stack`."""
     u._require_same(v)
-    return OperatorMatrix.from_packed(
-        u.ring, u.ring.matmul(u.packed, _conj_transposed(u.ring, v.packed)))
+    rows = [(data.transpose(1, 0, 2), e, q) for data, e, q in (u.packed, v.packed)]
+    return OperatorMatrix.from_packed(u.ring, outer_stack(u.ring, *rows))
+
+
+def outer_stack(ring: CycloRing, us, vs):
+    """The stack of the rank-one operators |u_b><v_b|, for packed triples
+    us and vs of shape (B, n, degree) whose row b is u_b and v_b: one
+    batched exact product of (B, n, 1) by (B, 1, n), as a (B * n, n)
+    normal-form triple."""
+    (ud, ue, uq), (vd, ve, vq) = us, vs
+    b, n, deg = ud.shape
+    out, e, q = ring.matmul((ud[:, :, None], ue, uq), (ring.conj_coeffs(vd)[:, None], ve, vq))
+    return out.reshape(b * n, vd.shape[1], deg), e, q
+
+
+def blocks_equal(ring: CycloRing, stacks, count: int) -> np.ndarray:
+    """For each of the ``count`` blocks of stacks of one shape, whether all
+    the stacks agree on it: a (count,) bool array.  At one (E, Q) the
+    coefficients are unique, so stacks that share it compare as they are;
+    otherwise they are first aligned into one (``CycloRing.stack``)."""
+    if len({stack[1:] for stack in stacks}) == 1:
+        datas = [stack[0] for stack in stacks]
+    else:
+        datas = np.split(ring.stack(stacks)[0], len(stacks))
+    first = datas[0].reshape(count, -1)
+    return np.logical_and.reduce([(data.reshape(count, -1) == first).all(axis=1)
+                                  for data in datas[1:]])
 
 
 @dataclass(frozen=True)
@@ -351,8 +386,27 @@ def cyclic_spectrum(powers, ring: CycloRing) -> Spectrum:
 
 
 def conjugate(u: OperatorMatrix, a: OperatorMatrix) -> OperatorMatrix:
-    """Basis change u a u^dagger."""
-    return (u @ a) @ u.adjoint()
+    """Basis change u a u^dagger; the one-block :func:`conjugate_stack`."""
+    u._require_same(a)
+    return OperatorMatrix.from_packed(u.ring, conjugate_stack(u, a.packed))
+
+
+def conjugate_stack(u: OperatorMatrix, stack):
+    """The stack of u X_b u^dagger over the blocks X_b of a (B * n, n)
+    stack, as two exact products of the whole stack by an n x n factor:
+    [X_b] @ u^dagger, then its blocks transposed, (X_b u^dagger)^T @ u^T =
+    (u X_b u^dagger)^T, transposed back.  The large operand stays on the
+    left, where the product does not expand it by the ring degree."""
+    ring, n, deg = u.ring, u.dim, u.ring.degree
+    b = len(stack[0]) // n
+
+    def flipped(data):  # every block transposed
+        return data.reshape(b, n, n, deg).transpose(0, 2, 1, 3).reshape(b * n, n, deg)
+
+    right, e, q = ring.matmul(stack, _conj_transposed(ring, u.packed))
+    data, ue, uq = u.packed
+    out, e, q = ring.matmul((flipped(right), e, q), (data.transpose(1, 0, 2), ue, uq))
+    return flipped(out), e, q
 
 
 class Monomial:

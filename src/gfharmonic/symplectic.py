@@ -46,12 +46,12 @@ from .fourier import fourier_matrix
 from .gf import FieldElement, GFField
 from .heisenberg import (braiding_holds, component_displacement_monomial,
                          displacement, displacement_arrays, displacement_monomial,
-                         label_sum, marginal_sum_alpha, marginal_sum_beta,
-                         parity_monomial, require_gf9_fixture, x_monomial,
+                         label_blocks, label_sum_stack, marginal_labels,
+                         marginal_targets, require_gf9_fixture, x_monomial,
                          z_monomial)
-from .hilbert import operator_cache, point_projector, ring_for
-from .linalg import (Monomial, OperatorMatrix, StateVector, conjugate,
-                     outer, proportionality_phase, tensor_list)
+from .hilbert import operator_cache, ring_for
+from .linalg import (Monomial, OperatorMatrix, blocks_equal, conjugate,
+                     conjugate_stack, outer_stack, proportionality_phase, tensor_list)
 
 
 @dataclass(frozen=True)
@@ -415,9 +415,7 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     codes = _rotation_codes(ring, [m.packed[0] for m in mats])
     flat = codes.reshape(-1)
 
-    r, s, tt, u = elements.T
-    alpha = t.add[t.mul[u[:, None], la], t.mul[s[:, None], lb]]
-    beta = t.add[t.mul[tt[:, None], la], t.mul[r[:, None], lb]]
+    alpha, beta = label_images(field, elements.T[:, :, None], la, lb)
     shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
     # O(G L q) arrays per outer block (a quarter of SWEEP_ENTRIES each, as
     # several are alive at once), the O(G L q^2) gather per inner block
@@ -566,69 +564,85 @@ def frobenius_action_check(field: GFField, params: SymplecticParams,
     return result
 
 
+def label_images(field: GFField, row, alpha, beta):
+    """The labels g(a, b) = (u a + s b, t a + r b) under g = (r, s, t, u),
+    for index arrays (or ints) of labels; the four entries of ``row``
+    broadcast against them."""
+    t = field.tables()
+    r, s, tt, u = row
+    return (t.add[t.mul[u, alpha], t.mul[s, beta]], t.add[t.mul[tt, alpha], t.mul[r, beta]])
+
+
 def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
     """Marginal identities transported to a rotated phase-space frame.
 
     The primed displacements D'(a, b) = S D(a, b) S+ are displacements at
-    the transformed labels, so each primed label sum is :func:`label_sum`
-    on those labels; the primed right-hand sides S (parity . projector) S+
-    are rank one, outer products of columns of S.  For small fields the
-    fully explicit conjugation is also compared.
+    the transformed labels, so the 2q primed sums of :func:`marginal_labels`
+    are one :func:`label_sum_stack` on the image labels (per block of rows
+    at large q).  For q <= 9 the plain sums and their right-hand sides
+    (:func:`marginal_targets`) are also conjugated by S, as one stack, and
+    each primed sum must equal both; above that the conjugated right-hand
+    sides are compared in rank-one form, |S e_-k><S e_k| and |S F e_k><S F+
+    e_k|.  ``witness`` is None or the first failing (sum, label):
+    ("alpha_sums", beta) or ("beta_sums", alpha), as field indices.
     """
     s_op = synthesize(field, params)
-    par = parity_monomial(field)
-    f = fourier_matrix(field)
-    ring = ring_for(field)
-    q = field.order
-    half = field.element(field.two_inverse)
-    explicit = q <= 9
-    t = field.tables()
-    idx = np.arange(q)
-    r, s, tt, u = params.to_row()
-    # image labels g(a, b) = (u a + s b, t a + r b), indexed [a, b]
-    img_a = t.add[t.mul[u, idx][:, None], t.mul[s, idx]]
-    img_b = t.add[t.mul[tt, idx][:, None], t.mul[r, idx]]
+    ring, q, t = ring_for(field), field.order, field.tables()
+    alpha, beta = marginal_labels(field)
+    img_alpha, img_beta = label_images(field, params.to_row(), alpha, beta)
+    rows = np.arange(2 * q)
+    if q <= 9:
+        def targets(s):
+            data, e, den = conjugate_stack(s_op, ring.stack(
+                [label_sum_stack(field, alpha[s], beta[s]), marginal_targets(field, rows[s])]))
+            half = len(data) // 2
+            return [(data[:half], e, den), (data[half:], e, den)]
+    else:
+        f = fourier_matrix(field)
+        # rows of the pool: the columns of S, then of S F, then of S F+
+        pool, e, den = ring.stack([(m.packed[0].transpose(1, 0, 2), *m.packed[1:])
+                                   for m in (s_op, s_op @ f, s_op @ f.adjoint())])
+        k = t.mul[field.two_inverse, rows % q]
+        left = np.where(rows < q, k, q + k)
+        right = np.where(rows < q, t.neg[k], 2 * q + k)
 
-    def column(mat, k):
-        return mat.apply(StateVector.point_mass(ring, q, k))
+        def targets(s):
+            return [outer_stack(ring, (pool[left[s]], e, den), (pool[right[s]], e, den))]
+    ok = np.concatenate([
+        blocks_equal(ring, [label_sum_stack(field, img_alpha[s], img_beta[s]), *targets(s)],
+                     len(rows[s]))
+        for s in label_blocks(2 * q, q * q * ring.order)])
+    bad = np.flatnonzero(~ok)
+    return {"alpha_sums": bool(ok[:q].all()), "beta_sums": bool(ok[q:].all()),
+            "witness": (("alpha_sums", "beta_sums")[bad[0] // q], int(bad[0] % q))
+            if len(bad) else None}
 
-    ok_alpha = True
-    ok_beta = True
-    for b in range(q):
-        beta = field.element(b)
-        lhs = label_sum(field, img_a[:, b], img_b[:, b])
-        k = -(half * beta)
-        # S E(-k, k) S+ = |S e_-k><S e_k|
-        target = outer(column(s_op, field.neg_index(k.index)), column(s_op, k.index))
-        if not lhs.equals(target):
-            ok_alpha = False
-            break
-        if explicit:
-            direct = conjugate(s_op, marginal_sum_alpha(field, beta))
-            ref = conjugate(s_op, par.left_mul_dense(point_projector(field, k)))
-            if not (direct.equals(lhs) and direct.equals(ref)):
-                ok_alpha = False
-                break
-    for a in range(q):
-        alpha = field.element(a)
-        lhs = label_sum(field, img_a[a], img_b[a])
-        k = half * alpha
-        if explicit:
-            q_tilde = conjugate(f, point_projector(field, k))
-            target = conjugate(s_op, par.right_mul_dense(q_tilde))
-            direct = conjugate(s_op, marginal_sum_beta(field, alpha))
-            if not (direct.equals(lhs) and direct.equals(target)):
-                ok_beta = False
-                break
-        else:
-            # Q~_k P = F Q_k F+ F^2 = F Q_k F is rank one, so the conjugated
-            # target is |S F e_k><S F+ e_k|
-            target = outer(s_op.apply(column(f, k.index)),
-                           s_op.apply(column(f.adjoint(), k.index)))
-            if not lhs.equals(target):
-                ok_beta = False
-                break
-    return {"alpha_sums": ok_alpha, "beta_sums": ok_beta}
+
+def shear_grid_laws(field: GFField) -> tuple:
+    """(additive, unitary): whether S_x(x) S_x(y) = S_x(x + y) for every
+    pair of the field, and whether every S_x(x) is unitary.
+
+    The additive law is one exact product, the (q * q, q) stack of the q
+    shears by the (q, q * q) row of them; block (x, y) is compared with
+    the shear at x + y, gathered from the stack.  Unitarity is one batched
+    product of each shear by its adjoint, compared with the identity.
+    """
+    ring, q, t = ring_for(field), field.order, field.tables()
+    deg = ring.degree
+    data, e, den = ring.stack([generator_shear_x(field, x).packed for x in range(q)])
+    shears = data.reshape(q, q, q, deg)
+    law, le, lden = ring.matmul((data, e, den),
+                                (shears.transpose(1, 0, 2, 3).reshape(q, q * q, deg), e, den))
+    law = law.reshape(q, q, q, q, deg).transpose(0, 2, 1, 3, 4)  # [x, y, n, m]
+    unit, ue, uden = ring.matmul((shears, e, den),
+                                 (ring.conj_coeffs(shears.transpose(0, 2, 1, 3)), e, den))
+    ident = np.zeros((q, q, q, deg), dtype=np.int8)
+    ident[:, np.arange(q), np.arange(q), 0] = 1
+    additive = blocks_equal(ring, [(law.reshape(-1, q, deg), le, lden),
+                                   (shears[t.add].reshape(-1, q, deg), e, den)], q * q)
+    unitary = blocks_equal(ring, [(unit.reshape(-1, q, deg), ue, uden),
+                                  (ident.reshape(-1, q, deg), 0, 1)], q)
+    return bool(additive.all()), bool(unitary.all())
 
 
 def non_factorization_witness(field: GFField) -> dict:

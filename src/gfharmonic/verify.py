@@ -23,8 +23,7 @@ from . import heisenberg as hb
 from . import hilbert as hs
 from . import symplectic as sp
 from .gf import GFField
-from .linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
-                     inner_product, outer)
+from .linalg import Monomial, OperatorMatrix, StateVector, inner_product, outer
 
 DEFAULT_GRID = ((3, 1), (3, 2), (5, 1), (3, 3), (5, 2), (7, 1))
 SUITE_NAMES = ("gf", "fourier", "frobenius", "heisenberg", "symplectic")
@@ -83,24 +82,29 @@ def _desc(field: GFField) -> str:
     return f"GF({field.p}^{field.ell}) mod {','.join(map(str, field.modulus))}"
 
 
-def _random_scalar(ring, rng):
-    vec = [rng.randint(-2, 2) for _ in range(ring.degree)]
-    if not any(vec):
-        vec[0] = 1
-    return ring.scalar(vec, rng.choice([0, 0, 1, 2]), rng.choice([1, 1, 2, 3]))
+def _random_entries(field, rng, count: int):
+    """count random scalars as a (count, 1) stack.  Each entry draws its
+    ``degree`` coefficients in [-2, 2] (all zero becomes 1), then its scale
+    exponent, then its denominator; the stack aligns them all at once."""
+    ring = hs.ring_for(field)
+    parts = []
+    for _ in range(count):
+        vec = [rng.randint(-2, 2) for _ in range(ring.degree)]
+        if not any(vec):
+            vec[0] = 1
+        parts.append((np.array(vec).reshape(1, 1, -1), rng.choice([0, 0, 1, 2]),
+                      rng.choice([1, 1, 2, 3])))
+    return ring.stack(parts)
 
 
 def _random_matrix(field, rng) -> OperatorMatrix:
-    ring = hs.ring_for(field)
     q = field.order
-    rows = [[_random_scalar(ring, rng) for _ in range(q)] for _ in range(q)]
-    return OperatorMatrix(q, EXACT, ring, rows)
+    data, e, den = _random_entries(field, rng, q * q)
+    return OperatorMatrix.from_packed(hs.ring_for(field), (data.reshape(q, q, -1), e, den))
 
 
 def _random_state(field, rng) -> StateVector:
-    ring = hs.ring_for(field)
-    return StateVector(field.order, EXACT, ring,
-                       [_random_scalar(ring, rng) for _ in range(field.order)])
+    return StateVector.from_packed(hs.ring_for(field), _random_entries(field, rng, field.order))
 
 
 def _random_rank_one(field, rng) -> OperatorMatrix:
@@ -531,13 +535,15 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     ok = all(sp.generator_shear_x(field, x).equals(sp.shear_x_closed_form(field, x))
              for x in check_xis)
     rep.add("conjugated_shear_matches_element_sum", ok)
-    xpairs = shear_pairs if q <= 9 else [(rng.choice(els), rng.choice(els))
-                                         for _ in range(6)]
-    ok = all((sp.generator_shear_x(field, x) @ sp.generator_shear_x(field, y))
-             .equals(sp.generator_shear_x(field, x + y)) for x, y in xpairs)
-    rep.add("conjugated_shear_additive_law", ok)
-    ok = all(sp.generator_shear_x(field, x).is_unitary() for x in check_xis)
-    rep.add("conjugated_shear_unitary", ok)
+    if q <= 9:  # every pair, as one stacked product
+        additive, unitary = sp.shear_grid_laws(field)
+    else:
+        xpairs = [(rng.choice(els), rng.choice(els)) for _ in range(6)]
+        additive = all((sp.generator_shear_x(field, x) @ sp.generator_shear_x(field, y))
+                       .equals(sp.generator_shear_x(field, x + y)) for x, y in xpairs)
+        unitary = all(sp.generator_shear_x(field, x).is_unitary() for x in check_xis)
+    rep.add("conjugated_shear_additive_law", additive)
+    rep.add("conjugated_shear_unitary", unitary)
 
     nonzero_a = nonzero if q <= 27 else [rng.choice(nonzero) for _ in range(10)]
     ok = all((lambda gv: gv.value * gv.value.conj() == ring.from_int(q))(
@@ -552,7 +558,9 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     # the sweep to q <= 27 (beyond that the group is too large to enumerate
     # usefully at desk scale)
     group = sp.enumerate_group(field)
-    count = len(np.unique(group[_determinant(field, group) == 1] @ q ** np.arange(3, -1, -1)))
+    # distinct codes of the determinant-1 rows, counted on the sorted codes
+    codes = np.sort(group[_determinant(field, group) == 1] @ q ** np.arange(3, -1, -1))
+    count = int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1]))
     ok = count == len(group) == q * (q * q - 1)
     if q <= 9 or (config.exhaustive and q <= 27):
         rep.add("group_order_count", ok, detail=f"count={count}")
@@ -581,11 +589,9 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                      add[mul[t1, u2], mul[r1, t2]], add[mul[u1, u2], mul[s1, t2]]])
     eps = field.generator.index
     a, b = np.array([[1, 1, eps, eps], [0, 1, 0, 1]])[:, :, None]
-
-    def act(g, a, b):  # label images (u a + s b, t a + r b)
-        return np.array([add[mul[g[3], a], mul[g[1], b]], add[mul[g[2], a], mul[g[0], b]]])
     rep.add("label_action_homomorphism", bool((_determinant(field, prod.T) == 1).all())
-            and np.array_equal(act(prod, a, b), act(g1, *act(g2, a, b))))
+            and np.array_equal(sp.label_images(field, prod, a, b),
+                               sp.label_images(field, g1, *sp.label_images(field, g2, a, b))))
 
     # closed form vs synthesis
     valid = group[sp.closed_form_domain(field, group)]
@@ -612,10 +618,16 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     if hb.is_gf9_fixture(field):
         tm_rows.append(sp.SymplecticParams.from_rst(
             field, 1, field.one + field.generator, field.generator).to_row())
-    ok = all(res["alpha_sums"] and res["beta_sums"] for res in (
-        sp.transformed_marginals(field, sp.SymplecticParams.from_row(field, row))
-        for row in tm_rows))
-    rep.add("transformed_marginals", ok)
+    ok, detail = True, ""
+    for row in tm_rows:
+        res = sp.transformed_marginals(field, sp.SymplecticParams.from_row(field, row))
+        if res["witness"] is not None:
+            name, label = res["witness"]
+            held = "beta" if name == "alpha_sums" else "alpha"
+            ok, detail = False, (f"witness={_row_text(field, row)}:"
+                                 f"{name}[{held}={field.element(label)}]")
+            break
+    rep.add("transformed_marginals", ok, detail=detail)
 
     if hb.is_gf9_fixture(field):
         wit = sp.non_factorization_witness(field)

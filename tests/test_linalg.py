@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from gfharmonic import cyclo
 from gfharmonic.cyclo import ScalarAccumulator, get_ring
 from gfharmonic.errors import BackendMismatch, DimensionMismatch
-from gfharmonic.linalg import (Monomial, OperatorMatrix, StateVector,
-                               conjugate, inner_product,
-                               proportionality_phase, tensor_list)
+from gfharmonic.linalg import (Monomial, OperatorMatrix, StateVector, blocks_equal,
+                               conjugate, conjugate_stack, inner_product, outer,
+                               outer_stack, proportionality_phase, tensor_list)
 
 
 @pytest.fixture(scope="module")
@@ -561,3 +561,118 @@ def test_monomial_from_dense(ring):
     rows = [[ring.one + ring.root(1) if n == m else ring.zero for m in range(3)]
             for n in range(3)]
     assert Monomial.from_dense(OperatorMatrix(3, "exact", ring, rows)) is None
+
+
+# -- stacks: one triple for a family of same-shape matrices --------------------
+
+def assert_same_triple(got, want):
+    assert got[1:] == want[1:]
+    assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 2 ** 50, 10 ** 30])
+def test_stack_matches_pack_of_joined_rows(order, char, bound):
+    # a normal part with mixed (E, Q), a zero part, a part not in normal
+    # form and a part whose denominator holds p: the stack is the normal
+    # form of all their entries, block after block
+    ring = get_ring(order, char)
+    p = ring.char
+    rng = random.Random(order + bound % 991)
+    dim = 4
+    mixed = mixed_matrix(ring, dim, rng, bound, zero_rows=(2,))
+    raw = raw_packed(ring, dim, rng, bound)
+    vecs = [[rng.randint(-bound, bound) for _ in range(ring.degree)] for _ in range(dim * dim)]
+    p_den = (np.array(vecs, dtype=object).reshape(dim, dim, -1), 1, 2 * p)
+    zero = OperatorMatrix.zeros(ring, dim)
+    got = ring.stack([ring.pack(mixed), raw, zero.packed, p_den])
+    p_rows = [[ring.scalar(v, 1, 2 * p) for v in vecs[i * dim:(i + 1) * dim]]
+              for i in range(dim)]
+    want = ring.pack(mixed + list(ring.unpack(raw)) + list(zero.rows) + p_rows)
+    assert_same_triple(got, want)
+    assert_same_triple(ring.stack([zero.packed]), zero.packed)
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 10 ** 30])
+def test_batched_matmul_matches_per_block_products(order, char, bound):
+    ring = get_ring(order, char)
+    rng = random.Random(order * 7 + bound % 89)
+    lefts = [ring.pack(mixed_matrix(ring, 3, rng, bound)) for _ in range(4)]
+    rights = [ring.pack(mixed_matrix(ring, 3, rng, bound)) for _ in range(4)]
+    (ad, ea, qa), (bd, eb, qb) = ring.stack(lefts), ring.stack(rights)
+    got, e, q = ring.matmul((ad.reshape(4, 3, 3, -1), ea, qa), (bd.reshape(4, 3, 3, -1), eb, qb))
+    want = ring.stack([ring.matmul(a, b) for a, b in zip(lefts, rights)])
+    assert_same_triple((got.reshape(12, 3, -1), e, q), want)
+    # a leading axis of one broadcasts: the same left factor for every block
+    got, e, q = ring.matmul((lefts[0][0][None], *lefts[0][1:]),
+                            (bd.reshape(4, 3, 3, -1), eb, qb))
+    want = ring.stack([ring.matmul(lefts[0], (bd[3 * i:3 * i + 3], eb, qb)) for i in range(4)])
+    assert_same_triple((got.reshape(12, 3, -1), e, q), want)
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 10 ** 30])
+def test_conjugate_stack_matches_per_block_conjugation(order, char, bound):
+    ring = get_ring(order, char)
+    rng = random.Random(order * 11 + bound % 83)
+    u = OperatorMatrix(4, "exact", ring, mixed_matrix(ring, 4, rng, bound))
+    xs = [OperatorMatrix(4, "exact", ring, mixed_matrix(ring, 4, rng, 3)) for _ in range(3)]
+    got = conjugate_stack(u, ring.stack([x.packed for x in xs]))
+    want = [(u @ x) @ u.adjoint() for x in xs]
+    assert_same_triple(got, ring.stack([w.packed for w in want]))
+    # the one-block case is the two products it replaced, triple for triple
+    assert_same_triple(conjugate(u, xs[0]).packed, want[0].packed)
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+def test_outer_stack_matches_entry_products(order, char):
+    ring = get_ring(order, char)
+    rng = random.Random(order)
+    us, vs = ([[row[0] for row in mixed_matrix(ring, 5, rng, 2 ** 40)] for _ in range(3)]
+              for _ in range(2))
+    got = outer_stack(ring, ring.pack(us), ring.pack(vs))
+    want = ring.pack([[x * y.conj() for y in v] for u, v in zip(us, vs) for x in u])
+    assert_same_triple(got, want)
+    u, v = (StateVector.from_values(ring, w[0]) for w in (us, vs))
+    assert_same_triple(outer(u, v).packed, ring.pack([[x * y.conj() for y in vs[0]]
+                                                      for x in us[0]]))
+
+
+def test_blocks_equal_separates_coefficient_scale_and_denominator(ring):
+    a, b = (ring.pack(mixed_matrix(ring, 3, random.Random(s), 3)) for s in (1, 2))
+    base = ring.stack([a, b, a])
+    assert blocks_equal(ring, [base, base, base], 3).tolist() == [True] * 3
+    data = np.array(b[0], dtype=np.int64)
+    data[1, 2, 0] += 1
+    for changed in [(data, *b[1:]), (b[0], b[1] + 1, b[2]), (b[0], b[1], 5 * b[2])]:
+        other = ring.stack([a, changed, a])
+        assert blocks_equal(ring, [base, other], 3).tolist() == [True, False, True]
+        assert blocks_equal(ring, [other, base, base], 3).tolist() == [True, False, True]
+
+
+def reference_normalise(ring, data, e, q):
+    """The one-strip-at-a-time normalisation the double strip replaced."""
+    p = ring.char
+    while e >= 1:
+        w = ring._times_table(data, "sqrt")
+        if (w % p).any():
+            break
+        data, e = w // p, e - 1
+    g = math.gcd(q, int(np.gcd.reduce(data.ravel())))
+    if g > 1:
+        data, q = data // g, q // g
+    return data, e, q
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 10 ** 30])
+def test_normalise_matches_single_strips(order, char, bound):
+    ring = get_ring(order, char)
+    rng = random.Random(order + 5)
+    data, e, q = raw_packed(ring, 4, rng, bound)
+    lifted = ring._times_table(data, "sqrt")
+    for triple in [(data, e, q), (data * ring.char, e + 2, q), (lifted, e + 1, q),
+                   (lifted * ring.char, e + 3, 1), (data * ring.char, 1, q), (data, 0, q),
+                   (data[:1] * 0, 3, 1)]:
+        assert_same_triple(ring._normalise(*triple), reference_normalise(ring, *triple))

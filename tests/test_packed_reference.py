@@ -3,9 +3,11 @@ replaced, the label-grid identity checks of the heisenberg suite against
 the per-label Monomial loops they replaced, and the whole-family closed
 form, shear element sum and subfield checks against their per-element and
 per-label dense loops, also under planted faults; the conjugated shear
-against its per-difference ``sum_of_roots`` construction; and the element arrays of
+against its per-difference ``sum_of_roots`` construction; the element arrays of
 Sp(2, GF(q)) (enumeration, sampling, synthesis from one row) against the
-object enumeration, the object sampler and the recursive synthesis.
+object enumeration, the object sampler and the recursive synthesis; and the
+stacked marginal checks, shear laws and random operators against the
+per-label loops, per-pair products and per-scalar builder they replaced.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -31,11 +33,12 @@ from gfharmonic.heisenberg import (displacement_monomial, label_sum,
                                    overcomplete_expansion_check,
                                    resolution_of_identity_check, weyl_expand,
                                    weyl_reconstruct)
-from gfharmonic.hilbert import phi_basis, ring_for
-from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
+from gfharmonic.hilbert import phi_basis, point_projector, ring_for
+from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
                                inner_product, outer, proportionality_phase)
 from gfharmonic.symplectic import SymplecticParams, synthesize
-from gfharmonic.verify import VerifyConfig, heisenberg_suite, symplectic_suite
+from gfharmonic.verify import (VerifyConfig, _random_matrix, _random_state, heisenberg_suite,
+                               symplectic_suite)
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
@@ -973,3 +976,217 @@ def test_braiding_compares_the_permutations():
     second = (np.array([0, 2, 1]), np.zeros(3, dtype=int))
     assert heisenberg.braiding_holds(first, first, 0, 4).all()
     assert not heisenberg.braiding_holds(first, second, 0, 4).all()
+
+
+# -- stacked marginals, shear laws and random operators --------------------------
+
+STACK_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+
+
+def ref_transformed_marginals(field, params):
+    """The per-label loop that transformed_marginals replaced: (alpha_ok,
+    beta_ok, first failing (sum, label) or None).  It stops an alpha or a
+    beta pass at its first failing label, as the loop did."""
+    s_op = sp.synthesize(field, params)
+    par = heisenberg.parity_monomial(field)
+    f = fourier_matrix(field)
+    ring = ring_for(field)
+    q = field.order
+    half = field.element(field.two_inverse)
+    idx = np.arange(q)
+    img_a, img_b = sp.label_images(field, params.to_row(), idx[:, None], idx)  # [a, b]
+
+    def column(mat, k):
+        return mat.apply(StateVector.point_mass(ring, q, k))
+
+    failed = []
+    for b in range(q):
+        beta = field.element(b)
+        lhs = label_sum(field, img_a[:, b], img_b[:, b])
+        k = -(half * beta)
+        target = outer(column(s_op, field.neg_index(k.index)), column(s_op, k.index))
+        ok = lhs.equals(target)
+        if ok and q <= 9:
+            direct = conjugate(s_op, marginal_sum_alpha(field, beta))
+            ref = conjugate(s_op, par.left_mul_dense(point_projector(field, k)))
+            ok = direct.equals(lhs) and direct.equals(ref)
+        if not ok:
+            failed.append(("alpha_sums", b))
+            break
+    for a in range(q):
+        alpha = field.element(a)
+        lhs = label_sum(field, img_a[a], img_b[a])
+        k = half * alpha
+        if q <= 9:
+            target = conjugate(s_op, par.right_mul_dense(conjugate(f, point_projector(field, k))))
+            direct = conjugate(s_op, marginal_sum_beta(field, alpha))
+            ok = direct.equals(lhs) and direct.equals(target)
+        else:
+            target = outer(s_op.apply(column(f, k.index)),
+                           s_op.apply(column(f.adjoint(), k.index)))
+            ok = lhs.equals(target)
+        if not ok:
+            failed.append(("beta_sums", a))
+            break
+    names = {name for name, _ in failed}
+    return "alpha_sums" not in names, "beta_sums" not in names, (failed or [None])[0]
+
+
+def marginal_elements(field):
+    """The identity, an element of the generic chart and one composed with F."""
+    return [SymplecticParams.from_row(field, (1, 0, 0, 1)),
+            SymplecticParams.from_rst(field, 1, 1, 2 % field.order),
+            SymplecticParams.from_row(field, (0, 1, field.neg_index(1), 0))]
+
+
+def shift_one_image_label(monkeypatch, field):
+    """The image of label (1, 0) moves to (u, t + 1), on both paths."""
+    original, add = sp.label_images, field.tables().add
+
+    def shifted(field_, row, alpha, beta):
+        a, b = original(field_, row, alpha, beta)
+        hit = (np.asarray(alpha) == 1) & (np.asarray(beta) == 0)
+        return a, np.where(hit, add[b, 1], b)
+
+    monkeypatch.setattr(sp, "label_images", shifted)
+
+
+def swap_unitary(monkeypatch, field):
+    """Every element gets the unitary of the element (1, 1, 1)."""
+    original, other = sp.synthesize, SymplecticParams.from_rst(field, 1, 1, 1)
+    monkeypatch.setattr(sp, "synthesize", lambda f, g: original(f, other))
+
+
+@pytest.mark.parametrize("fault", [None, shift_one_image_label, swap_unitary],
+                         ids=["none", "shifted_image_label", "swapped_unitary"])
+@pytest.mark.parametrize("pe", STACK_FIELDS, ids=str)
+def test_transformed_marginals_match_per_label_loop(pe, fault, monkeypatch):
+    field = make_field(*pe)
+    if fault is not None:
+        fault(monkeypatch, field)
+    for params in marginal_elements(field):
+        got = sp.transformed_marginals(field, params)
+        want = ref_transformed_marginals(field, params)
+        assert (got["alpha_sums"], got["beta_sums"], got["witness"]) == want
+        if fault is None:
+            assert got["witness"] is None
+        elif fault is shift_one_image_label:  # both sums that hold the label fail
+            assert want == (False, False, ("alpha_sums", 0))
+        else:  # no element here is (1, 1, 1), so every one fails
+            assert want[2] is not None
+
+
+def test_transformed_marginals_blocks_agree(monkeypatch):
+    field = make_field(5, 2)
+    params = marginal_elements(field)[1]
+    want = sp.transformed_marginals(field, params)
+    monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", 1)
+    assert sp.transformed_marginals(field, params) == want
+    shift_one_image_label(monkeypatch, field)
+    assert sp.transformed_marginals(field, params)["witness"] == ("alpha_sums", 0)
+
+
+def test_transformed_marginals_witness_in_the_suite(monkeypatch):
+    field = make_field(3, 1)
+    item = next(i for i in symplectic_suite(field).items if i.name == "transformed_marginals")
+    assert (item.status, item.detail) == ("pass", "")
+    shift_one_image_label(monkeypatch, field)
+    item = next(i for i in symplectic_suite(field).items if i.name == "transformed_marginals")
+    assert (item.status, item.detail) == ("fail", "witness=(1, 0, 0, 1):alpha_sums[beta=0]")
+
+
+def ref_marginal_targets(field):
+    """The dense right-hand sides the per-label marginal_projectors built:
+    P E_(-b/2) for each beta b, then F E_(a/2) F^dagger P for each alpha a."""
+    par = heisenberg.parity_monomial(field)
+    f = fourier_matrix(field)
+    half = field.element(field.two_inverse)
+    els = field.elements()
+    return ([par.left_mul_dense(point_projector(field, -(half * el))) for el in els]
+            + [par.right_mul_dense(conjugate(f, point_projector(field, half * el)))
+               for el in els])
+
+
+@pytest.mark.parametrize("pe", STACK_FIELDS, ids=str)
+def test_marginal_stacks_match_per_label_matrices(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    alpha, beta = heisenberg.marginal_labels(field)
+    sums = heisenberg.label_sum_stack(field, alpha, beta)
+    want_sums = ring.stack([label_sum(field, a, b).packed for a, b in zip(alpha, beta)])
+    assert_same_triple(sums, want_sums)
+    assert_same_triple(sums, ring.stack([m.packed for m in
+                                         [marginal_sum_alpha(field, x) for x in range(q)]
+                                         + [marginal_sum_beta(field, x) for x in range(q)]]))
+    targets = heisenberg.marginal_targets(field, np.arange(2 * q))
+    assert_same_triple(targets, ring.stack([m.packed for m in ref_marginal_targets(field)]))
+    assert heisenberg.marginal_projectors(field) == {
+        "alpha_sums": True, "beta_sums": True, "parity_factor_required": True}
+
+
+def test_marginal_projectors_fail_on_a_perturbed_phase(monkeypatch):
+    # D(0, 1) is wrong in one phase: the alpha sum at beta = 1 and the beta
+    # sum at alpha = 0 break, on the stack as in the per-label comparisons
+    field = make_field(3, 2)
+    perturbed_arrays(monkeypatch, field)
+    targets, q = ref_marginal_targets(field), field.order
+    alpha_ok = [marginal_sum_alpha(field, x).equals(targets[x]) for x in range(q)]
+    beta_ok = [marginal_sum_beta(field, x).equals(targets[q + x]) for x in range(q)]
+    assert alpha_ok.index(False) == 1 and beta_ok.index(False) == 0
+    assert heisenberg.marginal_projectors(field) == {
+        "alpha_sums": all(alpha_ok), "beta_sums": all(beta_ok), "parity_factor_required": True}
+
+
+def assert_same_triple(got, want):
+    assert got[1:] == want[1:]
+    assert np.array_equal(got[0], want[0])
+
+
+def ref_shear_laws(field):
+    """The per-pair products and per-shear unitarity checks the grid replaced."""
+    els = field.elements()
+    additive = all((sp.generator_shear_x(field, x) @ sp.generator_shear_x(field, y))
+                   .equals(sp.generator_shear_x(field, x + y)) for x in els for y in els)
+    return additive, all(sp.generator_shear_x(field, x).is_unitary() for x in els)
+
+
+@pytest.mark.parametrize("fault", [None, swap_shear_base, scale_shear_base],
+                         ids=["none", "swapped_base", "scaled_base"])
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2)], ids=str)
+def test_shear_grid_laws_match_per_pair_products(pe, fault, monkeypatch):
+    field = make_field(*pe)
+    if fault is not None:
+        fault(monkeypatch, field)
+    got = sp.shear_grid_laws(field)
+    assert got == ref_shear_laws(field)
+    assert got == {None: (True, True), swap_shear_base: (False, True),
+                   scale_shear_base: (False, False)}[fault]
+
+
+def ref_random_operator(field, rng, count):
+    """The per-scalar builder the packed one replaced: the canonical scalars
+    of the suites' random matrices and states, in draw order."""
+    ring = ring_for(field)
+    out = []
+    for _ in range(count):
+        vec = [rng.randint(-2, 2) for _ in range(ring.degree)]
+        if not any(vec):
+            vec[0] = 1
+        out.append(ring.scalar(vec, rng.choice([0, 0, 1, 2]), rng.choice([1, 1, 2, 3])))
+    return out
+
+
+@pytest.mark.parametrize("pe", STACK_FIELDS, ids=str)
+def test_random_operators_match_per_scalar_builder(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    for seed in (1, 7):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        mat = _random_matrix(field, rng)
+        entries = ref_random_operator(field, ref_rng, q * q)
+        want = OperatorMatrix(q, EXACT, ring, [entries[i * q:(i + 1) * q] for i in range(q)])
+        assert_same_triple(mat.packed, want.packed)
+        state = _random_state(field, rng)
+        want = StateVector.from_values(ring, ref_random_operator(field, ref_rng, q))
+        assert_same_triple(state.packed, want.packed)
+        assert rng.random() == ref_rng.random()  # the same draws, in the same order

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gfharmonic.gf import make_field
@@ -82,3 +87,18 @@ def test_spectrum_ranks_are_exact_traces(monkeypatch):
         monkeypatch.setattr(module, attr, lambda field: Spectrum((half, half)))
         status = {i.name: i.status for i in suite(gf9).items}
         assert status["projector_ranks_partition"] == "fail"
+
+
+def test_symplectic_suite_does_not_import_numpy_ma():
+    # numpy.ma costs about 13 ms to import, and plain np.unique imports it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "from gfharmonic.gf import make_field\n"
+            "from gfharmonic.verify import run_suite\n"
+            "assert run_suite(make_field(3, 2), 'symplectic').passed\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
