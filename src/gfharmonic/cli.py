@@ -202,7 +202,10 @@ def cmd_weyl(args) -> int:
     if args.theta is None:
         raise ConfigError("weyl needs --theta <json-file>")
     with open(args.theta, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{args.theta} is not JSON: {exc}") from None
     theta = matrix_from_json(data, hs.ring_for(field))
     if not isinstance(theta, OperatorMatrix):
         raise ConfigError("weyl expansion needs an exact-backend matrix")
@@ -425,13 +428,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GFHarmonicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GFHarmonicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,7 +154,6 @@ class CycloRing:
         self._sqrt = self._build_sqrt_char()
         self._unit_phases = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
         self._packed_tables = None  # built by the first packed operation
-        self._root_scaled = {}  # filled by root_scaled, one entry per use
         self._zero = CycloScalar(self, (0,) * self.degree, 0, 1)
         one = [0] * self.degree
         one[0] = 1
@@ -316,9 +315,9 @@ class CycloRing:
     def pack(self, rows):
         """Normal-form packed triple of a matrix of canonical scalars.
 
-        Each distinct scalar object is aligned to the common (E, Q) once, so
-        matrices that repeat a few values (character tables, convolutions)
-        pack at the cost of a gather.
+        Each distinct scalar object is aligned to the common (E, Q) once, by
+        the rule of ``stack``, so matrices that repeat a few values pack at
+        the cost of a gather.
         """
         n, m = len(rows), len(rows[0])
         slot, distinct, picks = {}, [], []
@@ -329,22 +328,11 @@ class CycloRing:
                     k = slot[id(x)] = len(distinct)
                     distinct.append(x)
                 picks.append(k)
-        nonzero = [x for x in distinct if x._nz]
-        e_max = max((x.scale_exp for x in nonzero), default=0)
-        q_lcm = math.lcm(*(x.denom for x in nonzero))
-        p, sqrt = self.char, self._sqrt
-        aligned = []
-        for x in distinct:
-            de, mult = e_max - x.scale_exp, q_lcm // x.denom
-            if not x._nz or (de == 0 and mult == 1):
-                aligned.append(x.coeffs)
-                continue
-            vec = self._mul(x.coeffs, sqrt) if de % 2 else x.coeffs
-            mult *= p ** (de // 2)
-            aligned.append([mult * c for c in vec])
-        top = max(abs(c) for vec in aligned for c in vec)
-        table = compact(np.array(aligned, dtype=_dtype_for(top)))
-        return table[picks].reshape(n, m, self.degree), e_max, q_lcm
+        top = max(abs(c) for x in distinct for c in x.coeffs)
+        vecs = np.array([x.coeffs for x in distinct], dtype=_dtype_for(top))
+        table, e, q = self._align([(vecs[k:k + 1], x.scale_exp, x.denom)
+                                   for k, x in enumerate(distinct)])
+        return compact(table)[picks].reshape(n, m, self.degree), e, q
 
     def _normalise(self, data, e: int, q: int):
         """Normal form of the packed triple (data, e, q), q prime to p.
@@ -408,6 +396,8 @@ class CycloRing:
                 vecs = vecs.astype(object, copy=False)
             vecs[todo] = w[ok] // p
             exps[todo] -= 1
+        if q > INT64_MAX:  # np.gcd takes no int64 array with a Python int past it
+            vecs = vecs.astype(object)
         g = np.gcd(np.gcd.reduce(vecs, axis=1), q)
         if (g > 1).any():
             vecs = vecs // g[:, None]
@@ -544,8 +534,9 @@ class CycloRing:
         q_top = math.lcm(*(q for _, _, q in parts))
         sizes = [len(data) for data, _, _ in parts]
         data = np.concatenate([data for data, _, _ in parts])
-        odd = np.repeat([(e_top - e) % 2 == 1 for _, e, _ in parts], sizes)
-        if odd.any():
+        odd = [(e_top - e) % 2 == 1 for _, e, _ in parts]
+        if any(odd):
+            odd = np.repeat(odd, sizes)
             w = self._times_table(data[odd], "sqrt")
             data = data.astype(object if object in (w.dtype, data.dtype) else np.int64)
             data[odd] = w
@@ -580,18 +571,6 @@ class CycloRing:
     def root(self, k: int) -> "CycloScalar":
         """zeta^k."""
         return CycloScalar(self, self._zeta_pows[k % self.order], 0, 1)
-
-    def root_scaled(self, k: int, e: int) -> "CycloScalar":
-        """The canonical scalar zeta^k p^(-e/2), memoised per (k mod N, e).
-
-        Character-valued matrices repeat a handful of such values q^2 times;
-        each is canonicalised once here and then shared.
-        """
-        key = (k % self.order, e)
-        x = self._root_scaled.get(key)
-        if x is None:
-            x = self._root_scaled[key] = self.scalar(self._zeta_pows[key[0]], e, 1)
-        return x
 
     def omega(self, a: int) -> "CycloScalar":
         """The additive character value omega^a = exp(2*pi*i*a/p)."""

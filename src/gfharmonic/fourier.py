@@ -15,18 +15,17 @@ import numpy as np
 from .errors import DimensionMismatch
 from .gf import GFField
 from .hilbert import operator_cache, ring_for
-from .linalg import EXACT, OperatorMatrix, Spectrum, StateVector, cyclic_spectrum
+from .linalg import OperatorMatrix, Spectrum, StateVector, cyclic_spectrum, root_matrix
 
 
 def fourier_matrix(field: GFField) -> OperatorMatrix:
     """The p^ell x p^ell Fourier matrix, cached per field."""
     cache = operator_cache(field)
     if "fourier" not in cache:
-        ring, q, tb = ring_for(field), field.order, field.tables()
+        ring, tb = ring_for(field), field.tables()
         # entry (n, m) is p^(-ell/2) zeta^e with e the root exponent of Tr(n m)
-        cache["fourier"] = OperatorMatrix.from_packed(ring, ring.root_sum(
-            ring.root_coeffs()[0], tb.trace[tb.mul] * (ring.order // field.p),
-            np.arange(q * q).reshape(q, q), (q, q), field.ell))
+        cache["fourier"] = OperatorMatrix.from_packed(ring, root_matrix(
+            ring, tb.trace[tb.mul] * (ring.order // field.p), field.ell))
     return cache["fourier"]
 
 
@@ -45,20 +44,22 @@ def subfield_fourier(field: GFField, d: int) -> OperatorMatrix:
     elsewhere.  The dense p^d x p^d block is available via
     :func:`subfield_block`.
     """
-    ring = ring_for(field)
-    q = field.order
-    sub = field.subfield_indices(d)
-    return OperatorMatrix.from_sparse(ring, q, {
-        (n, m): ring.root_scaled(
-            ring.omega_exponent(field.subfield_trace(field.mul_index(n, m), d)), d)
-        for n in sub for m in sub})
+    ring, q, tb = ring_for(field), field.order, field.tables()
+    sub = np.asarray(field.subfield_indices(d))
+    block, e, den = root_matrix(ring, field.subfield_traces(d)[tb.mul[np.ix_(sub, sub)]]
+                                * (ring.order // field.p), d)
+    data = np.zeros((q, q, ring.degree), dtype=block.dtype)
+    data[np.ix_(sub, sub)] = block
+    return OperatorMatrix.from_packed(ring, (data, e, den))
 
 
 def subfield_block(field: GFField, mat: OperatorMatrix, d: int) -> OperatorMatrix:
-    """Dense p^d x p^d view of a subfield-supported operator."""
-    sub = field.subfield_indices(d)
-    rows = [[mat.rows[n][m] for m in sub] for n in sub]
-    return OperatorMatrix(len(sub), EXACT, mat.ring, rows)
+    """Dense p^d x p^d view of a subfield-supported operator: one gather of
+    its triple, normalised (``CycloRing.stack`` of one part), since a block
+    of an operator with entries elsewhere can have a smaller (E, Q)."""
+    sub = np.asarray(field.subfield_indices(d))
+    data, e, den = mat.packed
+    return OperatorMatrix.from_packed(mat.ring, mat.ring.stack([(data[np.ix_(sub, sub)], e, den)]))
 
 
 def component_factorization_check(field: GFField) -> dict:
@@ -69,27 +70,16 @@ def component_factorization_check(field: GFField) -> dict:
     one index against standard components of the other), and exhibits a
     witness entry where the naive standard/standard pairing differs.
     """
-    p, q = field.p, field.order
-    dual_of = [field.components(n)[1] for n in range(q)]
-    std_of = [field.coeffs_of(n) for n in range(q)]
-    pair_dual_std = True
-    pair_std_dual = True
-    witness = None
-    for n in range(q):
-        for m in range(q):
-            t = field.trace_index(field.mul_index(n, m))
-            e1 = sum(a * b for a, b in zip(dual_of[n], std_of[m])) % p
-            e2 = sum(a * b for a, b in zip(std_of[n], dual_of[m])) % p
-            e_naive = sum(a * b for a, b in zip(std_of[n], std_of[m])) % p
-            if e1 != t:
-                pair_dual_std = False
-            if e2 != t:
-                pair_std_dual = False
-            if witness is None and e_naive != t:
-                witness = (n, m, t, e_naive)
+    p, tb = field.p, field.tables()
+    basis = p ** np.arange(field.ell)
+    std = np.arange(field.order)[:, None] // basis % p
+    dual = tb.trace[tb.mul[:, basis]]
+    tr, naive = tb.trace[tb.mul], std @ std.T % p
+    witness = next((tuple(map(int, (n, m, tr[n, m], naive[n, m])))
+                    for n, m in np.argwhere(naive != tr)[:1]), None)
     return {
-        "factorization_dual_std": pair_dual_std,
-        "factorization_std_dual": pair_std_dual,
+        "factorization_dual_std": bool((dual @ std.T % p == tr).all()),
+        "factorization_std_dual": bool((std @ dual.T % p == tr).all()),
         "naive_differs": witness is not None or field.ell == 1,
         "witness": witness,
     }

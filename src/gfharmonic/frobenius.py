@@ -18,9 +18,7 @@ from .linalg import Monomial, OperatorMatrix, Spectrum, conjugate, cyclic_spectr
 
 def frobenius_monomial(field: GFField) -> Monomial:
     """The underlying permutation: column m maps to row m^p."""
-    ring = ring_for(field)
-    perm = [field.frobenius_index(m) for m in range(field.order)]
-    return Monomial.permutation(ring, perm)
+    return Monomial.permutation(ring_for(field), field.tables().frob)
 
 
 def frobenius_matrix(field: GFField) -> OperatorMatrix:

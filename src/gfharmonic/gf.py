@@ -2,14 +2,14 @@
 
 Elements are polynomials m_0 + m_1*e + ... + m_{ell-1}*e^(ell-1) over Z_p
 modulo a monic irreducible polynomial of degree ell, indexed canonically by
-sum_j m_j * p**j.  Multiplication runs through discrete exp/log tables over
-a generator of the multiplicative group; addition through an eager table.
-All derived data (Frobenius permutation, traces, trace Gram matrix and its
-inverse, dual basis, subfield lists) is computed at construction time and
-immutable afterwards, so fields are safe for unrestricted concurrent reads.
-The one exception is :meth:`GFField.tables`, read-only numpy copies of the
-index tables for vectorised sweeps, built on first use (a concurrent first
-use builds them twice, with the same values).
+sum_j m_j * p**j.  The index arithmetic is a set of read-only int64 arrays
+(:meth:`GFField.tables`), built once when the field is made: addition one
+digit at a time, multiplication, inverses and the Frobenius map by gathers
+on the exp/log tables of a generator of the multiplicative group, and the
+trace by summing the Frobenius orbit.  The scalar accessors read these
+arrays.  All derived data (traces, trace Gram matrix and its inverse, dual
+basis, subfield lists) is computed at construction time and immutable
+afterwards, so fields are safe for unrestricted concurrent reads.
 """
 
 from __future__ import annotations
@@ -196,10 +196,11 @@ class DualBasisData:
 class FieldTables(NamedTuple):
     """Index arithmetic of a field as read-only int64 arrays.
 
-    ``add[a, b]``, ``neg[a]``, ``mul[a, b]`` and ``trace[a]`` hold the
-    indices (the trace as an integer in Z_p) that the scalar accessors
-    return, so any index array can be mapped with one gather.  ``inv[0]``
-    is 0, a placeholder for the undefined inverse of zero.
+    ``add[a, b]``, ``neg[a]``, ``mul[a, b]``, ``frob[a]`` (a^p) and
+    ``trace[a]`` hold the indices (the trace as an integer in Z_p) that the
+    scalar accessors return, so any index array can be mapped with one
+    gather.  ``inv[0]`` is 0, a placeholder for the undefined inverse of
+    zero.
     """
 
     add: np.ndarray
@@ -207,6 +208,7 @@ class FieldTables(NamedTuple):
     mul: np.ndarray
     inv: np.ndarray
     trace: np.ndarray
+    frob: np.ndarray
 
 
 class GFField:
@@ -218,152 +220,111 @@ class GFField:
         self.ell = ell
         self.order = p ** ell
         self._build_tables()
-        self._arrays = None
 
     # -- table construction ----------------------------------------------------
 
     def _build_tables(self):
         p, ell, q = self.p, self.ell, self.order
-        self._coeffs = [tuple((i // p**j) % p for j in range(ell)) for i in range(q)]
-        self._add = [[self._index_of_sum(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._build_log_tables()
-        self._frob = [self.pow_index(i, p) for i in range(q)]
-        self._trace = []
-        for i in range(q):
-            acc, x = 0, i
-            for _ in range(ell):
-                acc = self._add[acc][x]
-                x = self._frob[x]
-            self._trace.append(self._coeffs[acc][0] if acc else 0)
-            if acc and any(self._coeffs[acc][1:]):
-                raise SingularGram("trace left the prime field")
-        self._subfields = {}
+        idx = np.arange(q)
+        # digit j of index i is coefficient j of its polynomial; the power
+        # basis element e^j has the index p^j
+        self._basis = p ** np.arange(ell)
+        self._digits = idx[:, None] // self._basis % p
+        # one digit at a time: the table of the indices below p^(j+1) holds
+        # p^j (a_j + b_j mod p) plus the table below p^j
+        digit_sum = (idx[:p, None] + idx[:p]) % p
+        add = np.zeros((1, 1), dtype=np.int64)
+        for w in self._basis:
+            m = len(add)
+            add = (digit_sum[:, None, :, None] * w + add[None, :, None, :]).reshape(m * p, m * p)
+        n = q - 1
+        exp = self._generator_powers()
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        mul = exp[(log[:, None] + log) % n]
+        mul[0] = mul[:, 0] = 0
+        inv, frob = exp[-log % n], exp[log * p % n]
+        inv[0] = frob[0] = 0
+        # the trace relative to GF(p^d) sums the d Frobenius images of each
+        # element; the elements they bring back to themselves form GF(p^d)
+        self._subfields, self._subfield_traces = {}, {}
         for d in self.divisors():
-            fixed = [i for i in range(q) if self._frob_iter(i, d) == i]
-            self._subfields[d] = tuple(fixed)
+            acc, x = np.zeros(q, dtype=np.int64), idx
+            for _ in range(d):
+                acc, x = add[acc, x], frob[x]
+            fixed = x == idx
+            if self._digits[acc[fixed], 1:].any():
+                raise SingularGram("trace left the prime field")
+            self._subfields[d] = tuple(np.flatnonzero(fixed).tolist())
+            self._subfield_traces[d] = np.where(fixed, self._digits[acc, 0], 0)
+        self._exp, self._log = exp, log
+        self._t = FieldTables(add=add, neg=-self._digits % p @ self._basis, mul=mul,
+                              inv=inv, trace=self._subfield_traces[ell], frob=frob)
+        for a in (*self._t, *self._subfield_traces.values(), self._digits, exp, log):
+            a.setflags(write=False)
         self._dual = self._build_dual_basis()
 
-    def _index_of_sum(self, a: int, b: int) -> int:
-        p = self.p
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        idx = 0
-        for j in range(self.ell - 1, -1, -1):
-            idx = idx * p + (ca[j] + cb[j]) % p
-        return idx
-
-    def _poly_mul_index(self, a: int, b: int) -> int:
+    def _times(self, g: int) -> np.ndarray:
+        # the index map m -> m g: the product of coefficient vectors,
+        # reduced by the monic modulus from the top degree down
         p, ell = self.p, self.ell
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        prod = [0] * (2 * ell - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] += x * y
-        rem = _poly_mod(prod, self.modulus, p)
-        idx = 0
-        for c in reversed(rem):
-            idx = idx * p + c
-        return idx
+        prod = np.zeros((self.order, 2 * ell - 1), dtype=np.int64)
+        for j, c in enumerate(self._digits[g]):
+            prod[:, j:j + ell] += c * self._digits
+        tail = np.array(self.modulus[:-1])
+        for k in range(2 * ell - 2, ell - 1, -1):
+            prod[:, k - ell:k] = (prod[:, k - ell:k] - prod[:, k:k + 1] * tail) % p
+        return prod[:, :ell] % p @ self._basis
 
-    def _build_log_tables(self):
-        q = self.order
-        if q == 2:
-            self._exp, self._log = [1], [None, 0]
-            return
-        for g in range(1, q):
-            seen = [None] * q
-            exp = []
-            x = 1
-            for k in range(q - 1):
-                if seen[x] is not None:
-                    break
-                seen[x] = k
+    def _generator_powers(self) -> np.ndarray:
+        # exp[k] = g^k for the first g (in index order) of order q - 1
+        for g in range(1, self.order):
+            step = self._times(g).tolist()
+            exp, x = [1], step[1]
+            while x != 1:
                 exp.append(x)
-                x = self._poly_mul_index(x, g)
-            if len(exp) == q - 1:
-                self._exp, self._log = exp, seen
-                return
+                x = step[x]
+            if len(exp) == self.order - 1:
+                return np.array(exp, dtype=np.int64)
         raise SingularGram("no multiplicative generator found")
 
-    def _frob_iter(self, i: int, k: int) -> int:
-        for _ in range(k % self.ell or 0):
-            i = self._frob[i]
-        return i
-
     def _build_dual_basis(self) -> DualBasisData:
-        ell = self.ell
-        eps_pows = [self.pow_index(self.p if ell > 1 else 1, k) for k in range(ell)]
-        if ell == 1:
-            eps_pows = [1]
-        gram = [[self._trace[self.mul_index(eps_pows[l], eps_pows[k])]
-                 for k in range(ell)] for l in range(ell)]
+        t, basis = self._t, self._basis
+        gram = t.trace[t.mul[np.ix_(basis, basis)]].tolist()
         gram_inv = _mat_inverse_mod(gram, self.p)
-        dual = []
-        for k in range(ell):
-            acc = 0
-            for l in range(ell):
-                c = gram_inv[k][l]
-                term = self.mul_index(self.element(c).index, eps_pows[l])
-                acc = self._add[acc][term]
-            dual.append(FieldElement(self, acc))
-        for k in range(ell):
-            for l in range(ell):
-                want = 1 if k == l else 0
-                if self._trace[self.mul_index(eps_pows[k], dual[l].index)] != want:
-                    raise SingularGram("dual basis failed its defining property")
+        # the Z_p-combinations of the power basis with the rows of gram_inv
+        dual = np.array(gram_inv, dtype=np.int64) @ basis
+        if not np.array_equal(t.trace[t.mul[basis[:, None], dual]], np.eye(self.ell)):
+            raise SingularGram("dual basis failed its defining property")
         return DualBasisData(
-            gram=tuple(tuple(r) for r in gram),
-            gram_inv=tuple(tuple(r) for r in gram_inv),
-            elements=tuple(dual),
+            gram=tuple(map(tuple, gram)),
+            gram_inv=tuple(map(tuple, gram_inv)),
+            elements=tuple(FieldElement(self, i) for i in dual.tolist()),
         )
 
     # -- index-level arithmetic --------------------------------------------------
 
     def tables(self) -> FieldTables:
-        """The index tables as arrays, built on first use and then kept.
-
-        Lazy, so building a field costs no more than before; sweeps over
-        many elements or labels call this once and then gather.
-        """
-        if self._arrays is None:
-            n = self.order - 1
-            exp = np.array(self._exp, dtype=np.int64)
-            log = np.array([0] + self._log[1:], dtype=np.int64)
-            mul = exp[(log[:, None] + log[None, :]) % n]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            inv = exp[-log % n]
-            inv[0] = 0
-            arrays = FieldTables(add=np.array(self._add, dtype=np.int64),
-                                 neg=np.array(self._neg, dtype=np.int64),
-                                 mul=mul, inv=inv,
-                                 trace=np.array(self._trace, dtype=np.int64))
-            for a in arrays:
-                a.setflags(write=False)
-            self._arrays = arrays
-        return self._arrays
+        """The index tables as read-only arrays, built with the field; sweeps
+        over many elements or labels gather from them."""
+        return self._t
 
     def add_index(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self._t.add.item(a, b)
 
     def sub_index(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self._t.add.item(a, self._t.neg.item(b))
 
     def neg_index(self, a: int) -> int:
-        return self._neg[a]
+        return self._t.neg.item(a)
 
     def mul_index(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        n = self.order - 1
-        return self._exp[(self._log[a] + self._log[b]) % n]
+        return self._t.mul.item(a, b)
 
     def inv_index(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero field element")
-        n = self.order - 1
-        return self._exp[(-self._log[a]) % n]
+        return self._t.inv.item(a)
 
     def pow_index(self, a: int, k: int) -> int:
         if a == 0:
@@ -372,14 +333,15 @@ class GFField:
             if k < 0:
                 raise DivisionByZero("negative power of zero field element")
             return 0
-        n = self.order - 1
-        return self._exp[(self._log[a] * k) % n]
+        return self._exp.item(self._log.item(a) * k % (self.order - 1))
 
     def frobenius_index(self, a: int, k: int = 1) -> int:
-        return self._frob_iter(a, k)
+        for _ in range(k % self.ell):
+            a = self._t.frob.item(a)
+        return a
 
     def trace_index(self, a: int) -> int:
-        return self._trace[a]
+        return self._t.trace.item(a)
 
     # -- public API ----------------------------------------------------------------
 
@@ -413,7 +375,7 @@ class GFField:
         return FieldElement(self, idx)
 
     def coeffs_of(self, index: int) -> tuple[int, ...]:
-        return self._coeffs[index]
+        return tuple(self._digits[index].tolist())
 
     @property
     def zero(self) -> FieldElement:
@@ -468,13 +430,15 @@ class GFField:
         """Trace of m relative to the degree-d subfield extension of Z_p."""
         self.check_divisor(d)
         idx = self.element(m).index
-        if self._frob_iter(idx, d) != idx:
+        if self.frobenius_index(idx, d) != idx:
             raise NotInSubfield(f"element {idx} is not in GF({self.p}^{d})")
-        acc, x = 0, idx
-        for _ in range(d):
-            acc = self._add[acc][x]
-            x = self._frob[x]
-        return self._coeffs[acc][0] if acc else 0
+        return self._subfield_traces[d].item(idx)
+
+    def subfield_traces(self, d: int) -> np.ndarray:
+        """Read-only (q,) int64 array: at each index of GF(p^d), its trace
+        relative to that subfield, as an integer in Z_p; 0 elsewhere."""
+        self.check_divisor(d)
+        return self._subfield_traces[d]
 
     @property
     def dual_basis(self) -> DualBasisData:
@@ -488,11 +452,8 @@ class GFField:
         dual basis.
         """
         el = self.element(m)
-        std = el.coeffs
-        eps = self.generator
-        dual = tuple(self._trace[self.mul_index(el.index, (eps ** l).index)]
-                     for l in range(self.ell))
-        return std, dual
+        t = self._t
+        return el.coeffs, tuple(t.trace[t.mul[el.index, self._basis]].tolist())
 
     def galois_group_exponents(self, d: int) -> list[int]:
         """Frobenius iterate exponents {d, 2d, ..., ell} fixing GF(p^d)."""

@@ -42,10 +42,8 @@ def _require_odd(field: GFField):
 
 
 def z_monomial(field: GFField, alpha) -> Monomial:
-    ring = ring_for(field)
-    a = field.element(alpha).index
-    exps = [field.trace_index(field.mul_index(a, m)) for m in range(field.order)]
-    return Monomial.diagonal_omega(ring, exps)
+    t = field.tables()
+    return Monomial.diagonal_omega(ring_for(field), t.trace[t.mul[field.element(alpha).index]])
 
 
 def z_power(field: GFField, alpha) -> OperatorMatrix:
@@ -54,10 +52,7 @@ def z_power(field: GFField, alpha) -> OperatorMatrix:
 
 
 def x_monomial(field: GFField, beta) -> Monomial:
-    ring = ring_for(field)
-    b = field.element(beta).index
-    perm = [field.add_index(m, b) for m in range(field.order)]
-    return Monomial.permutation(ring, perm)
+    return Monomial.permutation(ring_for(field), field.tables().add[field.element(beta).index])
 
 
 def x_power(field: GFField, beta) -> OperatorMatrix:
@@ -89,7 +84,7 @@ def displacement_monomial(field: GFField, alpha, beta,
     """Monomial form of D(alpha, beta); see :func:`displacement_arrays`."""
     perm, phase = displacement_arrays(field, field.element(alpha).index,
                                       field.element(beta).index, phase_coeff)
-    return Monomial(ring_for(field), perm.tolist(), phase.tolist())
+    return Monomial(ring_for(field), perm, phase)
 
 
 def displacement(field: GFField, alpha, beta) -> OperatorMatrix:
@@ -99,22 +94,15 @@ def displacement(field: GFField, alpha, beta) -> OperatorMatrix:
 
 def parity_monomial(field: GFField) -> Monomial:
     """The parity permutation m -> -m (equals the Fourier matrix squared)."""
-    ring = ring_for(field)
-    return Monomial.permutation(ring, [field.neg_index(m)
-                                       for m in range(field.order)])
+    return Monomial.permutation(ring_for(field), field.tables().neg)
 
 
 def component_displacement_monomial(field: GFField, a: int, b: int) -> Monomial:
     """p-dimensional displacement on a component space, labels in Z_p."""
     _require_odd(field)
-    ring = ring_for(field)
-    p = field.p
-    a %= p
-    b %= p
-    c = field.two_inverse
-    perm = [(m + b) % p for m in range(p)]
-    phase = [ring.omega_exponent(c * a * b + a * m) for m in range(p)]
-    return Monomial(ring, perm, phase)
+    ring, p, m = ring_for(field), field.p, np.arange(field.p)
+    phase = (field.two_inverse * a * b + a * m) % p * (ring.order // p)
+    return Monomial(ring, (m + b) % p, phase)
 
 
 def tensor_factorize_displacement(field: GFField, alpha, beta) -> list[OperatorMatrix]:
@@ -442,8 +430,7 @@ def subfield_displacement_arrays(field: GFField, d: int, alpha, beta):
     alpha, beta = np.asarray(alpha), np.asarray(beta)
     if (pos[alpha] < 0).any() or (pos[beta] < 0).any():
         raise NotInSubfield(f"labels are not all in GF({field.p}^{d})")
-    tr = np.zeros(q, dtype=np.int64)
-    tr[sub] = [field.subfield_trace(int(m), d) for m in sub]
+    tr = field.subfield_traces(d)
     base = tr[t.mul[field.two_inverse, t.mul[alpha, beta]]]
     phase = ((tr[t.mul[alpha[..., None], sub]] + base[..., None]) % field.p
              * (ring_for(field).order // field.p))
@@ -460,9 +447,10 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
     _require_odd(field)
     a, b = (field.require_in_subfield(x, d).index for x in (alpha, beta))
     perm, phase = subfield_displacement_arrays(field, d, a, b)
-    sub, ring = field.subfield_indices(d), ring_for(field)
-    return OperatorMatrix.from_sparse(ring, field.order, {
-        (sub[i], m): ring.root(k) for m, i, k in zip(sub, perm.tolist(), phase.tolist())})
+    sub, ring, q = np.asarray(field.subfield_indices(d)), ring_for(field), field.order
+    data = np.zeros((q, q, ring.degree), dtype=np.int64)
+    data[sub[perm], sub] = ring.root_coeffs()[phase]
+    return OperatorMatrix.from_packed(ring, (data, 0, 1))
 
 
 def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
@@ -505,19 +493,14 @@ def z_spectrum_example(field: GFField) -> dict:
     """
     require_gf9_fixture(field)
     ring = ring_for(field)
-    eps = field.generator
     report = {}
     families = {}
-    for key, alpha in (("z", field.one), ("z_eps", eps)):
+    for key, alpha in (("z", field.one), ("z_eps", field.generator)):
         mono = z_monomial(field, alpha)
-        groups = {r: [] for r in range(3)}
-        for m in range(field.order):
-            t = field.trace_index(field.mul_index(field.element(alpha).index, m))
-            groups[t].append(m)
-        projs = []
-        for r in range(3):
-            projs.append(OperatorMatrix.from_sparse(
-                ring, field.order, {(m, m): ring.one for m in groups[r]}))
+        # the eigenspace of omega^r holds the m with Tr(alpha m) = r
+        groups = {r: np.flatnonzero(mono.phase == r * (ring.order // 3)).tolist()
+                  for r in range(3)}
+        projs = [OperatorMatrix.projector(ring, field.order, groups[r]) for r in range(3)]
         recomposed = projs[0]
         for r in (1, 2):
             recomposed = recomposed + projs[r].scaled(ring.omega(r))

@@ -8,9 +8,11 @@ cached per field by :func:`operator_cache`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cyclo import get_ring, ring_order
 from .gf import GFField
-from .linalg import EXACT, OperatorMatrix, StateVector
+from .linalg import OperatorMatrix, StateVector, root_matrix
 from .linalg import inner_product  # re-export: scalar product lives with states
 
 __all__ = [
@@ -39,42 +41,39 @@ def operator_cache(field: GFField) -> dict:
 
 def point_projector(field: GFField, k) -> OperatorMatrix:
     """Rank-one projector onto the point mass at field element k."""
-    ring = ring_for(field)
-    idx = field.element(k).index
-    return OperatorMatrix.from_sparse(ring, field.order, {(idx, idx): ring.one})
+    return OperatorMatrix.projector(ring_for(field), field.order, [field.element(k).index])
 
 
 def subspace_projector(field: GFField, d: int) -> OperatorMatrix:
     """Projector onto functions supported on the subfield GF(p^d)."""
-    ring = ring_for(field)
-    return OperatorMatrix.from_sparse(
-        ring, field.order,
-        {(idx, idx): ring.one for idx in field.subfield_indices(d)})
+    return OperatorMatrix.projector(ring_for(field), field.order, field.subfield_indices(d))
+
+
+def _characters(field: GFField, n):
+    # the columns phi_n for an index array n: entry (m, k) is
+    # p^(-ell/2) omega^(-Tr(n[k] m)), one root-sum
+    ring, t = ring_for(field), field.tables()
+    roots = -t.trace[t.mul[np.arange(field.order)[:, None], n]] * (ring.order // field.p)
+    return root_matrix(ring, roots, field.ell)
 
 
 def phi_basis(field: GFField, n) -> StateVector:
     """Character basis vector phi_n(m) = p^(-ell/2) omega^(-Tr(n m))."""
-    ring = ring_for(field)
-    n_idx = field.element(n).index
-    vals = []
-    for m in range(field.order):
-        t = field.trace_index(field.mul_index(n_idx, m))
-        vals.append(ring.root_scaled(ring.omega_exponent(-t), field.ell))
-    return StateVector(field.order, EXACT, ring, vals)
+    return StateVector.from_packed(ring_for(field),
+                                   _characters(field, [field.element(n).index]))
 
 
 def phi_basis_matrix(field: GFField) -> OperatorMatrix:
     """Unitary whose columns are the phi_n, in canonical order."""
-    rows = zip(*(phi_basis(field, n).values for n in range(field.order)))
-    return OperatorMatrix(field.order, EXACT, ring_for(field), rows)
+    return OperatorMatrix.from_packed(ring_for(field),
+                                      _characters(field, np.arange(field.order)))
 
 
 def component_character(field: GFField, a: int) -> StateVector:
     """p-dimensional component function with values p^(-1/2) omega^(-a b)."""
-    ring = ring_for(field)
-    p = field.p
-    vals = [ring.root_scaled(ring.omega_exponent(-a * b), 1) for b in range(p)]
-    return StateVector(p, EXACT, ring, vals)
+    ring, p = ring_for(field), field.p
+    roots = -(a * np.arange(p)[:, None] % p) * (ring.order // p)
+    return StateVector.from_packed(ring, root_matrix(ring, roots, 1))
 
 
 def tensor_factorize_phi(field: GFField, n) -> list[StateVector]:

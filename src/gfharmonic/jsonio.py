@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cyclo
 from .cyclo import CycloRing, CycloScalar
-from .errors import BackendMismatch, DimensionMismatch
+from .errors import BackendMismatch, ConfigError, DimensionMismatch
 from .linalg import EXACT, OperatorMatrix
 
 
@@ -33,11 +33,27 @@ def scalar_to_json(x: CycloScalar) -> dict:
     }
 
 
+def _require(ok: bool, what: str):
+    # decoded payloads come from outside: a malformed one is bad input
+    if not ok:
+        raise ConfigError(f"malformed payload: {what}")
+
+
+def _fields(data, keys):
+    _require(isinstance(data, dict) and all(k in data for k in keys),
+             "expected an object with keys " + ", ".join(keys))
+    return [data[k] for k in keys]
+
+
 def scalar_from_json(data: dict, ring: CycloRing) -> CycloScalar:
-    if data["N"] != ring.order:
-        raise BackendMismatch(
-            f"scalar ring order {data['N']} != target ring order {ring.order}")
-    return ring.scalar(data["coeffs"], data["scale_exp"], data["denom"])
+    coeffs, e, den, order = _fields(data, ("coeffs", "scale_exp", "denom", "N"))
+    if order != ring.order:
+        raise BackendMismatch(f"scalar ring order {order} != target ring order {ring.order}")
+    _require(isinstance(coeffs, list) and len(coeffs) == ring.degree
+             and all(type(c) is int for c in coeffs), f"coeffs must be {ring.degree} integers")
+    _require(type(e) is int and e >= 0, "scale_exp must be a non-negative integer")
+    _require(type(den) is int and den != 0, "denom must be a nonzero integer")
+    return ring.scalar(coeffs, e, den)
 
 
 def matrix_to_json(mat: OperatorMatrix | np.ndarray) -> dict:
@@ -50,11 +66,15 @@ def matrix_to_json(mat: OperatorMatrix | np.ndarray) -> dict:
 
 def matrix_from_json(data: dict,
                      ring: CycloRing | None = None) -> OperatorMatrix | np.ndarray:
-    dim = data["dim"]
-    entries = data["entries"]
+    dim, backend, entries = _fields(data, ("dim", "backend", "entries"))
+    _require(type(dim) is int and dim >= 0 and isinstance(entries, list),
+             "dim must be a non-negative integer and entries a list")
     if len(entries) != dim * dim:
         raise DimensionMismatch("entry count does not match dim^2")
-    if data["backend"] == "float":
+    if backend == "float":
+        _require(all(isinstance(z, list) and len(z) == 2
+                     and all(isinstance(x, (int, float)) for x in z) for z in entries),
+                 "float entries must be [re, im] pairs")
         return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
     if ring is None:
         raise BackendMismatch("decoding an exact matrix needs a target ring")

@@ -13,8 +13,11 @@ aligned ``ring.add``, scalar multiples, tensor and outer products a matmul
 by a one-entry or one-row operand, traces one ``ring.root_sum``.  Objects
 are immutable, which is what lets each view be cached; ``embed()`` is the
 one way out to floating point.  Monomial matrices (permutation plus a
-root-of-unity phase per column) get a dedicated representation, and their
-products with dense operands are gathers plus root rotations.
+root-of-unity phase per column) are two int64 index arrays, and their
+products with dense operands are gathers plus root rotations.  Diagonal
+projectors and character tables are built straight as triples, by one
+diagonal write (``OperatorMatrix.projector``) or one root-sum
+(:func:`root_matrix`).
 
 A family of same-shape matrices is checked as one *stack*: the normal-form
 triple ``(data, E, Q)`` of the B matrices joined along the first axis, a
@@ -153,23 +156,21 @@ class OperatorMatrix(_Packed):
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def identity(cls, ring: CycloRing, dim: int) -> "OperatorMatrix":
-        data = np.zeros((dim, dim, ring.degree), dtype=np.int64)
-        data[np.arange(dim), np.arange(dim), 0] = 1
+    def projector(cls, ring: CycloRing, dim: int, support) -> "OperatorMatrix":
+        """The diagonal projector onto the point masses at the indices in
+        support: one diagonal write into a zero triple."""
+        data = np.zeros((dim, dim, ring.degree), dtype=np.int8)
+        data[support, support, 0] = 1
         return cls.from_packed(ring, (data, 0, 1))
+
+    @classmethod
+    def identity(cls, ring: CycloRing, dim: int) -> "OperatorMatrix":
+        return cls.projector(ring, dim, np.arange(dim))
 
     @classmethod
     def zeros(cls, ring: CycloRing, dim: int) -> "OperatorMatrix":
         return cls.from_packed(
             ring, (np.zeros((dim, dim, ring.degree), dtype=np.int64), 0, 1))
-
-    @classmethod
-    def from_sparse(cls, ring: CycloRing, dim: int, entries) -> "OperatorMatrix":
-        """Matrix with the given {(n, m): scalar} entries, zero elsewhere."""
-        rows = [[ring.zero] * dim for _ in range(dim)]
-        for (n, m), x in entries.items():
-            rows[n][m] = x
-        return cls(dim, EXACT, ring, rows)
 
     # -- algebra -----------------------------------------------------------------
 
@@ -335,6 +336,15 @@ def outer_stack(ring: CycloRing, us, vs):
     return out.reshape(b * n, vd.shape[1], deg), e, q
 
 
+def root_matrix(ring: CycloRing, roots, scale_exp: int = 0):
+    """Normal-form triple of the (n, m) matrix whose entry (i, j) is
+    p^(-scale_exp/2) zeta^roots[i, j]: one root-sum of units, so character
+    tables cost one pass whatever their size."""
+    n, m = roots.shape
+    return ring.root_sum(ring.root_coeffs()[0], roots, np.arange(n * m).reshape(n, m),
+                         (n, m), scale_exp)
+
+
 def blocks_equal(ring: CycloRing, stacks, count: int) -> np.ndarray:
     """For each of the ``count`` blocks of stacks of one shape, whether all
     the stacks agree on it: a (count,) bool array.  At one (E, Q) the
@@ -412,9 +422,11 @@ def conjugate_stack(u: OperatorMatrix, stack):
 class Monomial:
     """Permutation matrix with one root-of-unity phase per column.
 
-    Entry convention: M(perm[m], m) = zeta^phase[m], zero elsewhere, with
-    phases stored as exponents of the ring's N-th root of unity.  Products,
-    adjoints, tensor products and dense conjugations all stay monomial or
+    Entry convention: M(perm[m], m) = zeta^phase[m], zero elsewhere.
+    ``perm`` and ``phase`` are read-only int64 index arrays, the phases
+    exponents of the ring's N-th root of unity reduced mod N.  Products,
+    adjoints, powers and tensor products are gathers on them and stay
+    monomial; products with dense operands are gathers plus root rotations,
     O(dim^2).
     """
 
@@ -422,24 +434,25 @@ class Monomial:
 
     def __init__(self, ring: CycloRing, perm, phase):
         self.ring = ring
-        self.dim = len(perm)
-        self.perm = tuple(perm)
-        self.phase = tuple(p % ring.order for p in phase)
+        self.perm = np.array(perm, dtype=np.int64)
+        self.phase = np.asarray(phase, dtype=np.int64) % ring.order
+        self.dim = len(self.perm)
+        self.perm.setflags(write=False)
+        self.phase.setflags(write=False)
 
     @classmethod
     def identity(cls, ring: CycloRing, dim: int) -> "Monomial":
-        return cls(ring, range(dim), [0] * dim)
+        return cls.permutation(ring, np.arange(dim))
 
     @classmethod
     def diagonal_omega(cls, ring: CycloRing, omega_exponents) -> "Monomial":
         """Diagonal matrix with entries omega^a for integer exponents a."""
-        step = ring.order // ring.char
-        return cls(ring, range(len(omega_exponents)),
-                   [step * (a % ring.char) for a in omega_exponents])
+        exps = np.asarray(omega_exponents)
+        return cls(ring, np.arange(len(exps)), exps % ring.char * (ring.order // ring.char))
 
     @classmethod
     def permutation(cls, ring: CycloRing, perm) -> "Monomial":
-        return cls(ring, perm, [0] * len(perm))
+        return cls(ring, perm, np.zeros(len(perm), dtype=np.int64))
 
     @classmethod
     def from_dense(cls, a: OperatorMatrix) -> "Monomial | None":
@@ -458,7 +471,7 @@ class Monomial:
         match = (vecs[:, None, :] == a.ring.root_coeffs()[None]).all(axis=2)
         if not match.any(axis=1).all():
             return None
-        return cls(a.ring, perm.tolist(), match.argmax(axis=1).tolist())
+        return cls(a.ring, perm, match.argmax(axis=1))
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
@@ -469,18 +482,19 @@ class Monomial:
             raise BackendMismatch("monomials from different rings")
         if other.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        perm = tuple(self.perm[k] for k in other.perm)
-        phase = tuple(other.phase[m] + self.phase[other.perm[m]]
-                      for m in range(self.dim))
-        return Monomial(self.ring, perm, phase)
+        return Monomial(self.ring, self.perm[other.perm], other.phase + self.phase[other.perm])
+
+    def _inverse(self):
+        # the inverse permutation: inv[perm[m]] = m sorts perm
+        return np.argsort(self.perm)
 
     def adjoint(self) -> "Monomial":
-        _, inv, phase = self._arrays()
-        return Monomial(self.ring, inv.tolist(), (-phase[inv]).tolist())
+        inv = self._inverse()
+        return Monomial(self.ring, inv, -self.phase[inv])
 
     def scaled_by_root(self, k: int) -> "Monomial":
         """Multiply the whole matrix by zeta^k."""
-        return Monomial(self.ring, self.perm, [p + k for p in self.phase])
+        return Monomial(self.ring, self.perm, self.phase + k)
 
     def scaled_by_omega(self, a: int) -> "Monomial":
         return self.scaled_by_root((a % self.ring.char) * (self.ring.order // self.ring.char))
@@ -489,10 +503,9 @@ class Monomial:
         """Little-endian tensor product, matching OperatorMatrix.tensor."""
         if other.ring is not self.ring:
             raise BackendMismatch("monomials from different rings")
-        (pa, _, fa), (pb, _, fb) = self._arrays(), other._arrays()
         # column m = ma + da mb sits at [mb, ma]
-        perm, phase = pa + self.dim * pb[:, None], fa + fb[:, None]
-        return Monomial(self.ring, perm.ravel().tolist(), phase.ravel().tolist())
+        perm = self.perm + self.dim * other.perm[:, None]
+        return Monomial(self.ring, perm.ravel(), (self.phase + other.phase[:, None]).ravel())
 
     def __pow__(self, n: int) -> "Monomial":
         out = Monomial.identity(self.ring, self.dim)
@@ -505,38 +518,32 @@ class Monomial:
             n >>= 1
         return out
 
+    def _key(self):
+        # perm and phase are 1-d int64, so equal bytes mean equal arrays
+        return self.perm.tobytes(), self.phase.tobytes()
+
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return (self.ring is other.ring and self.perm == other.perm
-                and self.phase == other.phase)
+        return self.ring is other.ring and self._key() == other._key()
 
     def __hash__(self):
-        return hash((id(self.ring), self.perm, self.phase))
+        return hash((id(self.ring), *self._key()))
 
     def to_matrix(self) -> OperatorMatrix:
         ring = self.ring
-        roots = ring.root_coeffs()
         data = np.zeros((self.dim, self.dim, ring.degree), dtype=np.int64)
-        data[list(self.perm), np.arange(self.dim)] = roots[list(self.phase)]
+        data[self.perm, np.arange(self.dim)] = ring.root_coeffs()[self.phase]
         return OperatorMatrix.from_packed(ring, (data, 0, 1))
 
     def trace(self) -> CycloScalar:
-        return self.ring.sum_of_roots(self.phase[m] for m in range(self.dim)
-                                      if self.perm[m] == m)
-
-    def _arrays(self):
-        # (perm, inverse permutation, phase) as index arrays
-        perm = np.array(self.perm)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.dim)
-        return perm, inv, np.array(self.phase)
+        return self.ring.sum_of_roots(self.phase[self.perm == np.arange(self.dim)])
 
     def _left_mul(self, packed):
         # row n of self @ a is row inv[n] of a times zeta^phase[inv[n]]
-        _, inv, phase = self._arrays()
+        inv = self._inverse()
         data, e, q = packed
-        return self.ring.times_roots(data[inv], row_roots=phase[inv]), e, q
+        return self.ring.times_roots(data[inv], row_roots=self.phase[inv]), e, q
 
     def left_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """self @ a: row n is row inv[n] of a times zeta^phase[inv[n]]."""
@@ -546,18 +553,18 @@ class Monomial:
     def right_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """a @ self: column m is column perm[m] of a times zeta^phase[m]."""
         self._check_dense(a)
-        perm, _, phase = self._arrays()
         data, e, q = a.packed
-        out = self.ring.times_roots(data[:, perm], col_roots=phase)
+        out = self.ring.times_roots(data[:, self.perm], col_roots=self.phase)
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def conjugate_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """self @ a @ self^dagger: entry (n, m) is a(inv[n], inv[m]) times
         zeta^(phase[inv[n]] - phase[inv[m]])."""
         self._check_dense(a)
-        _, inv, phase = self._arrays()
+        inv = self._inverse()
         data, e, q = a.packed
-        out = self.ring.times_roots(data[np.ix_(inv, inv)], phase[inv], -phase[inv])
+        phase = self.phase[inv]
+        out = self.ring.times_roots(data[np.ix_(inv, inv)], phase, -phase)
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def _check_dense(self, a: OperatorMatrix):

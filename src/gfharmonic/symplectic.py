@@ -113,11 +113,10 @@ class GaussSumValue:
 
 def gauss_sum(field: GFField, a) -> GaussSumValue:
     """sum over k of omega^(Tr(a k^2)), evaluated by brute force."""
-    ring = ring_for(field)
+    ring, t = ring_for(field), field.tables()
     a = field.element(a)
     return GaussSumValue(a=a, value=ring.sum_of_roots(
-        ring.omega_exponent(field.trace_index(field.mul_index(a.index, field.mul_index(k, k))))
-        for k in range(field.order)))
+        t.trace[t.mul[a.index, t.mul.diagonal()]] * (ring.order // field.p)))
 
 
 def generator_scaling(field: GFField, xi) -> Monomial:
@@ -125,21 +124,16 @@ def generator_scaling(field: GFField, xi) -> Monomial:
     xi = field.element(xi)
     if xi.is_zero:
         raise ZeroScaling("scaling parameter must be nonzero")
-    ring = ring_for(field)
-    perm = [field.mul_index(xi.index, m) for m in range(field.order)]
-    return Monomial.permutation(ring, perm)
+    return Monomial.permutation(ring_for(field), field.tables().mul[xi.index])
 
 
 def generator_shear_z(field: GFField, xi) -> Monomial:
     """Diagonal quadratic phase omega^(Tr(2^-1 xi m^2)); the element (1, xi, 0, 1)."""
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
-    xi = field.element(xi)
-    ring = ring_for(field)
-    c = (field.element(field.two_inverse) * xi).index
-    exps = [field.trace_index(field.mul_index(c, field.mul_index(m, m)))
-            for m in range(field.order)]
-    return Monomial.diagonal_omega(ring, exps)
+    t = field.tables()
+    c = t.mul[field.two_inverse, field.element(xi).index]
+    return Monomial.diagonal_omega(ring_for(field), t.trace[t.mul[c, t.mul.diagonal()]])
 
 
 def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
@@ -204,7 +198,7 @@ def synthesize(field: GFField, params: SymplecticParams) -> OperatorMatrix:
     one-row case of :func:`element_factors`, S_x(shear) . M, times F+
     outside the generic chart."""
     fac = element_factors(field, params.to_row()[None])
-    mono = Monomial(ring_for(field), fac.perm[0].tolist(), fac.phase[0].tolist())
+    mono = Monomial(ring_for(field), fac.perm[0], fac.phase[0])
     u = mono.right_mul_dense(generator_shear_x(field, int(fac.shear[0])))
     return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
 
@@ -352,7 +346,7 @@ def _fourier_conjugates(field: GFField, perm, phase):
     ring = ring_for(field)
     f_adj = f.adjoint()
     conj = [Monomial.from_dense(f_adj @ Monomial(ring, pm, ph).left_mul_dense(f))
-            for pm, ph in zip(perm.tolist(), phase.tolist())]
+            for pm, ph in zip(perm, phase)]
     conj = [Monomial.identity(ring, field.order) if w is None else w for w in conj]
     return f.is_unitary(), (np.array([w.perm for w in conj]), np.array([w.phase for w in conj]))
 

@@ -236,6 +236,40 @@ def test_weyl_rejects_float_theta(tmp_path, capsys):
     assert captured.out == ""
 
 
+def theta_payload(entry0):
+    # the 3 x 3 exact matrix over GF(3) that is zero but for entry (0, 0)
+    ring = ring_for(make_field(3, 1))
+    data = matrix_to_json(point_projector(make_field(3, 1), 0))
+    data["entries"][0] = entry0
+    assert data["entries"][1] == {"coeffs": [0] * ring.degree, "scale_exp": 0,
+                                  "denom": 1, "N": ring.order}
+    return data
+
+
+def test_weyl_round_trips_a_denominator_past_int64(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(theta_payload(
+        {"coeffs": [1, 0, 0, 0], "scale_exp": 0, "denom": 2 ** 70 + 1, "N": 12})))
+    code, out = run_cli(capsys, ["weyl", "--p", "3", "--ell", "1", "--theta", str(path)])
+    assert code == 0 and json.loads(out)["round_trip"] is True
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(theta_payload({"coeffs": [1, 0], "scale_exp": 0, "denom": 1, "N": 12})),
+    json.dumps(theta_payload({"coeffs": [1, 0, 0, 0], "scale_exp": -1, "denom": 1, "N": 12})),
+    json.dumps(theta_payload({"coeffs": [1, 0, 0, 0], "scale_exp": 0, "N": 12})),
+    "this is not JSON",
+    b"\xff\xfe not UTF-8",
+], ids=["coefficient-count", "negative-scale", "missing-key", "not-json", "not-utf8"])
+def test_weyl_rejects_a_malformed_theta(text, tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = main(["weyl", "--p", "3", "--ell", "1", "--theta", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_verify_verbose(capsys):
     code = main(["verify", "gf", "--p", "3", "--ell", "1", "--verbose"])
     captured = capsys.readouterr()

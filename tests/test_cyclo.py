@@ -71,14 +71,22 @@ def test_sqrt_char_squares_to_char(p):
     assert cmath.isclose(complex(s), math.sqrt(p), abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("p,ell", [(2, 1), (3, 2), (5, 1), (7, 3), (13, 2)])
-def test_root_scaled_matches_scalar(p, ell):
-    ring = get_ring(ring_order(p, ell), p)
-    for k in range(ring.order):
-        for e in range(4):
-            x = ring.root_scaled(k, e)
-            assert x == ring.scalar(ring.root(k).coeffs, e, 1)
-            assert ring.root_scaled(k - ring.order, e) is x
+def test_unpack_past_int64_denominator():
+    # Q = 2^70 + 1 = 5^2 * ... is past int64: the gcd of each row with Q
+    # runs on Python ints, and rows divisible by 5 or 25 reduce it
+    ring = get_ring(ring_order(3, 2), 3)
+    q = 2 ** 70 + 1
+    rng = random.Random(5)
+    data = np.array([[[rng.randint(-9, 9) for _ in range(ring.degree)] for _ in range(3)]
+                     for _ in range(2)])
+    data[0, 1] *= 25
+    data[1, 0] *= 5
+    data[1, 2] = 0
+    for e in (0, 1, 2):
+        rows = ring.unpack((data, e, q))
+        assert rows == tuple(tuple(ring.scalar(data[i, j].tolist(), e, q) for j in range(3))
+                             for i in range(2))
+    assert {x.denom for row in rows for x in row} == {q, q // 25, q // 5, 1}
 
 
 def test_cyclotomic_polynomial_matches_sympy():

@@ -274,23 +274,76 @@ def test_field_cache_keys_on_resolved_modulus():
     assert (a.one + default.one) == default.element(2)
 
 
-@pytest.mark.parametrize("p,ell", [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+class PolyField:
+    """The earlier table build, kept as the reference: arithmetic on
+    coefficient tuples, index sum_j m_j p^j, products reduced by the
+    modulus."""
+
+    def __init__(self, field):
+        self.p, self.ell, self.modulus = field.p, field.ell, field.modulus
+        self.coeffs = [tuple((i // self.p ** j) % self.p for j in range(self.ell))
+                       for i in range(field.order)]
+
+    def index(self, coeffs):
+        idx = 0
+        for c in reversed(coeffs):
+            idx = idx * self.p + c % self.p
+        return idx
+
+    def add(self, a, b):
+        return self.index([x + y for x, y in zip(self.coeffs[a], self.coeffs[b])])
+
+    def mul(self, a, b):
+        p, ell = self.p, self.ell
+        prod = [0] * (2 * ell - 1)
+        for i, x in enumerate(self.coeffs[a]):
+            for j, y in enumerate(self.coeffs[b]):
+                prod[i + j] += x * y
+        for k in range(2 * ell - 2, ell - 1, -1):
+            c = prod[k] % p
+            for j, m in enumerate(self.modulus):
+                prod[k - ell + j] -= c * m
+        return self.index(prod[:ell])
+
+    def frob(self, a):
+        out = 1
+        for _ in range(self.p):
+            out = self.mul(out, a)
+        return out
+
+    def trace(self, a):
+        acc = 0
+        for _ in range(self.ell):
+            acc, a = self.add(acc, a), self.frob(a)
+        assert not any(self.coeffs[acc][1:])
+        return self.coeffs[acc][0]
+
+
+@pytest.mark.parametrize("p,ell", [(2, 1), (2, 2), (2, 6), (3, 2), (5, 2), (3, 3), (7, 3)])
 def test_index_arrays_match_scalar_tables(p, ell):
-    from gfharmonic.gf import GFField
-    field = GFField(p, ell)
-    assert field._arrays is None  # built on first use, not with the field
-    t = field.tables()
+    field = make_field(p, ell)
+    ref, t, q = PolyField(field), field.tables(), field.order
     assert field.tables() is t
-    q = field.order
-    for a in range(q):
-        assert t.neg[a] == field.neg_index(a)
-        assert t.trace[a] == field.trace_index(a)
-        assert t.inv[a] == (field.inv_index(a) if a else 0)
-        for b in range(q):
-            assert t.add[a, b] == field.add_index(a, b)
-            assert t.mul[a, b] == field.mul_index(a, b)
     for arr in t:
         assert arr.dtype == "int64" and not arr.flags.writeable
+    idx = range(q)
+    add = np.array([[ref.add(a, b) for b in idx] for a in idx])
+    mul = np.array([[ref.mul(a, b) for b in idx] for a in idx])
+    frob = [ref.frob(a) for a in idx]
+    trace = [ref.trace(a) for a in idx]
+    assert np.array_equal(t.add, add) and np.array_equal(t.mul, mul)
+    assert t.frob.tolist() == frob and t.trace.tolist() == trace
+    assert (add[np.arange(q), t.neg] == 0).all()
+    assert t.inv[0] == 0 and (mul[np.arange(1, q), t.inv[1:]] == 1).all()
+    # the scalar accessors read the arrays, as Python ints
+    for a in range(0, q, max(1, q // 40)):
+        assert field.neg_index(a) == t.neg[a] and field.frobenius_index(a) == frob[a]
+        assert type(field.trace_index(a)) is int and field.trace_index(a) == trace[a]
+        assert field.inv_index(a) == t.inv[a] if a else True
+        for b in range(0, q, max(1, q // 40)):
+            assert type(field.add_index(a, b)) is int
+            assert field.add_index(a, b) == add[a, b] and field.mul_index(a, b) == mul[a, b]
+            assert field.sub_index(a, b) == add[a, t.neg[b]]
 
 
 def test_check_divisor_is_public(gf9):

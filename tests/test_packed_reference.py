@@ -5,9 +5,13 @@ form, shear element sum and subfield checks against their per-element and
 per-label dense loops, also under planted faults; the conjugated shear
 against its per-difference ``sum_of_roots`` construction; the element arrays of
 Sp(2, GF(q)) (enumeration, sampling, synthesis from one row) against the
-object enumeration, the object sampler and the recursive synthesis; and the
+object enumeration, the object sampler and the recursive synthesis; the
 stacked marginal checks, shear laws and random operators against the
-per-label loops, per-pair products and per-scalar builder they replaced.
+per-label loops, per-pair products and per-scalar builder they replaced; and
+the generators, monomial products, diagonal and character operators and
+``CycloRing.pack`` against the per-index builders, tuple monomials,
+``{(n, m): scalar}`` matrices and per-scalar alignment they replaced, also
+under faults planted in the field's index arrays.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -17,12 +21,13 @@ zeros, and the ``big`` variants put one entry past the int64 bound so that
 the Python-int paths of ``root_sum``, ``add`` and ``matmul`` run.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from gfharmonic import cyclo, fourier, frobenius, heisenberg
+from gfharmonic import cyclo, fourier, frobenius, heisenberg, hilbert
 from gfharmonic import symplectic as sp
 from gfharmonic.cyclo import ScalarAccumulator
 from gfharmonic.errors import DomainRestriction, NotInSubfield
@@ -1190,3 +1195,316 @@ def test_random_operators_match_per_scalar_builder(pe):
         want = StateVector.from_values(ring, ref_random_operator(field, ref_rng, q))
         assert_same_triple(state.packed, want.packed)
         assert rng.random() == ref_rng.random()  # the same draws, in the same order
+
+
+# -- field-table gathers against the per-index builders they replaced ----------
+#
+# The references are the earlier builders: one scalar table call per index,
+# monomials as tuples with per-index products, dense operators from
+# {(n, m): scalar} entries of zeta^k p^(-e/2) scalars, and the packing of
+# distinct scalars by their own sqrt(p)/lcm loop.  Planted faults in the
+# index arrays reach both paths and must break a law on both.
+
+TABLE_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (3, 4)]
+
+
+class RefMonomial:
+    """The tuple Monomial: M(perm[m], m) = zeta^phase[m], products per index."""
+
+    def __init__(self, ring, perm, phase):
+        self.ring, self.perm = ring, tuple(perm)
+        self.phase = tuple(k % ring.order for k in phase)
+
+    def __matmul__(self, other):
+        return RefMonomial(self.ring, [self.perm[k] for k in other.perm],
+                           [other.phase[m] + self.phase[k] for m, k in enumerate(other.perm)])
+
+    def __eq__(self, other):
+        return (self.perm, self.phase) == (other.perm, other.phase)
+
+    def adjoint(self):
+        inv = [0] * len(self.perm)
+        for m, k in enumerate(self.perm):
+            inv[k] = m
+        return RefMonomial(self.ring, inv, [-self.phase[m] for m in inv])
+
+    def tensor(self, other):
+        da = len(self.perm)
+        pairs = [(a, b) for b in range(len(other.perm)) for a in range(da)]
+        return RefMonomial(self.ring, [self.perm[a] + da * other.perm[b] for a, b in pairs],
+                           [self.phase[a] + other.phase[b] for a, b in pairs])
+
+    def __pow__(self, n):
+        out = RefMonomial(self.ring, range(len(self.perm)), [0] * len(self.perm))
+        for _ in range(n):
+            out = self @ out
+        return out
+
+    def trace(self):
+        return self.ring.sum_of_roots(k for m, k in enumerate(self.phase) if self.perm[m] == m)
+
+    def matches(self, mono):
+        return (mono.ring is self.ring and mono.perm.dtype == np.int64
+                and not (mono.perm.flags.writeable or mono.phase.flags.writeable)
+                and (mono.perm.tolist(), mono.phase.tolist()) == (list(self.perm), list(self.phase)))
+
+
+def table_labels(field):
+    q = field.order
+    return sorted({0, 1, 2 % q, q - 1, *range(0, q, max(1, q // 5))})
+
+
+def ref_generators(field, a, b):
+    """The per-index monomial builders at labels a and b (b the scaling and
+    shear parameter), by name."""
+    ring, els, p = ring_for(field), range(field.order), field.p
+    tr, mul, add, c = field.trace_index, field.mul_index, field.add_index, field.two_inverse
+
+    def perm(values):
+        return RefMonomial(ring, values, [0] * len(values))
+
+    def omega(exps):
+        return RefMonomial(ring, range(len(exps)), [ring.omega_exponent(x) for x in exps])
+
+    base = tr(mul(c, mul(a, b)))
+    gens = {"z": omega([tr(mul(a, m)) for m in els]), "x": perm([add(m, b) for m in els]),
+            "parity": perm([field.neg_index(m) for m in els]),
+            "frobenius": perm([field.frobenius_index(m) for m in els]),
+            "displacement": RefMonomial(ring, [add(m, b) for m in els],
+                                        [ring.omega_exponent(base + tr(mul(a, m))) for m in els]),
+            "shear_z": omega([tr(mul(mul(c, b), mul(m, m))) for m in els]),
+            "component": RefMonomial(ring, [(m + b) % p for m in range(p)],
+                                     [ring.omega_exponent(c * a * b + a * m) for m in range(p)])}
+    if b:
+        gens["scaling"] = perm([mul(b, m) for m in els])
+    return gens
+
+
+def new_generators(field, a, b):
+    gens = {"z": heisenberg.z_monomial(field, a), "x": heisenberg.x_monomial(field, b),
+            "parity": heisenberg.parity_monomial(field),
+            "frobenius": frobenius.frobenius_monomial(field),
+            "displacement": heisenberg.displacement_monomial(field, a, b),
+            "shear_z": sp.generator_shear_z(field, b),
+            "component": heisenberg.component_displacement_monomial(field, a, b)}
+    if b:
+        gens["scaling"] = sp.generator_scaling(field, b)
+    return gens
+
+
+def ref_gauss_sum(field, a):
+    ring, tr, mul = ring_for(field), field.trace_index, field.mul_index
+    return ring.sum_of_roots(ring.omega_exponent(tr(mul(a, mul(k, k))))
+                             for k in range(field.order))
+
+
+@pytest.mark.parametrize("pe", TABLE_FIELDS, ids=str)
+def test_table_gathers_match_per_index_builders(pe):
+    field = make_field(*pe)
+    for a in table_labels(field):
+        b = field.neg_index(a) if a % 2 else (a + 1) % field.order
+        ref, new = ref_generators(field, a, b), new_generators(field, a, b)
+        assert ref.keys() == new.keys()
+        for name, mono in new.items():
+            assert ref[name].matches(mono), name
+        assert sp.gauss_sum(field, a).value == ref_gauss_sum(field, a)
+
+
+@pytest.mark.parametrize("pe", TABLE_FIELDS, ids=str)
+def test_monomial_products_match_tuple_products(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    rng = random.Random(q)
+    monos = [m for name, m in new_generators(field, 1, q - 1).items() if name != "component"]
+    for _ in range(3):
+        perm = list(range(q))
+        rng.shuffle(perm)
+        monos.append(Monomial(ring, perm, [rng.randrange(-ring.order, ring.order) for _ in perm]))
+    refs = [RefMonomial(ring, m.perm.tolist(), m.phase.tolist()) for m in monos]
+    for mono, ref in zip(monos, refs):
+        assert ref.adjoint().matches(mono.adjoint())
+        assert (ref ** 3).matches(mono ** 3) and (ref ** 0).matches(mono ** 0)
+        assert ref.adjoint().matches(mono ** -1)
+        assert ref.trace() == mono.trace() == mono.to_matrix().trace()
+        assert (mono == Monomial(ring, ref.perm, ref.phase)
+                and hash(mono) == hash(Monomial(ring, ref.perm, ref.phase)))
+        for other, other_ref in zip(monos[::2], refs[::2]):
+            assert (ref @ other_ref).matches(mono @ other)
+    small = [heisenberg.component_displacement_monomial(field, a, b) for a, b in ((1, 2), (2, 0))]
+    small_ref = [RefMonomial(ring, m.perm.tolist(), m.phase.tolist()) for m in small]
+    assert small_ref[0].tensor(small_ref[1]).matches(small[0].tensor(small[1]))
+
+
+def ref_from_sparse(ring, dim, entries):
+    rows = [[ring.zero] * dim for _ in range(dim)]
+    for (n, m), x in entries.items():
+        rows[n][m] = x
+    return OperatorMatrix(dim, EXACT, ring, rows)
+
+
+def ref_root_scaled(ring, k, e):
+    return ring.scalar(ring.root(k).coeffs, e, 1)
+
+
+def ref_dense_builders(field, k, d, a, b):
+    """The from_sparse and root_scaled builders, by name: the point projector
+    at k, phi_k, the component character at k mod p, and the subfield
+    operators of GF(p^d), the displacement at subfield labels (a, b)."""
+    ring, q, p, els = ring_for(field), field.order, field.p, range(field.order)
+    tr, mul, add, sub = field.trace_index, field.mul_index, field.add_index, field.subfield_indices(d)
+
+    def sub_tr(x):
+        return field.subfield_trace(x, d)
+
+    phis = [[ref_root_scaled(ring, ring.omega_exponent(-tr(mul(n, m))), field.ell) for m in els]
+            for n in els]
+    sub_f = ref_from_sparse(ring, q, {
+        (n, m): ref_root_scaled(ring, ring.omega_exponent(sub_tr(mul(n, m))), d)
+        for n in sub for m in sub})
+    base = sub_tr(mul(field.two_inverse, mul(a, b)))
+    return {
+        "point_projector": ref_from_sparse(ring, q, {(k, k): ring.one}),
+        "subspace_projector": ref_from_sparse(ring, q, {(i, i): ring.one for i in sub}),
+        "phi_basis": StateVector(q, EXACT, ring, phis[k]),
+        "phi_basis_matrix": OperatorMatrix(q, EXACT, ring, zip(*phis)),
+        "component_character": StateVector(p, EXACT, ring, [
+            ref_root_scaled(ring, ring.omega_exponent(-k * x), 1) for x in range(p)]),
+        "subfield_fourier": sub_f,
+        "subfield_block": OperatorMatrix(len(sub), EXACT, ring,
+                                         [[sub_f.rows[n][m] for m in sub] for n in sub]),
+        "subfield_displacement": ref_from_sparse(ring, q, {
+            (add(m, b), m): ring.omega(base + sub_tr(mul(a, m))) for m in sub}),
+    }
+
+
+def new_dense_builders(field, k, d, a, b):
+    sub_f = fourier.subfield_fourier(field, d)
+    return {
+        "point_projector": hilbert.point_projector(field, k),
+        "subspace_projector": hilbert.subspace_projector(field, d),
+        "phi_basis": hilbert.phi_basis(field, k),
+        "phi_basis_matrix": hilbert.phi_basis_matrix(field),
+        "component_character": hilbert.component_character(field, k),
+        "subfield_fourier": sub_f,
+        "subfield_block": fourier.subfield_block(field, sub_f, d),
+        "subfield_displacement": heisenberg.subfield_displacement(field, d, a, b),
+    }
+
+
+@pytest.mark.parametrize("pe", TABLE_FIELDS, ids=str)
+def test_diagonal_and_character_operators_match_sparse_builders(pe):
+    field = make_field(*pe)
+    for d in field.divisors():
+        sub = field.subfield_indices(d)
+        k, a, b = field.order - 1 - d, sub[-1], sub[len(sub) // 2]
+        ref, new = ref_dense_builders(field, k, d, a, b), new_dense_builders(field, k, d, a, b)
+        assert ref.keys() == new.keys()
+        for name, op in new.items():
+            assert_same_triple(op.packed, ref[name].packed)
+            assert canonical(op.rows) == canonical(ref[name].rows), name
+
+
+def test_z_spectrum_projectors_match_sparse_builders():
+    field = make_field(3, 2, heisenberg.GF9_FIXTURE_MODULUS)
+    ring = ring_for(field)
+    report = heisenberg.z_spectrum_example(field)
+    for key, alpha in (("z", 1), ("z_eps", field.generator.index)):
+        groups = {r: tuple(m for m in range(9)
+                           if field.trace_index(field.mul_index(alpha, m)) == r)
+                  for r in range(3)}
+        assert report[key]["memberships"] == groups
+        for r in range(3):
+            want = ref_from_sparse(ring, 9, {(m, m): ring.one for m in groups[r]})
+            assert_same_triple(OperatorMatrix.projector(ring, 9, groups[r]).packed, want.packed)
+    assert report["families_differ"] and report["z"]["decomposition"]
+
+
+def ref_pack(ring, rows):
+    """The packing loop that ``_align`` replaced: each distinct scalar
+    brought to (max E, lcm Q) by its own sqrt(p) product and multiplier."""
+    distinct = list({id(x): x for row in rows for x in row}.values())
+    nonzero = [x for x in distinct if x]
+    e_max = max((x.scale_exp for x in nonzero), default=0)
+    q_lcm = math.lcm(*(x.denom for x in nonzero))
+    aligned = {}
+    for x in distinct:
+        de, mult = e_max - x.scale_exp, q_lcm // x.denom
+        vec = ring._mul(x.coeffs, ring.sqrt_char().coeffs) if de % 2 and x else x.coeffs
+        aligned[id(x)] = [mult * ring.char ** (de // 2) * c for c in vec]
+    data = np.array([[aligned[id(x)] for x in row] for row in rows], dtype=object)
+    return cyclo.compact(data), e_max, q_lcm
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_pack_matches_per_scalar_alignment(field, big):
+    ring = ring_for(field)
+    rng = random.Random(field.order)
+    for n, m in ((1, 1), (3, 5), (field.order, field.order)):
+        rows = random_rows(ring, n, m, rng, big and n > 1)
+        got, want = ring.pack(rows), ref_pack(ring, rows)
+        assert_same_triple(got, want)
+        assert got[0].dtype == want[0].dtype
+
+
+def wrong_add_weight(monkeypatch, field):
+    """Sum digits 0 and 1 into each other's place: a bijection, but no
+    addition of the indices' polynomials."""
+    digits = np.arange(field.order)[:, None] // field.p ** np.arange(field.ell) % field.p
+    weights = field.p ** np.arange(field.ell)
+    weights[[0, 1]] = weights[[1, 0]]
+    plant_tables(monkeypatch, field, add=(digits[:, None] + digits) % field.p @ weights)
+
+
+def wrong_frobenius_exponent(monkeypatch, field):
+    """m -> m^k for the least k > p prime to q - 1 that is no power of p: a
+    bijection fixing 0 and 1, but not additive."""
+    q, p = field.order, field.p
+    k = next(k for k in range(p + 1, q)
+             if math.gcd(k, q - 1) == 1 and k not in {p ** j for j in range(field.ell)})
+    plant_tables(monkeypatch, field, frob=np.array([field.pow_index(m, k) for m in range(q)]))
+
+
+def phase_off_by_one(monkeypatch, field):
+    """The trace of one element off by one, so every generator phase read
+    at that element is off by one step of omega."""
+    trace = field.tables().trace.copy()
+    trace[field.order - 1] = (trace[field.order - 1] + 1) % field.p
+    plant_tables(monkeypatch, field, trace=trace)
+
+
+def plant_tables(monkeypatch, field, **arrays):
+    # the changed arrays reach the gathers (tables) and the scalar accessors
+    bad = field.tables()._replace(**arrays)
+    monkeypatch.setattr(field, "tables", lambda: bad)
+    monkeypatch.setattr(field, "add_index", lambda a, b: int(bad.add[a, b]))
+    monkeypatch.setattr(field, "trace_index", lambda a: int(bad.trace[a]))
+    monkeypatch.setattr(field, "frobenius_index", lambda a: int(bad.frob[a]))
+
+
+def generator_laws(field, gens):
+    """Whether X(a) X(b) = X(a + b), Z(a) Z(b) = Z(a + b) and G X(b) G+ =
+    X(b^p) hold over label pairs, for generators built by gens(a, b)."""
+    labels, laws = table_labels(field), {"shift": True, "diagonal": True, "frobenius": True}
+    for a in labels:
+        for b in labels:
+            one, two, total = gens(a, b), gens(b, a), gens(field.add_index(a, b), 0)
+            g = one["frobenius"]
+            laws["shift"] &= one["x"] @ gens(0, a)["x"] == gens(0, field.add_index(a, b))["x"]
+            laws["diagonal"] &= one["z"] @ two["z"] == total["z"]
+            laws["frobenius"] &= (g @ one["x"] @ g.adjoint()
+                                  == gens(0, field.frobenius_index(b))["x"])
+    return laws
+
+
+@pytest.mark.parametrize("fault,broken", [(None, None), (wrong_add_weight, "shift"),
+                                          (wrong_frobenius_exponent, "frobenius"),
+                                          (phase_off_by_one, "diagonal")],
+                         ids=["none", "add_weight", "frobenius_exponent", "phase_off_by_one"])
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3)], ids=str)
+def test_table_faults_fail_on_both_paths(pe, fault, broken, monkeypatch):
+    field = make_field(*pe)
+    if fault is not None:
+        fault(monkeypatch, field)
+    got = generator_laws(field, lambda a, b: new_generators(field, a, b))
+    assert got == generator_laws(field, lambda a, b: ref_generators(field, a, b))
+    assert got[broken] is False if broken else all(got.values())
