@@ -87,15 +87,24 @@ def _label(field, text, flag):
     return field.element(parts)
 
 
+def _require_order(p: int, ell: int, cap: int):
+    """Raise ConfigError if p**ell exceeds the cap, without building the
+    power: for p >= 2 the running product passes any cap within about
+    log2(cap) steps.  p < 2 is left to make_field, which rejects it."""
+    order = 1
+    for _ in range(ell if p >= 2 else 0):
+        order *= p
+        if order > cap:
+            raise ConfigError(f"field order {p}**{ell} exceeds the cap {cap} "
+                              "(raise with --max-order)")
+
+
 def _build_field(args):
     p = args.p
     ell = args.ell
     if p is None or ell is None:
         raise ConfigError("--p and --ell are required for this command")
-    if p ** ell > args.max_order:
-        raise ConfigError(
-            f"field order {p}**{ell} exceeds the cap {args.max_order} "
-            "(raise with --max-order)")
+    _require_order(p, ell, args.max_order)
     return make_field(p, ell, _parse_modulus(args.modulus))
 
 
@@ -209,7 +218,7 @@ def cmd_weyl(args) -> int:
     theta = matrix_from_json(data, hs.ring_for(field))
     if not isinstance(theta, OperatorMatrix):
         raise ConfigError("weyl expansion needs an exact-backend matrix")
-    table = hb.weyl_expand(field, theta, source=args.theta)
+    table = hb.weyl_expand(field, theta)
     payload = {
         "dim": field.order,
         "labels": "values[alpha_index][beta_index]",
@@ -240,9 +249,7 @@ def cmd_verify(args) -> int:
     fields_payload = []
     all_pass = True
     for (p, ell), modulus in zip(grid, moduli):
-        if p ** ell > args.max_order:
-            raise ConfigError(
-                f"field order {p}**{ell} exceeds the cap {args.max_order}")
+        _require_order(p, ell, args.max_order)
         field = make_field(p, ell, modulus)
         reports = [vf.run_suite(field, name, config) for name in suites]
         all_pass = all_pass and all(r.passed for r in reports)

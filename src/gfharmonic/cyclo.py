@@ -576,16 +576,8 @@ class CycloRing:
         """The additive character value omega^a = exp(2*pi*i*a/p)."""
         return self.root((a % self.char) * self._omega_step)
 
-    def omega_exponent(self, a: int) -> int:
-        """Root exponent k with zeta^k = omega^a."""
-        return ((a % self.char) * self._omega_step) % self.order
-
     def imag_unit(self) -> "CycloScalar":
         return self.root(self._i_exp)
-
-    def sqrt_char(self) -> "CycloScalar":
-        """sqrt(p) as an exact scalar."""
-        return CycloScalar(self, self._sqrt, 0, 1)
 
     def sum_of_roots(self, exponents, scale_exp: int = 0, denom: int = 1) -> "CycloScalar":
         """Exact sum of zeta^e over an iterable of exponents, rescaled.

@@ -31,7 +31,10 @@ def fourier_matrix(field: GFField) -> OperatorMatrix:
 
 def fourier_transform(field: GFField, chi: StateVector) -> StateVector:
     """The paper's Fourier transform chi -> F chi of a function on the field;
-    the n-th output is the overlap of phi_n with chi."""
+    the n-th output is the overlap of phi_n with chi.
+
+    No suite calls it (they use F itself); it is kept as the library form
+    of a paper object."""
     if chi.dim != field.order:
         raise DimensionMismatch(f"state dim {chi.dim} != field order {field.order}")
     return fourier_matrix(field).apply(chi)
@@ -41,8 +44,7 @@ def subfield_fourier(field: GFField, d: int) -> OperatorMatrix:
     """Subfield Fourier matrix, embedded with support on GF(p^d) indices.
 
     Entries p^(-d/2) omega^(subfield-trace of n m) for subfield n, m; zero
-    elsewhere.  The dense p^d x p^d block is available via
-    :func:`subfield_block`.
+    elsewhere.
     """
     ring, q, tb = ring_for(field), field.order, field.tables()
     sub = np.asarray(field.subfield_indices(d))
@@ -51,15 +53,6 @@ def subfield_fourier(field: GFField, d: int) -> OperatorMatrix:
     data = np.zeros((q, q, ring.degree), dtype=block.dtype)
     data[np.ix_(sub, sub)] = block
     return OperatorMatrix.from_packed(ring, (data, e, den))
-
-
-def subfield_block(field: GFField, mat: OperatorMatrix, d: int) -> OperatorMatrix:
-    """Dense p^d x p^d view of a subfield-supported operator: one gather of
-    its triple, normalised (``CycloRing.stack`` of one part), since a block
-    of an operator with entries elsewhere can have a smaller (E, Q)."""
-    sub = np.asarray(field.subfield_indices(d))
-    data, e, den = mat.packed
-    return OperatorMatrix.from_packed(mat.ring, mat.ring.stack([(data[np.ix_(sub, sub)], e, den)]))
 
 
 def component_factorization_check(field: GFField) -> dict:

@@ -40,7 +40,9 @@ def galois_group_H(field: GFField, d: int) -> list[OperatorMatrix]:
 def conjugated_galois_group(field: GFField, u: OperatorMatrix,
                             d: int) -> list[OperatorMatrix]:
     """The paper's rotated Galois group: the conjugates {U G^(kd) U^dagger},
-    which fix the rotated subspace U h_d."""
+    which fix the rotated subspace U h_d.
+
+    No suite calls it; it is kept as the library form of a paper object."""
     field.check_divisor(d)
     if not u.is_unitary():
         raise NotUnitary("conjugating operator is not unitary")

@@ -126,7 +126,6 @@ class WeylTable:
 
     field: GFField
     values: tuple  # values[alpha_index][beta_index]
-    source: str = ""
 
     def value(self, alpha, beta) -> CycloScalar:
         return self.values[self.field.element(alpha).index][
@@ -219,7 +218,7 @@ def _displacement_sum(field: GFField, perm, phase, weights):
                          e + 2 * field.ell, den)
 
 
-def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> WeylTable:
+def weyl_expand(field: GFField, theta: OperatorMatrix) -> WeylTable:
     """Coefficient table tr(Theta D(alpha, beta)) over all labels.
 
     tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: one gather
@@ -234,7 +233,7 @@ def weyl_expand(field: GFField, theta: OperatorMatrix, source: str = "") -> Weyl
     data, e, den = theta.packed
     slots = np.broadcast_to(np.arange(q * q)[:, None], perm.shape)
     table = ring.root_sum(data[np.arange(q), perm], phase, slots, (q, q), e, den)
-    return WeylTable(field=field, values=ring.unpack(table), source=source)
+    return WeylTable(field=field, values=ring.unpack(table))
 
 
 def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
@@ -365,18 +364,6 @@ def marginal_projectors(field: GFField) -> dict:
     }
 
 
-def subfield_z_power(field: GFField, d: int, alpha) -> OperatorMatrix:
-    """Subfield diagonal phase operator, embedded on GF(p^d) indices: the
-    subfield displacement at (alpha, 0)."""
-    return subfield_displacement(field, d, alpha, 0)
-
-
-def subfield_x_power(field: GFField, d: int, beta) -> OperatorMatrix:
-    """Subfield shift operator, embedded on GF(p^d) indices: the subfield
-    displacement at (0, beta)."""
-    return subfield_displacement(field, d, 0, beta)
-
-
 def subfield_fourier_intertwining_check(field: GFField, d: int,
                                         labels=None) -> dict:
     """Subfield Fourier conjugation of the subfield displacement generators.
@@ -442,7 +429,8 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
 
     Entries omega^(subfield-trace of (c*alpha*beta + alpha*m)) at
     (m + beta, m) for subfield m, with c the inverse of 2; labels must lie
-    in the subfield.
+    in the subfield.  The suites use its (perm, phase) arrays; this dense
+    form is kept as the library form of a paper object.
     """
     _require_odd(field)
     a, b = (field.require_in_subfield(x, d).index for x in (alpha, beta))

@@ -272,17 +272,6 @@ class StateVector(_Packed):
     def values(self) -> tuple:
         return tuple(x for (x,) in self.rows)
 
-    @classmethod
-    def from_values(cls, ring: CycloRing, values) -> "StateVector":
-        values = list(values)
-        return cls(len(values), EXACT, ring, values)
-
-    @classmethod
-    def point_mass(cls, ring: CycloRing, dim: int, k: int) -> "StateVector":
-        data = np.zeros((dim, 1, ring.degree), dtype=np.int64)
-        data[k, 0, 0] = 1
-        return cls.from_packed(ring, (data, 0, 1))
-
     def __getitem__(self, i):
         return self.rows[int(i)][0]
 

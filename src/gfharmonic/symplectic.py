@@ -506,8 +506,9 @@ def closed_form_sweep(field: GFField, elements) -> list[dict]:
         if x not in inv_scale:
             scale = gauss_sum(field, x).value * ring.rational(1, q)
             inv_scale[x] = scale.inverse() if scale else ring.zero
-        phase = (mats[base_of[k]].rows[0][fac.perm[k, 0]].times_root(int(rot[k, 0, 0]))
-                 * inv_scale[x])
+        data, e, den = mats[base_of[k]].packed
+        entry = ring.unpack((data[:1, fac.perm[k, :1]], e, den))[0][0]  # S_x(0, perm 0)
+        phase = entry.times_root(int(rot[k, 0, 0])) * inv_scale[x]
         if not constant[k] or phase * phase.conj() != ring.one:
             phase = None
         out.append({"proportional": phase is not None, "phase": phase,
@@ -612,31 +613,37 @@ def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
             if len(bad) else None}
 
 
-def shear_grid_laws(field: GFField) -> tuple:
+def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
     """(additive, unitary): whether S_x(x) S_x(y) = S_x(x + y) for every
-    pair of the field, and whether every S_x(x) is unitary.
+    pair (xs[i], ys[i]) of field indices, and whether S_x(u) S_x(u)^dagger
+    is the identity for every u in units.
 
-    The additive law is one exact product, the (q * q, q) stack of the q
-    shears by the (q, q * q) row of them; block (x, y) is compared with
-    the shear at x + y, gathered from the stack.  Unitarity is one batched
-    product of each shear by its adjoint, compared with the identity.
+    Each law is one batch of exact products compared block by block with
+    its targets, all gathered from one stack of the distinct shears.  The
+    product expands its right factors by the ring degree, so a batch runs
+    in blocks of about LABEL_BLOCK_ENTRIES of those entries (one product
+    per block at q = 49).
     """
     ring, q, t = ring_for(field), field.order, field.tables()
     deg = ring.degree
-    data, e, den = ring.stack([generator_shear_x(field, x).packed for x in range(q)])
-    shears = data.reshape(q, q, q, deg)
-    law, le, lden = ring.matmul((data, e, den),
-                                (shears.transpose(1, 0, 2, 3).reshape(q, q * q, deg), e, den))
-    law = law.reshape(q, q, q, q, deg).transpose(0, 2, 1, 3, 4)  # [x, y, n, m]
-    unit, ue, uden = ring.matmul((shears, e, den),
-                                 (ring.conj_coeffs(shears.transpose(0, 2, 1, 3)), e, den))
-    ident = np.zeros((q, q, q, deg), dtype=np.int8)
+    xs, ys, units = (np.asarray(v, dtype=np.int64) for v in (xs, ys, units))
+    distinct, at = np.unique(np.concatenate([xs, ys, t.add[xs, ys], units]), return_inverse=True)
+    at_x, at_y, at_sum, at_unit = np.split(at, np.cumsum([len(xs)] * 3))
+    data, e, den = ring.stack([generator_shear_x(field, int(x)).packed for x in distinct])
+    shears = data.reshape(len(distinct), q, q, deg)
+    ident = np.zeros((len(units), q, q, deg), dtype=np.int8)
     ident[:, np.arange(q), np.arange(q), 0] = 1
-    additive = blocks_equal(ring, [(law.reshape(-1, q, deg), le, lden),
-                                   (shears[t.add].reshape(-1, q, deg), e, den)], q * q)
-    unitary = blocks_equal(ring, [(unit.reshape(-1, q, deg), ue, uden),
-                                  (ident.reshape(-1, q, deg), 0, 1)], q)
-    return bool(additive.all()), bool(unitary.all())
+
+    def holds(left, right, target, te, tden):
+        for s in label_blocks(len(left), q * q * deg * deg):
+            prod, pe, pden = ring.matmul((left[s], e, den), (right[s], e, den))
+            if not blocks_equal(ring, [(prod.reshape(-1, q, deg), pe, pden),
+                                       (target[s].reshape(-1, q, deg), te, tden)], len(prod)).all():
+                return False
+        return True
+    return (holds(shears[at_x], shears[at_y], shears[at_sum], e, den),
+            holds(shears[at_unit], ring.conj_coeffs(shears[at_unit].transpose(0, 2, 1, 3)),
+                  ident, 0, 1))
 
 
 def non_factorization_witness(field: GFField) -> dict:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_order_cap(capsys):
     code, _ = run_cli(capsys, ["field", "--p", "7", "--ell", "4",
                                "--max-order", "3000"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["field"], ["verify", "all"]], ids=["field", "verify"])
+def test_order_cap_never_builds_the_power(capsys, argv):
+    # 3**100000000 has 48 million digits; the cap check must not build it
+    start = time.perf_counter()
+    code = main(argv + ["--p", "3", "--ell", "100000000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1
+    assert err.startswith("error: field order 3**100000000 exceeds the cap 343")
 
 
 def test_op_zpow_matches_frozen_diagonal(capsys):

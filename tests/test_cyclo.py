@@ -14,6 +14,16 @@ from gfharmonic.cyclo import (CycloScalar, ScalarAccumulator,
 from gfharmonic.errors import BackendMismatch, DivisionByZero
 
 
+def sqrt_char(ring):
+    """sqrt(p) as an exact scalar: p times p^(-1/2), in canonical form."""
+    return ring.scalar([ring.char] + [0] * (ring.degree - 1), 1)
+
+
+def omega_exponent(ring, a):
+    """Root exponent k with zeta^k = omega^a."""
+    return a % ring.char * (ring.order // ring.char)
+
+
 def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -66,7 +76,8 @@ def test_embeddings(ring3):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sqrt_char_squares_to_char(p):
     ring = get_ring(ring_order(p, 1), p)
-    s = ring.sqrt_char()
+    s = sqrt_char(ring)
+    assert (s.scale_exp, s.denom) == (0, 1)  # the ring holds sqrt(p) itself
     assert s * s == p
     assert cmath.isclose(complex(s), math.sqrt(p), abs_tol=1e-12)
 
@@ -103,19 +114,19 @@ def test_sqrt_char_gauss_sum_sign_matches_sympy(p):
     # which is +sqrt(p) for p = 1 mod 4 and +i sqrt(p) for p = 3 mod 4
     sympy = pytest.importorskip("sympy")
     ring = get_ring(ring_order(p, 1), p)
-    g = ring.sum_of_roots(ring.omega_exponent(k * k) for k in range(p))
+    g = ring.sum_of_roots(omega_exponent(ring, k * k) for k in range(p))
     g_sympy = sum(sympy.exp(2 * sympy.pi * sympy.I * k * k / p) for k in range(p))
     assert cmath.isclose(complex(g), complex(sympy.N(g_sympy, 30)), abs_tol=1e-9)
     unit = 1 if p % 4 == 1 else ring.imag_unit()
-    assert g == ring.sqrt_char() * unit
-    assert cmath.isclose(complex(ring.sqrt_char()), float(sympy.sqrt(p)),
+    assert g == sqrt_char(ring) * unit
+    assert cmath.isclose(complex(sqrt_char(ring)), float(sympy.sqrt(p)),
                          abs_tol=1e-12)
 
 
 def test_half_scale_arithmetic(ring3):
     inv_sqrt = ring3.scalar([1, 0, 0, 0], scale_exp=1)
     assert inv_sqrt * inv_sqrt == ring3.rational(1, 3)
-    assert ring3.sqrt_char() * inv_sqrt == ring3.one
+    assert sqrt_char(ring3) * inv_sqrt == ring3.one
     # adding scalars of mixed scale parity stays exact
     mixed = ring3.one + inv_sqrt
     assert mixed - inv_sqrt == ring3.one

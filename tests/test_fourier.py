@@ -5,11 +5,21 @@ import pytest
 from gfharmonic.errors import NotADivisor
 from gfharmonic.fourier import (component_factorization_check, fourier_matrix,
                                 fourier_spectrum, fourier_transform,
-                                subfield_block, subfield_fourier,
+                                subfield_fourier,
                                 subfield_fourier_power_relation_check)
 from gfharmonic.gf import make_field
 from gfharmonic.hilbert import inner_product, ring_for, subspace_projector
-from gfharmonic.linalg import OperatorMatrix, StateVector
+from gfharmonic.linalg import EXACT, OperatorMatrix, StateVector
+
+
+def state_of(ring, values):
+    """An exact state from its canonical scalar values."""
+    values = list(values)
+    return StateVector(len(values), EXACT, ring, values)
+
+
+def point_mass(ring, dim, k):
+    return state_of(ring, [ring.one if i == k else ring.zero for i in range(dim)])
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +30,7 @@ def gf9():
 def random_state(field, seed):
     ring = ring_for(field)
     rng = random.Random(seed)
-    return StateVector.from_values(ring, [
+    return state_of(ring, [
         ring.scalar([rng.randint(-2, 2) for _ in range(ring.degree)],
                     rng.randint(0, 2), rng.randint(1, 3))
         for _ in range(field.order)])
@@ -53,7 +63,7 @@ def test_entries_galois_symmetric(gf9):
 
 def test_transform_point_mass_and_period(gf9):
     ring = ring_for(gf9)
-    delta = StateVector.point_mass(ring, 9, 0)
+    delta = point_mass(ring, 9, 0)
     out = fourier_transform(gf9, delta)
     const = ring.scalar([1, 0, 0, 0], 2)
     assert all(v == const for v in out.values)
@@ -101,12 +111,11 @@ def test_factorization_trivial_for_prime_field():
 def test_subfield_fourier_gf9(gf9):
     ring = ring_for(gf9)
     sub = subfield_fourier(gf9, 1)
-    block = subfield_block(gf9, sub, 1)
-    # prime-field transform: 3^(-1/2) omega^(n m)
-    for n in range(3):
-        for m in range(3):
-            assert block.rows[n][m] == ring.scalar(
-                ring._zeta_pows[ring.omega_exponent(n * m)], 1)
+    # prime-field transform on the block of indices 0, 1, 2: 3^(-1/2) omega^(n m)
+    for n in range(9):
+        for m in range(9):
+            want = ring.scalar(ring.omega(n * m).coeffs, 1) if max(n, m) < 3 else ring.zero
+            assert sub.rows[n][m] == want
     assert subfield_fourier(gf9, 2).equals(fourier_matrix(gf9))
     with pytest.raises(NotADivisor):
         subfield_fourier(gf9, 3)
@@ -130,8 +139,7 @@ def test_power_relation_gf9(gf9):
     f = fourier_matrix(gf9)
     for n in range(3):
         for m in range(3):
-            want = ring.scalar(ring._zeta_pows[ring.omega_exponent(2 * n * m)],
-                               2)
+            want = ring.scalar(ring.omega(2 * n * m).coeffs, 2)
             assert f.rows[n][m] == want
     assert subfield_fourier_power_relation_check(gf9, 2)["holds"]
 

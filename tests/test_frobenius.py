@@ -13,7 +13,18 @@ from gfharmonic.frobenius import (combined_eigenspace_projector,
 from gfharmonic.gf import make_field
 from gfharmonic.heisenberg import displacement
 from gfharmonic.hilbert import ring_for, subspace_projector
-from gfharmonic.linalg import Monomial, OperatorMatrix, StateVector, conjugate
+from gfharmonic.linalg import EXACT, Monomial, OperatorMatrix, StateVector, conjugate
+
+
+def state_of(ring, values):
+    """An exact state from its canonical scalar values."""
+    values = list(values)
+    return StateVector(len(values), EXACT, ring, values)
+
+
+def point_mass(ring, dim, k):
+    return state_of(ring, [ring.one if i == k else ring.zero for i in range(dim)])
+
 
 # Frobenius eigenprojector entries for the pinned GF(9) field, in halves;
 # frozen from the worked example (the degree-2 extension pairs indices
@@ -68,12 +79,12 @@ def test_frobenius_action_on_point_masses(gf9):
     ring = ring_for(gf9)
     mono = frobenius_monomial(gf9)
     for k in range(9):
-        moved = mono.apply(StateVector.point_mass(ring, 9, k))
-        target = StateVector.point_mass(ring, 9, gf9.frobenius_index(k))
+        moved = mono.apply(point_mass(ring, 9, k))
+        target = point_mass(ring, 9, gf9.frobenius_index(k))
         assert moved.equals(target)
     # (G chi)(n) = chi(n^(p^(ell-1))) on a generic vector
     rng = random.Random(5)
-    chi = StateVector.from_values(ring, [
+    chi = state_of(ring, [
         ring.scalar([rng.randint(-2, 2) for _ in range(4)]) for _ in range(9)])
     moved = mono.apply(chi)
     for n in range(9):

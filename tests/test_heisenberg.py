@@ -26,6 +26,17 @@ from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector,
                                conjugate, tensor_list)
 
 
+def state_of(ring, values):
+    """An exact state from its canonical scalar values."""
+    values = list(values)
+    return StateVector(len(values), EXACT, ring, values)
+
+
+def omega_exponent(ring, a):
+    """Root exponent k with zeta^k = omega^a."""
+    return a % ring.char * (ring.order // ring.char)
+
+
 @pytest.fixture(scope="module")
 def gf9():
     return make_field(3, 2, [2, 1, 1])
@@ -79,7 +90,7 @@ def test_x_is_cyclic_shift_on_prime_field(gf3):
 def test_x_shift_action(gf9):
     ring = ring_for(gf9)
     rng = random.Random(2)
-    chi = StateVector.from_values(ring, [
+    chi = state_of(ring, [
         ring.scalar([rng.randint(-2, 2) for _ in range(4)]) for _ in range(9)])
     for b in range(9):
         moved = x_monomial(gf9, b).apply(chi)
@@ -121,7 +132,7 @@ def reference_displacement_monomial(field, a, b, phase_coeff=None):
     c = field.two_inverse if phase_coeff is None else phase_coeff % field.p
     base = field.trace_index(field.mul_index(c, field.mul_index(a, b)))
     perm = [field.add_index(m, b) for m in range(field.order)]
-    phase = [ring.omega_exponent(base + field.trace_index(field.mul_index(a, m)))
+    phase = [omega_exponent(ring, base + field.trace_index(field.mul_index(a, m)))
              for m in range(field.order)]
     return Monomial(ring, perm, phase)
 
@@ -318,7 +329,7 @@ def test_overcomplete_expansion(gf9):
     ring = ring_for(gf9)
     rng = random.Random(9)
     psi = phi_basis(gf9, 0)
-    chi = StateVector.from_values(ring, [
+    chi = state_of(ring, [
         ring.scalar([rng.randint(-2, 2) for _ in range(4)],
                     rng.randint(0, 2), rng.randint(1, 2))
         for _ in range(9)])
@@ -399,20 +410,19 @@ def test_z_spectrum_example(gf9):
 
 
 def test_subfield_generator_operators(gf9):
-    from gfharmonic.heisenberg import (subfield_fourier_intertwining_check,
-                                       subfield_x_power, subfield_z_power)
+    from gfharmonic.heisenberg import subfield_fourier_intertwining_check
     ring = ring_for(gf9)
     # embedded prime-subfield generators: diagonal phases and shifts
-    z1 = subfield_z_power(gf9, 1, 1)
+    z1 = subfield_displacement(gf9, 1, 1, 0)
     for m in range(3):
         assert z1.rows[m][m] == ring.omega(m)  # subfield trace is identity
     for m in range(3, 9):
         assert z1.rows[m][m].is_zero
-    x1 = subfield_x_power(gf9, 1, 1)
+    x1 = subfield_displacement(gf9, 1, 0, 1)
     for m in range(3):
         assert x1.rows[(m + 1) % 3][m] == ring.one
     with pytest.raises(NotInSubfield):
-        subfield_z_power(gf9, 1, gf9.generator)
+        subfield_displacement(gf9, 1, gf9.generator, 0)
     rep = subfield_fourier_intertwining_check(gf9, 1)
     assert rep["z_to_shift"] and rep["shift_to_z"] and rep["braiding"]
     # whole-field case coincides with the plain generators

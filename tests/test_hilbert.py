@@ -7,7 +7,17 @@ from gfharmonic.gf import make_field
 from gfharmonic.hilbert import (inner_product, phi_basis, phi_basis_matrix,
                                 point_projector, ring_for,
                                 subspace_projector, tensor_factorize_phi)
-from gfharmonic.linalg import OperatorMatrix, StateVector
+from gfharmonic.linalg import EXACT, OperatorMatrix, StateVector
+
+
+def state_of(ring, values):
+    """An exact state from its canonical scalar values."""
+    values = list(values)
+    return StateVector(len(values), EXACT, ring, values)
+
+
+def point_mass(ring, dim, k):
+    return state_of(ring, [ring.one if i == k else ring.zero for i in range(dim)])
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +104,7 @@ def test_phi_matrix_is_fourier_adjoint(gf9):
 
 def test_point_mass_inner_products(gf9):
     ring = ring_for(gf9)
-    deltas = [StateVector.point_mass(ring, 9, k) for k in range(9)]
+    deltas = [point_mass(ring, 9, k) for k in range(9)]
     for k in range(9):
         for m in range(9):
             want = ring.one if k == m else ring.zero
@@ -104,7 +114,7 @@ def test_point_mass_inner_products(gf9):
 def test_random_norm_nonnegative(gf9):
     ring = ring_for(gf9)
     rng = random.Random(3)
-    chi = StateVector.from_values(ring, [
+    chi = state_of(ring, [
         ring.scalar([rng.randint(-2, 2) for _ in range(4)]) for _ in range(9)])
     nrm = inner_product(chi, chi)
     assert nrm == nrm.conj()

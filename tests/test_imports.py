@@ -91,3 +91,69 @@ def test_scan_finds_unused_locals():
               "    total = 0\n    total += 1\n"
               "    return inner\n")
     assert unused_locals(source) == ["f.item", "f.ring", "f.total", "inner.shadow"]
+
+
+BENCH = PACKAGE.parents[1] / "bench"
+# paper objects kept as library calls, though nothing in src/ or bench/ calls them
+LIBRARY_ONLY = {"fourier_transform", "conjugated_galois_group", "run_all",
+                "subfield_displacement"}
+
+
+def definitions(source: str):
+    """Top-level functions and classes, and the public methods of classes
+    (``Class.method``), defined in a module."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def mentions(source: str, patched_by_name: bool = False):
+    """Every name a module loads, reads as an attribute or imports; with
+    ``patched_by_name``, also the parts of dotted-name string constants
+    (the benchmark tracer patches functions by such strings)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif (patched_by_name and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.replace(".", "").replace("_", "").isalnum()):
+            found.update(node.value.split("."))
+    return found
+
+
+def unreached(modules, bench_modules, allowed=frozenset()):
+    """``module:name`` of each definition that no module of the package or
+    the benchmark mentions (a definition does not mention itself)."""
+    seen = set().union(*(mentions(src) for src in modules.values()),
+                       *(mentions(src, True) for src in bench_modules))
+    return sorted(f"{module}:{name}" for module, src in modules.items()
+                  for name in definitions(src)
+                  if name.split(".")[-1] not in seen and name not in allowed)
+
+
+def test_every_definition_is_reached_from_src_or_bench():
+    modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert not unreached(modules, bench, LIBRARY_ONLY)
+
+
+def test_scan_finds_unreached_definitions():
+    modules = {"a.py": ("class Kept:\n    def used(self):\n        pass\n"
+                        "    def spare(self):\n        pass\n"
+                        "    def _private(self):\n        pass\n"
+                        "def helper():\n    return Kept().used()\n"
+                        "def orphan():\n    pass\n"
+                        "def traced():\n    pass\n"),
+               "b.py": "from .a import helper\nhelper()\n"}
+    bench = ['SPANS = (("a", "traced", "a.traced"),)\n']
+    assert unreached(modules, bench) == ["a.py:Kept.spare", "a.py:orphan"]
+    assert unreached(modules, bench, {"orphan"}) == ["a.py:Kept.spare"]

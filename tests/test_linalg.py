@@ -9,9 +9,24 @@ from hypothesis import strategies as st
 from gfharmonic import cyclo
 from gfharmonic.cyclo import ScalarAccumulator, get_ring
 from gfharmonic.errors import BackendMismatch, DimensionMismatch
-from gfharmonic.linalg import (Monomial, OperatorMatrix, StateVector, blocks_equal,
+from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
                                conjugate, conjugate_stack, inner_product, outer,
                                outer_stack, proportionality_phase, tensor_list)
+
+
+def state_of(ring, values):
+    """An exact state from its canonical scalar values."""
+    values = list(values)
+    return StateVector(len(values), EXACT, ring, values)
+
+
+def point_mass(ring, dim, k):
+    return state_of(ring, [ring.one if i == k else ring.zero for i in range(dim)])
+
+
+def sqrt_char(ring):
+    """sqrt(p) as an exact scalar: p times p^(-1/2), in canonical form."""
+    return ring.scalar([ring.char] + [0] * (ring.degree - 1), 1)
 
 
 @pytest.fixture(scope="module")
@@ -112,20 +127,20 @@ def test_monomial_matrices_are_unitary(ring):
 
 
 def test_state_vector_ops(ring):
-    s = StateVector.point_mass(ring, 4, 2)
+    s = point_mass(ring, 4, 2)
     assert inner_product(s, s) == ring.one
-    t = StateVector.from_values(ring, [ring.omega(1)] * 4)
+    t = state_of(ring, [ring.omega(1)] * 4)
     ip = inner_product(t, t)
     assert ip == ring.from_int(4)
     m = random_monomial(ring, 4, 14)
     moved = m.apply(s)
     assert moved.equals(m.to_matrix().apply(s))
     with pytest.raises(DimensionMismatch):
-        inner_product(s, StateVector.point_mass(ring, 5, 0))
+        inner_product(s, point_mass(ring, 5, 0))
 
 
 def test_state_guards(ring):
-    s = StateVector.point_mass(ring, 4, 2)
+    s = point_mass(ring, 4, 2)
     emb = s.embed()
     assert isinstance(emb, np.ndarray) and emb.shape == (4,)
     with pytest.raises(BackendMismatch):
@@ -147,14 +162,14 @@ def test_matrices_and_states_are_unhashable(ring):
     with pytest.raises(TypeError):
         hash(OperatorMatrix.identity(ring, 2))
     with pytest.raises(TypeError):
-        hash(StateVector.point_mass(ring, 2, 0))
+        hash(point_mass(ring, 2, 0))
 
 
 def test_inner_product_conjugate_symmetry(ring):
     rng = random.Random(15)
-    u = StateVector.from_values(ring, [ring.scalar(
+    u = state_of(ring, [ring.scalar(
         [rng.randint(-2, 2) for _ in range(4)]) for _ in range(5)])
-    v = StateVector.from_values(ring, [ring.scalar(
+    v = state_of(ring, [ring.scalar(
         [rng.randint(-2, 2) for _ in range(4)]) for _ in range(5)])
     assert inner_product(u, v) == inner_product(v, u).conj()
     nrm = inner_product(u, u)
@@ -288,7 +303,7 @@ def test_canonical_form_independent_of_spelling(ring_key, data, scale_exp, denom
     vec = data.draw(st.lists(st.integers(-50, 50), min_size=ring.degree,
                              max_size=ring.degree))
     # e = 0 keeps the vector verbatim, so this is the raw product by sqrt(p)^k
-    lifted = (ring.scalar(vec) * ring.sqrt_char() ** extra_exp).coeffs
+    lifted = (ring.scalar(vec) * sqrt_char(ring) ** extra_exp).coeffs
     respelled = ring.scalar([extra_denom * c for c in lifted],
                             scale_exp + extra_exp, denom * extra_denom)
     x = ring.scalar(vec, scale_exp, denom)
@@ -308,7 +323,7 @@ def raw_packed(ring, dim, rng, bound):
     so unpacking strips a different number of sqrt(p) per entry."""
     p = ring.char
     e, q = 4, math.lcm(*coprime_denoms(p))
-    sqrt = ring.sqrt_char()
+    sqrt = sqrt_char(ring)
     entries = []
     for _ in range(dim * dim):
         if rng.random() < 0.2:
@@ -513,7 +528,7 @@ def proportionality_cases():
     one_off = OperatorMatrix(field.order, "exact", ring, rows)
     cases += [(zero, built), (built, zero), (zero, zero), (built, one_off),
               (one_off, built), (built.scaled(ring.rational(3, 2)), built),
-              (built.scaled(ring.sqrt_char()), built),
+              (built.scaled(sqrt_char(ring)), built),
               (built.scaled(ring.root(5)), built)]
     return cases
 
@@ -550,7 +565,7 @@ def test_monomial_from_dense(ring):
     ident = OperatorMatrix.identity(ring, 4)
     assert Monomial.from_dense(ident) == Monomial.identity(ring, 4)
     assert Monomial.from_dense(ident.scaled(2)) is None
-    assert Monomial.from_dense(ident.scaled(ring.sqrt_char())) is None
+    assert Monomial.from_dense(ident.scaled(sqrt_char(ring))) is None
     assert Monomial.from_dense(OperatorMatrix.zeros(ring, 4)) is None
     assert Monomial.from_dense(random_matrix(ring, 4, 45)) is None
     # one root per column, but two in one row
@@ -634,7 +649,7 @@ def test_outer_stack_matches_entry_products(order, char):
     got = outer_stack(ring, ring.pack(us), ring.pack(vs))
     want = ring.pack([[x * y.conj() for y in v] for u, v in zip(us, vs) for x in u])
     assert_same_triple(got, want)
-    u, v = (StateVector.from_values(ring, w[0]) for w in (us, vs))
+    u, v = (state_of(ring, w[0]) for w in (us, vs))
     assert_same_triple(outer(u, v).packed, ring.pack([[x * y.conj() for y in vs[0]]
                                                       for x in us[0]]))
 

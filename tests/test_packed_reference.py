@@ -42,11 +42,31 @@ from gfharmonic.hilbert import phi_basis, point_projector, ring_for
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
                                inner_product, outer, proportionality_phase)
 from gfharmonic.symplectic import SymplecticParams, synthesize
-from gfharmonic.verify import (VerifyConfig, _random_matrix, _random_state, heisenberg_suite,
-                               symplectic_suite)
+from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_matrix,
+                               _random_state, gf_suite, heisenberg_suite, symplectic_suite)
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
+
+
+def state_of(ring, values):
+    """An exact state from its canonical scalar values."""
+    values = list(values)
+    return StateVector(len(values), EXACT, ring, values)
+
+
+def point_mass(ring, dim, k):
+    return state_of(ring, [ring.one if i == k else ring.zero for i in range(dim)])
+
+
+def omega_exponent(ring, a):
+    """Root exponent k with zeta^k = omega^a."""
+    return a % ring.char * (ring.order // ring.char)
+
+
+def sqrt_char(ring):
+    """sqrt(p) as an exact scalar: p times p^(-1/2), in canonical form."""
+    return ring.scalar([ring.char] + [0] * (ring.degree - 1), 1)
 
 
 def canonical(rows):
@@ -74,7 +94,7 @@ def random_operator(field, rng, big=False):
 
 
 def random_state(ring, n, rng, big=False):
-    return StateVector.from_values(ring, [row[0] for row in random_rows(ring, n, 1, rng, big)])
+    return state_of(ring, [row[0] for row in random_rows(ring, n, 1, rng, big)])
 
 
 # -- the per-entry references ---------------------------------------------------
@@ -295,13 +315,13 @@ def test_transformed_marginal_sums_match_reference(field):
         k = int(tb.mul[field.two_inverse, b])
         col = [s_op.rows[n][k] for n in range(q)]
         neg_col = [s_op.rows[n][field.neg_index(k)] for n in range(q)]
-        unit = outer(StateVector.from_values(ring, neg_col), StateVector.from_values(ring, col))
+        unit = outer(state_of(ring, neg_col), state_of(ring, col))
         assert canonical(unit.rows) == canonical([[x * y.conj() for y in col] for x in neg_col])
     f = fourier_matrix(field)
     k = 1 % q
     u = [ref_dot(ring, s_op.rows[n], [f.rows[j][k] for j in range(q)]) for n in range(q)]
     w = [ref_dot(ring, f.rows[k], [s_op.rows[n][j].conj() for j in range(q)]) for n in range(q)]
-    point = StateVector.point_mass(ring, q, k)
+    point = point_mass(ring, q, k)
     got = outer(s_op.apply(f.apply(point)), s_op.apply(f.adjoint().apply(point)))
     assert canonical(got.rows) == canonical([[x * y for y in w] for x in u])
 
@@ -565,7 +585,7 @@ def ref_shear_x_closed_form(field, xi):
     tr, mul = field.trace_index, field.mul_index
     q = field.order
     return [[ring.sum_of_roots(
-                (ring.omega_exponent(tr(mul(c, mul(k, k))) + tr(mul(k, n)) - tr(mul(k, m)))
+                (omega_exponent(ring, tr(mul(c, mul(k, k))) + tr(mul(k, n)) - tr(mul(k, m)))
                  for k in range(q)), 2 * field.ell)
              for m in range(q)] for n in range(q)]
 
@@ -577,15 +597,15 @@ def ref_intertwining(field, d, labels):
     ring = ring_for(field)
     ok_z = ok_x = ok_braid = True
     for a in labels:
-        z_a = heisenberg.subfield_z_power(field, d, a)
-        x_a = heisenberg.subfield_x_power(field, d, a)
+        z_a = heisenberg.subfield_displacement(field, d, a, 0)
+        x_a = heisenberg.subfield_displacement(field, d, 0, a)
         if not ((sub_f @ z_a) @ sub_f_adj).equals(
-                heisenberg.subfield_x_power(field, d, field.neg_index(a))):
+                heisenberg.subfield_displacement(field, d, 0, field.neg_index(a))):
             ok_z = False
         if not ((sub_f @ x_a) @ sub_f_adj).equals(z_a):
             ok_x = False
         for b in labels:
-            x_b = heisenberg.subfield_x_power(field, d, b)
+            x_b = heisenberg.subfield_displacement(field, d, 0, b)
             t = field.subfield_trace(field.mul_index(a, b), d)
             if not (z_a @ x_b).equals((x_b @ z_a).scaled(ring.omega(t))):
                 ok_braid = False
@@ -1002,7 +1022,7 @@ def ref_transformed_marginals(field, params):
     img_a, img_b = sp.label_images(field, params.to_row(), idx[:, None], idx)  # [a, b]
 
     def column(mat, k):
-        return mat.apply(StateVector.point_mass(ring, q, k))
+        return mat.apply(point_mass(ring, q, k))
 
     failed = []
     for b in range(q):
@@ -1147,12 +1167,14 @@ def assert_same_triple(got, want):
     assert np.array_equal(got[0], want[0])
 
 
-def ref_shear_laws(field):
-    """The per-pair products and per-shear unitarity checks the grid replaced."""
-    els = field.elements()
-    additive = all((sp.generator_shear_x(field, x) @ sp.generator_shear_x(field, y))
-                   .equals(sp.generator_shear_x(field, x + y)) for x in els for y in els)
-    return additive, all(sp.generator_shear_x(field, x).is_unitary() for x in els)
+def ref_shear_laws(field, xs, ys, units):
+    """The per-pair products and per-shear unitarity checks the batched
+    product replaced."""
+    def shear(x):
+        return sp.generator_shear_x(field, int(x))
+    additive = all((shear(x) @ shear(y)).equals(shear(field.add_index(x, y)))
+                   for x, y in zip(xs, ys))
+    return additive, all(shear(u).is_unitary() for u in units)
 
 
 @pytest.mark.parametrize("fault", [None, swap_shear_base, scale_shear_base],
@@ -1162,10 +1184,29 @@ def test_shear_grid_laws_match_per_pair_products(pe, fault, monkeypatch):
     field = make_field(*pe)
     if fault is not None:
         fault(monkeypatch, field)
-    got = sp.shear_grid_laws(field)
-    assert got == ref_shear_laws(field)
+    q = field.order
+    xs, ys = np.divmod(np.arange(q * q), q)
+    got = sp.shear_grid_laws(field, xs, ys, range(q))
+    assert got == ref_shear_laws(field, xs, ys, range(q))
     assert got == {None: (True, True), swap_shear_base: (False, True),
                    scale_shear_base: (False, False)}[fault]
+
+
+@pytest.mark.parametrize("pe", [(5, 2), (3, 3)], ids=str)
+def test_shear_grid_laws_on_drawn_pairs(pe, monkeypatch):
+    """Any pair arrays: drawn pairs and shears as in the suite, then single
+    pairs under a swapped base S_x(1) -> S_x(2), where (1, 1) alone fails."""
+    field = make_field(*pe)
+    q, rng = field.order, random.Random(pe[0])
+    xs, ys = (np.array([rng.randrange(q) for _ in range(6)]) for _ in range(2))
+    units = [0, 1, rng.randrange(q)]
+    assert sp.shear_grid_laws(field, xs, ys, units) == (True, True)
+    swap_shear_base(monkeypatch, field)
+    for x, y, additive in [(0, 2, True), (1, 0, True), (1, 1, False)]:
+        got = sp.shear_grid_laws(field, [x], [y], [x])
+        assert got == ref_shear_laws(field, [x], [y], [x]) == (additive, True)
+    # one product per block at this size: the failing pair comes last
+    assert sp.shear_grid_laws(field, [*xs, 1], [*ys, 1], units) == (False, True)
 
 
 def ref_random_operator(field, rng, count):
@@ -1192,7 +1233,7 @@ def test_random_operators_match_per_scalar_builder(pe):
         want = OperatorMatrix(q, EXACT, ring, [entries[i * q:(i + 1) * q] for i in range(q)])
         assert_same_triple(mat.packed, want.packed)
         state = _random_state(field, rng)
-        want = StateVector.from_values(ring, ref_random_operator(field, ref_rng, q))
+        want = state_of(ring, ref_random_operator(field, ref_rng, q))
         assert_same_triple(state.packed, want.packed)
         assert rng.random() == ref_rng.random()  # the same draws, in the same order
 
@@ -1264,17 +1305,17 @@ def ref_generators(field, a, b):
         return RefMonomial(ring, values, [0] * len(values))
 
     def omega(exps):
-        return RefMonomial(ring, range(len(exps)), [ring.omega_exponent(x) for x in exps])
+        return RefMonomial(ring, range(len(exps)), [omega_exponent(ring, x) for x in exps])
 
     base = tr(mul(c, mul(a, b)))
     gens = {"z": omega([tr(mul(a, m)) for m in els]), "x": perm([add(m, b) for m in els]),
             "parity": perm([field.neg_index(m) for m in els]),
             "frobenius": perm([field.frobenius_index(m) for m in els]),
             "displacement": RefMonomial(ring, [add(m, b) for m in els],
-                                        [ring.omega_exponent(base + tr(mul(a, m))) for m in els]),
+                                        [omega_exponent(ring, base + tr(mul(a, m))) for m in els]),
             "shear_z": omega([tr(mul(mul(c, b), mul(m, m))) for m in els]),
             "component": RefMonomial(ring, [(m + b) % p for m in range(p)],
-                                     [ring.omega_exponent(c * a * b + a * m) for m in range(p)])}
+                                     [omega_exponent(ring, c * a * b + a * m) for m in range(p)])}
     if b:
         gens["scaling"] = perm([mul(b, m) for m in els])
     return gens
@@ -1294,7 +1335,7 @@ def new_generators(field, a, b):
 
 def ref_gauss_sum(field, a):
     ring, tr, mul = ring_for(field), field.trace_index, field.mul_index
-    return ring.sum_of_roots(ring.omega_exponent(tr(mul(a, mul(k, k))))
+    return ring.sum_of_roots(omega_exponent(ring, tr(mul(a, mul(k, k))))
                              for k in range(field.order))
 
 
@@ -1349,17 +1390,17 @@ def ref_root_scaled(ring, k, e):
 def ref_dense_builders(field, k, d, a, b):
     """The from_sparse and root_scaled builders, by name: the point projector
     at k, phi_k, the component character at k mod p, and the subfield
-    operators of GF(p^d), the displacement at subfield labels (a, b)."""
+    Fourier matrix of GF(p^d) and the displacement at subfield labels (a, b)."""
     ring, q, p, els = ring_for(field), field.order, field.p, range(field.order)
     tr, mul, add, sub = field.trace_index, field.mul_index, field.add_index, field.subfield_indices(d)
 
     def sub_tr(x):
         return field.subfield_trace(x, d)
 
-    phis = [[ref_root_scaled(ring, ring.omega_exponent(-tr(mul(n, m))), field.ell) for m in els]
+    phis = [[ref_root_scaled(ring, omega_exponent(ring, -tr(mul(n, m))), field.ell) for m in els]
             for n in els]
     sub_f = ref_from_sparse(ring, q, {
-        (n, m): ref_root_scaled(ring, ring.omega_exponent(sub_tr(mul(n, m))), d)
+        (n, m): ref_root_scaled(ring, omega_exponent(ring, sub_tr(mul(n, m))), d)
         for n in sub for m in sub})
     base = sub_tr(mul(field.two_inverse, mul(a, b)))
     return {
@@ -1368,10 +1409,8 @@ def ref_dense_builders(field, k, d, a, b):
         "phi_basis": StateVector(q, EXACT, ring, phis[k]),
         "phi_basis_matrix": OperatorMatrix(q, EXACT, ring, zip(*phis)),
         "component_character": StateVector(p, EXACT, ring, [
-            ref_root_scaled(ring, ring.omega_exponent(-k * x), 1) for x in range(p)]),
+            ref_root_scaled(ring, omega_exponent(ring, -k * x), 1) for x in range(p)]),
         "subfield_fourier": sub_f,
-        "subfield_block": OperatorMatrix(len(sub), EXACT, ring,
-                                         [[sub_f.rows[n][m] for m in sub] for n in sub]),
         "subfield_displacement": ref_from_sparse(ring, q, {
             (add(m, b), m): ring.omega(base + sub_tr(mul(a, m))) for m in sub}),
     }
@@ -1386,7 +1425,6 @@ def new_dense_builders(field, k, d, a, b):
         "phi_basis_matrix": hilbert.phi_basis_matrix(field),
         "component_character": hilbert.component_character(field, k),
         "subfield_fourier": sub_f,
-        "subfield_block": fourier.subfield_block(field, sub_f, d),
         "subfield_displacement": heisenberg.subfield_displacement(field, d, a, b),
     }
 
@@ -1429,7 +1467,7 @@ def ref_pack(ring, rows):
     aligned = {}
     for x in distinct:
         de, mult = e_max - x.scale_exp, q_lcm // x.denom
-        vec = ring._mul(x.coeffs, ring.sqrt_char().coeffs) if de % 2 and x else x.coeffs
+        vec = ring._mul(x.coeffs, sqrt_char(ring).coeffs) if de % 2 and x else x.coeffs
         aligned[id(x)] = [mult * ring.char ** (de // 2) * c for c in vec]
     data = np.array([[aligned[id(x)] for x in row] for row in rows], dtype=object)
     return cyclo.compact(data), e_max, q_lcm
@@ -1508,3 +1546,279 @@ def test_table_faults_fail_on_both_paths(pe, fault, broken, monkeypatch):
     got = generator_laws(field, lambda a, b: new_generators(field, a, b))
     assert got == generator_laws(field, lambda a, b: ref_generators(field, a, b))
     assert got[broken] is False if broken else all(got.values())
+
+
+# -- the gf suite and the generator laws against their per-element loops ------
+
+def ref_gf_suite(field, config=None):
+    """The per-element and per-pair loops of the gf suite that the table
+    comparisons replaced, sampling 2,000 pairs above q = 81."""
+    config = config or VerifyConfig()
+    rng = random.Random(config.seed)
+    rep = SuiteReport("gf", "")
+    q, p = field.order, field.p
+
+    rep.add("frobenius_order",
+            all(field.frobenius_index(m, field.ell) == m for m in range(q)))
+
+    pairs = ([(a, b) for a in range(q) for b in range(q)] if q <= 81 else
+             [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)])
+    ok_add = all(field.frobenius_index(field.add_index(a, b))
+                 == field.add_index(field.frobenius_index(a), field.frobenius_index(b))
+                 for a, b in pairs)
+    ok_mul = all(field.frobenius_index(field.mul_index(a, b))
+                 == field.mul_index(field.frobenius_index(a), field.frobenius_index(b))
+                 for a, b in pairs)
+    rep.add("frobenius_is_ring_map", ok_add and ok_mul)
+
+    rep.add("trace_frobenius_invariant",
+            all(field.trace_index(m) == field.trace_index(field.frobenius_index(m))
+                for m in range(q)))
+
+    ok = True
+    for d in field.divisors():
+        ratio = (field.ell // d) % p
+        for idx in field.subfield_indices(d):
+            if field.trace_index(idx) != (ratio * field.subfield_trace(idx, d)) % p:
+                ok = False
+    rep.add("trace_subfield_ratio", ok)
+
+    ok = True
+    for d in field.divisors():
+        if all(field.subfield_trace(idx, d) == 0
+               for idx in field.subfield_indices(d)):
+            ok = False
+    rep.add("subfield_trace_not_identically_zero", ok)
+
+    gram = field.dual_basis.gram
+    gram_inv = field.dual_basis.gram_inv
+    ell = field.ell
+    ident = all((sum(gram[i][k] * gram_inv[k][j] for k in range(ell)) % p)
+                == (1 if i == j else 0) for i in range(ell) for j in range(ell))
+    rep.add("gram_times_inverse_is_identity", ident)
+
+    eps = field.generator
+    dual = field.dual_basis.elements
+    rep.add("dual_basis_defining_property",
+            all(((eps ** k) * dual[l]).trace() == (1 if k == l else 0)
+                for k in range(ell) for l in range(ell)))
+
+    ok = True
+    for a, b in pairs:
+        std_a, dual_a = field.components(a)
+        std_b, dual_b = field.components(b)
+        t = field.trace_index(field.mul_index(a, b))
+        e1 = sum(x * y for x, y in zip(std_a, dual_b)) % p
+        e2 = sum(x * y for x, y in zip(dual_a, std_b)) % p
+        e3 = sum(gram[i][j] * std_a[i] * std_b[j]
+                 for i in range(ell) for j in range(ell)) % p
+        e4 = sum(gram_inv[i][j] * dual_a[i] * dual_b[j]
+                 for i in range(ell) for j in range(ell)) % p
+        if not (t == e1 == e2 == e3 == e4):
+            ok = False
+    rep.add("trace_bilinear_four_forms", ok)
+
+    ok = True
+    for d in field.divisors():
+        sub = set(field.subfield_indices(d))
+        for a in sub:
+            for b in sub:
+                if field.add_index(a, b) not in sub or field.mul_index(a, b) not in sub:
+                    ok = False
+    rep.add("subfields_closed", ok)
+
+    rep.add("multiplicative_inverses",
+            all(field.mul_index(a, field.inv_index(a)) == 1 for a in range(1, q)))
+
+    ok = True
+    for d in field.divisors():
+        exps = field.galois_group_exponents(d)
+        if len(exps) != field.ell // d or exps[-1] != field.ell:
+            ok = False
+        for k in exps:
+            if any(field.frobenius_index(m, k) != m
+                   for m in field.subfield_indices(d)):
+                ok = False
+    rep.add("galois_groups_fix_subfields", ok)
+    return rep
+
+
+def ref_generator_laws(rep, field, rng):
+    """The per-pair Monomial products and FieldElement arithmetic of the
+    generator laws that the stacked gathers replaced, and the per-pair
+    conjugated-shear products at every q; the same rng draws in the same
+    order."""
+    ring = ring_for(field)
+    q = field.order
+    els = field.elements()
+    nonzero = els[1:]
+
+    scale_pairs = ([(x, y) for x in nonzero for y in nonzero] if q <= 9 else
+                   [(rng.choice(nonzero), rng.choice(nonzero)) for _ in range(40)])
+    ok = all((sp.generator_scaling(field, x) @ sp.generator_scaling(field, y))
+             == sp.generator_scaling(field, x * y) for x, y in scale_pairs)
+    rep.add("scaling_subgroup_law", ok)
+
+    shear_pairs = ([(x, y) for x in els for y in els] if q <= 9 else
+                   [(rng.choice(els), rng.choice(els)) for _ in range(40)])
+    ok = all((sp.generator_shear_z(field, x) @ sp.generator_shear_z(field, y))
+             == sp.generator_shear_z(field, x + y) for x, y in shear_pairs)
+    rep.add("diagonal_shear_additive_law", ok)
+    ok = all((sp.generator_shear_z(field, x) ** field.p)
+             == Monomial.identity(ring, q) for x in els)
+    rep.add("diagonal_shear_char_power_is_identity", ok)
+
+    check_xis = els if q <= 9 else [field.zero, field.one, rng.choice(els)]
+    ok = all(sp.generator_shear_x(field, x).equals(sp.shear_x_closed_form(field, x))
+             for x in check_xis)
+    rep.add("conjugated_shear_matches_element_sum", ok)
+    xpairs = ([(x, y) for x in els for y in els] if q <= 9 else
+              [(rng.choice(els), rng.choice(els)) for _ in range(6)])
+    additive, unitary = ref_shear_laws(field, *zip(*[(x.index, y.index) for x, y in xpairs]),
+                                       [x.index for x in check_xis])
+    rep.add("conjugated_shear_additive_law", additive)
+    rep.add("conjugated_shear_unitary", unitary)
+
+
+def verdicts(rep):
+    return {item.name: item.status for item in rep.items}
+
+
+def frob_three_cycle(field):
+    """a -> a^p -> c -> a for the first a outside GF(p) and the first c
+    outside GF(p) and that pair, with c^p fixed: p-th powers of a, still a
+    bijection, but of order 3 at a."""
+    frob = field.tables().frob.copy()
+    a = next(m for m in range(field.order) if frob[m] != m)
+    b = frob[a]
+    c = next(m for m in range(field.order) if frob[m] != m and m not in (a, b))
+    frob[[a, b, c, frob[c]]] = [b, c, a, frob[c]]
+    field._t = field.tables()._replace(frob=frob)
+
+
+def wrong_mul_row(field):
+    """The products by 2 read from the row of 3 (and the column left as it is)."""
+    mul = field.tables().mul.copy()
+    mul[2] = mul[3]
+    field._t = field.tables()._replace(mul=mul)
+
+
+def wrong_gram_entry(field):
+    """Gram entry Tr(1 * 1) off by one, the tables left as they are: only
+    the Gram items and the third of the four bilinear forms see it."""
+    dual = field.dual_basis
+    gram = [list(row) for row in dual.gram]
+    gram[0][0] = (gram[0][0] + 1) % field.p
+    field._dual = dual.__class__(tuple(map(tuple, gram)), dual.gram_inv, dual.elements)
+
+
+def planted(pe, fault):
+    """An uncached GF(p^ell), so that no operator cache keeps what its
+    planted tables build, with the fault applied."""
+    field = GFField(*pe)
+    fault(field)
+    return field
+
+
+GF_SUITE_FIELDS = [(3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("pe", GF_SUITE_FIELDS, ids=str)
+def test_gf_suite_matches_per_element_loops(pe):
+    field = make_field(*pe)
+    got = verdicts(gf_suite(field))
+    assert got == verdicts(ref_gf_suite(field))
+    assert set(got.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("fault", [frob_three_cycle, wrong_mul_row, wrong_gram_entry],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2)], ids=str)
+def test_gf_suite_faults(pe, fault):
+    """The 3-cycle fails frobenius_order and the k = ell Galois check, which
+    the old loops passed: they reduced the exponent ell mod ell and took no
+    step.  Every other verdict agrees, and each fault fails on both paths."""
+    field = planted(pe, fault)
+    got, want = verdicts(gf_suite(field)), verdicts(ref_gf_suite(field))
+    vacuous = {"frobenius_order", "galois_groups_fix_subfields"}
+    if fault is frob_three_cycle:
+        assert {name: got[name] for name in vacuous} == dict.fromkeys(vacuous, "fail")
+        assert {name: want[name] for name in vacuous} == dict.fromkeys(vacuous, "pass")
+        got, want = ({k: v for k, v in d.items() if k not in vacuous} for d in (got, want))
+    assert got == want and "fail" in got.values()
+    if fault is wrong_gram_entry:
+        assert {name for name, status in got.items() if status == "fail"} == {
+            "gram_times_inverse_is_identity", "trace_bilinear_four_forms"}
+
+
+def shear_z_phase_off_by_one(monkeypatch, field):
+    """The phase of S_z(q - 1) one root step off at column 1."""
+    original = sp.generator_shear_z
+
+    def shifted(f, xi):
+        mono = original(f, xi)
+        if f.element(xi).index != f.order - 1:
+            return mono
+        return Monomial(mono.ring, mono.perm, mono.phase + (np.arange(f.order) == 1))
+    monkeypatch.setattr(sp, "generator_shear_z", shifted)
+
+
+def shear_x_sign_flipped(monkeypatch, field):
+    original = sp.generator_shear_x
+    monkeypatch.setattr(sp, "generator_shear_x", lambda f, xi: original(f, xi).scaled(-1))
+
+
+def scaling_conjugated_by_a_diagonal(monkeypatch, field):
+    """Not a fault: D+ P_x D for the diagonal D = diag(zeta^m) has the phase
+    m x - m at column m and keeps the scaling law, which a composition that
+    does not gather the first factor's phases through the second's
+    permutation would break."""
+    original = sp.generator_scaling
+
+    def conjugated(f, xi):
+        perm = original(f, xi).perm
+        return Monomial(ring_for(f), perm, perm - np.arange(f.order))
+    monkeypatch.setattr(sp, "generator_scaling", conjugated)
+
+
+def laws_of(paths, field, seed=12345 + 3):
+    """The generator-law verdicts of each path, and whether each path left
+    the rng in the same state."""
+    out, states = [], []
+    for path in paths:
+        rep, rng = SuiteReport("symplectic", ""), random.Random(seed)
+        path(rep, field, rng)
+        out.append(verdicts(rep))
+        states.append(rng.getstate())
+    return out, states
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5)], ids=str)
+def test_generator_laws_match_per_pair_loops(pe, monkeypatch):
+    field = make_field(*pe)
+    if field.order > 81:  # the q^3-term element sum stands in for itself on both paths
+        monkeypatch.setattr(sp, "shear_x_closed_form", sp.generator_shear_x)
+    (got, want), (state, ref_state) = laws_of([_generator_laws, ref_generator_laws], field)
+    assert got == want and state == ref_state
+    assert set(got.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("fault,broken", [
+    (shear_z_phase_off_by_one, {"diagonal_shear_additive_law",
+                                "diagonal_shear_char_power_is_identity"}),
+    (shear_x_sign_flipped, {"conjugated_shear_matches_element_sum",
+                            "conjugated_shear_additive_law"}),
+    (scaling_conjugated_by_a_diagonal, set()),
+], ids=["shear_z_phase", "shear_x_sign", "conjugated_scaling"])
+def test_generator_law_faults_fail_on_both_paths(fault, broken, monkeypatch):
+    field = make_field(3, 2)
+    fault(monkeypatch, field)
+    (got, want), _ = laws_of([_generator_laws, ref_generator_laws], field)
+    assert got == want
+    assert {name for name, status in got.items() if status == "fail"} == broken
+
+
+def test_generator_laws_under_a_wrong_mul_row():
+    field = planted((3, 2), wrong_mul_row)
+    (got, want), _ = laws_of([_generator_laws, ref_generator_laws], field)
+    assert got == want and got["scaling_subgroup_law"] == "fail"
