@@ -179,18 +179,14 @@ def cmd_op(args) -> int:
     elif kind == "symplectic":
         if args.r is None or args.s is None or args.t is None:
             raise ConfigError("symplectic needs --r, --s and --t")
-        r = _label(field, args.r, "--r")
-        s = _label(field, args.s, "--s")
-        t = _label(field, args.t, "--t")
-        if args.u is not None:
-            params = sp.SymplecticParams(r=r, s=s, t=t,
-                                         u=_label(field, args.u, "--u"))
-        else:
-            params = sp.SymplecticParams.from_rst(field, r, s, t)
-        mat = sp.synthesize(field, params)
+        u = None if args.u is None else _label(field, args.u, "--u")
+        row = sp.element_row(field, _label(field, args.r, "--r"), _label(field, args.s, "--s"),
+                             _label(field, args.t, "--t"), u)
+        mat = sp.synthesize(field, row)
         payload = _matrix_payload(args, mat)
-        payload["parameter_matrix"] = [
-            [str(x) for x in row] for row in params.matrix()]
+        # the label-action matrix ((u, s), (t, r))
+        payload["parameter_matrix"] = [[str(field.element(int(row[k]))) for k in pair]
+                                       for pair in ((3, 1), (2, 0))]
         _emit(args, payload)
         return 0
     elif kind == "projector":
@@ -272,11 +268,11 @@ def _fixture_checks(field):
     ring = hs.ring_for(field)
     checks = []
 
-    z = hb.z_power(field, 1)
+    z = hb.z_power(field, 1).rows
     diff = []
     for i in range(9):
         want = ring.omega(GF9_Z_DIAG_EXPONENTS[i])
-        if z.rows[i][i] != want:
+        if z[i][i] != want:
             diff.append({"entry": [i, i], "expected_omega_exponent":
                          GF9_Z_DIAG_EXPONENTS[i]})
     checks.append(("z_diagonal", diff))
@@ -310,17 +306,17 @@ def _fixture_checks(field):
     diff = []
     for name, expected, proj in (("0", GF9_FROB_PROJ_0, spec.projectors[0]),
                                  ("1", GF9_FROB_PROJ_1, spec.projectors[1])):
+        proj = proj.rows
         for n in range(9):
             for m in range(9):
                 want = half * expected[n][m]
-                if proj.rows[n][m] != want:
+                if proj[n][m] != want:
                     diff.append({"projector": name, "entry": [n, m],
                                  "expected_halves": expected[n][m]})
     checks.append(("frobenius_eigenprojectors", diff))
 
     eps = field.generator
-    params = sp.SymplecticParams.from_rst(field, field.one, field.one + eps, eps)
-    s_op = sp.synthesize(field, params)
+    s_op = sp.synthesize(field, sp.element_row(field, 1, field.add_index(1, eps.index), eps))
     target = hb.displacement(field, field.element([0, 2]), field.element([1, 2]))
     diff = []
     if not conjugate(s_op, hb.z_power(field, eps)).equals(target):
@@ -357,18 +353,25 @@ def cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_json(parser):
+    parser.add_argument("--json", default=None, help="write output to this path")
+
+
 def _add_common(parser):
+    """The field flags and --json.  Each subcommand registers only the flags
+    it reads: --backend and --tolerance where they apply, and fixtures, on
+    its pinned field, just --json."""
     parser.add_argument("--p", type=int, default=None, help="characteristic")
     parser.add_argument("--ell", type=int, default=None, help="extension degree")
     parser.add_argument("--modulus", default=None,
                         help="comma-separated modulus coefficients c0,c1,...")
-    parser.add_argument("--backend", choices=["exact", "float"], default="exact")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="Frobenius-norm tolerance of the float suite "
-                        "(verify --backend float)")
-    parser.add_argument("--json", default=None, help="write output to this path")
+    _add_json(parser)
     parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                         help="largest allowed field order")
+
+
+def _add_backend(parser):
+    parser.add_argument("--backend", choices=["exact", "float"], default="exact")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("kind", choices=["fourier", "frobenius", "zpow", "xpow",
                                        "displace", "symplectic", "projector"])
     _add_common(p_op)
+    _add_backend(p_op)
     p_op.add_argument("--d", type=int, default=None,
                       help="subfield degree (fourier)")
     p_op.add_argument("--alpha", default=None, help="element label")
@@ -410,6 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["all", "gf", "fourier", "frobenius",
                                    "heisenberg", "symplectic"])
     _add_common(p_verify)
+    _add_backend(p_verify)
+    p_verify.add_argument("--tolerance", type=float, default=1e-9,
+                          help="Frobenius-norm tolerance of the float suite "
+                          "(verify --backend float)")
     p_verify.add_argument("--exhaustive", action="store_true",
                           help="force exhaustive group sweeps")
     p_verify.add_argument("--verbose", action="store_true",
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fix = sub.add_parser("fixtures",
                            help="reproduce the pinned GF(9) worked examples")
-    _add_common(p_fix)
+    _add_json(p_fix)
     p_fix.set_defaults(func=cmd_fixtures)
     return parser
 

@@ -344,11 +344,12 @@ class CycloRing:
             return np.zeros(data.shape, dtype=np.int64), 0, 1
         p = self.char
         # two strips of sqrt(p) leave data / p, so they succeed exactly when
-        # p divides every coefficient (the first entry is tried first, which
-        # is cheap); after that at most one more can
+        # p divides every coefficient; after that at most one more can.  Each
+        # strip is tried on the first entry before the whole array, which is
+        # cheap
         while e >= 2 and not (data.flat[:self.degree] % p).any() and not (data % p).any():
             data, e = data // p, e - 2
-        if e >= 1:
+        if e >= 1 and not (self._times_table(data.flat[:self.degree], "sqrt") % p).any():
             w = self._times_table(data, "sqrt")
             if not (w % p).any():
                 data, e = w // p, e - 1

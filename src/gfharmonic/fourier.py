@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .gf import GFField
 from .hilbert import operator_cache, ring_for
-from .linalg import OperatorMatrix, Spectrum, StateVector, cyclic_spectrum, root_matrix
+from .linalg import (OperatorMatrix, Spectrum, StateVector, blocks_equal, cyclic_spectrum,
+                     root_matrix)
 
 
 def fourier_matrix(field: GFField) -> OperatorMatrix:
@@ -84,15 +85,22 @@ def subfield_fourier_power_relation_check(field: GFField, d: int) -> dict:
 
     Both sides are supported on subfield indices (the left side is F
     masked by the subfield-support projector), so only the block is
-    compared.
+    compared: its s^2 entries as a batch of one-entry matrices, raised to
+    the power by batched exact products and compared with F's block entry
+    by entry.  ``witness`` is None or the first failing (n, m).
     """
-    f = fourier_matrix(field)
-    sub_f = subfield_fourier(field, d)
+    ring = ring_for(field)
+    sub = np.asarray(field.subfield_indices(d))
     power = field.ell // d
-    sub = field.subfield_indices(d)
-    bad = next(((n, m) for n in sub for m in sub
-                if f.rows[n][m] != sub_f.rows[n][m] ** power), None)
-    return {"holds": bad is None, "power": power, "witness": bad}
+    block = [(data[np.ix_(sub, sub)].reshape(-1, 1, 1, ring.degree), e, q)
+             for data, e, q in (fourier_matrix(field).packed, subfield_fourier(field, d).packed)]
+    powered = block[1]
+    for _ in range(power - 1):
+        powered = ring.matmul(powered, block[1])
+    ok = blocks_equal(ring, [block[0], powered], len(sub) ** 2)
+    bad = np.flatnonzero(~ok)
+    witness = (int(sub[bad[0] // len(sub)]), int(sub[bad[0] % len(sub)])) if len(bad) else None
+    return {"holds": witness is None, "power": power, "witness": witness}
 
 
 def fourier_spectrum(field: GFField) -> Spectrum:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycloScalar
 from .errors import (DimensionMismatch, EvenCharacteristic, NotInSubfield,
                      WrongFixture, ZeroTrace)
 from .fourier import fourier_matrix
@@ -122,14 +121,17 @@ def tensor_factorize_displacement(field: GFField, alpha, beta) -> list[OperatorM
 
 @dataclass(frozen=True)
 class WeylTable:
-    """Expansion coefficients tr(Theta D(alpha, beta)) on the label grid."""
+    """Expansion coefficients tr(Theta D(alpha, beta)) on the label grid, as
+    one normal-form packed triple of shape (q, q, degree), [alpha, beta]."""
 
     field: GFField
-    values: tuple  # values[alpha_index][beta_index]
+    packed: tuple
 
-    def value(self, alpha, beta) -> CycloScalar:
-        return self.values[self.field.element(alpha).index][
-            self.field.element(beta).index]
+    @property
+    def values(self) -> tuple:
+        """values[alpha_index][beta_index]: the canonical scalars, unpacked
+        on each read."""
+        return ring_for(self.field).unpack(self.packed)
 
 
 LABEL_BLOCK_ENTRIES = 1 << 16  # entries per block of a label-grid sum or check
@@ -233,14 +235,16 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> WeylTable:
     data, e, den = theta.packed
     slots = np.broadcast_to(np.arange(q * q)[:, None], perm.shape)
     table = ring.root_sum(data[np.arange(q), perm], phase, slots, (q, q), e, den)
-    return WeylTable(field=field, values=ring.unpack(table))
+    return WeylTable(field=field, packed=table)
 
 
 def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
-    """Rebuild the operator p^-ell sum_labels D(alpha, beta) W(-alpha, -beta)."""
-    neg = field.tables().neg.tolist()
+    """Rebuild the operator p^-ell sum_labels D(alpha, beta) W(-alpha, -beta):
+    the weights are the table's triple gathered at the negated labels."""
+    neg = field.tables().neg
     ring = ring_for(field)
-    weights = ring.pack([(table.values[a][b],) for a in neg for b in neg])
+    data, e, den = table.packed
+    weights = (data[np.ix_(neg, neg)], e, den)
     perm, phase = label_grid(field)
     return OperatorMatrix.from_packed(ring, _displacement_sum(field, perm[None], phase[None],
                                                               weights))

@@ -1,18 +1,18 @@
 """Operator matrices and state vectors over exact cyclotomic scalars.
 
-An ``OperatorMatrix`` and a ``StateVector`` each hold one value in two
-views, each built on first use from the other and then kept.  ``packed`` is
-the triple ``(data, E, Q)`` of ``CycloRing``: an ``(n, m, degree)`` integer
-array over the ring's power basis ((n, n) for a matrix, (n, 1) for a
-state), with E the largest entry scale exponent and Q the lcm of the entry
-denominators.  ``rows`` (``values`` for a state) is the boundary view of
-canonical CycloScalars, read by JSON and fixtures.  The triple is
-fixed by the values, so equality is ``np.array_equal``, and all arithmetic
-runs on it: products and ``apply`` are ``ring.matmul``, ``+`` and ``-`` one
-aligned ``ring.add``, scalar multiples, tensor and outer products a matmul
-by a one-entry or one-row operand, traces one ``ring.root_sum``.  Objects
-are immutable, which is what lets each view be cached; ``embed()`` is the
-one way out to floating point.  Monomial matrices (permutation plus a
+An ``OperatorMatrix`` and a ``StateVector`` each hold one value, as the
+packed triple ``(data, E, Q)`` of ``CycloRing``: an ``(n, m, degree)``
+integer array over the ring's power basis ((n, n) for a matrix, (n, 1) for
+a state), with E the largest entry scale exponent and Q the lcm of the
+entry denominators.  ``rows`` (``values`` for a state) unpacks it into
+canonical CycloScalars on each read; it is the boundary view, for JSON,
+fixtures and single entries.  The triple is fixed by the values, so
+equality is ``np.array_equal``, and all arithmetic runs on it: products
+and ``apply`` are ``ring.matmul``, ``+`` and ``-`` one aligned
+``ring.add``, scalar multiples, tensor and outer products a matmul by a
+one-entry or one-row operand, traces one ``ring.root_sum``.  Objects are
+immutable, so every matrix built from a triple can share it; ``embed()``
+is the one way out to floating point.  Monomial matrices (permutation plus a
 root-of-unity phase per column) are two int64 index arrays, and their
 products with dense operands are gathers plus root rotations.  Diagonal
 projectors and character tables are built straight as triples, by one
@@ -87,37 +87,33 @@ def _scaled(ring: CycloRing, packed, factor):
 
 
 class _Packed:
-    """The storage OperatorMatrix and StateVector share: a normal-form
-    packed triple and rows of canonical scalars, each made from the other
-    on first use."""
+    """The storage OperatorMatrix and StateVector share: the normal-form
+    packed triple (data, E, Q), in ``packed``."""
 
-    __slots__ = ("dim", "ring", "_rows", "_packed")
+    __slots__ = ("dim", "ring", "packed")
     # numpy defers ``ndarray @ x`` to __rmatmul__ instead of wrapping x in
     # a 0-d object array
     __array_ufunc__ = None
 
-    @property
-    def rows(self):
-        """Entries as a tuple of tuples of CycloScalar."""
-        if self._rows is None:
-            self._rows = self.ring.unpack(self._packed)
-        return self._rows
+    def _set(self, dim, ring, rows):
+        # the rows constructor: canonical scalars packed at once
+        self.dim = dim
+        self.ring = ring
+        self.packed = _stored(ring.pack(tuple(map(tuple, rows))))
 
     @property
-    def packed(self):
-        """The normal-form triple (data, E, Q)."""
-        if self._packed is None:
-            self._packed = _stored(self.ring.pack(self._rows))
-        return self._packed
+    def rows(self):
+        """Entries as a tuple of tuples of CycloScalar, unpacked from the
+        triple on each read."""
+        return self.ring.unpack(self.packed)
 
     @classmethod
     def from_packed(cls, ring: CycloRing, packed):
-        """The value of a normal-form packed triple; rows come lazily."""
+        """The value of a normal-form packed triple."""
         out = cls.__new__(cls)
         out.dim = packed[0].shape[0]
         out.ring = ring
-        out._rows = None
-        out._packed = _stored(packed)
+        out.packed = _stored(packed)
         return out
 
     def _require_ring(self, other):
@@ -148,10 +144,7 @@ class OperatorMatrix(_Packed):
 
     def __init__(self, dim, backend, ring, rows):
         _require_exact(backend)
-        self.dim = dim
-        self.ring = ring
-        self._rows = tuple(map(tuple, rows))
-        self._packed = None
+        self._set(dim, ring, rows)
 
     # -- constructors -----------------------------------------------------------
 
@@ -263,17 +256,16 @@ class StateVector(_Packed):
 
     def __init__(self, dim, backend, ring, values):
         _require_exact(backend)
-        self.dim = dim
-        self.ring = ring
-        self._rows = tuple((x,) for x in values)
-        self._packed = None
+        self._set(dim, ring, [(x,) for x in values])
 
     @property
     def values(self) -> tuple:
         return tuple(x for (x,) in self.rows)
 
     def __getitem__(self, i):
-        return self.rows[int(i)][0]
+        # unpacks the one entry
+        data, e, q = self.packed
+        return _scalar(self.ring, (data[[int(i)]], e, q))
 
     def __add__(self, other):
         self._require_same(other)

@@ -29,8 +29,9 @@ to S_x Y = D S_x with Y = N Lambda N+ monomial, and each entry of that is
 one lookup in the root rotations of S_x, batched over every element and
 label that share it.  :func:`action_check` is the per-element reference.
 :func:`closed_form_sweep` compares U with the Gauss-sum closed form the same way.
-The sweeps take element arrays (:func:`enumerate_group`); one element is a
-:class:`SymplecticParams`.
+Every function takes elements as field indices: the sweeps an element
+array (:func:`enumerate_group`), the one-element checks one row (r, s, t,
+u) of it, which :func:`element_row` builds and validates.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .cyclo import CycloScalar, compact
 from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, ZeroScaling)
 from .fourier import fourier_matrix
-from .gf import FieldElement, GFField
+from .gf import GFField
 from .heisenberg import (braiding_holds, component_displacement_monomial,
                          displacement, displacement_arrays, displacement_monomial,
                          label_blocks, label_sum_stack, marginal_labels,
@@ -54,69 +55,11 @@ from .linalg import (Monomial, OperatorMatrix, blocks_equal, conjugate,
                      conjugate_stack, outer_stack, proportionality_phase, tensor_list)
 
 
-@dataclass(frozen=True)
-class SymplecticParams:
-    """Group element (r, s, t, u) with r*u - s*t = 1.
-
-    For r != 0 the fourth parameter is determined by the constraint; the
-    r = 0 chart leaves u free and needs it supplied.
-    """
-
-    r: FieldElement
-    s: FieldElement
-    t: FieldElement
-    u: FieldElement
-
-    def __post_init__(self):
-        if self.r * self.u - self.s * self.t != self.r.field.one:
-            raise ConstraintViolated("parameters do not satisfy r*u - s*t = 1")
-
-    @classmethod
-    def from_rst(cls, field: GFField, r, s, t) -> "SymplecticParams":
-        r, s, t = (field.element(x).index for x in (r, s, t))
-        if r == 0:
-            raise ConstraintViolated("r = 0 leaves u undetermined; supply it")
-        return cls.from_row(field, _complete_rows(field, np.array([[r, s, t, 0]]))[0])
-
-    def matrix(self):
-        """Rows of the label-action matrix ((u, s), (t, r))."""
-        return ((self.u, self.s), (self.t, self.r))
-
-    def apply(self, alpha, beta):
-        """Image (u a + s b, t a + r b) of a displacement label."""
-        return (self.u * alpha + self.s * beta, self.t * alpha + self.r * beta)
-
-    def frobenius(self, k: int = 1) -> "SymplecticParams":
-        return SymplecticParams(self.r.frobenius(k), self.s.frobenius(k),
-                                self.t.frobenius(k), self.u.frobenius(k))
-
-    def to_row(self) -> np.ndarray:
-        """The field indices (r, s, t, u): one row of an element array."""
-        return np.array([x.index for x in (self.r, self.s, self.t, self.u)], dtype=np.int64)
-
-    @classmethod
-    def from_row(cls, field: GFField, row) -> "SymplecticParams":
-        """The element at one row (r, s, t, u) of an element array."""
-        return cls(*(field.element(x) for x in row))
-
-    def __str__(self):
-        return f"(r={self.r}, s={self.s}, t={self.t}, u={self.u})"
-
-
-@dataclass(frozen=True)
-class GaussSumValue:
-    """Quadratic character sum over the field for a fixed multiplier."""
-
-    a: FieldElement
-    value: CycloScalar
-
-
-def gauss_sum(field: GFField, a) -> GaussSumValue:
+def gauss_sum(field: GFField, a) -> CycloScalar:
     """sum over k of omega^(Tr(a k^2)), evaluated by brute force."""
     ring, t = ring_for(field), field.tables()
-    a = field.element(a)
-    return GaussSumValue(a=a, value=ring.sum_of_roots(
-        t.trace[t.mul[a.index, t.mul.diagonal()]] * (ring.order // field.p)))
+    return ring.sum_of_roots(
+        t.trace[t.mul[field.element(a).index, t.mul.diagonal()]] * (ring.order // field.p))
 
 
 def generator_scaling(field: GFField, xi) -> Monomial:
@@ -188,23 +131,22 @@ def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
         ring.root_coeffs()[0], roots, slots, (q, q), 2 * field.ell))
 
 
-def fourier_params(field: GFField) -> SymplecticParams:
+def fourier_params(field: GFField) -> np.ndarray:
     """The Fourier matrix as a group element: (u, s, t, r) = (0, 1, -1, 0)."""
-    return SymplecticParams.from_row(field, (0, 1, field.neg_index(1), 0))
+    return np.array([0, 1, field.neg_index(1), 0], dtype=np.int64)
 
 
-def synthesize(field: GFField, params: SymplecticParams) -> OperatorMatrix:
-    """Unitary realising the conjugation action of a group element: the
-    one-row case of :func:`element_factors`, S_x(shear) . M, times F+
-    outside the generic chart."""
-    fac = element_factors(field, params.to_row()[None])
+def synthesize(field: GFField, row) -> OperatorMatrix:
+    """Unitary realising the conjugation action of the group element at one
+    row (r, s, t, u): the one-row case of :func:`element_factors`, S_x(shear)
+    . M, times F+ outside the generic chart."""
+    fac = element_factors(field, np.asarray(row)[None])
     mono = Monomial(ring_for(field), fac.perm[0], fac.phase[0])
     u = mono.right_mul_dense(generator_shear_x(field, int(fac.shear[0])))
     return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
 
 
-def action_check(field: GFField, params: SymplecticParams,
-                 labels=None, check_unitary: bool = True) -> dict:
+def action_check(field: GFField, row, labels=None, check_unitary: bool = True) -> dict:
     """Verify the defining conjugation action of a synthesised unitary.
 
     Checks S Z^a = D(u a, t a) S and S X^b = D(s b, r b) S for every label
@@ -215,34 +157,39 @@ def action_check(field: GFField, params: SymplecticParams,
     This is the per-element reference for :func:`action_sweep`, which
     returns the same verdicts for many elements at once: the tests compare
     the two element by element, and the benchmark's tracer patches this
-    function by name.
+    function by name.  It maps labels by field-element arithmetic on the
+    row's entries, not by :func:`label_images`, so that it stays independent.
     """
-    s_op = synthesize(field, params)
+    s_op = synthesize(field, row)
     if check_unitary and not s_op.is_unitary():
         return {"unitary": False, "z_action": False, "x_action": False,
                 "displacement_action": False, "commutation": False}
+    r, s, t, u = (field.element(int(x)) for x in row)
+
+    def image(alpha, beta):
+        return (u * alpha + s * beta, t * alpha + r * beta)
     els = field.elements() if labels is None else [field.element(x) for x in labels]
     ok_z = all(
         z_monomial(field, a).right_mul_dense(s_op).equals(
-            displacement_monomial(field, *params.apply(a, field.zero))
+            displacement_monomial(field, *image(a, field.zero))
             .left_mul_dense(s_op))
         for a in els)
     ok_x = all(
         x_monomial(field, b).right_mul_dense(s_op).equals(
-            displacement_monomial(field, *params.apply(field.zero, b))
+            displacement_monomial(field, *image(field.zero, b))
             .left_mul_dense(s_op))
         for b in els)
     ok_d = all(
         displacement_monomial(field, a, b).right_mul_dense(s_op).equals(
-            displacement_monomial(field, *params.apply(a, b))
+            displacement_monomial(field, *image(a, b))
             .left_mul_dense(s_op))
         for a in els for b in els)
     # transformed pair keeps the Weyl commutation phase
     ok_comm = True
     for a in els:
         for b in els:
-            zp = displacement_monomial(field, *params.apply(a, field.zero))
-            xp = displacement_monomial(field, *params.apply(field.zero, b))
+            zp = displacement_monomial(field, *image(a, field.zero))
+            xp = displacement_monomial(field, *image(field.zero, b))
             lhs = xp @ zp
             rhs = (zp @ xp).scaled_by_omega(
                 -field.trace_index(field.mul_index(a.index, b.index)))
@@ -266,6 +213,28 @@ def _complete_rows(field: GFField, rows: np.ndarray) -> np.ndarray:
     return np.stack([r, np.where(generic, s, tb.neg[tb.inv[t]]), t,
                      np.where(generic, tb.mul[tb.inv[r], tb.add[tb.mul[s, t], 1]], u)],
                     axis=1)
+
+
+def determinant(field: GFField, rows) -> np.ndarray:
+    """r u - s t of each row (r, s, t, u) of an element array."""
+    tb = field.tables()
+    r, s, t, u = np.asarray(rows).T
+    return tb.add[tb.mul[r, u], tb.neg[tb.mul[s, t]]]
+
+
+def element_row(field: GFField, r, s, t, u=None) -> np.ndarray:
+    """The group element (r, s, t, u) as one row of field indices, each
+    parameter an index, text or field element.  Without u the row is
+    completed in the chart r != 0; with it, r u - s t = 1 is required."""
+    row = np.array([field.element(x).index for x in (r, s, t, 0 if u is None else u)],
+                   dtype=np.int64)
+    if u is None:
+        if row[0] == 0:
+            raise ConstraintViolated("r = 0 leaves u undetermined; supply it")
+        row = _complete_rows(field, row[None])[0]
+    if determinant(field, row) != 1:
+        raise ConstraintViolated("parameters do not satisfy r*u - s*t = 1")
+    return row
 
 
 def enumerate_group(field: GFField) -> np.ndarray:
@@ -467,16 +436,17 @@ def _closed_form_parts(field: GFField, elements):
     return a, tb.trace[b_idx] * (ring_for(field).order // field.p)
 
 
-def closed_form_matrix(field: GFField, params: SymplecticParams) -> OperatorMatrix:
-    """Gauss-sum closed form for the matrix elements of a generic element.
+def closed_form_matrix(field: GFField, row) -> OperatorMatrix:
+    """Gauss-sum closed form for the matrix elements of the generic element
+    at one row (r, s, t, u).
 
     [S](n, m) = p^-ell G(A) omega^(Tr B) with A = -2^-1 (1+s t)^-1 r t and
     B = (2 r t)^-1 ((1+s t) n^2 - 2 n m r + m^2 r^2).  Requires r, t != 0
     and 1 + s t != 0 (the expression divides by all three).
     """
-    a, b = _closed_form_parts(field, params.to_row()[None])
+    a, b = _closed_form_parts(field, np.asarray(row)[None])
     ring, q = ring_for(field), field.order
-    scale = gauss_sum(field, int(a[0])).value * ring.rational(1, q)
+    scale = gauss_sum(field, int(a[0])) * ring.rational(1, q)
     data, e, den = ring.pack(((scale,),))
     return OperatorMatrix.from_packed(ring, ring.root_sum(
         data[0, 0], b[0], np.arange(q * q).reshape(q, q), (q, q), e, den))
@@ -504,7 +474,7 @@ def closed_form_sweep(field: GFField, elements) -> list[dict]:
     inv_scale, out = {}, []
     for k, x in enumerate(a.tolist()):
         if x not in inv_scale:
-            scale = gauss_sum(field, x).value * ring.rational(1, q)
+            scale = gauss_sum(field, x) * ring.rational(1, q)
             inv_scale[x] = scale.inverse() if scale else ring.zero
         data, e, den = mats[base_of[k]].packed
         entry = ring.unpack((data[:1, fac.perm[k, :1]], e, den))[0][0]  # S_x(0, perm 0)
@@ -516,40 +486,41 @@ def closed_form_sweep(field: GFField, elements) -> list[dict]:
     return out
 
 
-def closed_form_elements_check(field: GFField, params: SymplecticParams) -> dict:
+def closed_form_elements_check(field: GFField, row) -> dict:
     """Compare the synthesised unitary against the Gauss-sum closed form.
 
     Equality is asserted up to one global unit-modulus phase, which is
     extracted exactly and reported; the one-element :func:`closed_form_sweep`.
     """
-    return closed_form_sweep(field, params.to_row()[None])[0]
+    return closed_form_sweep(field, np.asarray(row)[None])[0]
 
 
-def frobenius_action_check(field: GFField, params: SymplecticParams,
-                           subfield_d: int | None = None) -> dict:
-    """Frobenius covariance of the synthesised unitaries.
+def frobenius_action_check(field: GFField, row, subfield_d: int | None = None) -> dict:
+    """Frobenius covariance of the synthesised unitary of one row (r, s, t, u).
 
     Conjugating S by the k-th Frobenius power matches the unitary built
-    from the Frobenius-mapped parameters, up to a reported global phase
-    (hence they induce the same conjugation action).  When all parameters
-    lie in GF(p^d), the d-th power fixes the operator the same way.
+    from the Frobenius-mapped parameters (the row gathered k times from the
+    ``frob`` table), up to a reported global phase (hence they induce the
+    same conjugation action).  When all parameters lie in GF(p^d), the d-th
+    power fixes the operator the same way.
     """
     from .frobenius import frobenius_monomial
     g = frobenius_monomial(field)
-    s_op = synthesize(field, params)
+    s_op = synthesize(field, row)
     phases = []
     ok = True
+    mapped = np.asarray(row)
     for k in range(field.ell):
         conj_op = (g ** k).conjugate_dense(s_op)
-        target = synthesize(field, params.frobenius(k))
-        phase = proportionality_phase(conj_op, target)
+        phase = proportionality_phase(conj_op, synthesize(field, mapped))
         phases.append(phase)
         if phase is None:
             ok = False
+        mapped = field.tables().frob[mapped]
     result = {"covariant": ok, "phases": phases}
     if subfield_d is not None:
         d = subfield_d
-        for x in (params.r, params.s, params.t, params.u):
+        for x in row:
             field.require_in_subfield(
                 x, d, "parameters are not all in the requested subfield")
         conj_op = (g ** d).conjugate_dense(s_op)
@@ -568,8 +539,9 @@ def label_images(field: GFField, row, alpha, beta):
     return (t.add[t.mul[u, alpha], t.mul[s, beta]], t.add[t.mul[tt, alpha], t.mul[r, beta]])
 
 
-def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
-    """Marginal identities transported to a rotated phase-space frame.
+def transformed_marginals(field: GFField, row) -> dict:
+    """Marginal identities transported to a rotated phase-space frame, for
+    the element at one row (r, s, t, u).
 
     The primed displacements D'(a, b) = S D(a, b) S+ are displacements at
     the transformed labels, so the 2q primed sums of :func:`marginal_labels`
@@ -581,10 +553,10 @@ def transformed_marginals(field: GFField, params: SymplecticParams) -> dict:
     e_k|.  ``witness`` is None or the first failing (sum, label):
     ("alpha_sums", beta) or ("beta_sums", alpha), as field indices.
     """
-    s_op = synthesize(field, params)
+    s_op = synthesize(field, row)
     ring, q, t = ring_for(field), field.order, field.tables()
     alpha, beta = marginal_labels(field)
-    img_alpha, img_beta = label_images(field, params.to_row(), alpha, beta)
+    img_alpha, img_beta = label_images(field, row, alpha, beta)
     rows = np.arange(2 * q)
     if q <= 9:
         def targets(s):
@@ -660,9 +632,9 @@ def non_factorization_witness(field: GFField) -> dict:
     """
     require_gf9_fixture(field)
     ring = ring_for(field)
-    eps = field.generator
-    params = SymplecticParams.from_rst(field, field.one, field.one + eps, eps)
-    s_op = synthesize(field, params)
+    eps = field.generator.index
+    row = element_row(field, 1, field.add_index(1, eps), eps)
+    s_op = synthesize(field, row)
 
     ident3 = Monomial.identity(ring, 3)
     x_eps = x_monomial(field, eps).to_matrix()
@@ -670,7 +642,7 @@ def non_factorization_witness(field: GFField) -> dict:
     x_fact = x_eps.equals(x_tensor)
 
     # image of the shift under the action: label (0, eps) -> (s eps, r eps)
-    img_x = params.apply(field.zero, eps)
+    img_x = [field.element(int(x)) for x in label_images(field, row, 0, eps)]
     x_img_ok = conjugate(s_op, x_eps).equals(displacement(field, *img_x))
     _, dual_a = field.components(img_x[0])
     std_b = img_x[1].coeffs
@@ -678,10 +650,10 @@ def non_factorization_witness(field: GFField) -> dict:
     first_factor_identity = x_img_factors[0] == (0, 0)
 
     # image of the diagonal operator: label (eps, 0) -> (u eps, t eps)
-    img_z = params.apply(eps, field.zero)
+    img_z = label_images(field, row, eps, 0)
     two_eps = field.element([0, 2])
     one_two_eps = field.element([1, 2])
-    z_img_ok = (img_z[0] == two_eps and img_z[1] == one_two_eps
+    z_img_ok = (img_z == (two_eps.index, one_two_eps.index)
                 and conjugate(s_op, z_monomial(field, eps).to_matrix()).equals(
                     displacement(field, two_eps, one_two_eps)))
     d_fact = displacement(field, two_eps, one_two_eps).equals(tensor_list([

@@ -460,13 +460,6 @@ def _row_text(field: GFField, row) -> str:
     return "(" + ", ".join(str(field.element(x)) for x in row) + ")"
 
 
-def _determinant(field: GFField, rows) -> np.ndarray:
-    """r u - s t of each row (r, s, t, u) of an element array."""
-    tb = field.tables()
-    r, s, t, u = rows.T
-    return tb.add[tb.mul[r, u], tb.neg[tb.mul[s, t]]]
-
-
 def _stacked(monomials):
     """(perm, phase) of a list of monomials as two (B, q) arrays."""
     return np.array([m.perm for m in monomials]), np.array([m.phase for m in monomials])
@@ -541,10 +534,9 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     _generator_laws(rep, field, rng)
 
     nonzero_a = range(1, q) if q <= 27 else [rng.choice(range(1, q)) for _ in range(10)]
-    ok = all((lambda gv: gv.value * gv.value.conj() == ring.from_int(q))(
-        sp.gauss_sum(field, a)) for a in nonzero_a)
-    rep.add("gauss_sum_magnitude", ok)
-    rep.add("gauss_sum_at_zero", sp.gauss_sum(field, 0).value == ring.from_int(q))
+    gauss = [sp.gauss_sum(field, a) for a in nonzero_a]
+    rep.add("gauss_sum_magnitude", all(g * g.conj() == ring.from_int(q) for g in gauss))
+    rep.add("gauss_sum_at_zero", sp.gauss_sum(field, 0) == ring.from_int(q))
 
     # action-law labels: the power basis {eps^k : k < ell}, which spans
     # GF(p^ell) over Z_p ({1, eps} does so only for ell <= 2)
@@ -554,7 +546,7 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     # usefully at desk scale)
     group = sp.enumerate_group(field)
     # distinct codes of the determinant-1 rows, counted on the sorted codes
-    codes = np.sort(group[_determinant(field, group) == 1] @ q ** np.arange(3, -1, -1))
+    codes = np.sort(group[sp.determinant(field, group) == 1] @ q ** np.arange(3, -1, -1))
     count = int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1]))
     ok = count == len(group) == q * (q * q - 1)
     if q <= 9 or (config.exhaustive and q <= 27):
@@ -563,7 +555,7 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     else:
         rep.add("group_order_count", ok)
         name = "action_law_sampled"
-        elements = np.vstack([sp.sample_group(field, rng, 8), sp.fourier_params(field).to_row()])
+        elements = np.vstack([sp.sample_group(field, rng, 8), sp.fourier_params(field)])
     verdicts = sp.action_sweep(field, elements, gen_labels)
     failing = np.flatnonzero(~verdicts.all(axis=1))
     detail = f"elements={len(elements)}"
@@ -584,7 +576,7 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                      add[mul[t1, u2], mul[r1, t2]], add[mul[u1, u2], mul[s1, t2]]])
     eps = field.generator.index
     a, b = np.array([[1, 1, eps, eps], [0, 1, 0, 1]])[:, :, None]
-    rep.add("label_action_homomorphism", bool((_determinant(field, prod.T) == 1).all())
+    rep.add("label_action_homomorphism", bool((sp.determinant(field, prod.T) == 1).all())
             and np.array_equal(sp.label_images(field, prod, a, b),
                                sp.label_images(field, g1, *sp.label_images(field, g2, a, b))))
 
@@ -598,24 +590,21 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
               + (f", witness={_row_text(field, bad[0][:3])}" if bad else ""))
     rep.add("closed_form_matches_synthesis", not bad, detail=detail)
 
-    ok = all(sp.synthesize(field, sp.SymplecticParams.from_row(field, row)).is_unitary()
-             for row in sp.sample_group(field, rng, 3))
+    ok = all(sp.synthesize(field, row).is_unitary() for row in sp.sample_group(field, rng, 3))
     rep.add("synthesis_unitary", ok)
 
-    ok = all(sp.frobenius_action_check(field, sp.SymplecticParams.from_row(field, row))
-             ["covariant"] for row in sp.sample_group(field, rng, 2))
-    res = sp.frobenius_action_check(field, sp.SymplecticParams.from_rst(field, 1, 1, 2),
-                                    subfield_d=1)
+    ok = all(sp.frobenius_action_check(field, row)["covariant"]
+             for row in sp.sample_group(field, rng, 2))
+    res = sp.frobenius_action_check(field, sp.element_row(field, 1, 1, 2), subfield_d=1)
     rep.add("frobenius_covariance", ok and res["covariant"] and res["subfield_fixed"])
 
     # the identity, one drawn element and the GF(9) fixture's example
     tm_rows = [np.array([1, 0, 0, 1]), *sp.sample_group(field, rng, 1)]
     if hb.is_gf9_fixture(field):
-        tm_rows.append(sp.SymplecticParams.from_rst(
-            field, 1, field.one + field.generator, field.generator).to_row())
+        tm_rows.append(sp.element_row(field, 1, field.add_index(1, eps), eps))
     ok, detail = True, ""
     for row in tm_rows:
-        res = sp.transformed_marginals(field, sp.SymplecticParams.from_row(field, row))
+        res = sp.transformed_marginals(field, row)
         if res["witness"] is not None:
             name, label = res["witness"]
             held = "beta" if name == "alpha_sums" else "alpha"
@@ -704,12 +693,11 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
         rep.add("fourier_maps_labels", ok)
 
         par = hb.parity_monomial(field).to_matrix().embed()
-        half_el = field.element(half)
+        t = field.tables()
         ok = True
         for idx in [0, 1, q - 1]:
-            el = field.element(idx)
-            lhs = hb.marginal_sum_alpha(field, el).embed()
-            proj = hs.point_projector(field, -(half_el * el)).embed()
+            lhs = hb.marginal_sum_alpha(field, idx).embed()
+            proj = hs.point_projector(field, t.neg[t.mul[half, idx]]).embed()
             if np.linalg.norm(lhs - par @ proj) > tol:
                 ok = False
         rep.add("marginal_alpha_sums", ok)
@@ -725,10 +713,10 @@ def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteRepo
 
         ok = True
         for row in sp.sample_group(field, rng, 2):
-            s_op = sp.synthesize(field, sp.SymplecticParams.from_row(field, row)).embed()
+            s_op = sp.synthesize(field, row).embed()
             if np.linalg.norm(s_op @ s_op.conj().T - eye) > tol:
                 ok = False
-            za = hb.z_power(field, field.one).embed()
+            za = hb.z_power(field, 1).embed()
             target = hb.displacement(field, int(row[3]), int(row[2])).embed()  # D(u, t)
             if np.linalg.norm(s_op @ za @ s_op.conj().T - target) > tol:
                 ok = False

@@ -19,9 +19,8 @@ from gfharmonic.heisenberg import (component_displacement_monomial,
                                    z_power, z_spectrum_example)
 from gfharmonic.hilbert import ring_for
 from gfharmonic.linalg import conjugate, tensor_list
-from gfharmonic.symplectic import (SymplecticParams, action_check,
-                                   closed_form_elements_check,
-                                   enumerate_group, synthesize)
+from gfharmonic.symplectic import (action_check, closed_form_elements_check,
+                                   element_row, enumerate_group, synthesize)
 from gfharmonic.verify import VerifyConfig, run_all, run_suite
 
 GRID = ((3, 1), (3, 2), (5, 1), (3, 3))
@@ -60,9 +59,9 @@ def test_criterion_1_gf9_fixture_reproduction(gf9):
     ring = ring_for(gf9)
 
     # diagonal phase operator: omega exponents (0,2,1,2,1,0,1,0,2)
-    z = z_power(gf9, 1)
+    z = z_power(gf9, 1).rows
     expected = [0, 2, 1, 2, 1, 0, 1, 0, 2]
-    assert all(z.rows[i][i] == ring.omega(expected[i]) for i in range(9))
+    assert all(z[i][i] == ring.omega(expected[i]) for i in range(9))
 
     # rank-3 eigenprojector memberships of Z and Z^eps
     rep = z_spectrum_example(gf9)
@@ -78,9 +77,10 @@ def test_criterion_1_gf9_fixture_reproduction(gf9):
     half = ring.rational(1, 2)
     for expected_mat, proj in ((FROB_PROJ_0_HALVES, spec.projectors[0]),
                                (FROB_PROJ_1_HALVES, spec.projectors[1])):
+        proj = proj.rows
         for n in range(9):
             for m in range(9):
-                assert proj.rows[n][m] == half * expected_mat[n][m]
+                assert proj[n][m] == half * expected_mat[n][m]
 
     # symplectic conjugation example.  Note: with the defining action
     # S Z^a S+ = D(u a, t a), the element (r,s,t) = (1, 1+e, e) maps the
@@ -88,8 +88,7 @@ def test_criterion_1_gf9_fixture_reproduction(gf9):
     # The displacement at (2e, 1+2e) is produced by conjugating the
     # diagonal generator, and it splits into the stated component pair.
     eps = gf9.generator
-    params = SymplecticParams.from_rst(gf9, 1, gf9.one + eps, eps)
-    s_op = synthesize(gf9, params)
+    s_op = synthesize(gf9, element_row(gf9, 1, gf9.one + eps, eps))
     two_eps = gf9.element([0, 2])
     one_two_eps = gf9.element([1, 2])
     target = displacement(gf9, two_eps, one_two_eps)
@@ -128,9 +127,8 @@ def test_criterion_3_exhaustive_symplectic_action(gf9):
         assert len(group) == want == q * (q * q - 1)
         labels = [field.one, field.generator] if field.ell > 1 else [field.one]
         for row in group:
-            params = SymplecticParams.from_row(field, row)
-            rep = action_check(field, params, labels=labels)
-            assert all(rep.values()), str(params)
+            rep = action_check(field, row, labels=labels)
+            assert all(rep.values()), row
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"exhaustive sweep took {elapsed:.1f}s"
     print(f"\nCRITERION 3 (exhaustive symplectic action, 24 + 720 elements, "
@@ -143,15 +141,16 @@ def test_criterion_4_closed_form_against_synthesis():
     counts = {}
     for p, ell in GRID:
         field = make_field(p, ell)
-        valid = [params for params in (SymplecticParams.from_row(field, row)
-                                       for row in enumerate_group(field))
-                 if not (params.r.is_zero or params.t.is_zero
-                         or (params.s * params.t + 1).is_zero)]
+        valid = []
+        for row in enumerate_group(field):
+            r, s, t, _ = (field.element(int(x)) for x in row)
+            if not (r.is_zero or t.is_zero or (s * t + 1).is_zero):
+                valid.append(row)
         rng.shuffle(valid)
         take = valid if len(valid) <= 50 else valid[:50]
-        for params in take:
-            rep = closed_form_elements_check(field, params)
-            assert rep["proportional"], str(params)
+        for row in take:
+            rep = closed_form_elements_check(field, row)
+            assert rep["proportional"], row
             phase = rep["phase"]
             # exact unit-modulus phase, constant across entries by
             # construction of the extraction (cross-multiplied, deviation 0)
@@ -169,9 +168,10 @@ def test_criterion_5_degenerate_trace_block():
     ring = ring_for(field)
     f = fourier_matrix(field)
     const = ring.scalar([1, 0, 0, 0], 3)  # 27^(-1/2)
+    rows = f.rows
     for n in field.subfield_indices(1):
         for m in field.subfield_indices(1):
-            assert f.rows[n][m] == const
+            assert rows[n][m] == const
     print("\nCRITERION 5 (degenerate-trace constant block on GF(27)): PASS")
 
 

@@ -76,10 +76,10 @@ def test_op_zpow_matches_frozen_diagonal(capsys):
     assert code == 0
     field = make_field(3, 2, [2, 1, 1])
     ring = ring_for(field)
-    mat = matrix_from_json(json.loads(out), ring)
+    mat = matrix_from_json(json.loads(out), ring).rows
     expected = [0, 2, 1, 2, 1, 0, 1, 0, 2]
     for i in range(9):
-        assert mat.rows[i][i] == ring.omega(expected[i])
+        assert mat[i][i] == ring.omega(expected[i])
 
 
 def test_op_displace_identity(capsys):
@@ -306,6 +306,38 @@ def test_bad_input_exits_2_with_error_line(capsys, argv):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--u", "1"], "parameters do not satisfy r*u - s*t = 1"),
+    (["--r", "0"], "r = 0 leaves u undetermined; supply it"),
+    (["--r", "0", "--u", "5"], "parameters do not satisfy r*u - s*t = 1"),
+], ids=["bad_u", "r0_without_u", "r0_bad_u"])
+def test_op_symplectic_rejects_a_non_group_element(capsys, extra, message):
+    code = main(["op", "symplectic", "--p", "3", "--ell", "2", "--modulus", "2,1,1",
+                 "--r", "1", "--s", "4", "--t", "3", *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3", "--ell", "1", "--backend", "float"],
+    ["field", "--p", "3", "--ell", "1", "--tolerance", "0.1"],
+    ["op", "fourier", "--p", "3", "--ell", "1", "--tolerance", "0.1"],
+    ["weyl", "--p", "3", "--ell", "1", "--backend", "float"],
+    ["weyl", "--p", "3", "--ell", "1", "--tolerance", "0.1"],
+    ["fixtures", "--p", "7"],
+    ["fixtures", "--ell", "3"],
+    ["fixtures", "--modulus", "1,1"],
+    ["fixtures", "--backend", "float"],
+    ["fixtures", "--tolerance", "0.1"],
+    ["fixtures", "--max-order", "2"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
 
 
 def test_module_entry_point():

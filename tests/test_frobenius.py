@@ -86,9 +86,9 @@ def test_frobenius_action_on_point_masses(gf9):
     rng = random.Random(5)
     chi = state_of(ring, [
         ring.scalar([rng.randint(-2, 2) for _ in range(4)]) for _ in range(9)])
-    moved = mono.apply(chi)
+    moved, chi = mono.apply(chi).values, chi.values
     for n in range(9):
-        assert moved.values[n] == chi.values[gf9.frobenius_index(n, gf9.ell - 1)]
+        assert moved[n] == chi[gf9.frobenius_index(n, gf9.ell - 1)]
 
 
 def test_galois_groups(gf9):
@@ -159,9 +159,10 @@ def test_spectrum_matches_frozen_matrices(gf9):
     spec = frobenius_spectrum(gf9)
     for expected, proj in ((PROJ0_HALVES, spec.projectors[0]),
                            (PROJ1_HALVES, spec.projectors[1])):
+        proj = proj.rows
         for n in range(9):
             for m in range(9):
-                assert proj.rows[n][m] == half * expected[n][m]
+                assert proj[n][m] == half * expected[n][m]
     assert spec.ranks == (6, 3)
 
 

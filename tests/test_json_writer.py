@@ -277,7 +277,7 @@ def test_no_write_carries_more_than_one_block(gf9, block, monkeypatch):
         monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
     field = make_field(13, 2)
     mats = [*exact_matrices(gf9).values(),
-            sp.synthesize(field, sp.SymplecticParams.from_rst(field, 65, 133, 159))]
+            sp.synthesize(field, sp.element_row(field, 65, 133, 159))]
     for mat in mats:
         fh = RecordingFile()
         write_json({"entries": mat}, fh)

@@ -59,13 +59,13 @@ def test_identity_is_neutral(ring):
 def test_matmul_against_entrywise_definition(ring):
     a = random_matrix(ring, 3, 2)
     b = random_matrix(ring, 3, 3)
-    c = a @ b
+    a_rows, b_rows, c_rows = a.rows, b.rows, (a @ b).rows
     for n in range(3):
         for m in range(3):
             want = ring.zero
             for k in range(3):
-                want = want + a.rows[n][k] * b.rows[k][m]
-            assert c.rows[n][m] == want
+                want = want + a_rows[n][k] * b_rows[k][m]
+            assert c_rows[n][m] == want
 
 
 def test_adjoint_and_trace(ring):
@@ -73,8 +73,9 @@ def test_adjoint_and_trace(ring):
     assert a.adjoint().adjoint().equals(a)
     tr = a.trace()
     want = ring.zero
+    a_rows = a.rows
     for i in range(4):
-        want = want + a.rows[i][i]
+        want = want + a_rows[i][i]
     assert tr == want
     assert (a + a).trace() == 2 * tr
 
@@ -84,11 +85,11 @@ def test_tensor_identity_and_convention(ring):
     assert i3.tensor(i3).equals(OperatorMatrix.identity(ring, 9))
     a = random_matrix(ring, 2, 5)
     b = random_matrix(ring, 3, 6)
-    t = a.tensor(b)
+    t, a, b = a.tensor(b).rows, a.rows, b.rows
     # index n = n_a + dim_a * n_b: first factor on the least significant digit
     for n in range(6):
         for m in range(6):
-            assert t.rows[n][m] == a.rows[n % 2][m % 2] * b.rows[n // 2][m // 2]
+            assert t[n][m] == a[n % 2][m % 2] * b[n // 2][m // 2]
 
 
 def test_dimension_and_backend_guards(ring):
@@ -137,6 +138,17 @@ def test_state_vector_ops(ring):
     assert moved.equals(m.to_matrix().apply(s))
     with pytest.raises(DimensionMismatch):
         inner_product(s, point_mass(ring, 5, 0))
+
+
+def test_state_entry_is_the_entry_of_values(ring):
+    rng = random.Random(4)
+    s = state_of(ring, [row[0] for row in mixed_matrix(ring, 5, rng, 3)])
+    values = s.values
+    for i in [*range(5), -1, -5, np.int64(3)]:
+        x, y = s[i], values[i]
+        assert (x.coeffs, x.scale_exp, x.denom) == (y.coeffs, y.scale_exp, y.denom)
+    with pytest.raises(IndexError):
+        s[5]
 
 
 def test_state_guards(ring):
@@ -210,12 +222,13 @@ def test_tensor_list(ring):
     ms = [random_monomial(ring, 2, s).to_matrix() for s in (22, 23, 24)]
     t = tensor_list(ms)
     assert t.dim == 8
+    t, ms = t.rows, [m.rows for m in ms]
     for n in range(8):
         for m in range(8):
-            want = (ms[0].rows[n % 2][m % 2]
-                    * ms[1].rows[(n // 2) % 2][(m // 2) % 2]
-                    * ms[2].rows[n // 4][m // 4])
-            assert t.rows[n][m] == want
+            want = (ms[0][n % 2][m % 2]
+                    * ms[1][(n // 2) % 2][(m // 2) % 2]
+                    * ms[2][n // 4][m // 4])
+            assert t[n][m] == want
 
 
 # -- differential check of the packed product against the per-entry loop ----
@@ -472,9 +485,10 @@ def test_packed_product_is_in_normal_form(order, char, bound):
 def reference_proportionality_phase(a, b):
     """The per-entry cross-multiplication loop the packed version replaced."""
     ref = None
+    a_rows, b_rows = a.rows, b.rows
     for i in range(a.dim):
         for j in range(a.dim):
-            if not b.rows[i][j].is_zero:
+            if not b_rows[i][j].is_zero:
                 ref = (i, j)
                 break
         if ref:
@@ -482,12 +496,12 @@ def reference_proportionality_phase(a, b):
     if ref is None:
         return None
     i0, j0 = ref
-    if a.rows[i0][j0].is_zero:
+    if a_rows[i0][j0].is_zero:
         return None
-    a0, b0 = a.rows[i0][j0], b.rows[i0][j0]
+    a0, b0 = a_rows[i0][j0], b_rows[i0][j0]
     for i in range(a.dim):
         for j in range(a.dim):
-            if a.rows[i][j] * b0 != a0 * b.rows[i][j]:
+            if a_rows[i][j] * b0 != a0 * b_rows[i][j]:
                 return None
     phase = a0 / b0
     if phase * phase.conj() != a.ring.one:
@@ -506,21 +520,23 @@ def proportionality_cases():
     from gfharmonic.frobenius import frobenius_monomial
     from gfharmonic.gf import make_field
     from gfharmonic.hilbert import ring_for
-    from gfharmonic.symplectic import (SymplecticParams, closed_form_matrix,
-                                       enumerate_group, synthesize)
+    from gfharmonic.symplectic import closed_form_matrix, enumerate_group, synthesize
 
     field = make_field(3, 2, [2, 1, 1])
     ring = ring_for(field)
     g = frobenius_monomial(field)
     cases = []
-    valid = [g for g in (SymplecticParams.from_row(field, row)
-                         for row in enumerate_group(field))
-             if not (g.r.is_zero or g.t.is_zero or (g.s * g.t + 1).is_zero)]
-    for params in valid[::97][:4]:
-        built = synthesize(field, params)
-        cases.append((built, closed_form_matrix(field, params)))
+    valid = []
+    for row in enumerate_group(field):
+        r, s, t, _ = (field.element(int(x)) for x in row)
+        if not (r.is_zero or t.is_zero or (s * t + 1).is_zero):
+            valid.append(row)
+    for row in valid[::97][:4]:
+        built = synthesize(field, row)
+        cases.append((built, closed_form_matrix(field, row)))
         cases.append((g.conjugate_dense(built),
-                      synthesize(field, params.frobenius(1))))
+                      synthesize(field, [field.element(int(x)).frobenius(1).index
+                                         for x in row])))
     built = cases[0][0]
     zero = OperatorMatrix.zeros(ring, field.order)
     rows = [list(row) for row in built.rows]
@@ -691,3 +707,50 @@ def test_normalise_matches_single_strips(order, char, bound):
                    (lifted * ring.char, e + 3, 1), (data * ring.char, 1, q), (data, 0, q),
                    (data[:1] * 0, 3, 1)]:
         assert_same_triple(ring._normalise(*triple), reference_normalise(ring, *triple))
+
+
+def whole_array_strip_normalise(ring, data, e, q):
+    """_normalise as it was before the odd sqrt(p) strip tested the first
+    entry: one whole-array product with the sqrt(p) table whenever E >= 1."""
+    if not data.any():
+        return np.zeros(data.shape, dtype=np.int64), 0, 1
+    p = ring.char
+    while e >= 2 and not (data.flat[:ring.degree] % p).any() and not (data % p).any():
+        data, e = data // p, e - 2
+    if e >= 1:
+        w = ring._times_table(data, "sqrt")
+        if not (w % p).any():
+            data, e = w // p, e - 1
+    if q > 1:
+        g = math.gcd(q, int(np.gcd.reduce(data.ravel())))
+        if g > 1:
+            data, q = data // g, q // g
+    return data, e, q
+
+
+@pytest.mark.parametrize("order,char", DIFF_RINGS)
+@pytest.mark.parametrize("bound", [3, 10 ** 30])
+def test_normalise_first_entry_strip_matches_whole_array_strip(order, char, bound):
+    # random triples at odd and even E, some with a zero first entry, some
+    # stored as object, some lifted by sqrt(p) so that the odd strip succeeds
+    ring = get_ring(order, char)
+    rng = random.Random(order * 7 + bound % 89)
+    cases = set()
+    for trial in range(48):
+        data, _, q = raw_packed(ring, 3, rng, bound)
+        e = rng.randint(0, 5)
+        if trial % 3 == 1:
+            data = ring._times_table(data, "sqrt")
+            e = max(e, 1)
+        if trial % 4 == 2:
+            data = np.array(data, dtype=np.int64 if data.dtype != object else object)
+            data.reshape(-1, ring.degree)[0] = 0
+        if trial % 5 == 3:
+            data = data.astype(object)
+        got = ring._normalise(data, e, q)
+        assert_same_triple(got, whole_array_strip_normalise(ring, data, e, q))
+        first_zero = not data.reshape(-1, ring.degree)[0].any()
+        cases.add((e % 2, (e - got[1]) % 2, first_zero, data.dtype == object))
+    # at odd E the odd strip both fails and succeeds
+    assert {(0, 0), (1, 0), (1, 1)} <= {c[:2] for c in cases}
+    assert any(c[2] and c[0] for c in cases) and any(c[3] for c in cases)

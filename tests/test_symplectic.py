@@ -15,11 +15,10 @@ from gfharmonic.heisenberg import displacement, x_power, z_power
 from gfharmonic.hilbert import operator_cache, ring_for
 from gfharmonic.linalg import (Monomial, OperatorMatrix, conjugate,
                                proportionality_phase)
-from gfharmonic.symplectic import (ACTION_KEYS, SymplecticParams,
-                                   action_check, action_sweep,
+from gfharmonic.symplectic import (ACTION_KEYS, action_check, action_sweep,
                                    closed_form_elements_check,
-                                   closed_form_matrix, element_factors,
-                                   enumerate_group,
+                                   closed_form_matrix, determinant, element_factors,
+                                   element_row, enumerate_group,
                                    fourier_params, gauss_sum,
                                    generator_scaling, generator_shear_x,
                                    generator_shear_z,
@@ -40,17 +39,23 @@ def gf9():
     return make_field(3, 2, [2, 1, 1])
 
 
+def entries(field, row):
+    """The field elements (r, s, t, u) of one element row: the reference
+    form for label images and parameter tests."""
+    return tuple(field.element(int(x)) for x in row)
+
+
 def test_gauss_sums(gf3, gf9):
     r3 = ring_for(gf3)
-    assert gauss_sum(gf3, 0).value == 3
-    g1 = gauss_sum(gf3, 1).value
+    assert gauss_sum(gf3, 0) == 3
+    g1 = gauss_sum(gf3, 1)
     assert g1 == r3.from_int(1) + 2 * r3.omega(1)
     assert cmath.isclose(complex(g1), 1j * math.sqrt(3), abs_tol=1e-12)
-    g9 = gauss_sum(gf9, 1).value
+    g9 = gauss_sum(gf9, 1)
     assert g9 * g9.conj() == 9
-    assert gauss_sum(gf9, 0).value == 9
+    assert gauss_sum(gf9, 0) == 9
     for a in range(1, 9):
-        gv = gauss_sum(gf9, a).value
+        gv = gauss_sum(gf9, a)
         assert gv * gv.conj() == 9
 
 
@@ -122,11 +127,11 @@ def test_shear_x_convolution_matches_entrywise_sums(p, ell, xis):
     # canonical tuples, not __eq__, so a vacuous equality cannot pass
     field = make_field(p, ell)
     for xi in (range(field.order) if xis is None else xis):
-        built = generator_shear_x(field, xi)
+        built = generator_shear_x(field, xi).rows
         want = reference_shear_x(field, xi)
         for n in range(field.order):
             for m in range(field.order):
-                x, y = built.rows[n][m], want[n][m]
+                x, y = built[n][m], want[n][m]
                 assert ((x.coeffs, x.scale_exp, x.denom)
                         == (y.coeffs, y.scale_exp, y.denom)), (p, ell, xi, n, m)
 
@@ -142,29 +147,42 @@ def test_operator_cache_lives_off_the_field():
 
 
 def test_symplectic_params_validation(gf9):
-    with pytest.raises(ConstraintViolated):
-        SymplecticParams(r=gf9.one, s=gf9.one, t=gf9.one, u=gf9.one)
-    with pytest.raises(ConstraintViolated):
-        SymplecticParams.from_rst(gf9, 0, 1, 1)
-    params = SymplecticParams.from_rst(gf9, 1, gf9.one + gf9.generator,
-                                       gf9.generator)
-    assert params.u == gf9.element(2)
-    row = params.to_row()
+    with pytest.raises(ConstraintViolated, match=r"^parameters do not satisfy r\*u - s\*t = 1$"):
+        element_row(gf9, gf9.one, gf9.one, gf9.one, gf9.one)
+    with pytest.raises(ConstraintViolated, match="^r = 0 leaves u undetermined; supply it$"):
+        element_row(gf9, 0, 1, 1)
+    row = element_row(gf9, 1, gf9.one + gf9.generator, gf9.generator)
+    assert entries(gf9, row)[3] == gf9.element(2)
     assert row.tolist() == [1, 4, 3, 2] and row.dtype == np.int64
-    assert SymplecticParams.from_row(gf9, row) == params
-    with pytest.raises(ConstraintViolated):
-        SymplecticParams.from_row(gf9, [1, 4, 3, 1])
+    assert np.array_equal(element_row(gf9, *row), row)
+    with pytest.raises(ConstraintViolated, match="r\\*u - s\\*t = 1"):
+        element_row(gf9, 1, 4, 3, 1)
+    # the r = 0 chart takes u as given, and its determinant is checked
+    t = gf9.generator
+    assert element_row(gf9, 0, -t.inverse(), t, 5).tolist() == [0, (-t.inverse()).index,
+                                                                 t.index, 5]
+    with pytest.raises(ConstraintViolated, match="r\\*u - s\\*t = 1"):
+        element_row(gf9, 0, t.inverse(), t, 5)
+
+
+def test_determinant_matches_field_arithmetic(gf9):
+    rows = np.random.default_rng(3).integers(0, 9, size=(200, 4))
+    want = []
+    for row in rows:
+        r, s, t, u = entries(gf9, row)
+        want.append((r * u - s * t).index)
+    assert determinant(gf9, rows).tolist() == want
 
 
 def test_identity_synthesis(gf9):
     ring = ring_for(gf9)
-    params = SymplecticParams.from_rst(gf9, 1, 0, 0)
-    assert synthesize(gf9, params).equals(OperatorMatrix.identity(ring, 9))
+    row = element_row(gf9, 1, 0, 0)
+    assert synthesize(gf9, row).equals(OperatorMatrix.identity(ring, 9))
 
 
 def test_action_check_small(gf3):
-    params = SymplecticParams.from_rst(gf3, 1, 1, 1)
-    rep = action_check(gf3, params)
+    row = element_row(gf3, 1, 1, 1)
+    rep = action_check(gf3, row)
     assert all(rep.values())
 
 
@@ -175,24 +193,25 @@ def test_group_enumeration_counts():
         group = enumerate_group(f)
         assert group.shape == (q * (q * q - 1), 4) and group.dtype == np.int64
         assert len({tuple(g) for g in group.tolist()}) == len(group)
-        for row in group:  # raises unless r u - s t = 1
-            SymplecticParams.from_row(f, row)
+        for row in group:  # r u - s t = 1, by field arithmetic
+            r, s, t, u = entries(f, row)
+            assert r * u - s * t == f.one
+        assert (determinant(f, group) == 1).all()
 
 
 def test_exhaustive_action_gf3(gf3):
     for row in enumerate_group(gf3):
-        params = SymplecticParams.from_row(gf3, row)
-        rep = action_check(gf3, params)
-        assert all(rep.values()), str(params)
+        rep = action_check(gf3, row)
+        assert all(rep.values()), row
 
 
 def test_fourier_element(gf9):
-    ring = ring_for(gf9)
-    params = fourier_params(gf9)
-    s_op = synthesize(gf9, params)
+    row = fourier_params(gf9)
+    assert row.tolist() == [0, 1, gf9.neg_index(1), 0] and row.dtype == np.int64
+    s_op = synthesize(gf9, row)
     phase = proportionality_phase(s_op, fourier_matrix(gf9))
     assert phase is not None
-    rep = action_check(gf9, params, labels=[1, gf9.generator])
+    rep = action_check(gf9, row, labels=[1, gf9.generator])
     assert all(rep.values())
 
 
@@ -200,55 +219,61 @@ def test_degenerate_charts(gf9):
     # r = 0 chart with free u, and the 1 + s*t = 0 chart
     zero, one = gf9.zero, gf9.one
     t = gf9.generator
-    params = SymplecticParams(r=zero, s=-t.inverse(), t=t, u=gf9.element(5))
-    rep = action_check(gf9, params, labels=[1, gf9.generator])
+    row = element_row(gf9, zero, -t.inverse(), t, gf9.element(5))
+    rep = action_check(gf9, row, labels=[1, gf9.generator])
     assert all(rep.values())
     s = gf9.element(2)
     t2 = -s.inverse()  # 1 + s t = 0
-    params2 = SymplecticParams(r=one, s=s, t=t2, u=zero)
+    row2 = element_row(gf9, one, s, t2, zero)
     assert (one * zero - s * t2) == one
-    rep = action_check(gf9, params2, labels=[1, gf9.generator])
+    rep = action_check(gf9, row2, labels=[1, gf9.generator])
     assert all(rep.values())
+
+
+def image(field, row, alpha, beta):
+    """(u a + s b, t a + r b) by field arithmetic, the reference for label_images."""
+    r, s, t, u = entries(field, row)
+    return (u * alpha + s * beta, t * alpha + r * beta)
 
 
 def test_paper_example_conjugation(gf9):
     eps = gf9.generator
-    params = SymplecticParams.from_rst(gf9, 1, gf9.one + eps, eps)
-    s_op = synthesize(gf9, params)
+    row = element_row(gf9, 1, gf9.one + eps, eps)
+    s_op = synthesize(gf9, row)
     assert s_op.is_unitary()
     target = displacement(gf9, gf9.element([0, 2]), gf9.element([1, 2]))
     assert conjugate(s_op, z_power(gf9, eps)).equals(target)
     # the shift labelled by the generator lands on D(1, eps)
-    img = params.apply(gf9.zero, eps)
+    img = image(gf9, row, gf9.zero, eps)
+    assert sp.label_images(gf9, row, 0, eps.index) == (img[0].index, img[1].index)
     assert (str(img[0]), str(img[1])) == ("1,0", "0,1")
     assert conjugate(s_op, x_power(gf9, eps)).equals(displacement(gf9, *img))
 
 
 def test_closed_form(gf3, gf9):
-    r3 = ring_for(gf3)
-    params = SymplecticParams.from_rst(gf3, 1, 1, 1)
-    rep = closed_form_elements_check(gf3, params)
+    row = element_row(gf3, 1, 1, 1)
+    rep = closed_form_elements_check(gf3, row)
     assert rep["proportional"] and rep["phase_is_one"]
-    assert synthesize(gf3, params).equals(closed_form_matrix(gf3, params))
+    assert synthesize(gf3, row).equals(closed_form_matrix(gf3, row))
     eps = gf9.generator
-    params9 = SymplecticParams.from_rst(gf9, 1, gf9.one + eps, eps)
-    rep = closed_form_elements_check(gf9, params9)
+    row9 = element_row(gf9, 1, gf9.one + eps, eps)
+    rep = closed_form_elements_check(gf9, row9)
     assert rep["proportional"] and rep["phase_is_one"]
     with pytest.raises(DomainRestriction):
-        closed_form_matrix(gf9, SymplecticParams.from_rst(gf9, 1, 1, 0))
+        closed_form_matrix(gf9, element_row(gf9, 1, 1, 0))
 
 
 def test_closed_form_many_triples(gf9):
     rng = random.Random(6)
     checked = 0
-    group = [SymplecticParams.from_row(gf9, row) for row in enumerate_group(gf9)]
+    group = list(enumerate_group(gf9))
     rng.shuffle(group)
-    for params in group:
-        if params.r.is_zero or params.t.is_zero or (params.s * params.t
-                                                    + 1).is_zero:
+    for row in group:
+        r, s, t, _ = entries(gf9, row)
+        if r.is_zero or t.is_zero or (s * t + 1).is_zero:
             continue
-        rep = closed_form_elements_check(gf9, params)
-        assert rep["proportional"] and rep["phase_is_one"], str(params)
+        rep = closed_form_elements_check(gf9, row)
+        assert rep["proportional"] and rep["phase_is_one"], row
         checked += 1
         if checked >= 25:
             break
@@ -257,30 +282,31 @@ def test_closed_form_many_triples(gf9):
 
 def test_frobenius_covariance(gf9):
     eps = gf9.generator
-    params = SymplecticParams.from_rst(gf9, 1, eps, 0)
-    rep = frobenius_action_check(gf9, params)
+    row = element_row(gf9, 1, eps, 0)
+    rep = frobenius_action_check(gf9, row)
     assert rep["covariant"]
     # conjugated element equals the one built from Frobenius-mapped
     # parameters: (1, eps, 0) -> (1, eps^3, 0) = (1, 2+2eps, 0)
-    mapped = params.frobenius(1)
-    assert mapped.s == gf9.element([2, 2])
-    base = SymplecticParams.from_rst(gf9, 1, 1, 2)
+    mapped = gf9.tables().frob[row]
+    assert mapped.tolist() == [x.frobenius(1).index for x in entries(gf9, row)]
+    assert mapped[1] == gf9.element([2, 2]).index
+    base = element_row(gf9, 1, 1, 2)
     rep = frobenius_action_check(gf9, base, subfield_d=1)
     assert rep["covariant"] and rep["subfield_fixed"]
     with pytest.raises(NotInSubfield,
                        match="parameters are not all in the requested subfield"):
-        frobenius_action_check(gf9, params, subfield_d=1)
+        frobenius_action_check(gf9, row, subfield_d=1)
 
 
 def test_transformed_marginals(gf3, gf9):
-    params = SymplecticParams.from_rst(gf3, 1, 1, 1)
-    rep = transformed_marginals(gf3, params)
+    row = element_row(gf3, 1, 1, 1)
+    rep = transformed_marginals(gf3, row)
     assert rep["alpha_sums"] and rep["beta_sums"]
     eps = gf9.generator
-    params9 = SymplecticParams.from_rst(gf9, 1, gf9.one + eps, eps)
-    rep = transformed_marginals(gf9, params9)
+    row9 = element_row(gf9, 1, gf9.one + eps, eps)
+    rep = transformed_marginals(gf9, row9)
     assert rep["alpha_sums"] and rep["beta_sums"]
-    ident = SymplecticParams.from_rst(gf9, 1, 0, 0)
+    ident = element_row(gf9, 1, 0, 0)
     rep = transformed_marginals(gf9, ident)
     assert rep["alpha_sums"] and rep["beta_sums"]
 
@@ -290,9 +316,8 @@ def test_preserved_commutation_phase(gf9):
     rng = random.Random(8)
     for _ in range(3):
         r = gf9.element(rng.randrange(1, 9))
-        params = SymplecticParams.from_rst(gf9, r, rng.randrange(9),
-                                           rng.randrange(9))
-        rep = action_check(gf9, params, labels=[1, gf9.generator.index])
+        row = element_row(gf9, r, rng.randrange(9), rng.randrange(9))
+        rep = action_check(gf9, row, labels=[1, gf9.generator.index])
         assert rep["commutation"]
 
 
@@ -312,16 +337,14 @@ def test_non_factorization_witness(gf9):
 def test_even_characteristic_rejected():
     f4 = make_field(2, 2)
     with pytest.raises(EvenCharacteristic):
-        synthesize(f4, SymplecticParams.from_rst(f4, 1, 0, 0))
+        synthesize(f4, element_row(f4, 1, 0, 0))
 
 
 # -- the per-base action sweep against the per-element reference -----------
 
 def reference_verdicts(field, elements, labels):
     return np.array([[res[k] for k in ACTION_KEYS]
-                     for res in (action_check(field, SymplecticParams.from_row(field, g),
-                                              labels=labels)
-                                 for g in elements)])
+                     for res in (action_check(field, g, labels=labels) for g in elements)])
 
 
 def power_basis(field):
@@ -353,14 +376,13 @@ def test_element_factors_rebuild_synthesize(gf9):
     fac = element_factors(gf9, group)
     f_adj = fourier_matrix(gf9).adjoint()
     for k, row in enumerate(group):
-        params = SymplecticParams.from_row(gf9, row)
-        assert fac.fourier[k] == (params.r.is_zero
-                                  or (params.s * params.t + 1).is_zero)
+        r, s, t, _ = entries(gf9, row)
+        assert fac.fourier[k] == (r.is_zero or (s * t + 1).is_zero)
         u = (generator_shear_x(gf9, int(fac.shear[k]))
              @ Monomial(ring, fac.perm[k], fac.phase[k]))
         if fac.fourier[k]:
             u = u @ f_adj
-        assert u.equals(synthesize(gf9, params)), str(params)
+        assert u.equals(synthesize(gf9, row)), row
 
 
 def flip_shear_sign(monkeypatch, field):
@@ -447,14 +469,13 @@ def test_action_law_witness_names_the_first_failing_element(pe, fault, name, mon
     PLANTED[fault][0](monkeypatch, field)
     item = next(i for i in symplectic_suite(field).items if i.name == name)
     for row in seen[0]:
-        params = SymplecticParams.from_row(field, row)
-        res = action_check(field, params, labels=power_basis(field))
+        res = action_check(field, row, labels=power_basis(field))
         if not all(res.values()):
             break
+    r, s, t, u = entries(field, row)
     key = next(k for k in ACTION_KEYS if not res[k])
     assert item.status == "fail"
-    assert item.detail == (f"elements={len(seen[0])}, witness=({params.r}, {params.s}, "
-                           f"{params.t}, {params.u}):{key}")
+    assert item.detail == f"elements={len(seen[0])}, witness=({r}, {s}, {t}, {u}):{key}"
 
 
 def test_action_sweep_exhaustive_gf25_and_gf27():
