@@ -309,6 +309,11 @@ class GFField:
         over many elements or labels gather from them."""
         return self._t
 
+    def indices(self, value):
+        """An index array as it is, any other value as ``element(value).index``:
+        builders take one label or an index array of them."""
+        return value if isinstance(value, np.ndarray) else self.element(value).index
+
     def add_index(self, a: int, b: int) -> int:
         return self._t.add.item(a, b)
 

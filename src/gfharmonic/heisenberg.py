@@ -3,15 +3,16 @@
 Z^alpha is the diagonal phase operator with character exponents Tr(alpha m),
 X^beta the shift by beta, and D(alpha, beta) their symmetrised product with
 the half-trace phase (the field inverse of 2; undefined for p = 2).  All
-three are monomial: :func:`displacement_arrays` gives the permutation and
-root phases of D for a whole array of labels in one gather, and
-:func:`label_grid` gives them for all q^2 labels, row l = a * q + b.  So
-each big label sum (operator expansion and reconstruction, resolution of
-the identity, overcomplete expansion, marginals) is one
-``CycloRing.root_sum`` of entries times zeta^phase into the slots the
-permutations name, and each label identity (composition law, adjoint,
-Fourier and Frobenius covariance, trace orthogonality) is an integer
-comparison of grid rows.
+three are monomial: :func:`displacement_monomial` gives D for one label,
+or for an array of labels the family of them (a ``Monomial`` with leading
+axes) in one gather, and :func:`label_grid` gives the family of all q^2
+labels, member l = a * q + b.  So each big label sum (operator expansion
+and reconstruction, resolution of the identity, overcomplete expansion,
+marginals) is one ``CycloRing.root_sum`` of entries times zeta^phase into
+the slots the permutations name, and each label identity (composition
+law, adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
+member-by-member comparison of grid families (``Monomial.matches``) or of
+their index arrays.
 
 Note on the marginal sums: summing D(alpha, beta) over one label yields the
 conjugate-basis point projector composed with the parity operator (the
@@ -59,31 +60,26 @@ def x_power(field: GFField, beta) -> OperatorMatrix:
     return x_monomial(field, beta).to_matrix()
 
 
-def displacement_arrays(field: GFField, alpha, beta, phase_coeff: int | None = None):
-    """(perm, phase) of D(alpha, beta) for index arrays (or ints) alpha, beta.
+def displacement_monomial(field: GFField, alpha, beta,
+                          phase_coeff: int | None = None) -> Monomial:
+    """D(alpha, beta) for two labels, or the family of them for two index
+    arrays of labels.
 
     D(alpha, beta) has entry omega^(Tr(c*alpha*beta + alpha*m)) at
-    (m + beta, m), c = inverse of 2 in Z_p; ``phase`` holds the root
-    exponents.  Both outputs have shape ``shape(alpha) + (q,)``: rows of
-    the field's index arrays, gathered once per label.  ``phase_coeff``
+    (m + beta, m), c = inverse of 2 in Z_p.  A family has the leading shape
+    of alpha and beta broadcast, each member's perm and phase rows of the
+    field's index arrays, gathered once per label.  ``phase_coeff``
     overrides c and exists only so verification suites can prove they
     detect a wrong phase.
     """
     _require_odd(field)
     t = field.tables()
+    alpha, beta = field.indices(alpha), field.indices(beta)
     c = field.two_inverse if phase_coeff is None else phase_coeff % field.p
     base = t.trace[t.mul[c, t.mul[alpha, beta]]]
     phase = ((t.trace[t.mul[alpha]] + base[..., None]) % field.p
              * (ring_for(field).order // field.p))
-    return t.add[beta], phase
-
-
-def displacement_monomial(field: GFField, alpha, beta,
-                          phase_coeff: int | None = None) -> Monomial:
-    """Monomial form of D(alpha, beta); see :func:`displacement_arrays`."""
-    perm, phase = displacement_arrays(field, field.element(alpha).index,
-                                      field.element(beta).index, phase_coeff)
-    return Monomial(ring_for(field), perm, phase)
+    return Monomial(ring_for(field), t.add[beta], phase)
 
 
 def displacement(field: GFField, alpha, beta) -> OperatorMatrix:
@@ -137,16 +133,13 @@ class WeylTable:
 LABEL_BLOCK_ENTRIES = 1 << 16  # entries per block of a label-grid sum or check
 
 
-def label_grid(field: GFField, phase_coeff: int | None = None):
-    """(perm, phase) of D(a, b) for every label, row l = a * q + b.
-
-    Two int32 arrays of shape (q * q, q) from one :func:`displacement_arrays`
-    gather: D(l) maps column m to row perm[l, m] with entry
-    zeta^phase[l, m].  Not cached; at q = 343 the pair takes 0.3 GB.
-    """
+def label_grid(field: GFField, phase_coeff: int | None = None) -> Monomial:
+    """D(a, b) for every label: the family of q * q members l = a * q + b,
+    one :func:`displacement_monomial` gather stored as int32 arrays of shape
+    (q * q, q).  Not cached; at q = 343 it takes 0.3 GB."""
     q = field.order
-    perm, phase = displacement_arrays(field, *np.divmod(np.arange(q * q), q), phase_coeff)
-    return perm.astype(np.int32), phase.astype(np.int32)
+    grid = displacement_monomial(field, *np.divmod(np.arange(q * q), q), phase_coeff)
+    return Monomial(grid.ring, grid.perm.astype(np.int32), grid.phase.astype(np.int32))
 
 
 def label_blocks(count: int, width: int):
@@ -155,14 +148,19 @@ def label_blocks(count: int, width: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def composition_law_holds(field: GFField, perm, phase, first, second) -> bool:
+def composition_law_holds(field: GFField, grid: Monomial, first, second) -> bool:
     """D(l1) D(l2) = omega^(c (Tr(a1 b2) - Tr(b1 a2))) D(l1 + l2), c = 1/2,
-    for every pair l1 = first[k], l2 = second[k] of rows of a :func:`label_grid`.
+    for every pair l1 = first[k], l2 = second[k] of members of a
+    :func:`label_grid`.
 
     The product maps m to perm1[perm2[m]] with phase phase2[m] +
     phase1[perm2[m]]; both are compared with the row of the summed label.
+    The rows are gathered straight from the grid's arrays: at q <= 27 all
+    q^4 pairs are checked, and ``grid[first] @ grid[second]`` would first
+    copy out each first factor (25-40% slower suites on GF(25) and GF(27)).
     """
     q, p, t = field.order, field.p, field.tables()
+    perm, phase = grid.perm, grid.phase
     step = ring_for(field).order // p
     for s in label_blocks(len(first), q):
         (a1, b1), (a2, b2) = np.divmod(first[s], q), np.divmod(second[s], q)
@@ -174,17 +172,6 @@ def composition_law_holds(field: GFField, perm, phase, first, second) -> bool:
                 and (got % (p * step) == shift[:, None] * step).all()):
             return False
     return True
-
-
-def braiding_holds(first, second, shift, order: int):
-    """Entrywise truth of M1 M2 = zeta^shift M2 M1 for monomials given as
-    (perm, phase) pairs whose leading axes broadcast, perms indexing the
-    last axis.  M1 M2 maps m to perm1[perm2[m]] with phase phase2[m] +
-    phase1[perm2[m]], as in :func:`composition_law_holds`."""
-    (p1, f1), (p2, f2) = first, second
-    p12, p21 = np.take_along_axis(p1, p2, -1), np.take_along_axis(p2, p1, -1)
-    f12, f21 = np.take_along_axis(f1, p2, -1), np.take_along_axis(f2, p1, -1)
-    return (p12 == p21) & ((f2 + f12 - f1 - f21 - shift) % order == 0)
 
 
 def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
@@ -205,18 +192,18 @@ def label_sum_stack(field: GFField, alpha, beta, weights=None):
     the B * q * q entries; the factor p^-ell = 1/q raises the scale
     exponent by 2 ell.
     """
-    return _displacement_sum(field, *displacement_arrays(field, alpha, beta), weights)
+    return _displacement_sum(field, displacement_monomial(field, alpha, beta), weights)
 
 
-def _displacement_sum(field: GFField, perm, phase, weights):
-    # perm and phase are (B, L, q); the root-sum runs over the B * L labels
+def _displacement_sum(field: GFField, family: Monomial, weights):
+    # a (B, L) family of displacements; the root-sum runs over the B * L labels
     ring = ring_for(field)
     q = field.order
-    blocks, labels = perm.shape[:2]
+    blocks, labels = family.perm.shape[:2]
     data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
     data = np.asarray(data).reshape(-1, 1, ring.degree)
-    dest = (np.repeat(np.arange(blocks), labels)[:, None] * q + perm.reshape(-1, q)) * q
-    return ring.root_sum(data, phase.reshape(-1, q), dest + np.arange(q), (blocks * q, q),
+    dest = (np.repeat(np.arange(blocks), labels)[:, None] * q + family.perm.reshape(-1, q)) * q
+    return ring.root_sum(data, family.phase.reshape(-1, q), dest + np.arange(q), (blocks * q, q),
                          e + 2 * field.ell, den)
 
 
@@ -231,10 +218,10 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> WeylTable:
         raise DimensionMismatch("operator dimension does not match the field")
     q = field.order
     ring = ring_for(field)
-    perm, phase = label_grid(field)
+    grid = label_grid(field)
     data, e, den = theta.packed
-    slots = np.broadcast_to(np.arange(q * q)[:, None], perm.shape)
-    table = ring.root_sum(data[np.arange(q), perm], phase, slots, (q, q), e, den)
+    slots = np.broadcast_to(np.arange(q * q)[:, None], grid.perm.shape)
+    table = ring.root_sum(data[np.arange(q), grid.perm], grid.phase, slots, (q, q), e, den)
     return WeylTable(field=field, packed=table)
 
 
@@ -245,8 +232,7 @@ def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
     ring = ring_for(field)
     data, e, den = table.packed
     weights = (data[np.ix_(neg, neg)], e, den)
-    perm, phase = label_grid(field)
-    return OperatorMatrix.from_packed(ring, _displacement_sum(field, perm[None], phase[None],
+    return OperatorMatrix.from_packed(ring, _displacement_sum(field, label_grid(field)[None],
                                                               weights))
 
 
@@ -267,10 +253,10 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
     ring = ring_for(field)
     q = field.order
     data, e, den = theta.packed
-    perm, phase = label_grid(field)
+    grid = label_grid(field)
     total = None
     for s in label_blocks(q * q, q * q):
-        pm, ph = perm[s], phase[s]
+        pm, ph = grid.perm[s], grid.phase[s]
         part = ring.root_sum(data, ph[:, :, None] - ph[:, None, :],
                              pm[:, :, None] * q + pm[:, None, :], (q, q),
                              e + 2 * field.ell, den)
@@ -294,10 +280,10 @@ def overcomplete_expansion_check(field: GFField, psi: StateVector,
     q = field.order
     if inner_product(psi, psi) != ring.one:
         raise ZeroTrace("expansion vector must be normalised")
-    perm, phase = label_grid(field)
+    grid = label_grid(field)
     data, e, den = psi.packed
-    slots = np.arange(q * q)[:, None] * q + perm
-    moved, e, den = ring.root_sum(data[:, 0], phase, slots, (q * q, q), e, den)
+    slots = np.arange(q * q)[:, None] * q + grid.perm
+    moved, e, den = ring.root_sum(data[:, 0], grid.phase, slots, (q * q, q), e, den)
     overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
     rebuilt = ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
     return {"holds": StateVector.from_packed(ring, rebuilt).equals(chi)}
@@ -375,9 +361,9 @@ def subfield_fourier_intertwining_check(field: GFField, d: int,
     For each checked subfield label a: F_d Z_d^a F_d+ = X_d^(-a) and
     F_d X_d^a F_d+ = Z_d^a, all as embedded operators; also the Weyl
     braiding Z_d^a X_d^b = X_d^b Z_d^a omega^(subfield-trace of a b) over
-    the label pairs (:func:`braiding_holds`).  Defaults to every subfield
-    label.  F_d(i, j) = p^(-d/2) zeta^f[i, j] on the block, f[i] the phases
-    of Z_d^(sub i), so (F_d M F_d+)(i, j) = p^-d sum_k zeta^(f[i, perm k] +
+    the label pairs, as families.  Defaults to every subfield label.
+    F_d(i, j) = p^(-d/2) zeta^f[i, j] on the block, f[i] the phases of
+    Z_d^(sub i), so (F_d M F_d+)(i, j) = p^-d sum_k zeta^(f[i, perm k] +
     phase k - f[j, k]) for a monomial M: one root-sum per block of rows."""
     sub = np.asarray(field.subfield_indices(d))
     s, ring = len(sub), ring_for(field)
@@ -385,47 +371,51 @@ def subfield_fourier_intertwining_check(field: GFField, d: int,
     zero = np.zeros_like(idx)
     z = subfield_displacement_arrays(field, d, idx, zero)
     x = subfield_displacement_arrays(field, d, zero, idx)
-    f = subfield_displacement_arrays(field, d, sub, np.zeros_like(sub))[1]
+    f = subfield_displacement_arrays(field, d, sub, np.zeros_like(sub)).phase
     unit = ring.root_coeffs()
 
-    def conjugates_to(perm, phase, target):
+    def conjugates_to(mono, target):
         for blk in label_blocks(len(idx) * s, s * s):
             lab, i = np.divmod(np.arange(len(idx) * s)[blk], s)
-            roots = f[i[:, None, None], perm[lab][:, None, :]] + phase[lab][:, None, :] - f
+            roots = (f[i[:, None, None], mono.perm[lab][:, None, :]]
+                     + mono.phase[lab][:, None, :] - f)
             slots = np.broadcast_to(np.arange(len(i) * s).reshape(-1, s, 1), roots.shape)
             got = ring.root_sum(unit[0], roots, slots, (len(i), s), 2 * d)
-            want = np.where((target[0][lab] == i[:, None])[..., None], unit[target[1][lab]], 0)
+            want = np.where((target.perm[lab] == i[:, None])[..., None],
+                            unit[target.phase[lab]], 0)
             if got[1:] != (0, 1) or not np.array_equal(got[0], want):
                 return False
         return True
 
     minus = subfield_displacement_arrays(field, d, zero, field.tables().neg[idx])
-    return {"z_to_shift": conjugates_to(*z, minus), "shift_to_z": conjugates_to(*x, z),
-            "braiding": bool(braiding_holds(
-                (z[0][:, None], z[1][:, None]), (x[0][None], x[1][None]),
-                z[1][:, np.searchsorted(sub, idx), None], ring.order).all())}
+    # Z_d^a X_d^b for every pair (a, b), row a and column b
+    zs, xs = z[:, None], x[None]
+    shift = z.phase[:, np.searchsorted(sub, idx)]
+    return {"z_to_shift": conjugates_to(z, minus), "shift_to_z": conjugates_to(x, z),
+            "braiding": bool((zs @ xs).matches((xs @ zs).scaled_by_root(shift)).all())}
 
 
-def subfield_displacement_arrays(field: GFField, d: int, alpha, beta):
-    """(perm, phase) of the subfield displacement D_d(alpha, beta) on the
-    GF(p^d) block, for index arrays (or ints) of subfield labels, shaped as
-    in :func:`displacement_arrays`.  Block position k is the field index
-    sub[k] (``field.subfield_indices(d)``); D_d maps it to the position of
-    sub[k] + beta with the root of omega^(subfield-trace of (c*alpha*beta +
+def subfield_displacement_arrays(field: GFField, d: int, alpha, beta) -> Monomial:
+    """The subfield displacement D_d(alpha, beta) on the GF(p^d) block, of
+    dimension p^d, for two subfield labels, or the family of them for two
+    index arrays of labels, shaped as in :func:`displacement_monomial`.
+    Block position k is the field index sub[k]
+    (``field.subfield_indices(d)``); D_d maps it to the position of sub[k] +
+    beta with the root of omega^(subfield-trace of (c*alpha*beta +
     alpha*sub[k])), c the inverse of 2."""
     _require_odd(field)
     sub = np.asarray(field.subfield_indices(d))
     t, q = field.tables(), field.order
     pos = np.full(q, -1)
     pos[sub] = np.arange(len(sub))
-    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    alpha, beta = np.asarray(field.indices(alpha)), np.asarray(field.indices(beta))
     if (pos[alpha] < 0).any() or (pos[beta] < 0).any():
         raise NotInSubfield(f"labels are not all in GF({field.p}^{d})")
     tr = field.subfield_traces(d)
     base = tr[t.mul[field.two_inverse, t.mul[alpha, beta]]]
     phase = ((tr[t.mul[alpha[..., None], sub]] + base[..., None]) % field.p
              * (ring_for(field).order // field.p))
-    return pos[t.add[beta[..., None], sub]], phase
+    return Monomial(ring_for(field), pos[t.add[beta[..., None], sub]], phase)
 
 
 def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix:
@@ -438,10 +428,10 @@ def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix
     """
     _require_odd(field)
     a, b = (field.require_in_subfield(x, d).index for x in (alpha, beta))
-    perm, phase = subfield_displacement_arrays(field, d, a, b)
+    mono = subfield_displacement_arrays(field, d, a, b)
     sub, ring, q = np.asarray(field.subfield_indices(d)), ring_for(field), field.order
     data = np.zeros((q, q, ring.degree), dtype=np.int64)
-    data[sub[perm], sub] = ring.root_coeffs()[phase]
+    data[sub[mono.perm], sub] = ring.root_coeffs()[mono.phase]
     return OperatorMatrix.from_packed(ring, (data, 0, 1))
 
 
@@ -451,14 +441,12 @@ def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
     index arrays of labels in GF(p^d).  Both are monomial and keep the
     block, so per block column the rows must agree and D's phase must be
     (ell/d) times the subfield phase; off-block entries vanish on both."""
-    if not isinstance(alpha, np.ndarray):
-        alpha, beta = field.element(alpha).index, field.element(beta).index
     sub = np.asarray(field.subfield_indices(d))
-    small_perm, small_phase = subfield_displacement_arrays(field, d, alpha, beta)
-    perm, phase = displacement_arrays(field, alpha, beta)
+    small = subfield_displacement_arrays(field, d, alpha, beta)
+    full = displacement_monomial(field, alpha, beta)
     power = field.ell // d
-    ok = (np.array_equal(perm[..., sub], sub[small_perm])
-          and not ((phase[..., sub] - power * small_phase) % ring_for(field).order).any())
+    ok = (np.array_equal(full.perm[..., sub], sub[small.perm])
+          and not ((full.phase[..., sub] - power * small.phase) % ring_for(field).order).any())
     return {"holds": ok, "power": power}
 
 

@@ -4,8 +4,9 @@ Scalars serialise as {"coeffs", "scale_exp", "denom", "N"}; matrices as
 {"dim", "backend", "entries"} with row-major entries.  An exact
 OperatorMatrix has backend "exact" and scalar entries.  A complex numpy
 array (an embedded matrix) has backend "float" and [re, im] entries, and
-decodes back to an array.  Decoding exact payloads takes the target ring, since a scalar
-payload pins only the ring order.
+decodes back to an array.  Decoding an exact matrix takes the target ring,
+since a scalar payload pins only the ring order; it checks every entry and
+builds the packed triple straight from the coefficients, canonical or not.
 
 ``write_json`` writes ``json.dumps(payload, indent=2, default=str)`` byte for
 byte without the slow pure-Python encoder that ``indent`` selects.
@@ -45,7 +46,8 @@ def _fields(data, keys):
     return [data[k] for k in keys]
 
 
-def scalar_from_json(data: dict, ring: CycloRing) -> CycloScalar:
+def _scalar_parts(data: dict, ring: CycloRing):
+    # the checked (coeffs, scale_exp, denom) of one scalar payload
     coeffs, e, den, order = _fields(data, ("coeffs", "scale_exp", "denom", "N"))
     if order != ring.order:
         raise BackendMismatch(f"scalar ring order {order} != target ring order {ring.order}")
@@ -53,7 +55,7 @@ def scalar_from_json(data: dict, ring: CycloRing) -> CycloScalar:
              and all(type(c) is int for c in coeffs), f"coeffs must be {ring.degree} integers")
     _require(type(e) is int and e >= 0, "scale_exp must be a non-negative integer")
     _require(type(den) is int and den != 0, "denom must be a nonzero integer")
-    return ring.scalar(coeffs, e, den)
+    return coeffs, e, den
 
 
 def matrix_to_json(mat: OperatorMatrix | np.ndarray) -> dict:
@@ -78,9 +80,23 @@ def matrix_from_json(data: dict,
         return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
     if ring is None:
         raise BackendMismatch("decoding an exact matrix needs a target ring")
-    rows = [[scalar_from_json(entries[n * dim + m], ring) for m in range(dim)]
-            for n in range(dim)]
-    return OperatorMatrix(dim, EXACT, ring, rows)
+    # one coefficient array put in normal form by CycloRing.stack, one part
+    # per distinct (scale_exp, denom), so entries need not be canonical: a
+    # zero joins the part (0, 1), a negative denominator moves into the
+    # coefficients (compact storage holds |c| to its limit: -c cannot wrap)
+    parts = [_scalar_parts(x, ring) for x in entries]
+    if not parts:
+        return OperatorMatrix.zeros(ring, 0)
+    data = cyclo.compact(np.array([c for c, _, _ in parts], dtype=object))
+    live = (data != 0).any(axis=1)
+    groups = {}
+    for k, (_, e, den) in enumerate(parts):
+        groups.setdefault((e, den) if live[k] else (0, 1), []).append(k)
+    stacked, e, q = ring.stack([(data[rows] if den > 0 else -data[rows], e, abs(den))
+                                for (e, den), rows in groups.items()])
+    out = np.empty_like(stacked)
+    out[np.concatenate(list(groups.values()))] = stacked
+    return OperatorMatrix.from_packed(ring, (out.reshape(dim, dim, ring.degree), e, q))
 
 
 def write_json(payload, fh) -> None:

@@ -12,9 +12,11 @@ and ``apply`` are ``ring.matmul``, ``+`` and ``-`` one aligned
 ``ring.add``, scalar multiples, tensor and outer products a matmul by a
 one-entry or one-row operand, traces one ``ring.root_sum``.  Objects are
 immutable, so every matrix built from a triple can share it; ``embed()``
-is the one way out to floating point.  Monomial matrices (permutation plus a
-root-of-unity phase per column) are two int64 index arrays, and their
-products with dense operands are gathers plus root rotations.  Diagonal
+is the one way out to floating point.  A monomial matrix (permutation plus
+a root-of-unity phase per column), or a family of them, is one
+``Monomial``: two integer index arrays whose leading axes index the
+members, composed, inverted and compared by gathers; the products of one
+monomial with dense operands are gathers plus root rotations.  Diagonal
 projectors and character tables are built straight as triples, by one
 diagonal write (``OperatorMatrix.projector``) or one root-sum
 (:func:`root_matrix`).
@@ -31,6 +33,7 @@ time would take B times as many.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,25 +404,31 @@ def conjugate_stack(u: OperatorMatrix, stack):
 
 
 class Monomial:
-    """Permutation matrix with one root-of-unity phase per column.
+    """Permutation matrix with one root-of-unity phase per column, or a
+    family of them: M(perm[m], m) = zeta^phase[m], zero elsewhere.
 
-    Entry convention: M(perm[m], m) = zeta^phase[m], zero elsewhere.
-    ``perm`` and ``phase`` are read-only int64 index arrays, the phases
-    exponents of the ring's N-th root of unity reduced mod N.  Products,
-    adjoints, powers and tensor products are gathers on them and stay
-    monomial; products with dense operands are gathers plus root rotations,
-    O(dim^2).
+    ``perm`` and ``phase`` are read-only integer arrays of one shape (..., n)
+    in the dtype the caller gives, phases reduced mod N; leading axes index
+    the members of a family.  ``@``, ``adjoint``, ``**`` and
+    ``scaled_by_root`` broadcast over them (a product is one flat ``np.take``
+    per array), ``m[idx]`` selects members, ``matches`` compares them.  The
+    dense-operand methods, ``to_matrix``, ``trace`` and ``tensor`` take one.
     """
 
     __slots__ = ("ring", "dim", "perm", "phase")
 
     def __init__(self, ring: CycloRing, perm, phase):
-        self.ring = ring
-        self.perm = np.array(perm, dtype=np.int64)
-        self.phase = np.asarray(phase, dtype=np.int64) % ring.order
-        self.dim = len(self.perm)
-        self.perm.setflags(write=False)
-        self.phase.setflags(write=False)
+        perm, phase = np.broadcast_arrays(np.asarray(perm), np.asarray(phase) % ring.order)
+        self._set(ring, np.array(perm), np.array(phase))
+
+    def _set(self, ring, perm, phase):  # arrays of one shape made for it, phases reduced
+        self.ring, self.perm, self.phase, self.dim = ring, perm, phase, perm.shape[-1]
+        perm.setflags(write=False)
+        phase.setflags(write=False)
+        return self
+
+    def _like(self, perm, phase):
+        return Monomial.__new__(Monomial)._set(self.ring, perm, phase)
 
     @classmethod
     def identity(cls, ring: CycloRing, dim: int) -> "Monomial":
@@ -427,13 +436,14 @@ class Monomial:
 
     @classmethod
     def diagonal_omega(cls, ring: CycloRing, omega_exponents) -> "Monomial":
-        """Diagonal matrix with entries omega^a for integer exponents a."""
+        """Diagonal matrix with entries omega^a for integer exponents a; a
+        family for an (..., n) array of them."""
         exps = np.asarray(omega_exponents)
-        return cls(ring, np.arange(len(exps)), exps % ring.char * (ring.order // ring.char))
+        return cls(ring, np.arange(exps.shape[-1]), exps % ring.char * (ring.order // ring.char))
 
     @classmethod
     def permutation(cls, ring: CycloRing, perm) -> "Monomial":
-        return cls(ring, perm, np.zeros(len(perm), dtype=np.int64))
+        return cls(ring, perm, np.zeros_like(perm))
 
     @classmethod
     def from_dense(cls, a: OperatorMatrix) -> "Monomial | None":
@@ -454,42 +464,66 @@ class Monomial:
             return None
         return cls(a.ring, perm, match.argmax(axis=1))
 
+    def _row_starts(self):
+        # the flat index of each member's first entry, shaped (..., 1)
+        lead = self.perm.shape[:-1]
+        return (np.arange(math.prod(lead)) * self.dim).reshape(lead + (1,))
+
+    def _check(self, other, kind):
+        if not isinstance(other, kind) or other.ring is not self.ring:
+            raise BackendMismatch(f"operand is not a {kind.__name__} of this ring")
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"{self.dim} != {other.dim}")
+
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             return self.left_mul_dense(other)
         if not isinstance(other, Monomial):
             return NotImplemented
-        if other.ring is not self.ring:
-            raise BackendMismatch("monomials from different rings")
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        return Monomial(self.ring, self.perm[other.perm], other.phase + self.phase[other.perm])
+        self._check(other, Monomial)
+        # column m of A B is zeta^(phase_B[m] + phase_A[perm_B[m]]) at row
+        # perm_A[perm_B[m]], read in the row of A's member
+        at = self._row_starts() + other.perm
+        return self._like(np.take(self.perm, at),
+                          (other.phase + np.take(self.phase, at)) % self.ring.order)
+
+    def __getitem__(self, idx) -> "Monomial":
+        """The members at idx, an index into the leading axes."""
+        return self._like(self.perm[idx], self.phase[idx])
 
     def _inverse(self):
-        # the inverse permutation: inv[perm[m]] = m sorts perm
-        return np.argsort(self.perm)
+        # the inverse permutations: inv[perm[m]] = m sorts perm
+        return np.argsort(self.perm, axis=-1).astype(self.perm.dtype, copy=False)
 
     def adjoint(self) -> "Monomial":
         inv = self._inverse()
-        return Monomial(self.ring, inv, -self.phase[inv])
+        return self._like(inv, -np.take(self.phase, self._row_starts() + inv) % self.ring.order)
 
-    def scaled_by_root(self, k: int) -> "Monomial":
-        """Multiply the whole matrix by zeta^k."""
-        return Monomial(self.ring, self.perm, self.phase + k)
+    def scaled_by_root(self, k) -> "Monomial":
+        """Multiply by zeta^k, k an int or an array over the leading axes."""
+        return Monomial(self.ring, self.perm,
+                        self.phase + np.asarray(k, dtype=self.phase.dtype)[..., None])
 
     def scaled_by_omega(self, a: int) -> "Monomial":
         return self.scaled_by_root((a % self.ring.char) * (self.ring.order // self.ring.char))
 
+    def matches(self, other: "Monomial") -> np.ndarray:
+        """Per member, whether self and other are equal: a bool array over
+        the broadcast leading axes (0-d for two monomials)."""
+        self._check(other, Monomial)
+        return (self.perm == other.perm).all(axis=-1) & (self.phase == other.phase).all(axis=-1)
+
     def tensor(self, other: "Monomial") -> "Monomial":
         """Little-endian tensor product, matching OperatorMatrix.tensor."""
         if other.ring is not self.ring:
-            raise BackendMismatch("monomials from different rings")
+            raise BackendMismatch("operand is not a Monomial of this ring")
         # column m = ma + da mb sits at [mb, ma]
         perm = self.perm + self.dim * other.perm[:, None]
         return Monomial(self.ring, perm.ravel(), (self.phase + other.phase[:, None]).ravel())
 
     def __pow__(self, n: int) -> "Monomial":
-        out = Monomial.identity(self.ring, self.dim)
+        out = Monomial(self.ring, np.arange(self.dim, dtype=self.perm.dtype),
+                       np.zeros_like(self.phase))
         base = self if n >= 0 else self.adjoint()
         n = abs(n)
         while n:
@@ -499,9 +533,9 @@ class Monomial:
             n >>= 1
         return out
 
-    def _key(self):
-        # perm and phase are 1-d int64, so equal bytes mean equal arrays
-        return self.perm.tobytes(), self.phase.tobytes()
+    def _key(self):  # the values, whatever the storage dtype
+        return (self.perm.shape, self.perm.astype(np.int64, copy=False).tobytes(),
+                self.phase.astype(np.int64, copy=False).tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
@@ -528,12 +562,12 @@ class Monomial:
 
     def left_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """self @ a: row n is row inv[n] of a times zeta^phase[inv[n]]."""
-        self._check_dense(a)
+        self._check(a, OperatorMatrix)
         return OperatorMatrix.from_packed(a.ring, self._left_mul(a.packed))
 
     def right_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """a @ self: column m is column perm[m] of a times zeta^phase[m]."""
-        self._check_dense(a)
+        self._check(a, OperatorMatrix)
         data, e, q = a.packed
         out = self.ring.times_roots(data[:, self.perm], col_roots=self.phase)
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
@@ -541,26 +575,15 @@ class Monomial:
     def conjugate_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """self @ a @ self^dagger: entry (n, m) is a(inv[n], inv[m]) times
         zeta^(phase[inv[n]] - phase[inv[m]])."""
-        self._check_dense(a)
+        self._check(a, OperatorMatrix)
         inv = self._inverse()
         data, e, q = a.packed
         phase = self.phase[inv]
         out = self.ring.times_roots(data[np.ix_(inv, inv)], phase, -phase)
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
-    def _check_dense(self, a: OperatorMatrix):
-        if not isinstance(a, OperatorMatrix):
-            raise BackendMismatch("operand is not an OperatorMatrix")
-        if a.ring is not self.ring:
-            raise BackendMismatch("operands from different scalar rings")
-        if a.dim != self.dim:
-            raise DimensionMismatch(f"{self.dim} != {a.dim}")
-
     def apply(self, state: StateVector) -> StateVector:
-        if not isinstance(state, StateVector) or state.ring is not self.ring:
-            raise BackendMismatch("operand is not a StateVector of this ring")
-        if state.dim != self.dim:
-            raise DimensionMismatch(f"{self.dim} != {state.dim}")
+        self._check(state, StateVector)
         return StateVector.from_packed(state.ring, self._left_mul(state.packed))
 
     def __repr__(self):

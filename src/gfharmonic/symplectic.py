@@ -45,9 +45,8 @@ from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, ZeroScaling)
 from .fourier import fourier_matrix
 from .gf import GFField
-from .heisenberg import (braiding_holds, component_displacement_monomial,
-                         displacement, displacement_arrays, displacement_monomial,
-                         label_blocks, label_sum_stack, marginal_labels,
+from .heisenberg import (component_displacement_monomial, displacement,
+                         displacement_monomial, label_blocks, label_sum_stack, marginal_labels,
                          marginal_targets, require_gf9_fixture, x_monomial,
                          z_monomial)
 from .hilbert import operator_cache, ring_for
@@ -63,19 +62,21 @@ def gauss_sum(field: GFField, a) -> CycloScalar:
 
 
 def generator_scaling(field: GFField, xi) -> Monomial:
-    """Index scaling m -> xi m; the element (r, s, t, u) = (xi, 0, 0, xi^-1)."""
-    xi = field.element(xi)
-    if xi.is_zero:
+    """Index scaling m -> xi m; the element (r, s, t, u) = (xi, 0, 0, xi^-1).
+    For an index array of parameters, the family of them."""
+    xi = field.indices(xi)
+    if (np.asarray(xi) == 0).any():
         raise ZeroScaling("scaling parameter must be nonzero")
-    return Monomial.permutation(ring_for(field), field.tables().mul[xi.index])
+    return Monomial.permutation(ring_for(field), field.tables().mul[xi])
 
 
 def generator_shear_z(field: GFField, xi) -> Monomial:
-    """Diagonal quadratic phase omega^(Tr(2^-1 xi m^2)); the element (1, xi, 0, 1)."""
+    """Diagonal quadratic phase omega^(Tr(2^-1 xi m^2)); the element (1, xi, 0, 1).
+    For an index array of parameters, the family of them."""
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
     t = field.tables()
-    c = t.mul[field.two_inverse, field.element(xi).index]
+    c = np.asarray(t.mul[field.two_inverse, field.indices(xi)])[..., None]
     return Monomial.diagonal_omega(ring_for(field), t.trace[t.mul[c, t.mul.diagonal()]])
 
 
@@ -141,8 +142,7 @@ def synthesize(field: GFField, row) -> OperatorMatrix:
     row (r, s, t, u): the one-row case of :func:`element_factors`, S_x(shear)
     . M, times F+ outside the generic chart."""
     fac = element_factors(field, np.asarray(row)[None])
-    mono = Monomial(ring_for(field), fac.perm[0], fac.phase[0])
-    u = mono.right_mul_dense(generator_shear_x(field, int(fac.shear[0])))
+    u = fac.monomial[0].right_mul_dense(generator_shear_x(field, int(fac.shear[0])))
     return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
 
 
@@ -275,15 +275,14 @@ class ElementFactors:
     """The factors U(g) = S_x(shear) . M . (F+ where fourier) of
     :func:`synthesize`, one row per element.
 
-    M = S(1, xi2, 0) . S(xi3, 0, 0) is monomial, M(perm[m], m) =
-    zeta^phase[m]; ``shear`` is the field index of -xi1.  ``fourier`` marks
-    the elements outside the chart r != 0, 1 + s t != 0, whose factors are
-    those of the Fourier-composed element.
+    M = S(1, xi2, 0) . S(xi3, 0, 0) is monomial, one member per element of
+    the family ``monomial``; ``shear`` is the field index of -xi1.
+    ``fourier`` marks the elements outside the chart r != 0, 1 + s t != 0,
+    whose factors are those of the Fourier-composed element.
     """
 
     shear: np.ndarray    # (G,)
-    perm: np.ndarray     # (G, q)
-    phase: np.ndarray    # (G, q), root exponents
+    monomial: Monomial   # (G, q) family
     fourier: np.ndarray  # (G,) bool
 
 
@@ -304,20 +303,20 @@ def element_factors(field: GFField, elements) -> ElementFactors:
     half_xi2 = t.mul[field.two_inverse, xi2]
     step = ring_for(field).order // field.p
     phase = t.trace[t.mul[half_xi2[:, None], t.mul[perm, perm]]] * step
-    return ElementFactors(shear=t.neg[t.mul[xi3, tt]], perm=perm, phase=phase,
-                          fourier=fourier)
+    return ElementFactors(shear=t.neg[t.mul[xi3, tt]],
+                          monomial=Monomial(ring_for(field), perm, phase), fourier=fourier)
 
 
-def _fourier_conjugates(field: GFField, perm, phase):
-    """Whether F is unitary, and (perm, phase) of W = F+ D F for each label's
-    D, with the identity where W is not monomial."""
+def _fourier_conjugates(field: GFField, family: Monomial):
+    """Whether F is unitary, and the family of W = F+ D F over a family of
+    label operators D, with the identity where W is not monomial."""
     f = fourier_matrix(field)
     ring = ring_for(field)
     f_adj = f.adjoint()
-    conj = [Monomial.from_dense(f_adj @ Monomial(ring, pm, ph).left_mul_dense(f))
-            for pm, ph in zip(perm, phase)]
+    conj = [Monomial.from_dense(f_adj @ family[k].left_mul_dense(f))
+            for k in range(len(family.perm))]
     conj = [Monomial.identity(ring, field.order) if w is None else w for w in conj]
-    return f.is_unitary(), (np.array([w.perm for w in conj]), np.array([w.phase for w in conj]))
+    return f.is_unitary(), Monomial(ring, [w.perm for w in conj], [w.phase for w in conj])
 
 
 def _rotation_codes(ring, datas):
@@ -341,10 +340,11 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     With the factors U = S_x . N of :func:`element_factors` (N = M, or
     M F+), U Lambda = D(g lambda) U holds exactly when S_x Y = D(g lambda)
     S_x with Y = N Lambda N+ = M Lambda' M+, a monomial: Lambda' is Lambda,
-    or W = F+ Lambda F, computed once per label.  For each of the at most q
-    bases S_x, codes of its root rotations zeta^k S_x are built once; then
-    entry (j, m) of the law, S_x(pi_D j, pi_Y m) zeta^(phi_Y m - phi_D j) =
-    S_x(j, m), is one gather, batched over elements and labels.  U is
+    or W = F+ Lambda F, computed once per label, and Y is one family over
+    elements and labels.  For each of the at most q bases S_x, codes of its
+    root rotations zeta^k S_x are built once; then entry (j, c) of the law,
+    S_x(pi_D j, pi_Y c) zeta^(phi_Y c - phi_D j) = S_x(j, c), is one
+    gather, batched over elements and labels.  U is
     unitary exactly when its base is (N is unitary); a non-unitary U gets
     five False, as in action_check.  The commutation phase is
     monomial-only.  If F is not unitary, the elements that end with F+ get
@@ -366,11 +366,12 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     # labels (a, 0), then (0, b), then (a, b), for a and b in els
     la = np.concatenate([els, zeros, np.repeat(els, n)])
     lb = np.concatenate([zeros, els, np.tile(els, n)])
-    lam = displacement_arrays(field, la, lb)
+    lam = displacement_monomial(field, la, lb)
     f_unitary, conj = True, lam
     if fac.fourier.any():
-        f_unitary, conj = _fourier_conjugates(field, *lam)
-    lam_perm, lam_phase = np.stack([lam[0], conj[0]]), np.stack([lam[1], conj[1]])
+        f_unitary, conj = _fourier_conjugates(field, lam)
+    # member [0] is Lambda, member [1] is W, for every label
+    lams = Monomial(ring, np.stack([lam.perm, conj.perm]), np.stack([lam.phase, conj.phase]))
 
     bases, base_of = np.unique(fac.shear, return_inverse=True)
     mats = [generator_shear_x(field, int(x)) for x in bases]
@@ -386,28 +387,22 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     inner = max(1, SWEEP_ENTRIES // (len(la) * q * q))
     for start in range(0, len(elements), outer):
         sl = slice(start, start + outer)
-        d_perm, d_phase = displacement_arrays(field, alpha[sl], beta[sl])
-        chart = fac.fourier[sl].astype(np.intp)
-        y_src, y_phase = lam_perm[chart], lam_phase[chart]
-        m_perm, m_phase = fac.perm[sl], fac.phase[sl]
-        g = np.arange(len(m_perm))[:, None, None]
-        # column pi_M m of Y is pi_M(pi_Lambda' m), times zeta^y
-        y_col = m_perm[g, y_src]
-        y = (y_phase - m_phase[:, None, :] + m_phase[g, y_src]) % order
-        # flat index of codes[b, N + y(m) - phi_D(j), pi_D(j), y_col(m)]
+        d = displacement_monomial(field, alpha[sl], beta[sl])
+        m = fac.monomial[sl, None]
+        y = m @ lams[fac.fourier[sl].astype(np.intp)] @ m.adjoint()
+        # flat index of codes[b, N + phi_Y(c) - phi_D(j), pi_D(j), pi_Y(c)]
         b_off = base_of[sl][:, None, None] * (2 * order * q * q)
-        by_m = b_off + (order + y) * (q * q) + y_col
-        by_j = d_perm * q - d_phase * (q * q)
-        rhs = codes[base_of[sl][:, None, None], 0, np.arange(q)[:, None], m_perm[:, None, :]]
+        by_m = b_off + (order + y.phase) * (q * q) + y.perm
+        by_j = d.perm * q - d.phase * (q * q)
+        rhs = codes[base_of[sl], 0]
         law = np.empty(by_m.shape[:2], dtype=bool)
         for i in range(0, len(law), inner):
             b = slice(i, i + inner)
             lhs = flat[by_m[b, :, None, :] + by_j[b, :, :, None]]
             law[b] = (lhs == rhs[b, None]).all(axis=(2, 3))
         # D(g(a, 0)) and D(g(0, b)) keep the Weyl commutation phase
-        comm = braiding_holds((d_perm[:, :n, None], d_phase[:, :n, None]),
-                              (d_perm[:, None, n:2 * n], d_phase[:, None, n:2 * n]),
-                              shift[:, :, None], order).all(axis=(1, 2, 3))
+        z, x = d[:, :n, None], d[:, None, n:2 * n]
+        comm = (z @ x).matches((x @ z).scaled_by_root(shift)).all(axis=(1, 2))
         verdict = np.stack([law[:, :n].all(1), law[:, n:2 * n].all(1),
                             law[:, 2 * n:].all(1), comm], axis=1)
         out[sl, 0] = unitary[sl]
@@ -467,9 +462,10 @@ def closed_form_sweep(field: GFField, elements) -> list[dict]:
     fac = element_factors(field, elements)
     bases, base_of = np.unique(fac.shear, return_inverse=True)
     mats = [generator_shear_x(field, int(x)) for x in bases]
-    rot = (fac.phase[:, None, :] - b) % ring.order
+    perm, phase = fac.monomial.perm, fac.monomial.phase
+    rot = (phase[:, None, :] - b) % ring.order
     codes = _rotation_codes(ring, [m.packed[0] for m in mats])[
-        base_of[:, None, None], rot, np.arange(q)[:, None], fac.perm[:, None, :]]
+        base_of[:, None, None], rot, np.arange(q)[:, None], perm[:, None, :]]
     constant = (codes == codes[:, :1, :1]).all(axis=(1, 2))
     inv_scale, out = {}, []
     for k, x in enumerate(a.tolist()):
@@ -477,7 +473,7 @@ def closed_form_sweep(field: GFField, elements) -> list[dict]:
             scale = gauss_sum(field, x) * ring.rational(1, q)
             inv_scale[x] = scale.inverse() if scale else ring.zero
         data, e, den = mats[base_of[k]].packed
-        entry = ring.unpack((data[:1, fac.perm[k, :1]], e, den))[0][0]  # S_x(0, perm 0)
+        entry = ring.unpack((data[:1, perm[k, :1]], e, den))[0][0]  # S_x(0, perm 0)
         phase = entry.times_root(int(rot[k, 0, 0])) * inv_scale[x]
         if not constant[k] or phase * phase.conj() != ring.one:
             phase = None

@@ -321,14 +321,11 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     ring = hs.ring_for(field)
     q, n, t = field.order, ring.order, field.tables()
     coeff = config.displacement_phase_coeff
-    perm, phase = hb.label_grid(field, coeff)
+    grid = hb.label_grid(field, coeff)
     a_of, b_of = np.divmod(np.arange(q * q), q)  # label l = a * q + b
 
     def holds(count, width, check):
         return all(check(s) for s in hb.label_blocks(count, width))
-
-    def at(rows, cols):
-        return np.take_along_axis(rows, cols, axis=1)
 
     if q <= 27:
         first, second = np.divmod(np.arange(q ** 4, dtype=np.int32), q * q)
@@ -338,38 +335,34 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         first, second = (quads.reshape(-1, 2, 2) @ (q, 1)).T
         detail = "pairs=400 sampled"
     rep.add("composition_law",
-            hb.composition_law_holds(field, perm, phase, first, second), detail=detail)
+            hb.composition_law_holds(field, grid, first, second), detail=detail)
 
-    # D(l)^dagger = D(-l): D(-l) maps perm_l[m] back to m with phase -phase_l[m]
     neg = t.neg[a_of] * q + t.neg[b_of]
-    rep.add("adjoint_negates_label", holds(q * q, q, lambda s: np.array_equal(
-        at(perm[neg[s]], perm[s]), np.broadcast_to(np.arange(q), perm[s].shape))
-        and not ((at(phase[neg[s]], perm[s]) + phase[s]) % n).any()))
+    rep.add("adjoint_negates_label",
+            holds(q * q, q, lambda s: grid[s].adjoint().matches(grid[neg[s]]).all()))
 
     # F D(a, b) = D(b, -a) F compared through the root-exponent tables of
     # both sides (every entry of either side is p^(-ell/2) zeta^e),
-    # indexed [label, row, column]
+    # indexed [label, row, column], with inv = D(b, -a)^dagger
     f_exp = (n // field.p) * t.trace[t.mul] % n
     image = b_of * q + t.neg[a_of]
 
     def fourier_ok(s):
-        inv = np.argsort(perm[image[s]], axis=1)
-        lhs = f_exp[np.arange(q)[:, None], perm[s][:, None, :]] + phase[s][:, None, :]
-        return not ((lhs - at(phase[image[s]], inv)[:, :, None] - f_exp[inv]) % n).any()
+        inv = grid[image[s]].adjoint()
+        lhs = f_exp[np.arange(q)[:, None], grid.perm[s][:, None, :]] + grid.phase[s][:, None, :]
+        return not ((lhs + inv.phase[:, :, None] - f_exp[inv.perm]) % n).any()
     rep.add("fourier_maps_labels", holds(q * q, q * q, fourier_ok))
 
-    # G D(rows) G^dagger = D(target), G the Frobenius power moving m to pi[m]
-    def frobenius_covariant(pi, rows, target):
-        return holds(len(rows), q, lambda s: np.array_equal(
-            perm[target[s]][:, pi], pi[perm[rows[s]]])
-            and not ((phase[target[s]][:, pi] - phase[rows[s]]) % n).any())
+    # G D(rows) G^dagger = D(target) as G D(rows) = D(target) G, G a Frobenius power
+    def frobenius_covariant(g, rows, target):
+        return holds(len(rows), q, lambda s: (g @ grid[rows[s]]).matches(grid[target[s]] @ g)
+                     .all())
 
     g = fb.frobenius_monomial(field)
-    powers = [np.arange(q)]
-    for _ in range(1, field.ell):
-        powers.append(np.asarray(g.perm)[powers[-1]])
+    powers = [g ** k for k in range(field.ell)]
     rep.add("frobenius_maps_labels", all(
-        frobenius_covariant(pi, np.arange(q * q), pi[a_of] * q + pi[b_of]) for pi in powers))
+        frobenius_covariant(gk, np.arange(q * q), gk.perm[a_of] * q + gk.perm[b_of])
+        for gk in powers))
     ok = True
     for d in field.divisors():
         sub = np.asarray(field.subfield_indices(d))
@@ -385,10 +378,11 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 
     def orthogonal(s):
         l1, l2 = first[s], second[s]
-        pair, m = np.nonzero(perm[l1] == perm[l2])
+        pair, m = np.nonzero(grid.perm[l1] == grid.perm[l2])
         diag = np.flatnonzero(l1 == l2)
         weights = np.repeat([1, -q], [len(pair), len(diag)])[:, None] * ring.root_coeffs()[0]
-        roots = np.concatenate([phase[l2[pair], m] - phase[l1[pair], m], np.zeros_like(diag)])
+        roots = np.concatenate([grid.phase[l2[pair], m] - grid.phase[l1[pair], m],
+                                np.zeros_like(diag)])
         trace = ring.root_sum(weights, roots, np.concatenate([pair, diag]), (len(l1),))
         return not trace[0].any()
     rep.add("orthogonality_under_trace", holds(len(first), q + 1, orthogonal))
@@ -460,38 +454,17 @@ def _row_text(field: GFField, row) -> str:
     return "(" + ", ".join(str(field.element(x)) for x in row) + ")"
 
 
-def _stacked(monomials):
-    """(perm, phase) of a list of monomials as two (B, q) arrays."""
-    return np.array([m.perm for m in monomials]), np.array([m.phase for m in monomials])
-
-
-def _composed(a, b, order: int):
-    """(perm, phase) of the products A_i B_i of two stacks of monomials:
-    column m of A_i B_i is zeta^(phase_b[m] + phase_a[perm_b[m]]) at row
-    perm_a[perm_b[m]], as in ``Monomial.__matmul__``."""
-    (perm_a, phase_a), (perm_b, phase_b) = a, b
-    return (np.take_along_axis(perm_a, perm_b, axis=1),
-            (phase_b + np.take_along_axis(phase_a, perm_b, axis=1)) % order)
-
-
-def _monomial_law(stack, xs, ys, zs, order: int) -> bool:
-    """Whether M_x M_y = M_z for each row of the index arrays xs, ys and zs
-    into a stack (perm, phase) of monomials M."""
-    perm, phase = _composed(*((stack[0][rows], stack[1][rows]) for rows in (xs, ys)), order)
-    return np.array_equal(perm, stack[0][zs]) and np.array_equal(phase, stack[1][zs])
-
-
 def _generator_laws(rep: SuiteReport, field: GFField, rng):
     """The group laws of the three generator subgroups.
 
-    The scaling and diagonal-shear laws compose the stacked (perm, phase)
-    arrays of the generators of every field element by gathers over the
-    pair index arrays; the conjugated-shear laws are one batched exact
-    product (:func:`symplectic.shear_grid_laws`).  Every pair is checked at
+    The scaling and diagonal-shear laws compose the families of the
+    generators of every field element, members picked by the pair index
+    arrays; the conjugated-shear laws are one batched exact product
+    (:func:`symplectic.shear_grid_laws`).  Every pair is checked at
     q <= 9; above that, drawn pairs (40 per monomial law, 6 for the
     conjugated shear) and the shears 0, 1 and one drawn element.
     """
-    q, t, order = field.order, field.tables(), hs.ring_for(field).order
+    q, t = field.order, field.tables()
 
     def pairs(values, count):
         if q <= 9:
@@ -499,19 +472,17 @@ def _generator_laws(rep: SuiteReport, field: GFField, rng):
         return np.array([(rng.choice(values), rng.choice(values))
                          for _ in range(count)]).reshape(-1, 2).T
 
-    scale = _stacked([sp.generator_scaling(field, x) for x in range(1, q)])  # row x - 1
+    scale = sp.generator_scaling(field, np.arange(1, q))  # member x - 1
     xs, ys = pairs(range(1, q), 40)
     rep.add("scaling_subgroup_law",
-            _monomial_law(scale, xs - 1, ys - 1, t.mul[xs, ys] - 1, order))
+            (scale[xs - 1] @ scale[ys - 1]).matches(scale[t.mul[xs, ys] - 1]).all())
 
-    shear = _stacked([sp.generator_shear_z(field, x) for x in range(q)])
+    shear = sp.generator_shear_z(field, np.arange(q))
     xs, ys = pairs(range(q), 40)
-    rep.add("diagonal_shear_additive_law", _monomial_law(shear, xs, ys, t.add[xs, ys], order))
-    power = shear
-    for _ in range(field.p - 1):
-        power = _composed(shear, power, order)
+    rep.add("diagonal_shear_additive_law",
+            (shear[xs] @ shear[ys]).matches(shear[t.add[xs, ys]]).all())
     rep.add("diagonal_shear_char_power_is_identity",
-            (power[0] == np.arange(q)).all() and not power[1].any())
+            (shear ** field.p).matches(Monomial.identity(hs.ring_for(field), q)).all())
 
     check_xis = range(q) if q <= 9 else [0, 1, rng.choice(range(q))]
     rep.add("conjugated_shear_matches_element_sum",

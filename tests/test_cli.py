@@ -272,7 +272,9 @@ def test_weyl_round_trips_a_denominator_past_int64(tmp_path, capsys):
     json.dumps(theta_payload({"coeffs": [1, 0, 0, 0], "scale_exp": 0, "N": 12})),
     "this is not JSON",
     b"\xff\xfe not UTF-8",
-], ids=["coefficient-count", "negative-scale", "missing-key", "not-json", "not-utf8"])
+    json.dumps({"dim": 0, "backend": "exact", "entries": []}),
+], ids=["coefficient-count", "negative-scale", "missing-key", "not-json", "not-utf8",
+        "empty-matrix"])
 def test_weyl_rejects_a_malformed_theta(text, tmp_path, capsys):
     path = tmp_path / "theta.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -9,8 +9,7 @@ from gfharmonic.fourier import fourier_matrix
 from gfharmonic.frobenius import frobenius_monomial
 from gfharmonic.gf import make_field
 from gfharmonic.heisenberg import (component_displacement_monomial,
-                                   displacement, displacement_arrays,
-                                   displacement_monomial,
+                                   displacement, displacement_monomial,
                                    marginal_projectors, marginal_sum_alpha,
                                    marginal_sum_beta,
                                    overcomplete_expansion_check,
@@ -144,12 +143,12 @@ def test_displacement_gathers_match_table_loop(p, ell, phase_coeff):
     field = make_field(p, ell)
     q = field.order
     alpha, beta = np.divmod(np.arange(q * q), q)
-    perm, phase = displacement_arrays(field, alpha, beta, phase_coeff)
-    assert perm.shape == phase.shape == (q * q, q)
+    family = displacement_monomial(field, alpha, beta, phase_coeff)
+    assert family.perm.shape == family.phase.shape == (q * q, q)
     for k, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
         want = reference_displacement_monomial(field, a, b, phase_coeff)
         assert displacement_monomial(field, a, b, phase_coeff) == want
-        assert Monomial(ring_for(field), perm[k], phase[k]) == want
+        assert family[k] == want
     # the perturbed phase differs from the true one on some label
     if phase_coeff is not None:
         assert any(displacement_monomial(field, a, b)

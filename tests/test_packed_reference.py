@@ -11,7 +11,9 @@ per-label loops, per-pair products and per-scalar builder they replaced; and
 the generators, monomial products, diagonal and character operators and
 ``CycloRing.pack`` against the per-index builders, tuple monomials,
 ``{(n, m): scalar}`` matrices and per-scalar alignment they replaced, also
-under faults planted in the field's index arrays.
+under faults planted in the field's index arrays; and the monomial families
+against per-member products and the ``(perm, phase)`` array kernels they
+replaced.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -33,8 +35,7 @@ from gfharmonic.cyclo import ScalarAccumulator
 from gfharmonic.errors import DomainRestriction, NotInSubfield
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import GFField, make_field
-from gfharmonic.heisenberg import (displacement_monomial, label_sum,
-                                   marginal_sum_alpha, marginal_sum_beta,
+from gfharmonic.heisenberg import (label_sum, marginal_sum_alpha, marginal_sum_beta,
                                    overcomplete_expansion_check,
                                    resolution_of_identity_check, weyl_expand,
                                    weyl_reconstruct)
@@ -205,17 +206,24 @@ def ref_overcomplete_holds(field, psi, chi):
     return canonical([[c.value() * inv_q for c in acc]]) == canonical([chi])
 
 
+def displacement_monomial(field, alpha, beta, phase_coeff=None):
+    """D(alpha, beta) read through the module, so that a fault planted
+    there reaches the references too."""
+    return heisenberg.displacement_monomial(field, alpha, beta, phase_coeff)
+
+
 def perturbed_arrays(monkeypatch, field):
-    """Make D(0, 1) wrong in one phase, for the per-label and the array path."""
-    original = heisenberg.displacement_arrays
+    """Make D(0, 1) wrong in one phase, for the per-label and the family path."""
+    original = heisenberg.displacement_monomial
     step = ring_for(field).order // field.p
 
     def wrong(field_, alpha, beta, phase_coeff=None):
-        perm, phase = original(field_, alpha, beta, phase_coeff)
-        hit = (np.asarray(alpha) == 0) & (np.asarray(beta) == 1)
-        return perm, phase + np.where(hit[..., None] & (np.arange(field_.order) == 0), step, 0)
+        mono = original(field_, alpha, beta, phase_coeff)
+        hit = (np.asarray(field_.indices(alpha)) == 0) & (np.asarray(field_.indices(beta)) == 1)
+        return Monomial(mono.ring, mono.perm, mono.phase + np.where(
+            hit[..., None] & (np.arange(field_.order) == 0), step, 0))
 
-    monkeypatch.setattr(heisenberg, "displacement_arrays", wrong)
+    monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
 
 
 @pytest.fixture(params=FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
@@ -451,8 +459,8 @@ def ref_composition_exhaustive(field, coeff):
     tables = field.tables()
     tr_prod = tables.trace[tables.mul]
     idx = np.arange(q)
-    perm_of, phases = heisenberg.displacement_arrays(field, idx, idx[:, None], coeff)
-    perm_of = perm_of[:, 0]
+    family = displacement_monomial(field, idx, idx[:, None], coeff)
+    perm_of, phases = family.perm[:, 0], family.phase
     for b1 in range(q):
         p1 = perm_of[b1]
         for b2 in range(q):
@@ -505,8 +513,8 @@ def ref_label_verdicts(field, coeff):
     f_exp = (n_order // field.p * tables.trace[tables.mul]) % n_order
     ok = True
     for a, b in labels:
-        perm, phase = heisenberg.displacement_arrays(field, a, b, coeff)
-        other, o_phase = heisenberg.displacement_arrays(field, b, field.neg_index(a), coeff)
+        perm, phase = cache[(a, b)].perm, cache[(a, b)].phase
+        other, o_phase = cache[(b, field.neg_index(a))].perm, cache[(b, field.neg_index(a))].phase
         inv = np.argsort(other)
         if ((f_exp[:, perm] + phase - o_phase[inv][:, None] - f_exp[inv]) % n_order).any():
             ok = False
@@ -565,7 +573,7 @@ def test_sampled_composition_matches_monomial_reference(pe, coeff):
     quads = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(400)]
     first, second = (np.array(quads).reshape(-1, 2, 2) @ (q, 1)).T
     got = heisenberg.composition_law_holds(
-        field, *heisenberg.label_grid(field, coeff), first, second)
+        field, heisenberg.label_grid(field, coeff), first, second)
     assert got is ref_composition_sampled(field, monomial_cache(field, coeff), quads)
     assert got is (coeff is None)
 
@@ -605,11 +613,13 @@ def test_composition_law_compares_the_permutations():
     # for l2 = (0, 1), D(l1) D(l2) never reads the permutation of l1 in
     # its phase, so only the permutation half sees a wrong row for l1
     field = make_field(3, 2)
-    perm, phase = heisenberg.label_grid(field)
+    grid = heisenberg.label_grid(field)
     first, second = np.array([5]), np.array([1])
-    assert heisenberg.composition_law_holds(field, perm, phase, first, second)
+    assert heisenberg.composition_law_holds(field, grid, first, second)
+    perm = grid.perm.copy()
     perm[5, [0, 1]] = perm[5, [1, 0]]
-    assert not heisenberg.composition_law_holds(field, perm, phase, first, second)
+    assert not heisenberg.composition_law_holds(
+        field, Monomial(grid.ring, perm, grid.phase), first, second)
 
 
 # -- whole-family kernels of the symplectic and subfield checks -------------------
@@ -817,11 +827,13 @@ def test_subfield_power_relation_matches_dense_loop(pe, d, monkeypatch):
             heisenberg.subfield_power_relation_check(field, d, a[:1], outside)
     # one wrong phase in one block column of every D, or two block columns
     # of every D sent to each other's rows: each half of the check sees one
-    perm, phase = heisenberg.displacement_arrays(field, a, b)
+    full = heisenberg.displacement_monomial(field, a, b)
+    perm, phase = full.perm, full.phase
     swapped = perm.copy()
     swapped[:, sub[:2]] = perm[:, sub[1::-1]]
     for wrong in ((perm, phase + (np.arange(field.order) == sub[-1])), (swapped, phase)):
-        monkeypatch.setattr(heisenberg, "displacement_arrays", lambda *args: wrong)
+        wrong = Monomial(full.ring, *wrong)
+        monkeypatch.setattr(heisenberg, "displacement_monomial", lambda *args: wrong)
         assert not heisenberg.subfield_power_relation_check(field, d, a, b)["holds"]
 
 
@@ -1025,9 +1037,11 @@ def test_closed_form_witness_names_the_first_failing_element(monkeypatch):
 
 
 def drop_braiding_phase(monkeypatch, field):
-    original = heisenberg.braiding_holds
-    monkeypatch.setattr(heisenberg, "braiding_holds",
-                        lambda first, second, shift, order: original(first, second, 0, order))
+    """The braiding shift read as 0: on the family path every root scaling
+    of a monomial (the braiding's only one), on the dense path every
+    omega power."""
+    original = Monomial.scaled_by_root
+    monkeypatch.setattr(Monomial, "scaled_by_root", lambda mono, k: original(mono, 0))
     monkeypatch.setattr(type(ring_for(field)), "omega", lambda ring, a: ring.one)
 
 
@@ -1061,11 +1075,16 @@ def test_intertwining_compares_the_scale(monkeypatch):
 
 
 def test_braiding_compares_the_permutations():
-    # two transpositions that do not commute, all phases zero
+    # two transpositions that do not commute, all phases zero: the old
+    # kernel and the family products agree
+    ring = ring_for(make_field(3, 1))
     first = (np.array([1, 0, 2]), np.zeros(3, dtype=int))
     second = (np.array([0, 2, 1]), np.zeros(3, dtype=int))
-    assert heisenberg.braiding_holds(first, first, 0, 4).all()
-    assert not heisenberg.braiding_holds(first, second, 0, 4).all()
+    assert ref_braiding_holds(first, first, 0, 4).all()
+    assert not ref_braiding_holds(first, second, 0, 4).all()
+    a, b = Monomial(ring, *first), Monomial(ring, *second)
+    assert (a @ a).matches((a @ a).scaled_by_root(0))
+    assert not (a @ b).matches((b @ a).scaled_by_root(0))
 
 
 # -- stacked marginals, shear laws and random operators --------------------------
@@ -1438,6 +1457,161 @@ def test_monomial_products_match_tuple_products(pe):
     small = [heisenberg.component_displacement_monomial(field, a, b) for a, b in ((1, 2), (2, 0))]
     small_ref = [RefMonomial(ring, m.perm.tolist(), m.phase.tolist()) for m in small]
     assert small_ref[0].tensor(small_ref[1]).matches(small[0].tensor(small[1]))
+
+
+# -- monomial families against per-member products and the old array kernels --
+#
+# The references are the kernels the families replaced: the (perm, phase)
+# gathers of the displacements, the take_along_axis composition of the
+# generator laws and the braiding check of the subfield and symplectic
+# sweeps, kept here as they were.
+
+def ref_displacement_arrays(field, alpha, beta, phase_coeff=None):
+    """(perm, phase) of D(alpha, beta) for index arrays (or ints), perm of
+    shape(beta) + (q,) and phase of the broadcast shape."""
+    t = field.tables()
+    c = field.two_inverse if phase_coeff is None else phase_coeff % field.p
+    base = t.trace[t.mul[c, t.mul[alpha, beta]]]
+    phase = ((t.trace[t.mul[alpha]] + base[..., None]) % field.p
+             * (ring_for(field).order // field.p))
+    return t.add[beta], phase
+
+
+def ref_composed(a, b, order):
+    """(perm, phase) of the products A_i B_i of two (B, q) stacks."""
+    (perm_a, phase_a), (perm_b, phase_b) = a, b
+    return (np.take_along_axis(perm_a, perm_b, axis=1),
+            (phase_b + np.take_along_axis(phase_a, perm_b, axis=1)) % order)
+
+
+def ref_braiding_holds(first, second, shift, order):
+    """Entrywise truth of M1 M2 = zeta^shift M2 M1 for (perm, phase) pairs
+    whose leading axes broadcast."""
+    (p1, f1), (p2, f2) = first, second
+    p12, p21 = np.take_along_axis(p1, p2, -1), np.take_along_axis(p2, p1, -1)
+    f12, f21 = np.take_along_axis(f1, p2, -1), np.take_along_axis(f2, p1, -1)
+    return (p12 == p21) & ((f2 + f12 - f1 - f21 - shift) % order == 0)
+
+
+FAMILY_FIELDS = [(3, 2), (5, 2), (3, 3)]
+
+
+def random_family(ring, shape, dim, rng, dtype):
+    """A family of random monomials with leading shape ``shape``, stored
+    as ``dtype``; the phases run over (-N, N) before reduction."""
+    count = math.prod(shape)
+    perm = np.array([rng.sample(range(dim), dim) for _ in range(count)])
+    phase = np.array([[rng.randrange(-ring.order, ring.order) for _ in range(dim)]
+                      for _ in range(count)])
+    return Monomial(ring, perm.reshape(shape + (dim,)).astype(dtype),
+                    phase.reshape(shape + (dim,)).astype(dtype))
+
+
+def as_ref(mono):
+    return RefMonomial(mono.ring, mono.perm.tolist(), mono.phase.tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("pe", FAMILY_FIELDS, ids=str)
+def test_family_algebra_matches_per_member_ops(pe, dtype):
+    ring, q = ring_for(make_field(*pe)), make_field(*pe).order
+    rng = random.Random(q * 10 + (dtype is np.int32))
+    a, b = random_family(ring, (3, 1), q, rng, dtype), random_family(ring, (1, 4), q, rng, dtype)
+    k = np.array([[rng.randrange(-ring.order, ring.order) for _ in range(4)] for _ in range(3)])
+    prod = a @ b
+    assert prod.perm.shape == (3, 4, q) and prod.dim == q
+    scaled = prod.scaled_by_root(k)
+    for i in range(3):
+        assert a[i, 0].adjoint() == a.adjoint()[i, 0]
+        assert as_ref(a[i, 0]).adjoint() == as_ref(a.adjoint()[i, 0])
+        for n in (0, 1, 3, -2):
+            assert (a ** n)[i, 0] == a[i, 0] ** n
+        assert as_ref(a[i, 0]) ** 3 == as_ref((a ** 3)[i, 0])
+        for j in range(4):
+            one = a[i, 0] @ b[0, j]
+            assert prod[i, j] == one and as_ref(prod[i, j]) == as_ref(a[i, 0]) @ as_ref(b[0, j])
+            assert scaled[i, j] == one.scaled_by_root(int(k[i, j]))
+            assert np.array_equal(scaled[i, j].phase, (one.phase + k[i, j]) % ring.order)
+    assert prod.scaled_by_root(5) == Monomial(ring, prod.perm, prod.phase + 5)
+    # the stacked products of the old kernel, on the broadcast stacks
+    stacks = [(np.broadcast_to(m.perm, (3, 4, q)).reshape(12, q),
+               np.broadcast_to(m.phase, (3, 4, q)).reshape(12, q)) for m in (a, b)]
+    want = ref_composed(*stacks, ring.order)
+    assert np.array_equal(prod.perm.reshape(12, q), want[0])
+    assert np.array_equal(prod.phase.reshape(12, q), want[1])
+    # members picked by index arrays, repeats included
+    rows = np.array([2, 0, 2])
+    picked = a[rows, 0]
+    assert all(picked[n] == a[r, 0] for n, r in enumerate(rows.tolist()))
+    # the storage dtype is kept through every operation
+    for mono in (prod, a.adjoint(), a ** 3, a ** -1, picked, scaled):
+        assert mono.perm.dtype == mono.phase.dtype == dtype
+        assert not (mono.perm.flags.writeable or mono.phase.flags.writeable)
+    # matches is member by member, == and hash are the whole value
+    assert np.array_equal(prod.matches(prod), np.ones((3, 4), dtype=bool))
+    assert (prod.matches(prod[0, 0]) == [[prod[i, j] == prod[0, 0] for j in range(4)]
+                                         for i in range(3)]).all()
+    wide = Monomial(ring, prod.perm.astype(np.int64), prod.phase.astype(np.int64))
+    narrow = Monomial(ring, prod.perm.astype(np.int32), prod.phase.astype(np.int32))
+    assert wide == narrow and hash(wide) == hash(narrow)
+    assert wide[1, 2] == narrow[1, 2] and hash(wide[1, 2]) == hash(narrow[1, 2])
+    assert wide != wide[1]  # another shape is another value
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=lambda t: t.__name__)
+def test_matches_fails_exactly_on_a_planted_member(dtype):
+    field = make_field(3, 3)
+    ring, q = ring_for(field), field.order
+    grid = heisenberg.label_grid(field)
+    grid = Monomial(ring, grid.perm.astype(dtype), grid.phase.astype(dtype))
+    for member, fault in ((5, "perm"), (q * q - 1, "phase")):
+        perm, phase = grid.perm.copy(), grid.phase.copy()
+        if fault == "perm":  # a swapped pair of one member's rows
+            perm[member, [0, 1]] = perm[member, [1, 0]]
+        else:  # one phase off by one root step
+            phase[member, 3] += 1
+        got = grid.matches(Monomial(ring, perm, phase))
+        assert got.shape == (q * q,) and np.flatnonzero(~got).tolist() == [member]
+        assert (as_ref(grid[member]) == RefMonomial(ring, perm[member], phase[member])) is False
+
+
+@pytest.mark.parametrize("coeff", [None, 1])
+@pytest.mark.parametrize("pe", FAMILY_FIELDS + [(5, 1), (7, 1)], ids=str)
+def test_displacement_families_match_old_arrays(pe, coeff):
+    field = make_field(*pe)
+    q = field.order
+    idx = np.arange(q)
+    family = heisenberg.displacement_monomial(field, idx, idx[:, None], coeff)
+    perm, phase = ref_displacement_arrays(field, idx, idx[:, None], coeff)
+    assert family.perm.shape == family.phase.shape == (q, q, q)
+    assert np.array_equal(family.perm, np.broadcast_to(perm, (q, q, q)))
+    assert np.array_equal(family.phase, phase)
+    assert family.perm.dtype == family.phase.dtype == np.int64
+    grid = heisenberg.label_grid(field, coeff)
+    assert grid.perm.dtype == grid.phase.dtype == np.int32
+    a, b = np.divmod(np.arange(q * q), q)
+    assert grid == Monomial(grid.ring, *ref_displacement_arrays(field, a, b, coeff))
+    assert all(grid[a_ * q + b_] == heisenberg.displacement_monomial(field, a_, b_, coeff)
+               for a_, b_ in ((0, 0), (1, q - 1), (q - 1, 2 % q)))
+
+
+@pytest.mark.parametrize("pe", FAMILY_FIELDS, ids=str)
+def test_braiding_families_match_old_kernel(pe):
+    # Z^a X^b = zeta^shift X^b Z^a over all label pairs, with the true shift
+    # and with one shift off by one step
+    field = make_field(*pe)
+    ring, q, t = ring_for(field), field.order, field.tables()
+    idx = np.arange(q)
+    z = heisenberg.displacement_monomial(field, idx, 0)
+    x = heisenberg.displacement_monomial(field, 0, idx)
+    true = t.trace[t.mul[idx[:, None], idx]] * (ring.order // field.p)
+    for shift in (true, true + (np.arange(q * q).reshape(q, q) == q + 2)):
+        got = (z[:, None] @ x[None]).matches((x[None] @ z[:, None]).scaled_by_root(shift))
+        want = ref_braiding_holds((z.perm[:, None], z.phase[:, None]),
+                                  (x.perm[None], x.phase[None]),
+                                  shift[:, :, None], ring.order).all(axis=-1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(~got, shift != true)
 
 
 def ref_from_sparse(ring, dim, entries):
@@ -1819,11 +1993,10 @@ def shear_z_phase_off_by_one(monkeypatch, field):
     """The phase of S_z(q - 1) one root step off at column 1."""
     original = sp.generator_shear_z
 
-    def shifted(f, xi):
+    def shifted(f, xi):  # one parameter, or the family of an index array
         mono = original(f, xi)
-        if f.element(xi).index != f.order - 1:
-            return mono
-        return Monomial(mono.ring, mono.perm, mono.phase + (np.arange(f.order) == 1))
+        hit = np.asarray(f.indices(xi)) == f.order - 1
+        return Monomial(mono.ring, mono.perm, mono.phase + (hit[..., None] & (np.arange(f.order) == 1)))
     monkeypatch.setattr(sp, "generator_shear_z", shifted)
 
 

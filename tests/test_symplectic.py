@@ -379,7 +379,7 @@ def test_element_factors_rebuild_synthesize(gf9):
         r, s, t, _ = entries(gf9, row)
         assert fac.fourier[k] == (r.is_zero or (s * t + 1).is_zero)
         u = (generator_shear_x(gf9, int(fac.shear[k]))
-             @ Monomial(ring, fac.perm[k], fac.phase[k]))
+             @ Monomial(ring, fac.monomial.perm[k], fac.monomial.phase[k]))
         if fac.fourier[k]:
             u = u @ f_adj
         assert u.equals(synthesize(gf9, row)), row
