@@ -310,43 +310,54 @@ def marginal_labels(field: GFField):
     return np.concatenate([free, fixed]), np.concatenate([fixed, free])
 
 
-def marginal_targets(field: GFField, rows):
-    """The right-hand sides of the marginal sums at ascending rows of
-    :func:`marginal_labels`, as a stack.  The alpha sum at beta = b equals
-    P E_(-b/2) = |b/2><-b/2| (P the parity, E_x the point projector), a
-    matrix unit; the beta sum at alpha = a equals F E_k F^dagger P with
-    k = a/2, which is outer(F e_k, F e_k) with its columns permuted by P."""
+def marginals_in_frame(field: GFField, alpha, beta, frame: OperatorMatrix | None) -> np.ndarray:
+    """Whether each line sum p^-ell sum_l D(alpha[r, l], beta[r, l]), r a
+    row of (2q, q) index arrays of labels, equals its rank-one target in the
+    frame U, a unitary (None: the identity): a (2q,) bool array.
+
+    Row b < q targets |U e_k><U e_-k| with k = b/2 and row q + a targets
+    |U F e_k><U F+ e_k| with k = a/2.  On :func:`marginal_labels` and U = 1
+    these are the marginal identities; on the labels' images under an
+    element and its unitary S they are those identities conjugated by S,
+    since S D(l) S+ = D(g l).  Each block of alpha rows, then of beta rows,
+    is one :func:`label_sum_stack` compared with one :func:`outer_stack` of
+    columns of U, or of U F and U F+, so U = 1 costs no q x q product.  The
+    three column sets keep their own scales: stacked at F's, the alpha
+    targets of U = 1 would be products to normalise, not matrix units.
+    """
     ring, q, t = ring_for(field), field.order, field.tables()
-    deg = ring.degree
-    rows = np.asarray(rows)
-    k = t.mul[field.two_inverse, rows % q]
-    alpha = rows < q
-    units = np.zeros((alpha.sum(), q, q, deg), dtype=np.int8)
-    units[np.arange(len(units)), k[alpha], t.neg[k[alpha]], 0] = 1
-    f_data, e, den = fourier_matrix(field).packed
-    cols = (f_data.transpose(1, 0, 2)[k[~alpha]], e, den)
-    proj, e, den = outer_stack(ring, cols, cols)
-    proj = proj.reshape(-1, q, q, deg)[:, :, t.neg]
-    return ring.stack([(units.reshape(-1, q, deg), 0, 1), (proj.reshape(-1, q, deg), e, den)])
+    f = fourier_matrix(field)
+    one, fwd, back = ([OperatorMatrix.identity(ring, q), f, f.adjoint()] if frame is None
+                      else [frame, frame @ f, frame @ f.adjoint()])
+    k = t.mul[field.two_inverse, np.arange(q)]
+
+    def columns(m, idx):
+        data, e, den = m.packed
+        return data.transpose(1, 0, 2)[idx], e, den
+
+    ok = []
+    for h, (left, at_left, right, at_right) in enumerate([(one, k, one, t.neg[k]),
+                                                          (fwd, k, back, k)]):
+        lines = slice(h * q, (h + 1) * q)
+        for s in label_blocks(q, q * q * ring.order):
+            ok.append(blocks_equal(ring, [label_sum_stack(field, alpha[lines][s], beta[lines][s]),
+                                          outer_stack(ring, columns(left, at_left[s]),
+                                                      columns(right, at_right[s]))], len(k[s])))
+    return np.concatenate(ok)
 
 
 def marginal_projectors(field: GFField) -> dict:
     """Both marginal identities, for every label value.
 
     The alpha-sum at fixed beta equals parity composed with the point
-    projector at -beta/2; the beta-sum at fixed alpha equals the Fourier
-    conjugate of the point projector at alpha/2 composed with parity.  All
-    2q sums are one stack (per block of rows at large q), compared block by
-    block with the stack of :func:`marginal_targets`.
+    projector at -beta/2, |beta/2><-beta/2|; the beta-sum at fixed alpha
+    equals the Fourier conjugate of the point projector at alpha/2 composed
+    with parity, |F e_k><F+ e_k| with k = alpha/2: the identity frame of
+    :func:`marginals_in_frame`.
     """
     _require_odd(field)
-    ring, q = ring_for(field), field.order
-    alpha, beta = marginal_labels(field)
-    rows = np.arange(2 * q)
-    ok = np.concatenate([
-        blocks_equal(ring, [label_sum_stack(field, alpha[s], beta[s]),
-                            marginal_targets(field, rows[s])], len(rows[s]))
-        for s in label_blocks(2 * q, q * q * ring.order)])
+    q = field.order
+    ok = marginals_in_frame(field, *marginal_labels(field), None)
     return {
         "alpha_sums": bool(ok[:q].all()),
         "beta_sums": bool(ok[q:].all()),

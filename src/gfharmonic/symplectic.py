@@ -46,12 +46,11 @@ from .errors import (ConstraintViolated, DomainRestriction,
 from .fourier import fourier_matrix
 from .gf import GFField
 from .heisenberg import (component_displacement_monomial, displacement,
-                         displacement_monomial, label_blocks, label_sum_stack, marginal_labels,
-                         marginal_targets, require_gf9_fixture, x_monomial,
-                         z_monomial)
+                         displacement_monomial, label_blocks, marginal_labels,
+                         marginals_in_frame, require_gf9_fixture, x_monomial, z_monomial)
 from .hilbert import operator_cache, ring_for
-from .linalg import (Monomial, OperatorMatrix, blocks_equal, conjugate,
-                     conjugate_stack, outer_stack, proportionality_phase, tensor_list)
+from .linalg import (Monomial, OperatorMatrix, blocks_equal, conjugate, proportionality_phase,
+                     tensor_list)
 
 
 def gauss_sum(field: GFField, a) -> CycloScalar:
@@ -541,40 +540,15 @@ def transformed_marginals(field: GFField, row) -> dict:
 
     The primed displacements D'(a, b) = S D(a, b) S+ are displacements at
     the transformed labels, so the 2q primed sums of :func:`marginal_labels`
-    are one :func:`label_sum_stack` on the image labels (per block of rows
-    at large q).  For q <= 9 the plain sums and their right-hand sides
-    (:func:`marginal_targets`) are also conjugated by S, as one stack, and
-    each primed sum must equal both; above that the conjugated right-hand
-    sides are compared in rank-one form, |S e_-k><S e_k| and |S F e_k><S F+
-    e_k|.  ``witness`` is None or the first failing (sum, label):
-    ("alpha_sums", beta) or ("beta_sums", alpha), as field indices.
+    are line sums over their :func:`label_images`, each compared with the
+    plain sum's right-hand side conjugated by S, in rank-one form:
+    :func:`marginals_in_frame` with the frame S.  ``witness`` is None or
+    the first failing (sum, label): ("alpha_sums", beta) or ("beta_sums",
+    alpha), as field indices.
     """
-    s_op = synthesize(field, row)
-    ring, q, t = ring_for(field), field.order, field.tables()
-    alpha, beta = marginal_labels(field)
-    img_alpha, img_beta = label_images(field, row, alpha, beta)
-    rows = np.arange(2 * q)
-    if q <= 9:
-        def targets(s):
-            data, e, den = conjugate_stack(s_op, ring.stack(
-                [label_sum_stack(field, alpha[s], beta[s]), marginal_targets(field, rows[s])]))
-            half = len(data) // 2
-            return [(data[:half], e, den), (data[half:], e, den)]
-    else:
-        f = fourier_matrix(field)
-        # rows of the pool: the columns of S, then of S F, then of S F+
-        pool, e, den = ring.stack([(m.packed[0].transpose(1, 0, 2), *m.packed[1:])
-                                   for m in (s_op, s_op @ f, s_op @ f.adjoint())])
-        k = t.mul[field.two_inverse, rows % q]
-        left = np.where(rows < q, k, q + k)
-        right = np.where(rows < q, t.neg[k], 2 * q + k)
-
-        def targets(s):
-            return [outer_stack(ring, (pool[left[s]], e, den), (pool[right[s]], e, den))]
-    ok = np.concatenate([
-        blocks_equal(ring, [label_sum_stack(field, img_alpha[s], img_beta[s]), *targets(s)],
-                     len(rows[s]))
-        for s in label_blocks(2 * q, q * q * ring.order)])
+    q = field.order
+    alpha, beta = label_images(field, row, *marginal_labels(field))
+    ok = marginals_in_frame(field, alpha, beta, synthesize(field, row))
     bad = np.flatnonzero(~ok)
     return {"alpha_sums": bool(ok[:q].all()), "beta_sums": bool(ok[q:].all()),
             "witness": (("alpha_sums", "beta_sums")[bad[0] // q], int(bad[0] % q))

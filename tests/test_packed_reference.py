@@ -7,7 +7,9 @@ against its per-difference ``sum_of_roots`` construction; the element arrays of
 Sp(2, GF(q)) (enumeration, sampling, synthesis from one row) against the
 object enumeration, the object sampler and the recursive synthesis; the
 stacked marginal checks, shear laws and random operators against the
-per-label loops, per-pair products and per-scalar builder they replaced; and
+per-label loops, per-pair products and per-scalar builder they replaced; the
+frame marginal kernel against the stacked targets and stacked conjugations
+it replaced; and
 the generators, monomial products, diagonal and character operators and
 ``CycloRing.pack`` against the per-index builders, tuple monomials,
 ``{(n, m): scalar}`` matrices and per-scalar alignment they replaced, also
@@ -40,8 +42,9 @@ from gfharmonic.heisenberg import (label_sum, marginal_sum_alpha, marginal_sum_b
                                    resolution_of_identity_check, weyl_expand,
                                    weyl_reconstruct)
 from gfharmonic.hilbert import phi_basis, point_projector, ring_for
-from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, conjugate,
-                               inner_product, outer, proportionality_phase)
+from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
+                               conjugate, conjugate_stack, inner_product, outer, outer_stack,
+                               proportionality_phase)
 from gfharmonic.symplectic import element_row, synthesize
 from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_matrix,
                                _random_state, gf_suite, heisenberg_suite, symplectic_suite)
@@ -1226,7 +1229,7 @@ def test_marginal_stacks_match_per_label_matrices(pe):
     assert_same_triple(sums, ring.stack([m.packed for m in
                                          [marginal_sum_alpha(field, x) for x in range(q)]
                                          + [marginal_sum_beta(field, x) for x in range(q)]]))
-    targets = heisenberg.marginal_targets(field, np.arange(2 * q))
+    targets = stacked_marginal_targets(field, np.arange(2 * q))
     assert_same_triple(targets, ring.stack([m.packed for m in ref_marginal_targets(field)]))
     assert heisenberg.marginal_projectors(field) == {
         "alpha_sums": True, "beta_sums": True, "parity_factor_required": True}
@@ -1248,6 +1251,145 @@ def test_marginal_projectors_fail_on_a_perturbed_phase(monkeypatch):
 def assert_same_triple(got, want):
     assert got[1:] == want[1:]
     assert np.array_equal(got[0], want[0])
+
+
+def stacked_marginal_targets(field, rows):
+    """The stacked right-hand sides marginal_projectors compared with before
+    the frame kernel, at ascending rows of marginal_labels.  The alpha sum at
+    beta = b equals |b/2><-b/2|, a matrix unit; the beta sum at alpha = a
+    equals outer(F e_k, F e_k) with its columns permuted by the parity,
+    k = a/2."""
+    ring, q, t = ring_for(field), field.order, field.tables()
+    deg = ring.degree
+    rows = np.asarray(rows)
+    k = t.mul[field.two_inverse, rows % q]
+    alpha = rows < q
+    units = np.zeros((alpha.sum(), q, q, deg), dtype=np.int8)
+    units[np.arange(len(units)), k[alpha], t.neg[k[alpha]], 0] = 1
+    f_data, e, den = fourier_matrix(field).packed
+    cols = (f_data.transpose(1, 0, 2)[k[~alpha]], e, den)
+    proj, e, den = outer_stack(ring, cols, cols)
+    proj = proj.reshape(-1, q, q, deg)[:, :, t.neg]
+    return ring.stack([(units.reshape(-1, q, deg), 0, 1), (proj.reshape(-1, q, deg), e, den)])
+
+
+def ref_stacked_marginal_rows(field):
+    """The per-row verdicts of the stacked marginal_projectors: the 2q plain
+    sums against stacked_marginal_targets, block by block."""
+    ring, q = ring_for(field), field.order
+    alpha, beta = heisenberg.marginal_labels(field)
+    rows = np.arange(2 * q)
+    return np.concatenate([
+        blocks_equal(ring, [heisenberg.label_sum_stack(field, alpha[s], beta[s]),
+                            stacked_marginal_targets(field, rows[s])], len(rows[s]))
+        for s in heisenberg.label_blocks(2 * q, q * q * ring.order)])
+
+
+def ref_conjugated_marginal_rows(field, row):
+    """The per-row verdicts of the stacked-conjugation transformed_marginals
+    (its branch at q <= 9, run here at every q): each image-label sum must
+    equal both the plain sum and its stacked right-hand side conjugated by
+    S, the two conjugated as one stack."""
+    s_op = sp.synthesize(field, row)
+    ring, q = ring_for(field), field.order
+    alpha, beta = heisenberg.marginal_labels(field)
+    img_alpha, img_beta = sp.label_images(field, row, alpha, beta)
+    rows = np.arange(2 * q)
+
+    def block(s):
+        data, e, den = conjugate_stack(s_op, ring.stack(
+            [heisenberg.label_sum_stack(field, alpha[s], beta[s]),
+             stacked_marginal_targets(field, rows[s])]))
+        half = len(data) // 2
+        return blocks_equal(ring, [heisenberg.label_sum_stack(field, img_alpha[s], img_beta[s]),
+                                   (data[:half], e, den), (data[half:], e, den)], len(rows[s]))
+    return np.concatenate([block(s) for s in heisenberg.label_blocks(2 * q, q * q * ring.order)])
+
+
+def marginal_verdicts(field, ok):
+    """The transformed_marginals dict read off per-row verdicts, with its
+    first-failing-row witness."""
+    q, bad = field.order, np.flatnonzero(~ok)
+    return {"alpha_sums": bool(ok[:q].all()), "beta_sums": bool(ok[q:].all()),
+            "witness": (("alpha_sums", "beta_sums")[bad[0] // q], int(bad[0] % q))
+            if len(bad) else None}
+
+
+def one_entry_blocks(monkeypatch, field):
+    """Every label-grid sum and check runs in one-row blocks."""
+    monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", 1)
+
+
+def frame_rows(field, row):
+    """The frame kernel's per-row verdicts for the element at ``row``."""
+    labels = sp.label_images(field, row, *heisenberg.marginal_labels(field))
+    return heisenberg.marginals_in_frame(field, *labels, sp.synthesize(field, row))
+
+
+@pytest.mark.parametrize("fault", [None, shift_one_image_label, swap_unitary, perturbed_arrays,
+                                   one_entry_blocks],
+                         ids=["none", "shifted_image_label", "swapped_unitary",
+                              "perturbed_arrays", "one_entry_blocks"])
+@pytest.mark.parametrize("pe", STACK_FIELDS, ids=str)
+def test_frame_kernel_matches_the_stacked_paths(pe, fault, monkeypatch):
+    # the stacked conjugation also compared each transported sum with S (plain
+    # sum) S+, so a row holds there exactly when it holds in the frame and its
+    # plain identity holds; where every plain identity holds the verdicts,
+    # witnesses included, are the same
+    field = make_field(*pe)
+    q = field.order
+    if fault is not None:
+        fault(monkeypatch, field)
+    plain = ref_stacked_marginal_rows(field)
+    assert np.array_equal(
+        heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None), plain)
+    assert heisenberg.marginal_projectors(field) == {
+        "alpha_sums": bool(plain[:q].all()), "beta_sums": bool(plain[q:].all()),
+        "parity_factor_required": True}
+    assert plain.all() == (fault is not perturbed_arrays)
+    for row in marginal_elements(field):
+        old, new = ref_conjugated_marginal_rows(field, row), frame_rows(field, row)
+        assert np.array_equal(old, new & plain)
+        got = sp.transformed_marginals(field, row)
+        assert got == marginal_verdicts(field, new)
+        if plain.all():
+            assert got == marginal_verdicts(field, old)
+        assert new.all() == (fault in (None, one_entry_blocks))
+
+
+def swap_fourier_columns(monkeypatch, field):
+    """The targets take the columns of U F+ where those of U F belong, and the
+    reverse: the kernel reads F+ for F."""
+    monkeypatch.setattr(heisenberg, "fourier_matrix", lambda f: fourier_matrix(f).adjoint())
+
+
+@pytest.mark.parametrize("pe", STACK_FIELDS, ids=str)
+def test_swapped_fourier_columns_fail_every_beta_sum_off_alpha_zero(pe, monkeypatch):
+    # F+ e_k = F e_-k, so the beta sum at alpha = a holds only where k = -k,
+    # at a = 0; the alpha sums never read F; the stacked paths do not see it
+    field = make_field(*pe)
+    q = field.order
+    swap_fourier_columns(monkeypatch, field)
+    want = np.ones(2 * q, dtype=bool)
+    want[q + 1:] = False
+    assert np.array_equal(
+        heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None), want)
+    assert heisenberg.marginal_projectors(field)["beta_sums"] is False
+    assert ref_stacked_marginal_rows(field).all()
+    for row in marginal_elements(field):
+        assert np.array_equal(frame_rows(field, row), want)
+        assert sp.transformed_marginals(field, row) == {
+            "alpha_sums": True, "beta_sums": False, "witness": ("beta_sums", 1)}
+        assert ref_conjugated_marginal_rows(field, row).all()
+
+
+def test_swapped_fourier_columns_witness_in_the_suites(monkeypatch):
+    field = make_field(3, 1)
+    swap_fourier_columns(monkeypatch, field)
+    item = next(i for i in symplectic_suite(field).items if i.name == "transformed_marginals")
+    assert (item.status, item.detail) == ("fail", "witness=(1, 0, 0, 1):beta_sums[alpha=1]")
+    status = {i.name: i.status for i in heisenberg_suite(field).items}
+    assert (status["marginal_alpha_sums"], status["marginal_beta_sums"]) == ("pass", "fail")
 
 
 def ref_shear_laws(field, xs, ys, units):
