@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fourier as fr
@@ -226,6 +227,9 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # inf would pass every float item and nan or a negative value fail them all
+    if not math.isfinite(args.tolerance) or args.tolerance < 0:
+        raise ConfigError(f"--tolerance must be a finite number >= 0; got {args.tolerance!r}")
     config = vf.VerifyConfig(
         tolerance=args.tolerance,
         exhaustive=args.exhaustive,
@@ -319,7 +323,7 @@ def _fixture_checks(field):
     s_op = sp.synthesize(field, sp.element_row(field, 1, field.add_index(1, eps.index), eps))
     target = hb.displacement(field, field.element([0, 2]), field.element([1, 2]))
     diff = []
-    if not conjugate(s_op, hb.z_power(field, eps)).equals(target):
+    if not conjugate(s_op, hb.z_monomial(field, eps)).equals(target):
         diff.append({"conjugated_diagonal_generator": False})
     facs = hb.tensor_factorize_displacement(field, field.element([0, 2]),
                                             field.element([1, 2]))

@@ -10,24 +10,24 @@ three powers of F.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DimensionMismatch
 from .gf import GFField
-from .hilbert import operator_cache, ring_for
+from .hilbert import ring_for
 from .linalg import (OperatorMatrix, Spectrum, StateVector, blocks_equal, cyclic_spectrum,
                      root_matrix)
 
 
+@cache
 def fourier_matrix(field: GFField) -> OperatorMatrix:
     """The p^ell x p^ell Fourier matrix, cached per field."""
-    cache = operator_cache(field)
-    if "fourier" not in cache:
-        ring, tb = ring_for(field), field.tables()
-        # entry (n, m) is p^(-ell/2) zeta^e with e the root exponent of Tr(n m)
-        cache["fourier"] = OperatorMatrix.from_packed(ring, root_matrix(
-            ring, tb.trace[tb.mul] * (ring.order // field.p), field.ell))
-    return cache["fourier"]
+    ring, tb = ring_for(field), field.tables()
+    # entry (n, m) is p^(-ell/2) zeta^e with e the root exponent of Tr(n m)
+    return OperatorMatrix.from_packed(ring, root_matrix(
+        ring, tb.trace[tb.mul] * (ring.order // field.p), field.ell))
 
 
 def fourier_transform(field: GFField, chi: StateVector) -> StateVector:
@@ -103,13 +103,12 @@ def subfield_fourier_power_relation_check(field: GFField, d: int) -> dict:
     return {"holds": witness is None, "power": power, "witness": witness}
 
 
+@cache
 def fourier_spectrum(field: GFField) -> Spectrum:
-    """Projectors for the eigenvalues 1, i, -1, -i of F, from F^0..F^3."""
-    cache = operator_cache(field)
-    if "fourier_spectrum" not in cache:
-        ring = ring_for(field)
-        f = fourier_matrix(field)
-        powers = [OperatorMatrix.identity(ring, field.order), f, f @ f]
-        powers.append(powers[2] @ f)
-        cache["fourier_spectrum"] = cyclic_spectrum(powers, ring)
-    return cache["fourier_spectrum"]
+    """Projectors for the eigenvalues 1, i, -1, -i of F, from F^0..F^3,
+    cached per field."""
+    ring = ring_for(field)
+    f = fourier_matrix(field)
+    powers = [OperatorMatrix.identity(ring, field.order), f, f @ f]
+    powers.append(powers[2] @ f)
+    return cyclic_spectrum(powers, ring)

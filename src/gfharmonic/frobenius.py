@@ -3,16 +3,20 @@
 The Frobenius operator permutes point masses the way the field Frobenius
 map permutes elements; it has order ell, commutes with the Fourier matrix
 and with every subfield-support projector, and its powers that fix a
-subfield pointwise form a cyclic group.  Spectral projectors for the
-eigenvalues exp(2*pi*i*k/ell) carry entries with denominator ell.
+subfield pointwise form a cyclic group.  G and its Galois groups are
+``Monomial`` values (a group is one family), so their products with dense
+operators are gathers.  Spectral projectors for the eigenvalues
+exp(2*pi*i*k/ell) carry entries with denominator ell.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import NotUnitary
 from .fourier import fourier_matrix, fourier_spectrum
 from .gf import GFField
-from .hilbert import operator_cache, ring_for, subspace_projector
+from .hilbert import ring_for, subspace_projector
 from .linalg import Monomial, OperatorMatrix, Spectrum, conjugate, cyclic_spectrum
 
 
@@ -23,18 +27,17 @@ def frobenius_monomial(field: GFField) -> Monomial:
 
 def frobenius_matrix(field: GFField) -> OperatorMatrix:
     """Dense form of the Frobenius permutation operator."""
-    cache = operator_cache(field)
-    if "frobenius" not in cache:
-        cache["frobenius"] = frobenius_monomial(field).to_matrix()
-    return cache["frobenius"]
+    return frobenius_monomial(field).to_matrix()
 
 
-def galois_group_H(field: GFField, d: int) -> list[OperatorMatrix]:
+def galois_group_H(field: GFField, d: int) -> Monomial:
     """The ell/d Frobenius powers {G^d, G^2d, ..., G^ell = 1} that fix
-    every function supported on GF(p^d)."""
+    every function supported on GF(p^d), as one family: member k - 1 is
+    G^(dk)."""
     field.check_divisor(d)
     g = frobenius_monomial(field)
-    return [(g ** (d * k)).to_matrix() for k in range(1, field.ell // d + 1)]
+    members = [g ** (d * k) for k in range(1, field.ell // d + 1)]
+    return Monomial(g.ring, [m.perm for m in members], [m.phase for m in members])
 
 
 def conjugated_galois_group(field: GFField, u: OperatorMatrix,
@@ -46,13 +49,14 @@ def conjugated_galois_group(field: GFField, u: OperatorMatrix,
     field.check_divisor(d)
     if not u.is_unitary():
         raise NotUnitary("conjugating operator is not unitary")
-    return [conjugate(u, g) for g in galois_group_H(field, d)]
+    members = galois_group_H(field, d)
+    return [conjugate(u, members[k]) for k in range(len(members.perm))]
 
 
 def frobenius_fourier_commutation_check(field: GFField) -> dict:
     """Exact commutation of the Frobenius operator with F and with each
     Fourier eigenprojector."""
-    g = frobenius_matrix(field)
+    g = frobenius_monomial(field)
     f = fourier_matrix(field)
     ok_f = (f @ g).equals(g @ f)
     ok_proj = all((pr @ g).equals(g @ pr)
@@ -60,15 +64,12 @@ def frobenius_fourier_commutation_check(field: GFField) -> dict:
     return {"commutes_with_fourier": ok_f, "commutes_with_projectors": ok_proj}
 
 
+@cache
 def frobenius_spectrum(field: GFField) -> Spectrum:
     """Projectors for the eigenvalues exp(2*pi*i*k/ell) of G, k = 0..ell-1,
-    from G^0..G^(ell-1)."""
-    cache = operator_cache(field)
-    if "frobenius_spectrum" not in cache:
-        g = frobenius_monomial(field)
-        powers = [(g ** k).to_matrix() for k in range(field.ell)]
-        cache["frobenius_spectrum"] = cyclic_spectrum(powers, ring_for(field))
-    return cache["frobenius_spectrum"]
+    from G^0..G^(ell-1), cached per field."""
+    g = frobenius_monomial(field)
+    return cyclic_spectrum([(g ** k).to_matrix() for k in range(field.ell)], ring_for(field))
 
 
 def combined_eigenspace_projector(field: GFField, d: int) -> OperatorMatrix:

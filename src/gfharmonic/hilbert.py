@@ -2,8 +2,7 @@
 
 Point projectors, subfield-support projectors, and the character basis
 phi_n(m) = p^(-ell/2) omega^(-Tr(n m)) with its tensor factorisation into
-p-dimensional component functions.  Operators derived from a field are
-cached per field by :func:`operator_cache`.
+p-dimensional component functions.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from .linalg import OperatorMatrix, StateVector, root_matrix
 from .linalg import inner_product  # re-export: scalar product lives with states
 
 __all__ = [
-    "ring_for", "operator_cache", "inner_product", "point_projector",
+    "ring_for", "inner_product", "point_projector",
     "subspace_projector", "phi_basis", "phi_basis_matrix", "tensor_factorize_phi",
 ]
 
@@ -24,19 +23,6 @@ __all__ = [
 def ring_for(field: GFField):
     """The shared cyclotomic scalar ring for operators over this field."""
     return get_ring(ring_order(field.p, field.ell), field.p)
-
-
-_OPERATOR_CACHES: dict = {}  # field -> {key: operator}
-
-
-def operator_cache(field: GFField) -> dict:
-    """Per-field store for derived operators (Fourier matrix, spectra, shears).
-
-    Kept here, not on the field, which is immutable once built.  Fields come
-    from the process-wide ``make_field`` cache, so keying on the field object
-    keeps nothing alive that is not alive already.
-    """
-    return _OPERATOR_CACHES.setdefault(field, {})
 
 
 def point_projector(field: GFField, k) -> OperatorMatrix:

@@ -15,8 +15,10 @@ immutable, so every matrix built from a triple can share it; ``embed()``
 is the one way out to floating point.  A monomial matrix (permutation plus
 a root-of-unity phase per column), or a family of them, is one
 ``Monomial``: two integer index arrays whose leading axes index the
-members, composed, inverted and compared by gathers; the products of one
-monomial with dense operands are gathers plus root rotations.  Diagonal
+members, composed, inverted and compared by gathers; ``@`` between one
+monomial and a dense operand, in either order, is a gather plus root
+rotations, so an operator built as a ``Monomial`` is multiplied in that
+form, and :func:`conjugate` takes either form.  Diagonal
 projectors and character tables are built straight as triples, by one
 diagonal write (``OperatorMatrix.projector``) or one root-sum
 (:func:`root_matrix`).
@@ -26,9 +28,9 @@ triple ``(data, E, Q)`` of the B matrices joined along the first axis, a
 ``(B * n, m, degree)`` array brought to the common (max E, lcm Q) by
 ``CycloRing.stack``.  The triple is fixed by the values, so two stacks are
 equal exactly when their triples are, and :func:`blocks_equal` compares
-stacks block by block.  :func:`conjugate_stack` and :func:`outer_stack`
-build a whole stack with two or one exact products, where one matrix at a
-time would take B times as many.
+stacks block by block.  :func:`outer_stack` builds a whole stack of
+rank-one operators with one exact product, where one matrix at a time
+would take B of them.
 """
 
 from __future__ import annotations
@@ -379,28 +381,10 @@ def cyclic_spectrum(powers, ring: CycloRing) -> Spectrum:
     return Spectrum(tuple(projs))
 
 
-def conjugate(u: OperatorMatrix, a: OperatorMatrix) -> OperatorMatrix:
-    """Basis change u a u^dagger; the one-block :func:`conjugate_stack`."""
-    u._require_same(a)
-    return OperatorMatrix.from_packed(u.ring, conjugate_stack(u, a.packed))
-
-
-def conjugate_stack(u: OperatorMatrix, stack):
-    """The stack of u X_b u^dagger over the blocks X_b of a (B * n, n)
-    stack, as two exact products of the whole stack by an n x n factor:
-    [X_b] @ u^dagger, then its blocks transposed, (X_b u^dagger)^T @ u^T =
-    (u X_b u^dagger)^T, transposed back.  The large operand stays on the
-    left, where the product does not expand it by the ring degree."""
-    ring, n, deg = u.ring, u.dim, u.ring.degree
-    b = len(stack[0]) // n
-
-    def flipped(data):  # every block transposed
-        return data.reshape(b, n, n, deg).transpose(0, 2, 1, 3).reshape(b * n, n, deg)
-
-    right, e, q = ring.matmul(stack, _conj_transposed(ring, u.packed))
-    data, ue, uq = u.packed
-    out, e, q = ring.matmul((flipped(right), e, q), (data.transpose(1, 0, 2), ue, uq))
-    return flipped(out), e, q
+def conjugate(u: OperatorMatrix, a: "OperatorMatrix | Monomial") -> OperatorMatrix:
+    """Basis change u a u^dagger, for a dense or a monomial a: with a
+    ``Monomial`` the first product is a gather."""
+    return u @ a @ u.adjoint()
 
 
 class Monomial:

@@ -37,6 +37,7 @@ u) of it, which :func:`element_row` builds and validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .gf import GFField
 from .heisenberg import (component_displacement_monomial, displacement,
                          displacement_monomial, label_blocks, marginal_labels,
                          marginals_in_frame, require_gf9_fixture, x_monomial, z_monomial)
-from .hilbert import operator_cache, ring_for
+from .hilbert import ring_for
 from .linalg import (Monomial, OperatorMatrix, blocks_equal, conjugate, proportionality_phase,
                      tensor_list)
 
@@ -97,23 +98,23 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
     """
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
-    xi = field.element(xi)
-    cache = operator_cache(field)
-    key = ("shear_x", xi.index)
-    if key not in cache:
-        ring, t = ring_for(field), field.tables()
-        c = t.mul[field.two_inverse, xi.index]
-        k = np.arange(field.order)
-        roots = (t.trace[t.mul[k[:, None], k]] + t.trace[t.mul[c, t.mul[k, k]]]) * (
-            ring.order // field.p)
-        slots = np.broadcast_to(k[:, None], roots.shape)
-        # every entry is one of the q values, so the (q, degree) array is
-        # compacted before the gather makes q copies of it
-        g, e, q = ring.root_sum(ring.root_coeffs()[0], roots, slots, (field.order,),
-                                2 * field.ell)
-        cache[key] = OperatorMatrix.from_packed(
-            ring, (compact(g)[t.add[k[:, None], t.neg[k]]], e, q))
-    return cache[key]
+    return _shear_x(field, field.element(xi).index)
+
+
+@cache
+def _shear_x(field: GFField, xi: int) -> OperatorMatrix:
+    # generator_shear_x at the field index xi, one cache entry per index
+    ring, t = ring_for(field), field.tables()
+    c = t.mul[field.two_inverse, xi]
+    k = np.arange(field.order)
+    roots = (t.trace[t.mul[k[:, None], k]] + t.trace[t.mul[c, t.mul[k, k]]]) * (
+        ring.order // field.p)
+    slots = np.broadcast_to(k[:, None], roots.shape)
+    # every entry is one of the q values, so the (q, degree) array is
+    # compacted before the gather makes q copies of it
+    g, e, q = ring.root_sum(ring.root_coeffs()[0], roots, slots, (field.order,),
+                            2 * field.ell)
+    return OperatorMatrix.from_packed(ring, (compact(g)[t.add[k[:, None], t.neg[k]]], e, q))
 
 
 def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
@@ -141,7 +142,7 @@ def synthesize(field: GFField, row) -> OperatorMatrix:
     row (r, s, t, u): the one-row case of :func:`element_factors`, S_x(shear)
     . M, times F+ outside the generic chart."""
     fac = element_factors(field, np.asarray(row)[None])
-    u = fac.monomial[0].right_mul_dense(generator_shear_x(field, int(fac.shear[0])))
+    u = generator_shear_x(field, int(fac.shear[0])) @ fac.monomial[0]
     return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
 
 
@@ -168,21 +169,12 @@ def action_check(field: GFField, row, labels=None, check_unitary: bool = True) -
     def image(alpha, beta):
         return (u * alpha + s * beta, t * alpha + r * beta)
     els = field.elements() if labels is None else [field.element(x) for x in labels]
-    ok_z = all(
-        z_monomial(field, a).right_mul_dense(s_op).equals(
-            displacement_monomial(field, *image(a, field.zero))
-            .left_mul_dense(s_op))
-        for a in els)
-    ok_x = all(
-        x_monomial(field, b).right_mul_dense(s_op).equals(
-            displacement_monomial(field, *image(field.zero, b))
-            .left_mul_dense(s_op))
-        for b in els)
-    ok_d = all(
-        displacement_monomial(field, a, b).right_mul_dense(s_op).equals(
-            displacement_monomial(field, *image(a, b))
-            .left_mul_dense(s_op))
-        for a in els for b in els)
+    ok_z = all((s_op @ z_monomial(field, a)).equals(
+        displacement_monomial(field, *image(a, field.zero)) @ s_op) for a in els)
+    ok_x = all((s_op @ x_monomial(field, b)).equals(
+        displacement_monomial(field, *image(field.zero, b)) @ s_op) for b in els)
+    ok_d = all((s_op @ displacement_monomial(field, a, b)).equals(
+        displacement_monomial(field, *image(a, b)) @ s_op) for a in els for b in els)
     # transformed pair keeps the Weyl commutation phase
     ok_comm = True
     for a in els:
@@ -312,7 +304,7 @@ def _fourier_conjugates(field: GFField, family: Monomial):
     f = fourier_matrix(field)
     ring = ring_for(field)
     f_adj = f.adjoint()
-    conj = [Monomial.from_dense(f_adj @ family[k].left_mul_dense(f))
+    conj = [Monomial.from_dense(f_adj @ (family[k] @ f))
             for k in range(len(family.perm))]
     conj = [Monomial.identity(ring, field.order) if w is None else w for w in conj]
     return f.is_unitary(), Monomial(ring, [w.perm for w in conj], [w.phase for w in conj])
@@ -606,10 +598,9 @@ def non_factorization_witness(field: GFField) -> dict:
     row = element_row(field, 1, field.add_index(1, eps), eps)
     s_op = synthesize(field, row)
 
-    ident3 = Monomial.identity(ring, 3)
-    x_eps = x_monomial(field, eps).to_matrix()
-    x_tensor = ident3.tensor(component_displacement_monomial(field, 0, 1)).to_matrix()
-    x_fact = x_eps.equals(x_tensor)
+    x_eps = x_monomial(field, eps)
+    x_fact = x_eps == Monomial.identity(ring, 3).tensor(
+        component_displacement_monomial(field, 0, 1))
 
     # image of the shift under the action: label (0, eps) -> (s eps, r eps)
     img_x = [field.element(int(x)) for x in label_images(field, row, 0, eps)]
@@ -624,11 +615,11 @@ def non_factorization_witness(field: GFField) -> dict:
     two_eps = field.element([0, 2])
     one_two_eps = field.element([1, 2])
     z_img_ok = (img_z == (two_eps.index, one_two_eps.index)
-                and conjugate(s_op, z_monomial(field, eps).to_matrix()).equals(
+                and conjugate(s_op, z_monomial(field, eps)).equals(
                     displacement(field, two_eps, one_two_eps)))
-    d_fact = displacement(field, two_eps, one_two_eps).equals(tensor_list([
-        component_displacement_monomial(field, 1, 1).to_matrix(),
-        component_displacement_monomial(field, 0, 2).to_matrix()]))
+    d_fact = displacement_monomial(field, two_eps, one_two_eps) == tensor_list([
+        component_displacement_monomial(field, 1, 1),
+        component_displacement_monomial(field, 0, 2)])
 
     return {
         "x_eps_is_identity_tensor_shift": x_fact,

@@ -196,6 +196,21 @@ def test_verify_float_backend(capsys):
     assert data["fields"][0]["suites"][0]["suite"] == "float"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-0.5", "0"])
+def test_verify_tolerance_must_be_finite_and_nonnegative(capsys, tol):
+    # inf would pass every float item and nan or a negative value fail them
+    # all, whatever the identities hold; 0 is a real (strict) threshold
+    code = main(["verify", "all", "--p", "3", "--ell", "1", "--backend", "float",
+                 "--tolerance", tol])
+    out, err = capsys.readouterr()
+    if tol == "0":
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["fields"][0]["suites"][0]["suite"] == "float"
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: --tolerance must be a finite number >= 0; got {float(tol)!r}\n"
+
+
 def test_fixtures(capsys):
     code, out = run_cli(capsys, ["fixtures"])
     assert code == 0

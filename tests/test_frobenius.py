@@ -92,30 +92,37 @@ def test_frobenius_action_on_point_masses(gf9):
 
 
 def test_galois_groups(gf9):
+    # a group is one Monomial family: member k - 1 is G^(dk)
     ring = ring_for(gf9)
-    assert len(galois_group_H(gf9, 2)) == 1
-    assert galois_group_H(gf9, 2)[0].equals(OperatorMatrix.identity(ring, 9))
+    assert galois_group_H(gf9, 2).perm.shape == (1, 9)
+    assert galois_group_H(gf9, 2)[0] == Monomial.identity(ring, 9)
     members = galois_group_H(gf9, 1)
-    assert len(members) == 2
+    assert len(members.perm) == 2
+    g = frobenius_monomial(gf9)
+    assert members[0] == g and members[1] == g @ g
     pi1 = subspace_projector(gf9, 1)
-    for mat in members:
-        assert (mat @ pi1).equals(pi1)
+    for k in range(2):
+        assert (members[k] @ pi1).equals(pi1)
 
 
 def test_galois_group_gf81_subfield():
     f = make_field(3, 4)
     members = galois_group_H(f, 2)
-    assert len(members) == 2
+    assert len(members.perm) == 2
+    g2 = frobenius_monomial(f) ** 2
+    assert members[0] == g2 and members[1] == g2 @ g2
     pi2 = subspace_projector(f, 2)
-    for mat in members:
-        assert (mat @ pi2).equals(pi2)
+    for k in range(2):
+        assert (members[k] @ pi2).equals(pi2)
 
 
 def test_conjugated_galois_group(gf9):
     ring = ring_for(gf9)
     ident = OperatorMatrix.identity(ring, 9)
-    plain = galois_group_H(gf9, 1)
+    members = galois_group_H(gf9, 1)
+    plain = [members[k].to_matrix() for k in range(2)]
     conj_by_id = conjugated_galois_group(gf9, ident, 1)
+    assert len(conj_by_id) == 2
     for a, b in zip(plain, conj_by_id):
         assert a.equals(b)
     # the Fourier matrix commutes with the Frobenius operator

@@ -10,7 +10,7 @@ from gfharmonic import cyclo
 from gfharmonic.cyclo import ScalarAccumulator, get_ring
 from gfharmonic.errors import BackendMismatch, DimensionMismatch
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
-                               conjugate, conjugate_stack, inner_product, outer,
+                               conjugate, inner_product, outer,
                                outer_stack, proportionality_phase, tensor_list)
 
 
@@ -644,16 +644,26 @@ def test_batched_matmul_matches_per_block_products(order, char, bound):
 
 @pytest.mark.parametrize("order,char", DIFF_RINGS)
 @pytest.mark.parametrize("bound", [3, 10 ** 30])
-def test_conjugate_stack_matches_per_block_conjugation(order, char, bound):
+def test_conjugate_takes_either_form(order, char, bound):
     ring = get_ring(order, char)
     rng = random.Random(order * 11 + bound % 83)
     u = OperatorMatrix(4, "exact", ring, mixed_matrix(ring, 4, rng, bound))
-    xs = [OperatorMatrix(4, "exact", ring, mixed_matrix(ring, 4, rng, 3)) for _ in range(3)]
-    got = conjugate_stack(u, ring.stack([x.packed for x in xs]))
-    want = [(u @ x) @ u.adjoint() for x in xs]
-    assert_same_triple(got, ring.stack([w.packed for w in want]))
-    # the one-block case is the two products it replaced, triple for triple
-    assert_same_triple(conjugate(u, xs[0]).packed, want[0].packed)
+    perm = list(range(4))
+    rng.shuffle(perm)
+    m = Monomial(ring, perm, [rng.randrange(order) for _ in range(4)])
+    x = m.to_matrix()
+    # a monomial goes through the gather, its dense form through two products
+    want = ((u @ x) @ u.adjoint()).packed
+    assert_same_triple(conjugate(u, m).packed, want)
+    assert_same_triple(conjugate(u, x).packed, want)
+    # a mismatch raises the same typed error in either form
+    other = get_ring(*DIFF_RINGS[DIFF_RINGS.index((order, char)) - 1])
+    for a in (Monomial(other, perm, m.phase % other.order), OperatorMatrix.identity(other, 4)):
+        with pytest.raises(BackendMismatch):
+            conjugate(u, a)
+    for a in (Monomial.identity(ring, 3), OperatorMatrix.identity(ring, 3)):
+        with pytest.raises(DimensionMismatch):
+            conjugate(u, a)
 
 
 @pytest.mark.parametrize("order,char", DIFF_RINGS)

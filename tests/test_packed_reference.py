@@ -13,9 +13,10 @@ it replaced; and
 the generators, monomial products, diagonal and character operators and
 ``CycloRing.pack`` against the per-index builders, tuple monomials,
 ``{(n, m): scalar}`` matrices and per-scalar alignment they replaced, also
-under faults planted in the field's index arrays; and the monomial families
+under faults planted in the field's index arrays; the monomial families
 against per-member products and the ``(perm, phase)`` array kernels they
-replaced.
+replaced; and the Frobenius suite, which multiplies G and its Galois
+members by gather, against its dense form, also under planted faults.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -43,11 +44,12 @@ from gfharmonic.heisenberg import (label_sum, marginal_sum_alpha, marginal_sum_b
                                    weyl_reconstruct)
 from gfharmonic.hilbert import phi_basis, point_projector, ring_for
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
-                               conjugate, conjugate_stack, inner_product, outer, outer_stack,
+                               conjugate, inner_product, outer, outer_stack,
                                proportionality_phase)
 from gfharmonic.symplectic import element_row, synthesize
 from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_matrix,
-                               _random_state, gf_suite, heisenberg_suite, symplectic_suite)
+                               _random_state, _ranks_item, _spectral_items, frobenius_suite,
+                               gf_suite, heisenberg_suite, symplectic_suite)
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
@@ -1289,20 +1291,23 @@ def ref_conjugated_marginal_rows(field, row):
     """The per-row verdicts of the stacked-conjugation transformed_marginals
     (its branch at q <= 9, run here at every q): each image-label sum must
     equal both the plain sum and its stacked right-hand side conjugated by
-    S, the two conjugated as one stack."""
+    S, each q x q block conjugated on its own."""
     s_op = sp.synthesize(field, row)
     ring, q = ring_for(field), field.order
     alpha, beta = heisenberg.marginal_labels(field)
     img_alpha, img_beta = sp.label_images(field, row, alpha, beta)
     rows = np.arange(2 * q)
 
+    def conjugated(stack):
+        data, e, den = stack
+        return ring.stack([conjugate(s_op, OperatorMatrix.from_packed(ring, (x, e, den))).packed
+                           for x in np.split(data, len(data) // q)])
+
     def block(s):
-        data, e, den = conjugate_stack(s_op, ring.stack(
-            [heisenberg.label_sum_stack(field, alpha[s], beta[s]),
-             stacked_marginal_targets(field, rows[s])]))
-        half = len(data) // 2
         return blocks_equal(ring, [heisenberg.label_sum_stack(field, img_alpha[s], img_beta[s]),
-                                   (data[:half], e, den), (data[half:], e, den)], len(rows[s]))
+                                   conjugated(heisenberg.label_sum_stack(field, alpha[s], beta[s])),
+                                   conjugated(stacked_marginal_targets(field, rows[s]))],
+                            len(rows[s]))
     return np.concatenate([block(s) for s in heisenberg.label_blocks(2 * q, q * q * ring.order)])
 
 
@@ -2201,3 +2206,154 @@ def test_generator_laws_under_a_wrong_mul_row():
     field = planted((3, 2), wrong_mul_row)
     (got, want), _ = laws_of([_generator_laws, ref_generator_laws], field)
     assert got == want and got["scaling_subgroup_law"] == "fail"
+
+
+# -- the Frobenius suite by gather against its dense form ---------------------
+
+def ref_frobenius_items(field):
+    """The Frobenius suite as it was with G and the Galois members in dense
+    form: every product with them an exact GEMM."""
+    rep = SuiteReport("frobenius", "")
+    ring = ring_for(field)
+    q, ell = field.order, field.ell
+    g = frobenius.frobenius_monomial(field)
+    g_dense = frobenius.frobenius_matrix(field)
+    ident = OperatorMatrix.identity(ring, q)
+
+    rep.add("order_divides_ell", (g ** ell) == Monomial.identity(ring, q))
+    rep.add("unitary", (g_dense @ g_dense.adjoint()).equals(ident))
+    rep.add("is_permutation", sorted(g.perm) == list(range(q))
+            and all(ph == 0 for ph in g.phase))
+
+    f = fourier_matrix(field)
+    rep.add("commutes_with_fourier", (f @ g_dense).equals(g_dense @ f))
+    rep.add("commutes_with_fourier_projectors", all(
+        (pr @ g_dense).equals(g_dense @ pr) for pr in fourier.fourier_spectrum(field).projectors))
+
+    ok = True
+    for d in field.divisors():
+        pi = hilbert.subspace_projector(field, d)
+        if not (g_dense @ pi).equals(pi @ g_dense):
+            ok = False
+    rep.add("commutes_with_subspace_projectors", ok)
+
+    ok = True
+    for d in field.divisors():
+        family = frobenius.galois_group_H(field, d)
+        members = [family[k].to_matrix() for k in range(len(family.perm))]
+        if len(members) != ell // d:
+            ok = False
+        pi = hilbert.subspace_projector(field, d)
+        for mat in members:
+            if not (mat @ pi).equals(pi):
+                ok = False
+    rep.add("galois_groups_fix_subspaces", ok)
+
+    spec = frobenius.frobenius_spectrum(field)
+    _spectral_items(rep, spec, g_dense)
+    rep.add("projectors_commute_with_fourier",
+            all((f @ pr).equals(pr @ f) for pr in spec.projectors))
+    ok = True
+    for d in field.divisors():
+        cont = frobenius.subfield_containment_check(field, d)
+        if not (cont["left"] and cont["right"]):
+            ok = False
+    rep.add("subspace_inside_combined_eigenspace", ok)
+    _ranks_item(rep, spec, q)
+    return rep
+
+
+def frobenius_phase_off_by_one(monkeypatch):
+    """G with the phase of its last column one root step off: still monomial."""
+    original = frobenius.frobenius_monomial
+
+    def shifted(field):
+        g = original(field)
+        phase = g.phase.copy()
+        phase[-1] += 1
+        return Monomial(g.ring, g.perm, phase)
+
+    monkeypatch.setattr(frobenius, "frobenius_monomial", shifted)
+
+
+def frobenius_leaves_the_prime_field(monkeypatch):
+    """G with the images of 0 and q - 1 swapped: still a permutation, but
+    above GF(p) one that maps 0 out of the prime field."""
+    original = frobenius.frobenius_monomial
+
+    def swapped(field):
+        perm = original(field).perm.copy()
+        perm[[0, -1]] = perm[[-1, 0]]
+        return Monomial.permutation(ring_for(field), perm)
+
+    monkeypatch.setattr(frobenius, "frobenius_monomial", swapped)
+
+
+def swapped_galois_member(monkeypatch):
+    """The last member of the GF(p) group (G^ell, the identity) with the
+    images of 0 and 1 swapped: still a permutation, but one that moves
+    points of the prime field; the other members and groups stay true."""
+    original = frobenius.galois_group_H
+
+    def swapped(field, d):
+        members = original(field, d)
+        if d > 1:
+            return members
+        perm = members.perm.copy()
+        perm[-1, [0, 1]] = perm[-1, [1, 0]]
+        return Monomial(members.ring, perm, members.phase)
+
+    monkeypatch.setattr(frobenius, "galois_group_H", swapped)
+
+
+@pytest.fixture
+def fresh_frobenius_spectrum():
+    # the spectrum is cached per field; a planted G must build its own
+    frobenius.frobenius_spectrum.cache_clear()
+    yield
+    frobenius.frobenius_spectrum.cache_clear()
+
+
+@pytest.mark.parametrize("fault,broken", [
+    (None, set()),
+    (wrong_frobenius, {"galois_groups_fix_subspaces"}),
+    (frobenius_phase_off_by_one, {"is_permutation", "order_divides_ell"}),
+    (frobenius_leaves_the_prime_field, {"galois_groups_fix_subspaces"}),
+    (swapped_galois_member, {"galois_groups_fix_subspaces"}),
+], ids=["none", "wrong_frobenius", "phase_off_by_one", "leaves_the_prime_field",
+        "swapped_galois_member"])
+@pytest.mark.parametrize("pe", [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2)], ids=str)
+def test_frobenius_suite_matches_dense_form(pe, fault, broken, monkeypatch,
+                                            fresh_frobenius_spectrum):
+    field = make_field(*pe)
+    if fault is not None:
+        fault(monkeypatch)
+    got = verdicts(frobenius_suite(field))
+    assert got == verdicts(ref_frobenius_items(field))
+    failed = {name for name, status in got.items() if status == "fail"}
+    assert broken <= failed and bool(failed) == (fault is not None)
+
+
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2), (7, 2), (13, 2)], ids=str)
+def test_frobenius_gathers_match_dense_products(pe):
+    # ring degrees 4, 8, 12 and 24; G has no phases, so G Z(1) runs the
+    # root rotations too
+    field = make_field(*pe)
+    f = fourier_matrix(field)
+    fprojs = fourier.fourier_spectrum(field).projectors
+    g = frobenius.frobenius_monomial(field)
+    for mono in (g, g @ heisenberg.z_monomial(field, 1)):
+        dense = mono.to_matrix()
+        pairs = [(f @ mono, f @ dense), (mono @ f, dense @ f)]
+        pairs += [(pr @ mono, pr @ dense) for pr in fprojs]
+        pairs += [(mono @ pr, dense @ pr) for pr in fprojs]
+        for d in field.divisors():
+            pi = hilbert.subspace_projector(field, d)
+            pairs += [(mono @ pi, dense @ pi), (pi @ mono, pi @ dense)]
+        for got, want in pairs:
+            assert_same_triple(got.packed, want.packed)
+    for d in field.divisors():
+        pi = hilbert.subspace_projector(field, d)
+        members = frobenius.galois_group_H(field, d)
+        for k in range(len(members.perm)):
+            assert_same_triple((members[k] @ pi).packed, (members[k].to_matrix() @ pi).packed)
