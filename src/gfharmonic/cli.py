@@ -23,8 +23,8 @@ from . import symplectic as sp
 from . import verify as vf
 from .errors import ConfigError, GFHarmonicError
 from .gf import make_field
-from .jsonio import matrix_from_json, matrix_to_json, scalar_to_json, write_json
-from .linalg import EXACT, OperatorMatrix, conjugate, tensor_list
+from .jsonio import matrix_from_json, matrix_to_json, write_json
+from .linalg import EXACT, OperatorMatrix, StateVector, conjugate, tensor_list
 
 DEFAULT_MAX_ORDER = 343
 
@@ -216,10 +216,12 @@ def cmd_weyl(args) -> int:
     if not isinstance(theta, OperatorMatrix):
         raise ConfigError("weyl expansion needs an exact-backend matrix")
     table = hb.weyl_expand(field, theta)
+    # one (q, 1) state per row at the table's (E, Q): write_json canonicalises each entry
+    data, e, q = table.packed
     payload = {
         "dim": field.order,
         "labels": "values[alpha_index][beta_index]",
-        "values": [[scalar_to_json(x) for x in row] for row in table.values],
+        "values": [StateVector.from_packed(theta.ring, (row[:, None], e, q)) for row in data],
         "round_trip": hb.weyl_reconstruct(field, table).equals(theta),
     }
     _emit(args, payload)

@@ -12,7 +12,8 @@ marginals) is one ``CycloRing.root_sum`` of entries times zeta^phase into
 the slots the permutations name, and each label identity (composition
 law, adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
 member-by-member comparison of grid families (``Monomial.matches``) or of
-their index arrays.
+their index arrays.  The Weyl table of an operator Theta is one more
+``OperatorMatrix``: row alpha, column beta holds tr(Theta D(alpha, beta)).
 
 Note on the marginal sums: summing D(alpha, beta) over one label yields the
 conjugate-basis point projector composed with the parity operator (the
@@ -21,8 +22,6 @@ formula; for beta = 0 it drops out.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,21 +114,6 @@ def tensor_factorize_displacement(field: GFField, alpha, beta) -> list[OperatorM
             for a, b in zip(dual_a, std_b)]
 
 
-@dataclass(frozen=True)
-class WeylTable:
-    """Expansion coefficients tr(Theta D(alpha, beta)) on the label grid, as
-    one normal-form packed triple of shape (q, q, degree), [alpha, beta]."""
-
-    field: GFField
-    packed: tuple
-
-    @property
-    def values(self) -> tuple:
-        """values[alpha_index][beta_index]: the canonical scalars, unpacked
-        on each read."""
-        return ring_for(self.field).unpack(self.packed)
-
-
 LABEL_BLOCK_ENTRIES = 1 << 16  # entries per block of a label-grid sum or check
 
 
@@ -207,8 +191,9 @@ def _displacement_sum(field: GFField, family: Monomial, weights):
                          e + 2 * field.ell, den)
 
 
-def weyl_expand(field: GFField, theta: OperatorMatrix) -> WeylTable:
-    """Coefficient table tr(Theta D(alpha, beta)) over all labels.
+def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
+    """Coefficient table tr(Theta D(alpha, beta)) over all labels, as the
+    q x q matrix whose row alpha, column beta holds it (label indices).
 
     tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: one gather
     of Theta per label and one root-sum into the q * q table slots.
@@ -221,13 +206,13 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> WeylTable:
     grid = label_grid(field)
     data, e, den = theta.packed
     slots = np.broadcast_to(np.arange(q * q)[:, None], grid.perm.shape)
-    table = ring.root_sum(data[np.arange(q), grid.perm], grid.phase, slots, (q, q), e, den)
-    return WeylTable(field=field, packed=table)
+    return OperatorMatrix.from_packed(ring, ring.root_sum(data[np.arange(q), grid.perm],
+                                                          grid.phase, slots, (q, q), e, den))
 
 
-def weyl_reconstruct(field: GFField, table: WeylTable) -> OperatorMatrix:
-    """Rebuild the operator p^-ell sum_labels D(alpha, beta) W(-alpha, -beta):
-    the weights are the table's triple gathered at the negated labels."""
+def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
+    """Rebuild p^-ell sum_labels D(alpha, beta) W(-alpha, -beta) from the table
+    W of :func:`weyl_expand`: the weights are W gathered at the negated labels."""
     neg = field.tables().neg
     ring = ring_for(field)
     data, e, den = table.packed

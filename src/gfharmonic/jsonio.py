@@ -9,20 +9,20 @@ since a scalar payload pins only the ring order; it checks every entry and
 builds the packed triple straight from the coefficients, canonical or not.
 
 ``write_json`` writes ``json.dumps(payload, indent=2, default=str)`` byte for
-byte without the slow pure-Python encoder that ``indent`` selects.
+byte through the stdlib encoder, which leaves the entries of each exact
+matrix or state to be streamed from its packed triple.
 """
 
 from __future__ import annotations
 
-import math
-from json.encoder import encode_basestring_ascii as _quote
+import json
 
 import numpy as np
 
 from . import cyclo
 from .cyclo import CycloRing, CycloScalar
 from .errors import BackendMismatch, ConfigError, DimensionMismatch
-from .linalg import EXACT, OperatorMatrix
+from .linalg import EXACT, OperatorMatrix, StateVector
 
 
 def scalar_to_json(x: CycloScalar) -> dict:
@@ -101,62 +101,34 @@ def matrix_from_json(data: dict,
 
 def write_json(payload, fh) -> None:
     """Write ``json.dumps(payload, indent=2, default=str) + "\n"`` to fh, where
-    an exact OperatorMatrix stands for its ``matrix_to_json`` entries and is
-    streamed from its packed triple, BLOCK_ENTRIES entries per write."""
-    parts = []
-    _encode(payload, 0, parts, fh)
+    an exact OperatorMatrix or StateVector stands for its entries'
+    ``scalar_to_json`` dicts, streamed from its packed triple, BLOCK_ENTRIES
+    entries per write.  The encoder calls ``default`` just before it yields
+    the placeholder, so the chunk after a queued value is where it goes."""
+    exact, parts = [], []
+
+    def default(o):
+        if isinstance(o, (OperatorMatrix, StateVector)):
+            exact.append(o)
+            return _PLACEHOLDER
+        return str(o)
+
+    for chunk in json.JSONEncoder(indent=2, default=default).iterencode(payload):
+        if not exact:
+            parts.append(chunk)
+            continue
+        head = "".join(parts)
+        line = head[head.rfind("\n") + 1:]  # indent the entries one level past this line
+        fh.write(head)
+        _write_entries(exact.pop(), "\n  " + line[:len(line) - len(line.lstrip(" "))], fh)
+        parts = []
     fh.write("".join(parts) + "\n")
 
 
-def _atom(o):
-    # the stdlib text of a str, None, bool, int or float; None for the rest
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return ("NaN" if o != o else "Infinity" if o == math.inf
-                else "-Infinity" if o == -math.inf else float.__repr__(o))
-    return None
+_PLACEHOLDER = "exact value"
 
 
-def _key(k) -> str:
-    text = _atom(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return (text if isinstance(k, str) else f'"{text}"') + ": "
-
-
-def _encode(o, level: int, parts: list, fh) -> None:
-    # the stdlib encoder's order: atoms, list or tuple, dict, then default=str
-    text = _atom(o)
-    if text is not None:
-        parts.append(text)
-        return
-    pad = "\n" + "  " * (level + 1)
-    is_dict = isinstance(o, dict)
-    if isinstance(o, OperatorMatrix):
-        fh.write("".join(parts))
-        parts.clear()
-        _write_entries(o, pad, fh)
-    elif not (is_dict or isinstance(o, (list, tuple))):
-        parts.append(_quote(str(o)))
-    elif not o:
-        parts.append("{}" if is_dict else "[]")
-    elif not is_dict and all(type(x) is int for x in o):
-        parts.append("[" + pad + ("," + pad).join(map(int.__repr__, o)) + pad[:-2] + "]")
-    else:
-        heads = map(_key, o) if is_dict else [""] * len(o)
-        parts.append("{" if is_dict else "[")
-        for i, (head, v) in enumerate(zip(heads, o.values() if is_dict else o)):
-            parts.append(("," if i else "") + pad + head)
-            _encode(v, level + 1, parts, fh)
-        parts.append(pad[:-2] + ("}" if is_dict else "]"))
-
-
-def _write_entries(mat: OperatorMatrix, pad: str, fh) -> None:
+def _write_entries(mat: OperatorMatrix | StateVector, pad: str, fh) -> None:
     # the distinct packed rows are canonicalised once each; each block's
     # texts come from the entry template of the distinct rows it uses
     ring = mat.ring

@@ -276,7 +276,7 @@ def test_tensor_factorization_random_labels(gf9):
 
 def test_weyl_identity_table(gf9):
     ring = ring_for(gf9)
-    table = weyl_expand(gf9, OperatorMatrix.identity(ring, 9)).values
+    table = weyl_expand(gf9, OperatorMatrix.identity(ring, 9)).rows
     for a in range(9):
         for b in range(9):
             want = ring.from_int(9) if a == b == 0 else ring.zero
@@ -289,7 +289,7 @@ def test_weyl_point_projector(gf9):
     ring = ring_for(gf9)
     q2 = point_projector(gf9, 2)
     table = weyl_expand(gf9, q2)
-    values = table.values
+    values = table.rows
     for a in range(9):
         assert values[a][0] == ring.omega(
             gf9.trace_index(gf9.mul_index(2, a)))
@@ -301,7 +301,7 @@ def test_weyl_point_projector(gf9):
 
 def test_weyl_single_displacement(gf9):
     ring = ring_for(gf9)
-    table = weyl_expand(gf9, displacement(gf9, 3, 4)).values
+    table = weyl_expand(gf9, displacement(gf9, 3, 4)).rows
     support = [(a, b) for a in range(9) for b in range(9)
                if not table[a][b].is_zero]
     assert len(support) == 1

@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfharmonic import cli, cyclo
+from gfharmonic import cli, cyclo, jsonio
 from gfharmonic import symplectic as sp
 from gfharmonic.cyclo import CycloRing
 from gfharmonic.gf import make_field
 from gfharmonic.hilbert import point_projector, ring_for
 from gfharmonic.jsonio import matrix_to_json, scalar_to_json, write_json
-from gfharmonic.linalg import EXACT, OperatorMatrix
+from gfharmonic.linalg import EXACT, OperatorMatrix, StateVector
 
 
 def reference_entries(mat):
@@ -35,8 +35,9 @@ def reference_entries(mat):
 
 
 def resolved(value):
-    """The payload with every exact matrix replaced by its entry dicts."""
-    if isinstance(value, OperatorMatrix):
+    """The payload with every exact matrix or state replaced by its entry
+    dicts."""
+    if isinstance(value, (OperatorMatrix, StateVector)):
         return reference_entries(value)
     if isinstance(value, dict):
         return {k: resolved(v) for k, v in value.items()}
@@ -101,6 +102,15 @@ def test_plain_values_match_stdlib(value):
 ])
 def test_edge_values_match_stdlib(value):
     assert written(value) == reference(value)
+
+
+def test_placeholder_text_in_the_payload_is_written_verbatim(gf9):
+    # the writer streams entries where the encoder's default hook ran, not
+    # where the placeholder's text happens to appear
+    text = jsonio._PLACEHOLDER
+    mat = point_projector(gf9, 2)
+    for payload in (text, [text], [text, mat, text], {"a": text, "b": mat, "c": [text]}):
+        assert written(payload) == reference(payload)
 
 
 def test_bad_key_raises_type_error():
@@ -210,6 +220,14 @@ def test_weyl_payload_matches_stdlib(gf9, tmp_path, monkeypatch, capsys):
                   monkeypatch, capsys)
 
 
+def test_gf25_weyl_payload_matches_stdlib(tmp_path, monkeypatch, capsys):
+    # a dense theta, so the rows carry many distinct entries at a common (E, Q)
+    theta = tmp_path / "theta.json"
+    assert cli.main(["op", "symplectic", *GF25, "--r", "1", "--s", "2", "--t", "3",
+                     "--json", str(theta)]) == 0
+    check_command(["weyl", "--theta", str(theta), *GF25], monkeypatch, capsys)
+
+
 # -- pinned exact op outputs -------------------------------------------------
 
 
@@ -287,3 +305,21 @@ def test_no_write_carries_more_than_one_block(gf9, block, monkeypatch):
         # a bool, so that a mismatch does not diff two 9 MB texts
         matches = fh.getvalue() == reference({"entries": mat})
         assert matches, mat.dim
+
+
+@pytest.mark.parametrize("block", [None, 3, 1])
+def test_no_weyl_write_carries_more_than_one_block(gf9, block, tmp_path, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
+    theta = tmp_path / "theta.json"
+    assert cli.main(["op", "symplectic", *GF9, "--r", "1", "--s", "2", "--t", "3",
+                     "--json", str(theta)]) == 0
+    payloads = []
+    monkeypatch.setattr(cli, "write_json", lambda payload, fh: payloads.append(payload))
+    assert cli.main(["weyl", "--theta", str(theta), *GF9]) == 0
+    fh = RecordingFile()
+    write_json(payloads[0], fh)
+    per_write = [text.count('"N": ') for text in fh.writes]
+    assert max(per_write) <= cyclo.BLOCK_ENTRIES
+    assert sum(per_write) == 9 ** 2
+    assert fh.getvalue() == reference(payloads[0])

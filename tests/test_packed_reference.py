@@ -243,17 +243,17 @@ def test_weyl_round_trip_matches_reference(field, big):
     rng = random.Random(field.order * 10 + big)
     theta = random_operator(field, rng, big)
     table = weyl_expand(field, theta)
-    assert canonical(table.values) == canonical(ref_weyl_expand(field, theta.rows))
+    assert canonical(table.rows) == canonical(ref_weyl_expand(field, theta.rows))
     rebuilt = weyl_reconstruct(field, table)
-    assert canonical(rebuilt.rows) == canonical(ref_weyl_reconstruct(field, table.values))
+    assert canonical(rebuilt.rows) == canonical(ref_weyl_reconstruct(field, table.rows))
     assert rebuilt.equals(theta)
 
 
 def test_root_sum_blocks_agree(field, monkeypatch):
     theta = random_operator(field, random.Random(field.order), big=True)
-    want = canonical(weyl_expand(field, theta).values)
+    want = canonical(weyl_expand(field, theta).rows)
     monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", 3)
-    assert canonical(weyl_expand(field, theta).values) == want
+    assert canonical(weyl_expand(field, theta).rows) == want
 
 
 @pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3)], ids=str)
@@ -264,7 +264,7 @@ def test_packed_weyl_round_trip_matches_unpack_pack_path(pe):
     ring, q = ring_for(field), field.order
     theta = random_operator(field, random.Random(q + 1), big=True)
     table = weyl_expand(field, theta)
-    values = table.values
+    values = table.rows
     assert_same_triple(table.packed, ring.pack(values))
     neg = field.tables().neg.tolist()
     weights = ring.pack([(values[a][b],) for a in neg for b in neg])
