@@ -24,7 +24,7 @@ from . import verify as vf
 from .errors import ConfigError, GFHarmonicError
 from .gf import make_field
 from .jsonio import matrix_from_json, matrix_to_json, write_json
-from .linalg import EXACT, OperatorMatrix, StateVector, conjugate, tensor_list
+from .linalg import EXACT, OperatorMatrix, StateVector
 
 DEFAULT_MAX_ORDER = 343
 
@@ -156,9 +156,22 @@ def cmd_field(args) -> int:
     return 0
 
 
+# the kind-specific flags of op, by the kinds that read them
+OP_FLAGS = {"fourier": ("d",), "frobenius": (), "zpow": ("alpha",), "xpow": ("beta",),
+            "displace": ("alpha", "beta"), "symplectic": ("r", "s", "t", "u"),
+            "projector": ("point", "subspace")}
+_OP_FLAG_ORDER = tuple(dict.fromkeys(flag for flags in OP_FLAGS.values() for flag in flags))
+
+
 def cmd_op(args) -> int:
-    field = _build_field(args)
     kind = args.kind
+    unread = [f"--{flag}" for flag in _OP_FLAG_ORDER
+              if flag not in OP_FLAGS[kind] and getattr(args, flag) is not None]
+    if unread:
+        raise ConfigError(f"op {kind} does not read {', '.join(unread)}")
+    if args.point is not None and args.subspace is not None:
+        raise ConfigError("projector takes --point or --subspace, not both")
+    field = _build_field(args)
     if kind == "fourier":
         mat = (fr.subfield_fourier(field, args.d) if args.d is not None
                else fr.fourier_matrix(field))
@@ -247,6 +260,15 @@ def cmd_verify(args) -> int:
         moduli = [None] * len(grid)
     suites = (list(vf.SUITE_NAMES) if args.suite == "all" else [args.suite])
     if args.backend != "exact":
+        # the float suite reads none of these, so a run with them would pass vacuously
+        if args.suite != "all":
+            raise ConfigError(f"--backend float runs only the float suite; "
+                              f"use 'verify all', not 'verify {args.suite}'")
+        for flag, given in (("--exhaustive", args.exhaustive),
+                            ("--perturb-displacement-phase",
+                             args.perturb_displacement_phase is not None)):
+            if given:
+                raise ConfigError(f"--backend float does not read {flag}")
         suites = ["float"]
     fields_payload = []
     all_pass = True
@@ -321,22 +343,14 @@ def _fixture_checks(field):
                                  "expected_halves": expected[n][m]})
     checks.append(("frobenius_eigenprojectors", diff))
 
-    eps = field.generator
-    s_op = sp.synthesize(field, sp.element_row(field, 1, field.add_index(1, eps.index), eps))
-    target = hb.displacement(field, field.element([0, 2]), field.element([1, 2]))
-    diff = []
-    if not conjugate(s_op, hb.z_monomial(field, eps)).equals(target):
-        diff.append({"conjugated_diagonal_generator": False})
-    facs = hb.tensor_factorize_displacement(field, field.element([0, 2]),
-                                            field.element([1, 2]))
-    if not target.equals(tensor_list(facs)):
-        diff.append({"displacement_tensor_split": False})
-    want_pair = ((1, 1), (0, 2))
-    got_pair = tuple((field.components(field.element([0, 2]))[1][l],
-                      field.element([1, 2]).coeffs[l]) for l in range(2))
-    if got_pair != want_pair:
-        diff.append({"tensor_factor_labels": got_pair})
     wit = sp.non_factorization_witness(field)
+    diff = []
+    if not wit["diag_image_matches"]:
+        diff.append({"conjugated_diagonal_generator": False})
+    if not wit["diag_image_split"]:
+        diff.append({"displacement_tensor_split": False})
+    if wit["diag_image_factor_pair"] != sp.GF9_DIAG_IMAGE_FACTORS:
+        diff.append({"tensor_factor_labels": wit["diag_image_factor_pair"]})
     if not wit["not_tensor_product"]:
         diff.append({"non_factorization": False})
     checks.append(("symplectic_conjugation_chain", diff))

@@ -434,15 +434,18 @@ class CycloRing:
 
     def times_roots(self, data, row_roots=None, col_roots=None):
         """Entry (n, m) of a packed coefficient array times
-        zeta^(row_roots[n] + col_roots[m]); either exponent array may be None.
+        zeta^(row_roots[n] + col_roots[m]); either exponent array may be None,
+        and with both None data comes back as it is.
 
         Units keep every entry canonical, so a packed triple keeps its
         (E, Q).  Each factor grows |coefficients| by at most degree * max|T|,
         which picks the arithmetic dtype.  Rows go through in blocks of
         about BLOCK_ENTRIES entries, so temporaries stay small at any size.
         """
-        table, t_max = self._tables()["roots"]
         factors = sum(r is not None for r in (row_roots, col_roots))
+        if not factors:
+            return data
+        table, t_max = self._tables()["roots"]
         bound = _max_abs(data) * (self.degree * t_max) ** factors
         dtype = _dtype_for(bound)
         table = table.astype(dtype, copy=False)

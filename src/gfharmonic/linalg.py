@@ -468,8 +468,10 @@ class Monomial:
         # column m of A B is zeta^(phase_B[m] + phase_A[perm_B[m]]) at row
         # perm_A[perm_B[m]], read in the row of A's member
         at = self._row_starts() + other.perm
-        return self._like(np.take(self.perm, at),
-                          (other.phase + np.take(self.phase, at)) % self.ring.order)
+        phase = other.phase + np.take(self.phase, at)
+        if self.phase.any() and other.phase.any():  # else the sum is one reduced factor
+            phase %= self.ring.order
+        return self._like(np.take(self.perm, at), phase)
 
     def __getitem__(self, idx) -> "Monomial":
         """The members at idx, an index into the leading axes."""
@@ -538,11 +540,15 @@ class Monomial:
     def trace(self) -> CycloScalar:
         return self.ring.sum_of_roots(self.phase[self.perm == np.arange(self.dim)])
 
+    def _roots(self, phase):
+        # None for all-zero phases, so times_roots leaves the gather as it is
+        return phase if self.phase.any() else None
+
     def _left_mul(self, packed):
         # row n of self @ a is row inv[n] of a times zeta^phase[inv[n]]
         inv = self._inverse()
         data, e, q = packed
-        return self.ring.times_roots(data[inv], row_roots=self.phase[inv]), e, q
+        return self.ring.times_roots(data[inv], row_roots=self._roots(self.phase[inv])), e, q
 
     def left_mul_dense(self, a: OperatorMatrix) -> OperatorMatrix:
         """self @ a: row n is row inv[n] of a times zeta^phase[inv[n]]."""
@@ -553,7 +559,7 @@ class Monomial:
         """a @ self: column m is column perm[m] of a times zeta^phase[m]."""
         self._check(a, OperatorMatrix)
         data, e, q = a.packed
-        out = self.ring.times_roots(data[:, self.perm], col_roots=self.phase)
+        out = self.ring.times_roots(data[:, self.perm], col_roots=self._roots(self.phase))
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def conjugate_dense(self, a: OperatorMatrix) -> OperatorMatrix:
@@ -562,8 +568,9 @@ class Monomial:
         self._check(a, OperatorMatrix)
         inv = self._inverse()
         data, e, q = a.packed
-        phase = self.phase[inv]
-        out = self.ring.times_roots(data[np.ix_(inv, inv)], phase, -phase)
+        phase = self._roots(self.phase[inv])
+        out = self.ring.times_roots(data[np.ix_(inv, inv)], phase,
+                                    None if phase is None else -phase)
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def apply(self, state: StateVector) -> StateVector:

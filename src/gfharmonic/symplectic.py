@@ -48,7 +48,8 @@ from .fourier import fourier_matrix
 from .gf import GFField
 from .heisenberg import (component_displacement_monomial, displacement,
                          displacement_monomial, label_blocks, marginal_labels,
-                         marginals_in_frame, require_gf9_fixture, x_monomial, z_monomial)
+                         marginals_in_frame, require_gf9_fixture,
+                         tensor_factorize_displacement, x_monomial, z_monomial)
 from .hilbert import ring_for
 from .linalg import (Monomial, OperatorMatrix, blocks_equal, conjugate, proportionality_phase,
                      tensor_list)
@@ -580,6 +581,15 @@ def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
                   ident, 0, 1))
 
 
+GF9_DIAG_IMAGE_FACTORS = ((1, 1), (0, 2))  # tensor factor labels of D(2e, 1+2e)
+
+
+def _factor_labels(field: GFField, alpha, beta) -> tuple:
+    # factor l of D(alpha, beta) is labelled by the l-th dual component of
+    # alpha and the l-th standard component of beta
+    return tuple(zip(field.components(alpha)[1], field.element(beta).coeffs))
+
+
 def non_factorization_witness(field: GFField) -> dict:
     """The pinned GF(9) chain showing the example unitary is not a tensor
     product of two single-component operators.
@@ -589,8 +599,10 @@ def non_factorization_witness(field: GFField) -> dict:
     non-identity; a pure tensor conjugation would have to keep the factor
     it meets as the identity, so no factorisation exists.  The chain also
     records the conjugate of the diagonal operator labelled by the
-    generator, whose image is the displacement at (2e, 1+2e) with factors
-    D(1,1) and D(0,2).
+    generator, whose image is the displacement at (2e, 1+2e); its factor
+    labels come from the field's components (D(1,1) and D(0,2),
+    ``GF9_DIAG_IMAGE_FACTORS``), and ``diag_image_split`` checks that the
+    factors of :func:`tensor_factorize_displacement` rebuild it.
     """
     require_gf9_fixture(field)
     ring = ring_for(field)
@@ -605,21 +617,15 @@ def non_factorization_witness(field: GFField) -> dict:
     # image of the shift under the action: label (0, eps) -> (s eps, r eps)
     img_x = [field.element(int(x)) for x in label_images(field, row, 0, eps)]
     x_img_ok = conjugate(s_op, x_eps).equals(displacement(field, *img_x))
-    _, dual_a = field.components(img_x[0])
-    std_b = img_x[1].coeffs
-    x_img_factors = ((dual_a[0], std_b[0]), (dual_a[1], std_b[1]))
-    first_factor_identity = x_img_factors[0] == (0, 0)
+    x_img_factors = _factor_labels(field, *img_x)
 
     # image of the diagonal operator: label (eps, 0) -> (u eps, t eps)
-    img_z = label_images(field, row, eps, 0)
-    two_eps = field.element([0, 2])
-    one_two_eps = field.element([1, 2])
-    z_img_ok = (img_z == (two_eps.index, one_two_eps.index)
-                and conjugate(s_op, z_monomial(field, eps)).equals(
-                    displacement(field, two_eps, one_two_eps)))
-    d_fact = displacement_monomial(field, two_eps, one_two_eps) == tensor_list([
-        component_displacement_monomial(field, 1, 1),
-        component_displacement_monomial(field, 0, 2)])
+    img_z = [field.element(int(x)) for x in label_images(field, row, eps, 0)]
+    d_img = displacement(field, *img_z)
+    pinned = [field.element(x).index for x in ([0, 2], [1, 2])]
+    z_img_ok = ([z.index for z in img_z] == pinned
+                and conjugate(s_op, z_monomial(field, eps)).equals(d_img))
+    z_split = d_img.equals(tensor_list(tensor_factorize_displacement(field, *img_z)))
 
     return {
         "x_eps_is_identity_tensor_shift": x_fact,
@@ -627,6 +633,7 @@ def non_factorization_witness(field: GFField) -> dict:
         "x_image_matches": x_img_ok,
         "x_image_factors": x_img_factors,
         "diag_image_matches": z_img_ok,
-        "diag_image_factor_pair": ((1, 1), (0, 2)) if d_fact else None,
-        "not_tensor_product": x_fact and x_img_ok and not first_factor_identity,
+        "diag_image_split": z_split,
+        "diag_image_factor_pair": _factor_labels(field, *img_z),
+        "not_tensor_product": x_fact and x_img_ok and x_img_factors[0] != (0, 0),
     }

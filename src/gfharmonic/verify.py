@@ -587,8 +587,8 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         wit = sp.non_factorization_witness(field)
         rep.add("non_factorization_witness",
                 wit["not_tensor_product"] and wit["x_eps_is_identity_tensor_shift"]
-                and wit["diag_image_matches"]
-                and wit["diag_image_factor_pair"] == ((1, 1), (0, 2)))
+                and wit["diag_image_matches"] and wit["diag_image_split"]
+                and wit["diag_image_factor_pair"] == sp.GF9_DIAG_IMAGE_FACTORS)
     return rep
 
 

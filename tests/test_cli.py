@@ -11,7 +11,7 @@ import gfharmonic
 
 from gfharmonic.cli import main
 from gfharmonic.fourier import fourier_matrix
-from gfharmonic.gf import make_field
+from gfharmonic.gf import GFField, make_field
 from gfharmonic.hilbert import point_projector, ring_for
 from gfharmonic.jsonio import matrix_from_json, matrix_to_json
 
@@ -223,6 +223,26 @@ def test_fixtures(capsys):
             "symplectic_conjugation_chain"} <= names
 
 
+def test_swapped_dual_components_fail_fixtures_and_suite(capsys, monkeypatch):
+    # the witness derives the factor labels and the tensor split from the
+    # field's components, so a fault there fails both readers of it
+    components = GFField.components
+
+    def swapped(field, m):
+        std, dual = components(field, m)
+        return std, dual[::-1]
+
+    monkeypatch.setattr(GFField, "components", swapped)
+    code, out = run_cli(capsys, ["fixtures"])
+    assert code == 1
+    assert json.loads(out)["diff"] == [{"check": "symplectic_conjugation_chain", "diff": [
+        {"displacement_tensor_split": False}, {"tensor_factor_labels": [[0, 1], [1, 2]]}]}]
+    code, out = run_cli(capsys, ["verify", "symplectic", "--p", "3", "--ell", "2",
+                                 "--modulus", "2,1,1"])
+    items = {i["name"]: i["status"] for i in json.loads(out)["fields"][0]["suites"][0]["items"]}
+    assert code == 1 and items["non_factorization_witness"] == "fail"
+
+
 def test_json_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out = run_cli(capsys, ["field", "--p", "3", "--ell", "1",
@@ -355,6 +375,35 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
+
+GF9_FLAGS = ["--p", "3", "--ell", "2"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "all", *GF9_FLAGS, "--backend", "float", "--perturb-displacement-phase", "1"],
+     "--backend float does not read --perturb-displacement-phase"),
+    (["verify", "all", *GF9_FLAGS, "--backend", "float", "--perturb-displacement-phase", "0"],
+     "--backend float does not read --perturb-displacement-phase"),
+    (["verify", "all", *GF9_FLAGS, "--backend", "float", "--exhaustive"],
+     "--backend float does not read --exhaustive"),
+    (["verify", "heisenberg", *GF9_FLAGS, "--backend", "float"],
+     "--backend float runs only the float suite; use 'verify all', not 'verify heisenberg'"),
+    (["op", "fourier", *GF9_FLAGS, "--alpha", "1", "--r", "2"],
+     "op fourier does not read --alpha, --r"),
+    (["op", "displace", *GF9_FLAGS, "--alpha", "1", "--beta", "2", "--d", "1"],
+     "op displace does not read --d"),
+    (["op", "projector", *GF9_FLAGS, "--point", "1", "--subspace", "1"],
+     "projector takes --point or --subspace, not both"),
+], ids=["float-perturbed-phase", "float-perturbed-phase-0", "float-exhaustive",
+        "float-named-suite", "fourier-label-flags", "displace-d", "projector-both"])
+def test_flags_without_effect_exit_2(capsys, argv, message):
+    # a flag the run would ignore must not pass for one it obeyed: under the
+    # float backend the perturbed phase would be a negative control that
+    # cannot fail
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 def test_module_entry_point():

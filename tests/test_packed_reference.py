@@ -2357,3 +2357,46 @@ def test_frobenius_gathers_match_dense_products(pe):
         members = frobenius.galois_group_H(field, d)
         for k in range(len(members.perm)):
             assert_same_triple((members[k] @ pi).packed, (members[k].to_matrix() @ pi).packed)
+
+
+# -- monomials with all-zero phases by plain gathers ---------------------------
+
+def rotated_products(mono, a, state):
+    """mono @ a, a @ mono, mono @ a @ mono^dagger and mono applied to state,
+    each with the phases rotated through ``times_roots`` even when they are
+    all zero: the path the plain gathers replaced."""
+    ring, inv = a.ring, np.argsort(mono.perm)
+    (data, e, q), (vec, ve, vq) = a.packed, state.packed
+    phase = mono.phase[inv]
+    return [(ring.times_roots(data[inv], row_roots=phase), e, q),
+            (ring.times_roots(data[:, mono.perm], col_roots=mono.phase), e, q),
+            (ring.times_roots(data[np.ix_(inv, inv)], phase, -phase), e, q),
+            (ring.times_roots(vec[inv], row_roots=phase), ve, vq)]
+
+
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2), (7, 2), (13, 2)], ids=str)
+def test_zero_phase_monomials_match_rotated_path(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    monos = {"G": frobenius.frobenius_monomial(field),
+             "galois_member": frobenius.galois_group_H(field, 1)[-1],
+             "parity": heisenberg.parity_monomial(field),
+             "phased": heisenberg.displacement_monomial(field, 1, q - 1)}
+    assert not any(monos[k].phase.any() for k in ("G", "galois_member", "parity"))
+    assert monos["phased"].phase.any()
+    f = fourier_matrix(field)
+    data, e, den = f.packed
+    state = StateVector.from_packed(ring, (data[:, 1:2], e, den))
+    for name, mono in monos.items():
+        got = [mono @ f, f @ mono, mono.conjugate_dense(f), mono.apply(state)]
+        for value, (want, we, wq) in zip(got, rotated_products(mono, f, state)):
+            wanted = (cyclo.compact(want), we, wq)
+            assert_same_triple(value.packed, wanted), name
+            assert value.packed[0].dtype == wanted[0].dtype, name
+        # a product of two monomials reduces its phases only when both carry some
+        for other in monos.values():
+            phase = (other.phase + mono.phase[other.perm]) % ring.order
+            prod = mono @ other
+            assert np.array_equal(prod.perm, mono.perm[other.perm]), name
+            assert np.array_equal(prod.phase, phase), name
+            assert prod.phase.dtype == phase.dtype, name

@@ -329,7 +329,7 @@ def test_non_factorization_witness(gf9):
     assert rep["x_image_matches"]
     assert rep["x_image_label"] == ("1,0", "0,1")
     assert rep["x_image_factors"][0] != (0, 0)
-    assert rep["diag_image_matches"]
+    assert rep["diag_image_matches"] and rep["diag_image_split"]
     assert rep["diag_image_factor_pair"] == ((1, 1), (0, 2))
     assert rep["not_tensor_product"]
     with pytest.raises(WrongFixture):
