@@ -289,37 +289,32 @@ def test_writer_canonicalises_each_distinct_entry_once(monkeypatch):
     assert sum(rows) == distinct
 
 
-@pytest.mark.parametrize("block", [None, 3, 1])
-def test_no_write_carries_more_than_one_block(gf9, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
-    field = make_field(13, 2)
-    mats = [*exact_matrices(gf9).values(),
-            sp.synthesize(field, sp.element_row(field, 65, 133, 159))]
-    for mat in mats:
-        fh = RecordingFile()
-        write_json({"entries": mat}, fh)
-        per_write = [text.count('"N": ') for text in fh.writes]
-        assert max(per_write) <= cyclo.BLOCK_ENTRIES
-        assert sum(per_write) == mat.dim ** 2
-        # a bool, so that a mismatch does not diff two 9 MB texts
-        matches = fh.getvalue() == reference({"entries": mat})
-        assert matches, mat.dim
-
-
-@pytest.mark.parametrize("block", [None, 3, 1])
-def test_no_weyl_write_carries_more_than_one_block(gf9, block, tmp_path, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
+def weyl_payload(tmp_path, monkeypatch):
+    """The payload of ``weyl`` on the GF(9) op symplectic theta: a list of
+    StateVector rows."""
     theta = tmp_path / "theta.json"
     assert cli.main(["op", "symplectic", *GF9, "--r", "1", "--s", "2", "--t", "3",
                      "--json", str(theta)]) == 0
     payloads = []
     monkeypatch.setattr(cli, "write_json", lambda payload, fh: payloads.append(payload))
     assert cli.main(["weyl", "--theta", str(theta), *GF9]) == 0
-    fh = RecordingFile()
-    write_json(payloads[0], fh)
-    per_write = [text.count('"N": ') for text in fh.writes]
-    assert max(per_write) <= cyclo.BLOCK_ENTRIES
-    assert sum(per_write) == 9 ** 2
-    assert fh.getvalue() == reference(payloads[0])
+    return payloads[0]
+
+
+@pytest.mark.parametrize("block", [None, 3, 1])
+def test_no_write_carries_more_than_one_block(gf9, block, tmp_path, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", block)
+    field = make_field(13, 2)
+    mats = [*exact_matrices(gf9).values(),
+            sp.synthesize(field, sp.element_row(field, 65, 133, 159))]
+    for payload in [{"entries": mat} for mat in mats] + [weyl_payload(tmp_path, monkeypatch)]:
+        fh = RecordingFile()
+        write_json(payload, fh)
+        want = reference(payload)
+        per_write = [text.count('"N": ') for text in fh.writes]
+        assert max(per_write) <= cyclo.BLOCK_ENTRIES
+        assert sum(per_write) == want.count('"N": ')
+        # a bool, so that a mismatch does not diff two 9 MB texts
+        matches = fh.getvalue() == want
+        assert matches, len(want)
