@@ -260,16 +260,18 @@ def cmd_verify(args) -> int:
         moduli = [None] * len(grid)
     suites = (list(vf.SUITE_NAMES) if args.suite == "all" else [args.suite])
     if args.backend != "exact":
-        # the float suite reads none of these, so a run with them would pass vacuously
         if args.suite != "all":
             raise ConfigError(f"--backend float runs only the float suite; "
                               f"use 'verify all', not 'verify {args.suite}'")
-        for flag, given in (("--exhaustive", args.exhaustive),
-                            ("--perturb-displacement-phase",
-                             args.perturb_displacement_phase is not None)):
-            if given:
-                raise ConfigError(f"--backend float does not read {flag}")
         suites = ["float"]
+    # a flag that no suite of the run reads would let it pass vacuously
+    for flag, given, reader in (("--exhaustive", args.exhaustive, "symplectic"),
+                                ("--perturb-displacement-phase",
+                                 args.perturb_displacement_phase is not None, "heisenberg")):
+        if given and reader not in suites:
+            raise ConfigError(f"--backend float does not read {flag}" if suites == ["float"]
+                              else f"verify {args.suite} does not read {flag} "
+                                   f"(only the {reader} suite does)")
     fields_payload = []
     all_pass = True
     for (p, ell), modulus in zip(grid, moduli):

@@ -195,30 +195,44 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
     """Coefficient table tr(Theta D(alpha, beta)) over all labels, as the
     q x q matrix whose row alpha, column beta holds it (label indices).
 
-    tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: one gather
-    of Theta per label and one root-sum into the q * q table slots.
+    tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: per block of
+    labels (:func:`label_blocks`), one gather of Theta and one root-sum into
+    the block's table slots; the blocks are stacked into one normal form.
     """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
     q = field.order
     ring = ring_for(field)
-    grid = label_grid(field)
     data, e, den = theta.packed
-    slots = np.broadcast_to(np.arange(q * q)[:, None], grid.perm.shape)
-    return OperatorMatrix.from_packed(ring, ring.root_sum(data[np.arange(q), grid.perm],
-                                                          grid.phase, slots, (q, q), e, den))
+    a, b = np.divmod(np.arange(q * q), q)
+    parts = []
+    for s in label_blocks(q * q, q):
+        d = displacement_monomial(field, a[s], b[s])
+        slots = np.broadcast_to(np.arange(len(d.perm))[:, None], d.perm.shape)
+        parts.append(ring.root_sum(data[np.arange(q), d.perm], d.phase, slots,
+                                   (len(d.perm),), e, den))
+    table, e, den = ring.stack(parts)
+    return OperatorMatrix.from_packed(ring, (table.reshape(q, q, ring.degree), e, den))
 
 
 def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
     """Rebuild p^-ell sum_labels D(alpha, beta) W(-alpha, -beta) from the table
-    W of :func:`weyl_expand`: the weights are W gathered at the negated labels."""
+    W of :func:`weyl_expand`: the weights are W gathered at the negated
+    labels, summed per block of labels, and the block sums added.  Each
+    block sum is a whole q x q matrix, folded and added once, so a block
+    takes twice the labels of a check's block."""
     neg = field.tables().neg
-    ring = ring_for(field)
+    ring, q = ring_for(field), field.order
     data, e, den = table.packed
-    weights = (data[np.ix_(neg, neg)], e, den)
-    return OperatorMatrix.from_packed(ring, _displacement_sum(field, label_grid(field)[None],
-                                                              weights))
+    weights = data[np.ix_(neg, neg)].reshape(q * q, ring.degree)
+    a, b = np.divmod(np.arange(q * q), q)
+    total = None
+    for s in label_blocks(q * q, max(1, q // 2)):
+        part = _displacement_sum(field, displacement_monomial(field, a[s], b[s])[None],
+                                 (weights[s], e, den))
+        total = part if total is None else ring.add(total, part)
+    return OperatorMatrix.from_packed(ring, total)
 
 
 def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:

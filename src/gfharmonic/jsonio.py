@@ -102,9 +102,10 @@ def matrix_from_json(data: dict,
 def write_json(payload, fh) -> None:
     """Write ``json.dumps(payload, indent=2, default=str) + "\n"`` to fh, where
     an exact OperatorMatrix or StateVector stands for its entries'
-    ``scalar_to_json`` dicts, streamed from its packed triple, BLOCK_ENTRIES
-    entries per write.  The encoder calls ``default`` just before it yields
-    the placeholder, so the chunk after a queued value is where it goes."""
+    ``scalar_to_json`` dicts, streamed from its packed triple, at most
+    BLOCK_ENTRIES // degree entries per write.  The encoder calls ``default``
+    just before it yields the placeholder, so the chunk after a queued value
+    is where it goes."""
     exact, parts = [], []
 
     def default(o):
@@ -141,12 +142,18 @@ def _write_entries(mat: OperatorMatrix | StateVector, pad: str, fh) -> None:
     entry = ("{" + key + '"coeffs": [' + ",".join([key + "  %d"] * ring.degree) + key
              + "]," + key + '"scale_exp": %d,' + key + '"denom": %d,' + key
              + f'"N": {ring.order}' + pad + "}")
+    # an entry's text grows with the degree, so each write joins
+    # BLOCK_ENTRIES / degree of them: about BLOCK_ENTRIES coefficients
+    step = max(1, cyclo.BLOCK_ENTRIES // ring.degree)
     fh.write("[" + pad)
     for start in range(0, len(inverse), cyclo.BLOCK_ENTRIES):
         used, local = np.unique(inverse[start:start + cyclo.BLOCK_ENTRIES],
                                 return_inverse=True)
         texts = [entry % row for row in map(tuple, values[used].tolist())]
-        fh.write((sep if start else "") + sep.join([texts[i] for i in local.tolist()]))
+        local = local.tolist()
+        for i in range(0, len(local), step):
+            fh.write((sep if start + i else "")
+                     + sep.join([texts[k] for k in local[i:i + step]]))
     fh.write(pad[:-2] + "]")
 
 

@@ -26,8 +26,9 @@ So every unitary is S_x(x) . N: one of at most q conjugated shears times a
 monomial N, or a monomial times F+.  :func:`action_sweep` uses this to
 check the action law per shear rather than per element: the law reduces
 to S_x Y = D S_x with Y = N Lambda N+ monomial, and each entry of that is
-one lookup in the root rotations of S_x, batched over every element and
-label that share it.  :func:`action_check` is the per-element reference.
+one lookup in the root rotations of the q values of S_x, at the field
+difference of its row and column, batched over every element and label
+that share it.  :func:`action_check` is the per-element reference.
 :func:`closed_form_sweep` compares U with the Gauss-sum closed form the same way.
 Every function takes elements as field indices: the sweeps an element
 array (:func:`enumerate_group`), the one-element checks one row (r, s, t,
@@ -92,10 +93,11 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
         g(d) = p^-ell sum_k omega^(Tr(k d) + 2^-1 Tr(xi k^2)),
 
     because Tr(k n) - Tr(k m) = Tr(k (n - m)).  The q values g(d) are one
-    root sum, and the matrix is their packed array gathered at n - m, so it
-    costs q character sums instead of q^2.  The exponents agree with those
-    of the full triple product mod N, so every entry is bit-identical to
-    it; :func:`shear_x_closed_form` evaluates that sum independently.
+    root sum (:func:`_shear_row`), and the matrix is that row gathered at
+    n - m, so it costs q character sums instead of q^2.  The exponents agree
+    with those of the full triple product mod N, so every entry is
+    bit-identical to it; :func:`shear_x_closed_form` evaluates that sum
+    independently.
     """
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
@@ -103,19 +105,36 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
 
 
 @cache
-def _shear_x(field: GFField, xi: int) -> OperatorMatrix:
-    # generator_shear_x at the field index xi, one cache entry per index
+def _shear_row(field: GFField, xi: int) -> tuple:
+    """The convolution row of S_x at the field index xi, cached: the packed
+    triple of its q values g(d), d = n - m, read-only and compact.  The
+    synthesis, the sweeps and the shear laws read it, not the matrix."""
     ring, t = ring_for(field), field.tables()
     c = t.mul[field.two_inverse, xi]
     k = np.arange(field.order)
     roots = (t.trace[t.mul[k[:, None], k]] + t.trace[t.mul[c, t.mul[k, k]]]) * (
         ring.order // field.p)
     slots = np.broadcast_to(k[:, None], roots.shape)
-    # every entry is one of the q values, so the (q, degree) array is
-    # compacted before the gather makes q copies of it
     g, e, q = ring.root_sum(ring.root_coeffs()[0], roots, slots, (field.order,),
                             2 * field.ell)
-    return OperatorMatrix.from_packed(ring, (compact(g)[t.add[k[:, None], t.neg[k]]], e, q))
+    g = compact(g)
+    g.setflags(write=False)
+    return g, e, q
+
+
+def _differences(field: GFField, rows, cols):
+    # the field indices rows - cols, broadcast: where a convolution row is read
+    t = field.tables()
+    return t.add[rows, t.neg[cols]]
+
+
+@cache
+def _shear_x(field: GFField, xi: int) -> OperatorMatrix:
+    # generator_shear_x at the field index xi, one cache entry per index
+    g, e, q = _shear_row(field, xi)
+    k = np.arange(field.order)
+    return OperatorMatrix.from_packed(ring_for(field),
+                                      (g[_differences(field, k[:, None], k)], e, q))
 
 
 def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
@@ -141,9 +160,20 @@ def fourier_params(field: GFField) -> np.ndarray:
 def synthesize(field: GFField, row) -> OperatorMatrix:
     """Unitary realising the conjugation action of the group element at one
     row (r, s, t, u): the one-row case of :func:`element_factors`, S_x(shear)
-    . M, times F+ outside the generic chart."""
+    . M, times F+ outside the generic chart.
+
+    S_x . M has entry (n, m) = g(n - perm m) zeta^phase(m), g the shear's
+    convolution row, so the row is rotated once per distinct phase (at most
+    p of them) and gathered once; units keep its (E, Q)."""
     fac = element_factors(field, np.asarray(row)[None])
-    u = generator_shear_x(field, int(fac.shear[0])) @ fac.monomial[0]
+    ring, q = ring_for(field), field.order
+    g, e, den = _shear_row(field, int(fac.shear[0]))
+    perm, phase = fac.monomial.perm[0], fac.monomial.phase[0]
+    phases, which = np.unique(phase, return_inverse=True)
+    rotated = ring.times_roots(np.broadcast_to(g, (len(phases),) + g.shape),
+                               row_roots=phases if phases.any() else None)
+    u = OperatorMatrix.from_packed(ring, (
+        rotated[which, _differences(field, np.arange(q)[:, None], perm)], e, den))
     return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
 
 
@@ -311,18 +341,17 @@ def _fourier_conjugates(field: GFField, family: Monomial):
     return f.is_unitary(), Monomial(ring, [w.perm for w in conj], [w.phase for w in conj])
 
 
-def _rotation_codes(ring, datas):
-    """codes[b, k, i, j]: an integer naming zeta^k datas[b][i, j], for k in
-    [0, 2N), so that equal codes mean equal coefficient vectors."""
+def _rotation_codes(ring, rows):
+    """codes[b, k, d]: an integer naming zeta^k rows[b][d], for (q, degree)
+    convolution rows and k in [0, 2N), so that equal codes mean equal
+    coefficient vectors.  A shear's entry (n, m) is code d = n - m."""
     deg, order = ring.degree, ring.order
-    q = datas[0].shape[0]
-    vals, idx = np.unique(np.stack(datas).reshape(-1, deg), axis=0,
-                          return_inverse=True)
+    vals, idx = np.unique(np.stack(rows).reshape(-1, deg), axis=0, return_inverse=True)
     rot = ring.times_roots(np.broadcast_to(vals, (order,) + vals.shape),
                            row_roots=np.arange(order))
     _, rot_id = np.unique(rot.reshape(-1, deg), axis=0, return_inverse=True)
-    codes = rot_id.reshape(order, len(vals))[:, idx.reshape(len(datas), q, q)]
-    return np.concatenate([codes, codes]).transpose(1, 0, 2, 3).astype(np.int32)
+    codes = rot_id.reshape(order, len(vals))[:, idx.reshape(len(rows), -1)]
+    return np.concatenate([codes, codes]).transpose(1, 0, 2).astype(np.int32)
 
 
 def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
@@ -333,13 +362,13 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     M F+), U Lambda = D(g lambda) U holds exactly when S_x Y = D(g lambda)
     S_x with Y = N Lambda N+ = M Lambda' M+, a monomial: Lambda' is Lambda,
     or W = F+ Lambda F, computed once per label, and Y is one family over
-    elements and labels.  For each of the at most q bases S_x, codes of its
-    root rotations zeta^k S_x are built once; then entry (j, c) of the law,
-    S_x(pi_D j, pi_Y c) zeta^(phi_Y c - phi_D j) = S_x(j, c), is one
-    gather, batched over elements and labels.  U is
-    unitary exactly when its base is (N is unitary); a non-unitary U gets
-    five False, as in action_check.  The commutation phase is
-    monomial-only.  If F is not unitary, the elements that end with F+ get
+    elements and labels.  For each of the at most q bases S_x, codes of
+    the root rotations zeta^k g of its convolution row g are built once;
+    then entry (j, c) of the law, g(pi_D j - pi_Y c) zeta^(phi_Y c - phi_D
+    j) = g(j - c), is one gather at the field difference, batched over
+    elements and labels.  U is unitary exactly when its base is (N is
+    unitary); a non-unitary U gets five False, as in action_check.  The
+    commutation phase is monomial-only.  If F is not unitary, the elements that end with F+ get
     five False.  Where a label's W is not monomial, Y = I stands in: S_x =
     D S_x fails at every label but 0, as the true law does, since a Clifford
     shear S_x maps no non-monomial Y = M W M+ to a displacement.
@@ -366,10 +395,12 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     lams = Monomial(ring, np.stack([lam.perm, conj.perm]), np.stack([lam.phase, conj.phase]))
 
     bases, base_of = np.unique(fac.shear, return_inverse=True)
-    mats = [generator_shear_x(field, int(x)) for x in bases]
-    unitary = np.array([m.is_unitary() for m in mats])[base_of] & (f_unitary | ~fac.fourier)
-    codes = _rotation_codes(ring, [m.packed[0] for m in mats])
+    unitary = np.array([generator_shear_x(field, int(x)).is_unitary()
+                        for x in bases])[base_of] & (f_unitary | ~fac.fourier)
+    codes = _rotation_codes(ring, [_shear_row(field, int(x))[0] for x in bases])
     flat = codes.reshape(-1)
+    add = t.add.reshape(-1)  # add[x q + y] = x + y
+    diff = _differences(field, np.arange(q)[:, None], np.arange(q))
 
     alpha, beta = label_images(field, elements.T[:, :, None], la, lb)
     shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
@@ -382,16 +413,19 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
         d = displacement_monomial(field, alpha[sl], beta[sl])
         m = fac.monomial[sl, None]
         y = m @ lams[fac.fourier[sl].astype(np.intp)] @ m.adjoint()
-        # flat index of codes[b, N + phi_Y(c) - phi_D(j), pi_D(j), pi_Y(c)]
-        b_off = base_of[sl][:, None, None] * (2 * order * q * q)
-        by_m = b_off + (order + y.phase) * (q * q) + y.perm
-        by_j = d.perm * q - d.phase * (q * q)
-        rhs = codes[base_of[sl], 0]
+        # flat index of codes[b, N + phi_Y(c) - phi_D(j), pi_D(j) - pi_Y(c)]
+        by_m = base_of[sl][:, None, None] * (2 * order * q) + (order + y.phase) * q
+        by_j = -d.phase * q
+        row_j = d.perm * q
+        neg_y = t.neg[y.perm]
+        rhs = codes[base_of[sl], 0][:, diff]
         law = np.empty(by_m.shape[:2], dtype=bool)
         for i in range(0, len(law), inner):
             b = slice(i, i + inner)
-            lhs = flat[by_m[b, :, None, :] + by_j[b, :, :, None]]
-            law[b] = (lhs == rhs[b, None]).all(axis=(2, 3))
+            at = add[row_j[b, :, :, None] + neg_y[b, :, None, :]]
+            at += by_m[b, :, None, :]
+            at += by_j[b, :, :, None]
+            law[b] = (flat[at] == rhs[b, None]).all(axis=(2, 3))
         # D(g(a, 0)) and D(g(0, b)) keep the Weyl commutation phase
         z, x = d[:, :n, None], d[:, None, n:2 * n]
         comm = (z @ x).matches((x @ z).scaled_by_root(shift)).all(axis=(1, 2))
@@ -442,30 +476,32 @@ def closed_form_matrix(field: GFField, row) -> OperatorMatrix:
 def closed_form_sweep(field: GFField, elements) -> list[dict]:
     """The :func:`closed_form_elements_check` result of every element.
 
-    In the generic chart U(n, m) = S_x(n, perm m) zeta^phase(m)
-    (:func:`element_factors`) and the closed form is scale zeta^B(n, m), so
-    they are proportional exactly when the root-rotation code of S_x(n,
-    perm m) by phase(m) - B(n, m) is constant: one gather per element, O(G
-    q^2) memory.  The phase U(0, 0) zeta^-B(0, 0) / scale must have modulus 1."""
+    In the generic chart U(n, m) = g(n - perm m) zeta^phase(m), g the
+    convolution row of S_x (:func:`element_factors`), and the closed form is
+    scale zeta^B(n, m), so they are proportional exactly when the
+    root-rotation code of g(n - perm m) by phase(m) - B(n, m) is constant:
+    one gather per element, O(G q^2) memory.  The phase U(0, 0)
+    zeta^-B(0, 0) / scale must have modulus 1."""
     a, b = _closed_form_parts(field, elements)
     if not len(elements):
         return []
     ring, q = ring_for(field), field.order
     fac = element_factors(field, elements)
     bases, base_of = np.unique(fac.shear, return_inverse=True)
-    mats = [generator_shear_x(field, int(x)) for x in bases]
+    rows = [_shear_row(field, int(x)) for x in bases]
     perm, phase = fac.monomial.perm, fac.monomial.phase
     rot = (phase[:, None, :] - b) % ring.order
-    codes = _rotation_codes(ring, [m.packed[0] for m in mats])[
-        base_of[:, None, None], rot, np.arange(q)[:, None], perm[:, None, :]]
+    at = _differences(field, np.arange(q)[:, None], perm[:, None, :])  # n - perm m
+    codes = _rotation_codes(ring, [g for g, _, _ in rows])[base_of[:, None, None], rot, at]
     constant = (codes == codes[:, :1, :1]).all(axis=(1, 2))
     inv_scale, out = {}, []
     for k, x in enumerate(a.tolist()):
         if x not in inv_scale:
             scale = gauss_sum(field, x) * ring.rational(1, q)
             inv_scale[x] = scale.inverse() if scale else ring.zero
-        data, e, den = mats[base_of[k]].packed
-        entry = ring.unpack((data[:1, perm[k, :1]], e, den))[0][0]  # S_x(0, perm 0)
+        data, e, den = rows[base_of[k]]
+        # S_x(0, perm 0) = g(-perm 0)
+        entry = ring.unpack((data[None, field.tables().neg[perm[k, :1]]], e, den))[0][0]
         phase = entry.times_root(int(rot[k, 0, 0])) * inv_scale[x]
         if not constant[k] or phase * phase.conj() != ring.one:
             phase = None
@@ -554,7 +590,9 @@ def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
     is the identity for every u in units.
 
     Each law is one batch of exact products compared block by block with
-    its targets, all gathered from one stack of the distinct shears.  The
+    its targets.  Every factor and target is a convolution: the stack of
+    the distinct shear rows in one normal form, their adjoints' rows
+    conj g(-d), or the identity's row, gathered at n - m per block.  The
     product expands its right factors by the ring degree, so a batch runs
     in blocks of about LABEL_BLOCK_ENTRIES of those entries (one product
     per block at q = 49).
@@ -564,21 +602,25 @@ def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
     xs, ys, units = (np.asarray(v, dtype=np.int64) for v in (xs, ys, units))
     distinct, at = np.unique(np.concatenate([xs, ys, t.add[xs, ys], units]), return_inverse=True)
     at_x, at_y, at_sum, at_unit = np.split(at, np.cumsum([len(xs)] * 3))
-    data, e, den = ring.stack([generator_shear_x(field, int(x)).packed for x in distinct])
-    shears = data.reshape(len(distinct), q, q, deg)
-    ident = np.zeros((len(units), q, q, deg), dtype=np.int8)
-    ident[:, np.arange(q), np.arange(q), 0] = 1
+    data, e, den = ring.stack([_shear_row(field, int(x)) for x in distinct])
+    rows = data.reshape(len(distinct), q, deg)
+    adjoints = ring.conj_coeffs(rows)[:, t.neg]
+    ident = np.zeros((1, q, deg), dtype=np.int8)
+    ident[0, 0, 0] = 1
+    k = np.arange(q)
+    diff = _differences(field, k[:, None], k)
 
     def holds(left, right, target, te, tden):
-        for s in label_blocks(len(left), q * q * deg * deg):
-            prod, pe, pden = ring.matmul((left[s], e, den), (right[s], e, den))
+        # each a (row stack, member indices) pair, one member per product
+        for s in label_blocks(len(left[1]), q * q * deg * deg):
+            a, b, c = (stack[members[s]][:, diff] for stack, members in (left, right, target))
+            prod, pe, pden = ring.matmul((a, e, den), (b, e, den))
             if not blocks_equal(ring, [(prod.reshape(-1, q, deg), pe, pden),
-                                       (target[s].reshape(-1, q, deg), te, tden)], len(prod)).all():
+                                       (c.reshape(-1, q, deg), te, tden)], len(prod)).all():
                 return False
         return True
-    return (holds(shears[at_x], shears[at_y], shears[at_sum], e, den),
-            holds(shears[at_unit], ring.conj_coeffs(shears[at_unit].transpose(0, 2, 1, 3)),
-                  ident, 0, 1))
+    return (holds((rows, at_x), (rows, at_y), (rows, at_sum), e, den),
+            holds((rows, at_unit), (adjoints, at_unit), (ident, np.zeros_like(at_unit)), 0, 1))
 
 
 GF9_DIAG_IMAGE_FACTORS = ((1, 1), (0, 2))  # tensor factor labels of D(2e, 1+2e)

@@ -395,12 +395,23 @@ GF9_FLAGS = ["--p", "3", "--ell", "2"]
      "op displace does not read --d"),
     (["op", "projector", *GF9_FLAGS, "--point", "1", "--subspace", "1"],
      "projector takes --point or --subspace, not both"),
+    (["verify", "gf", *GF9_FLAGS, "--perturb-displacement-phase", "1"],
+     "verify gf does not read --perturb-displacement-phase (only the heisenberg suite does)"),
+    (["verify", "symplectic", *GF9_FLAGS, "--perturb-displacement-phase", "0"],
+     "verify symplectic does not read --perturb-displacement-phase "
+     "(only the heisenberg suite does)"),
+    (["verify", "fourier", *GF9_FLAGS, "--exhaustive"],
+     "verify fourier does not read --exhaustive (only the symplectic suite does)"),
+    (["verify", "heisenberg", *GF9_FLAGS, "--exhaustive", "--perturb-displacement-phase", "1"],
+     "verify heisenberg does not read --exhaustive (only the symplectic suite does)"),
 ], ids=["float-perturbed-phase", "float-perturbed-phase-0", "float-exhaustive",
-        "float-named-suite", "fourier-label-flags", "displace-d", "projector-both"])
+        "float-named-suite", "fourier-label-flags", "displace-d", "projector-both",
+        "gf-perturbed-phase", "symplectic-perturbed-phase-0", "fourier-exhaustive",
+        "heisenberg-exhaustive"])
 def test_flags_without_effect_exit_2(capsys, argv, message):
     # a flag the run would ignore must not pass for one it obeyed: under the
-    # float backend the perturbed phase would be a negative control that
-    # cannot fail
+    # float backend, or in a suite other than heisenberg, the perturbed phase
+    # would be a negative control that cannot fail
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

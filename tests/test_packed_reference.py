@@ -2,10 +2,14 @@
 replaced, the label-grid identity checks of the heisenberg suite against
 the per-label Monomial loops they replaced, and the whole-family closed
 form, shear element sum and subfield checks against their per-element and
-per-label dense loops, also under planted faults; the conjugated shear
-against its per-difference ``sum_of_roots`` construction; the element arrays of
-Sp(2, GF(q)) (enumeration, sampling, synthesis from one row) against the
-object enumeration, the object sampler and the recursive synthesis; the
+per-label dense loops, also under planted faults; the synthesis, sweeps and
+shear laws that read each shear's convolution row against the dense shears
+and ``(B, 2N, q, q)`` codes they replaced, also under planted row faults;
+the conjugated shear against its per-difference ``sum_of_roots``
+construction; the Weyl sums per label block against one block; the
+element arrays of Sp(2, GF(q)) (enumeration, sampling, synthesis from one
+row) against the object enumeration, the object sampler and the recursive
+synthesis; the
 stacked marginal checks, shear laws and random operators against the
 per-label loops, per-pair products and per-scalar builder they replaced; the
 frame marginal kernel against the stacked targets and stacked conjugations
@@ -254,6 +258,20 @@ def test_root_sum_blocks_agree(field, monkeypatch):
     want = canonical(weyl_expand(field, theta).rows)
     monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", 3)
     assert canonical(weyl_expand(field, theta).rows) == want
+
+
+@pytest.mark.parametrize("entries", [1, 100])
+def test_weyl_label_blocks_agree(field, entries, monkeypatch):
+    """One label per block, or a few, against the one-block triples: the
+    stacked and the added block sums are the same normal forms."""
+    theta = random_operator(field, random.Random(field.order + entries), big=True)
+    table = weyl_expand(field, theta)
+    rebuilt = weyl_reconstruct(field, table)
+    monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", entries)
+    for got, want in ((weyl_expand(field, theta), table),
+                      (weyl_reconstruct(field, table), rebuilt)):
+        assert np.array_equal(got.packed[0], want.packed[0]) and got.packed[1:] == want.packed[1:]
+    assert rebuilt.equals(theta)
 
 
 @pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3)], ids=str)
@@ -996,15 +1014,54 @@ def flip_gauss_sign(monkeypatch, field):
     monkeypatch.setattr(sp, "gauss_sum", lambda f, a: -original(f, a))
 
 
+def plant_shear_rows(monkeypatch, wrong):
+    """Plant wrong(row, f, xi) on the shears' convolution rows, which the
+    synthesis, the sweeps and the shear laws read; the dense shears
+    (generator_shear_x, the references' path) are then built from the
+    planted rows, uncached."""
+    row = sp._shear_row
+    monkeypatch.setattr(sp, "_shear_row", lambda f, xi: wrong(row, f, xi))
+    monkeypatch.setattr(sp, "_shear_x", sp._shear_x.__wrapped__)
+
+
+def scaled_row(field, row, factor):
+    """Every value of a row triple times an int, in normal form."""
+    g, e, den = row
+    ring = ring_for(field)
+    out, e, den = ring.matmul((g[:, None], e, den), ring.pack(((ring.from_int(factor),),)))
+    return out[:, 0], e, den
+
+
 def scale_shear_base(monkeypatch, field):
-    original = sp.generator_shear_x
-    monkeypatch.setattr(sp, "generator_shear_x", lambda f, xi: original(f, xi).scaled(2))
+    plant_shear_rows(monkeypatch, lambda row, f, xi: scaled_row(f, row(f, xi), 2))
 
 
 def swap_shear_base(monkeypatch, field):
-    original = sp.generator_shear_x
-    monkeypatch.setattr(sp, "generator_shear_x", lambda f, xi: original(
-        f, 2 if f.element(xi).index == 1 else xi))
+    plant_shear_rows(monkeypatch, lambda row, f, xi: row(f, 2 if xi == 1 else xi))
+
+
+def shear_x_sign_flipped(monkeypatch, field):
+    plant_shear_rows(monkeypatch, lambda row, f, xi: scaled_row(f, row(f, xi), -1))
+
+
+def rotate_one_shear_value(monkeypatch, field):
+    """g(1) times zeta: a shear row is even, g(-d) = g(d), and this fault is
+    not, so a path that reads the row at m - n instead of n - m sees it."""
+    def rotated(row, f, xi):
+        g, e, den = row(f, xi)
+        roots = (np.arange(f.order) == 1).astype(np.int64)
+        return ring_for(f).times_roots(g[:, None], row_roots=roots)[:, 0], e, den
+    plant_shear_rows(monkeypatch, rotated)
+
+
+def shift_shear_row(monkeypatch, field):
+    """g(d - 1) in place of g(d): S_x times the shift by 1, still unitary,
+    but not even, so a wrong adjoint row sees it."""
+    def shifted(row, f, xi):
+        g, e, den = row(f, xi)
+        t = f.tables()
+        return g[t.add[np.arange(f.order), t.neg[1]]], e, den
+    plant_shear_rows(monkeypatch, shifted)
 
 
 CLOSED_FORM_FAULTS = {"b_sign": flip_b, "gauss_sign": flip_gauss_sign,
@@ -1039,6 +1096,160 @@ def test_closed_form_witness_names_the_first_failing_element(monkeypatch):
                 if i.name == "closed_form_matches_synthesis")
     assert item.status == "fail"
     assert item.detail.endswith(f", witness=({r}, {s}, {t})")
+
+
+# -- the shear rows against the dense shears they replaced ----------------------
+#
+# The references are the paths before the synthesis and the sweeps read each
+# shear's convolution row: the cached dense shear times the monomial, and the
+# (B, 2N, q, q) root-rotation codes of the dense shears, gathered at (n, m).
+
+def dense_synthesize(field, row):
+    """generator_shear_x(shear) @ M, times F+ outside the generic chart."""
+    fac = sp.element_factors(field, np.asarray(row)[None])
+    u = sp.generator_shear_x(field, int(fac.shear[0])) @ fac.monomial[0]
+    return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
+
+
+def dense_rotation_codes(ring, datas):
+    """codes[b, k, i, j]: an integer naming zeta^k datas[b][i, j], k < 2N."""
+    deg, order = ring.degree, ring.order
+    q = datas[0].shape[0]
+    vals, idx = np.unique(np.stack(datas).reshape(-1, deg), axis=0, return_inverse=True)
+    rot = ring.times_roots(np.broadcast_to(vals, (order,) + vals.shape),
+                           row_roots=np.arange(order))
+    _, rot_id = np.unique(rot.reshape(-1, deg), axis=0, return_inverse=True)
+    codes = rot_id.reshape(order, len(vals))[:, idx.reshape(len(datas), q, q)]
+    return np.concatenate([codes, codes]).transpose(1, 0, 2, 3).astype(np.int32)
+
+
+def dense_closed_form_sweep(field, elements):
+    """closed_form_sweep on the dense codes of the dense shears."""
+    a, b = sp._closed_form_parts(field, elements)
+    ring, q = ring_for(field), field.order
+    fac = sp.element_factors(field, elements)
+    bases, base_of = np.unique(fac.shear, return_inverse=True)
+    mats = [sp.generator_shear_x(field, int(x)) for x in bases]
+    perm, phase = fac.monomial.perm, fac.monomial.phase
+    rot = (phase[:, None, :] - b) % ring.order
+    codes = dense_rotation_codes(ring, [m.packed[0] for m in mats])[
+        base_of[:, None, None], rot, np.arange(q)[:, None], perm[:, None, :]]
+    constant = (codes == codes[:, :1, :1]).all(axis=(1, 2))
+    out = []
+    for k, x in enumerate(a.tolist()):
+        scale = sp.gauss_sum(field, x) * ring.rational(1, q)
+        data, e, den = mats[base_of[k]].packed
+        entry = ring.unpack((data[:1, perm[k, :1]], e, den))[0][0]  # S_x(0, perm 0)
+        phase = entry.times_root(int(rot[k, 0, 0])) * (scale.inverse() if scale else ring.zero)
+        if not constant[k] or phase * phase.conj() != ring.one:
+            phase = None
+        out.append({"proportional": phase is not None, "phase": phase,
+                    "phase_is_one": phase == ring.one})
+    return out
+
+
+def dense_action_sweep(field, elements, labels):
+    """action_sweep on the dense codes of the dense shears, in one block:
+    entry (j, c) of the law is codes[b, N + phi_Y c - phi_D j, pi_D j, pi_Y c]."""
+    fac = sp.element_factors(field, elements)
+    ring = ring_for(field)
+    q, order, t = field.order, ring.order, field.tables()
+    els = np.array([field.element(x).index for x in labels], dtype=np.int64)
+    n, zeros = len(els), np.zeros(len(els), dtype=np.int64)
+    la = np.concatenate([els, zeros, np.repeat(els, n)])
+    lb = np.concatenate([zeros, els, np.tile(els, n)])
+    lam = heisenberg.displacement_monomial(field, la, lb)
+    f_unitary, conj = True, lam
+    if fac.fourier.any():
+        f_unitary, conj = sp._fourier_conjugates(field, lam)
+    lams = Monomial(ring, np.stack([lam.perm, conj.perm]), np.stack([lam.phase, conj.phase]))
+    bases, base_of = np.unique(fac.shear, return_inverse=True)
+    mats = [sp.generator_shear_x(field, int(x)) for x in bases]
+    unitary = np.array([m.is_unitary() for m in mats])[base_of] & (f_unitary | ~fac.fourier)
+    codes = dense_rotation_codes(ring, [m.packed[0] for m in mats])
+    d = heisenberg.displacement_monomial(
+        field, *sp.label_images(field, elements.T[:, :, None], la, lb))
+    m = fac.monomial[:, None]
+    y = m @ lams[fac.fourier.astype(np.intp)] @ m.adjoint()
+    by_m = base_of[:, None, None] * (2 * order * q * q) + (order + y.phase) * (q * q) + y.perm
+    by_j = d.perm * q - d.phase * (q * q)
+    lhs = codes.reshape(-1)[by_m[:, :, None, :] + by_j[:, :, :, None]]
+    law = (lhs == codes[base_of, 0][:, None]).all(axis=(2, 3))
+    shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
+    z, x = d[:, :n, None], d[:, None, n:2 * n]
+    comm = (z @ x).matches((x @ z).scaled_by_root(shift)).all(axis=(1, 2))
+    verdict = np.stack([law[:, :n].all(1), law[:, n:2 * n].all(1), law[:, 2 * n:].all(1),
+                        comm], axis=1)
+    return np.column_stack([unitary, verdict & unitary[:, None]])
+
+
+def both_chart_elements(field):
+    """The whole group at q <= 9; else drawn elements, the Fourier element
+    (r = 0) and one with 1 + s t = 0, which lie outside the generic chart;
+    at q = 169 the two elements (3, 5, 7) and (0, 12, 1, 5)."""
+    if field.order <= 9:
+        return sp.enumerate_group(field)
+    if field.order == 169:
+        return np.stack([element_row(field, 3, 5, 7), element_row(field, 0, 12, 1, 5)])
+    return np.vstack([sp.sample_group(field, random.Random(field.order), 10),
+                      sp.fourier_params(field),
+                      element_row(field, 1, 1, field.neg_index(1))])
+
+
+def assert_same_dicts(got, want):
+    assert [(r["proportional"], r["phase_is_one"]) for r in got] == \
+        [(r["proportional"], r["phase_is_one"]) for r in want]
+    assert [None if r["phase"] is None else canonical([[r["phase"]]]) for r in got] == \
+        [None if r["phase"] is None else canonical([[r["phase"]]]) for r in want]
+
+
+ROW_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (13, 2)]
+
+
+@pytest.mark.parametrize("pe", ROW_FIELDS, ids=str)
+def test_shear_rows_match_the_dense_shear_paths(pe):
+    field = make_field(*pe)
+    elements = both_chart_elements(field)
+    fac = sp.element_factors(field, elements)
+    assert fac.fourier.any() and not fac.fourier.all()
+    for row in elements:
+        got, want = synthesize(field, row).packed, dense_synthesize(field, row).packed
+        assert got[0].dtype == want[0].dtype, row
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], row
+    generic = elements[sp.closed_form_domain(field, elements)]
+    assert len(generic)
+    assert_same_dicts(sp.closed_form_sweep(field, generic),
+                      dense_closed_form_sweep(field, generic))
+    labels = [field.generator ** k for k in range(field.ell)]
+    got = sp.action_sweep(field, elements, labels)
+    assert np.array_equal(got, dense_action_sweep(field, elements, labels))
+    assert got.all()
+
+
+# a global sign -1 keeps the conjugation action; the other faults break it
+@pytest.mark.parametrize("fault,action_holds", [(swap_shear_base, False),
+                                                (scale_shear_base, False),
+                                                (shear_x_sign_flipped, True),
+                                                (rotate_one_shear_value, False),
+                                                (shift_shear_row, False)],
+                         ids=["swapped_base", "scaled_base", "flipped_sign", "odd_row",
+                              "shifted_row"])
+def test_shear_rows_match_the_dense_shear_paths_under_planted_faults(fault, action_holds,
+                                                                     monkeypatch):
+    field = make_field(3, 2)
+    elements = sp.enumerate_group(field)
+    fault(monkeypatch, field)
+    for row in elements[::7]:
+        got, want = synthesize(field, row).packed, dense_synthesize(field, row).packed
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], row
+    generic = elements[sp.closed_form_domain(field, elements)]
+    got = sp.closed_form_sweep(field, generic)
+    assert_same_dicts(got, dense_closed_form_sweep(field, generic))
+    assert not all(r["proportional"] and r["phase_is_one"] for r in got)
+    labels = [field.one, field.generator]
+    got = sp.action_sweep(field, elements, labels)
+    assert np.array_equal(got, dense_action_sweep(field, elements, labels))
+    assert got.all() == action_holds
 
 
 def drop_braiding_phase(monkeypatch, field):
@@ -1407,8 +1618,10 @@ def ref_shear_laws(field, xs, ys, units):
     return additive, all(shear(u).is_unitary() for u in units)
 
 
-@pytest.mark.parametrize("fault", [None, swap_shear_base, scale_shear_base],
-                         ids=["none", "swapped_base", "scaled_base"])
+@pytest.mark.parametrize("fault", [None, swap_shear_base, scale_shear_base,
+                                   rotate_one_shear_value, shift_shear_row],
+                         ids=["none", "swapped_base", "scaled_base", "odd_row",
+                              "shifted_row"])
 @pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2)], ids=str)
 def test_shear_grid_laws_match_per_pair_products(pe, fault, monkeypatch):
     field = make_field(*pe)
@@ -1419,7 +1632,9 @@ def test_shear_grid_laws_match_per_pair_products(pe, fault, monkeypatch):
     got = sp.shear_grid_laws(field, xs, ys, range(q))
     assert got == ref_shear_laws(field, xs, ys, range(q))
     assert got == {None: (True, True), swap_shear_base: (False, True),
-                   scale_shear_base: (False, False)}[fault]
+                   scale_shear_base: (False, False),
+                   rotate_one_shear_value: (False, False),
+                   shift_shear_row: (False, True)}[fault]
 
 
 @pytest.mark.parametrize("pe", [(5, 2), (3, 3)], ids=str)
@@ -2145,11 +2360,6 @@ def shear_z_phase_off_by_one(monkeypatch, field):
         hit = np.asarray(f.indices(xi)) == f.order - 1
         return Monomial(mono.ring, mono.perm, mono.phase + (hit[..., None] & (np.arange(f.order) == 1)))
     monkeypatch.setattr(sp, "generator_shear_z", shifted)
-
-
-def shear_x_sign_flipped(monkeypatch, field):
-    original = sp.generator_shear_x
-    monkeypatch.setattr(sp, "generator_shear_x", lambda f, xi: original(f, xi).scaled(-1))
 
 
 def scaling_conjugated_by_a_diagonal(monkeypatch, field):

@@ -387,16 +387,26 @@ def test_element_factors_rebuild_synthesize(gf9):
         assert u.equals(synthesize(gf9, row)), row
 
 
+def plant_shear_rows(monkeypatch, wrong):
+    """Plant wrong(row, f, xi) on the shears' convolution rows, which the
+    synthesis and the sweeps read; the dense shears are then built from the
+    planted rows, uncached."""
+    row = sp._shear_row
+    monkeypatch.setattr(sp, "_shear_row", lambda f, xi: wrong(row, f, xi))
+    monkeypatch.setattr(sp, "_shear_x", sp._shear_x.__wrapped__)
+
+
 def flip_shear_sign(monkeypatch, field):
-    orig = sp.generator_shear_x
-    monkeypatch.setattr(sp, "generator_shear_x",
-                        lambda f, xi: orig(f, -f.element(xi)))
+    plant_shear_rows(monkeypatch, lambda row, f, xi: row(f, f.neg_index(xi)))
 
 
 def scale_shear(monkeypatch, field):
-    orig = sp.generator_shear_x
-    monkeypatch.setattr(sp, "generator_shear_x",
-                        lambda f, xi: orig(f, xi).scaled(2))
+    def scaled(row, f, xi):  # every value times 2, in normal form
+        g, e, den = row(f, xi)
+        ring = ring_for(f)
+        out, e, den = ring.matmul((g[:, None], e, den), ring.pack(((ring.from_int(2),),)))
+        return out[:, 0], e, den
+    plant_shear_rows(monkeypatch, scaled)
 
 
 def drop_fourier_adjoint(monkeypatch, field):
