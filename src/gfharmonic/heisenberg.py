@@ -8,12 +8,16 @@ or for an array of labels the family of them (a ``Monomial`` with leading
 axes) in one gather, and :func:`label_grid` gives the family of all q^2
 labels, member l = a * q + b.  So each big label sum (operator expansion
 and reconstruction, resolution of the identity, overcomplete expansion,
-marginals) is one ``CycloRing.root_sum`` of entries times zeta^phase into
+marginals) is a ``CycloRing.root_sum`` of entries times zeta^phase into
 the slots the permutations name, and each label identity (composition
 law, adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
 member-by-member comparison of grid families (``Monomial.matches``) or of
-their index arrays.  The Weyl table of an operator Theta is one more
-``OperatorMatrix``: row alpha, column beta holds tr(Theta D(alpha, beta)).
+their index arrays, all per block of one entry budget
+(:func:`label_blocks`).  Where every D(a, b) moves m to m + b, which
+:func:`grid_certificate` checks, the Weyl sums read Theta once per shift b
+and the resolution of the identity sums over a before it translates by b.
+The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
+alpha, column beta holds tr(Theta D(alpha, beta)).
 
 Note on the marginal sums: summing D(alpha, beta) over one label yields the
 conjugate-basis point projector composed with the parity operator (the
@@ -114,7 +118,9 @@ def tensor_factorize_displacement(field: GFField, alpha, beta) -> list[OperatorM
             for a, b in zip(dual_a, std_b)]
 
 
-LABEL_BLOCK_ENTRIES = 1 << 16  # entries per block of a label-grid sum or check
+# entries per block of a label-grid sum or check and of the symplectic
+# action sweep: each block's largest temporary holds about this many
+LABEL_BLOCK_ENTRIES = 1 << 13
 
 
 def label_grid(field: GFField, phase_coeff: int | None = None) -> Monomial:
@@ -127,9 +133,29 @@ def label_grid(field: GFField, phase_coeff: int | None = None) -> Monomial:
 
 
 def label_blocks(count: int, width: int):
-    """Slices covering range(count), LABEL_BLOCK_ENTRIES // width rows each."""
+    """Slices covering range(count), LABEL_BLOCK_ENTRIES // width rows each,
+    ``width`` being the per-row size of the caller's largest temporary."""
     step = max(1, LABEL_BLOCK_ENTRIES // width)
     return (slice(i, i + step) for i in range(0, count, step))
+
+
+def grid_certificate(field: GFField, grid: Monomial):
+    """None when every member l = a * q + b of a :func:`label_grid` family
+    moves m to m + b (perm[l] == add[b]) with a phase offset Tr(a m) N / p
+    from its entry 0 (phase[l, m] - phase[l, 0], mod N); else the first
+    failing (a, b, m), as field indices.  The phase constant of each label
+    is free, so a wrong half-trace coefficient keeps the certificate."""
+    q, t = field.order, field.tables()
+    n = ring_for(field).order
+    offset = t.trace[t.mul] * (n // field.p)  # offset[a, m] = Tr(a m) N / p
+    for s in label_blocks(q * q, q):
+        a, b = np.divmod(np.arange(q * q)[s], q)
+        phase = grid.phase[s]
+        bad = (grid.perm[s] != t.add[b]) | ((phase - phase[:, :1] - offset[a]) % n != 0)
+        if bad.any():
+            row, m = np.argwhere(bad)[0]
+            return int(a[row]), int(b[row]), int(m)
+    return None
 
 
 def composition_law_holds(field: GFField, grid: Monomial, first, second) -> bool:
@@ -154,6 +180,28 @@ def composition_law_holds(field: GFField, grid: Monomial, first, second) -> bool
         got = phase[second[s]] + phase.reshape(-1)[after] - phase[l3]
         if not (np.array_equal(perm.reshape(-1)[after], perm[l3])
                 and (got % (p * step) == shift[:, None] * step).all()):
+            return False
+    return True
+
+
+def trace_orthogonality_holds(field: GFField, grid: Monomial, first, second) -> bool:
+    """tr(D(l1)^dagger D(l2)) = q [l1 == l2] for every pair l1 = first[k],
+    l2 = second[k] of members of a :func:`label_grid`.
+
+    The trace is one root-sum per block of pairs, a unit term
+    zeta^(phase2[m] - phase1[m]) for each m with perm1[m] == perm2[m]; at
+    (E, Q) = (0, 1) its coefficients are q times those of 1 on the diagonal
+    pairs and 0 elsewhere.  A row's largest temporary is its root-sum slot
+    of N coefficients, or its q-entry rows.
+    """
+    ring, q = ring_for(field), field.order
+    unit = ring.root_coeffs()[0]
+    for s in label_blocks(len(first), max(q, ring.order)):
+        l1, l2 = first[s], second[s]
+        pair, m = np.nonzero(grid.perm[l1] == grid.perm[l2])
+        trace, _, _ = ring.root_sum(unit, grid.phase[l2[pair], m] - grid.phase[l1[pair], m],
+                                    pair, (len(l1),))
+        if not np.array_equal(trace, np.where((l1 == l2)[:, None], q * unit, 0)):
             return False
     return True
 
@@ -191,68 +239,105 @@ def _displacement_sum(field: GFField, family: Monomial, weights):
                          e + 2 * field.ell, den)
 
 
+def _shift_blocks(field: GFField):
+    """Per block of shifts b: b and the family of D(a, b) for every a,
+    member [k, a] for b = b[k].  A shift's largest temporaries are its
+    q x q arrays and its root-sum slots, q of N coefficients."""
+    every = np.arange(field.order)
+    for s in label_blocks(field.order, field.order * max(field.order, ring_for(field).order)):
+        yield every[s], displacement_monomial(field, every, every[s][:, None])
+
+
 def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
     """Coefficient table tr(Theta D(alpha, beta)) over all labels, as the
     q x q matrix whose row alpha, column beta holds it (label indices).
 
     tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: per block of
-    labels (:func:`label_blocks`), one gather of Theta and one root-sum into
-    the block's table slots; the blocks are stacked into one normal form.
+    shifts b (:func:`label_blocks`), one gather of Theta and one root-sum
+    into the block's table slots; the blocks are stacked into one normal
+    form.  Where every permutation of the block is add[b], Theta(m, m + b)
+    is gathered once per shift, not once per label.
     """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
-    q = field.order
+    q, t = field.order, field.tables()
     ring = ring_for(field)
     data, e, den = theta.packed
-    a, b = np.divmod(np.arange(q * q), q)
     parts = []
-    for s in label_blocks(q * q, q):
-        d = displacement_monomial(field, a[s], b[s])
-        slots = np.broadcast_to(np.arange(len(d.perm))[:, None], d.perm.shape)
-        parts.append(ring.root_sum(data[np.arange(q), d.perm], d.phase, slots,
-                                   (len(d.perm),), e, den))
-    table, e, den = ring.stack(parts)
-    return OperatorMatrix.from_packed(ring, (table.reshape(q, q, ring.degree), e, den))
+    for b, d in _shift_blocks(field):
+        at = t.add[b][:, None] if (d.perm == t.add[b][:, None]).all() else d.perm
+        slots = np.arange(len(b) * q).reshape(len(b), q, 1)
+        parts.append(ring.root_sum(data[np.arange(q), at], d.phase,
+                                   np.broadcast_to(slots, d.perm.shape), (len(b) * q,), e, den))
+    table, e, den = ring.stack(parts)  # row b * q + a
+    return OperatorMatrix.from_packed(
+        ring, (table.reshape(q, q, ring.degree).transpose(1, 0, 2), e, den))
 
 
 def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
     """Rebuild p^-ell sum_labels D(alpha, beta) W(-alpha, -beta) from the table
     W of :func:`weyl_expand`: the weights are W gathered at the negated
-    labels, summed per block of labels, and the block sums added.  Each
-    block sum is a whole q x q matrix, folded and added once, so a block
-    takes twice the labels of a check's block."""
-    neg = field.tables().neg
-    ring, q = ring_for(field), field.order
+    labels, summed per block of shifts b.  Where every permutation of the
+    block is add[b], each term of D(a, b) lands at (m + b, m) whatever a:
+    one root-sum into the q entries of each shift, the shifts stacked into
+    one normal form and moved to (m + b, m) by one more root-sum.  Any
+    other block sum is a whole q x q matrix, added to that."""
+    t, q = field.tables(), field.order
+    ring = ring_for(field)
     data, e, den = table.packed
-    weights = data[np.ix_(neg, neg)].reshape(q * q, ring.degree)
-    a, b = np.divmod(np.arange(q * q), q)
-    total = None
-    for s in label_blocks(q * q, max(1, q // 2)):
-        part = _displacement_sum(field, displacement_monomial(field, a[s], b[s])[None],
-                                 (weights[s], e, den))
+    weights = data[np.ix_(t.neg, t.neg)].transpose(1, 0, 2)[:, :, None]  # [b, a]: W(-a, -b)
+    parts, shifts, total = [], [], None
+    for b, d in _shift_blocks(field):
+        if (d.perm == t.add[b][:, None]).all():
+            slots = np.arange(len(b) * q).reshape(len(b), 1, q)
+            parts.append(ring.root_sum(weights[b], d.phase, np.broadcast_to(slots, d.perm.shape),
+                                       (len(b), q), e, den))
+            shifts.append(b)
+        else:
+            part = ring.root_sum(weights[b], d.phase, d.perm * q + np.arange(q), (q, q),
+                                 e + 2 * field.ell, den)
+            total = part if total is None else ring.add(total, part)
+    if parts:
+        summed, se, sden = ring.stack(parts)
+        part = ring.root_sum(summed, None, t.add[np.concatenate(shifts)] * q + np.arange(q),
+                             (q, q), se + 2 * field.ell, sden)
         total = part if total is None else ring.add(total, part)
     return OperatorMatrix.from_packed(ring, total)
 
 
-def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
-    """Brute-force check of p^-ell sum_labels D Theta D^dagger = tr(Theta) 1.
+def resolution_sum(field: GFField, theta: OperatorMatrix):
+    """p^-ell sum_labels D Theta D^dagger as a normal-form packed triple, and
+    the :func:`grid_certificate` of the label grid (None or its witness).
 
-    This is the identity for the normalised Theta / tr(Theta) without the
-    division; it needs tr(Theta) != 0.  Entry (i, j) of Theta lands at
-    (perm[i], perm[j]) of D Theta D^dagger times zeta^(phase[i] - phase[j]),
-    so each block of labels is one root-sum into the q * q entries.
+    Entry (i, j) of Theta lands at (perm[i], perm[j]) of D Theta D^dagger
+    times zeta^(phase[i] - phase[j]).  Under the certificate, D(a, b) moves
+    it to (i + b, j + b) times zeta^(Tr(a i) - Tr(a j)) N/p, the phase
+    constant cancelling, so the terms are summed over a for each entry
+    first (per block of rows i), then over b along the translated
+    diagonals: two root-sums of q^3 terms.  Otherwise every block of labels
+    is one root-sum into the q * q entries, and the block sums are added.
     """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
-    tr = theta.trace()
-    if tr.is_zero:
-        raise ZeroTrace("resolution of identity needs tr(Theta) != 0")
     ring = ring_for(field)
-    q = field.order
+    q, t = field.order, field.tables()
     data, e, den = theta.packed
     grid = label_grid(field)
+    witness = grid_certificate(field, grid)
+    if witness is None:
+        offset = (t.trace[t.mul] * (ring.order // field.p)).T  # [m, a]: Tr(a m) N / p
+        parts = []
+        for s in label_blocks(q, q * max(q, ring.order)):
+            rows = offset[s]
+            slots = np.arange(len(rows) * q).reshape(-1, q, 1)
+            parts.append(ring.root_sum(data[s, :, None], rows[:, None, :] - offset[None],
+                                       np.broadcast_to(slots, slots.shape[:2] + (q,)),
+                                       (len(rows), q), e, den))
+        summed, e, den = ring.stack(parts)
+        moved = t.add[:, :, None] * q + t.add[:, None, :]  # [b, i, j]: (i + b, j + b)
+        return ring.root_sum(summed[None], None, moved, (q, q), e + 2 * field.ell, den), witness
     total = None
     for s in label_blocks(q * q, q * q):
         pm, ph = grid.perm[s], grid.phase[s]
@@ -260,32 +345,68 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
                              pm[:, :, None] * q + pm[:, None, :], (q, q),
                              e + 2 * field.ell, den)
         total = part if total is None else ring.add(total, part)
-    want = OperatorMatrix.identity(ring, q).scaled(tr)
-    return {"holds": OperatorMatrix.from_packed(ring, total).equals(want)}
+    return total, witness
+
+
+def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
+    """Check p^-ell sum_labels D Theta D^dagger = tr(Theta) 1, every term
+    summed by :func:`resolution_sum`.
+
+    This is the identity for the normalised Theta / tr(Theta) without the
+    division; it needs tr(Theta) != 0.  ``certificate`` is None or the
+    witness (a, b, m) of the grid certificate, whose failure sends the sum
+    down the blocked path.
+    """
+    total, witness = resolution_sum(field, theta)
+    tr = theta.trace()
+    if tr.is_zero:
+        raise ZeroTrace("resolution of identity needs tr(Theta) != 0")
+    want = OperatorMatrix.identity(theta.ring, theta.dim).scaled(tr)
+    return {"holds": OperatorMatrix.from_packed(theta.ring, total).equals(want),
+            "certificate": witness}
+
+
+def overcomplete_sum(field: GFField, psi: StateVector, chi: StateVector):
+    """p^-ell sum_labels (D psi, chi) D psi as a normal-form packed triple.
+
+    Row l of ``moved`` is D(l) psi, entry perm_l[m] being psi(m)
+    zeta^phase_l[m]: a gather from the N root rotations of psi, added into
+    place.  Per block of labels, the overlaps are one product of the
+    conjugated rows with chi, the block's part of the sum one product of
+    their transpose with the overlaps, and the parts are added.  A row's
+    largest temporary is its q coefficient vectors.
+    """
+    _require_odd(field)
+    ring = ring_for(field)
+    q, deg = field.order, ring.degree
+    grid = label_grid(field)
+    data, e, den = psi.packed
+    # turned[k, m] = psi(m) zeta^k
+    turned = ring.times_roots(np.broadcast_to(data[:, 0], (ring.order, q, deg)),
+                              row_roots=np.arange(ring.order))
+    total = None
+    for s in label_blocks(q * q, q * deg):
+        perm, phase = grid.perm[s], grid.phase[s]
+        moved = np.zeros(perm.shape + (deg,), dtype=np.result_type(turned, np.int64))
+        at = (np.arange(len(perm))[:, None] * q + perm)[..., None] * deg + np.arange(deg)
+        np.add.at(moved.reshape(-1), at.reshape(-1),
+                  turned[phase, np.arange(q)].astype(moved.dtype).reshape(-1))
+        overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
+        part = ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
+        total = part if total is None else ring.add(total, part)
+    return total
 
 
 def overcomplete_expansion_check(field: GFField, psi: StateVector,
                                  chi: StateVector) -> dict:
-    """Expand chi over the p^(2 ell) displaced copies of a unit vector psi.
-
-    Verifies chi = p^-ell sum_labels (D psi, chi) D psi exactly; requires
-    (psi, psi) = 1.  Row l of ``moved`` is D(l) psi, entry perm_l[m] being
-    psi(m) zeta^phase_l[m]; the overlaps are one product of the conjugated
-    rows with chi, and the sum one product of their transpose with the
-    overlaps.
-    """
+    """Expand chi over the p^(2 ell) displaced copies of a unit vector psi:
+    chi = p^-ell sum_labels (D psi, chi) D psi exactly, the sum by
+    :func:`overcomplete_sum`; requires (psi, psi) = 1."""
     _require_odd(field)
-    ring = ring_for(field)
-    q = field.order
-    if inner_product(psi, psi) != ring.one:
+    if inner_product(psi, psi) != ring_for(field).one:
         raise ZeroTrace("expansion vector must be normalised")
-    grid = label_grid(field)
-    data, e, den = psi.packed
-    slots = np.arange(q * q)[:, None] * q + grid.perm
-    moved, e, den = ring.root_sum(data[:, 0], grid.phase, slots, (q * q, q), e, den)
-    overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
-    rebuilt = ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
-    return {"holds": StateVector.from_packed(ring, rebuilt).equals(chi)}
+    return {"holds": StateVector.from_packed(psi.ring, overcomplete_sum(field, psi, chi))
+            .equals(chi)}
 
 
 def marginal_sum_alpha(field: GFField, beta) -> OperatorMatrix:

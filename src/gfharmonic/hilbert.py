@@ -37,7 +37,7 @@ def subspace_projector(field: GFField, d: int) -> OperatorMatrix:
 
 def _characters(field: GFField, n):
     # the columns phi_n for an index array n: entry (m, k) is
-    # p^(-ell/2) omega^(-Tr(n[k] m)), one root-sum
+    # p^(-ell/2) omega^(-Tr(n[k] m)), one gather of units
     ring, t = ring_for(field), field.tables()
     roots = -t.trace[t.mul[np.arange(field.order)[:, None], n]] * (ring.order // field.p)
     return root_matrix(ring, roots, field.ell)

@@ -20,7 +20,7 @@ monomial and a dense operand, in either order, is a gather plus root
 rotations, so an operator built as a ``Monomial`` is multiplied in that
 form, and :func:`conjugate` takes either form.  Diagonal
 projectors and character tables are built straight as triples, by one
-diagonal write (``OperatorMatrix.projector``) or one root-sum
+diagonal write (``OperatorMatrix.projector``) or one gather of units
 (:func:`root_matrix`).
 
 A family of same-shape matrices is checked as one *stack*: the normal-form
@@ -324,11 +324,11 @@ def outer_stack(ring: CycloRing, us, vs):
 
 def root_matrix(ring: CycloRing, roots, scale_exp: int = 0):
     """Normal-form triple of the (n, m) matrix whose entry (i, j) is
-    p^(-scale_exp/2) zeta^roots[i, j]: one root-sum of units, so character
-    tables cost one pass whatever their size."""
-    n, m = roots.shape
-    return ring.root_sum(ring.root_coeffs()[0], roots, np.arange(n * m).reshape(n, m),
-                         (n, m), scale_exp)
+    p^(-scale_exp/2) zeta^roots[i, j]: one gather of the compact unit
+    table, normalised as a one-part stack, so character tables cost one
+    pass whatever their size."""
+    return ring.stack([(compact(ring.root_coeffs())[np.asarray(roots) % ring.order],
+                        scale_exp, 1)])
 
 
 def blocks_equal(ring: CycloRing, stacks, count: int) -> np.ndarray:

@@ -223,7 +223,6 @@ def action_check(field: GFField, row, labels=None, check_unitary: bool = True) -
 
 ACTION_KEYS = ("unitary", "z_action", "x_action", "displacement_action",
                "commutation")
-SWEEP_ENTRIES = 1 << 15  # gathered entries per block of action_sweep: ~1 MB of temporaries
 
 
 def _complete_rows(field: GFField, rows: np.ndarray) -> np.ndarray:
@@ -354,6 +353,25 @@ def _rotation_codes(ring, rows):
     return np.concatenate([codes, codes]).transpose(1, 0, 2).astype(np.int32)
 
 
+def _difference_codes(field: GFField):
+    """(cx, cy, at): codes of the field indices with at[cx[x] + cy[y]] = x - y,
+    the field difference add[x, neg[y]], for all x and y.  When that table
+    is the digit-wise one of the base-p indices, x + p - y never carries
+    in base 2p, so cx and cy are base-2p digit numbers and ``at`` has
+    (2p)^ell entries; otherwise cx = q x, cy = y and ``at`` is the q x q
+    table itself."""
+    p, ell, q = field.p, field.ell, field.order
+    k = np.arange(q)
+    diff = _differences(field, k[:, None], k)
+    place = (2 * p) ** np.arange(ell)
+    digits = k[:, None] // p ** np.arange(ell) % p
+    cx, cy = digits @ place, (p - digits) @ place
+    at = (np.arange(place[-1] * 2 * p)[:, None] // place % (2 * p) % p) @ p ** np.arange(ell)
+    if np.array_equal(at[cx[:, None] + cy], diff):
+        return cx, cy, at
+    return k * q, k, diff.reshape(-1)
+
+
 def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     """The :func:`action_check` verdicts of many elements, as a (G, 5) bool
     array with columns in ACTION_KEYS order.
@@ -365,7 +383,8 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     elements and labels.  For each of the at most q bases S_x, codes of
     the root rotations zeta^k g of its convolution row g are built once;
     then entry (j, c) of the law, g(pi_D j - pi_Y c) zeta^(phi_Y c - phi_D
-    j) = g(j - c), is one gather at the field difference, batched over
+    j) = g(j - c), is one gather at the field difference, whose index is a
+    term in j plus a term in c (:func:`_difference_codes`), batched over
     elements and labels.  U is unitary exactly when its base is (N is
     unitary); a non-unitary U gets five False, as in action_check.  The
     commutation phase is monomial-only.  If F is not unitary, the elements that end with F+ get
@@ -398,34 +417,28 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     unitary = np.array([generator_shear_x(field, int(x)).is_unitary()
                         for x in bases])[base_of] & (f_unitary | ~fac.fourier)
     codes = _rotation_codes(ring, [_shear_row(field, int(x))[0] for x in bases])
-    flat = codes.reshape(-1)
-    add = t.add.reshape(-1)  # add[x q + y] = x + y
+    cx, cy, at_diff = _difference_codes(field)
+    width = len(at_diff)
+    flat = codes[:, :, at_diff].reshape(-1)  # codes[b, k, x - y] at (b 2N + k) width + cx + cy
     diff = _differences(field, np.arange(q)[:, None], np.arange(q))
 
     alpha, beta = label_images(field, elements.T[:, :, None], la, lb)
     shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
-    # O(G L q) arrays per outer block (a quarter of SWEEP_ENTRIES each, as
-    # several are alive at once), the O(G L q^2) gather per inner block
-    outer = max(1, SWEEP_ENTRIES // (4 * len(la) * q))
-    inner = max(1, SWEEP_ENTRIES // (len(la) * q * q))
-    for start in range(0, len(elements), outer):
-        sl = slice(start, start + outer)
+    # O(G L q) arrays per outer block (about four alive at once), the
+    # O(G L q^2) gather per inner block
+    for sl in label_blocks(len(elements), 4 * len(la) * q):
         d = displacement_monomial(field, alpha[sl], beta[sl])
         m = fac.monomial[sl, None]
         y = m @ lams[fac.fourier[sl].astype(np.intp)] @ m.adjoint()
-        # flat index of codes[b, N + phi_Y(c) - phi_D(j), pi_D(j) - pi_Y(c)]
-        by_m = base_of[sl][:, None, None] * (2 * order * q) + (order + y.phase) * q
-        by_j = -d.phase * q
-        row_j = d.perm * q
-        neg_y = t.neg[y.perm]
-        rhs = codes[base_of[sl], 0][:, diff]
-        law = np.empty(by_m.shape[:2], dtype=bool)
-        for i in range(0, len(law), inner):
-            b = slice(i, i + inner)
-            at = add[row_j[b, :, :, None] + neg_y[b, :, None, :]]
-            at += by_m[b, :, None, :]
-            at += by_j[b, :, :, None]
-            law[b] = (flat[at] == rhs[b, None]).all(axis=(2, 3))
+        # flat index of codes[b, N + phi_Y(c) - phi_D(j), pi_D(j) - pi_Y(c)],
+        # the sum of a term in j and a term in c
+        by_j = cx[d.perm] - d.phase * width
+        by_c = (base_of[sl][:, None, None] * 2 * order + order + y.phase) * width + cy[y.perm]
+        law = np.empty(by_j.shape[:2], dtype=bool)
+        for b in label_blocks(len(law), len(la) * q * q):
+            rhs = codes[base_of[sl][b], 0][:, diff]
+            law[b] = (flat[by_j[b, :, :, None] + by_c[b, :, None, :]]
+                      == rhs[:, None]).all(axis=(2, 3))
         # D(g(a, 0)) and D(g(0, b)) keep the Weyl commutation phase
         z, x = d[:, :n, None], d[:, None, n:2 * n]
         comm = (z @ x).matches((x @ z).scaled_by_root(shift)).all(axis=(1, 2))

@@ -369,22 +369,11 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         ok = frobenius_covariant(powers[d % field.ell], rows, rows) and ok
     rep.add("subfield_labels_fixed_by_frobenius", ok)
 
-    # tr(D(l1)^dagger D(l2)) - q [l1 == l2] as one root-sum per block: a
-    # term zeta^(phase2[m] - phase1[m]) for each m with perm1[m] == perm2[m]
     if q > 9:  # else all pairs, as for the composition law
         drawn = [rng.choice(range(q * q)) for _ in range(600)]
         first, second = np.array(drawn).reshape(-1, 2).T
-
-    def orthogonal(s):
-        l1, l2 = first[s], second[s]
-        pair, m = np.nonzero(grid.perm[l1] == grid.perm[l2])
-        diag = np.flatnonzero(l1 == l2)
-        weights = np.repeat([1, -q], [len(pair), len(diag)])[:, None] * ring.root_coeffs()[0]
-        roots = np.concatenate([grid.phase[l2[pair], m] - grid.phase[l1[pair], m],
-                                np.zeros_like(diag)])
-        trace = ring.root_sum(weights, roots, np.concatenate([pair, diag]), (len(l1),))
-        return not trace[0].any()
-    rep.add("orthogonality_under_trace", holds(len(first), q + 1, orthogonal))
+    rep.add("orthogonality_under_trace",
+            hb.trace_orthogonality_holds(field, grid, first, second))
 
     if coeff is None:
         ok = True

@@ -32,6 +32,7 @@ the Python-int paths of ``root_sum``, ``add`` and ``matmul`` run.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -994,9 +995,9 @@ def test_action_sweep_blocks_agree(monkeypatch):
     group = sp.enumerate_group(field)
     labels = [field.one, field.generator]
     want = sp.action_sweep(field, group, labels)
-    monkeypatch.setattr(sp, "SWEEP_ENTRIES", 1)
+    monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", 1)
     assert np.array_equal(sp.action_sweep(field, group[:40], labels), want[:40])
-    monkeypatch.setattr(sp, "SWEEP_ENTRIES", 3000)
+    monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", 3000)
     assert np.array_equal(sp.action_sweep(field, group, labels), want)
 
 
@@ -2610,3 +2611,189 @@ def test_zero_phase_monomials_match_rotated_path(pe):
             assert np.array_equal(prod.perm, mono.perm[other.perm]), name
             assert np.array_equal(prod.phase, phase), name
             assert prod.phase.dtype == phase.dtype, name
+
+
+# -- the label-grid certificate, the sums by translation, one block budget -----
+
+REF_BLOCK_ENTRIES = 1 << 16  # the label block of the blocked references below
+
+
+def blocked_resolution_sum(field, theta):
+    """The sum the translated one replaced: per block of labels of the grid,
+    one root-sum into the q x q entries, the block sums added."""
+    ring, q = ring_for(field), field.order
+    data, e, den = theta.packed
+    grid = heisenberg.label_grid(field)
+    step = max(1, REF_BLOCK_ENTRIES // (q * q))
+    total = None
+    for i in range(0, q * q, step):
+        pm, ph = grid.perm[i:i + step], grid.phase[i:i + step]
+        part = ring.root_sum(data, ph[:, :, None] - ph[:, None, :],
+                             pm[:, :, None] * q + pm[:, None, :], (q, q),
+                             e + 2 * field.ell, den)
+        total = part if total is None else ring.add(total, part)
+    return total
+
+
+def whole_overcomplete_sum(field, psi, chi):
+    """The one-block expansion the streamed one replaced: the (q^2, q) rows
+    D(l) psi, their overlaps with chi and the sum as two products."""
+    ring, q = ring_for(field), field.order
+    grid = heisenberg.label_grid(field)
+    data, e, den = psi.packed
+    slots = np.arange(q * q)[:, None] * q + grid.perm
+    moved, e, den = ring.root_sum(data[:, 0], grid.phase, slots, (q * q, q), e, den)
+    overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
+    return ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
+
+
+def resolution_thetas(field):
+    """Theta = the identity, a point projector and a random rank-one operator."""
+    return [OperatorMatrix.identity(ring_for(field), field.order), point_projector(field, 1),
+            rank_one_with_trace(field, random.Random(field.order))]
+
+
+def perm_depends_on_a(monkeypatch, field):
+    """Make D(1, 0) move m to m + 1, as D(1, 1) does, for the per-label and
+    the family path: a permutation that depends on a."""
+    original = heisenberg.displacement_monomial
+
+    def wrong(field_, alpha, beta, phase_coeff=None):
+        mono = original(field_, alpha, beta, phase_coeff)
+        hit = (np.asarray(field_.indices(alpha)) == 1) & (np.asarray(field_.indices(beta)) == 0)
+        return Monomial(mono.ring, np.where(hit[..., None], field_.tables().add[1], mono.perm),
+                        mono.phase)
+
+    monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
+
+
+TRANSLATION_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+# the planted faults and the certificate's witness (a, b, m) under each:
+# perturbed_arrays offsets entry 0 of D(0, 1), so its entry 1 is the first
+# whose offset from entry 0 is wrong
+CERTIFICATE_FAULTS = [(perturbed_arrays, (0, 1, 1)), (perm_depends_on_a, (1, 0, 0))]
+
+
+@pytest.mark.parametrize("pe", TRANSLATION_FIELDS + [(7, 2)], ids=str)
+def test_translated_resolution_matches_blocked_sum(pe):
+    field = make_field(*pe)
+    for theta in resolution_thetas(field):
+        got, witness = heisenberg.resolution_sum(field, theta)
+        assert witness is None
+        assert_same_triple(got, blocked_resolution_sum(field, theta))
+        assert resolution_of_identity_check(field, theta) == {"holds": True, "certificate": None}
+
+
+@pytest.mark.parametrize("fault,witness", CERTIFICATE_FAULTS, ids=["phase_offset", "perm_row"])
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (3, 2)], ids=str)
+def test_certificate_faults_take_the_blocked_sum(pe, fault, witness, monkeypatch):
+    # the identity keeps the identity under either fault, the point
+    # projector sees only the permutation, the rank-one operator both
+    field = make_field(*pe)
+    fault(monkeypatch, field)
+    assert heisenberg.grid_certificate(field, heisenberg.label_grid(field)) == witness
+    verdicts = []
+    for theta in resolution_thetas(field):
+        got, cert = heisenberg.resolution_sum(field, theta)
+        assert cert == witness
+        assert_same_triple(got, blocked_resolution_sum(field, theta))
+        want = OperatorMatrix.identity(ring_for(field), field.order).scaled(theta.trace())
+        verdicts.append(OperatorMatrix.from_packed(ring_for(field), got).equals(want))
+        assert resolution_of_identity_check(field, theta) == {"holds": verdicts[-1],
+                                                              "certificate": witness}
+    assert verdicts == [True, fault is perturbed_arrays, False]
+
+
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3)], ids=str)
+def test_perturbed_phase_keeps_the_certificate(pe):
+    # the control changes every label's phase constant only: the certificate
+    # holds, and the three phase-sensitive label items still fail
+    field = make_field(*pe)
+    assert heisenberg.grid_certificate(field, heisenberg.label_grid(field, 1)) is None
+    rep = heisenberg_suite(field, VerifyConfig(displacement_phase_coeff=1))
+    assert {i.name for i in rep.items if i.status == "fail"} == {
+        "composition_law", "adjoint_negates_label", "fourier_maps_labels"}
+
+
+@pytest.mark.parametrize("fault", [None, perturbed_arrays, perm_depends_on_a],
+                         ids=["none", "phase_offset", "perm_row"])
+@pytest.mark.parametrize("pe", TRANSLATION_FIELDS, ids=str)
+def test_streamed_overcomplete_matches_whole_sum(pe, fault, monkeypatch):
+    field = make_field(*pe)
+    ring = ring_for(field)
+    chi = random_state(ring, field.order, random.Random(field.order), big=True)
+    if fault is not None:
+        fault(monkeypatch, field)
+    for psi in (phi_basis(field, 0), point_mass(ring, field.order, 1)):
+        want = whole_overcomplete_sum(field, psi, chi)
+        assert_same_triple(heisenberg.overcomplete_sum(field, psi, chi), want)
+        assert overcomplete_expansion_check(field, psi, chi)["holds"] is (
+            StateVector.from_packed(ring, want).equals(chi))
+    if fault is None:
+        one_entry_blocks(monkeypatch, field)
+        assert_same_triple(heisenberg.overcomplete_sum(field, psi, chi), want)
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("fault", [perturbed_arrays, perm_depends_on_a],
+                         ids=["phase_offset", "perm_row"])
+def test_weyl_sums_follow_planted_displacements(fault, entries, monkeypatch):
+    # one block of shifts, or one shift per block: with the wrong permutation
+    # only the block of shift 0 takes the per-label gather and the whole-matrix sum
+    field = make_field(3, 2)
+    theta = random_operator(field, random.Random(7), big=True)
+    fault(monkeypatch, field)
+    if entries is not None:
+        monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", entries)
+    table = weyl_expand(field, theta)
+    assert canonical(table.rows) == canonical(ref_weyl_expand(field, theta.rows))
+    rebuilt = weyl_reconstruct(field, table)
+    assert canonical(rebuilt.rows) == canonical(ref_weyl_reconstruct(field, table.rows))
+    assert not rebuilt.equals(theta)
+
+
+def test_difference_codes_fall_back_off_the_digit_table(monkeypatch):
+    # base-2p digit codes on the field's own add table; on one that is a
+    # group but not digit-wise, the codes q x + y of the q x q table
+    field = make_field(3, 2)
+    k = np.arange(field.order)
+    for fault, width in ((None, 6 ** 2), (wrong_add_weight, 9 * 9)):
+        field = GFField(3, 2, field.modulus)  # a field object no cache has seen
+        if fault is not None:
+            fault(monkeypatch, field)
+        cx, cy, at = sp._difference_codes(field)
+        t = field.tables()
+        assert len(at) == width
+        assert np.array_equal(at[cx[:, None] + cy], t.add[k[:, None], t.neg[k]])
+        elements, labels = sp.enumerate_group(field), [field.one, field.generator]
+        got = sp.action_sweep(field, elements, labels)
+        assert np.array_equal(got, dense_action_sweep(field, elements, labels))
+
+
+def test_grid_checks_peak_below_one_megabyte():
+    # the four exhaustive checks that set the verify-grid peak, on GF(9), each
+    # run once to fill the caches the suite fills, then traced
+    field = make_field(3, 2)
+    q = field.order
+    grid = heisenberg.label_grid(field)
+    first, second = np.divmod(np.arange(q ** 4, dtype=np.int32), q * q)
+    xs, ys = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+    group = sp.enumerate_group(field)
+    checks = {
+        "composition_law": lambda: heisenberg.composition_law_holds(field, grid, first, second),
+        "orthogonality_under_trace": lambda: heisenberg.trace_orthogonality_holds(
+            field, grid, first, second),
+        "conjugated_shear_additive_law": lambda: sp.shear_grid_laws(field, xs, ys, range(q))[0],
+        "action_law_exhaustive": lambda: sp.action_sweep(
+            field, group, field.p ** np.arange(field.ell)).all(),
+    }
+    for name, check in checks.items():
+        assert check(), name
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert check(), name
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000, (name, peak)
