@@ -206,6 +206,26 @@ def trace_orthogonality_holds(field: GFField, grid: Monomial, first, second) -> 
     return True
 
 
+def fourier_intertwines(exps, family: Monomial, image: Monomial) -> np.ndarray:
+    """Per member of two ``Monomial`` families of one leading shape and
+    dimension s, whether R M = T R, M the member of ``family``, T that of
+    ``image`` and R = p^(-k/2) zeta^exps for an (s, s) array of root
+    exponents: a bool array over the leading axes.
+
+    Every entry of either side is p^(-k/2) times a unit: (R M)(i, m) =
+    R(i, perm_M m) zeta^phase_M(m), and (T R)(i, m) = zeta^phase_T(j)
+    R(j, m) with perm_T(j) = i, so the law is one comparison of root
+    exponents mod N.  For a unitary R it reads R M R+ = T: F D(a, b) F+ =
+    D(b, -a) on the label grid, and F_d M F_d+ = T on a subfield block.
+    """
+    exps = np.asarray(exps)
+    inv = image.adjoint()  # row i: perm_T^-1 i, with the negated phase there
+    lhs = (exps[np.arange(len(exps))[:, None], family.perm[..., None, :]]
+           + family.phase[..., None, :])
+    return ~((lhs + inv.phase[..., :, None] - exps[inv.perm]) % family.ring.order).any(
+        axis=(-2, -1))
+
+
 def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
     """p^-ell sum over l of w_l D(alpha[l], beta[l]), for index arrays of
     labels, as a dense exact matrix: the one-block :func:`label_sum_stack`."""
@@ -224,13 +244,8 @@ def label_sum_stack(field: GFField, alpha, beta, weights=None):
     the B * q * q entries; the factor p^-ell = 1/q raises the scale
     exponent by 2 ell.
     """
-    return _displacement_sum(field, displacement_monomial(field, alpha, beta), weights)
-
-
-def _displacement_sum(field: GFField, family: Monomial, weights):
-    # a (B, L) family of displacements; the root-sum runs over the B * L labels
-    ring = ring_for(field)
-    q = field.order
+    ring, q = ring_for(field), field.order
+    family = displacement_monomial(field, alpha, beta)
     blocks, labels = family.perm.shape[:2]
     data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
     data = np.asarray(data).reshape(-1, 1, ring.degree)
@@ -481,7 +496,6 @@ def marginal_projectors(field: GFField) -> dict:
     return {
         "alpha_sums": bool(ok[:q].all()),
         "beta_sums": bool(ok[q:].all()),
-        "parity_factor_required": True,
     }
 
 
@@ -494,29 +508,20 @@ def subfield_fourier_intertwining_check(field: GFField, d: int,
     braiding Z_d^a X_d^b = X_d^b Z_d^a omega^(subfield-trace of a b) over
     the label pairs, as families.  Defaults to every subfield label.
     F_d(i, j) = p^(-d/2) zeta^f[i, j] on the block, f[i] the phases of
-    Z_d^(sub i), so (F_d M F_d+)(i, j) = p^-d sum_k zeta^(f[i, perm k] +
-    phase k - f[j, k]) for a monomial M: one root-sum per block of rows."""
+    Z_d^(sub i).  F_d is unitary on its block (the Fourier suite's
+    ``subfield_unitary`` item), so each law F_d M F_d+ = T reads F_d M =
+    T F_d: :func:`fourier_intertwines` per block of labels."""
     sub = np.asarray(field.subfield_indices(d))
-    s, ring = len(sub), ring_for(field)
+    s = len(sub)
     idx = sub if labels is None else np.array([field.element(x).index for x in labels], int)
     zero = np.zeros_like(idx)
     z = subfield_displacement_arrays(field, d, idx, zero)
     x = subfield_displacement_arrays(field, d, zero, idx)
     f = subfield_displacement_arrays(field, d, sub, np.zeros_like(sub)).phase
-    unit = ring.root_coeffs()
 
     def conjugates_to(mono, target):
-        for blk in label_blocks(len(idx) * s, s * s):
-            lab, i = np.divmod(np.arange(len(idx) * s)[blk], s)
-            roots = (f[i[:, None, None], mono.perm[lab][:, None, :]]
-                     + mono.phase[lab][:, None, :] - f)
-            slots = np.broadcast_to(np.arange(len(i) * s).reshape(-1, s, 1), roots.shape)
-            got = ring.root_sum(unit[0], roots, slots, (len(i), s), 2 * d)
-            want = np.where((target.perm[lab] == i[:, None])[..., None],
-                            unit[target.phase[lab]], 0)
-            if got[1:] != (0, 1) or not np.array_equal(got[0], want):
-                return False
-        return True
+        return all(fourier_intertwines(f, mono[b], target[b]).all()
+                   for b in label_blocks(len(idx), s * s))
 
     minus = subfield_displacement_arrays(field, d, zero, field.tables().neg[idx])
     # Z_d^a X_d^b for every pair (a, b), row a and column b

@@ -381,9 +381,9 @@ def cyclic_spectrum(powers, ring: CycloRing) -> Spectrum:
     return Spectrum(tuple(projs))
 
 
-def conjugate(u: OperatorMatrix, a: "OperatorMatrix | Monomial") -> OperatorMatrix:
-    """Basis change u a u^dagger, for a dense or a monomial a: with a
-    ``Monomial`` the first product is a gather."""
+def conjugate(u: "OperatorMatrix | Monomial", a: "OperatorMatrix | Monomial"):
+    """Basis change u a u^dagger, for u and a each dense or monomial: each
+    product with a ``Monomial`` factor is a gather."""
     return u @ a @ u.adjoint()
 
 
@@ -490,9 +490,6 @@ class Monomial:
         return Monomial(self.ring, self.perm,
                         self.phase + np.asarray(k, dtype=self.phase.dtype)[..., None])
 
-    def scaled_by_omega(self, a: int) -> "Monomial":
-        return self.scaled_by_root((a % self.ring.char) * (self.ring.order // self.ring.char))
-
     def matches(self, other: "Monomial") -> np.ndarray:
         """Per member, whether self and other are equal: a bool array over
         the broadcast leading axes (0-d for two monomials)."""
@@ -563,15 +560,10 @@ class Monomial:
         return OperatorMatrix.from_packed(a.ring, (out, e, q))
 
     def conjugate_dense(self, a: OperatorMatrix) -> OperatorMatrix:
-        """self @ a @ self^dagger: entry (n, m) is a(inv[n], inv[m]) times
-        zeta^(phase[inv[n]] - phase[inv[m]])."""
+        """self @ a @ self^dagger, by :func:`conjugate`: a row gather, then a
+        column gather."""
         self._check(a, OperatorMatrix)
-        inv = self._inverse()
-        data, e, q = a.packed
-        phase = self._roots(self.phase[inv])
-        out = self.ring.times_roots(data[np.ix_(inv, inv)], phase,
-                                    None if phase is None else -phase)
-        return OperatorMatrix.from_packed(a.ring, (out, e, q))
+        return conjugate(self, a)
 
     def apply(self, state: StateVector) -> StateVector:
         self._check(state, StateVector)

@@ -28,7 +28,7 @@ check the action law per shear rather than per element: the law reduces
 to S_x Y = D S_x with Y = N Lambda N+ monomial, and each entry of that is
 one lookup in the root rotations of the q values of S_x, at the field
 difference of its row and column, batched over every element and label
-that share it.  :func:`action_check` is the per-element reference.
+that share it; :func:`action_check` is its one-element case.
 :func:`closed_form_sweep` compares U with the Gauss-sum closed form the same way.
 Every function takes elements as field indices: the sweeps an element
 array (:func:`enumerate_group`), the one-element checks one row (r, s, t,
@@ -83,8 +83,7 @@ def generator_shear_z(field: GFField, xi) -> Monomial:
 
 
 def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
-    """Fourier conjugate F S(1, xi, 0) F+ of the diagonal quadratic phase,
-    cached per parameter.
+    """Fourier conjugate F S(1, xi, 0) F+ of the diagonal quadratic phase.
 
     Conjugating a diagonal operator by F gives a convolution over (GF(q), +):
     the result commutes with every shift, so entry (n, m) depends only on
@@ -93,15 +92,18 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
         g(d) = p^-ell sum_k omega^(Tr(k d) + 2^-1 Tr(xi k^2)),
 
     because Tr(k n) - Tr(k m) = Tr(k (n - m)).  The q values g(d) are one
-    root sum (:func:`_shear_row`), and the matrix is that row gathered at
-    n - m, so it costs q character sums instead of q^2.  The exponents agree
-    with those of the full triple product mod N, so every entry is
-    bit-identical to it; :func:`shear_x_closed_form` evaluates that sum
-    independently.
+    root sum (:func:`_shear_row`, cached), and the matrix is that row
+    gathered at n - m on each call, so it costs q character sums instead of
+    q^2.  The exponents agree with those of the full triple product mod N,
+    so every entry is bit-identical to it; :func:`shear_x_closed_form`
+    evaluates that sum independently.
     """
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
-    return _shear_x(field, field.element(xi).index)
+    g, e, q = _shear_row(field, field.element(xi).index)
+    k = np.arange(field.order)
+    return OperatorMatrix.from_packed(ring_for(field),
+                                      (g[_differences(field, k[:, None], k)], e, q))
 
 
 @cache
@@ -126,15 +128,6 @@ def _differences(field: GFField, rows, cols):
     # the field indices rows - cols, broadcast: where a convolution row is read
     t = field.tables()
     return t.add[rows, t.neg[cols]]
-
-
-@cache
-def _shear_x(field: GFField, xi: int) -> OperatorMatrix:
-    # generator_shear_x at the field index xi, one cache entry per index
-    g, e, q = _shear_row(field, xi)
-    k = np.arange(field.order)
-    return OperatorMatrix.from_packed(ring_for(field),
-                                      (g[_differences(field, k[:, None], k)], e, q))
 
 
 def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
@@ -175,50 +168,6 @@ def synthesize(field: GFField, row) -> OperatorMatrix:
     u = OperatorMatrix.from_packed(ring, (
         rotated[which, _differences(field, np.arange(q)[:, None], perm)], e, den))
     return u @ fourier_matrix(field).adjoint() if fac.fourier[0] else u
-
-
-def action_check(field: GFField, row, labels=None, check_unitary: bool = True) -> dict:
-    """Verify the defining conjugation action of a synthesised unitary.
-
-    Checks S Z^a = D(u a, t a) S and S X^b = D(s b, r b) S for every label
-    value (equivalent to the conjugation form, given unitarity, but O(dim^2)
-    per label), the general law on displacement labels, and the preserved
-    commutation phase of the transformed pair.
-
-    This is the per-element reference for :func:`action_sweep`, which
-    returns the same verdicts for many elements at once: the tests compare
-    the two element by element, and the benchmark's tracer patches this
-    function by name.  It maps labels by field-element arithmetic on the
-    row's entries, not by :func:`label_images`, so that it stays independent.
-    """
-    s_op = synthesize(field, row)
-    if check_unitary and not s_op.is_unitary():
-        return {"unitary": False, "z_action": False, "x_action": False,
-                "displacement_action": False, "commutation": False}
-    r, s, t, u = (field.element(int(x)) for x in row)
-
-    def image(alpha, beta):
-        return (u * alpha + s * beta, t * alpha + r * beta)
-    els = field.elements() if labels is None else [field.element(x) for x in labels]
-    ok_z = all((s_op @ z_monomial(field, a)).equals(
-        displacement_monomial(field, *image(a, field.zero)) @ s_op) for a in els)
-    ok_x = all((s_op @ x_monomial(field, b)).equals(
-        displacement_monomial(field, *image(field.zero, b)) @ s_op) for b in els)
-    ok_d = all((s_op @ displacement_monomial(field, a, b)).equals(
-        displacement_monomial(field, *image(a, b)) @ s_op) for a in els for b in els)
-    # transformed pair keeps the Weyl commutation phase
-    ok_comm = True
-    for a in els:
-        for b in els:
-            zp = displacement_monomial(field, *image(a, field.zero))
-            xp = displacement_monomial(field, *image(field.zero, b))
-            lhs = xp @ zp
-            rhs = (zp @ xp).scaled_by_omega(
-                -field.trace_index(field.mul_index(a.index, b.index)))
-            if lhs != rhs:
-                ok_comm = False
-    return {"unitary": True, "z_action": ok_z, "x_action": ok_x,
-            "displacement_action": ok_d, "commutation": ok_comm}
 
 
 ACTION_KEYS = ("unitary", "z_action", "x_action", "displacement_action",
@@ -373,8 +322,8 @@ def _difference_codes(field: GFField):
 
 
 def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
-    """The :func:`action_check` verdicts of many elements, as a (G, 5) bool
-    array with columns in ACTION_KEYS order.
+    """The action-law verdicts of many elements, as a (G, 5) bool array
+    with columns in ACTION_KEYS order (see :func:`action_check`).
 
     With the factors U = S_x . N of :func:`element_factors` (N = M, or
     M F+), U Lambda = D(g lambda) U holds exactly when S_x Y = D(g lambda)
@@ -386,8 +335,8 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     j) = g(j - c), is one gather at the field difference, whose index is a
     term in j plus a term in c (:func:`_difference_codes`), batched over
     elements and labels.  U is unitary exactly when its base is (N is
-    unitary); a non-unitary U gets five False, as in action_check.  The
-    commutation phase is monomial-only.  If F is not unitary, the elements that end with F+ get
+    unitary); a non-unitary U gets five False.  The commutation phase is
+    monomial-only.  If F is not unitary, the elements that end with F+ get
     five False.  Where a label's W is not monomial, Y = I stands in: S_x =
     D S_x fails at every label but 0, as the true law does, since a Clifford
     shear S_x maps no non-monomial Y = M W M+ to a displacement.
@@ -447,6 +396,15 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
         out[sl, 0] = unitary[sl]
         out[sl, 1:] = verdict & unitary[sl, None]
     return out
+
+
+def action_check(field: GFField, row, labels=None) -> dict:
+    """The defining conjugation action of the synthesised unitary of one row
+    (r, s, t, u), keyed by ACTION_KEYS: S Z^a S+ = D(u a, t a), S X^b S+ =
+    D(s b, r b) and S D(a, b) S+ = D(g(a, b)) for every label value, and
+    the preserved commutation phase of the transformed pair; the
+    one-element :func:`action_sweep`."""
+    return dict(zip(ACTION_KEYS, action_sweep(field, np.asarray(row)[None], labels)[0].tolist()))
 
 
 def _closed_form_parts(field: GFField, elements):
@@ -548,7 +506,7 @@ def frobenius_action_check(field: GFField, row, subfield_d: int | None = None) -
     ok = True
     mapped = np.asarray(row)
     for k in range(field.ell):
-        conj_op = (g ** k).conjugate_dense(s_op)
+        conj_op = conjugate(g ** k, s_op)
         phase = proportionality_phase(conj_op, synthesize(field, mapped))
         phases.append(phase)
         if phase is None:
@@ -560,7 +518,7 @@ def frobenius_action_check(field: GFField, row, subfield_d: int | None = None) -
         for x in row:
             field.require_in_subfield(
                 x, d, "parameters are not all in the requested subfield")
-        conj_op = (g ** d).conjugate_dense(s_op)
+        conj_op = conjugate(g ** d, s_op)
         phase = proportionality_phase(conj_op, s_op)
         result["subfield_fixed"] = phase is not None
         result["subfield_phase"] = phase

@@ -340,17 +340,11 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     rep.add("adjoint_negates_label",
             holds(q * q, q, lambda s: grid[s].adjoint().matches(grid[neg[s]]).all()))
 
-    # F D(a, b) = D(b, -a) F compared through the root-exponent tables of
-    # both sides (every entry of either side is p^(-ell/2) zeta^e),
-    # indexed [label, row, column], with inv = D(b, -a)^dagger
+    # F D(a, b) = D(b, -a) F on the root exponents of F
     f_exp = (n // field.p) * t.trace[t.mul] % n
     image = b_of * q + t.neg[a_of]
-
-    def fourier_ok(s):
-        inv = grid[image[s]].adjoint()
-        lhs = f_exp[np.arange(q)[:, None], grid.perm[s][:, None, :]] + grid.phase[s][:, None, :]
-        return not ((lhs + inv.phase[:, :, None] - f_exp[inv.perm]) % n).any()
-    rep.add("fourier_maps_labels", holds(q * q, q * q, fourier_ok))
+    rep.add("fourier_maps_labels", holds(q * q, q * q, lambda s: hb.fourier_intertwines(
+        f_exp, grid[s], grid[image[s]]).all()))
 
     # G D(rows) G^dagger = D(target) as G D(rows) = D(target) G, G a Frobenius power
     def frobenius_covariant(g, rows, target):

@@ -508,7 +508,8 @@ def ref_composition_sampled(field, cache, quads):
     for a1, b1, a2, b2 in quads:
         ph = half * (field.trace_index(field.mul_index(a1, b2))
                      - field.trace_index(field.mul_index(b1, a2)))
-        rhs = cache[(field.add_index(a1, a2), field.add_index(b1, b2))].scaled_by_omega(ph)
+        rhs = cache[(field.add_index(a1, a2), field.add_index(b1, b2))].scaled_by_root(
+            omega_exponent(ring_for(field), ph))
         if cache[(a1, b1)] @ cache[(a2, b2)] != rhs:
             return False
     return True
@@ -832,6 +833,88 @@ def test_subfield_intertwining_matches_dense_loop(pe, d):
     assert all(got.values())
 
 
+def root_sum_intertwining(field, d, labels=None):
+    """The subfield intertwining check by root sums, as before the shared
+    kernel: F_d M F_d+ per block of rows, p^-d sum_k zeta^(f[i, perm k] +
+    phase k - f[j, k]) for a monomial M, compared with the target at (E, Q)
+    = (0, 1), and the braiding by families."""
+    sub = np.asarray(field.subfield_indices(d))
+    s, ring = len(sub), ring_for(field)
+    idx = sub if labels is None else np.array([field.element(x).index for x in labels], int)
+    zero = np.zeros_like(idx)
+    z = heisenberg.subfield_displacement_arrays(field, d, idx, zero)
+    x = heisenberg.subfield_displacement_arrays(field, d, zero, idx)
+    f = heisenberg.subfield_displacement_arrays(field, d, sub, np.zeros_like(sub)).phase
+    unit = ring.root_coeffs()
+
+    def conjugates_to(mono, target):
+        for blk in heisenberg.label_blocks(len(idx) * s, s * s):
+            lab, i = np.divmod(np.arange(len(idx) * s)[blk], s)
+            roots = (f[i[:, None, None], mono.perm[lab][:, None, :]]
+                     + mono.phase[lab][:, None, :] - f)
+            slots = np.broadcast_to(np.arange(len(i) * s).reshape(-1, s, 1), roots.shape)
+            got = ring.root_sum(unit[0], roots, slots, (len(i), s), 2 * d)
+            want = np.where((target.perm[lab] == i[:, None])[..., None],
+                            unit[target.phase[lab]], 0)
+            if got[1:] != (0, 1) or not np.array_equal(got[0], want):
+                return False
+        return True
+
+    minus = heisenberg.subfield_displacement_arrays(field, d, zero, field.tables().neg[idx])
+    zs, xs = z[:, None], x[None]
+    shift = z.phase[:, np.searchsorted(sub, idx)]
+    return {"z_to_shift": conjugates_to(z, minus), "shift_to_z": conjugates_to(x, z),
+            "braiding": bool((zs @ xs).matches((xs @ zs).scaled_by_root(shift)).all())}
+
+
+def fourier_ok(field, grid, s):
+    """fourier_maps_labels on the labels at the slice s, as
+    verify.heisenberg_suite checked it inline before the shared kernel:
+    F D(a, b) = D(b, -a) F on the root-exponent tables of both sides."""
+    q, n, t = field.order, ring_for(field).order, field.tables()
+    a_of, b_of = np.divmod(np.arange(q * q), q)
+    f_exp = (n // field.p) * t.trace[t.mul] % n
+    image = b_of * q + t.neg[a_of]
+    inv = grid[image[s]].adjoint()
+    lhs = f_exp[np.arange(q)[:, None], grid.perm[s][:, None, :]] + grid.phase[s][:, None, :]
+    return not ((lhs + inv.phase[:, :, None] - f_exp[inv.perm]) % n).any()
+
+
+KERNEL_SUBFIELD_CASES = [((p, ell), d) for p, ell in ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+                                                      (5, 3))
+                         for d in range(1, ell + 1) if ell % d == 0]
+
+
+@pytest.mark.parametrize("pe,d", KERNEL_SUBFIELD_CASES, ids=str)
+def test_intertwining_kernel_matches_root_sums(pe, d):
+    # every subfield label up to p^d = 49, three drawn labels above
+    field = make_field(*pe)
+    sub = field.subfield_indices(d)
+    labels = (list(sub) if len(sub) <= 49 else
+              [sub[random.Random(field.order * 10 + d).randrange(len(sub))] for _ in range(3)])
+    got = heisenberg.subfield_fourier_intertwining_check(field, d, labels)
+    assert got == root_sum_intertwining(field, d, labels)
+    assert all(got.values())
+
+
+@pytest.mark.parametrize("coeff", [None, 1])
+@pytest.mark.parametrize("pe", LABEL_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
+def test_fourier_kernel_matches_exponent_tables_on_the_grid(pe, coeff):
+    # per label, against the old check run one label at a time, and per
+    # block of the suite's budget
+    field = make_field(*pe)
+    q, n, t = field.order, ring_for(field).order, field.tables()
+    grid = heisenberg.label_grid(field, coeff)
+    a_of, b_of = np.divmod(np.arange(q * q), q)
+    got = heisenberg.fourier_intertwines((n // field.p) * t.trace[t.mul] % n,
+                                         grid, grid[b_of * q + t.neg[a_of]])
+    assert got.shape == (q * q,)
+    assert got.tolist() == [fourier_ok(field, grid, slice(l, l + 1)) for l in range(q * q)]
+    assert ([bool(got[s].all()) for s in heisenberg.label_blocks(q * q, q * q)]
+            == [fourier_ok(field, grid, s) for s in heisenberg.label_blocks(q * q, q * q)])
+    assert bool(got.all()) is (coeff is None)
+
+
 @pytest.mark.parametrize("pe,d", SUBFIELD_CASES, ids=str)
 def test_subfield_power_relation_matches_dense_loop(pe, d, monkeypatch):
     field = make_field(*pe)
@@ -1018,11 +1101,9 @@ def flip_gauss_sign(monkeypatch, field):
 def plant_shear_rows(monkeypatch, wrong):
     """Plant wrong(row, f, xi) on the shears' convolution rows, which the
     synthesis, the sweeps and the shear laws read; the dense shears
-    (generator_shear_x, the references' path) are then built from the
-    planted rows, uncached."""
+    (generator_shear_x, the references' path) gather the planted rows."""
     row = sp._shear_row
     monkeypatch.setattr(sp, "_shear_row", lambda f, xi: wrong(row, f, xi))
-    monkeypatch.setattr(sp, "_shear_x", sp._shear_x.__wrapped__)
 
 
 def scaled_row(field, row, factor):
@@ -1277,18 +1358,37 @@ def test_intertwining_faults_fail_on_both_paths(fault, broken, pe, d, monkeypatc
     labels = intertwining_labels(field, d)
     fault(monkeypatch, field)
     got = heisenberg.subfield_fourier_intertwining_check(field, d, labels)
-    assert got == ref_intertwining(field, d, labels)
+    assert got == ref_intertwining(field, d, labels) == root_sum_intertwining(field, d, labels)
     assert got == {"z_to_shift": True, "shift_to_z": True, "braiding": True, broken: False}
 
 
-def test_intertwining_compares_the_scale(monkeypatch):
-    # F_d M F_d+ at half its value has the target's coefficients over Q = 2
-    field = make_field(3, 2)
-    original = cyclo.CycloRing.root_sum
-    monkeypatch.setattr(cyclo.CycloRing, "root_sum", lambda ring, data, roots, dest, shape, e=0,
-                        q=1: original(ring, data, roots, dest, shape, e, 2 * q))
-    got = heisenberg.subfield_fourier_intertwining_check(field, 1)
-    assert got == {"z_to_shift": False, "shift_to_z": False, "braiding": True}
+def test_intertwining_reads_every_label_block(monkeypatch):
+    # GF(49) runs three labels a block; only the last label, past the first
+    # block, is moved by the unnegated shift
+    field = make_field(7, 2)
+    labels = [0, 0, 0, 1]
+    assert len(list(heisenberg.label_blocks(len(labels), 49 * 49))) == 2
+    shift_not_negated(monkeypatch, field)
+    got = heisenberg.subfield_fourier_intertwining_check(field, 2, labels)
+    assert got == ref_intertwining(field, 2, labels) == root_sum_intertwining(field, 2, labels)
+    assert got == {"z_to_shift": False, "shift_to_z": True, "braiding": True}
+
+
+@pytest.mark.parametrize("pe,d", [((3, 2), 1), ((3, 2), 2), ((5, 2), 1), ((3, 3), 3)], ids=str)
+def test_intertwining_fails_on_a_wrong_subfield_trace(pe, d, monkeypatch):
+    # one subfield trace off by one, in the table that subfield_traces and
+    # subfield_trace both read: F_d, the subfield displacements and the
+    # braiding phase all see it, and the kernel, the root sums and the dense
+    # conjugations give one verdict
+    field = make_field(*pe)
+    labels = intertwining_labels(field, d)
+    at = field.subfield_indices(d)[1]
+    wrong = field.subfield_traces(d).copy()
+    wrong[at] = (wrong[at] + 1) % field.p
+    monkeypatch.setitem(field._subfield_traces, d, wrong)
+    got = heisenberg.subfield_fourier_intertwining_check(field, d, labels)
+    assert got == ref_intertwining(field, d, labels) == root_sum_intertwining(field, d, labels)
+    assert not all(got.values())
 
 
 def test_braiding_compares_the_permutations():
@@ -1445,8 +1545,7 @@ def test_marginal_stacks_match_per_label_matrices(pe):
                                          + [marginal_sum_beta(field, x) for x in range(q)]]))
     targets = stacked_marginal_targets(field, np.arange(2 * q))
     assert_same_triple(targets, ring.stack([m.packed for m in ref_marginal_targets(field)]))
-    assert heisenberg.marginal_projectors(field) == {
-        "alpha_sums": True, "beta_sums": True, "parity_factor_required": True}
+    assert heisenberg.marginal_projectors(field) == {"alpha_sums": True, "beta_sums": True}
 
 
 def test_marginal_projectors_fail_on_a_perturbed_phase(monkeypatch):
@@ -1459,7 +1558,7 @@ def test_marginal_projectors_fail_on_a_perturbed_phase(monkeypatch):
     beta_ok = [marginal_sum_beta(field, x).equals(targets[q + x]) for x in range(q)]
     assert alpha_ok.index(False) == 1 and beta_ok.index(False) == 0
     assert heisenberg.marginal_projectors(field) == {
-        "alpha_sums": all(alpha_ok), "beta_sums": all(beta_ok), "parity_factor_required": True}
+        "alpha_sums": all(alpha_ok), "beta_sums": all(beta_ok)}
 
 
 def assert_same_triple(got, want):
@@ -1561,8 +1660,7 @@ def test_frame_kernel_matches_the_stacked_paths(pe, fault, monkeypatch):
     assert np.array_equal(
         heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None), plain)
     assert heisenberg.marginal_projectors(field) == {
-        "alpha_sums": bool(plain[:q].all()), "beta_sums": bool(plain[q:].all()),
-        "parity_factor_required": True}
+        "alpha_sums": bool(plain[:q].all()), "beta_sums": bool(plain[q:].all())}
     assert plain.all() == (fault is not perturbed_arrays)
     for row in marginal_elements(field):
         old, new = ref_conjugated_marginal_rows(field, row), frame_rows(field, row)

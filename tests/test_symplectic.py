@@ -11,7 +11,8 @@ from gfharmonic.errors import (ConstraintViolated, DomainRestriction,
                                ZeroScaling)
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import make_field
-from gfharmonic.heisenberg import displacement, x_power, z_power
+from gfharmonic.heisenberg import (displacement, displacement_monomial, x_monomial, x_power,
+                                   z_monomial, z_power)
 from gfharmonic.hilbert import ring_for
 from gfharmonic.linalg import (Monomial, OperatorMatrix, conjugate,
                                proportionality_phase)
@@ -139,12 +140,17 @@ def test_shear_x_convolution_matches_entrywise_sums(p, ell, xis):
 def test_operator_cache_lives_off_the_field():
     field = make_field(5, 1)
     f = fourier_matrix(field)
-    shear = generator_shear_x(field, 2)
+    row = sp._shear_row(field, 2)
     assert fourier_matrix(field) is f
-    assert generator_shear_x(field, 2) is shear
-    # every spelling of the parameter shares one entry
-    assert generator_shear_x(field, field.element(2)) is shear
-    assert generator_shear_x(field, [2]) is shear
+    assert sp._shear_row(field, 2) is row
+    # the shear is its cached row gathered anew; every spelling of the
+    # parameter reads the one entry
+    shear = generator_shear_x(field, 2).packed
+    entries = sp._shear_row.cache_info().currsize
+    for xi in (2, field.element(2), [2]):
+        got = generator_shear_x(field, xi).packed
+        assert np.array_equal(got[0], shear[0]) and got[1:] == shear[1:]
+    assert sp._shear_row.cache_info().currsize == entries
     assert not hasattr(field, "_op_cache")
 
 
@@ -344,9 +350,48 @@ def test_even_characteristic_rejected():
 
 # -- the per-base action sweep against the per-element reference -----------
 
+def reference_action_check(field, row, labels=None):
+    """The action law of one element by FieldElement arithmetic, one dense
+    product per label: S Z^a = D(u a, t a) S, S X^b = D(s b, r b) S and
+    S D(a, b) = D(g(a, b)) S for every label value (the conjugation form,
+    given unitarity), and the Weyl commutation phase of the transformed
+    pair.  It maps labels by field arithmetic on the row's entries, not by
+    label_images, so that it stays independent of the sweep."""
+    s_op = synthesize(field, row)
+    if not s_op.is_unitary():
+        return {"unitary": False, "z_action": False, "x_action": False,
+                "displacement_action": False, "commutation": False}
+    r, s, t, u = entries(field, row)
+    ring = ring_for(field)
+
+    def image(alpha, beta):
+        return (u * alpha + s * beta, t * alpha + r * beta)
+    els = field.elements() if labels is None else [field.element(x) for x in labels]
+    ok_z = all((s_op @ z_monomial(field, a)).equals(
+        displacement_monomial(field, *image(a, field.zero)) @ s_op) for a in els)
+    ok_x = all((s_op @ x_monomial(field, b)).equals(
+        displacement_monomial(field, *image(field.zero, b)) @ s_op) for b in els)
+    ok_d = all((s_op @ displacement_monomial(field, a, b)).equals(
+        displacement_monomial(field, *image(a, b)) @ s_op) for a in els for b in els)
+    # transformed pair keeps the Weyl commutation phase
+    ok_comm = True
+    for a in els:
+        for b in els:
+            zp = displacement_monomial(field, *image(a, field.zero))
+            xp = displacement_monomial(field, *image(field.zero, b))
+            lhs = xp @ zp
+            omega = -field.trace_index(field.mul_index(a.index, b.index)) % field.p
+            rhs = (zp @ xp).scaled_by_root(omega * (ring.order // field.p))
+            if lhs != rhs:
+                ok_comm = False
+    return {"unitary": True, "z_action": ok_z, "x_action": ok_x,
+            "displacement_action": ok_d, "commutation": ok_comm}
+
+
 def reference_verdicts(field, elements, labels):
     return np.array([[res[k] for k in ACTION_KEYS]
-                     for res in (action_check(field, g, labels=labels) for g in elements)])
+                     for res in (reference_action_check(field, g, labels=labels)
+                                 for g in elements)])
 
 
 def power_basis(field):
@@ -361,6 +406,18 @@ def test_action_sweep_matches_action_check(p, ell):
     assert got.shape == (len(group), len(ACTION_KEYS)) and got.dtype == bool
     assert np.array_equal(got, reference_verdicts(field, group, power_basis(field)))
     assert got.all()
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_action_check_is_the_one_element_sweep(p, ell):
+    # on every element, against the FieldElement reference: every label of
+    # GF(3) and GF(5), the power basis of GF(7) and GF(9)
+    field = make_field(p, ell)
+    labels = None if field.order <= 5 else power_basis(field)
+    for row in enumerate_group(field):
+        rep = action_check(field, row, labels)
+        assert list(rep) == list(ACTION_KEYS)
+        assert rep == reference_action_check(field, row, labels), row
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -389,11 +446,10 @@ def test_element_factors_rebuild_synthesize(gf9):
 
 def plant_shear_rows(monkeypatch, wrong):
     """Plant wrong(row, f, xi) on the shears' convolution rows, which the
-    synthesis and the sweeps read; the dense shears are then built from the
-    planted rows, uncached."""
+    synthesis and the sweeps read; the dense shears gather the planted
+    rows."""
     row = sp._shear_row
     monkeypatch.setattr(sp, "_shear_row", lambda f, xi: wrong(row, f, xi))
-    monkeypatch.setattr(sp, "_shear_x", sp._shear_x.__wrapped__)
 
 
 def flip_shear_sign(monkeypatch, field):
@@ -481,7 +537,7 @@ def test_action_law_witness_names_the_first_failing_element(pe, fault, name, mon
     PLANTED[fault][0](monkeypatch, field)
     item = next(i for i in symplectic_suite(field).items if i.name == name)
     for row in seen[0]:
-        res = action_check(field, row, labels=power_basis(field))
+        res = reference_action_check(field, row, labels=power_basis(field))
         if not all(res.values()):
             break
     r, s, t, u = entries(field, row)
