@@ -13,9 +13,10 @@ the slots the permutations name, and each label identity (composition
 law, adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
 member-by-member comparison of grid families (``Monomial.matches``) or of
 their index arrays, all per block of one entry budget
-(:func:`label_blocks`).  Where every D(a, b) moves m to m + b, which
-:func:`grid_certificate` checks, the Weyl sums read Theta once per shift b
-and the resolution of the identity sums over a before it translates by b.
+(:func:`label_blocks`).  Every D(a, b) moves m to m + b, which
+:func:`grid_certificate` checks, so the Weyl sums read Theta once per shift
+b and the resolution of the identity sums over a before it translates by b;
+the resolution item holds only where the certificate does.
 The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
 alpha, column beta holds tr(Theta D(alpha, beta)).
 
@@ -267,11 +268,10 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
     """Coefficient table tr(Theta D(alpha, beta)) over all labels, as the
     q x q matrix whose row alpha, column beta holds it (label indices).
 
-    tr(Theta D(l)) = sum_m Theta(m, perm_l[m]) zeta^phase_l[m]: per block of
-    shifts b (:func:`label_blocks`), one gather of Theta and one root-sum
-    into the block's table slots; the blocks are stacked into one normal
-    form.  Where every permutation of the block is add[b], Theta(m, m + b)
-    is gathered once per shift, not once per label.
+    tr(Theta D(a, b)) = sum_m Theta(m, m + b) zeta^phase[m]: per block of
+    shifts b (:func:`label_blocks`), Theta(m, m + b) gathered once per shift
+    and one root-sum into the block's table slots; the blocks are stacked
+    into one normal form.
     """
     _require_odd(field)
     if theta.dim != field.order:
@@ -281,10 +281,9 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
     data, e, den = theta.packed
     parts = []
     for b, d in _shift_blocks(field):
-        at = t.add[b][:, None] if (d.perm == t.add[b][:, None]).all() else d.perm
         slots = np.arange(len(b) * q).reshape(len(b), q, 1)
-        parts.append(ring.root_sum(data[np.arange(q), at], d.phase,
-                                   np.broadcast_to(slots, d.perm.shape), (len(b) * q,), e, den))
+        parts.append(ring.root_sum(data[np.arange(q), t.add[b][:, None]], d.phase,
+                                   np.broadcast_to(slots, d.phase.shape), (len(b) * q,), e, den))
     table, e, den = ring.stack(parts)  # row b * q + a
     return OperatorMatrix.from_packed(
         ring, (table.reshape(q, q, ring.degree).transpose(1, 0, 2), e, den))
@@ -293,45 +292,38 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
 def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
     """Rebuild p^-ell sum_labels D(alpha, beta) W(-alpha, -beta) from the table
     W of :func:`weyl_expand`: the weights are W gathered at the negated
-    labels, summed per block of shifts b.  Where every permutation of the
-    block is add[b], each term of D(a, b) lands at (m + b, m) whatever a:
-    one root-sum into the q entries of each shift, the shifts stacked into
-    one normal form and moved to (m + b, m) by one more root-sum.  Any
-    other block sum is a whole q x q matrix, added to that."""
+    labels.  Each term of D(a, b) lands at (m + b, m) whatever a, so per
+    block of shifts b one root-sum goes into the q entries of each shift;
+    the shifts are stacked into one normal form and moved to (m + b, m) by
+    one more root-sum."""
+    _require_odd(field)
+    if table.dim != field.order:
+        raise DimensionMismatch("table dimension does not match the field")
     t, q = field.tables(), field.order
     ring = ring_for(field)
     data, e, den = table.packed
     weights = data[np.ix_(t.neg, t.neg)].transpose(1, 0, 2)[:, :, None]  # [b, a]: W(-a, -b)
-    parts, shifts, total = [], [], None
+    parts = []
     for b, d in _shift_blocks(field):
-        if (d.perm == t.add[b][:, None]).all():
-            slots = np.arange(len(b) * q).reshape(len(b), 1, q)
-            parts.append(ring.root_sum(weights[b], d.phase, np.broadcast_to(slots, d.perm.shape),
-                                       (len(b), q), e, den))
-            shifts.append(b)
-        else:
-            part = ring.root_sum(weights[b], d.phase, d.perm * q + np.arange(q), (q, q),
-                                 e + 2 * field.ell, den)
-            total = part if total is None else ring.add(total, part)
-    if parts:
-        summed, se, sden = ring.stack(parts)
-        part = ring.root_sum(summed, None, t.add[np.concatenate(shifts)] * q + np.arange(q),
-                             (q, q), se + 2 * field.ell, sden)
-        total = part if total is None else ring.add(total, part)
-    return OperatorMatrix.from_packed(ring, total)
+        slots = np.arange(len(b) * q).reshape(len(b), 1, q)
+        parts.append(ring.root_sum(weights[b], d.phase, np.broadcast_to(slots, d.phase.shape),
+                                   (len(b), q), e, den))
+    summed, e, den = ring.stack(parts)  # row b: the q entries of shift b
+    return OperatorMatrix.from_packed(ring, ring.root_sum(
+        summed, None, t.add * q + np.arange(q), (q, q), e + 2 * field.ell, den))
 
 
 def resolution_sum(field: GFField, theta: OperatorMatrix):
     """p^-ell sum_labels D Theta D^dagger as a normal-form packed triple, and
     the :func:`grid_certificate` of the label grid (None or its witness).
 
-    Entry (i, j) of Theta lands at (perm[i], perm[j]) of D Theta D^dagger
-    times zeta^(phase[i] - phase[j]).  Under the certificate, D(a, b) moves
-    it to (i + b, j + b) times zeta^(Tr(a i) - Tr(a j)) N/p, the phase
-    constant cancelling, so the terms are summed over a for each entry
-    first (per block of rows i), then over b along the translated
-    diagonals: two root-sums of q^3 terms.  Otherwise every block of labels
-    is one root-sum into the q * q entries, and the block sums are added.
+    D(a, b) moves entry (i, j) of Theta to (i + b, j + b) times
+    zeta^(Tr(a i) - Tr(a j)) N/p, the phase constant cancelling, so the
+    terms are summed over a for each entry first (per block of rows i),
+    then over b along the translated diagonals: two root-sums of q^3 terms
+    that read only the trace and add tables.  The certificate is the
+    precondition of that reading of D: the sum is the resolution only where
+    it holds.
     """
     _require_odd(field)
     if theta.dim != field.order:
@@ -339,28 +331,18 @@ def resolution_sum(field: GFField, theta: OperatorMatrix):
     ring = ring_for(field)
     q, t = field.order, field.tables()
     data, e, den = theta.packed
-    grid = label_grid(field)
-    witness = grid_certificate(field, grid)
-    if witness is None:
-        offset = (t.trace[t.mul] * (ring.order // field.p)).T  # [m, a]: Tr(a m) N / p
-        parts = []
-        for s in label_blocks(q, q * max(q, ring.order)):
-            rows = offset[s]
-            slots = np.arange(len(rows) * q).reshape(-1, q, 1)
-            parts.append(ring.root_sum(data[s, :, None], rows[:, None, :] - offset[None],
-                                       np.broadcast_to(slots, slots.shape[:2] + (q,)),
-                                       (len(rows), q), e, den))
-        summed, e, den = ring.stack(parts)
-        moved = t.add[:, :, None] * q + t.add[:, None, :]  # [b, i, j]: (i + b, j + b)
-        return ring.root_sum(summed[None], None, moved, (q, q), e + 2 * field.ell, den), witness
-    total = None
-    for s in label_blocks(q * q, q * q):
-        pm, ph = grid.perm[s], grid.phase[s]
-        part = ring.root_sum(data, ph[:, :, None] - ph[:, None, :],
-                             pm[:, :, None] * q + pm[:, None, :], (q, q),
-                             e + 2 * field.ell, den)
-        total = part if total is None else ring.add(total, part)
-    return total, witness
+    offset = (t.trace[t.mul] * (ring.order // field.p)).T  # [m, a]: Tr(a m) N / p
+    parts = []
+    for s in label_blocks(q, q * max(q, ring.order)):
+        rows = offset[s]
+        slots = np.arange(len(rows) * q).reshape(-1, q, 1)
+        parts.append(ring.root_sum(data[s, :, None], rows[:, None, :] - offset[None],
+                                   np.broadcast_to(slots, slots.shape[:2] + (q,)),
+                                   (len(rows), q), e, den))
+    summed, e, den = ring.stack(parts)
+    moved = t.add[:, :, None] * q + t.add[:, None, :]  # [b, i, j]: (i + b, j + b)
+    return (ring.root_sum(summed[None], None, moved, (q, q), e + 2 * field.ell, den),
+            grid_certificate(field, label_grid(field)))
 
 
 def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
@@ -369,16 +351,17 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
 
     This is the identity for the normalised Theta / tr(Theta) without the
     division; it needs tr(Theta) != 0.  ``certificate`` is None or the
-    witness (a, b, m) of the grid certificate, whose failure sends the sum
-    down the blocked path.
+    witness (a, b, m) of the grid certificate; the sum reads D as the
+    certificate states it, so the check holds only where the certificate
+    does.
     """
     total, witness = resolution_sum(field, theta)
     tr = theta.trace()
     if tr.is_zero:
         raise ZeroTrace("resolution of identity needs tr(Theta) != 0")
     want = OperatorMatrix.identity(theta.ring, theta.dim).scaled(tr)
-    return {"holds": OperatorMatrix.from_packed(theta.ring, total).equals(want),
-            "certificate": witness}
+    holds = witness is None and OperatorMatrix.from_packed(theta.ring, total).equals(want)
+    return {"holds": holds, "certificate": witness}
 
 
 def overcomplete_sum(field: GFField, psi: StateVector, chi: StateVector):
@@ -392,6 +375,8 @@ def overcomplete_sum(field: GFField, psi: StateVector, chi: StateVector):
     largest temporary is its q coefficient vectors.
     """
     _require_odd(field)
+    if psi.dim != field.order or chi.dim != field.order:
+        raise DimensionMismatch("state dimension does not match the field")
     ring = ring_for(field)
     q, deg = field.order, ring.degree
     grid = label_grid(field)

@@ -429,25 +429,6 @@ class Monomial:
     def permutation(cls, ring: CycloRing, perm) -> "Monomial":
         return cls(ring, perm, np.zeros_like(perm))
 
-    @classmethod
-    def from_dense(cls, a: OperatorMatrix) -> "Monomial | None":
-        """The monomial equal to a, or None when a is not monomial.
-
-        A monomial's triple has E = 0, Q = 1 and one nonzero entry in each
-        row and column, each a row of ``root_coeffs``.
-        """
-        data, e, q = a.packed
-        live = data.any(axis=2)
-        if e or q != 1 or not ((live.sum(axis=0) == 1).all()
-                               and (live.sum(axis=1) == 1).all()):
-            return None
-        perm = live.argmax(axis=0)
-        vecs = data[perm, np.arange(a.dim)]
-        match = (vecs[:, None, :] == a.ring.root_coeffs()[None]).all(axis=2)
-        if not match.any(axis=1).all():
-            return None
-        return cls(a.ring, perm, match.argmax(axis=1))
-
     def _row_starts(self):
         # the flat index of each member's first entry, shaped (..., 1)
         lead = self.perm.shape[:-1]

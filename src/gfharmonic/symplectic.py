@@ -277,16 +277,17 @@ def element_factors(field: GFField, elements) -> ElementFactors:
                           monomial=Monomial(ring_for(field), perm, phase), fourier=fourier)
 
 
-def _fourier_conjugates(field: GFField, family: Monomial):
-    """Whether F is unitary, and the family of W = F+ D F over a family of
-    label operators D, with the identity where W is not monomial."""
+def _fourier_conjugates(field: GFField, la, lb):
+    """Whether F is unitary, and the family of W = F+ D(a, b) F over index
+    arrays of labels: D(-b, a) wherever F D(-b, a) = D(a, b) F, two gathers
+    of F per label, which fixes W because F is unitary; the identity
+    elsewhere."""
     f = fourier_matrix(field)
-    ring = ring_for(field)
-    f_adj = f.adjoint()
-    conj = [Monomial.from_dense(f_adj @ (family[k] @ f))
-            for k in range(len(family.perm))]
-    conj = [Monomial.identity(ring, field.order) if w is None else w for w in conj]
-    return f.is_unitary(), Monomial(ring, [w.perm for w in conj], [w.phase for w in conj])
+    lam = displacement_monomial(field, la, lb)
+    conj = displacement_monomial(field, field.tables().neg[lb], la)
+    keep = np.array([(f @ conj[k]).equals(lam[k] @ f) for k in range(len(la))])[:, None]
+    return f.is_unitary(), Monomial(ring_for(field), np.where(keep, conj.perm, np.arange(f.dim)),
+                                    np.where(keep, conj.phase, 0))
 
 
 def _rotation_codes(ring, rows):
@@ -328,18 +329,19 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     With the factors U = S_x . N of :func:`element_factors` (N = M, or
     M F+), U Lambda = D(g lambda) U holds exactly when S_x Y = D(g lambda)
     S_x with Y = N Lambda N+ = M Lambda' M+, a monomial: Lambda' is Lambda,
-    or W = F+ Lambda F, computed once per label, and Y is one family over
+    or W = F+ Lambda F, read once per label, and Y is one family over
     elements and labels.  For each of the at most q bases S_x, codes of
     the root rotations zeta^k g of its convolution row g are built once;
     then entry (j, c) of the law, g(pi_D j - pi_Y c) zeta^(phi_Y c - phi_D
     j) = g(j - c), is one gather at the field difference, whose index is a
     term in j plus a term in c (:func:`_difference_codes`), batched over
     elements and labels.  U is unitary exactly when its base is (N is
-    unitary); a non-unitary U gets five False.  The commutation phase is
-    monomial-only.  If F is not unitary, the elements that end with F+ get
-    five False.  Where a label's W is not monomial, Y = I stands in: S_x =
-    D S_x fails at every label but 0, as the true law does, since a Clifford
-    shear S_x maps no non-monomial Y = M W M+ to a displacement.
+    unitary), the verdict of :func:`shear_grid_laws`; a non-unitary U gets
+    five False.  The commutation phase is monomial-only.  If F is not
+    unitary, the elements that end with F+ get five False.  W is D(-b, a)
+    where F D(-b, a) = D(a, b) F (:func:`_fourier_conjugates`), as it is
+    for the true F at every label; elsewhere Y = I stands in, so S_x = D
+    S_x fails at every label but 0.
     """
     fac = element_factors(field, elements)
     out = np.zeros((len(elements), len(ACTION_KEYS)), dtype=bool)
@@ -358,13 +360,12 @@ def action_sweep(field: GFField, elements, labels=None) -> np.ndarray:
     lam = displacement_monomial(field, la, lb)
     f_unitary, conj = True, lam
     if fac.fourier.any():
-        f_unitary, conj = _fourier_conjugates(field, lam)
+        f_unitary, conj = _fourier_conjugates(field, la, lb)
     # member [0] is Lambda, member [1] is W, for every label
     lams = Monomial(ring, np.stack([lam.perm, conj.perm]), np.stack([lam.phase, conj.phase]))
 
     bases, base_of = np.unique(fac.shear, return_inverse=True)
-    unitary = np.array([generator_shear_x(field, int(x)).is_unitary()
-                        for x in bases])[base_of] & (f_unitary | ~fac.fourier)
+    unitary = shear_grid_laws(field, [], [], bases)[1][base_of] & (f_unitary | ~fac.fourier)
     codes = _rotation_codes(ring, [_shear_row(field, int(x))[0] for x in bases])
     cx, cy, at_diff = _difference_codes(field)
     width = len(at_diff)
@@ -556,9 +557,9 @@ def transformed_marginals(field: GFField, row) -> dict:
 
 
 def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
-    """(additive, unitary): whether S_x(x) S_x(y) = S_x(x + y) for every
-    pair (xs[i], ys[i]) of field indices, and whether S_x(u) S_x(u)^dagger
-    is the identity for every u in units.
+    """(additive, unitary): whether S_x(x) S_x(y) = S_x(x + y), one bool
+    per pair (xs[i], ys[i]) of field indices, and whether S_x(u)
+    S_x(u)^dagger is the identity, one bool per u in units.
 
     Each law is one batch of exact products compared block by block with
     its targets.  Every factor and target is a convolution: the stack of
@@ -583,13 +584,13 @@ def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
 
     def holds(left, right, target, te, tden):
         # each a (row stack, member indices) pair, one member per product
-        for s in label_blocks(len(left[1]), q * q * deg * deg):
+        out = np.empty(len(left[1]), dtype=bool)
+        for s in label_blocks(len(out), q * q * deg * deg):
             a, b, c = (stack[members[s]][:, diff] for stack, members in (left, right, target))
             prod, pe, pden = ring.matmul((a, e, den), (b, e, den))
-            if not blocks_equal(ring, [(prod.reshape(-1, q, deg), pe, pden),
-                                       (c.reshape(-1, q, deg), te, tden)], len(prod)).all():
-                return False
-        return True
+            out[s] = blocks_equal(ring, [(prod.reshape(-1, q, deg), pe, pden),
+                                         (c.reshape(-1, q, deg), te, tden)], len(prod))
+        return out
     return (holds((rows, at_x), (rows, at_y), (rows, at_sum), e, den),
             holds((rows, at_unit), (adjoints, at_unit), (ident, np.zeros_like(at_unit)), 0, 1))
 

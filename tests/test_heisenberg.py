@@ -339,6 +339,21 @@ def test_overcomplete_expansion(gf9):
     assert overcomplete_expansion_check(gf9, psi, chi)["holds"]
 
 
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("call", [
+    lambda f, op, state: weyl_expand(f, op),
+    lambda f, op, state: weyl_reconstruct(f, op),
+    lambda f, op, state: resolution_of_identity_check(f, op),
+    lambda f, op, state: overcomplete_expansion_check(f, state, phi_basis(f, 1)),
+    lambda f, op, state: overcomplete_expansion_check(f, phi_basis(f, 0), state),
+], ids=["weyl_expand", "weyl_reconstruct", "resolution", "overcomplete_psi", "overcomplete_chi"])
+def test_label_sums_reject_other_dimensions(gf9, call, ell):
+    # GF(3), GF(9) and GF(27) share one ring, so only the dimension is wrong
+    other = make_field(3, ell)
+    with pytest.raises(DimensionMismatch):
+        call(gf9, OperatorMatrix.identity(ring_for(other), other.order), phi_basis(other, 0))
+
+
 def test_marginal_sums_small_field(gf3):
     ring = ring_for(gf3)
     par = parity_monomial(gf3)

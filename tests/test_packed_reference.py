@@ -5,6 +5,8 @@ form, shear element sum and subfield checks against their per-element and
 per-label dense loops, also under planted faults; the synthesis, sweeps and
 shear laws that read each shear's convolution row against the dense shears
 and ``(B, 2N, q, q)`` codes they replaced, also under planted row faults;
+the action sweep's Fourier conjugates, two gathers of F per label, against
+the dense F+ (D F) products they replaced, also under planted faults in F;
 the conjugated shear against its per-difference ``sum_of_roots``
 construction; the Weyl sums per label block against one block; the
 element arrays of Sp(2, GF(q)) (enumeration, sampling, synthesis from one
@@ -58,6 +60,7 @@ from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _rand
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
+REF_BLOCK_ENTRIES = 1 << 16  # entries per block of the blocked references below
 
 
 def entries(field, row):
@@ -1230,20 +1233,86 @@ def dense_closed_form_sweep(field, elements):
     return out
 
 
+def from_dense(a):
+    """The monomial equal to a, or None when a is not monomial: the triple
+    has E = 0, Q = 1 and one nonzero entry in each row and column, each a
+    row of ``root_coeffs``."""
+    data, e, q = a.packed
+    live = data.any(axis=2)
+    if e or q != 1 or not ((live.sum(axis=0) == 1).all() and (live.sum(axis=1) == 1).all()):
+        return None
+    perm = live.argmax(axis=0)
+    vecs = data[perm, np.arange(a.dim)]
+    match = (vecs[:, None, :] == a.ring.root_coeffs()[None]).all(axis=2)
+    if not match.any(axis=1).all():
+        return None
+    return Monomial(a.ring, perm, match.argmax(axis=1))
+
+
+def dense_fourier_conjugates(field, family):
+    """The conjugates that two gathers of F replaced: W = F+ (D F) per label
+    as a dense exact product, read back by ``from_dense``, with the identity
+    where W is not monomial; and whether F is unitary."""
+    f = sp.fourier_matrix(field)
+    ring = ring_for(field)
+    f_adj = f.adjoint()
+    conj = [from_dense(f_adj @ (family[k] @ f)) for k in range(len(family.perm))]
+    conj = [Monomial.identity(ring, field.order) if w is None else w for w in conj]
+    return f.is_unitary(), Monomial(ring, [w.perm for w in conj], [w.phase for w in conj])
+
+
+def drop_fourier_adjoint(monkeypatch, field):
+    ident = OperatorMatrix.identity(ring_for(field), field.order)
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: ident)
+
+
+def adjoint_fourier(monkeypatch, field):
+    wrong = fourier_matrix(field).adjoint()
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
+
+
+def scale_fourier(monkeypatch, field):
+    wrong = fourier_matrix(field).scaled(2)
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
+
+
+def non_clifford_fourier(monkeypatch, field):
+    # Delta F, Delta = diag(zeta^[m == 1]): unitary, but a one-point phase is
+    # no quadratic phase, so F+ Delta+ X Delta F is not monomial
+    ring = ring_for(field)
+    delta = Monomial(ring, range(field.order), [int(m == 1) for m in range(field.order)])
+    wrong = delta.left_mul_dense(fourier_matrix(field))
+    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
+
+
+FOURIER_FAULTS = {"dropped_fourier_adjoint": drop_fourier_adjoint,
+                  "wrong_fourier_adjoint": adjoint_fourier,
+                  "wrong_fourier_not_unitary": scale_fourier,
+                  "fourier_not_clifford": non_clifford_fourier}
+
+
+def sweep_labels(field, labels):
+    """The labels (a, 0), (0, b) and (a, b) of the action sweep, as two
+    index arrays, for label values a and b in ``labels``."""
+    els = np.array([field.element(x).index for x in labels], dtype=np.int64)
+    n, zeros = len(els), np.zeros(len(els), dtype=np.int64)
+    return (els, np.concatenate([els, zeros, np.repeat(els, n)]),
+            np.concatenate([zeros, els, np.tile(els, n)]))
+
+
 def dense_action_sweep(field, elements, labels):
-    """action_sweep on the dense codes of the dense shears, in one block:
-    entry (j, c) of the law is codes[b, N + phi_Y c - phi_D j, pi_D j, pi_Y c]."""
+    """action_sweep on the dense codes of the dense shears, with F+ D F as
+    dense products, per block of elements: entry (j, c) of the law is
+    codes[b, N + phi_Y c - phi_D j, pi_D j, pi_Y c]."""
     fac = sp.element_factors(field, elements)
     ring = ring_for(field)
     q, order, t = field.order, ring.order, field.tables()
-    els = np.array([field.element(x).index for x in labels], dtype=np.int64)
-    n, zeros = len(els), np.zeros(len(els), dtype=np.int64)
-    la = np.concatenate([els, zeros, np.repeat(els, n)])
-    lb = np.concatenate([zeros, els, np.tile(els, n)])
+    els, la, lb = sweep_labels(field, labels)
+    n = len(els)
     lam = heisenberg.displacement_monomial(field, la, lb)
     f_unitary, conj = True, lam
     if fac.fourier.any():
-        f_unitary, conj = sp._fourier_conjugates(field, lam)
+        f_unitary, conj = dense_fourier_conjugates(field, lam)
     lams = Monomial(ring, np.stack([lam.perm, conj.perm]), np.stack([lam.phase, conj.phase]))
     bases, base_of = np.unique(fac.shear, return_inverse=True)
     mats = [sp.generator_shear_x(field, int(x)) for x in bases]
@@ -1255,8 +1324,12 @@ def dense_action_sweep(field, elements, labels):
     y = m @ lams[fac.fourier.astype(np.intp)] @ m.adjoint()
     by_m = base_of[:, None, None] * (2 * order * q * q) + (order + y.phase) * (q * q) + y.perm
     by_j = d.perm * q - d.phase * (q * q)
-    lhs = codes.reshape(-1)[by_m[:, :, None, :] + by_j[:, :, :, None]]
-    law = (lhs == codes[base_of, 0][:, None]).all(axis=(2, 3))
+    law = np.empty(by_j.shape[:2], dtype=bool)
+    step = max(1, REF_BLOCK_ENTRIES // (len(la) * q * q))
+    for i in range(0, len(law), step):
+        b = slice(i, i + step)
+        lhs = codes.reshape(-1)[by_m[b, :, None, :] + by_j[b, :, :, None]]
+        law[b] = (lhs == codes[base_of[b], 0][:, None]).all(axis=(2, 3))
     shift = t.trace[t.mul[els[:, None], els]] % field.p * (order // field.p)
     z, x = d[:, :n, None], d[:, None, n:2 * n]
     comm = (z @ x).matches((x @ z).scaled_by_root(shift)).all(axis=(1, 2))
@@ -1332,6 +1405,37 @@ def test_shear_rows_match_the_dense_shear_paths_under_planted_faults(fault, acti
     got = sp.action_sweep(field, elements, labels)
     assert np.array_equal(got, dense_action_sweep(field, elements, labels))
     assert got.all() == action_holds
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (13, 2)],
+                         ids=str)
+def test_fourier_conjugates_match_dense_products(pe):
+    # every label value at q <= 9, the power basis above
+    field = make_field(*pe)
+    values = field.elements() if field.order <= 9 else [field.generator ** k
+                                                        for k in range(field.ell)]
+    _, la, lb = sweep_labels(field, values)
+    got_unitary, got = sp._fourier_conjugates(field, la, lb)
+    want_unitary, want = dense_fourier_conjugates(
+        field, heisenberg.displacement_monomial(field, la, lb))
+    assert got_unitary is want_unitary is True
+    assert np.array_equal(got.perm, want.perm) and np.array_equal(got.phase, want.phase)
+    t = field.tables()
+    assert got.matches(heisenberg.displacement_monomial(field, t.neg[lb], la)).all()
+
+
+@pytest.mark.parametrize("fault", sorted(FOURIER_FAULTS))
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (3, 2), (3, 3)], ids=str)
+def test_fourier_faults_give_the_dense_verdicts(pe, fault, monkeypatch):
+    # the verdicts only: under a fault the two conjugate families may differ
+    # (with F = 1 the dense W is D, the gathered one the identity)
+    field = make_field(*pe)
+    elements = sp.enumerate_group(field)
+    labels = [field.generator ** k for k in range(field.ell)]
+    FOURIER_FAULTS[fault](monkeypatch, field)
+    got = sp.action_sweep(field, elements, labels)
+    assert np.array_equal(got, dense_action_sweep(field, elements, labels))
+    assert not got.all()
 
 
 def drop_braiding_phase(monkeypatch, field):
@@ -1709,12 +1813,18 @@ def test_swapped_fourier_columns_witness_in_the_suites(monkeypatch):
 
 def ref_shear_laws(field, xs, ys, units):
     """The per-pair products and per-shear unitarity checks the batched
-    product replaced."""
+    product replaced, one verdict each."""
     def shear(x):
         return sp.generator_shear_x(field, int(x))
-    additive = all((shear(x) @ shear(y)).equals(shear(field.add_index(x, y)))
-                   for x, y in zip(xs, ys))
-    return additive, all(shear(u).is_unitary() for u in units)
+    additive = [(shear(x) @ shear(y)).equals(shear(field.add_index(x, y)))
+                for x, y in zip(xs, ys)]
+    return np.array(additive, dtype=bool), np.array([shear(u).is_unitary() for u in units],
+                                                    dtype=bool)
+
+
+def assert_same_laws(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == bool and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("fault", [None, swap_shear_base, scale_shear_base,
@@ -1729,11 +1839,10 @@ def test_shear_grid_laws_match_per_pair_products(pe, fault, monkeypatch):
     q = field.order
     xs, ys = np.divmod(np.arange(q * q), q)
     got = sp.shear_grid_laws(field, xs, ys, range(q))
-    assert got == ref_shear_laws(field, xs, ys, range(q))
-    assert got == {None: (True, True), swap_shear_base: (False, True),
-                   scale_shear_base: (False, False),
-                   rotate_one_shear_value: (False, False),
-                   shift_shear_row: (False, True)}[fault]
+    assert_same_laws(got, ref_shear_laws(field, xs, ys, range(q)))
+    assert tuple(bool(law.all()) for law in got) == {
+        None: (True, True), swap_shear_base: (False, True), scale_shear_base: (False, False),
+        rotate_one_shear_value: (False, False), shift_shear_row: (False, True)}[fault]
 
 
 @pytest.mark.parametrize("pe", [(5, 2), (3, 3)], ids=str)
@@ -1744,13 +1853,16 @@ def test_shear_grid_laws_on_drawn_pairs(pe, monkeypatch):
     q, rng = field.order, random.Random(pe[0])
     xs, ys = (np.array([rng.randrange(q) for _ in range(6)]) for _ in range(2))
     units = [0, 1, rng.randrange(q)]
-    assert sp.shear_grid_laws(field, xs, ys, units) == (True, True)
+    assert_same_laws(sp.shear_grid_laws(field, xs, ys, units), ([True] * 6, [True] * 3))
     swap_shear_base(monkeypatch, field)
     for x, y, additive in [(0, 2, True), (1, 0, True), (1, 1, False)]:
         got = sp.shear_grid_laws(field, [x], [y], [x])
-        assert got == ref_shear_laws(field, [x], [y], [x]) == (additive, True)
+        assert_same_laws(got, ref_shear_laws(field, [x], [y], [x]))
+        assert_same_laws(got, ([additive], [True]))
     # one product per block at this size: the failing pair comes last
-    assert sp.shear_grid_laws(field, [*xs, 1], [*ys, 1], units) == (False, True)
+    got = sp.shear_grid_laws(field, [*xs, 1], [*ys, 1], units)
+    assert_same_laws(got, ref_shear_laws(field, [*xs, 1], [*ys, 1], units))
+    assert not got[0][-1] and got[1].all()
 
 
 def ref_random_operator(field, rng, count):
@@ -2375,8 +2487,8 @@ def ref_generator_laws(rep, field, rng):
               [(rng.choice(els), rng.choice(els)) for _ in range(6)])
     additive, unitary = ref_shear_laws(field, *zip(*[(x.index, y.index) for x, y in xpairs]),
                                        [x.index for x in check_xis])
-    rep.add("conjugated_shear_additive_law", additive)
-    rep.add("conjugated_shear_unitary", unitary)
+    rep.add("conjugated_shear_additive_law", bool(additive.all()))
+    rep.add("conjugated_shear_unitary", bool(unitary.all()))
 
 
 def verdicts(rep):
@@ -2713,9 +2825,6 @@ def test_zero_phase_monomials_match_rotated_path(pe):
 
 # -- the label-grid certificate, the sums by translation, one block budget -----
 
-REF_BLOCK_ENTRIES = 1 << 16  # the label block of the blocked references below
-
-
 def blocked_resolution_sum(field, theta):
     """The sum the translated one replaced: per block of labels of the grid,
     one root-sum into the q x q entries, the block sums added."""
@@ -2784,22 +2893,21 @@ def test_translated_resolution_matches_blocked_sum(pe):
 
 @pytest.mark.parametrize("fault,witness", CERTIFICATE_FAULTS, ids=["phase_offset", "perm_row"])
 @pytest.mark.parametrize("pe", [(3, 1), (5, 1), (3, 2)], ids=str)
-def test_certificate_faults_take_the_blocked_sum(pe, fault, witness, monkeypatch):
-    # the identity keeps the identity under either fault, the point
-    # projector sees only the permutation, the rank-one operator both
+def test_certificate_faults_fail_the_resolution_check(pe, fault, witness, monkeypatch):
+    # the sum reads only the trace and add tables, so it is the unfaulted
+    # one; the failing certificate fails the check for every Theta, also
+    # where the blocked sum over the faulty grid still gave tr(Theta) 1
     field = make_field(*pe)
+    thetas = resolution_thetas(field)
+    want = [blocked_resolution_sum(field, theta) for theta in thetas]
     fault(monkeypatch, field)
     assert heisenberg.grid_certificate(field, heisenberg.label_grid(field)) == witness
-    verdicts = []
-    for theta in resolution_thetas(field):
+    for theta, unfaulted in zip(thetas, want):
         got, cert = heisenberg.resolution_sum(field, theta)
         assert cert == witness
-        assert_same_triple(got, blocked_resolution_sum(field, theta))
-        want = OperatorMatrix.identity(ring_for(field), field.order).scaled(theta.trace())
-        verdicts.append(OperatorMatrix.from_packed(ring_for(field), got).equals(want))
-        assert resolution_of_identity_check(field, theta) == {"holds": verdicts[-1],
+        assert_same_triple(got, unfaulted)
+        assert resolution_of_identity_check(field, theta) == {"holds": False,
                                                               "certificate": witness}
-    assert verdicts == [True, fault is perturbed_arrays, False]
 
 
 @pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3)], ids=str)
@@ -2833,11 +2941,10 @@ def test_streamed_overcomplete_matches_whole_sum(pe, fault, monkeypatch):
 
 
 @pytest.mark.parametrize("entries", [None, 1])
-@pytest.mark.parametrize("fault", [perturbed_arrays, perm_depends_on_a],
-                         ids=["phase_offset", "perm_row"])
+@pytest.mark.parametrize("fault", [perturbed_arrays], ids=["phase_offset"])
 def test_weyl_sums_follow_planted_displacements(fault, entries, monkeypatch):
-    # one block of shifts, or one shift per block: with the wrong permutation
-    # only the block of shift 0 takes the per-label gather and the whole-matrix sum
+    # one block of shifts, or one shift per block; the sums read each
+    # label's phases, not its permutation (D(a, b) moves m to m + b)
     field = make_field(3, 2)
     theta = random_operator(field, random.Random(7), big=True)
     fault(monkeypatch, field)
@@ -2881,7 +2988,8 @@ def test_grid_checks_peak_below_one_megabyte():
         "composition_law": lambda: heisenberg.composition_law_holds(field, grid, first, second),
         "orthogonality_under_trace": lambda: heisenberg.trace_orthogonality_holds(
             field, grid, first, second),
-        "conjugated_shear_additive_law": lambda: sp.shear_grid_laws(field, xs, ys, range(q))[0],
+        "conjugated_shear_additive_law": lambda: sp.shear_grid_laws(
+            field, xs, ys, range(q))[0].all(),
         "action_law_exhaustive": lambda: sp.action_sweep(
             field, group, field.p ** np.arange(field.ell)).all(),
     }

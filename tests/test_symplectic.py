@@ -28,6 +28,8 @@ from gfharmonic.symplectic import (ACTION_KEYS, action_check, action_sweep,
                                    shear_x_closed_form, synthesize,
                                    transformed_marginals)
 from gfharmonic.verify import symplectic_suite
+from test_packed_reference import (adjoint_fourier, drop_fourier_adjoint, from_dense,
+                                   non_clifford_fourier, scale_fourier)
 
 
 @pytest.fixture(scope="module")
@@ -465,30 +467,6 @@ def scale_shear(monkeypatch, field):
     plant_shear_rows(monkeypatch, scaled)
 
 
-def drop_fourier_adjoint(monkeypatch, field):
-    ident = OperatorMatrix.identity(ring_for(field), field.order)
-    monkeypatch.setattr(sp, "fourier_matrix", lambda f: ident)
-
-
-def adjoint_fourier(monkeypatch, field):
-    wrong = fourier_matrix(field).adjoint()
-    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
-
-
-def scale_fourier(monkeypatch, field):
-    wrong = fourier_matrix(field).scaled(2)
-    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
-
-
-def non_clifford_fourier(monkeypatch, field):
-    # Delta F, Delta = diag(zeta^[m == 1]): unitary, but a one-point phase is
-    # no quadratic phase, so F+ Delta+ X Delta F is not monomial
-    ring = ring_for(field)
-    delta = Monomial(ring, range(field.order), [int(m == 1) for m in range(field.order)])
-    wrong = delta.left_mul_dense(fourier_matrix(field))
-    monkeypatch.setattr(sp, "fourier_matrix", lambda f: wrong)
-
-
 # fault -> some element still passes
 PLANTED = {
     "flipped_shear_sign": (flip_shear_sign, True),
@@ -504,8 +482,8 @@ def test_planted_non_clifford_fourier_is_unitary(gf9, monkeypatch):
     non_clifford_fourier(monkeypatch, gf9)
     f = sp.fourier_matrix(gf9)
     assert f.is_unitary()
-    assert Monomial.from_dense(f.adjoint() @ x_power(gf9, 1) @ f) is None
-    assert Monomial.from_dense(f.adjoint() @ z_power(gf9, 1) @ f) is not None
+    assert from_dense(f.adjoint() @ x_power(gf9, 1) @ f) is None
+    assert from_dense(f.adjoint() @ z_power(gf9, 1) @ f) is not None
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED))
