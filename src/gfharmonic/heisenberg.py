@@ -6,17 +6,19 @@ the half-trace phase (the field inverse of 2; undefined for p = 2).  All
 three are monomial: :func:`displacement_monomial` gives D for one label,
 or for an array of labels the family of them (a ``Monomial`` with leading
 axes) in one gather, and :func:`label_grid` gives the family of all q^2
-labels, member l = a * q + b.  So each big label sum (operator expansion
-and reconstruction, resolution of the identity, overcomplete expansion,
-marginals) is a ``CycloRing.root_sum`` of entries times zeta^phase into
-the slots the permutations name, and each label identity (composition
-law, adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
+labels, member l = a * q + b.  Each label identity (composition law,
+adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
 member-by-member comparison of grid families (``Monomial.matches``) or of
 their index arrays, all per block of one entry budget
-(:func:`label_blocks`).  Every D(a, b) moves m to m + b, which
-:func:`grid_certificate` checks, so the Weyl sums read Theta once per shift
-b and the resolution of the identity sums over a before it translates by b;
-the resolution item holds only where the certificate does.
+(:func:`label_blocks`), and the marginal sums are ``CycloRing.root_sum``
+scatters of zeta^phase into the slots the permutations name.
+:func:`grid_certificate` checks that every D(a, b) is omega^c Z^a X^b: it
+moves m to m + b with the phase offset Tr(a m).  In that form the Weyl
+expansion and reconstruction, the resolution of the identity and the
+overcomplete expansion are Fourier transforms over the field: exact
+products with the character table R[a, m] = omega^Tr(a m), plus gathers
+and entrywise products, that read the field tables and F, not the grid.
+So their checks hold only where the certificate does.
 The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
 alpha, column beta holds tr(Theta D(alpha, beta)).
 
@@ -36,7 +38,7 @@ from .fourier import fourier_matrix
 from .gf import GFField
 from .hilbert import ring_for
 from .linalg import (Monomial, OperatorMatrix, StateVector, blocks_equal,
-                     inner_product, outer_stack)
+                     inner_product, outer_stack, root_matrix)
 
 
 def _require_odd(field: GFField):
@@ -255,158 +257,145 @@ def label_sum_stack(field: GFField, alpha, beta, weights=None):
                          e + 2 * field.ell, den)
 
 
-def _shift_blocks(field: GFField):
-    """Per block of shifts b: b and the family of D(a, b) for every a,
-    member [k, a] for b = b[k].  A shift's largest temporaries are its
-    q x q arrays and its root-sum slots, q of N coefficients."""
-    every = np.arange(field.order)
-    for s in label_blocks(field.order, field.order * max(field.order, ring_for(field).order)):
-        yield every[s], displacement_monomial(field, every, every[s][:, None])
+def _unscaled(field: GFField, mat: OperatorMatrix):
+    """The packed triple of p^(ell/2) mat: on the Fourier matrix F the
+    unnormalised character table R[a, m] = omega^Tr(a m), on F+ its adjoint."""
+    data, e, den = mat.packed
+    return data, e - field.ell, den
+
+
+def _times(ring, a, b):
+    """The entrywise product of two packed triples whose arrays broadcast,
+    in normal form: one ``CycloRing.matmul`` of 1 x 1 batch members."""
+    (ad, ea, qa), (bd, eb, qb) = a, b
+    data, e, den = ring.matmul((ad[..., None, None, :], ea, qa), (bd[..., None, None, :], eb, qb))
+    return data[..., 0, 0, :], e, den
+
+
+def _half_trace_units(field: GFField):
+    """Omega[a, b] = omega^Tr(a b / 2) as a packed table of units."""
+    t, ring = field.tables(), ring_for(field)
+    return root_matrix(ring, t.trace[t.mul[field.two_inverse, t.mul]] * (ring.order // field.p))
 
 
 def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
     """Coefficient table tr(Theta D(alpha, beta)) over all labels, as the
     q x q matrix whose row alpha, column beta holds it (label indices).
 
-    tr(Theta D(a, b)) = sum_m Theta(m, m + b) zeta^phase[m]: per block of
-    shifts b (:func:`label_blocks`), Theta(m, m + b) gathered once per shift
-    and one root-sum into the block's table slots; the blocks are stacked
-    into one normal form.
+    With D = omega^c Z^a X^b as :func:`grid_certificate` states it,
+    tr(Theta D(a, b)) = Omega[a, b] sum_m omega^Tr(a m) Theta(m, m + b): the
+    table is Omega o (R V), V[m, b] = Theta(m, m + b) gathered once, one
+    product with the character table R and one entrywise product.
     """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
-    q, t = field.order, field.tables()
-    ring = ring_for(field)
+    q, t, ring = field.order, field.tables(), ring_for(field)
     data, e, den = theta.packed
-    parts = []
-    for b, d in _shift_blocks(field):
-        slots = np.arange(len(b) * q).reshape(len(b), q, 1)
-        parts.append(ring.root_sum(data[np.arange(q), t.add[b][:, None]], d.phase,
-                                   np.broadcast_to(slots, d.phase.shape), (len(b) * q,), e, den))
-    table, e, den = ring.stack(parts)  # row b * q + a
-    return OperatorMatrix.from_packed(
-        ring, (table.reshape(q, q, ring.degree).transpose(1, 0, 2), e, den))
+    rv = ring.matmul(_unscaled(field, fourier_matrix(field)),
+                     (data[np.arange(q)[:, None], t.add], e, den))
+    return OperatorMatrix.from_packed(ring, _times(ring, _half_trace_units(field), rv))
 
 
 def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
     """Rebuild p^-ell sum_labels D(alpha, beta) W(-alpha, -beta) from the table
-    W of :func:`weyl_expand`: the weights are W gathered at the negated
-    labels.  Each term of D(a, b) lands at (m + b, m) whatever a, so per
-    block of shifts b one root-sum goes into the q entries of each shift;
-    the shifts are stacked into one normal form and moved to (m + b, m) by
-    one more root-sum."""
+    W of :func:`weyl_expand`.  Every term of D(a, b) lands at (m + b, m), so
+    Theta(m + b, m) = q^-1 (R W')[m, b] with W'[a, b] = Omega[a, b]
+    W(-a, -b): one entrywise product, one product with R at the scale of
+    q^-1, and one gather of (m, b) to (m + b, m)."""
     _require_odd(field)
     if table.dim != field.order:
         raise DimensionMismatch("table dimension does not match the field")
-    t, q = field.tables(), field.order
-    ring = ring_for(field)
+    q, t, ring = field.order, field.tables(), ring_for(field)
     data, e, den = table.packed
-    weights = data[np.ix_(t.neg, t.neg)].transpose(1, 0, 2)[:, :, None]  # [b, a]: W(-a, -b)
-    parts = []
-    for b, d in _shift_blocks(field):
-        slots = np.arange(len(b) * q).reshape(len(b), 1, q)
-        parts.append(ring.root_sum(weights[b], d.phase, np.broadcast_to(slots, d.phase.shape),
-                                   (len(b), q), e, den))
-    summed, e, den = ring.stack(parts)  # row b: the q entries of shift b
-    return OperatorMatrix.from_packed(ring, ring.root_sum(
-        summed, None, t.add * q + np.arange(q), (q, q), e + 2 * field.ell, den))
+    w = _times(ring, _half_trace_units(field), (data[np.ix_(t.neg, t.neg)], e, den))
+    r, re, rq = _unscaled(field, fourier_matrix(field))
+    u, e, den = ring.matmul((r, re + 2 * field.ell, rq), w)
+    # entry (i, j) is U[j, i - j]
+    return OperatorMatrix.from_packed(ring, (u[np.arange(q), t.add[:, t.neg]], e, den))
 
 
 def resolution_sum(field: GFField, theta: OperatorMatrix):
-    """p^-ell sum_labels D Theta D^dagger as a normal-form packed triple, and
-    the :func:`grid_certificate` of the label grid (None or its witness).
+    """p^-ell sum_labels D Theta D^dagger as a normal-form packed triple, D
+    read as :func:`grid_certificate` states it.
 
     D(a, b) moves entry (i, j) of Theta to (i + b, j + b) times
-    zeta^(Tr(a i) - Tr(a j)) N/p, the phase constant cancelling, so the
-    terms are summed over a for each entry first (per block of rows i),
-    then over b along the translated diagonals: two root-sums of q^3 terms
-    that read only the trace and add tables.  The certificate is the
-    precondition of that reading of D: the sum is the resolution only where
-    it holds.
+    omega^(Tr(a i) - Tr(a j)), the phase constant cancelling, so the sum
+    over a is M = Theta o K with K = R R+ (a product, not assumed to be
+    q 1), and the sum over b is the translation sum T(M)[i, j] =
+    sum_b M[i - b, j - b].  That depends on i - j only: it is the diagonal
+    sums s(d) = sum_m M[m + d, m], one product of the gathered diagonals
+    with a column of ones at the scale of q^-1, gathered at i - j.
     """
     _require_odd(field)
     if theta.dim != field.order:
         raise DimensionMismatch("operator dimension does not match the field")
-    ring = ring_for(field)
-    q, t = field.order, field.tables()
-    data, e, den = theta.packed
-    offset = (t.trace[t.mul] * (ring.order // field.p)).T  # [m, a]: Tr(a m) N / p
-    parts = []
-    for s in label_blocks(q, q * max(q, ring.order)):
-        rows = offset[s]
-        slots = np.arange(len(rows) * q).reshape(-1, q, 1)
-        parts.append(ring.root_sum(data[s, :, None], rows[:, None, :] - offset[None],
-                                   np.broadcast_to(slots, slots.shape[:2] + (q,)),
-                                   (len(rows), q), e, den))
-    summed, e, den = ring.stack(parts)
-    moved = t.add[:, :, None] * q + t.add[:, None, :]  # [b, i, j]: (i + b, j + b)
-    return (ring.root_sum(summed[None], None, moved, (q, q), e + 2 * field.ell, den),
-            grid_certificate(field, label_grid(field)))
+    q, t, ring = field.order, field.tables(), ring_for(field)
+    f = fourier_matrix(field)
+    m, e, den = _times(ring, theta.packed, ring.matmul(_unscaled(field, f),
+                                                       _unscaled(field, f.adjoint())))
+    ones = np.zeros((q, 1, ring.degree), dtype=np.int8)
+    ones[:, 0, 0] = 1
+    s, e, den = ring.matmul((m[t.add, np.arange(q)], e, den), (ones, 2 * field.ell, 1))
+    return s[t.add[:, t.neg], 0], e, den
 
 
-def resolution_of_identity_check(field: GFField, theta: OperatorMatrix) -> dict:
+def resolution_of_identity_check(field: GFField, theta: OperatorMatrix, certificate) -> dict:
     """Check p^-ell sum_labels D Theta D^dagger = tr(Theta) 1, every term
     summed by :func:`resolution_sum`.
 
     This is the identity for the normalised Theta / tr(Theta) without the
-    division; it needs tr(Theta) != 0.  ``certificate`` is None or the
-    witness (a, b, m) of the grid certificate; the sum reads D as the
-    certificate states it, so the check holds only where the certificate
-    does.
+    division; it needs tr(Theta) != 0.  ``certificate`` is the
+    :func:`grid_certificate` of the label grid, None or its witness
+    (a, b, m); the sum reads D as the certificate states it, so the check
+    holds only where the certificate does.
     """
-    total, witness = resolution_sum(field, theta)
+    total = resolution_sum(field, theta)
     tr = theta.trace()
     if tr.is_zero:
         raise ZeroTrace("resolution of identity needs tr(Theta) != 0")
     want = OperatorMatrix.identity(theta.ring, theta.dim).scaled(tr)
-    holds = witness is None and OperatorMatrix.from_packed(theta.ring, total).equals(want)
-    return {"holds": holds, "certificate": witness}
+    holds = certificate is None and OperatorMatrix.from_packed(theta.ring, total).equals(want)
+    return {"holds": holds, "certificate": certificate}
 
 
 def overcomplete_sum(field: GFField, psi: StateVector, chi: StateVector):
-    """p^-ell sum_labels (D psi, chi) D psi as a normal-form packed triple.
+    """p^-ell sum_labels (D psi, chi) D psi as a normal-form packed triple, D
+    read as :func:`grid_certificate` states it.
 
-    Row l of ``moved`` is D(l) psi, entry perm_l[m] being psi(m)
-    zeta^phase_l[m]: a gather from the N root rotations of psi, added into
-    place.  Per block of labels, the overlaps are one product of the
-    conjugated rows with chi, the block's part of the sum one product of
-    their transpose with the overlaps, and the parts are added.  A row's
-    largest temporary is its q coefficient vectors.
+    The phase constants cancel and D(a, b) psi at n is omega^Tr(a (n - b))
+    psi(n - b), so the sum at n is q^-1 sum_m psi(m) U[m, n - m], with
+    U = R (R+ V) and V[m, b] = conj psi(m) chi(m + b): one entrywise
+    product, two products with the character table, one gather and one
+    product with psi.
     """
     _require_odd(field)
     if psi.dim != field.order or chi.dim != field.order:
         raise DimensionMismatch("state dimension does not match the field")
-    ring = ring_for(field)
-    q, deg = field.order, ring.degree
-    grid = label_grid(field)
+    q, t, ring = field.order, field.tables(), ring_for(field)
     data, e, den = psi.packed
-    # turned[k, m] = psi(m) zeta^k
-    turned = ring.times_roots(np.broadcast_to(data[:, 0], (ring.order, q, deg)),
-                              row_roots=np.arange(ring.order))
-    total = None
-    for s in label_blocks(q * q, q * deg):
-        perm, phase = grid.perm[s], grid.phase[s]
-        moved = np.zeros(perm.shape + (deg,), dtype=np.result_type(turned, np.int64))
-        at = (np.arange(len(perm))[:, None] * q + perm)[..., None] * deg + np.arange(deg)
-        np.add.at(moved.reshape(-1), at.reshape(-1),
-                  turned[phase, np.arange(q)].astype(moved.dtype).reshape(-1))
-        overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
-        part = ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
-        total = part if total is None else ring.add(total, part)
-    return total
+    cd, ce, cq = chi.packed
+    f = fourier_matrix(field)
+    v = _times(ring, (ring.conj_coeffs(data), e, den), (cd[t.add, 0], ce, cq))
+    u, ue, uq = ring.matmul(_unscaled(field, f), ring.matmul(_unscaled(field, f.adjoint()), v))
+    # row m of the gather is U[m, n - m] over n
+    total, e, den = ring.matmul((data.transpose(1, 0, 2), e + 2 * field.ell, den),
+                                (u[np.arange(q)[:, None], t.add[t.neg]], ue, uq))
+    return total.transpose(1, 0, 2), e, den
 
 
-def overcomplete_expansion_check(field: GFField, psi: StateVector,
-                                 chi: StateVector) -> dict:
+def overcomplete_expansion_check(field: GFField, psi: StateVector, chi: StateVector,
+                                 certificate) -> dict:
     """Expand chi over the p^(2 ell) displaced copies of a unit vector psi:
     chi = p^-ell sum_labels (D psi, chi) D psi exactly, the sum by
-    :func:`overcomplete_sum`; requires (psi, psi) = 1."""
+    :func:`overcomplete_sum`; requires (psi, psi) = 1.  As for
+    :func:`resolution_of_identity_check`, the check holds only where the
+    grid ``certificate`` does."""
     _require_odd(field)
     if inner_product(psi, psi) != ring_for(field).one:
         raise ZeroTrace("expansion vector must be normalised")
-    return {"holds": StateVector.from_packed(psi.ring, overcomplete_sum(field, psi, chi))
-            .equals(chi)}
+    total = StateVector.from_packed(psi.ring, overcomplete_sum(field, psi, chi))
+    return {"holds": certificate is None and total.equals(chi), "certificate": certificate}
 
 
 def marginal_sum_alpha(field: GFField, beta) -> OperatorMatrix:

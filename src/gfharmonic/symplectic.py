@@ -572,6 +572,8 @@ def shear_grid_laws(field: GFField, xs, ys, units) -> tuple:
     ring, q, t = ring_for(field), field.order, field.tables()
     deg = ring.degree
     xs, ys, units = (np.asarray(v, dtype=np.int64) for v in (xs, ys, units))
+    if not (len(xs) or len(units)):
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
     distinct, at = np.unique(np.concatenate([xs, ys, t.add[xs, ys], units]), return_inverse=True)
     at_x, at_y, at_sum, at_unit = np.split(at, np.cumsum([len(xs)] * 3))
     data, e, den = ring.stack([_shear_row(field, int(x)) for x in distinct])

@@ -83,18 +83,23 @@ def _desc(field: GFField) -> str:
 
 
 def _random_entries(field, rng, count: int):
-    """count random scalars as a (count, 1) stack.  Each entry draws its
-    ``degree`` coefficients in [-2, 2] (all zero becomes 1), then its scale
-    exponent, then its denominator; the stack aligns them all at once."""
+    """count random scalars as a (count, 1) stack.  Each entry has ``degree``
+    coefficients in [-2, 2] (all zero becomes 1), a scale exponent from
+    (0, 0, 1, 2) and a denominator from (1, 1, 2, 3), each kind drawn for
+    all entries by one ``rng.choices``; the entries of each (E, Q) pair
+    form one part, and the stack aligns the parts at once."""
     ring = hs.ring_for(field)
-    parts = []
-    for _ in range(count):
-        vec = [rng.randint(-2, 2) for _ in range(ring.degree)]
-        if not any(vec):
-            vec[0] = 1
-        parts.append((np.array(vec).reshape(1, 1, -1), rng.choice([0, 0, 1, 2]),
-                      rng.choice([1, 1, 2, 3])))
-    return ring.stack(parts)
+    vecs = np.array(rng.choices(range(-2, 3), k=count * ring.degree)).reshape(count, 1, -1)
+    vecs[~vecs.any(axis=(1, 2)), 0, 0] = 1
+    kind = (np.array(rng.choices((0, 0, 1, 2), k=count)) * 4
+            + np.array(rng.choices((1, 1, 2, 3), k=count)))
+    kinds = sorted(set(kind.tolist()))
+    masks = [kind == k for k in kinds]
+    data, e, den = ring.stack([(vecs[hit], k // 4, k % 4) for hit, k in zip(masks, kinds)])
+    out = np.empty_like(data)
+    for hit, part in zip(masks, np.split(data, np.cumsum([hit.sum() for hit in masks])[:-1])):
+        out[hit] = part
+    return out, e, den
 
 
 def _random_matrix(field, rng) -> OperatorMatrix:
@@ -370,26 +375,23 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
             hb.trace_orthogonality_holds(field, grid, first, second))
 
     if coeff is None:
-        ok = True
-        for _ in range(5):
-            theta = _random_matrix(field, rng)
-            if not hb.weyl_reconstruct(field, hb.weyl_expand(field, theta)).equals(theta):
-                ok = False
-        rep.add("weyl_expansion_round_trip", ok)
+        # the label sums read D as the grid certificate states it
+        cert = hb.grid_certificate(field, grid)
+        detail = "" if cert is None else f"certificate={cert}"
+        thetas = [_random_matrix(field, rng) for _ in range(5)]
+        rep.add("weyl_expansion_round_trip", cert is None and all(
+            hb.weyl_reconstruct(field, hb.weyl_expand(field, theta)).equals(theta)
+            for theta in thetas), detail)
 
-        ident = OperatorMatrix.identity(ring, q)
-        rep.add("resolution_of_identity[theta=identity]",
-                hb.resolution_of_identity_check(field, ident)["holds"])
-        rep.add("resolution_of_identity[theta=point_projector]",
-                hb.resolution_of_identity_check(
-                    field, hs.point_projector(field, 0))["holds"])
-        rank_one = _random_rank_one(field, rng)
-        rep.add("resolution_of_identity[theta=random_rank_one]",
-                hb.resolution_of_identity_check(field, rank_one)["holds"])
+        for name, theta in (("identity", OperatorMatrix.identity(ring, q)),
+                            ("point_projector", hs.point_projector(field, 0)),
+                            ("random_rank_one", _random_rank_one(field, rng))):
+            rep.add(f"resolution_of_identity[theta={name}]",
+                    hb.resolution_of_identity_check(field, theta, cert)["holds"], detail)
         chi = _random_state(field, rng)
         psi = hs.phi_basis(field, 0)
         rep.add("overcomplete_expansion",
-                hb.overcomplete_expansion_check(field, psi, chi)["holds"])
+                hb.overcomplete_expansion_check(field, psi, chi, cert)["holds"], detail)
 
         marg = hb.marginal_projectors(field)
         rep.add("marginal_alpha_sums", marg["alpha_sums"])

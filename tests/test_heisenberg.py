@@ -10,7 +10,7 @@ from gfharmonic.frobenius import frobenius_monomial
 from gfharmonic.gf import make_field
 from gfharmonic.heisenberg import (component_displacement_monomial,
                                    displacement, displacement_monomial,
-                                   marginal_projectors, marginal_sum_alpha,
+                                   grid_certificate, label_grid, marginal_projectors, marginal_sum_alpha,
                                    marginal_sum_beta,
                                    overcomplete_expansion_check,
                                    parity_monomial,
@@ -319,13 +319,15 @@ def test_weyl_round_trip_random(gf9):
 
 def test_resolution_of_identity(gf9):
     ring = ring_for(gf9)
+    cert = grid_certificate(gf9, label_grid(gf9))
+    assert cert is None
     assert resolution_of_identity_check(
-        gf9, OperatorMatrix.identity(ring, 9))["holds"]
-    assert resolution_of_identity_check(gf9, point_projector(gf9, 0))["holds"]
+        gf9, OperatorMatrix.identity(ring, 9), cert)["holds"]
+    assert resolution_of_identity_check(gf9, point_projector(gf9, 0), cert)["holds"]
     with pytest.raises(ZeroTrace):
-        resolution_of_identity_check(gf9, z_power(gf9, 1))
+        resolution_of_identity_check(gf9, z_power(gf9, 1), cert)
     with pytest.raises(DimensionMismatch):
-        resolution_of_identity_check(gf9, OperatorMatrix.identity(ring, 3))
+        resolution_of_identity_check(gf9, OperatorMatrix.identity(ring, 3), cert)
 
 
 def test_overcomplete_expansion(gf9):
@@ -336,16 +338,17 @@ def test_overcomplete_expansion(gf9):
         ring.scalar([rng.randint(-2, 2) for _ in range(4)],
                     rng.randint(0, 2), rng.randint(1, 2))
         for _ in range(9)])
-    assert overcomplete_expansion_check(gf9, psi, chi)["holds"]
+    assert overcomplete_expansion_check(gf9, psi, chi, grid_certificate(gf9, label_grid(gf9)))[
+        "holds"]
 
 
 @pytest.mark.parametrize("ell", [1, 3])
 @pytest.mark.parametrize("call", [
     lambda f, op, state: weyl_expand(f, op),
     lambda f, op, state: weyl_reconstruct(f, op),
-    lambda f, op, state: resolution_of_identity_check(f, op),
-    lambda f, op, state: overcomplete_expansion_check(f, state, phi_basis(f, 1)),
-    lambda f, op, state: overcomplete_expansion_check(f, phi_basis(f, 0), state),
+    lambda f, op, state: resolution_of_identity_check(f, op, None),
+    lambda f, op, state: overcomplete_expansion_check(f, state, phi_basis(f, 1), None),
+    lambda f, op, state: overcomplete_expansion_check(f, phi_basis(f, 0), state, None),
 ], ids=["weyl_expand", "weyl_reconstruct", "resolution", "overcomplete_psi", "overcomplete_chi"])
 def test_label_sums_reject_other_dimensions(gf9, call, ell):
     # GF(3), GF(9) and GF(27) share one ring, so only the dimension is wrong

@@ -8,7 +8,9 @@ and ``(B, 2N, q, q)`` codes they replaced, also under planted row faults;
 the action sweep's Fourier conjugates, two gathers of F per label, against
 the dense F+ (D F) products they replaced, also under planted faults in F;
 the conjugated shear against its per-difference ``sum_of_roots``
-construction; the Weyl sums per label block against one block; the
+construction; the four Heisenberg label sums, products with the character
+table, against the root sums and scatters they replaced, also under
+planted faults in the trace table, the label grid and one entry; the
 element arrays of Sp(2, GF(q)) (enumeration, sampling, synthesis from one
 row) against the object enumeration, the object sampler and the recursive
 synthesis; the
@@ -258,6 +260,7 @@ def test_weyl_round_trip_matches_reference(field, big):
 
 
 def test_root_sum_blocks_agree(field, monkeypatch):
+    # the products take no block budget of the scalar kernels
     theta = random_operator(field, random.Random(field.order), big=True)
     want = canonical(weyl_expand(field, theta).rows)
     monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", 3)
@@ -266,8 +269,9 @@ def test_root_sum_blocks_agree(field, monkeypatch):
 
 @pytest.mark.parametrize("entries", [1, 100])
 def test_weyl_label_blocks_agree(field, entries, monkeypatch):
-    """One label per block, or a few, against the one-block triples: the
-    stacked and the added block sums are the same normal forms."""
+    """One label per block, or a few, against the default budget: the
+    products with the character table read no label blocks, so the
+    triples cannot change."""
     theta = random_operator(field, random.Random(field.order + entries), big=True)
     table = weyl_expand(field, theta)
     rebuilt = weyl_reconstruct(field, table)
@@ -371,7 +375,7 @@ def test_resolution_of_identity_matches_divide_first_reference(field, monkeypatc
         for theta in thetas:
             want = ref_resolution_holds(field, theta.rows)
             assert want is not perturb
-            assert resolution_of_identity_check(field, theta)["holds"] is want
+            assert resolution_of_identity_check(field, theta, certificate(field))["holds"] is want
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -383,7 +387,7 @@ def test_overcomplete_expansion_matches_reference(field, perturb, monkeypatch):
         perturbed_arrays(monkeypatch, field)
     want = ref_overcomplete_holds(field, psi.values, chi.values)
     assert want is not perturb
-    assert overcomplete_expansion_check(field, psi, chi)["holds"] is want
+    assert overcomplete_expansion_check(field, psi, chi, certificate(field))["holds"] is want
 
 
 def test_transformed_marginal_sums_match_reference(field):
@@ -1866,15 +1870,18 @@ def test_shear_grid_laws_on_drawn_pairs(pe, monkeypatch):
 
 
 def ref_random_operator(field, rng, count):
-    """The per-scalar builder the packed one replaced: the canonical scalars
-    of the suites' random matrices and states, in draw order."""
+    """The per-scalar builder the packed one replaced, on the same draws: the
+    canonical scalars of the suites' random matrices and states, in draw
+    order."""
     ring = ring_for(field)
+    vecs = rng.choices(range(-2, 3), k=count * ring.degree)
+    exps, denoms = rng.choices((0, 0, 1, 2), k=count), rng.choices((1, 1, 2, 3), k=count)
     out = []
-    for _ in range(count):
-        vec = [rng.randint(-2, 2) for _ in range(ring.degree)]
+    for i, (e, den) in enumerate(zip(exps, denoms)):
+        vec = vecs[i * ring.degree:(i + 1) * ring.degree]
         if not any(vec):
             vec[0] = 1
-        out.append(ring.scalar(vec, rng.choice([0, 0, 1, 2]), rng.choice([1, 1, 2, 3])))
+        out.append(ring.scalar(vec, e, den))
     return out
 
 
@@ -2884,30 +2891,29 @@ CERTIFICATE_FAULTS = [(perturbed_arrays, (0, 1, 1)), (perm_depends_on_a, (1, 0, 
 @pytest.mark.parametrize("pe", TRANSLATION_FIELDS + [(7, 2)], ids=str)
 def test_translated_resolution_matches_blocked_sum(pe):
     field = make_field(*pe)
+    assert certificate(field) is None
     for theta in resolution_thetas(field):
-        got, witness = heisenberg.resolution_sum(field, theta)
-        assert witness is None
-        assert_same_triple(got, blocked_resolution_sum(field, theta))
-        assert resolution_of_identity_check(field, theta) == {"holds": True, "certificate": None}
+        assert_same_triple(heisenberg.resolution_sum(field, theta),
+                           blocked_resolution_sum(field, theta))
+        assert resolution_of_identity_check(field, theta, None) == {"holds": True,
+                                                                    "certificate": None}
 
 
 @pytest.mark.parametrize("fault,witness", CERTIFICATE_FAULTS, ids=["phase_offset", "perm_row"])
 @pytest.mark.parametrize("pe", [(3, 1), (5, 1), (3, 2)], ids=str)
 def test_certificate_faults_fail_the_resolution_check(pe, fault, witness, monkeypatch):
-    # the sum reads only the trace and add tables, so it is the unfaulted
+    # the sum reads only the field tables and F, so it is the unfaulted
     # one; the failing certificate fails the check for every Theta, also
     # where the blocked sum over the faulty grid still gave tr(Theta) 1
     field = make_field(*pe)
     thetas = resolution_thetas(field)
     want = [blocked_resolution_sum(field, theta) for theta in thetas]
     fault(monkeypatch, field)
-    assert heisenberg.grid_certificate(field, heisenberg.label_grid(field)) == witness
+    assert certificate(field) == witness
     for theta, unfaulted in zip(thetas, want):
-        got, cert = heisenberg.resolution_sum(field, theta)
-        assert cert == witness
-        assert_same_triple(got, unfaulted)
-        assert resolution_of_identity_check(field, theta) == {"holds": False,
-                                                              "certificate": witness}
+        assert_same_triple(heisenberg.resolution_sum(field, theta), unfaulted)
+        assert resolution_of_identity_check(field, theta, witness) == {"holds": False,
+                                                                       "certificate": witness}
 
 
 @pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3)], ids=str)
@@ -2925,36 +2931,233 @@ def test_perturbed_phase_keeps_the_certificate(pe):
                          ids=["none", "phase_offset", "perm_row"])
 @pytest.mark.parametrize("pe", TRANSLATION_FIELDS, ids=str)
 def test_streamed_overcomplete_matches_whole_sum(pe, fault, monkeypatch):
+    # the products read D in its certified form, not the grid: under a grid
+    # fault they give the unfaulted whole sum, and the check fails with the
+    # certificate's witness
     field = make_field(*pe)
     ring = ring_for(field)
     chi = random_state(ring, field.order, random.Random(field.order), big=True)
+    psis = (phi_basis(field, 0), point_mass(ring, field.order, 1))
+    wants = [whole_overcomplete_sum(field, psi, chi) for psi in psis]
     if fault is not None:
         fault(monkeypatch, field)
-    for psi in (phi_basis(field, 0), point_mass(ring, field.order, 1)):
-        want = whole_overcomplete_sum(field, psi, chi)
+    cert = certificate(field)
+    assert cert == dict(CERTIFICATE_FAULTS).get(fault)
+    for psi, want in zip(psis, wants):
         assert_same_triple(heisenberg.overcomplete_sum(field, psi, chi), want)
-        assert overcomplete_expansion_check(field, psi, chi)["holds"] is (
-            StateVector.from_packed(ring, want).equals(chi))
-    if fault is None:
-        one_entry_blocks(monkeypatch, field)
-        assert_same_triple(heisenberg.overcomplete_sum(field, psi, chi), want)
+        assert overcomplete_expansion_check(field, psi, chi, cert) == {
+            "holds": cert is None and StateVector.from_packed(ring, want).equals(chi),
+            "certificate": cert}
+
+
+def certificate(field):
+    """The grid certificate of the field's label grid, built through the
+    module, so that a fault planted there reaches it."""
+    return heisenberg.grid_certificate(field, heisenberg.label_grid(field))
 
 
 @pytest.mark.parametrize("entries", [None, 1])
 @pytest.mark.parametrize("fault", [perturbed_arrays], ids=["phase_offset"])
 def test_weyl_sums_follow_planted_displacements(fault, entries, monkeypatch):
-    # one block of shifts, or one shift per block; the sums read each
-    # label's phases, not its permutation (D(a, b) moves m to m + b)
-    field = make_field(3, 2)
+    # the default block budget, or one label per block; the sums read D in
+    # its certified form, so under a planted phase of D(0, 1) they are the
+    # unfaulted references and the round trip closes, while the grid
+    # certificate carries the fault's witness and fails the suite's item
+    field = GFField(3, 2, make_field(3, 2).modulus)  # a field object no cache has seen
     theta = random_operator(field, random.Random(7), big=True)
+    want = ref_weyl_expand(field, theta.rows)
     fault(monkeypatch, field)
     if entries is not None:
         monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", entries)
     table = weyl_expand(field, theta)
-    assert canonical(table.rows) == canonical(ref_weyl_expand(field, theta.rows))
+    assert canonical(table.rows) == canonical(want)
     rebuilt = weyl_reconstruct(field, table)
-    assert canonical(rebuilt.rows) == canonical(ref_weyl_reconstruct(field, table.rows))
-    assert not rebuilt.equals(theta)
+    assert rebuilt.equals(theta)
+    assert certificate(field) == (0, 1, 1)
+    item = next(i for i in heisenberg_suite(field).items if i.name == "weyl_expansion_round_trip")
+    assert (item.status, item.detail) == ("fail", "certificate=(0, 1, 1)")
+
+
+# -- the label sums as products with the character table, against the root
+# sums and the np.add.at scatter they replaced --------------------------------
+
+def shift_blocks(field):
+    """Per block of shifts b: b and the family of D(a, b) for every a,
+    member [k, a] for b = b[k]."""
+    every = np.arange(field.order)
+    width = field.order * max(field.order, ring_for(field).order)
+    for s in heisenberg.label_blocks(field.order, width):
+        yield every[s], displacement_monomial(field, every, every[s][:, None])
+
+
+def rootsum_weyl_expand(field, theta):
+    """tr(Theta D(a, b)) = sum_m Theta(m, m + b) zeta^phase[m]: per block of
+    shifts, Theta(m, m + b) gathered once per shift and one root-sum of the
+    label phases into the block's table slots, the blocks stacked."""
+    q, t, ring = field.order, field.tables(), ring_for(field)
+    data, e, den = theta.packed
+    parts = []
+    for b, d in shift_blocks(field):
+        slots = np.arange(len(b) * q).reshape(len(b), q, 1)
+        parts.append(ring.root_sum(data[np.arange(q), t.add[b][:, None]], d.phase,
+                                   np.broadcast_to(slots, d.phase.shape), (len(b) * q,), e, den))
+    table, e, den = ring.stack(parts)  # row b * q + a
+    return table.reshape(q, q, ring.degree).transpose(1, 0, 2), e, den
+
+
+def rootsum_weyl_reconstruct(field, table):
+    """p^-ell sum D(a, b) W(-a, -b): per block of shifts, one root-sum into
+    the q entries of each shift; then one more root-sum moves the stacked
+    shifts to (m + b, m)."""
+    q, t, ring = field.order, field.tables(), ring_for(field)
+    data, e, den = table.packed
+    weights = data[np.ix_(t.neg, t.neg)].transpose(1, 0, 2)[:, :, None]  # [b, a]: W(-a, -b)
+    parts = []
+    for b, d in shift_blocks(field):
+        slots = np.arange(len(b) * q).reshape(len(b), 1, q)
+        parts.append(ring.root_sum(weights[b], d.phase, np.broadcast_to(slots, d.phase.shape),
+                                   (len(b), q), e, den))
+    summed, e, den = ring.stack(parts)  # row b: the q entries of shift b
+    return ring.root_sum(summed, None, t.add * q + np.arange(q), (q, q), e + 2 * field.ell, den)
+
+
+def rootsum_resolution_sum(field, theta):
+    """p^-ell sum D Theta D+ summed over a for each entry (per block of rows),
+    then over b along the translated diagonals: two root-sums of q^3 terms
+    on the trace and add tables."""
+    q, t, ring = field.order, field.tables(), ring_for(field)
+    data, e, den = theta.packed
+    offset = (t.trace[t.mul] * (ring.order // field.p)).T  # [m, a]: Tr(a m) N / p
+    parts = []
+    for s in heisenberg.label_blocks(q, q * max(q, ring.order)):
+        rows = offset[s]
+        slots = np.arange(len(rows) * q).reshape(-1, q, 1)
+        parts.append(ring.root_sum(data[s, :, None], rows[:, None, :] - offset[None],
+                                   np.broadcast_to(slots, slots.shape[:2] + (q,)),
+                                   (len(rows), q), e, den))
+    summed, e, den = ring.stack(parts)
+    moved = t.add[:, :, None] * q + t.add[:, None, :]  # [b, i, j]: (i + b, j + b)
+    return ring.root_sum(summed[None], None, moved, (q, q), e + 2 * field.ell, den)
+
+
+def streamed_overcomplete_sum(field, psi, chi):
+    """p^-ell sum (D psi, chi) D psi per block of labels of the grid: the
+    rows D(l) psi added into place by np.add.at from the N root rotations
+    of psi, their overlaps with chi and the block's part of the sum as two
+    products, the parts added."""
+    ring = ring_for(field)
+    q, deg = field.order, ring.degree
+    grid = heisenberg.label_grid(field)
+    data, e, den = psi.packed
+    turned = ring.times_roots(np.broadcast_to(data[:, 0], (ring.order, q, deg)),
+                              row_roots=np.arange(ring.order))  # [k, m] = psi(m) zeta^k
+    total = None
+    for s in heisenberg.label_blocks(q * q, q * deg):
+        perm, phase = grid.perm[s], grid.phase[s]
+        moved = np.zeros(perm.shape + (deg,), dtype=np.result_type(turned, np.int64))
+        at = (np.arange(len(perm))[:, None] * q + perm)[..., None] * deg + np.arange(deg)
+        np.add.at(moved.reshape(-1), at.reshape(-1),
+                  turned[phase, np.arange(q)].astype(moved.dtype).reshape(-1))
+        overlaps = ring.matmul((ring.conj_coeffs(moved), e, den), chi.packed)
+        part = ring.matmul((moved.transpose(1, 0, 2), e + 2 * field.ell, den), overlaps)
+        total = part if total is None else ring.add(total, part)
+    return total
+
+
+LABEL_PRODUCT_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+def label_sum_operands(field):
+    """Dense operands with mixed (E, Q): the suite's draw (scale exponents
+    0-2, denominators 1-3) and, at q <= 27, one with an entry past 2^63,
+    so that the products run on Python ints."""
+    ops = [_random_matrix(field, random.Random(field.order))]
+    if field.order <= 27:
+        ops.append(random_operator(field, random.Random(field.order + 1), big=True))
+    return ops
+
+
+@pytest.mark.parametrize("pe", LABEL_PRODUCT_FIELDS + [(5, 3)], ids=str)
+def test_weyl_products_match_root_sums(pe):
+    # the reconstruction is compared up to GF(49); GF(125) runs the expansion
+    field = make_field(*pe)
+    for theta in label_sum_operands(field):
+        table = weyl_expand(field, theta)
+        assert_same_triple(table.packed, rootsum_weyl_expand(field, theta))
+        if field.order <= 49:
+            assert_same_triple(weyl_reconstruct(field, table).packed,
+                               rootsum_weyl_reconstruct(field, table))
+
+
+@pytest.mark.parametrize("pe", LABEL_PRODUCT_FIELDS, ids=str)
+def test_resolution_products_match_root_sums(pe):
+    field = make_field(*pe)
+    for theta in resolution_thetas(field) + label_sum_operands(field):
+        assert_same_triple(heisenberg.resolution_sum(field, theta),
+                           rootsum_resolution_sum(field, theta))
+
+
+@pytest.mark.parametrize("pe", LABEL_PRODUCT_FIELDS, ids=str)
+def test_overcomplete_products_match_streamed_sum(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    chi = random_state(ring, q, random.Random(q), big=q <= 27)
+    for psi in (phi_basis(field, 0), point_mass(ring, q, 1),
+                _random_state(field, random.Random(q + 2))):
+        assert_same_triple(heisenberg.overcomplete_sum(field, psi, chi),
+                           streamed_overcomplete_sum(field, psi, chi))
+
+
+def one_entry_off_by_one_root(monkeypatch, field):
+    """One entry of each sum's operand times zeta, between the sum and its
+    comparison: a Weyl table entry between expand and reconstruct, a
+    diagonal entry of Theta (tr Theta changes) and an entry of chi."""
+    ring, q = ring_for(field), field.order
+    expand, resolve, overcomplete = (heisenberg.weyl_expand, heisenberg.resolution_sum,
+                                     heisenberg.overcomplete_sum)
+
+    def turned(rows, cells):  # the first nonzero entry among cells times zeta
+        rows = [list(row) for row in rows]
+        i, j = next((i, j) for i, j in cells if rows[i][j])
+        rows[i][j] = rows[i][j].times_root(1)
+        return rows
+
+    every = [(i, j) for i in range(q) for j in range(q)]
+    diagonal = [(i, i) for i in range(q)]
+    monkeypatch.setattr(heisenberg, "weyl_expand", lambda f, theta: OperatorMatrix(
+        q, EXACT, ring, turned(expand(f, theta).rows, every)))
+    monkeypatch.setattr(heisenberg, "resolution_sum", lambda f, theta: resolve(
+        f, OperatorMatrix(q, EXACT, ring, turned(theta.rows, diagonal))))
+    monkeypatch.setattr(heisenberg, "overcomplete_sum", lambda f, psi, chi: overcomplete(
+        f, psi, state_of(ring, [row[0] for row in turned([[x] for x in chi.values],
+                                                          [(i, 0) for i in range(q)])])))
+
+
+LABEL_SUM_ITEMS = ("weyl_expansion_round_trip", "resolution_of_identity[theta=identity]",
+                   "resolution_of_identity[theta=point_projector]",
+                   "resolution_of_identity[theta=random_rank_one]", "overcomplete_expansion")
+
+
+@pytest.mark.parametrize("fault,witness,passing", [
+    (None, None, set(LABEL_SUM_ITEMS)),
+    # R R+ != q 1; a diagonal Theta reads only the diagonal of K, which is q
+    # whatever the trace table (D Theta D+ = Theta for every unitary D)
+    (phase_off_by_one, None, {"resolution_of_identity[theta=identity]",
+                              "resolution_of_identity[theta=point_projector]"}),
+    (perturbed_arrays, (0, 1, 1), set()),
+    (perm_depends_on_a, (1, 0, 0), set()),
+    (one_entry_off_by_one_root, None, set()),
+], ids=["none", "trace_entry", "phase_offset", "perm_row", "one_entry"])
+@pytest.mark.parametrize("pe", [(5, 1), (3, 2), (5, 2)], ids=str)
+def test_planted_faults_fail_the_label_sum_items(pe, fault, witness, passing, monkeypatch):
+    # a field object no cache has seen, so that a planted trace reaches F
+    field = GFField(*pe, make_field(*pe).modulus)
+    if fault is not None:
+        fault(monkeypatch, field)
+    items = {i.name: i for i in heisenberg_suite(field).items}
+    assert {name for name in LABEL_SUM_ITEMS if items[name].status == "pass"} == passing
+    assert {items[name].detail for name in LABEL_SUM_ITEMS} == {
+        "" if witness is None else f"certificate={witness}"}
 
 
 def test_difference_codes_fall_back_off_the_digit_table(monkeypatch):

@@ -529,3 +529,11 @@ def test_action_sweep_exhaustive_gf25_and_gf27():
         field = make_field(p, ell)
         group = enumerate_group(field)
         assert action_sweep(field, group, power_basis(field)).all()
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (3, 2)], ids=str)
+def test_shear_grid_laws_of_no_pairs_and_no_units(pe):
+    # no pair and no unit is two empty verdicts, not an error from an empty stack
+    additive, unitary = sp.shear_grid_laws(make_field(*pe), [], [], [])
+    for law in (additive, unitary):
+        assert law.dtype == bool and law.shape == (0,)
