@@ -6,19 +6,21 @@ the half-trace phase (the field inverse of 2; undefined for p = 2).  All
 three are monomial: :func:`displacement_monomial` gives D for one label,
 or for an array of labels the family of them (a ``Monomial`` with leading
 axes) in one gather, and :func:`label_grid` gives the family of all q^2
-labels, member l = a * q + b.  Each label identity (composition law,
-adjoint, Fourier and Frobenius covariance, trace orthogonality) is a
-member-by-member comparison of grid families (``Monomial.matches``) or of
-their index arrays, all per block of one entry budget
-(:func:`label_blocks`), and the marginal sums are ``CycloRing.root_sum``
-scatters of zeta^phase into the slots the permutations name.
+labels, member l = a * q + b, built per block of one entry budget
+(:func:`label_blocks`).  The Frobenius covariance of the labels is a
+member-by-member comparison of grid families (``Monomial.matches``) per
+block, and the marginal sums are ``CycloRing.root_sum`` scatters of
+zeta^phase into the slots the permutations name.
 :func:`grid_certificate` checks that every D(a, b) is omega^c Z^a X^b: it
-moves m to m + b with the phase offset Tr(a m).  In that form the Weyl
+moves m to m + b with the phase offset Tr(a m), so the grid carries only
+its q^2 phase constants.  In that form the composition law, adjoint,
+Fourier covariance and trace orthogonality are :func:`label_laws`, one
+relation each on those constants and the field tables, and the Weyl
 expansion and reconstruction, the resolution of the identity and the
 overcomplete expansion are Fourier transforms over the field: exact
 products with the character table R[a, m] = omega^Tr(a m), plus gathers
 and entrywise products, that read the field tables and F, not the grid.
-So their checks hold only where the certificate does.
+So all these checks hold only where the certificate does.
 The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
 alpha, column beta holds tr(Theta D(alpha, beta)).
 
@@ -128,11 +130,16 @@ LABEL_BLOCK_ENTRIES = 1 << 13
 
 def label_grid(field: GFField, phase_coeff: int | None = None) -> Monomial:
     """D(a, b) for every label: the family of q * q members l = a * q + b,
-    one :func:`displacement_monomial` gather stored as int32 arrays of shape
-    (q * q, q).  Not cached; at q = 343 it takes 0.3 GB."""
+    stored as int32 arrays of shape (q * q, q), each block of
+    :func:`label_blocks` one :func:`displacement_monomial` gather written
+    into them.  Not cached; at q = 343 it takes 0.3 GB."""
     q = field.order
-    grid = displacement_monomial(field, *np.divmod(np.arange(q * q), q), phase_coeff)
-    return Monomial(grid.ring, grid.perm.astype(np.int32), grid.phase.astype(np.int32))
+    perm, phase = (np.empty((q * q, q), dtype=np.int32) for _ in range(2))
+    labels = np.arange(q * q)
+    for s in label_blocks(q * q, q):
+        block = displacement_monomial(field, *np.divmod(labels[s], q), phase_coeff)
+        perm[s], phase[s] = block.perm, block.phase
+    return Monomial(ring_for(field), perm, phase)
 
 
 def label_blocks(count: int, width: int):
@@ -161,52 +168,54 @@ def grid_certificate(field: GFField, grid: Monomial):
     return None
 
 
-def composition_law_holds(field: GFField, grid: Monomial, first, second) -> bool:
-    """D(l1) D(l2) = omega^(c (Tr(a1 b2) - Tr(b1 a2))) D(l1 + l2), c = 1/2,
-    for every pair l1 = first[k], l2 = second[k] of members of a
-    :func:`label_grid`.
+def label_laws(field: GFField, grid: Monomial) -> dict:
+    """The composition law, adjoint, Fourier covariance and trace
+    orthogonality of a :func:`label_grid` that holds its
+    :func:`grid_certificate`, each one relation on the q^2 phase constants
+    C[a, b] = phase[a q + b, 0]: {law: bool}, and "premise", None or the
+    first table entry where a premise fails, which fails every law.
 
-    The product maps m to perm1[perm2[m]] with phase phase2[m] +
-    phase1[perm2[m]]; both are compared with the row of the summed label.
-    The rows are gathered straight from the grid's arrays: at q <= 27 all
-    q^4 pairs are checked, and ``grid[first] @ grid[second]`` would first
-    copy out each first factor (25-40% slower suites on GF(25) and GF(27)).
+    On a certified grid D(a, b) = zeta^C X^b Z^a, Z^a = omega^Tr(a m) on the
+    diagonal and X^b the shift by b, and Z^a X^b = omega^Tr(a b) X^b Z^a.
+    With s = N / p and c = 1/2 in Z_p, all mod N:
+    - D(l1) D(l2) = omega^(c Tr(a1 b2) - c Tr(b1 a2)) D(l1 + l2) for all q^4
+      pairs exactly when phi = C - s Tr(c a b) is additive on labels: phi =
+      sum_k a_k phi(eps^k, 0) + b_k phi(0, eps^k) over the base-p digits,
+      with p phi(eps^k, 0) = p phi(0, eps^k) = 0;
+    - D(a, b)+ = D(-a, -b) exactly when C[-a, -b] = s Tr(a b) - C[a, b];
+    - F D(a, b) = D(b, -a) F, F's root exponents s Tr(n m), exactly when
+      C[a, b] = C[b, -a] + s Tr(a b);
+    - both read -a from ``neg``, so both also need add[x, neg[x]] = 0;
+    - tr(D(l1)+ D(l2)) = q [l1 == l2]: 0 when b1 != b2, else zeta^(C2 - C1)
+      sum_m omega^Tr((a2 - a1) m), so exactly when the q character sums
+      sum_m omega^Tr(x m) are q [x == 0]: one root sum of q^2 terms.
+    The premises, checked here on the tables: ``add`` is the digit-wise sum
+    mod p, and Tr(x y) is bilinear in the digits.
     """
-    q, p, t = field.order, field.p, field.tables()
-    perm, phase = grid.perm, grid.phase
-    step = ring_for(field).order // p
-    for s in label_blocks(len(first), q):
-        (a1, b1), (a2, b2) = np.divmod(first[s], q), np.divmod(second[s], q)
-        l3 = t.add[a1, a2] * q + t.add[b1, b2]
-        after = first[s][:, None] * q + perm[second[s]]  # flat index of (l1, perm2[m])
-        shift = field.two_inverse * (t.trace[t.mul[a1, b2]] - t.trace[t.mul[b1, a2]]) % p
-        got = phase[second[s]] + phase.reshape(-1)[after] - phase[l3]
-        if not (np.array_equal(perm.reshape(-1)[after], perm[l3])
-                and (got % (p * step) == shift[:, None] * step).all()):
-            return False
-    return True
-
-
-def trace_orthogonality_holds(field: GFField, grid: Monomial, first, second) -> bool:
-    """tr(D(l1)^dagger D(l2)) = q [l1 == l2] for every pair l1 = first[k],
-    l2 = second[k] of members of a :func:`label_grid`.
-
-    The trace is one root-sum per block of pairs, a unit term
-    zeta^(phase2[m] - phase1[m]) for each m with perm1[m] == perm2[m]; at
-    (E, Q) = (0, 1) its coefficients are q times those of 1 on the diagonal
-    pairs and 0 elsewhere.  A row's largest temporary is its root-sum slot
-    of N coefficients, or its q-entry rows.
-    """
-    ring, q = ring_for(field), field.order
+    q, p, t, ring = field.order, field.p, field.tables(), ring_for(field)
+    n, idx = ring.order, np.arange(q)
+    s, basis = n // p, p ** np.arange(field.ell)
+    digits = idx[:, None] // basis % p
+    tr = t.trace[t.mul]
+    premises = (("add", t.add != (digits[:, None] + digits) % p @ basis),
+                ("trace_form", tr != digits @ tr[np.ix_(basis, basis)] @ digits.T % p))
+    premise = next((f"{name}{np.argwhere(bad)[0].tolist()}" for name, bad in premises
+                    if bad.any()), None)
+    c = grid.phase[:, 0].astype(np.int64).reshape(q, q)
+    phi = (c - field.two_inverse * tr % p * s) % n
+    gens = phi[basis, 0], phi[0, basis]
+    linear = (digits @ gens[0])[:, None] + digits @ gens[1]
     unit = ring.root_coeffs()[0]
-    for s in label_blocks(len(first), max(q, ring.order)):
-        l1, l2 = first[s], second[s]
-        pair, m = np.nonzero(grid.perm[l1] == grid.perm[l2])
-        trace, _, _ = ring.root_sum(unit, grid.phase[l2[pair], m] - grid.phase[l1[pair], m],
-                                    pair, (len(l1),))
-        if not np.array_equal(trace, np.where((l1 == l2)[:, None], q * unit, 0)):
-            return False
-    return True
+    sums, _, _ = ring.root_sum(unit, s * tr, np.broadcast_to(idx[:, None], (q, q)), (q,))
+    inverse = not t.add[idx, t.neg].any()
+    laws = {"composition_law": not ((phi - linear) % n).any()
+            and not (p * np.concatenate(gens) % n).any(),
+            "adjoint_negates_label": inverse
+            and not ((c[np.ix_(t.neg, t.neg)] + c - s * tr) % n).any(),
+            "fourier_maps_labels": inverse and not ((c - c[idx, t.neg[:, None]] - s * tr) % n).any(),
+            "orthogonality_under_trace": np.array_equal(
+                sums, np.where((idx == 0)[:, None], q * unit, 0))}
+    return {law: ok and premise is None for law, ok in laws.items()} | {"premise": premise}
 
 
 def fourier_intertwines(exps, family: Monomial, image: Monomial) -> np.ndarray:
@@ -218,8 +227,8 @@ def fourier_intertwines(exps, family: Monomial, image: Monomial) -> np.ndarray:
     Every entry of either side is p^(-k/2) times a unit: (R M)(i, m) =
     R(i, perm_M m) zeta^phase_M(m), and (T R)(i, m) = zeta^phase_T(j)
     R(j, m) with perm_T(j) = i, so the law is one comparison of root
-    exponents mod N.  For a unitary R it reads R M R+ = T: F D(a, b) F+ =
-    D(b, -a) on the label grid, and F_d M F_d+ = T on a subfield block.
+    exponents mod N.  For a unitary R it reads R M R+ = T, as F_d M F_d+ = T
+    on a subfield block.
     """
     exps = np.asarray(exps)
     inv = image.adjoint()  # row i: perm_T^-1 i, with the negated phase there

@@ -85,14 +85,20 @@ def _desc(field: GFField) -> str:
 def _random_entries(field, rng, count: int):
     """count random scalars as a (count, 1) stack.  Each entry has ``degree``
     coefficients in [-2, 2] (all zero becomes 1), a scale exponent from
-    (0, 0, 1, 2) and a denominator from (1, 1, 2, 3), each kind drawn for
-    all entries by one ``rng.choices``; the entries of each (E, Q) pair
-    form one part, and the stack aligns the parts at once."""
+    (0, 0, 1, 2) and a denominator from (1, 1, 2, 3), read from the bytes
+    of one ``rng.randbytes``: a coefficient is byte % 5 - 2, bytes from 250
+    up redrawn; an exponent or a denominator picks by byte % 4.  The
+    entries of each (E, Q) pair form one part, and the stack aligns the
+    parts at once."""
     ring = hs.ring_for(field)
-    vecs = np.array(rng.choices(range(-2, 3), k=count * ring.degree)).reshape(count, 1, -1)
+    size = count * ring.degree
+    raw = np.frombuffer(bytearray(rng.randbytes(size + 2 * count)), dtype=np.uint8)
+    coeffs, picks = raw[:size], raw[size:].reshape(2, count) % 4
+    while (redraw := coeffs >= 250).any():
+        coeffs[redraw] = np.frombuffer(rng.randbytes(int(redraw.sum())), dtype=np.uint8)
+    vecs = (coeffs % 5).astype(np.int64).reshape(count, 1, -1) - 2
     vecs[~vecs.any(axis=(1, 2)), 0, 0] = 1
-    kind = (np.array(rng.choices((0, 0, 1, 2), k=count)) * 4
-            + np.array(rng.choices((1, 1, 2, 3), k=count)))
+    kind = np.array((0, 0, 1, 2))[picks[0]] * 4 + np.array((1, 1, 2, 3))[picks[1]]
     kinds = sorted(set(kind.tolist()))
     masks = [kind == k for k in kinds]
     data, e, den = ring.stack([(vecs[hit], k // 4, k % 4) for hit, k in zip(masks, kinds)])
@@ -322,34 +328,25 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     if field.p == 2:
         rep.skip("all", "characteristic 2: displacement phases undefined")
         return rep
-    ring = hs.ring_for(field)
-    q, n, t = field.order, ring.order, field.tables()
+    ring, q = hs.ring_for(field), field.order
     coeff = config.displacement_phase_coeff
     grid = hb.label_grid(field, coeff)
     a_of, b_of = np.divmod(np.arange(q * q), q)  # label l = a * q + b
+    # the label laws and sums read D as the grid certificate states it
+    cert = hb.grid_certificate(field, grid)
+    detail = "" if cert is None else f"certificate={cert}"
+    laws = hb.label_laws(field, grid)
+    witness = detail or (f"premise={laws['premise']}" if laws["premise"] else "")
+
+    def law(name, count=""):
+        rep.add(name, cert is None and laws[name], ", ".join(filter(None, (count, witness))))
 
     def holds(count, width, check):
         return all(check(s) for s in hb.label_blocks(count, width))
 
-    if q <= 27:
-        first, second = np.divmod(np.arange(q ** 4, dtype=np.int32), q * q)
-        detail = f"pairs={q**4}"
-    else:  # rows (a1, b1, a2, b2) -> label pair (a1 q + b1, a2 q + b2)
-        quads = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(400)])
-        first, second = (quads.reshape(-1, 2, 2) @ (q, 1)).T
-        detail = "pairs=400 sampled"
-    rep.add("composition_law",
-            hb.composition_law_holds(field, grid, first, second), detail=detail)
-
-    neg = t.neg[a_of] * q + t.neg[b_of]
-    rep.add("adjoint_negates_label",
-            holds(q * q, q, lambda s: grid[s].adjoint().matches(grid[neg[s]]).all()))
-
-    # F D(a, b) = D(b, -a) F on the root exponents of F
-    f_exp = (n // field.p) * t.trace[t.mul] % n
-    image = b_of * q + t.neg[a_of]
-    rep.add("fourier_maps_labels", holds(q * q, q * q, lambda s: hb.fourier_intertwines(
-        f_exp, grid[s], grid[image[s]]).all()))
+    law("composition_law", f"pairs={q ** 4}")
+    law("adjoint_negates_label")
+    law("fourier_maps_labels")
 
     # G D(rows) G^dagger = D(target) as G D(rows) = D(target) G, G a Frobenius power
     def frobenius_covariant(g, rows, target):
@@ -367,17 +364,12 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         rows = (sub[:, None] * q + sub).ravel()
         ok = frobenius_covariant(powers[d % field.ell], rows, rows) and ok
     rep.add("subfield_labels_fixed_by_frobenius", ok)
-
-    if q > 9:  # else all pairs, as for the composition law
-        drawn = [rng.choice(range(q * q)) for _ in range(600)]
-        first, second = np.array(drawn).reshape(-1, 2).T
-    rep.add("orthogonality_under_trace",
-            hb.trace_orthogonality_holds(field, grid, first, second))
+    law("orthogonality_under_trace")
+    z_gen = np.array([field.generator.index * q])  # Z^eps = D(eps, 0)
+    generator_phase = field.ell >= 2 and not frobenius_covariant(powers[1], z_gen, z_gen)
+    grid = None  # no later item reads the grid: free it (0.3 GB at q = 343)
 
     if coeff is None:
-        # the label sums read D as the grid certificate states it
-        cert = hb.grid_certificate(field, grid)
-        detail = "" if cert is None else f"certificate={cert}"
         thetas = [_random_matrix(field, rng) for _ in range(5)]
         rep.add("weyl_expansion_round_trip", cert is None and all(
             hb.weyl_reconstruct(field, hb.weyl_expand(field, theta)).equals(theta)
@@ -417,10 +409,8 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
                 ok = False
         rep.add("subfield_generator_fourier_intertwining", ok)
 
-    if field.ell >= 2:  # Z^eps = D(eps, 0)
-        z_gen = np.array([field.generator.index * q])
-        rep.add("frobenius_not_commuting_with_generator_phase",
-                not frobenius_covariant(powers[1], z_gen, z_gen))
+    if field.ell >= 2:
+        rep.add("frobenius_not_commuting_with_generator_phase", generator_phase)
     if hb.is_gf9_fixture(field):
         ex = hb.z_spectrum_example(field)
         rep.add("spectrum_example",

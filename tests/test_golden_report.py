@@ -22,8 +22,9 @@ DATA = pathlib.Path(__file__).parent / "data"
     # GF(49) runs the sampled group checks: action_law_sampled and the
     # 50-element closed-form draw
     ("verify_symplectic_gf49.json", ["verify", "symplectic", "--p", "7", "--ell", "2"], 0),
-    # GF(49) runs the translated resolution sums, the Weyl round trip per
-    # block of shifts and the sampled label items of q > 27
+    # GF(49) runs the label sums as products with the character table, and
+    # the label laws read from the certified grid above the q <= 27 of
+    # their brute-force references
     ("verify_heisenberg_gf49.json", ["verify", "heisenberg", "--p", "7", "--ell", "2"], 0),
 ])
 def test_verify_report_matches_recorded_output(name, argv, code, capsys):

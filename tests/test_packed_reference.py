@@ -1,6 +1,8 @@
 """Differential tests: the packed kernels against the per-entry loops they
 replaced, the label-grid identity checks of the heisenberg suite against
-the per-label Monomial loops they replaced, and the whole-family closed
+the per-label Monomial loops they replaced, the label laws read from the
+certified grid against the brute-force kernels they replaced, also under
+planted faults in the grid and the tables, and the whole-family closed
 form, shear element sum and subfield checks against their per-element and
 per-label dense loops, also under planted faults; the synthesis, sweeps and
 shear laws that read each shear's convolution row against the dense shears
@@ -480,6 +482,55 @@ LABEL_ITEMS = ("composition_law", "adjoint_negates_label", "fourier_maps_labels"
 LABEL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
 
 
+def composition_law_holds(field, grid, first, second):
+    """D(l1) D(l2) = omega^(c (Tr(a1 b2) - Tr(b1 a2))) D(l1 + l2), c = 1/2,
+    for every pair l1 = first[k], l2 = second[k] of members of a
+    ``label_grid``.
+
+    The product maps m to perm1[perm2[m]] with phase phase2[m] +
+    phase1[perm2[m]]; both are compared with the row of the summed label.
+    The rows are gathered straight from the grid's arrays, and
+    ``grid[first] @ grid[second]`` would first copy out each first factor.
+    The brute-force kernel ``heisenberg.label_laws`` replaced.
+    """
+    q, p, t = field.order, field.p, field.tables()
+    perm, phase = grid.perm, grid.phase
+    step = ring_for(field).order // p
+    for s in heisenberg.label_blocks(len(first), q):
+        (a1, b1), (a2, b2) = np.divmod(first[s], q), np.divmod(second[s], q)
+        l3 = t.add[a1, a2] * q + t.add[b1, b2]
+        after = first[s][:, None] * q + perm[second[s]]  # flat index of (l1, perm2[m])
+        shift = field.two_inverse * (t.trace[t.mul[a1, b2]] - t.trace[t.mul[b1, a2]]) % p
+        got = phase[second[s]] + phase.reshape(-1)[after] - phase[l3]
+        if not (np.array_equal(perm.reshape(-1)[after], perm[l3])
+                and (got % (p * step) == shift[:, None] * step).all()):
+            return False
+    return True
+
+
+def trace_orthogonality_holds(field, grid, first, second):
+    """tr(D(l1)^dagger D(l2)) = q [l1 == l2] for every pair l1 = first[k],
+    l2 = second[k] of members of a ``label_grid``.
+
+    The trace is one root-sum per block of pairs, a unit term
+    zeta^(phase2[m] - phase1[m]) for each m with perm1[m] == perm2[m]; at
+    (E, Q) = (0, 1) its coefficients are q times those of 1 on the diagonal
+    pairs and 0 elsewhere.  A row's largest temporary is its root-sum slot
+    of N coefficients, or its q-entry rows.  The brute-force kernel
+    ``heisenberg.label_laws`` replaced.
+    """
+    ring, q = ring_for(field), field.order
+    unit = ring.root_coeffs()[0]
+    for s in heisenberg.label_blocks(len(first), max(q, ring.order)):
+        l1, l2 = first[s], second[s]
+        pair, m = np.nonzero(grid.perm[l1] == grid.perm[l2])
+        trace, _, _ = ring.root_sum(unit, grid.phase[l2[pair], m] - grid.phase[l1[pair], m],
+                                    pair, (len(l1),))
+        if not np.array_equal(trace, np.where((l1 == l2)[:, None], q * unit, 0)):
+            return False
+    return True
+
+
 def ref_composition_exhaustive(field, coeff):
     """All-pairs composition law over the displacement rows, phases[b, a]
     the phase row of D(a, b)."""
@@ -604,8 +655,7 @@ def test_sampled_composition_matches_monomial_reference(pe, coeff):
     rng = random.Random(q)
     quads = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(400)]
     first, second = (np.array(quads).reshape(-1, 2, 2) @ (q, 1)).T
-    got = heisenberg.composition_law_holds(
-        field, heisenberg.label_grid(field, coeff), first, second)
+    got = composition_law_holds(field, heisenberg.label_grid(field, coeff), first, second)
     assert got is ref_composition_sampled(field, monomial_cache(field, coeff), quads)
     assert got is (coeff is None)
 
@@ -647,11 +697,10 @@ def test_composition_law_compares_the_permutations():
     field = make_field(3, 2)
     grid = heisenberg.label_grid(field)
     first, second = np.array([5]), np.array([1])
-    assert heisenberg.composition_law_holds(field, grid, first, second)
+    assert composition_law_holds(field, grid, first, second)
     perm = grid.perm.copy()
     perm[5, [0, 1]] = perm[5, [1, 0]]
-    assert not heisenberg.composition_law_holds(
-        field, Monomial(grid.ring, perm, grid.phase), first, second)
+    assert not composition_law_holds(field, Monomial(grid.ring, perm, grid.phase), first, second)
 
 
 # -- whole-family kernels of the symplectic and subfield checks -------------------
@@ -1872,10 +1921,19 @@ def test_shear_grid_laws_on_drawn_pairs(pe, monkeypatch):
 def ref_random_operator(field, rng, count):
     """The per-scalar builder the packed one replaced, on the same draws: the
     canonical scalars of the suites' random matrices and states, in draw
-    order."""
+    order.  The bytes are mapped one by one: coefficients, each byte from
+    250 up redrawn in order, then the exponent and denominator picks."""
     ring = ring_for(field)
-    vecs = rng.choices(range(-2, 3), k=count * ring.degree)
-    exps, denoms = rng.choices((0, 0, 1, 2), k=count), rng.choices((1, 1, 2, 3), k=count)
+    raw = list(rng.randbytes(count * (ring.degree + 2)))
+    vecs, picks = raw[:count * ring.degree], raw[count * ring.degree:]
+    redraw = [i for i, x in enumerate(vecs) if x >= 250]
+    while redraw:
+        for i, x in zip(redraw, rng.randbytes(len(redraw))):
+            vecs[i] = x
+        redraw = [i for i in redraw if vecs[i] >= 250]
+    vecs = [x % 5 - 2 for x in vecs]
+    exps = [(0, 0, 1, 2)[x % 4] for x in picks[:count]]
+    denoms = [(1, 1, 2, 3)[x % 4] for x in picks[count:]]
     out = []
     for i, (e, den) in enumerate(zip(exps, denoms)):
         vec = vecs[i * ring.degree:(i + 1) * ring.degree]
@@ -3178,19 +3236,192 @@ def test_difference_codes_fall_back_off_the_digit_table(monkeypatch):
         assert np.array_equal(got, dense_action_sweep(field, elements, labels))
 
 
+# -- label laws read from the certified grid ---------------------------------------
+#
+# ``heisenberg.label_laws`` reads the composition law, adjoint, Fourier
+# covariance and trace orthogonality off the grid's q^2 phase constants, and
+# the suite gates them on the grid certificate.  The references are the
+# kernels they replaced, on every label or pair of labels: the two moved
+# kernels above, and the suite's per-block adjoint and Fourier gathers.
+
+LAW_NAMES = ("composition_law", "adjoint_negates_label", "fourier_maps_labels",
+             "orthogonality_under_trace")
+
+
+def gather_label_laws(field, grid):
+    """The four label laws of a grid by the kernels label_laws replaced."""
+    q, n, t = field.order, ring_for(field).order, field.tables()
+    a_of, b_of = np.divmod(np.arange(q * q), q)
+    first, second = np.divmod(np.arange(q ** 4), q * q)
+    neg, image = t.neg[a_of] * q + t.neg[b_of], b_of * q + t.neg[a_of]
+    f_exp = (n // field.p) * t.trace[t.mul] % n
+    return {
+        "composition_law": composition_law_holds(field, grid, first, second),
+        "adjoint_negates_label": all(grid[s].adjoint().matches(grid[neg[s]]).all()
+                                     for s in heisenberg.label_blocks(q * q, q)),
+        "fourier_maps_labels": all(
+            heisenberg.fourier_intertwines(f_exp, grid[s], grid[image[s]]).all()
+            for s in heisenberg.label_blocks(q * q, q * q)),
+        "orthogonality_under_trace": trace_orthogonality_holds(field, grid, first, second)}
+
+
+def derived_label_laws(field, grid):
+    """label_laws gated on the grid certificate, as the suite reads them."""
+    cert = heisenberg.grid_certificate(field, grid)
+    laws = heisenberg.label_laws(field, grid)
+    return {name: cert is None and laws[name] for name in LAW_NAMES}
+
+
+@pytest.mark.parametrize("coeff", [None, 1])
+@pytest.mark.parametrize("pe", LABEL_FIELDS, ids=str)
+def test_label_laws_match_the_gather_kernels(pe, coeff):
+    field = make_field(*pe)
+    grid = heisenberg.label_grid(field, coeff)
+    got = derived_label_laws(field, grid)
+    assert got == gather_label_laws(field, grid)
+    assert heisenberg.label_laws(field, grid)["premise"] is None
+    # the wrong half-trace coefficient breaks exactly the phase laws
+    assert {name for name in LAW_NAMES if not got[name]} == (
+        set() if coeff is None else set(LAW_NAMES) - {"orthogonality_under_trace"})
+
+
+def phase_constant_off_by_one_root(monkeypatch, field):
+    """D(1, 1) times zeta: one phase constant off by one root, with every
+    offset from entry 0 kept, so the certificate holds."""
+    original = heisenberg.displacement_monomial
+
+    def wrong(field_, alpha, beta, phase_coeff=None):
+        mono = original(field_, alpha, beta, phase_coeff)
+        hit = (np.asarray(field_.indices(alpha)) == 1) & (np.asarray(field_.indices(beta)) == 1)
+        return Monomial(mono.ring, mono.perm, mono.phase + hit[..., None])
+
+    monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
+
+
+def linear_phase_shift(monkeypatch, field):
+    """Every D(a, b) times omega^Tr(a): phi = Tr(a) N / p is additive and odd,
+    so the composition law and the adjoint hold, but F maps D(a, b) to
+    omega^(Tr(a) - Tr(b)) D(b, -a)."""
+    original = heisenberg.displacement_monomial
+    step = ring_for(field).order // field.p
+
+    def wrong(field_, alpha, beta, phase_coeff=None):
+        mono = original(field_, alpha, beta, phase_coeff)
+        shift = field_.tables().trace[np.asarray(field_.indices(alpha))] * step
+        return Monomial(mono.ring, mono.perm, mono.phase + shift[..., None])
+
+    monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
+
+
+def swapped_add_entries(monkeypatch, field):
+    """add[1, 0] and add[1, 1] swapped: each row is still a permutation, but
+    the table is no digit-wise sum (and D(a, 1) now fixes 1)."""
+    add = field.tables().add.copy()
+    add[1, [0, 1]] = add[1, [1, 0]]
+    plant_tables(monkeypatch, field, add=add)
+
+
+def digit_phase_shift(monkeypatch, field):
+    """Every D(a, b) times zeta^(digit sum of a): linear in the digits, but
+    in steps of zeta, so p times a generator's shift is not 0 mod N and the
+    shift is no homomorphism."""
+    original = heisenberg.displacement_monomial
+    digit_sum = (np.arange(field.order)[:, None] // field.p ** np.arange(field.ell)
+                 % field.p).sum(axis=1)
+
+    def wrong(field_, alpha, beta, phase_coeff=None):
+        mono = original(field_, alpha, beta, phase_coeff)
+        shift = digit_sum[np.asarray(field_.indices(alpha))]
+        return Monomial(mono.ring, mono.perm, mono.phase + shift[..., None])
+
+    monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
+
+
+def neg_is_the_identity(monkeypatch, field):
+    """neg[x] = x: the adjoint then compares D(a, b)+ with D(a, b), whose
+    constants 2 C = s Tr(a b) still satisfy the adjoint relation."""
+    plant_tables(monkeypatch, field, neg=np.arange(field.order))
+
+
+def zero_trace(monkeypatch, field):
+    """Tr = 0: bilinear, but degenerate, so every D(a, b) is X^b and only
+    the character sums see it."""
+    plant_tables(monkeypatch, field, trace=np.zeros(field.order, dtype=np.int64))
+
+
+ALL_LAWS = set(LAW_NAMES)
+PHASE_LAWS = ALL_LAWS - {"orthogonality_under_trace"}
+# each planted fault and the laws that fail under it, on both paths
+LAW_FAULTS = [
+    (phase_constant_off_by_one_root, PHASE_LAWS),
+    (perm_depends_on_a, ALL_LAWS),
+    (perturbed_arrays, ALL_LAWS),
+    (linear_phase_shift, {"fourier_maps_labels"}),
+    (phase_off_by_one, ALL_LAWS),
+    (swapped_add_entries, ALL_LAWS),
+    (digit_phase_shift, PHASE_LAWS),
+    (neg_is_the_identity, {"adjoint_negates_label", "fourier_maps_labels"}),
+    (zero_trace, {"orthogonality_under_trace"}),
+]
+LAW_FAULT_IDS = ["constant", "perm_row", "phase_offset", "linear_shift", "trace_entry", "add_row",
+                 "digit_shift", "neg_identity", "zero_trace"]
+
+
+@pytest.mark.parametrize("fault,failing", LAW_FAULTS, ids=LAW_FAULT_IDS)
+@pytest.mark.parametrize("pe", [(5, 1), (3, 2), (5, 2), (3, 3)], ids=str)
+def test_label_law_faults_give_the_gather_verdicts(pe, fault, failing, monkeypatch):
+    field = GFField(*pe, make_field(*pe).modulus)  # a field object no cache has seen
+    fault(monkeypatch, field)
+    grid = heisenberg.label_grid(field)
+    got = derived_label_laws(field, grid)
+    assert got == gather_label_laws(field, grid)
+    assert {name for name in LAW_NAMES if not got[name]} == failing
+
+
+@pytest.mark.parametrize("fault,witness", [
+    (perm_depends_on_a, "certificate=(1, 0, 0)"),
+    (swapped_add_entries, "premise=add[1, 0]"),
+    (phase_off_by_one, "premise=trace_form[1, 8]"),
+], ids=["perm_row", "add_row", "trace_entry"])
+def test_label_law_items_carry_the_witness(fault, witness, monkeypatch):
+    # a failed certificate or premise fails all four items, each detail
+    # naming it; the composition law also counts the pairs it covers
+    field = GFField(3, 2, make_field(3, 2).modulus)
+    fault(monkeypatch, field)
+    items = {i.name: i for i in heisenberg_suite(field).items}
+    assert {items[name].status for name in LAW_NAMES} == {"fail"}
+    assert [items[name].detail for name in LAW_NAMES] == [f"pairs=6561, {witness}"] + [
+        witness] * 3
+
+
+def test_label_grid_peak_below_three_times_its_arrays():
+    # each label block is written into the grid's two int32 arrays, so the
+    # build never holds the int64 arrays of one whole-grid gather (five
+    # times the grid's bytes)
+    field = make_field(7, 2)
+    heisenberg.label_grid(field)  # fill the field's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = heisenberg.label_grid(field)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grid == heisenberg.displacement_monomial(field, *np.divmod(np.arange(49 * 49), 49))
+    assert grid.perm.dtype == grid.phase.dtype == np.int32
+    assert peak <= 3 * (grid.perm.nbytes + grid.phase.nbytes), peak
+
+
 def test_grid_checks_peak_below_one_megabyte():
-    # the four exhaustive checks that set the verify-grid peak, on GF(9), each
-    # run once to fill the caches the suite fills, then traced
+    # the exhaustive checks that set the verify-grid peak, on GF(9), each run
+    # once to fill the caches the suite fills, then traced
     field = make_field(3, 2)
     q = field.order
     grid = heisenberg.label_grid(field)
-    first, second = np.divmod(np.arange(q ** 4, dtype=np.int32), q * q)
     xs, ys = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
     group = sp.enumerate_group(field)
     checks = {
-        "composition_law": lambda: heisenberg.composition_law_holds(field, grid, first, second),
-        "orthogonality_under_trace": lambda: heisenberg.trace_orthogonality_holds(
-            field, grid, first, second),
+        "label_laws": lambda: all(heisenberg.label_laws(field, grid)[name] for name in LAW_NAMES),
         "conjugated_shear_additive_law": lambda: sp.shear_grid_laws(
             field, xs, ys, range(q))[0].all(),
         "action_law_exhaustive": lambda: sp.action_sweep(
