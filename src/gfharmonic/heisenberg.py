@@ -5,21 +5,20 @@ X^beta the shift by beta, and D(alpha, beta) their symmetrised product with
 the half-trace phase (the field inverse of 2; undefined for p = 2).  All
 three are monomial: :func:`displacement_monomial` gives D for one label,
 or for an array of labels the family of them (a ``Monomial`` with leading
-axes) in one gather, and :func:`label_grid` gives the family of all q^2
-labels, member l = a * q + b, built per block of one entry budget
-(:func:`label_blocks`).  The Frobenius covariance of the labels is a
-member-by-member comparison of grid families (``Monomial.matches``) per
-block, and the marginal sums are ``CycloRing.root_sum`` scatters of
-zeta^phase into the slots the permutations name.
-:func:`grid_certificate` checks that every D(a, b) is omega^c Z^a X^b: it
-moves m to m + b with the phase offset Tr(a m), so the grid carries only
-its q^2 phase constants.  In that form the composition law, adjoint,
-Fourier covariance and trace orthogonality are :func:`label_laws`, one
-relation each on those constants and the field tables, and the Weyl
-expansion and reconstruction, the resolution of the identity and the
-overcomplete expansion are Fourier transforms over the field: exact
-products with the character table R[a, m] = omega^Tr(a m), plus gathers
-and entrywise products, that read the field tables and F, not the grid.
+axes) in one gather, and the marginal sums are ``CycloRing.root_sum``
+scatters of zeta^phase into the slots the permutations name.
+:func:`grid_certificate` builds D for all q^2 labels, one block of one
+entry budget at a time (:func:`label_blocks`), and checks that every
+D(a, b) is omega^c Z^a X^b: it moves m to m + b with the phase offset
+Tr(a m), so the labels carry only their q^2 phase constants, which it
+returns; no q^3 array of all labels is held.  In that form the
+composition law, adjoint, Fourier covariance, trace orthogonality and the
+two Frobenius label laws are :func:`label_laws`, one relation each on
+those constants and the field tables, and the Weyl expansion and
+reconstruction, the resolution of the identity and the overcomplete
+expansion are Fourier transforms over the field: exact products with the
+character table R[a, m] = omega^Tr(a m), plus gathers and entrywise
+products, that read the field tables and F, not the displacements.
 So all these checks hold only where the certificate does.
 The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
 alpha, column beta holds tr(Theta D(alpha, beta)).
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import frobenius as fb
 from .errors import (DimensionMismatch, EvenCharacteristic, NotInSubfield,
                      WrongFixture, ZeroTrace)
 from .fourier import fourier_matrix
@@ -123,23 +123,9 @@ def tensor_factorize_displacement(field: GFField, alpha, beta) -> list[OperatorM
             for a, b in zip(dual_a, std_b)]
 
 
-# entries per block of a label-grid sum or check and of the symplectic
+# entries per block of a label sum or check and of the symplectic
 # action sweep: each block's largest temporary holds about this many
 LABEL_BLOCK_ENTRIES = 1 << 13
-
-
-def label_grid(field: GFField, phase_coeff: int | None = None) -> Monomial:
-    """D(a, b) for every label: the family of q * q members l = a * q + b,
-    stored as int32 arrays of shape (q * q, q), each block of
-    :func:`label_blocks` one :func:`displacement_monomial` gather written
-    into them.  Not cached; at q = 343 it takes 0.3 GB."""
-    q = field.order
-    perm, phase = (np.empty((q * q, q), dtype=np.int32) for _ in range(2))
-    labels = np.arange(q * q)
-    for s in label_blocks(q * q, q):
-        block = displacement_monomial(field, *np.divmod(labels[s], q), phase_coeff)
-        perm[s], phase[s] = block.perm, block.phase
-    return Monomial(ring_for(field), perm, phase)
 
 
 def label_blocks(count: int, width: int):
@@ -149,35 +135,43 @@ def label_blocks(count: int, width: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def grid_certificate(field: GFField, grid: Monomial):
-    """None when every member l = a * q + b of a :func:`label_grid` family
-    moves m to m + b (perm[l] == add[b]) with a phase offset Tr(a m) N / p
-    from its entry 0 (phase[l, m] - phase[l, 0], mod N); else the first
-    failing (a, b, m), as field indices.  The phase constant of each label
-    is free, so a wrong half-trace coefficient keeps the certificate."""
+def grid_certificate(field: GFField, phase_coeff: int | None = None):
+    """Build D(a, b) for every label, one :func:`label_blocks` block of
+    labels l = a * q + b per :func:`displacement_monomial` gather, and check
+    that each moves m to m + b (perm == add[b]) with a phase offset
+    Tr(a m) N / p from its entry 0 (phase[m] - phase[0], mod N).
+
+    Returns (certificate, C): the certificate is None, or the first failing
+    (a, b, m) as field indices; C[a, b] is the phase of entry 0 of D(a, b),
+    a (q, q) array, which on a certified label is D's phase constant.  The
+    constants are free, so a wrong half-trace coefficient keeps the
+    certificate.  No block outlives its check: the peak is one block plus
+    the q^2 offsets and constants."""
     q, t = field.order, field.tables()
     n = ring_for(field).order
     offset = t.trace[t.mul] * (n // field.p)  # offset[a, m] = Tr(a m) N / p
+    c, cert = np.empty(q * q, dtype=np.int64), None
     for s in label_blocks(q * q, q):
         a, b = np.divmod(np.arange(q * q)[s], q)
-        phase = grid.phase[s]
-        bad = (grid.perm[s] != t.add[b]) | ((phase - phase[:, :1] - offset[a]) % n != 0)
-        if bad.any():
+        block = displacement_monomial(field, a, b, phase_coeff)
+        phase = block.phase
+        c[s] = phase[:, 0]
+        bad = (block.perm != t.add[b]) | ((phase - phase[:, :1] - offset[a]) % n != 0)
+        if cert is None and bad.any():
             row, m = np.argwhere(bad)[0]
-            return int(a[row]), int(b[row]), int(m)
-    return None
+            cert = int(a[row]), int(b[row]), int(m)
+    return cert, c.reshape(q, q)
 
 
-def label_laws(field: GFField, grid: Monomial) -> dict:
-    """The composition law, adjoint, Fourier covariance and trace
-    orthogonality of a :func:`label_grid` that holds its
-    :func:`grid_certificate`, each one relation on the q^2 phase constants
-    C[a, b] = phase[a q + b, 0]: {law: bool}, and "premise", None or the
-    first table entry where a premise fails, which fails every law.
+def label_laws(field: GFField, c) -> dict:
+    """The label laws of certified displacements, each one relation on the
+    (q, q) phase constants C of :func:`grid_certificate` and the field
+    tables: {law: bool}, and "premise", None or the first table entry where
+    a digit premise fails, which fails the first four laws.
 
-    On a certified grid D(a, b) = zeta^C X^b Z^a, Z^a = omega^Tr(a m) on the
-    diagonal and X^b the shift by b, and Z^a X^b = omega^Tr(a b) X^b Z^a.
-    With s = N / p and c = 1/2 in Z_p, all mod N:
+    On a certified label D(a, b) = zeta^C X^b Z^a, Z^a = omega^Tr(a m) on
+    the diagonal and X^b the shift by b, and Z^a X^b = omega^Tr(a b) X^b Z^a.
+    With s = N / p, c = 1/2 in Z_p and tr[x, y] = Tr(x y), all mod N:
     - D(l1) D(l2) = omega^(c Tr(a1 b2) - c Tr(b1 a2)) D(l1 + l2) for all q^4
       pairs exactly when phi = C - s Tr(c a b) is additive on labels: phi =
       sum_k a_k phi(eps^k, 0) + b_k phi(0, eps^k) over the base-p digits,
@@ -189,8 +183,16 @@ def label_laws(field: GFField, grid: Monomial) -> dict:
     - tr(D(l1)+ D(l2)) = q [l1 == l2]: 0 when b1 != b2, else zeta^(C2 - C1)
       sum_m omega^Tr((a2 - a1) m), so exactly when the q character sums
       sum_m omega^Tr(x m) are q [x == 0]: one root sum of q^2 terms.
-    The premises, checked here on the tables: ``add`` is the digit-wise sum
-    mod p, and Tr(x y) is bilinear in the digits.
+    These four rest on two premises, checked here on the tables: ``add`` is
+    the digit-wise sum mod p, and Tr(x y) is bilinear in the digits.
+    The Frobenius laws read G, the permutation m -> f m, and need neither:
+    - G^k D(a, b) = D(f^k a, f^k b) G^k for every k < ell exactly when
+      ell = 1 (only G^0 is checked) or, for k = 1, f[b + m] = f b + f m,
+      delta(a, m) = tr[f a, f m] - tr[a, m] mod p is constant in m, and
+      C[a, b] - C[f a, f b] = s delta(a, 0); k >= 2 follows by induction;
+    - for each d | ell and h = d mod ell, G^h D(a, b) = D(a, b) G^h on the
+      labels of GF(p^d) exactly when f^h[b + m] = b + f^h m and tr[a, m] =
+      tr[a, f^h m]: C cancels.
     """
     q, p, t, ring = field.order, field.p, field.tables(), ring_for(field)
     n, idx = ring.order, np.arange(q)
@@ -201,7 +203,6 @@ def label_laws(field: GFField, grid: Monomial) -> dict:
                 ("trace_form", tr != digits @ tr[np.ix_(basis, basis)] @ digits.T % p))
     premise = next((f"{name}{np.argwhere(bad)[0].tolist()}" for name, bad in premises
                     if bad.any()), None)
-    c = grid.phase[:, 0].astype(np.int64).reshape(q, q)
     phi = (c - field.two_inverse * tr % p * s) % n
     gens = phi[basis, 0], phi[0, basis]
     linear = (digits @ gens[0])[:, None] + digits @ gens[1]
@@ -215,7 +216,19 @@ def label_laws(field: GFField, grid: Monomial) -> dict:
             "fourier_maps_labels": inverse and not ((c - c[idx, t.neg[:, None]] - s * tr) % n).any(),
             "orthogonality_under_trace": np.array_equal(
                 sums, np.where((idx == 0)[:, None], q * unit, 0))}
-    return {law: ok and premise is None for law, ok in laws.items()} | {"premise": premise}
+    g = fb.frobenius_monomial(field)
+    f = g.perm
+    delta = (tr[np.ix_(f, f)] - tr) % p
+    fixed = True
+    for d in field.divisors():
+        sub, fh = np.asarray(field.subfield_indices(d)), (g ** (d % field.ell)).perm
+        fixed = (fixed and np.array_equal(fh[t.add[sub]], t.add[sub][:, fh])
+                 and np.array_equal(tr[sub], tr[sub][:, fh]))
+    return {law: ok and premise is None for law, ok in laws.items()} | {
+        "frobenius_maps_labels": field.ell == 1 or (
+            np.array_equal(f[t.add], t.add[np.ix_(f, f)]) and not (delta - delta[:, :1]).any()
+            and not ((c - c[np.ix_(f, f)] - s * delta[:, :1]) % n).any()),
+        "subfield_labels_fixed_by_frobenius": fixed, "premise": premise}
 
 
 def fourier_intertwines(exps, family: Monomial, image: Monomial) -> np.ndarray:
@@ -354,10 +367,10 @@ def resolution_of_identity_check(field: GFField, theta: OperatorMatrix, certific
     summed by :func:`resolution_sum`.
 
     This is the identity for the normalised Theta / tr(Theta) without the
-    division; it needs tr(Theta) != 0.  ``certificate`` is the
-    :func:`grid_certificate` of the label grid, None or its witness
-    (a, b, m); the sum reads D as the certificate states it, so the check
-    holds only where the certificate does.
+    division; it needs tr(Theta) != 0.  ``certificate`` is the first item
+    of :func:`grid_certificate`, None or its witness (a, b, m); the sum
+    reads D as the certificate states it, so the check holds only where the
+    certificate does.
     """
     total = resolution_sum(field, theta)
     tr = theta.trace()
@@ -399,7 +412,7 @@ def overcomplete_expansion_check(field: GFField, psi: StateVector, chi: StateVec
     chi = p^-ell sum_labels (D psi, chi) D psi exactly, the sum by
     :func:`overcomplete_sum`; requires (psi, psi) = 1.  As for
     :func:`resolution_of_identity_check`, the check holds only where the
-    grid ``certificate`` does."""
+    ``certificate`` does."""
     _require_odd(field)
     if inner_product(psi, psi) != ring_for(field).one:
         raise ZeroTrace("expansion vector must be normalised")

@@ -1,8 +1,11 @@
 """Differential tests: the packed kernels against the per-entry loops they
 replaced, the label-grid identity checks of the heisenberg suite against
 the per-label Monomial loops they replaced, the label laws read from the
-certified grid against the brute-force kernels they replaced, also under
-planted faults in the grid and the tables, and the whole-family closed
+certified phase constants against the brute-force kernels they replaced
+(the Frobenius items against the suite's grid kernel), also under planted
+faults in the displacements and the tables, the blocked certificate and
+its constants against the q^3 ``label_grid`` and the certificate read off
+it, and the whole-family closed
 form, shear element sum and subfield checks against their per-element and
 per-label dense loops, also under planted faults; the synthesis, sweeps and
 shear laws that read each shear's convolution row against the dense shears
@@ -241,6 +244,22 @@ def perturbed_arrays(monkeypatch, field):
             hit[..., None] & (np.arange(field_.order) == 0), step, 0))
 
     monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
+
+
+def label_grid(field, phase_coeff=None):
+    """D(a, b) for every label: the family of q * q members l = a * q + b,
+    stored as int32 arrays of shape (q * q, q), each block of
+    ``heisenberg.label_blocks`` one ``displacement_monomial`` gather written
+    into them: the q^3 grid the suite built before it read only the phase
+    constants, kept as the reference the grid-reading kernels below run on.
+    The gather goes through the module, so a fault planted there reaches it."""
+    q = field.order
+    perm, phase = (np.empty((q * q, q), dtype=np.int32) for _ in range(2))
+    labels = np.arange(q * q)
+    for s in heisenberg.label_blocks(q * q, q):
+        block = heisenberg.displacement_monomial(field, *np.divmod(labels[s], q), phase_coeff)
+        perm[s], phase[s] = block.perm, block.phase
+    return Monomial(ring_for(field), perm, phase)
 
 
 @pytest.fixture(params=FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
@@ -655,7 +674,7 @@ def test_sampled_composition_matches_monomial_reference(pe, coeff):
     rng = random.Random(q)
     quads = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(400)]
     first, second = (np.array(quads).reshape(-1, 2, 2) @ (q, 1)).T
-    got = composition_law_holds(field, heisenberg.label_grid(field, coeff), first, second)
+    got = composition_law_holds(field, label_grid(field, coeff), first, second)
     assert got is ref_composition_sampled(field, monomial_cache(field, coeff), quads)
     assert got is (coeff is None)
 
@@ -687,7 +706,11 @@ def test_planted_faults_give_the_reference_verdicts(fault, monkeypatch):
         monkeypatch.setattr(GFField, "two_inverse", property(lambda self: 0))
         broken = "composition_law"
     got = grid_label_verdicts(field, coeff)
-    assert got == ref_label_verdicts(field, coeff)
+    # the suite reads D as the certificate states it, so a planted phase
+    # offset fails every label item, also where the reference holds
+    cert = heisenberg.grid_certificate(field, coeff)[0]
+    assert got == {name: ok and cert is None
+                   for name, ok in ref_label_verdicts(field, coeff).items()}
     assert not got[broken]
 
 
@@ -695,7 +718,7 @@ def test_composition_law_compares_the_permutations():
     # for l2 = (0, 1), D(l1) D(l2) never reads the permutation of l1 in
     # its phase, so only the permutation half sees a wrong row for l1
     field = make_field(3, 2)
-    grid = heisenberg.label_grid(field)
+    grid = label_grid(field)
     first, second = np.array([5]), np.array([1])
     assert composition_law_holds(field, grid, first, second)
     perm = grid.perm.copy()
@@ -960,7 +983,7 @@ def test_fourier_kernel_matches_exponent_tables_on_the_grid(pe, coeff):
     # block of the suite's budget
     field = make_field(*pe)
     q, n, t = field.order, ring_for(field).order, field.tables()
-    grid = heisenberg.label_grid(field, coeff)
+    grid = label_grid(field, coeff)
     a_of, b_of = np.divmod(np.arange(q * q), q)
     got = heisenberg.fourier_intertwines((n // field.p) * t.trace[t.mul] % n,
                                          grid, grid[b_of * q + t.neg[a_of]])
@@ -2200,7 +2223,7 @@ def test_family_algebra_matches_per_member_ops(pe, dtype):
 def test_matches_fails_exactly_on_a_planted_member(dtype):
     field = make_field(3, 3)
     ring, q = ring_for(field), field.order
-    grid = heisenberg.label_grid(field)
+    grid = label_grid(field)
     grid = Monomial(ring, grid.perm.astype(dtype), grid.phase.astype(dtype))
     for member, fault in ((5, "perm"), (q * q - 1, "phase")):
         perm, phase = grid.perm.copy(), grid.phase.copy()
@@ -2225,7 +2248,7 @@ def test_displacement_families_match_old_arrays(pe, coeff):
     assert np.array_equal(family.perm, np.broadcast_to(perm, (q, q, q)))
     assert np.array_equal(family.phase, phase)
     assert family.perm.dtype == family.phase.dtype == np.int64
-    grid = heisenberg.label_grid(field, coeff)
+    grid = label_grid(field, coeff)
     assert grid.perm.dtype == grid.phase.dtype == np.int32
     a, b = np.divmod(np.arange(q * q), q)
     assert grid == Monomial(grid.ring, *ref_displacement_arrays(field, a, b, coeff))
@@ -2895,7 +2918,7 @@ def blocked_resolution_sum(field, theta):
     one root-sum into the q x q entries, the block sums added."""
     ring, q = ring_for(field), field.order
     data, e, den = theta.packed
-    grid = heisenberg.label_grid(field)
+    grid = label_grid(field)
     step = max(1, REF_BLOCK_ENTRIES // (q * q))
     total = None
     for i in range(0, q * q, step):
@@ -2911,7 +2934,7 @@ def whole_overcomplete_sum(field, psi, chi):
     """The one-block expansion the streamed one replaced: the (q^2, q) rows
     D(l) psi, their overlaps with chi and the sum as two products."""
     ring, q = ring_for(field), field.order
-    grid = heisenberg.label_grid(field)
+    grid = label_grid(field)
     data, e, den = psi.packed
     slots = np.arange(q * q)[:, None] * q + grid.perm
     moved, e, den = ring.root_sum(data[:, 0], grid.phase, slots, (q * q, q), e, den)
@@ -2979,7 +3002,7 @@ def test_perturbed_phase_keeps_the_certificate(pe):
     # the control changes every label's phase constant only: the certificate
     # holds, and the three phase-sensitive label items still fail
     field = make_field(*pe)
-    assert heisenberg.grid_certificate(field, heisenberg.label_grid(field, 1)) is None
+    assert heisenberg.grid_certificate(field, 1)[0] is None
     rep = heisenberg_suite(field, VerifyConfig(displacement_phase_coeff=1))
     assert {i.name for i in rep.items if i.status == "fail"} == {
         "composition_law", "adjoint_negates_label", "fourier_maps_labels"}
@@ -3009,9 +3032,63 @@ def test_streamed_overcomplete_matches_whole_sum(pe, fault, monkeypatch):
 
 
 def certificate(field):
-    """The grid certificate of the field's label grid, built through the
-    module, so that a fault planted there reaches it."""
-    return heisenberg.grid_certificate(field, heisenberg.label_grid(field))
+    """The label certificate, built through the module, so that a fault
+    planted there reaches it."""
+    return heisenberg.grid_certificate(field)[0]
+
+
+def grid_reading_certificate(field, grid):
+    """The certificate as it was read off a whole ``label_grid``: None when
+    every member l = a * q + b moves m to m + b with a phase offset
+    Tr(a m) N / p from its entry 0, else the first failing (a, b, m)."""
+    q, t = field.order, field.tables()
+    n = ring_for(field).order
+    offset = t.trace[t.mul] * (n // field.p)
+    for s in heisenberg.label_blocks(q * q, q):
+        a, b = np.divmod(np.arange(q * q)[s], q)
+        phase = grid.phase[s]
+        bad = (grid.perm[s] != t.add[b]) | ((phase - phase[:, :1] - offset[a]) % n != 0)
+        if bad.any():
+            row, m = np.argwhere(bad)[0]
+            return int(a[row]), int(b[row]), int(m)
+    return None
+
+
+@pytest.mark.parametrize("entries", [None, 1, 3000])
+@pytest.mark.parametrize("fault", [None, perturbed_arrays, perm_depends_on_a],
+                         ids=["none", "phase_offset", "perm_row"])
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (3, 2), (3, 3)], ids=str)
+def test_blocked_certificate_matches_the_grid(pe, fault, entries, monkeypatch):
+    # the default block budget, one label per block, or a few: the blocked
+    # certificate and its constants are the whole grid's certificate and
+    # the grid's phases at entry 0, also under faults planted in the displacements
+    field = make_field(*pe)
+    q = field.order
+    if fault is not None:
+        fault(monkeypatch, field)
+    grid = label_grid(field)
+    if entries is not None:
+        monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", entries)
+    cert, constants = heisenberg.grid_certificate(field)
+    assert cert == grid_reading_certificate(field, grid) == dict(CERTIFICATE_FAULTS).get(fault)
+    assert constants.shape == (q, q)
+    assert np.array_equal(constants, grid.phase[:, 0].reshape(q, q))
+
+
+def test_grid_certificate_peak_below_two_megabytes():
+    # one label block at a time plus the q^2 offsets and constants, where
+    # the GF(125) label grid alone takes 31 MB of int32 arrays
+    field = make_field(5, 3)
+    heisenberg.grid_certificate(field)  # fill the field's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert, constants = heisenberg.grid_certificate(field)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert cert is None and constants.shape == (125, 125)
+    assert peak <= 2_000_000, peak
 
 
 @pytest.mark.parametrize("entries", [None, 1])
@@ -3105,7 +3182,7 @@ def streamed_overcomplete_sum(field, psi, chi):
     products, the parts added."""
     ring = ring_for(field)
     q, deg = field.order, ring.degree
-    grid = heisenberg.label_grid(field)
+    grid = label_grid(field)
     data, e, den = psi.packed
     turned = ring.times_roots(np.broadcast_to(data[:, 0], (ring.order, q, deg)),
                               row_roots=np.arange(ring.order))  # [k, m] = psi(m) zeta^k
@@ -3265,21 +3342,22 @@ def gather_label_laws(field, grid):
         "orthogonality_under_trace": trace_orthogonality_holds(field, grid, first, second)}
 
 
-def derived_label_laws(field, grid):
-    """label_laws gated on the grid certificate, as the suite reads them."""
-    cert = heisenberg.grid_certificate(field, grid)
-    laws = heisenberg.label_laws(field, grid)
-    return {name: cert is None and laws[name] for name in LAW_NAMES}
+def derived_label_laws(field, coeff=None, names=LAW_NAMES):
+    """label_laws on the certificate's constants, gated on the certificate
+    as the suite reads them."""
+    cert, constants = heisenberg.grid_certificate(field, coeff)
+    laws = heisenberg.label_laws(field, constants)
+    return {name: cert is None and laws[name] for name in names}
 
 
 @pytest.mark.parametrize("coeff", [None, 1])
 @pytest.mark.parametrize("pe", LABEL_FIELDS, ids=str)
 def test_label_laws_match_the_gather_kernels(pe, coeff):
     field = make_field(*pe)
-    grid = heisenberg.label_grid(field, coeff)
-    got = derived_label_laws(field, grid)
-    assert got == gather_label_laws(field, grid)
-    assert heisenberg.label_laws(field, grid)["premise"] is None
+    got = derived_label_laws(field, coeff)
+    assert got == gather_label_laws(field, label_grid(field, coeff))
+    assert heisenberg.label_laws(field, heisenberg.grid_certificate(field, coeff)[1])[
+        "premise"] is None
     # the wrong half-trace coefficient breaks exactly the phase laws
     assert {name for name in LAW_NAMES if not got[name]} == (
         set() if coeff is None else set(LAW_NAMES) - {"orthogonality_under_trace"})
@@ -3372,9 +3450,8 @@ LAW_FAULT_IDS = ["constant", "perm_row", "phase_offset", "linear_shift", "trace_
 def test_label_law_faults_give_the_gather_verdicts(pe, fault, failing, monkeypatch):
     field = GFField(*pe, make_field(*pe).modulus)  # a field object no cache has seen
     fault(monkeypatch, field)
-    grid = heisenberg.label_grid(field)
-    got = derived_label_laws(field, grid)
-    assert got == gather_label_laws(field, grid)
+    got = derived_label_laws(field)
+    assert got == gather_label_laws(field, label_grid(field))
     assert {name for name in LAW_NAMES if not got[name]} == failing
 
 
@@ -3394,16 +3471,156 @@ def test_label_law_items_carry_the_witness(fault, witness, monkeypatch):
         witness] * 3
 
 
+# -- the Frobenius label items read from the constants -------------------------
+#
+# ``label_laws`` reads G D(a, b) = D(f a, f b) G and the subfield items as
+# relations on the tables and the constants, gated on the certificate only.
+# The reference is the suite's kernel they replaced: G^k D(rows) against
+# D(target) G^k, member by member, per block of grid rows.
+
+FROBENIUS_LAWS = ("frobenius_maps_labels", "subfield_labels_fixed_by_frobenius")
+
+
+def kernel_frobenius_verdicts(field, grid):
+    """The two Frobenius label items on a grid, by the kernel label_laws
+    replaced: every power G^k, k < ell, on every label, and G^(d mod ell)
+    on the labels of each subfield GF(p^d)."""
+    q = field.order
+    a_of, b_of = np.divmod(np.arange(q * q), q)
+
+    def covariant(g, rows, target):
+        return all((g @ grid[rows[s]]).matches(grid[target[s]] @ g).all()
+                   for s in heisenberg.label_blocks(len(rows), q))
+
+    g = frobenius.frobenius_monomial(field)
+    powers = [g ** k for k in range(field.ell)]
+    fixed = True
+    for d in field.divisors():
+        sub = np.asarray(field.subfield_indices(d))
+        rows = (sub[:, None] * q + sub).ravel()
+        fixed = covariant(powers[d % field.ell], rows, rows) and fixed
+    return {"frobenius_maps_labels": all(
+                covariant(gk, np.arange(q * q), gk.perm[a_of] * q + gk.perm[b_of])
+                for gk in powers),
+            "subfield_labels_fixed_by_frobenius": fixed}
+
+
+def swapped(table, i, j):
+    out = table.copy()
+    out[i], out[j] = table[j], table[i]
+    return out
+
+
+def bumped(table, at, modulus):
+    out = table.copy()
+    out[at] = (out[at] + 1) % modulus
+    return out
+
+
+# planted table faults, as the arrays each replaces in field.tables()
+FROBENIUS_TABLE_FAULTS = {
+    "none": lambda f, t: {},
+    "frob_swap_low": lambda f, t: {"frob": swapped(t.frob, 0, 1)},
+    "frob_swap_high": lambda f, t: {"frob": swapped(t.frob, f.order - 2, f.order - 1)},
+    "frob_identity": lambda f, t: {"frob": np.arange(f.order)},
+    "frob_not_injective": lambda f, t: {"frob": np.append(t.frob[:-1], t.frob[0])},
+    "trace_low": lambda f, t: {"trace": bumped(t.trace, 1, f.p)},
+    "trace_high": lambda f, t: {"trace": bumped(t.trace, f.order - 1, f.p)},
+    "mul_low": lambda f, t: {"mul": bumped(t.mul, (1, f.order - 1), f.order)},
+    "mul_high": lambda f, t: {"mul": bumped(t.mul, (f.order - 1, f.order - 1), f.order)},
+    "add_low": lambda f, t: {"add": swapped(t.add, (1, 0), (1, 1))},
+    "add_high": lambda f, t: {"add": bumped(t.add, (f.order - 1, f.order - 1), f.order)},
+}
+
+
+@pytest.mark.parametrize("coeff", [None, 1])
+@pytest.mark.parametrize("fault", FROBENIUS_TABLE_FAULTS)
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)], ids=str)
+def test_frobenius_relations_match_the_kernel(pe, fault, coeff, monkeypatch):
+    field = GFField(*pe, make_field(*pe).modulus)  # a field object no cache has seen
+    plant_tables(monkeypatch, field, **FROBENIUS_TABLE_FAULTS[fault](field, field.tables()))
+    got = derived_label_laws(field, coeff, FROBENIUS_LAWS)
+    assert got == kernel_frobenius_verdicts(field, label_grid(field, coeff))
+    if fault == "none" or field.ell == 1:
+        assert all(got.values())
+
+
+def invariant_constants_over_a_wrong_trace(monkeypatch, field):
+    """The trace of the last element off by one in the tables, while every
+    D(a, b) keeps the phase constant of the true trace: the offsets follow
+    the table, so the certificate holds, and the constants stay invariant
+    under Frobenius, so only tr[f a, f m] - tr[a, m] varying in m shows the
+    fault."""
+    true = field.tables()
+    phase_off_by_one(monkeypatch, field)
+    original = heisenberg.displacement_monomial
+    step = ring_for(field).order // field.p
+
+    def wrong(field_, alpha, beta, phase_coeff=None):
+        mono = original(field_, alpha, beta, phase_coeff)
+        x = true.mul[field_.two_inverse, true.mul[field_.indices(alpha), field_.indices(beta)]]
+        shift = (true.trace[x] - field_.tables().trace[x]) * step
+        return Monomial(mono.ring, mono.perm, mono.phase + np.asarray(shift)[..., None])
+
+    monkeypatch.setattr(heisenberg, "displacement_monomial", wrong)
+
+
+@pytest.mark.parametrize("fault,failing", [
+    (digit_phase_shift, {"frobenius_maps_labels"}),
+    (invariant_constants_over_a_wrong_trace, set(FROBENIUS_LAWS)),
+], ids=["digit_shift", "invariant_constants"])
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2), (3, 3), (7, 2)], ids=str)
+def test_frobenius_relations_under_certified_displacement_faults(pe, fault, failing, monkeypatch):
+    # faults that keep the certificate: a digit-wise phase shift, which G
+    # moves, fails only the relation on the constants C[a, b] - C[f a, f b]
+    # (C cancels on the subfields); constants kept invariant over a wrong
+    # trace fail only the m-dependence of delta(a, m)
+    field = GFField(*pe, make_field(*pe).modulus)
+    fault(monkeypatch, field)
+    assert certificate(field) is None
+    got = derived_label_laws(field, None, FROBENIUS_LAWS)
+    assert got == kernel_frobenius_verdicts(field, label_grid(field))
+    assert {name for name in FROBENIUS_LAWS if not got[name]} == failing
+
+
+@pytest.mark.parametrize("fault,witness", CERTIFICATE_FAULTS, ids=["phase_offset", "perm_row"])
+def test_failed_certificate_fails_the_frobenius_items(fault, witness, monkeypatch):
+    # the items read D as the certificate states it, so a failed certificate
+    # fails them with its witness, although the kernel passes on either
+    # faulty grid: G commutes with the phase offset of D(0, 1) and with the
+    # shift D(1, 0) takes from D(1, 1)
+    field = GFField(3, 2, make_field(3, 2).modulus)
+    fault(monkeypatch, field)
+    assert all(kernel_frobenius_verdicts(field, label_grid(field)).values())
+    items = {i.name: i for i in heisenberg_suite(field).items}
+    assert [(items[name].status, items[name].detail) for name in FROBENIUS_LAWS] == [
+        ("fail", f"certificate={witness}")] * 2
+
+
+def test_frobenius_items_carry_no_premise_witness(monkeypatch):
+    # the digit premises gate the four other laws only: under a swapped pair
+    # of add entries those fail naming the premise, while both Frobenius
+    # items pass, as the kernel does, with no detail
+    field = GFField(3, 2, make_field(3, 2).modulus)
+    swapped_add_entries(monkeypatch, field)
+    assert all(kernel_frobenius_verdicts(field, label_grid(field)).values())
+    items = {i.name: i for i in heisenberg_suite(field).items}
+    assert [(items[name].status, items[name].detail) for name in FROBENIUS_LAWS] == [
+        ("pass", "")] * 2
+    assert [(items[name].status, items[name].detail) for name in LAW_NAMES] == [
+        ("fail", "pairs=6561, premise=add[1, 0]")] + [("fail", "premise=add[1, 0]")] * 3
+
+
 def test_label_grid_peak_below_three_times_its_arrays():
-    # each label block is written into the grid's two int32 arrays, so the
-    # build never holds the int64 arrays of one whole-grid gather (five
-    # times the grid's bytes)
+    # the reference grid the kernels above read: each label block is written
+    # into the grid's two int32 arrays, so the build never holds the int64
+    # arrays of one whole-grid gather (five times the grid's bytes)
     field = make_field(7, 2)
-    heisenberg.label_grid(field)  # fill the field's caches
+    label_grid(field)  # fill the field's caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grid = heisenberg.label_grid(field)
+        grid = label_grid(field)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -3417,11 +3634,13 @@ def test_grid_checks_peak_below_one_megabyte():
     # once to fill the caches the suite fills, then traced
     field = make_field(3, 2)
     q = field.order
-    grid = heisenberg.label_grid(field)
+    constants = heisenberg.grid_certificate(field)[1]
     xs, ys = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
     group = sp.enumerate_group(field)
     checks = {
-        "label_laws": lambda: all(heisenberg.label_laws(field, grid)[name] for name in LAW_NAMES),
+        "grid_certificate": lambda: heisenberg.grid_certificate(field)[0] is None,
+        "label_laws": lambda: all(heisenberg.label_laws(field, constants)[name]
+                                  for name in LAW_NAMES + FROBENIUS_LAWS),
         "conjugated_shear_additive_law": lambda: sp.shear_grid_laws(
             field, xs, ys, range(q))[0].all(),
         "action_law_exhaustive": lambda: sp.action_sweep(
