@@ -1,11 +1,11 @@
 """Fourier transform on GF(p^ell) and on its subfields.
 
 The Fourier matrix F(n, m) = p^(-ell/2) omega^(Tr(n m)) satisfies F^4 = 1
-and F F^dagger = 1 exactly.  The subfield analogue uses the subfield trace
-and is represented as a full-size matrix supported on subfield indices, so
-the power relation between the two can be stated entrywise.  Spectral
-projectors for the four eigenvalues 1, i, -1, -i are built from the first
-three powers of F.
+and F F^dagger = 1 exactly.  The subfield analogue F_d uses the subfield
+trace and is built by the same function on the p^d block of the subfield
+indices, so the power relation between the two is stated entrywise on
+that block.  Spectral projectors for the four eigenvalues 1, i, -1, -i are
+built from the first three powers of F.
 """
 
 from __future__ import annotations
@@ -22,12 +22,20 @@ from .linalg import (OperatorMatrix, Spectrum, StateVector, blocks_equal, cyclic
 
 
 @cache
-def fourier_matrix(field: GFField) -> OperatorMatrix:
-    """The p^ell x p^ell Fourier matrix, cached per field."""
+def fourier_matrix(field: GFField, d: int | None = None) -> OperatorMatrix:
+    """The p^ell x p^ell Fourier matrix, or for a subfield degree d the
+    p^d x p^d Fourier matrix F_d of GF(p^d) on its block, entry (n, m)
+    p^(-d/2) omega^(Tr_d(n m)) for the subfield indices n, m; cached per
+    (field, d)."""
     ring, tb = ring_for(field), field.tables()
-    # entry (n, m) is p^(-ell/2) zeta^e with e the root exponent of Tr(n m)
+    if d is None:
+        tr, mul, scale = tb.trace, tb.mul, field.ell
+    else:
+        sub = np.asarray(field.subfield_indices(d))
+        tr, mul, scale = field.subfield_traces(d), tb.mul[np.ix_(sub, sub)], d
+    # entry (n, m) is p^(-scale/2) zeta^e with e the root exponent of the trace of n m
     return OperatorMatrix.from_packed(ring, root_matrix(
-        ring, tb.trace[tb.mul] * (ring.order // field.p), field.ell))
+        ring, tr[mul] * (ring.order // field.p), scale))
 
 
 def fourier_transform(field: GFField, chi: StateVector) -> StateVector:
@@ -42,15 +50,11 @@ def fourier_transform(field: GFField, chi: StateVector) -> StateVector:
 
 
 def subfield_fourier(field: GFField, d: int) -> OperatorMatrix:
-    """Subfield Fourier matrix, embedded with support on GF(p^d) indices.
-
-    Entries p^(-d/2) omega^(subfield-trace of n m) for subfield n, m; zero
-    elsewhere.
-    """
-    ring, q, tb = ring_for(field), field.order, field.tables()
+    """F_d of :func:`fourier_matrix` embedded in q x q zeros on the GF(p^d)
+    indices: the form ``op fourier --d`` prints."""
+    ring, q = ring_for(field), field.order
     sub = np.asarray(field.subfield_indices(d))
-    block, e, den = root_matrix(ring, field.subfield_traces(d)[tb.mul[np.ix_(sub, sub)]]
-                                * (ring.order // field.p), d)
+    block, e, den = fourier_matrix(field, d).packed
     data = np.zeros((q, q, ring.degree), dtype=block.dtype)
     data[np.ix_(sub, sub)] = block
     return OperatorMatrix.from_packed(ring, (data, e, den))
@@ -81,23 +85,24 @@ def component_factorization_check(field: GFField) -> dict:
 
 def subfield_fourier_power_relation_check(field: GFField, d: int) -> dict:
     """Entrywise check that the subfield block of F is the (ell/d)-th power
-    of the subfield Fourier matrix.
+    of the subfield Fourier matrix F_d.
 
-    Both sides are supported on subfield indices (the left side is F
-    masked by the subfield-support projector), so only the block is
-    compared: its s^2 entries as a batch of one-entry matrices, raised to
-    the power by batched exact products and compared with F's block entry
-    by entry.  ``witness`` is None or the first failing (n, m).
+    F's block and F_d are read directly, their s^2 entries as a batch of
+    one-entry matrices; F_d's are raised to the power by batched exact
+    products and compared with F's block entry by entry.  ``witness`` is
+    None or the first failing (n, m).
     """
     ring = ring_for(field)
     sub = np.asarray(field.subfield_indices(d))
     power = field.ell // d
-    block = [(data[np.ix_(sub, sub)].reshape(-1, 1, 1, ring.degree), e, q)
-             for data, e, q in (fourier_matrix(field).packed, subfield_fourier(field, d).packed)]
-    powered = block[1]
+    data, e, q = fourier_matrix(field).packed
+    block = (data[np.ix_(sub, sub)].reshape(-1, 1, 1, ring.degree), e, q)
+    data, e, q = fourier_matrix(field, d).packed
+    small = (data.reshape(-1, 1, 1, ring.degree), e, q)
+    powered = small
     for _ in range(power - 1):
-        powered = ring.matmul(powered, block[1])
-    ok = blocks_equal(ring, [block[0], powered], len(sub) ** 2)
+        powered = ring.matmul(powered, small)
+    ok = blocks_equal(ring, [block, powered], len(sub) ** 2)
     bad = np.flatnonzero(~ok)
     witness = (int(sub[bad[0] // len(sub)]), int(sub[bad[0] % len(sub)])) if len(bad) else None
     return {"holds": witness is None, "power": power, "witness": witness}

@@ -5,8 +5,10 @@ X^beta the shift by beta, and D(alpha, beta) their symmetrised product with
 the half-trace phase (the field inverse of 2; undefined for p = 2).  All
 three are monomial: :func:`displacement_monomial` gives D for one label,
 or for an array of labels the family of them (a ``Monomial`` with leading
-axes) in one gather, and the marginal sums are ``CycloRing.root_sum``
-scatters of zeta^phase into the slots the permutations name.
+axes) in one gather, with a subfield degree d the same on the GF(p^d)
+block (D_d, with the subfield trace), and the marginal sums are
+``CycloRing.root_sum`` scatters of zeta^phase into the slots the
+permutations name.
 :func:`grid_certificate` builds D for all q^2 labels, one block of one
 entry budget at a time (:func:`label_blocks`), and checks that every
 D(a, b) is omega^c Z^a X^b: it moves m to m + b with the phase offset
@@ -68,31 +70,44 @@ def x_power(field: GFField, beta) -> OperatorMatrix:
     return x_monomial(field, beta).to_matrix()
 
 
-def displacement_monomial(field: GFField, alpha, beta,
-                          phase_coeff: int | None = None) -> Monomial:
+def displacement_monomial(field: GFField, alpha, beta, phase_coeff: int | None = None,
+                          d: int | None = None) -> Monomial:
     """D(alpha, beta) for two labels, or the family of them for two index
     arrays of labels.
 
     D(alpha, beta) has entry omega^(Tr(c*alpha*beta + alpha*m)) at
     (m + beta, m), c = inverse of 2 in Z_p.  A family has the leading shape
     of alpha and beta broadcast, each member's perm and phase rows of the
-    field's index arrays, gathered once per label.  ``phase_coeff``
-    overrides c and exists only so verification suites can prove they
-    detect a wrong phase.
+    field's index arrays, gathered once per label.  With a subfield degree
+    d, it is D_d of GF(p^d) on its p^d block, for labels in the subfield:
+    the same entries with the subfield trace Tr_d, block position k
+    standing for the field index ``field.subfield_indices(d)[k]``.
+    ``phase_coeff`` overrides c and exists only so verification suites can
+    prove they detect a wrong phase.
     """
     _require_odd(field)
-    t = field.tables()
+    t, ring = field.tables(), ring_for(field)
     alpha, beta = field.indices(alpha), field.indices(beta)
     c = field.two_inverse if phase_coeff is None else phase_coeff % field.p
-    base = t.trace[t.mul[c, t.mul[alpha, beta]]]
-    phase = ((t.trace[t.mul[alpha]] + base[..., None]) % field.p
-             * (ring_for(field).order // field.p))
-    return Monomial(ring_for(field), t.add[beta], phase)
+    if d is None:
+        tr, perm, lin = t.trace, t.add[beta], t.mul[alpha]
+    else:
+        sub = np.asarray(field.subfield_indices(d))
+        pos = np.full(field.order, -1)
+        pos[sub] = np.arange(len(sub))
+        alpha, beta = np.asarray(alpha), np.asarray(beta)
+        if (pos[alpha] < 0).any() or (pos[beta] < 0).any():
+            raise NotInSubfield(f"labels are not all in GF({field.p}^{d})")
+        tr, perm = field.subfield_traces(d), pos[t.add[beta[..., None], sub]]
+        lin = t.mul[alpha[..., None], sub]
+    base = tr[t.mul[c, t.mul[alpha, beta]]]
+    return Monomial(ring, perm, (tr[lin] + base[..., None]) % field.p * (ring.order // field.p))
 
 
-def displacement(field: GFField, alpha, beta) -> OperatorMatrix:
-    """The displacement operator D(alpha, beta)."""
-    return displacement_monomial(field, alpha, beta).to_matrix()
+def displacement(field: GFField, alpha, beta, d: int | None = None) -> OperatorMatrix:
+    """The displacement operator D(alpha, beta), or D_d on the GF(p^d)
+    block for a subfield degree d, as a dense exact matrix."""
+    return displacement_monomial(field, alpha, beta, d=d).to_matrix()
 
 
 def parity_monomial(field: GFField) -> Monomial:
@@ -495,76 +510,34 @@ def marginal_projectors(field: GFField) -> dict:
     }
 
 
-def subfield_fourier_intertwining_check(field: GFField, d: int,
-                                        labels=None) -> dict:
-    """Subfield Fourier conjugation of the subfield displacement generators.
+def subfield_fourier_intertwining_check(field: GFField, d: int) -> dict:
+    """Subfield Fourier conjugation of the subfield displacement generators,
+    on the GF(p^d) block, for every subfield label.
 
-    For each checked subfield label a: F_d Z_d^a F_d+ = X_d^(-a) and
-    F_d X_d^a F_d+ = Z_d^a, all as embedded operators; also the Weyl
-    braiding Z_d^a X_d^b = X_d^b Z_d^a omega^(subfield-trace of a b) over
-    the label pairs, as families.  Defaults to every subfield label.
+    For each subfield label a: F_d Z_d^a F_d+ = X_d^(-a) and
+    F_d X_d^a F_d+ = Z_d^a; also the Weyl braiding Z_d^a X_d^b = X_d^b
+    Z_d^a omega^(subfield-trace of a b) over all label pairs, one
+    :func:`label_blocks` block of first labels a at a time.
     F_d(i, j) = p^(-d/2) zeta^f[i, j] on the block, f[i] the phases of
     Z_d^(sub i).  F_d is unitary on its block (the Fourier suite's
     ``subfield_unitary`` item), so each law F_d M F_d+ = T reads F_d M =
     T F_d: :func:`fourier_intertwines` per block of labels."""
     sub = np.asarray(field.subfield_indices(d))
-    s = len(sub)
-    idx = sub if labels is None else np.array([field.element(x).index for x in labels], int)
-    zero = np.zeros_like(idx)
-    z = subfield_displacement_arrays(field, d, idx, zero)
-    x = subfield_displacement_arrays(field, d, zero, idx)
-    f = subfield_displacement_arrays(field, d, sub, np.zeros_like(sub)).phase
+    s, zero = len(sub), np.zeros_like(sub)
+    z = displacement_monomial(field, sub, zero, d=d)
+    x = displacement_monomial(field, zero, sub, d=d)
+    minus = displacement_monomial(field, zero, field.tables().neg[sub], d=d)
+    blocks = list(label_blocks(s, s * s))
 
     def conjugates_to(mono, target):
-        return all(fourier_intertwines(f, mono[b], target[b]).all()
-                   for b in label_blocks(len(idx), s * s))
+        return all(fourier_intertwines(z.phase, mono[b], target[b]).all() for b in blocks)
 
-    minus = subfield_displacement_arrays(field, d, zero, field.tables().neg[idx])
-    # Z_d^a X_d^b for every pair (a, b), row a and column b
-    zs, xs = z[:, None], x[None]
-    shift = z.phase[:, np.searchsorted(sub, idx)]
+    # Z_d^a X_d^b for the pairs (a, b), row a and column b; the phase of
+    # Z_d^a at the block position of b is that of omega^Tr_d(a b)
+    braiding = all((z[b, None] @ x[None]).matches((x[None] @ z[b, None]).scaled_by_root(
+        z.phase[b])).all() for b in blocks)
     return {"z_to_shift": conjugates_to(z, minus), "shift_to_z": conjugates_to(x, z),
-            "braiding": bool((zs @ xs).matches((xs @ zs).scaled_by_root(shift)).all())}
-
-
-def subfield_displacement_arrays(field: GFField, d: int, alpha, beta) -> Monomial:
-    """The subfield displacement D_d(alpha, beta) on the GF(p^d) block, of
-    dimension p^d, for two subfield labels, or the family of them for two
-    index arrays of labels, shaped as in :func:`displacement_monomial`.
-    Block position k is the field index sub[k]
-    (``field.subfield_indices(d)``); D_d maps it to the position of sub[k] +
-    beta with the root of omega^(subfield-trace of (c*alpha*beta +
-    alpha*sub[k])), c the inverse of 2."""
-    _require_odd(field)
-    sub = np.asarray(field.subfield_indices(d))
-    t, q = field.tables(), field.order
-    pos = np.full(q, -1)
-    pos[sub] = np.arange(len(sub))
-    alpha, beta = np.asarray(field.indices(alpha)), np.asarray(field.indices(beta))
-    if (pos[alpha] < 0).any() or (pos[beta] < 0).any():
-        raise NotInSubfield(f"labels are not all in GF({field.p}^{d})")
-    tr = field.subfield_traces(d)
-    base = tr[t.mul[field.two_inverse, t.mul[alpha, beta]]]
-    phase = ((tr[t.mul[alpha[..., None], sub]] + base[..., None]) % field.p
-             * (ring_for(field).order // field.p))
-    return Monomial(ring_for(field), pos[t.add[beta[..., None], sub]], phase)
-
-
-def subfield_displacement(field: GFField, d: int, alpha, beta) -> OperatorMatrix:
-    """Subfield displacement, embedded with support on GF(p^d) indices.
-
-    Entries omega^(subfield-trace of (c*alpha*beta + alpha*m)) at
-    (m + beta, m) for subfield m, with c the inverse of 2; labels must lie
-    in the subfield.  The suites use its (perm, phase) arrays; this dense
-    form is kept as the library form of a paper object.
-    """
-    _require_odd(field)
-    a, b = (field.require_in_subfield(x, d).index for x in (alpha, beta))
-    mono = subfield_displacement_arrays(field, d, a, b)
-    sub, ring, q = np.asarray(field.subfield_indices(d)), ring_for(field), field.order
-    data = np.zeros((q, q, ring.degree), dtype=np.int64)
-    data[sub[mono.perm], sub] = ring.root_coeffs()[mono.phase]
-    return OperatorMatrix.from_packed(ring, (data, 0, 1))
+            "braiding": braiding}
 
 
 def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
@@ -574,7 +547,7 @@ def subfield_power_relation_check(field: GFField, d: int, alpha, beta) -> dict:
     block, so per block column the rows must agree and D's phase must be
     (ell/d) times the subfield phase; off-block entries vanish on both."""
     sub = np.asarray(field.subfield_indices(d))
-    small = subfield_displacement_arrays(field, d, alpha, beta)
+    small = displacement_monomial(field, alpha, beta, d=d)
     full = displacement_monomial(field, alpha, beta)
     power = field.ell // d
     ok = (np.array_equal(full.perm[..., sub], sub[small.perm])

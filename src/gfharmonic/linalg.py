@@ -402,8 +402,10 @@ class Monomial:
     __slots__ = ("ring", "dim", "perm", "phase")
 
     def __init__(self, ring: CycloRing, perm, phase):
-        perm, phase = np.broadcast_arrays(np.asarray(perm), np.asarray(phase) % ring.order)
-        self._set(ring, np.array(perm), np.array(phase))
+        reduced = np.asarray(phase) % ring.order  # a new array: kept where it has the shape
+        perm, phase = np.broadcast_arrays(np.asarray(perm), reduced)
+        self._set(ring, np.array(perm),
+                  reduced if reduced.shape == phase.shape else np.array(phase))
 
     def _set(self, ring, perm, phase):  # arrays of one shape made for it, phases reduced
         self.ring, self.perm, self.phase, self.dim = ring, perm, phase, perm.shape[-1]

@@ -96,7 +96,7 @@ def generator_shear_x(field: GFField, xi) -> OperatorMatrix:
     gathered at n - m on each call, so it costs q character sums instead of
     q^2.  The exponents agree with those of the full triple product mod N,
     so every entry is bit-identical to it; :func:`shear_x_closed_form`
-    evaluates that sum independently.
+    evaluates that triple product directly.
     """
     if field.p == 2:
         raise EvenCharacteristic("quadratic phases need the inverse of 2")
@@ -131,18 +131,9 @@ def _differences(field: GFField, rows, cols):
 
 
 def shear_x_closed_form(field: GFField, xi) -> OperatorMatrix:
-    """Direct evaluation of the shear's matrix-element sum, as a cross-check:
-    entry (n, m) is p^-ell sum_k omega^(Tr(2^-1 xi k^2) + Tr(k n) - Tr(k m)),
-    all q^3 terms in one root-sum."""
-    ring, q, t = ring_for(field), field.order, field.tables()
-    c = t.mul[field.two_inverse, field.element(xi).index]
-    k = np.arange(q)
-    tr_nk = t.trace[t.mul[k[:, None], k]]
-    roots = ((t.trace[t.mul[c, t.mul[k, k]]] + tr_nk[:, None, :] - tr_nk) % field.p
-             * (ring.order // field.p))
-    slots = np.broadcast_to(np.arange(q * q).reshape(q, q, 1), roots.shape)
-    return OperatorMatrix.from_packed(ring, ring.root_sum(
-        ring.root_coeffs()[0], roots, slots, (q, q), 2 * field.ell))
+    """The conjugated shear by its definition, as a cross-check: F S(1, xi, 0)
+    F+, one gather of F by the diagonal shear and one exact product."""
+    return conjugate(fourier_matrix(field), generator_shear_z(field, xi))
 
 
 def fourier_params(field: GFField) -> np.ndarray:

@@ -116,9 +116,15 @@ def test_subfield_fourier_gf9(gf9):
         for m in range(9):
             want = ring.scalar(ring.omega(n * m).coeffs, 1) if max(n, m) < 3 else ring.zero
             assert sub[n][m] == want
+    block = fourier_matrix(gf9, 1)
+    assert block.dim == 3
+    assert all(block.rows[n][m] == sub[n][m] for n in range(3) for m in range(3))
     assert subfield_fourier(gf9, 2).equals(fourier_matrix(gf9))
+    assert fourier_matrix(gf9, 2).equals(fourier_matrix(gf9))
     with pytest.raises(NotADivisor):
         subfield_fourier(gf9, 3)
+    with pytest.raises(NotADivisor):
+        fourier_matrix(gf9, 3)
 
 
 @pytest.mark.parametrize("p,ell,d", [(3, 2, 1), (3, 3, 1), (2, 4, 2)])
@@ -129,6 +135,11 @@ def test_subfield_fourier_projector_algebra(p, ell, d):
     assert (sub_f @ sub_f.adjoint()).equals(pi)
     s2 = sub_f @ sub_f
     assert (s2 @ s2).equals(pi)
+    # the same laws on the p^d block, against the block's identity
+    block, ident = fourier_matrix(f, d), OperatorMatrix.identity(ring_for(f), f.p ** d)
+    assert (block @ block.adjoint()).equals(ident)
+    b2 = block @ block
+    assert (b2 @ b2).equals(ident)
 
 
 def test_power_relation_gf9(gf9):

@@ -15,7 +15,6 @@ from gfharmonic.heisenberg import (component_displacement_monomial,
                                    overcomplete_expansion_check,
                                    parity_monomial,
                                    resolution_of_identity_check,
-                                   subfield_displacement,
                                    subfield_power_relation_check,
                                    tensor_factorize_displacement, weyl_expand,
                                    weyl_reconstruct, x_monomial, x_power,
@@ -395,12 +394,15 @@ def test_parity_is_fourier_squared(gf9):
 def test_subfield_displacement(gf9):
     ring = ring_for(gf9)
     eps = gf9.generator
-    assert subfield_displacement(gf9, 2, 1, eps).equals(displacement(gf9, 1, eps))
-    small = subfield_displacement(gf9, 1, 1, 0).rows
+    assert displacement(gf9, 1, eps, d=2).equals(displacement(gf9, 1, eps))
+    small = displacement(gf9, 1, 0, d=1)
+    assert small.dim == 3
     for i in range(3):
-        assert small[i][i] == ring.omega(i)  # subfield trace is identity
+        assert small.rows[i][i] == ring.omega(i)  # subfield trace is identity
     with pytest.raises(NotInSubfield):
-        subfield_displacement(gf9, 1, eps, 0)
+        displacement(gf9, eps, 0, d=1)
+    with pytest.raises(NotInSubfield):
+        displacement_monomial(gf9, 0, eps, d=1)
 
 
 def test_subfield_power_relation(gf9):
@@ -433,19 +435,17 @@ def test_z_spectrum_example(gf9):
 def test_subfield_generator_operators(gf9):
     from gfharmonic.heisenberg import subfield_fourier_intertwining_check
     ring = ring_for(gf9)
-    # embedded prime-subfield generators: diagonal phases and shifts
-    z1 = subfield_displacement(gf9, 1, 1, 0).rows
+    # prime-subfield generators on their block: diagonal phases and shifts
+    z1 = displacement(gf9, 1, 0, d=1).rows
     for m in range(3):
         assert z1[m][m] == ring.omega(m)  # subfield trace is identity
-    for m in range(3, 9):
-        assert z1[m][m].is_zero
-    x1 = subfield_displacement(gf9, 1, 0, 1).rows
+    x1 = displacement(gf9, 0, 1, d=1).rows
     for m in range(3):
         assert x1[(m + 1) % 3][m] == ring.one
     with pytest.raises(NotInSubfield):
-        subfield_displacement(gf9, 1, gf9.generator, 0)
+        displacement(gf9, gf9.generator, 0, d=1)
     rep = subfield_fourier_intertwining_check(gf9, 1)
     assert rep["z_to_shift"] and rep["shift_to_z"] and rep["braiding"]
     # whole-field case coincides with the plain generators
-    rep = subfield_fourier_intertwining_check(gf9, 2, labels=[1, gf9.generator])
+    rep = subfield_fourier_intertwining_check(gf9, 2)
     assert rep["z_to_shift"] and rep["shift_to_z"] and rep["braiding"]

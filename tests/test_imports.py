@@ -95,8 +95,7 @@ def test_scan_finds_unused_locals():
 
 BENCH = PACKAGE.parents[1] / "bench"
 # paper objects kept as library calls, though nothing in src/ or bench/ calls them
-LIBRARY_ONLY = {"fourier_transform", "conjugated_galois_group", "run_all",
-                "subfield_displacement"}
+LIBRARY_ONLY = {"fourier_transform", "conjugated_galois_group", "run_all"}
 
 
 def definitions(source: str):
