@@ -6,9 +6,8 @@ the half-trace phase (the field inverse of 2; undefined for p = 2).  All
 three are monomial: :func:`displacement_monomial` gives D for one label,
 or for an array of labels the family of them (a ``Monomial`` with leading
 axes) in one gather, with a subfield degree d the same on the GF(p^d)
-block (D_d, with the subfield trace), and the marginal sums are
-``CycloRing.root_sum`` scatters of zeta^phase into the slots the
-permutations name.
+block (D_d, with the subfield trace), and :func:`label_sum` is one
+``CycloRing.root_sum`` of zeta^phase into the slots the permutations name.
 :func:`grid_certificate` builds D for all q^2 labels, one block of one
 entry budget at a time (:func:`label_blocks`), and checks that every
 D(a, b) is omega^c Z^a X^b: it moves m to m + b with the phase offset
@@ -20,7 +19,10 @@ those constants and the field tables, and the Weyl expansion and
 reconstruction, the resolution of the identity and the overcomplete
 expansion are Fourier transforms over the field: exact products with the
 character table R[a, m] = omega^Tr(a m), plus gathers and entrywise
-products, that read the field tables and F, not the displacements.
+products, that read the field tables and F, not the displacements.  The
+marginal identities, plain or in a symplectic frame, are one integer
+relation per line of labels on those constants and the frame's columns
+(:func:`marginals_in_frame`), with no line sum built.
 So all these checks hold only where the certificate does.
 The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
 alpha, column beta holds tr(Theta D(alpha, beta)).
@@ -42,7 +44,7 @@ from .fourier import fourier_matrix
 from .gf import GFField
 from .hilbert import ring_for
 from .linalg import (Monomial, OperatorMatrix, StateVector, blocks_equal,
-                     inner_product, outer_stack, root_matrix)
+                     inner_product, root_matrix)
 
 
 def _require_odd(field: GFField):
@@ -268,30 +270,15 @@ def fourier_intertwines(exps, family: Monomial, image: Monomial) -> np.ndarray:
 
 def label_sum(field: GFField, alpha, beta, weights=None) -> OperatorMatrix:
     """p^-ell sum over l of w_l D(alpha[l], beta[l]), for index arrays of
-    labels, as a dense exact matrix: the one-block :func:`label_sum_stack`."""
-    return OperatorMatrix.from_packed(ring_for(field), label_sum_stack(
-        field, np.asarray(alpha)[None], np.asarray(beta)[None], weights))
-
-
-def label_sum_stack(field: GFField, alpha, beta, weights=None):
-    """The stack of the label sums p^-ell sum over l of w_bl D(alpha[b, l],
-    beta[b, l]), one block per row b of (B, L) index arrays of labels: a
-    (B * q, q) normal-form triple.
-
-    ``weights`` is a packed triple with one entry per label, in row-major
-    order, or None for all ones.  Entry (perm_bl[m], m) of D(b, l) is
-    zeta^phase_bl[m], so all B sums are one root-sum of the weights into
-    the B * q * q entries; the factor p^-ell = 1/q raises the scale
-    exponent by 2 ell.
-    """
+    labels, as a dense exact matrix: one root sum of the weights (a packed
+    triple, one entry per label; None for ones) into the entries (perm_l[m],
+    m), zeta^phase_l[m] each, at scale exponent + 2 ell."""
     ring, q = ring_for(field), field.order
     family = displacement_monomial(field, alpha, beta)
-    blocks, labels = family.perm.shape[:2]
     data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
-    data = np.asarray(data).reshape(-1, 1, ring.degree)
-    dest = (np.repeat(np.arange(blocks), labels)[:, None] * q + family.perm.reshape(-1, q)) * q
-    return ring.root_sum(data, family.phase.reshape(-1, q), dest + np.arange(q), (blocks * q, q),
-                         e + 2 * field.ell, den)
+    return OperatorMatrix.from_packed(ring, ring.root_sum(
+        np.asarray(data).reshape(-1, 1, ring.degree), family.phase,
+        family.perm * q + np.arange(q), (q, q), e + 2 * field.ell, den))
 
 
 def _unscaled(field: GFField, mat: OperatorMatrix):
@@ -456,58 +443,81 @@ def marginal_labels(field: GFField):
     return np.concatenate([free, fixed]), np.concatenate([fixed, free])
 
 
-def marginals_in_frame(field: GFField, alpha, beta, frame: OperatorMatrix | None) -> np.ndarray:
-    """Whether each line sum p^-ell sum_l D(alpha[r, l], beta[r, l]), r a
-    row of (2q, q) index arrays of labels, equals its rank-one target in the
-    frame U, a unitary (None: the identity): a (2q,) bool array.
+def marginals_in_frame(field: GFField, alpha, beta, frame: OperatorMatrix | None,
+                       grid) -> np.ndarray:
+    """Whether each line sum p^-ell sum_l D(alpha[r, l], beta[r, l]), r a row
+    of (2q, q) index arrays of labels, equals its rank-one target |x><y| in the
+    frame U, a unitary (None: the identity): a (2q,) bool array, all False
+    unless ``grid``, the pair of :func:`grid_certificate`, is certified.
 
-    Row b < q targets |U e_k><U e_-k| with k = b/2 and row q + a targets
-    |U F e_k><U F+ e_k| with k = a/2.  On :func:`marginal_labels` and U = 1
-    these are the marginal identities; on the labels' images under an
-    element and its unitary S they are those identities conjugated by S,
-    since S D(l) S+ = D(g l).  Each block of alpha rows, then of beta rows,
-    is one :func:`label_sum_stack` compared with one :func:`outer_stack` of
-    columns of U, or of U F and U F+, so U = 1 costs no q x q product.  The
-    three column sets keep their own scales: stacked at F's, the alpha
-    targets of U = 1 would be products to normalise, not matrix units.
+    Row b < q targets x = U e_k, y = U e_-k with k = b/2, row q + a targets x =
+    U F e_k, y = U F+ e_k with k = a/2: the marginal identities on
+    :func:`marginal_labels` and U = 1, conjugated by S on their images under an
+    element with unitary S.  No sum is built, as D(a, b) e_m = zeta^(C[a, b] +
+    f[a, m]) e_(m + b), f = s Tr(a m).  A line whose beta takes each value once
+    has the unit q^-1 zeta^Phi[d, j] at (d + j, j), Phi[d, j] = C[a_d, d] +
+    f[a_d, j], a_d its alpha at beta = d; it holds exactly when Phi is additive
+    in (i, j) mod N, x[0] conj y[0] is the unit at (0, 0), and x and y are x[0]
+    and y[0] rotated by Phi's first column and row.  A line with beta = d and
+    alpha each value once has q^-1 (R^T Z)[m, d] at (m + d, m), R = zeta^f and
+    Z = zeta^C; it holds exactly when x[m + d] conj y[m] is that column and
+    x[i] conj y[j] vanishes off i - j = d.  Any other line fails.
     """
     ring, q, t = ring_for(field), field.order, field.tables()
-    f = fourier_matrix(field)
-    one, fwd, back = ([OperatorMatrix.identity(ring, q), f, f.adjoint()] if frame is None
-                      else [frame, frame @ f, frame @ f.adjoint()])
-    k = t.mul[field.two_inverse, np.arange(q)]
+    n, idx, k = ring.order, np.arange(q), t.mul[field.two_inverse, np.arange(q)]
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    free = np.flatnonzero((np.sort(beta, axis=1) == idx).all(axis=1))
+    diagonal = np.flatnonzero((beta == beta[:, :1]).all(axis=1)
+                              & (np.sort(alpha, axis=1) == idx).all(axis=1))
+    ok = np.zeros(len(alpha), dtype=bool)
+    c, f = grid[1], t.trace[t.mul] * (n // field.p)
+    if len(diagonal):  # before the frames' columns, which would add to its peak
+        rz, *rz_scale = ring.matmul(root_matrix(ring, f.T), root_matrix(ring, c, 2 * field.ell))
+    ft = fourier_matrix(field)
+    one, fwd, back = ([OperatorMatrix.identity(ring, q), ft, ft.adjoint()] if frame is None
+                      else [frame, frame @ ft, frame @ ft.adjoint()])
+    # row r: the columns x and y of line r's target
+    (xd, *xs), (yd, *ys) = (ring.stack([(m.packed[0].transpose(1, 0, 2)[at], *m.packed[1:])
+                                        for m, at in pairs])
+                            for pairs in (((one, k), (fwd, k)), ((one, t.neg[k]), (back, k))))
+    a_d = alpha[free[:, None], np.argsort(beta[free], axis=1)]
+    for s in label_blocks(len(free), q * q):
+        r, lines, top = free[s], np.arange(len(free[s])), c[a_d[s, :1], 0]
+        phi = c[a_d[s], idx][:, :, None] + f[a_d[s]]
+        col, row = phi[:, :, 0], phi[:, t.neg, idx]
+        # [e, l]: the first entry of line l's column times zeta^e
+        rx, ry = (ring.times_roots(np.broadcast_to(v[r, 0], (n, len(r), ring.degree)),
+                                   row_roots=np.arange(n)) for v in (xd, yd))
+        ok[r] = (blocks_equal(ring, [
+            _times(ring, (xd[r, :1], *xs), (ring.conj_coeffs(yd[r, :1]), *ys)),
+            root_matrix(ring, top, 2 * field.ell)], len(r))
+            & ~((phi - col[:, t.add] - row[:, None] + top[:, :, None]) % n).any(axis=(1, 2))
+            & (rx[(col - top) % n, lines[:, None]] == xd[r]).all(axis=(1, 2))
+            & (ry[(top - row) % n, lines[:, None]] == yd[r]).all(axis=(1, 2)))
+    if len(diagonal):
+        d, lines = beta[diagonal, 0], np.arange(len(diagonal))
+        nx, ny = (xd[diagonal] != 0).any(axis=2), (yd[diagonal] != 0).any(axis=2)
+        # x conj y vanishes off i - j = d, so off the first m with y[m] != 0
+        on, m = nx[lines[:, None], t.add[d]] & ny, ny.argmax(axis=1)
+        ok[diagonal] = ((nx.sum(axis=1) * ny.sum(axis=1) == on.sum(axis=1))
+                        & ((rz[:, d] != 0).any(axis=2).T == on).all(axis=1)
+                        & blocks_equal(ring, [
+                            _times(ring, (xd[diagonal, t.add[d, m], None], *xs),
+                                   (ring.conj_coeffs(yd[diagonal, m, None]), *ys)),
+                            (rz[m, d, None], *rz_scale)], len(diagonal)))
+    return ok & (grid[0] is None)
 
-    def columns(m, idx):
-        data, e, den = m.packed
-        return data.transpose(1, 0, 2)[idx], e, den
 
-    ok = []
-    for h, (left, at_left, right, at_right) in enumerate([(one, k, one, t.neg[k]),
-                                                          (fwd, k, back, k)]):
-        lines = slice(h * q, (h + 1) * q)
-        for s in label_blocks(q, q * q * ring.order):
-            ok.append(blocks_equal(ring, [label_sum_stack(field, alpha[lines][s], beta[lines][s]),
-                                          outer_stack(ring, columns(left, at_left[s]),
-                                                      columns(right, at_right[s]))], len(k[s])))
-    return np.concatenate(ok)
-
-
-def marginal_projectors(field: GFField) -> dict:
-    """Both marginal identities, for every label value.
-
-    The alpha-sum at fixed beta equals parity composed with the point
-    projector at -beta/2, |beta/2><-beta/2|; the beta-sum at fixed alpha
-    equals the Fourier conjugate of the point projector at alpha/2 composed
-    with parity, |F e_k><F+ e_k| with k = alpha/2: the identity frame of
-    :func:`marginals_in_frame`.
-    """
+def marginal_projectors(field: GFField, grid) -> dict:
+    """Both marginal identities, for every label value: the alpha sum at
+    beta = b is |b/2><-b/2|, parity times a point projector, and the beta
+    sum at alpha = a is |F e_k><F+ e_k|, k = a/2, its Fourier conjugate: the
+    identity frame of :func:`marginals_in_frame`, on the pair ``grid`` of
+    :func:`grid_certificate`."""
     _require_odd(field)
     q = field.order
-    ok = marginals_in_frame(field, *marginal_labels(field), None)
-    return {
-        "alpha_sums": bool(ok[:q].all()),
-        "beta_sums": bool(ok[q:].all()),
-    }
+    ok = marginals_in_frame(field, *marginal_labels(field), None, grid)
+    return {"alpha_sums": bool(ok[:q].all()), "beta_sums": bool(ok[q:].all())}
 
 
 def subfield_fourier_intertwining_check(field: GFField, d: int) -> dict:

@@ -28,9 +28,7 @@ triple ``(data, E, Q)`` of the B matrices joined along the first axis, a
 ``(B * n, m, degree)`` array brought to the common (max E, lcm Q) by
 ``CycloRing.stack``.  The triple is fixed by the values, so two stacks are
 equal exactly when their triples are, and :func:`blocks_equal` compares
-stacks block by block.  :func:`outer_stack` builds a whole stack of
-rank-one operators with one exact product, where one matrix at a time
-would take B of them.
+stacks block by block.
 """
 
 from __future__ import annotations
@@ -304,22 +302,11 @@ def inner_product(chi: StateVector, h: StateVector):
 
 
 def outer(u: StateVector, v: StateVector) -> OperatorMatrix:
-    """The rank-one operator |u><v|: entry (n, m) is u(n) conj(v(m)); the
-    one-block :func:`outer_stack`."""
+    """The rank-one operator |u><v|: entry (n, m) is u(n) conj(v(m)), as an
+    (n, 1) by (1, n) product."""
     u._require_same(v)
-    rows = [(data.transpose(1, 0, 2), e, q) for data, e, q in (u.packed, v.packed)]
-    return OperatorMatrix.from_packed(u.ring, outer_stack(u.ring, *rows))
-
-
-def outer_stack(ring: CycloRing, us, vs):
-    """The stack of the rank-one operators |u_b><v_b|, for packed triples
-    us and vs of shape (B, n, degree) whose row b is u_b and v_b: one
-    batched exact product of (B, n, 1) by (B, 1, n), as a (B * n, n)
-    normal-form triple."""
-    (ud, ue, uq), (vd, ve, vq) = us, vs
-    b, n, deg = ud.shape
-    out, e, q = ring.matmul((ud[:, :, None], ue, uq), (ring.conj_coeffs(vd)[:, None], ve, vq))
-    return out.reshape(b * n, vd.shape[1], deg), e, q
+    return OperatorMatrix.from_packed(u.ring, u.ring.matmul(
+        u.packed, _conj_transposed(v.ring, v.packed)))
 
 
 def root_matrix(ring: CycloRing, roots, scale_exp: int = 0):

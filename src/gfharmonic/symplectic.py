@@ -526,21 +526,22 @@ def label_images(field: GFField, row, alpha, beta):
     return (t.add[t.mul[u, alpha], t.mul[s, beta]], t.add[t.mul[tt, alpha], t.mul[r, beta]])
 
 
-def transformed_marginals(field: GFField, row) -> dict:
+def transformed_marginals(field: GFField, row, grid) -> dict:
     """Marginal identities transported to a rotated phase-space frame, for
     the element at one row (r, s, t, u).
 
     The primed displacements D'(a, b) = S D(a, b) S+ are displacements at
     the transformed labels, so the 2q primed sums of :func:`marginal_labels`
     are line sums over their :func:`label_images`, each compared with the
-    plain sum's right-hand side conjugated by S, in rank-one form:
-    :func:`marginals_in_frame` with the frame S.  ``witness`` is None or
-    the first failing (sum, label): ("alpha_sums", beta) or ("beta_sums",
-    alpha), as field indices.
+    plain sum's right-hand side conjugated by S, |S x><S y|:
+    :func:`marginals_in_frame` with the frame S, on the pair ``grid`` of
+    :func:`grid_certificate` (every line fails where it is not certified).
+    ``witness`` is None or the first failing (sum, label): ("alpha_sums",
+    beta) or ("beta_sums", alpha), as field indices.
     """
     q = field.order
     alpha, beta = label_images(field, row, *marginal_labels(field))
-    ok = marginals_in_frame(field, alpha, beta, synthesize(field, row))
+    ok = marginals_in_frame(field, alpha, beta, synthesize(field, row), grid)
     bad = np.flatnonzero(~ok)
     return {"alpha_sums": bool(ok[:q].all()), "beta_sums": bool(ok[q:].all()),
             "witness": (("alpha_sums", "beta_sums")[bad[0] // q], int(bad[0] % q))

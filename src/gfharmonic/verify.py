@@ -362,9 +362,9 @@ def heisenberg_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
         rep.add("overcomplete_expansion",
                 hb.overcomplete_expansion_check(field, psi, chi, cert)["holds"], detail)
 
-        marg = hb.marginal_projectors(field)
-        rep.add("marginal_alpha_sums", marg["alpha_sums"])
-        rep.add("marginal_beta_sums", marg["beta_sums"])
+        marg = hb.marginal_projectors(field, (cert, constants))
+        rep.add("marginal_alpha_sums", marg["alpha_sums"], detail)
+        rep.add("marginal_beta_sums", marg["beta_sums"], detail)
 
         ok = True
         for d in field.divisors():
@@ -457,9 +457,9 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     # action-law labels: the power basis {eps^k : k < ell}, which spans
     # GF(p^ell) over Z_p ({1, eps} does so only for ell <= 2)
     gen_labels = field.p ** np.arange(field.ell)
-    # exhaustive group sweeps by default only at q <= 9; the flag extends
-    # the sweep to q <= 27 (beyond that the group is too large to enumerate
-    # usefully at desk scale)
+    # the action law runs on every element at q <= 9, or at q <= 27 with
+    # --exhaustive, and on drawn elements otherwise; the group is enumerated
+    # on every field, for its order count and the closed-form draws
     group = sp.enumerate_group(field)
     # distinct codes of the determinant-1 rows, counted on the sorted codes
     codes = np.sort(group[sp.determinant(field, group) == 1] @ q ** np.arange(3, -1, -1))
@@ -518,9 +518,10 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     tm_rows = [np.array([1, 0, 0, 1]), *sp.sample_group(field, rng, 1)]
     if hb.is_gf9_fixture(field):
         tm_rows.append(sp.element_row(field, 1, field.add_index(1, eps), eps))
-    ok, detail = True, ""
-    for row in tm_rows:
-        res = sp.transformed_marginals(field, row)
+    grid = hb.grid_certificate(field)
+    ok, detail = grid[0] is None, "" if grid[0] is None else f"certificate={grid[0]}"
+    for row in tm_rows if ok else []:
+        res = sp.transformed_marginals(field, row, grid)
         if res["witness"] is not None:
             name, label = res["witness"]
             held = "beta" if name == "alpha_sums" else "alpha"

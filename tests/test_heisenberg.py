@@ -382,7 +382,7 @@ def test_marginal_beta_sum(gf9):
 
 
 def test_marginal_projectors_full(gf9):
-    rep = marginal_projectors(gf9)
+    rep = marginal_projectors(gf9, grid_certificate(gf9))
     assert rep["alpha_sums"] and rep["beta_sums"]
 
 

@@ -22,7 +22,10 @@ synthesis; the
 stacked marginal checks, shear laws and random operators against the
 per-label loops, per-pair products and per-scalar builder they replaced; the
 frame marginal kernel against the stacked targets and stacked conjugations
-it replaced; and
+it replaced; the marginal line relations on the phase constants against
+that kernel's line-sum scatters and rank-one products, on every element of
+Sp(2, GF(q)) for q <= 9 and under planted faults in the constants, the
+tables, the labels and the frame; and
 the generators, monomial products, diagonal and character operators and
 ``CycloRing.pack`` against the per-index builders, tuple monomials,
 ``{(n, m): scalar}`` matrices and per-scalar alignment they replaced, also
@@ -58,7 +61,7 @@ from gfharmonic.heisenberg import (label_sum, marginal_sum_alpha, marginal_sum_b
                                    weyl_reconstruct)
 from gfharmonic.hilbert import phi_basis, point_projector, ring_for
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
-                               conjugate, inner_product, outer, outer_stack,
+                               conjugate, inner_product, outer,
                                proportionality_phase, root_matrix)
 from gfharmonic.symplectic import element_row, synthesize
 from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_matrix,
@@ -319,7 +322,7 @@ def test_packed_weyl_round_trip_matches_unpack_pack_path(pe):
     weights = ring.pack([(values[a][b],) for a in neg for b in neg])
     a, b = np.divmod(np.arange(q * q), q)
     rebuilt = weyl_reconstruct(field, table)
-    assert_same_triple(rebuilt.packed, heisenberg.label_sum_stack(field, a[None], b[None], weights))
+    assert_same_triple(rebuilt.packed, label_sum_stack(field, a[None], b[None], weights))
     assert rebuilt.equals(theta)
 
 
@@ -1820,8 +1823,9 @@ def test_transformed_marginals_match_per_label_loop(pe, fault, monkeypatch):
     field = make_field(*pe)
     if fault is not None:
         fault(monkeypatch, field)
+    grid = certified_grid(field)
     for row in marginal_elements(field):
-        got = sp.transformed_marginals(field, row)
+        got = sp.transformed_marginals(field, row, grid)
         want = ref_transformed_marginals(field, row)
         assert (got["alpha_sums"], got["beta_sums"], got["witness"]) == want
         if fault is None:
@@ -1834,12 +1838,12 @@ def test_transformed_marginals_match_per_label_loop(pe, fault, monkeypatch):
 
 def test_transformed_marginals_blocks_agree(monkeypatch):
     field = make_field(5, 2)
-    row = marginal_elements(field)[1]
-    want = sp.transformed_marginals(field, row)
+    row, grid = marginal_elements(field)[1], certified_grid(field)
+    want = sp.transformed_marginals(field, row, grid)
     monkeypatch.setattr(heisenberg, "LABEL_BLOCK_ENTRIES", 1)
-    assert sp.transformed_marginals(field, row) == want
+    assert sp.transformed_marginals(field, row, grid) == want
     shift_one_image_label(monkeypatch, field)
-    assert sp.transformed_marginals(field, row)["witness"] == ("alpha_sums", 0)
+    assert sp.transformed_marginals(field, row, grid)["witness"] == ("alpha_sums", 0)
 
 
 def test_transformed_marginals_witness_in_the_suite(monkeypatch):
@@ -1868,7 +1872,7 @@ def test_marginal_stacks_match_per_label_matrices(pe):
     field = make_field(*pe)
     ring, q = ring_for(field), field.order
     alpha, beta = heisenberg.marginal_labels(field)
-    sums = heisenberg.label_sum_stack(field, alpha, beta)
+    sums = label_sum_stack(field, alpha, beta)
     want_sums = ring.stack([label_sum(field, a, b).packed for a, b in zip(alpha, beta)])
     assert_same_triple(sums, want_sums)
     assert_same_triple(sums, ring.stack([m.packed for m in
@@ -1876,25 +1880,97 @@ def test_marginal_stacks_match_per_label_matrices(pe):
                                          + [marginal_sum_beta(field, x) for x in range(q)]]))
     targets = stacked_marginal_targets(field, np.arange(2 * q))
     assert_same_triple(targets, ring.stack([m.packed for m in ref_marginal_targets(field)]))
-    assert heisenberg.marginal_projectors(field) == {"alpha_sums": True, "beta_sums": True}
+    assert heisenberg.marginal_projectors(field, certified_grid(field)) == {
+        "alpha_sums": True, "beta_sums": True}
 
 
 def test_marginal_projectors_fail_on_a_perturbed_phase(monkeypatch):
-    # D(0, 1) is wrong in one phase: the alpha sum at beta = 1 and the beta
-    # sum at alpha = 0 break, on the stack as in the per-label comparisons
+    # D(0, 1) is wrong in one phase: in the per-label comparisons the alpha
+    # sum at beta = 1 and the beta sum at alpha = 0 break; the line
+    # relations hold only on a certified grid, and the certificate fails at
+    # (0, 1, 1), so both sums fail
     field = make_field(3, 2)
     perturbed_arrays(monkeypatch, field)
     targets, q = ref_marginal_targets(field), field.order
     alpha_ok = [marginal_sum_alpha(field, x).equals(targets[x]) for x in range(q)]
     beta_ok = [marginal_sum_beta(field, x).equals(targets[q + x]) for x in range(q)]
     assert alpha_ok.index(False) == 1 and beta_ok.index(False) == 0
-    assert heisenberg.marginal_projectors(field) == {
-        "alpha_sums": all(alpha_ok), "beta_sums": all(beta_ok)}
+    assert certified_grid(field)[0] == (0, 1, 1)
+    assert heisenberg.marginal_projectors(field, certified_grid(field)) == {
+        "alpha_sums": False, "beta_sums": False}
 
 
 def assert_same_triple(got, want):
     assert got[1:] == want[1:]
     assert np.array_equal(got[0], want[0])
+
+
+def label_sum_stack(field, alpha, beta, weights=None):
+    """The stack of the label sums p^-ell sum over l of w_bl D(alpha[b, l],
+    beta[b, l]), one block per row b of (B, L) index arrays of labels: a
+    (B * q, q) normal-form triple, the scatter the marginal checks ran
+    before they read the phase constants.
+
+    ``weights`` is a packed triple with one entry per label, in row-major
+    order, or None for all ones.  Entry (perm_bl[m], m) of D(b, l) is
+    zeta^phase_bl[m], so all B sums are one root sum of the weights into
+    the B * q * q entries; the factor p^-ell = 1/q raises the scale
+    exponent by 2 ell.  D goes through the module, so a fault planted there
+    reaches it.
+    """
+    ring, q = ring_for(field), field.order
+    family = heisenberg.displacement_monomial(field, alpha, beta)
+    blocks, labels = family.perm.shape[:2]
+    data, e, den = (ring.root_coeffs()[0], 0, 1) if weights is None else weights
+    data = np.asarray(data).reshape(-1, 1, ring.degree)
+    dest = (np.repeat(np.arange(blocks), labels)[:, None] * q + family.perm.reshape(-1, q)) * q
+    return ring.root_sum(data, family.phase.reshape(-1, q), dest + np.arange(q), (blocks * q, q),
+                         e + 2 * field.ell, den)
+
+
+def outer_stack(ring, us, vs):
+    """The stack of the rank-one operators |u_b><v_b|, for packed triples
+    us and vs of shape (B, n, degree) whose row b is u_b and v_b: one
+    batched exact product of (B, n, 1) by (B, 1, n), as a (B * n, n)
+    normal-form triple."""
+    (ud, ue, uq), (vd, ve, vq) = us, vs
+    b, n, deg = ud.shape
+    out, e, q = ring.matmul((ud[:, :, None], ue, uq), (ring.conj_coeffs(vd)[:, None], ve, vq))
+    return out.reshape(b * n, vd.shape[1], deg), e, q
+
+
+def ref_marginals_in_frame(field, alpha, beta, frame):
+    """The frame kernel the line relations replaced: each block of alpha
+    rows, then of beta rows, is one label_sum_stack compared with one
+    outer_stack of columns of U, or of U F and U F+ (row b < q targets
+    |U e_k><U e_-k| with k = b/2, row q + a targets |U F e_k><U F+ e_k| with
+    k = a/2).  F goes through the module, so a fault planted there reaches
+    it."""
+    ring, q, t = ring_for(field), field.order, field.tables()
+    f = heisenberg.fourier_matrix(field)
+    one, fwd, back = ([OperatorMatrix.identity(ring, q), f, f.adjoint()] if frame is None
+                      else [frame, frame @ f, frame @ f.adjoint()])
+    k = t.mul[field.two_inverse, np.arange(q)]
+
+    def columns(m, idx):
+        data, e, den = m.packed
+        return data.transpose(1, 0, 2)[idx], e, den
+
+    ok = []
+    for h, (left, at_left, right, at_right) in enumerate([(one, k, one, t.neg[k]),
+                                                          (fwd, k, back, k)]):
+        lines = slice(h * q, (h + 1) * q)
+        for s in heisenberg.label_blocks(q, q * q * ring.order):
+            ok.append(blocks_equal(ring, [label_sum_stack(field, alpha[lines][s], beta[lines][s]),
+                                          outer_stack(ring, columns(left, at_left[s]),
+                                                      columns(right, at_right[s]))], len(k[s])))
+    return np.concatenate(ok)
+
+
+def certified_grid(field):
+    """The (certificate, C) pair of the label grid, built through the
+    module, so that a fault planted there reaches it."""
+    return heisenberg.grid_certificate(field)
 
 
 def stacked_marginal_targets(field, rows):
@@ -1924,7 +2000,7 @@ def ref_stacked_marginal_rows(field):
     alpha, beta = heisenberg.marginal_labels(field)
     rows = np.arange(2 * q)
     return np.concatenate([
-        blocks_equal(ring, [heisenberg.label_sum_stack(field, alpha[s], beta[s]),
+        blocks_equal(ring, [label_sum_stack(field, alpha[s], beta[s]),
                             stacked_marginal_targets(field, rows[s])], len(rows[s]))
         for s in heisenberg.label_blocks(2 * q, q * q * ring.order)])
 
@@ -1946,8 +2022,8 @@ def ref_conjugated_marginal_rows(field, row):
                            for x in np.split(data, len(data) // q)])
 
     def block(s):
-        return blocks_equal(ring, [heisenberg.label_sum_stack(field, img_alpha[s], img_beta[s]),
-                                   conjugated(heisenberg.label_sum_stack(field, alpha[s], beta[s])),
+        return blocks_equal(ring, [label_sum_stack(field, img_alpha[s], img_beta[s]),
+                                   conjugated(label_sum_stack(field, alpha[s], beta[s])),
                                    conjugated(stacked_marginal_targets(field, rows[s]))],
                             len(rows[s]))
     return np.concatenate([block(s) for s in heisenberg.label_blocks(2 * q, q * q * ring.order)])
@@ -1970,7 +2046,8 @@ def one_entry_blocks(monkeypatch, field):
 def frame_rows(field, row):
     """The frame kernel's per-row verdicts for the element at ``row``."""
     labels = sp.label_images(field, row, *heisenberg.marginal_labels(field))
-    return heisenberg.marginals_in_frame(field, *labels, sp.synthesize(field, row))
+    return heisenberg.marginals_in_frame(field, *labels, sp.synthesize(field, row),
+                                         certified_grid(field))
 
 
 @pytest.mark.parametrize("fault", [None, shift_one_image_label, swap_unitary, perturbed_arrays,
@@ -1982,21 +2059,37 @@ def test_frame_kernel_matches_the_stacked_paths(pe, fault, monkeypatch):
     # the stacked conjugation also compared each transported sum with S (plain
     # sum) S+, so a row holds there exactly when it holds in the frame and its
     # plain identity holds; where every plain identity holds the verdicts,
-    # witnesses included, are the same
+    # witnesses included, are the same.  Under perturbed_arrays the stacked
+    # paths fail the lines through (0, 1); the line relations hold only on a
+    # certified grid, so they fail every line, and the first line is the
+    # dict's witness (the suite reports the certificate's instead)
     field = make_field(*pe)
     q = field.order
     if fault is not None:
         fault(monkeypatch, field)
+    grid = certified_grid(field)
     plain = ref_stacked_marginal_rows(field)
-    assert np.array_equal(
-        heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None), plain)
-    assert heisenberg.marginal_projectors(field) == {
-        "alpha_sums": bool(plain[:q].all()), "beta_sums": bool(plain[q:].all())}
+    new_plain = heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None,
+                                              grid)
     assert plain.all() == (fault is not perturbed_arrays)
+    if fault is perturbed_arrays:
+        assert grid[0] == (0, 1, 1) and not new_plain.any()
+        assert np.flatnonzero(~plain).tolist() == [1, q]
+        assert heisenberg.marginal_projectors(field, grid) == {
+            "alpha_sums": False, "beta_sums": False}
+        for row in marginal_elements(field):
+            assert not frame_rows(field, row).any()
+            assert not ref_conjugated_marginal_rows(field, row).all()
+            assert sp.transformed_marginals(field, row, grid) == {
+                "alpha_sums": False, "beta_sums": False, "witness": ("alpha_sums", 0)}
+        return
+    assert np.array_equal(new_plain, plain)
+    assert heisenberg.marginal_projectors(field, grid) == {
+        "alpha_sums": True, "beta_sums": True}
     for row in marginal_elements(field):
         old, new = ref_conjugated_marginal_rows(field, row), frame_rows(field, row)
         assert np.array_equal(old, new & plain)
-        got = sp.transformed_marginals(field, row)
+        got = sp.transformed_marginals(field, row, grid)
         assert got == marginal_verdicts(field, new)
         if plain.all():
             assert got == marginal_verdicts(field, old)
@@ -2018,13 +2111,15 @@ def test_swapped_fourier_columns_fail_every_beta_sum_off_alpha_zero(pe, monkeypa
     swap_fourier_columns(monkeypatch, field)
     want = np.ones(2 * q, dtype=bool)
     want[q + 1:] = False
+    grid = certified_grid(field)
     assert np.array_equal(
-        heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None), want)
-    assert heisenberg.marginal_projectors(field)["beta_sums"] is False
+        heisenberg.marginals_in_frame(field, *heisenberg.marginal_labels(field), None, grid),
+        want)
+    assert heisenberg.marginal_projectors(field, grid)["beta_sums"] is False
     assert ref_stacked_marginal_rows(field).all()
     for row in marginal_elements(field):
         assert np.array_equal(frame_rows(field, row), want)
-        assert sp.transformed_marginals(field, row) == {
+        assert sp.transformed_marginals(field, row, grid) == {
             "alpha_sums": True, "beta_sums": False, "witness": ("beta_sums", 1)}
         assert ref_conjugated_marginal_rows(field, row).all()
 
@@ -3819,3 +3914,149 @@ def test_grid_checks_peak_below_one_megabyte():
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000, (name, peak)
+
+
+# -- the marginal line relations against the line sums they replaced -----------
+#
+# ``heisenberg.marginals_in_frame`` reads each line of labels off the
+# certified phase constants and each target off its frame's columns, one
+# integer relation per line.  The reference is the kernel it replaced,
+# ``ref_marginals_in_frame``: the line sums scattered by ``label_sum_stack``
+# against the rank-one targets of ``outer_stack``.  The verdicts must agree
+# line for line, in every frame and under every planted fault that keeps
+# the certificate; where the certificate fails, the relations fail every
+# line and the sums only the lines through the planted label.
+
+MARGINAL_FIELDS = STACK_FIELDS + [(7, 2), (5, 3)]
+
+
+def marginal_rows(field):
+    """The identity frame (None), marginal_elements, and an element with
+    t = 0, whose alpha lines are diagonal away from the identity."""
+    return [None, *marginal_elements(field), element_row(field, 2 % field.order, 1, 0)]
+
+
+def frame_verdicts(field, row, frame_fault=None):
+    """The line relations' and the line sums' per-line verdicts on the
+    images of marginal_labels under the element at ``row``, in its frame S
+    with ``frame_fault`` applied to S; row None: the plain labels in the
+    identity frame."""
+    labels, frame = heisenberg.marginal_labels(field), None
+    if row is not None:
+        labels = sp.label_images(field, row, *labels)
+        frame = sp.synthesize(field, row)
+        if frame_fault is not None:
+            frame = frame_fault(frame)
+    return (heisenberg.marginals_in_frame(field, *labels, frame, certified_grid(field)),
+            ref_marginals_in_frame(field, *labels, frame))
+
+
+@pytest.mark.parametrize("pe", MARGINAL_FIELDS, ids=str)
+def test_line_relations_match_the_line_sums(pe):
+    # at q <= 9 on every element of Sp(2, GF(q)): both charts, and both kinds
+    # of diagonal line, alpha lines where t = 0 and beta lines where r = 0
+    field = make_field(*pe)
+    rows = [None, *sp.enumerate_group(field)] if field.order <= 9 else marginal_rows(field)
+    for row in rows:
+        new, ref = frame_verdicts(field, row)
+        assert new.all() and np.array_equal(new, ref), row
+
+
+def half_trace_coefficient(c):
+    """A fault: every D(a, b) built with the half-trace coefficient c in place
+    of 2^-1, so the certificate holds and the constants change with c (no
+    change where c = 2^-1 mod p)."""
+    def plant(monkeypatch, field):
+        original = heisenberg.displacement_monomial
+        monkeypatch.setattr(heisenberg, "displacement_monomial",
+                            lambda f, a, b, phase_coeff=None, d=None: original(f, a, b, c, d))
+    plant.coeff = c
+    return plant
+
+
+def shift_one_image_alpha(monkeypatch, field):
+    """The image of label (1, 0) moves to (u + 1, t), on both paths.  Where
+    t = 0 its beta line stays free, and only the sum's diagonal (i, i), off
+    the first row and column, changes: only Phi's additivity sees it."""
+    original, add = sp.label_images, field.tables().add
+
+    def shifted(field_, row, alpha, beta):
+        a, b = original(field_, row, alpha, beta)
+        hit = (np.asarray(alpha) == 1) & (np.asarray(beta) == 0)
+        return np.where(hit, add[a, 1], a), b
+
+    monkeypatch.setattr(sp, "label_images", shifted)
+
+
+MARGINAL_FAULTS = [half_trace_coefficient(1), half_trace_coefficient(2),
+                   phase_constant_off_by_one_root, linear_phase_shift, phase_off_by_one,
+                   shift_one_image_label, shift_one_image_alpha, swap_unitary,
+                   swap_fourier_columns]
+MARGINAL_FAULT_IDS = ["half_trace_1", "half_trace_2", "constant", "linear_shift", "trace_entry",
+                      "shifted_image_label", "shifted_image_alpha", "swapped_unitary",
+                      "swapped_fourier_columns"]
+
+
+@pytest.mark.parametrize("fault", MARGINAL_FAULTS, ids=MARGINAL_FAULT_IDS)
+@pytest.mark.parametrize("pe", STACK_FIELDS + [(7, 2)], ids=str)
+def test_line_relations_match_the_line_sums_under_faults(pe, fault, monkeypatch):
+    field = GFField(*pe, make_field(*pe).modulus)  # a field object no cache has seen
+    fault(monkeypatch, field)
+    assert certified_grid(field)[0] is None
+    seen = False
+    for row in marginal_rows(field):
+        new, ref = frame_verdicts(field, row)
+        assert np.array_equal(new, ref), row
+        seen |= not new.all()
+    assert seen is (getattr(fault, "coeff", None) != field.two_inverse)
+
+
+def rotated_entry(frame):
+    """The first nonzero entry of column 1 of the frame times zeta."""
+    rows = [list(row) for row in frame.rows]
+    i = next(i for i, row in enumerate(rows) if row[1])
+    rows[i][1] = rows[i][1].times_root(1)
+    return OperatorMatrix(frame.dim, EXACT, frame.ring, rows)
+
+
+def scaled_column(frame):
+    """Column 1 of the frame times zeta."""
+    rows = [[x.times_root(1) if j == 1 else x for j, x in enumerate(row)] for row in frame.rows]
+    return OperatorMatrix(frame.dim, EXACT, frame.ring, rows)
+
+
+def swapped_columns(frame):
+    """Columns 1 and 2 of the frame swapped."""
+    rows = [[row[{1: 2, 2: 1}.get(j, j)] for j in range(len(row))] for row in frame.rows]
+    return OperatorMatrix(frame.dim, EXACT, frame.ring, rows)
+
+
+@pytest.mark.parametrize("frame_fault", [rotated_entry, scaled_column, swapped_columns],
+                         ids=["rotated_entry", "scaled_column", "swapped_columns"])
+@pytest.mark.parametrize("pe", STACK_FIELDS + [(7, 2)], ids=str)
+def test_line_relations_match_the_line_sums_in_a_faulted_frame(pe, frame_fault):
+    field = make_field(*pe)
+    for row in marginal_rows(field)[1:]:
+        new, ref = frame_verdicts(field, row, frame_fault)
+        assert np.array_equal(new, ref) and not new.all(), row
+
+
+@pytest.mark.parametrize("fault,witness", CERTIFICATE_FAULTS,
+                         ids=["phase_offset", "perm_row"])
+@pytest.mark.parametrize("pe", [(5, 1), (3, 2)], ids=str)
+def test_a_failing_certificate_fails_every_line(pe, fault, witness, monkeypatch):
+    # the one place the verdicts differ: the sums fail the lines through the
+    # planted label, the relations fail every line, and the items carry the
+    # certificate's witness
+    field = make_field(*pe)
+    fault(monkeypatch, field)
+    assert certified_grid(field)[0] == witness
+    for row in marginal_rows(field):
+        new, ref = frame_verdicts(field, row)
+        assert not new.any() and ref.any() and not ref.all(), row
+    detail = f"certificate={witness}"
+    items = {i.name: i for i in heisenberg_suite(field).items}
+    assert [(items[name].status, items[name].detail)
+            for name in ("marginal_alpha_sums", "marginal_beta_sums")] == [("fail", detail)] * 2
+    item = next(i for i in symplectic_suite(field).items if i.name == "transformed_marginals")
+    assert (item.status, item.detail) == ("fail", detail)

@@ -11,8 +11,8 @@ from gfharmonic.errors import (ConstraintViolated, DomainRestriction,
                                ZeroScaling)
 from gfharmonic.fourier import fourier_matrix
 from gfharmonic.gf import make_field
-from gfharmonic.heisenberg import (displacement, displacement_monomial, x_monomial, x_power,
-                                   z_monomial, z_power)
+from gfharmonic.heisenberg import (displacement, displacement_monomial, grid_certificate,
+                                   x_monomial, x_power, z_monomial, z_power)
 from gfharmonic.hilbert import ring_for
 from gfharmonic.linalg import (Monomial, OperatorMatrix, conjugate,
                                proportionality_phase)
@@ -310,14 +310,14 @@ def test_frobenius_covariance(gf9):
 
 def test_transformed_marginals(gf3, gf9):
     row = element_row(gf3, 1, 1, 1)
-    rep = transformed_marginals(gf3, row)
+    rep = transformed_marginals(gf3, row, grid_certificate(gf3))
     assert rep["alpha_sums"] and rep["beta_sums"]
-    eps = gf9.generator
+    eps, grid = gf9.generator, grid_certificate(gf9)
     row9 = element_row(gf9, 1, gf9.one + eps, eps)
-    rep = transformed_marginals(gf9, row9)
+    rep = transformed_marginals(gf9, row9, grid)
     assert rep["alpha_sums"] and rep["beta_sums"]
     ident = element_row(gf9, 1, 0, 0)
-    rep = transformed_marginals(gf9, ident)
+    rep = transformed_marginals(gf9, ident, grid)
     assert rep["alpha_sums"] and rep["beta_sums"]
 
 
