@@ -14,6 +14,10 @@ sqrt(p) itself lives in the ring as a quadratic Gauss sum, so half-integer
 powers of p are exact and scalars with mixed p-power scales can be added
 without leaving the ring.  Equality is decidable by comparing canonical
 forms coefficient-wise.
+
+The exact array kernels on packed matrices live here too: ``matmul`` and
+its entrywise form ``times``, ``stack``, ``from_entries`` (entries each at
+their own scale and denominator) and :func:`distinct_rows`.
 """
 
 from __future__ import annotations
@@ -80,6 +84,22 @@ def compact(data):
     or Python ints from its own bound.
     """
     return data.astype(_storage_dtype(_max_abs(data)), copy=False)
+
+
+def distinct_rows(flat):
+    """(distinct, inverse) with flat == distinct[inverse], the distinct rows
+    of a 2-d array in lexicographic order; exact on every integer dtype,
+    object included.  Run starts are marked one column at a time, so no
+    temporary is as large as flat."""
+    order = np.lexsort(flat.T[::-1])
+    starts = np.zeros(len(flat), dtype=bool)
+    starts[0] = True
+    for col in flat.T:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return flat[order[starts]], inverse
 
 
 def _divisors(n: int) -> list[int]:
@@ -432,6 +452,13 @@ class CycloRing:
                             rotated.reshape(rotated.shape[:-4] + (inner * deg, m * deg)), bound)
         return self._normalise(out.reshape(out.shape[:-1] + (m, deg)), ea + eb, qa * qb)
 
+    def times(self, a, b):
+        """The entrywise product of two packed triples whose arrays broadcast,
+        in normal form: one ``matmul`` of 1 x 1 batch members."""
+        (ad, ea, qa), (bd, eb, qb) = a, b
+        data, e, q = self.matmul((ad[..., None, None, :], ea, qa), (bd[..., None, None, :], eb, qb))
+        return data[..., 0, 0, :], e, q
+
     def times_roots(self, data, row_roots=None, col_roots=None):
         """Entry (n, m) of a packed coefficient array times
         zeta^(row_roots[n] + col_roots[m]); either exponent array may be None,
@@ -523,6 +550,25 @@ class CycloRing:
         (B * n, m, degree) triple, equal for equal matrices.
         """
         return self._normalise(*self._align(triples))
+
+    def from_entries(self, coeffs, scale_exps, denoms):
+        """Normal-form triple of the rows of coeffs along axis 0, row k an
+        entry at (scale_exps[k], denoms[k]), canonical or not; pass object
+        arrays where a value may pass int64.  The rows are grouped by
+        (E, Q), aligned by one ``stack`` and put back in place.  A zero row
+        joins the group (0, 1), so its scale cannot inflate the others, and
+        a negative denominator moves into the coefficients (compact storage
+        holds |c| to its limit: -c cannot wrap)."""
+        live = coeffs.reshape(len(coeffs), -1).any(axis=1)
+        keys, group = distinct_rows(np.column_stack([np.where(live, scale_exps, 0),
+                                                     np.where(live, denoms, 1)]))
+        order = np.argsort(group, kind="stable")
+        rows = np.split(order, np.cumsum(np.bincount(group))[:-1])
+        data, e, q = self.stack([(coeffs[r] if den > 0 else -coeffs[r], exp, abs(den))
+                                 for (exp, den), r in zip(keys.tolist(), rows)])
+        out = np.empty_like(data)
+        out[order] = data
+        return out, e, q
 
     def _align(self, triples):
         # the triples joined along axis 0 at one (E, Q), Q prime to p; rows

@@ -87,21 +87,19 @@ def subfield_fourier_power_relation_check(field: GFField, d: int) -> dict:
     """Entrywise check that the subfield block of F is the (ell/d)-th power
     of the subfield Fourier matrix F_d.
 
-    F's block and F_d are read directly, their s^2 entries as a batch of
-    one-entry matrices; F_d's are raised to the power by batched exact
-    products and compared with F's block entry by entry.  ``witness`` is
-    None or the first failing (n, m).
+    F's block and F_d are read directly; F_d is raised to the power
+    entrywise by ``CycloRing.times`` and compared with F's block entry by
+    entry.  ``witness`` is None or the first failing (n, m).
     """
     ring = ring_for(field)
     sub = np.asarray(field.subfield_indices(d))
     power = field.ell // d
     data, e, q = fourier_matrix(field).packed
-    block = (data[np.ix_(sub, sub)].reshape(-1, 1, 1, ring.degree), e, q)
-    data, e, q = fourier_matrix(field, d).packed
-    small = (data.reshape(-1, 1, 1, ring.degree), e, q)
+    block = (data[np.ix_(sub, sub)], e, q)
+    small = fourier_matrix(field, d).packed
     powered = small
     for _ in range(power - 1):
-        powered = ring.matmul(powered, small)
+        powered = ring.times(powered, small)
     ok = blocks_equal(ring, [block, powered], len(sub) ** 2)
     bad = np.flatnonzero(~ok)
     witness = (int(sub[bad[0] // len(sub)]), int(sub[bad[0] % len(sub)])) if len(bad) else None

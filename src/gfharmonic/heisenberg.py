@@ -19,10 +19,10 @@ those constants and the field tables, and the Weyl expansion and
 reconstruction, the resolution of the identity and the overcomplete
 expansion are Fourier transforms over the field: exact products with the
 character table R[a, m] = omega^Tr(a m), plus gathers and entrywise
-products, that read the field tables and F, not the displacements.  The
-marginal identities, plain or in a symplectic frame, are one integer
-relation per line of labels on those constants and the frame's columns
-(:func:`marginals_in_frame`), with no line sum built.
+products (``CycloRing.times``), that read the field tables and F, not the
+displacements.  The marginal identities, plain or in a symplectic frame,
+are one integer relation per line of labels on those constants and the
+frame's columns (:func:`marginals_in_frame`), with no line sum built.
 So all these checks hold only where the certificate does.
 The Weyl table of an operator Theta is one more ``OperatorMatrix``: row
 alpha, column beta holds tr(Theta D(alpha, beta)).
@@ -288,14 +288,6 @@ def _unscaled(field: GFField, mat: OperatorMatrix):
     return data, e - field.ell, den
 
 
-def _times(ring, a, b):
-    """The entrywise product of two packed triples whose arrays broadcast,
-    in normal form: one ``CycloRing.matmul`` of 1 x 1 batch members."""
-    (ad, ea, qa), (bd, eb, qb) = a, b
-    data, e, den = ring.matmul((ad[..., None, None, :], ea, qa), (bd[..., None, None, :], eb, qb))
-    return data[..., 0, 0, :], e, den
-
-
 def _half_trace_units(field: GFField):
     """Omega[a, b] = omega^Tr(a b / 2) as a packed table of units."""
     t, ring = field.tables(), ring_for(field)
@@ -318,7 +310,7 @@ def weyl_expand(field: GFField, theta: OperatorMatrix) -> OperatorMatrix:
     data, e, den = theta.packed
     rv = ring.matmul(_unscaled(field, fourier_matrix(field)),
                      (data[np.arange(q)[:, None], t.add], e, den))
-    return OperatorMatrix.from_packed(ring, _times(ring, _half_trace_units(field), rv))
+    return OperatorMatrix.from_packed(ring, ring.times(_half_trace_units(field), rv))
 
 
 def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
@@ -332,7 +324,7 @@ def weyl_reconstruct(field: GFField, table: OperatorMatrix) -> OperatorMatrix:
         raise DimensionMismatch("table dimension does not match the field")
     q, t, ring = field.order, field.tables(), ring_for(field)
     data, e, den = table.packed
-    w = _times(ring, _half_trace_units(field), (data[np.ix_(t.neg, t.neg)], e, den))
+    w = ring.times(_half_trace_units(field), (data[np.ix_(t.neg, t.neg)], e, den))
     r, re, rq = _unscaled(field, fourier_matrix(field))
     u, e, den = ring.matmul((r, re + 2 * field.ell, rq), w)
     # entry (i, j) is U[j, i - j]
@@ -356,8 +348,8 @@ def resolution_sum(field: GFField, theta: OperatorMatrix):
         raise DimensionMismatch("operator dimension does not match the field")
     q, t, ring = field.order, field.tables(), ring_for(field)
     f = fourier_matrix(field)
-    m, e, den = _times(ring, theta.packed, ring.matmul(_unscaled(field, f),
-                                                       _unscaled(field, f.adjoint())))
+    m, e, den = ring.times(theta.packed, ring.matmul(_unscaled(field, f),
+                                                     _unscaled(field, f.adjoint())))
     ones = np.zeros((q, 1, ring.degree), dtype=np.int8)
     ones[:, 0, 0] = 1
     s, e, den = ring.matmul((m[t.add, np.arange(q)], e, den), (ones, 2 * field.ell, 1))
@@ -400,7 +392,7 @@ def overcomplete_sum(field: GFField, psi: StateVector, chi: StateVector):
     data, e, den = psi.packed
     cd, ce, cq = chi.packed
     f = fourier_matrix(field)
-    v = _times(ring, (ring.conj_coeffs(data), e, den), (cd[t.add, 0], ce, cq))
+    v = ring.times((ring.conj_coeffs(data), e, den), (cd[t.add, 0], ce, cq))
     u, ue, uq = ring.matmul(_unscaled(field, f), ring.matmul(_unscaled(field, f.adjoint()), v))
     # row m of the gather is U[m, n - m] over n
     total, e, den = ring.matmul((data.transpose(1, 0, 2), e + 2 * field.ell, den),
@@ -489,7 +481,7 @@ def marginals_in_frame(field: GFField, alpha, beta, frame: OperatorMatrix | None
         rx, ry = (ring.times_roots(np.broadcast_to(v[r, 0], (n, len(r), ring.degree)),
                                    row_roots=np.arange(n)) for v in (xd, yd))
         ok[r] = (blocks_equal(ring, [
-            _times(ring, (xd[r, :1], *xs), (ring.conj_coeffs(yd[r, :1]), *ys)),
+            ring.times((xd[r, :1], *xs), (ring.conj_coeffs(yd[r, :1]), *ys)),
             root_matrix(ring, top, 2 * field.ell)], len(r))
             & ~((phi - col[:, t.add] - row[:, None] + top[:, :, None]) % n).any(axis=(1, 2))
             & (rx[(col - top) % n, lines[:, None]] == xd[r]).all(axis=(1, 2))
@@ -502,8 +494,8 @@ def marginals_in_frame(field: GFField, alpha, beta, frame: OperatorMatrix | None
         ok[diagonal] = ((nx.sum(axis=1) * ny.sum(axis=1) == on.sum(axis=1))
                         & ((rz[:, d] != 0).any(axis=2).T == on).all(axis=1)
                         & blocks_equal(ring, [
-                            _times(ring, (xd[diagonal, t.add[d, m], None], *xs),
-                                   (ring.conj_coeffs(yd[diagonal, m, None]), *ys)),
+                            ring.times((xd[diagonal, t.add[d, m], None], *xs),
+                                       (ring.conj_coeffs(yd[diagonal, m, None]), *ys)),
                             (rz[m, d, None], *rz_scale)], len(diagonal)))
     return ok & (grid[0] is None)
 

@@ -6,11 +6,13 @@ OperatorMatrix has backend "exact" and scalar entries.  A complex numpy
 array (an embedded matrix) has backend "float" and [re, im] entries, and
 decodes back to an array.  Decoding an exact matrix takes the target ring,
 since a scalar payload pins only the ring order; it checks every entry and
-builds the packed triple straight from the coefficients, canonical or not.
+builds the packed triple straight from the coefficients, canonical or not,
+by ``CycloRing.from_entries``.
 
 ``write_json`` writes ``json.dumps(payload, indent=2, default=str)`` byte for
 byte through the stdlib encoder, which leaves the entries of each exact
-matrix or state to be streamed from its packed triple.
+matrix or state to be streamed from its packed triple: each distinct
+packed row (``cyclo.distinct_rows``) is canonicalised and rendered once.
 """
 
 from __future__ import annotations
@@ -80,23 +82,12 @@ def matrix_from_json(data: dict,
         return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
     if ring is None:
         raise BackendMismatch("decoding an exact matrix needs a target ring")
-    # one coefficient array put in normal form by CycloRing.stack, one part
-    # per distinct (scale_exp, denom), so entries need not be canonical: a
-    # zero joins the part (0, 1), a negative denominator moves into the
-    # coefficients (compact storage holds |c| to its limit: -c cannot wrap)
     parts = [_scalar_parts(x, ring) for x in entries]
     if not parts:
         return OperatorMatrix.zeros(ring, 0)
-    data = cyclo.compact(np.array([c for c, _, _ in parts], dtype=object))
-    live = (data != 0).any(axis=1)
-    groups = {}
-    for k, (_, e, den) in enumerate(parts):
-        groups.setdefault((e, den) if live[k] else (0, 1), []).append(k)
-    stacked, e, q = ring.stack([(data[rows] if den > 0 else -data[rows], e, abs(den))
-                                for (e, den), rows in groups.items()])
-    out = np.empty_like(stacked)
-    out[np.concatenate(list(groups.values()))] = stacked
-    return OperatorMatrix.from_packed(ring, (out.reshape(dim, dim, ring.degree), e, q))
+    coeffs, exps, denoms = (np.array(x, dtype=object) for x in zip(*parts))
+    data, e, q = ring.from_entries(cyclo.compact(coeffs), exps, denoms)
+    return OperatorMatrix.from_packed(ring, (data.reshape(dim, dim, ring.degree), e, q))
 
 
 def write_json(payload, fh) -> None:
@@ -134,7 +125,7 @@ def _write_entries(mat: OperatorMatrix | StateVector, pad: str, fh) -> None:
     # texts come from the entry template of the distinct rows it uses
     ring = mat.ring
     data, e, q = mat.packed
-    distinct, inverse = _distinct_rows(data.reshape(-1, ring.degree))
+    distinct, inverse = cyclo.distinct_rows(data.reshape(-1, ring.degree))
     blocks = (ring.canonical(distinct[start:start + cyclo.BLOCK_ENTRIES], e, q)
               for start in range(0, len(distinct), cyclo.BLOCK_ENTRIES))
     values = np.concatenate([cyclo.compact(np.column_stack(b)) for b in blocks])
@@ -156,18 +147,3 @@ def _write_entries(mat: OperatorMatrix | StateVector, pad: str, fh) -> None:
                      + sep.join([texts[k] for k in local[i:i + step]]))
     fh.write(pad[:-2] + "]")
 
-
-def _distinct_rows(flat):
-    """(distinct, inverse) with flat == distinct[inverse], the distinct rows
-    in lexicographic order; exact on every integer dtype, object included.
-    Run starts are marked one column at a time, so no temporary is as large
-    as flat."""
-    order = np.lexsort(flat.T[::-1])
-    starts = np.zeros(len(flat), dtype=bool)
-    starts[0] = True
-    for col in flat.T:
-        ranked = col[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    inverse = np.empty(len(flat), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return flat[order[starts]], inverse

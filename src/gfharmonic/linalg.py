@@ -9,8 +9,9 @@ canonical CycloScalars on each read; it is the boundary view, for JSON,
 fixtures and single entries.  The triple is fixed by the values, so
 equality is ``np.array_equal``, and all arithmetic runs on it: products
 and ``apply`` are ``ring.matmul``, ``+`` and ``-`` one aligned
-``ring.add``, scalar multiples, tensor and outer products a matmul by a
-one-entry or one-row operand, traces one ``ring.root_sum``.  Objects are
+``ring.add``, scalar multiples one entrywise ``ring.times`` by a one-entry
+operand, tensor and outer products a matmul by a one-row operand, traces
+one ``ring.root_sum``.  Objects are
 immutable, so every matrix built from a triple can share it; ``embed()``
 is the one way out to floating point.  A monomial matrix (permutation plus
 a root-of-unity phase per column), or a family of them, is one
@@ -77,16 +78,12 @@ def _negated(packed):
 
 
 def _scaled(ring: CycloRing, packed, factor):
-    # every entry times an int or scalar factor: the (n*m, 1) column of
-    # entries by the (1, 1) factor
+    # every entry times an int or scalar factor
     if isinstance(factor, int):
         factor = ring.from_int(factor)
     if not isinstance(factor, CycloScalar) or factor.ring is not ring:
         raise BackendMismatch("factor is not a scalar of this ring")
-    data, e, q = packed
-    n, m, deg = data.shape
-    out, e, q = ring.matmul((data.reshape(n * m, 1, deg), e, q), ring.pack(((factor,),)))
-    return out.reshape(n, m, deg), e, q
+    return ring.times(packed, ring.pack(((factor,),)))
 
 
 class _Packed:
@@ -557,8 +554,7 @@ def proportionality_phase(a: OperatorMatrix, b: OperatorMatrix):
     The reference entry is the first nonzero entry of b in row-major
     order.  The phase is checked constant across all entries by
     cross-multiplication on the packed triples, a_ij b0 = a0 b_ij, as two
-    (dim^2 x 1) by (1 x 1) products in normal form, then verified to have
-    unit modulus.
+    entrywise products in normal form, then verified to have unit modulus.
     """
     a._require_same(b)
     (ad, ea, qa), (bd, eb, qb) = a.packed, b.packed
@@ -568,11 +564,11 @@ def proportionality_phase(a: OperatorMatrix, b: OperatorMatrix):
     i0, j0 = nonzero[0]
     if not ad[i0, j0].any():
         return None
-    ring, n, deg = a.ring, a.dim, a.ring.degree
-    ref_a = (ad[i0, j0].reshape(1, 1, deg), ea, qa)
-    ref_b = (bd[i0, j0].reshape(1, 1, deg), eb, qb)
-    lhs = ring.matmul((ad.reshape(n * n, 1, deg), ea, qa), ref_b)
-    rhs = ring.matmul((bd.reshape(n * n, 1, deg), eb, qb), ref_a)
+    ring = a.ring
+    ref_a = (ad[i0:i0 + 1, j0:j0 + 1], ea, qa)
+    ref_b = (bd[i0:i0 + 1, j0:j0 + 1], eb, qb)
+    lhs = ring.times(a.packed, ref_b)
+    rhs = ring.times(b.packed, ref_a)
     if lhs[1:] != rhs[1:] or not np.array_equal(lhs[0], rhs[0]):
         return None
     phase = _scalar(ring, ref_a) / _scalar(ring, ref_b)

@@ -42,7 +42,7 @@ from functools import cache
 
 import numpy as np
 
-from .cyclo import CycloScalar, compact
+from .cyclo import CycloScalar, compact, distinct_rows
 from .errors import (ConstraintViolated, DomainRestriction,
                      EvenCharacteristic, ZeroScaling)
 from .fourier import fourier_matrix
@@ -286,10 +286,10 @@ def _rotation_codes(ring, rows):
     convolution rows and k in [0, 2N), so that equal codes mean equal
     coefficient vectors.  A shear's entry (n, m) is code d = n - m."""
     deg, order = ring.degree, ring.order
-    vals, idx = np.unique(np.stack(rows).reshape(-1, deg), axis=0, return_inverse=True)
+    vals, idx = distinct_rows(np.stack(rows).reshape(-1, deg))
     rot = ring.times_roots(np.broadcast_to(vals, (order,) + vals.shape),
                            row_roots=np.arange(order))
-    _, rot_id = np.unique(rot.reshape(-1, deg), axis=0, return_inverse=True)
+    _, rot_id = distinct_rows(rot.reshape(-1, deg))
     codes = rot_id.reshape(order, len(vals))[:, idx.reshape(len(rows), -1)]
     return np.concatenate([codes, codes]).transpose(1, 0, 2).astype(np.int32)
 

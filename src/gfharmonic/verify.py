@@ -87,9 +87,8 @@ def _random_entries(field, rng, count: int):
     coefficients in [-2, 2] (all zero becomes 1), a scale exponent from
     (0, 0, 1, 2) and a denominator from (1, 1, 2, 3), read from the bytes
     of one ``rng.randbytes``: a coefficient is byte % 5 - 2, bytes from 250
-    up redrawn; an exponent or a denominator picks by byte % 4.  The
-    entries of each (E, Q) pair form one part, and the stack aligns the
-    parts at once."""
+    up redrawn; an exponent or a denominator picks by byte % 4.
+    ``CycloRing.from_entries`` packs them."""
     ring = hs.ring_for(field)
     size = count * ring.degree
     raw = np.frombuffer(bytearray(rng.randbytes(size + 2 * count)), dtype=np.uint8)
@@ -98,14 +97,8 @@ def _random_entries(field, rng, count: int):
         coeffs[redraw] = np.frombuffer(rng.randbytes(int(redraw.sum())), dtype=np.uint8)
     vecs = (coeffs % 5).astype(np.int64).reshape(count, 1, -1) - 2
     vecs[~vecs.any(axis=(1, 2)), 0, 0] = 1
-    kind = np.array((0, 0, 1, 2))[picks[0]] * 4 + np.array((1, 1, 2, 3))[picks[1]]
-    kinds = sorted(set(kind.tolist()))
-    masks = [kind == k for k in kinds]
-    data, e, den = ring.stack([(vecs[hit], k // 4, k % 4) for hit, k in zip(masks, kinds)])
-    out = np.empty_like(data)
-    for hit, part in zip(masks, np.split(data, np.cumsum([hit.sum() for hit in masks])[:-1])):
-        out[hit] = part
-    return out, e, den
+    return ring.from_entries(vecs, np.array((0, 0, 1, 2))[picks[0]],
+                             np.array((1, 1, 2, 3))[picks[1]])
 
 
 def _random_matrix(field, rng) -> OperatorMatrix:

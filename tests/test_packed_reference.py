@@ -32,7 +32,9 @@ the generators, monomial products, diagonal and character operators and
 under faults planted in the field's index arrays; the monomial families
 against per-member products and the ``(perm, phase)`` array kernels they
 replaced; and the Frobenius suite, which multiplies G and its Galois
-members by gather, against its dense form, also under planted faults.
+members by gather, against its dense form, also under planted faults; and
+the exact array kernels of ``cyclo`` (``times``, ``distinct_rows`` and
+``from_entries``) against the copies other modules kept of them.
 
 The reference functions below are the earlier implementations, which add
 one CycloScalar at a time into ScalarAccumulators.  Canonical forms are
@@ -42,6 +44,7 @@ zeros, and the ``big`` variants put one entry past the int64 bound so that
 the Python-int paths of ``root_sum``, ``add`` and ``matmul`` run.
 """
 
+import json
 import math
 import random
 import tracemalloc
@@ -49,7 +52,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfharmonic import cyclo, fourier, frobenius, heisenberg, hilbert
+from gfharmonic import cyclo, fourier, frobenius, heisenberg, hilbert, jsonio, linalg
 from gfharmonic import symplectic as sp
 from gfharmonic.cyclo import ScalarAccumulator
 from gfharmonic.errors import DomainRestriction, NotInSubfield
@@ -60,13 +63,14 @@ from gfharmonic.heisenberg import (label_sum, marginal_sum_alpha, marginal_sum_b
                                    resolution_of_identity_check, weyl_expand,
                                    weyl_reconstruct)
 from gfharmonic.hilbert import phi_basis, point_projector, ring_for
+from gfharmonic.jsonio import matrix_to_json
 from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blocks_equal,
                                conjugate, inner_product, outer,
                                proportionality_phase, root_matrix)
 from gfharmonic.symplectic import element_row, synthesize
-from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_matrix,
-                               _random_state, _ranks_item, _spectral_items, frobenius_suite,
-                               gf_suite, heisenberg_suite, symplectic_suite)
+from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_entries,
+                               _random_matrix, _random_state, _ranks_item, _spectral_items,
+                               frobenius_suite, gf_suite, heisenberg_suite, symplectic_suite)
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
@@ -4060,3 +4064,257 @@ def test_a_failing_certificate_fails_every_line(pe, fault, witness, monkeypatch)
             for name in ("marginal_alpha_sums", "marginal_beta_sums")] == [("fail", detail)] * 2
     item = next(i for i in symplectic_suite(field).items if i.name == "transformed_marginals")
     assert (item.status, item.detail) == ("fail", detail)
+
+
+# -- the exact array kernels of cyclo against the copies they replaced ----------
+#
+# The references are the earlier bodies: the entrywise product heisenberg
+# kept for itself, the (n * m, 1) by (1, 1) products of scalar multiples and
+# of the proportionality check, the np.unique codes of the shear rows, and
+# the group, stack and scatter blocks of the JSON decoder and of the suites'
+# random entries.  Normal forms are fixed by the values, so the stored
+# triples must agree, dtype included.
+
+KERNEL_FIELDS = [(3, 2), (5, 2), (7, 2), (5, 3), (13, 2)]  # ring degrees 4, 8, 12, 16, 24
+
+
+def ref_times(ring, a, b):
+    """heisenberg._times: one ``CycloRing.matmul`` of 1 x 1 batch members."""
+    (ad, ea, qa), (bd, eb, qb) = a, b
+    data, e, den = ring.matmul((ad[..., None, None, :], ea, qa), (bd[..., None, None, :], eb, qb))
+    return data[..., 0, 0, :], e, den
+
+
+def ref_scaled(ring, packed, factor):
+    """linalg._scaled: the (n*m, 1) column of entries by the (1, 1) factor."""
+    data, e, q = packed
+    n, m, deg = data.shape
+    out, e, q = ring.matmul((data.reshape(n * m, 1, deg), e, q), ring.pack(((factor,),)))
+    return out.reshape(n, m, deg), e, q
+
+
+def ref_proportionality_phase(a, b):
+    """linalg.proportionality_phase with its two (dim^2 x 1) by (1 x 1)
+    products."""
+    (ad, ea, qa), (bd, eb, qb) = a.packed, b.packed
+    nonzero = np.argwhere(bd.any(axis=2))
+    if not len(nonzero):
+        return None
+    i0, j0 = nonzero[0]
+    if not ad[i0, j0].any():
+        return None
+    ring, n, deg = a.ring, a.dim, a.ring.degree
+    ref_a = (ad[i0, j0].reshape(1, 1, deg), ea, qa)
+    ref_b = (bd[i0, j0].reshape(1, 1, deg), eb, qb)
+    lhs = ring.matmul((ad.reshape(n * n, 1, deg), ea, qa), ref_b)
+    rhs = ring.matmul((bd.reshape(n * n, 1, deg), eb, qb), ref_a)
+    if lhs[1:] != rhs[1:] or not np.array_equal(lhs[0], rhs[0]):
+        return None
+    (x,), = ring.unpack(ref_a)
+    (y,), = ring.unpack(ref_b)
+    phase = x / y
+    return phase if phase * phase.conj() == ring.one else None
+
+
+def ref_rotation_codes(ring, rows):
+    """symplectic._rotation_codes by two np.unique(axis=0) sorts."""
+    deg, order = ring.degree, ring.order
+    vals, idx = np.unique(np.stack(rows).reshape(-1, deg), axis=0, return_inverse=True)
+    rot = ring.times_roots(np.broadcast_to(vals, (order,) + vals.shape),
+                           row_roots=np.arange(order))
+    _, rot_id = np.unique(rot.reshape(-1, deg), axis=0, return_inverse=True)
+    codes = rot_id.reshape(order, len(vals))[:, idx.reshape(len(rows), -1)]
+    return np.concatenate([codes, codes]).transpose(1, 0, 2).astype(np.int32)
+
+
+def ref_json_entries(ring, parts):
+    """matrix_from_json's block: one part per distinct (scale_exp, denom), a
+    zero in the part (0, 1), a negative denominator moved into the
+    coefficients, one stack, and the rows scattered back."""
+    data = cyclo.compact(np.array([c for c, _, _ in parts], dtype=object))
+    live = (data != 0).any(axis=1)
+    groups = {}
+    for k, (_, e, den) in enumerate(parts):
+        groups.setdefault((e, den) if live[k] else (0, 1), []).append(k)
+    stacked, e, q = ring.stack([(data[rows] if den > 0 else -data[rows], e, abs(den))
+                                for (e, den), rows in groups.items()])
+    out = np.empty_like(stacked)
+    out[np.concatenate(list(groups.values()))] = stacked
+    return out, e, q
+
+
+def ref_random_entries(field, rng, count):
+    """verify._random_entries with its own group, stack and scatter, on the
+    same draws."""
+    ring = ring_for(field)
+    size = count * ring.degree
+    raw = np.frombuffer(bytearray(rng.randbytes(size + 2 * count)), dtype=np.uint8)
+    coeffs, picks = raw[:size], raw[size:].reshape(2, count) % 4
+    while (redraw := coeffs >= 250).any():
+        coeffs[redraw] = np.frombuffer(rng.randbytes(int(redraw.sum())), dtype=np.uint8)
+    vecs = (coeffs % 5).astype(np.int64).reshape(count, 1, -1) - 2
+    vecs[~vecs.any(axis=(1, 2)), 0, 0] = 1
+    kind = np.array((0, 0, 1, 2))[picks[0]] * 4 + np.array((1, 1, 2, 3))[picks[1]]
+    kinds = sorted(set(kind.tolist()))
+    masks = [kind == k for k in kinds]
+    data, e, den = ring.stack([(vecs[hit], k // 4, k % 4) for hit, k in zip(masks, kinds)])
+    out = np.empty_like(data)
+    for hit, part in zip(masks, np.split(data, np.cumsum([hit.sum() for hit in masks])[:-1])):
+        out[hit] = part
+    return out, e, den
+
+
+def assert_same_stored(got, want):
+    """Equal triples as a matrix stores them: (E, Q), dtype, shape, entries."""
+    (gd, ge, gq), (wd, we, wq) = got, want
+    assert (ge, gq, gd.dtype, gd.shape) == (we, wq, wd.dtype, wd.shape)
+    assert np.array_equal(gd, wd)
+
+
+def random_packed(field, rng, shape):
+    data, e, q = _random_entries(field, rng, math.prod(shape))
+    return data.reshape(shape + (-1,)), e, q
+
+
+@pytest.mark.parametrize("pe", KERNEL_FIELDS, ids=str)
+def test_times_matches_its_references(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    rng = random.Random(q)
+    a, b = random_packed(field, rng, (q, q)), random_packed(field, rng, (q, q))
+    assert_same_stored(ring.times(a, b), ref_times(ring, a, b))
+    # (n, m) x (1, 1): the scalar multiple, with an int and a mixed-scale factor
+    for factor in (ring.from_int(-3), ring.scalar([1, 2] + [0] * (ring.degree - 2), 3, 2)):
+        for n, m in ((q, q), (q, 1), (1, q)):
+            part = (a[0][:n, :m], *a[1:])
+            want = ref_scaled(ring, part, factor)
+            assert_same_stored(ring.times(part, ring.pack(((factor,),))), want)
+            assert_same_stored(linalg._scaled(ring, part, factor), want)
+    # one object-dtype operand past 2^62, on three rows (Python-int products are slow)
+    big = a[0][:3].astype(object)
+    big[1, 2, 0] = 2 ** 62 + 7
+    big, rows = (big, *a[1:]), (b[0][:3], *b[1:])
+    assert_same_stored(ring.times(big, rows), ref_times(ring, big, rows))
+    assert_same_stored(ring.times(rows, big), ref_times(ring, rows, big))
+    ref_b = (b[0][:1, :1], *b[1:])
+    assert_same_stored(ring.times(big, ref_b), ref_scaled(ring, big, ring.unpack(ref_b)[0][0]))
+
+
+@pytest.mark.parametrize("pe", KERNEL_FIELDS[:3], ids=str)
+def test_proportionality_phase_matches_the_column_products(pe):
+    field = make_field(*pe)
+    ring, q = ring_for(field), field.order
+    rng = random.Random(q)
+    m = _random_matrix(field, rng)
+    other = _random_matrix(field, rng)
+    unit, half = ring.root(5), ring.rational(1, 2)
+    cases = [(m.scaled(unit), m), (m.scaled(half), m), (other, m), (m, m),
+             (OperatorMatrix.zeros(ring, q), m), (m, OperatorMatrix.zeros(ring, q))]
+    got = [proportionality_phase(x, y) for x, y in cases]
+    assert got == [ref_proportionality_phase(x, y) for x, y in cases]
+    assert got == [unit, None, None, ring.one, None, None]
+
+
+DISTINCT_DTYPES = [np.int8, np.int16, np.int32, np.int64]
+
+
+@pytest.mark.parametrize("dtype", DISTINCT_DTYPES, ids=lambda t: t.__name__)
+def test_distinct_rows_matches_np_unique(dtype):
+    rng = np.random.default_rng(3)
+    top = np.iinfo(dtype).max
+    wide = rng.integers(-top - 1, top, size=(300, 4), endpoint=True).astype(dtype)
+    narrow = rng.integers(-2, 2, size=(300, 5), endpoint=True).astype(dtype)
+    for flat in (wide, narrow, narrow[:1], np.repeat(narrow[:1], 7, axis=0),
+                 np.concatenate([wide, wide[::-1]])):
+        distinct, inverse = cyclo.distinct_rows(flat)
+        want, want_inverse = np.unique(flat, axis=0, return_inverse=True)
+        assert distinct.dtype == flat.dtype
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(distinct[inverse], flat)
+
+
+def test_distinct_rows_past_int64_matches_sorted_tuples():
+    values = [-2 ** 70, -2 ** 63 - 1, -1, 0, 3, 2 ** 63, 2 ** 70]
+    rng = random.Random(5)
+    flat = np.array([[rng.choice(values) for _ in range(3)] for _ in range(200)], dtype=object)
+    distinct, inverse = cyclo.distinct_rows(flat)
+    want = sorted(set(map(tuple, flat.tolist())))
+    assert list(map(tuple, distinct.tolist())) == want
+    assert inverse.tolist() == [want.index(t) for t in map(tuple, flat.tolist())]
+
+
+@pytest.mark.parametrize("pe", [(3, 2), (3, 3), (7, 2), (5, 3)], ids=str)
+def test_rotation_codes_match_np_unique(pe):
+    field = make_field(*pe)
+    ring = ring_for(field)
+    rows = [sp._shear_row(field, x)[0] for x in range(1, field.order)]
+    got = sp._rotation_codes(ring, rows)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, ref_rotation_codes(ring, rows))
+
+
+def op_payloads(field):
+    """JSON payloads of exact matrices: a symplectic op, its Weyl table, F
+    and a random operator, as the CLI writes them."""
+    mat = synthesize(field, element_row(field, 3, 10 % field.order, 20 % field.order))
+    mats = [mat, weyl_expand(field, mat), fourier_matrix(field),
+            _random_matrix(field, random.Random(field.order))]
+    return [json.loads(json.dumps(matrix_to_json(m))) for m in mats]
+
+
+def planted_payloads(field):
+    """Payloads the decoder must put in normal form: a zero entry at
+    scale_exp 40, a negative denominator, a denominator divisible by p,
+    coefficients past int64, and denominators from 2^63 on, which numpy
+    alone would read as uint64 or float64."""
+    ring, p = ring_for(field), field.p
+    pad = [0] * (ring.degree - 2)
+
+    def entry(coeffs, e, den):
+        return {"coeffs": coeffs + pad, "scale_exp": e, "denom": den, "N": ring.order}
+    plain = [entry([1, 2], 1, 2), entry([0, 3], 0, 1), entry([-1, 0], 2, 5), entry([4, 4], 0, 1)]
+    plants = [(0, entry([0, 0], 40, 1)), (1, entry([0, -3], 0, -1)),
+              (2, entry([-p, 0], 4, 5 * p)), (3, entry([4 * 2 ** 70, 4 * 2 ** 70], 0, 2 ** 70)),
+              (0, entry([1, 0], 0, 2 ** 63)), (0, entry([1, 0], 0, 2 ** 63 + 2))]
+    out = []
+    for k, planted in plants:
+        entries = list(plain)
+        entries[k] = planted
+        out.append({"dim": 2, "backend": "exact", "entries": entries})
+    out.append({"dim": 2, "backend": "exact", "entries": [entry([0, 0], 40, -3)] * 4})
+    out.append({"dim": 2, "backend": "exact", "entries": [
+        entry([1, 0], 0, 2 ** 63), entry([1, 0], 0, 2 ** 63 + 2), entry([1, 0], 1, -2 ** 63),
+        entry([2, 1], 0, 1)]})
+    return out
+
+
+@pytest.mark.parametrize("pe", [(3, 2), (3, 3), (7, 2)], ids=str)
+def test_matrix_from_json_matches_the_grouped_stack(pe, monkeypatch):
+    field = make_field(*pe)
+    ring = ring_for(field)
+    for data in op_payloads(field) + planted_payloads(field):
+        parts = [jsonio._scalar_parts(x, ring) for x in data["entries"]]
+        want = ref_json_entries(ring, parts)
+        want = OperatorMatrix.from_packed(
+            ring, (want[0].reshape(data["dim"], data["dim"], -1), *want[1:]))
+        got = jsonio.matrix_from_json(data, ring)
+        assert_same_stored(got.packed, want.packed)
+    # the normal form hides a zero's scale, so watch what the stack aligns:
+    # a hostile scale_exp on a zero must not scale the other entries
+    seen, stack = [], ring.stack
+    monkeypatch.setattr(ring, "stack", lambda triples: seen.extend(t[1] for t in triples)
+                        or stack(triples))
+    jsonio.matrix_from_json(planted_payloads(field)[0], ring)
+    assert seen and max(seen) < 40
+
+
+@pytest.mark.parametrize("pe", [(3, 2), (3, 3), (7, 2)], ids=str)
+def test_random_entries_match_the_grouped_stack(pe):
+    field = make_field(*pe)
+    for seed in range(1, 11):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for count in (1, field.order, field.order ** 2):
+            assert_same_stored(_random_entries(field, rng, count),
+                               ref_random_entries(field, ref_rng, count))
+        assert rng.random() == ref_rng.random()  # the same draws, in the same order
