@@ -377,9 +377,9 @@ class Monomial:
 
     ``perm`` and ``phase`` are read-only integer arrays of one shape (..., n)
     in the dtype the caller gives, phases reduced mod N; leading axes index
-    the members of a family.  ``@``, ``adjoint``, ``**`` and
-    ``scaled_by_root`` broadcast over them (a product is one flat ``np.take``
-    per array), ``m[idx]`` selects members, ``matches`` compares them.  The
+    the members of a family.  ``@``, ``adjoint``, ``**``, ``scaled_by_root``
+    and ``embed`` broadcast over them (a product is one flat ``np.take`` per
+    array), ``m[idx]`` selects members, ``matches`` compares them.  The
     dense-operand methods, ``to_matrix``, ``trace`` and ``tensor`` take one.
     """
 
@@ -500,6 +500,14 @@ class Monomial:
         data = np.zeros((self.dim, self.dim, ring.degree), dtype=np.int64)
         data[self.perm, np.arange(self.dim)] = ring.root_coeffs()[self.phase]
         return OperatorMatrix.from_packed(ring, (data, 0, 1))
+
+    def embed(self) -> np.ndarray:
+        """Lossy one-way conversion to a complex (..., dim, dim) numpy array,
+        one matrix per member: exp(2 pi i phase[m] / N) put at (perm[m], m)."""
+        out = np.zeros(self.perm.shape + (self.dim,), dtype=complex)
+        units = np.exp(2j * np.pi / self.ring.order * self.phase)
+        np.put_along_axis(out, self.perm[..., None, :], units[..., None, :], axis=-2)
+        return out
 
     def trace(self) -> CycloScalar:
         return self.ring.sum_of_roots(self.phase[self.perm == np.arange(self.dim)])

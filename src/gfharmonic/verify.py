@@ -11,7 +11,7 @@ single skip item in characteristic 2 instead of failing.
 
 from __future__ import annotations
 
-import functools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -22,6 +22,7 @@ from . import frobenius as fb
 from . import heisenberg as hb
 from . import hilbert as hs
 from . import symplectic as sp
+from .errors import ConfigError
 from .gf import GFField
 from .linalg import Monomial, OperatorMatrix, StateVector, inner_product, outer
 
@@ -537,100 +538,81 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
 
 
 def float_suite(field: GFField, config: VerifyConfig | None = None) -> SuiteReport:
-    """Re-run the headline identities on embedded complex numpy arrays."""
+    """Re-run the headline identities on embedded complex numpy arrays, each
+    item one comparison of whole stacks.  Monomial operators embed as
+    families from their perm and phase arrays (``Monomial.embed``); the
+    marginal sums add embedded members one label block at a time, and the
+    resolution of the identity forms only column 0 of each D."""
     config = config or VerifyConfig()
     tol = config.tolerance
+    # inf would pass every item and nan or a negative value fail them all
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance must be a finite number >= 0; got {tol!r}")
     rng = random.Random(config.seed + 4)
     rep = SuiteReport("float", _desc(field))
-    q = field.order
+    q, ell = field.order, field.ell
     f = fr.fourier_matrix(field).embed()
-    eye = np.eye(q, dtype=complex)
+    fh, eye = f.conj().T, np.eye(q)
 
-    rep.add("unitary", np.linalg.norm(f @ f.conj().T - eye) <= tol)
-    rep.add("fourth_power_is_identity",
-            np.linalg.norm(np.linalg.matrix_power(f, 4) - eye) <= tol)
+    def close(*pairs):  # each member of each (lhs, rhs) pair within tol in Frobenius norm
+        return all((np.linalg.norm(a - b, axis=(-2, -1)) <= tol).all() for a, b in pairs)
 
-    projs = [pr.embed() for pr in fr.fourier_spectrum(field).projectors]
-    ok = np.linalg.norm(sum(projs) - eye) <= tol
-    for r in range(4):
-        for s in range(4):
-            want = projs[r] if r == s else 0
-            ok = ok and np.linalg.norm(projs[r] @ projs[s] - want) <= tol
-    recon = projs[0] + 1j * projs[1] - projs[2] - 1j * projs[3]
-    ok = ok and np.linalg.norm(recon - f) <= tol
-    rep.add("fourier_spectral_algebra", ok)
+    def spectral(projs, u):  # projector r of U^n = 1 has the eigenvalue exp(2 pi i r / n)
+        roots = np.exp(2j * np.pi / len(projs) * np.arange(len(projs)))
+        return (projs.sum(axis=0), eye), (np.tensordot(roots, projs, 1), u)
 
-    g = fb.frobenius_matrix(field).embed()
-    rep.add("frobenius_order",
-            np.linalg.norm(np.linalg.matrix_power(g, field.ell) - eye) <= tol)
-    rep.add("frobenius_commutes_with_fourier",
-            np.linalg.norm(f @ g - g @ f) <= tol)
-    ok = True
-    for d in field.divisors():
-        pi = hs.subspace_projector(field, d).embed()
-        if np.linalg.norm(g @ pi - pi @ g) > tol:
-            ok = False
-    rep.add("frobenius_commutes_with_subspace_projectors", ok)
+    rep.add("unitary", close((f @ fh, eye)))
+    rep.add("fourth_power_is_identity", close((np.linalg.matrix_power(f, 4), eye)))
+    projs = np.array([pr.embed() for pr in fr.fourier_spectrum(field).projectors])
+    rep.add("fourier_spectral_algebra", close(*spectral(projs, f), (
+        projs[:, None] @ projs, np.eye(len(projs))[:, :, None, None] * projs[:, None])))
 
-    fprojs = [pr.embed() for pr in fb.frobenius_spectrum(field).projectors]
-    root = np.exp(2j * np.pi / field.ell)
-    recon = sum(fprojs[k] * root ** k for k in range(field.ell))
-    rep.add("frobenius_spectral_algebra",
-            np.linalg.norm(sum(fprojs) - eye) <= tol
-            and np.linalg.norm(recon - g) <= tol)
+    g = fb.frobenius_monomial(field).embed()
+    rep.add("frobenius_order", close((np.linalg.matrix_power(g, ell), eye)))
+    rep.add("frobenius_commutes_with_fourier", close((f @ g, g @ f)))
+    pis = np.array([hs.subspace_projector(field, d).embed() for d in field.divisors()])
+    rep.add("frobenius_commutes_with_subspace_projectors", close((g @ pis, pis @ g)))
+    fprojs = np.array([pr.embed() for pr in fb.frobenius_spectrum(field).projectors])
+    rep.add("frobenius_spectral_algebra", close(*spectral(fprojs, g)))
+    if field.p == 2:
+        return rep
 
-    if field.p != 2:
-        dfl = functools.cache(lambda a, b: hb.displacement(field, a, b).embed())
-        half = field.two_inverse
-        ok = True
-        for _ in range(40):
-            a1, b1, a2, b2 = (rng.randrange(q) for _ in range(4))
-            ph = half * (field.trace_index(field.mul_index(a1, b2))
-                         - field.trace_index(field.mul_index(b1, a2)))
-            w = np.exp(2j * np.pi * (ph % field.p) / field.p)
-            lhs = dfl(a1, b1) @ dfl(a2, b2)
-            rhs = w * dfl(field.add_index(a1, a2), field.add_index(b1, b2))
-            if np.linalg.norm(lhs - rhs) > tol:
-                ok = False
-        rep.add("displacement_composition", ok)
+    t, n, half = field.tables(), hs.ring_for(field).order, field.two_inverse
+    tr, disp = t.trace[t.mul], hb.displacement_monomial
+    # D(l1) D(l2) = omega^(Tr(a1 b2 / 2) - Tr(b1 a2 / 2)) D(l1 + l2) on 40
+    # drawn pairs, a1, b1, a2, b2 drawn in turn for each
+    a1, b1, a2, b2 = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(40)]).T
+    w = np.exp(2j * np.pi / field.p * (half * (tr[a1, b2] - tr[b1, a2]) % field.p))
+    rep.add("displacement_composition", close((
+        disp(field, a1, b1).embed() @ disp(field, a2, b2).embed(),
+        w[:, None, None] * disp(field, t.add[a1, a2], t.add[b1, b2]).embed())))
 
-        ok = True
-        for _ in range(20):
-            a, b = rng.randrange(q), rng.randrange(q)
-            lhs = f @ dfl(a, b) @ f.conj().T
-            if np.linalg.norm(lhs - dfl(b, field.neg_index(a))) > tol:
-                ok = False
-        rep.add("fourier_maps_labels", ok)
+    a, b = np.array([[rng.randrange(q), rng.randrange(q)] for _ in range(20)]).T
+    rep.add("fourier_maps_labels", close(
+        (f @ disp(field, a, b).embed() @ fh, disp(field, b, t.neg[a]).embed())))
 
-        par = hb.parity_monomial(field).to_matrix().embed()
-        t = field.tables()
-        ok = True
-        for idx in [0, 1, q - 1]:
-            lhs = hb.marginal_sum_alpha(field, idx).embed()
-            proj = hs.point_projector(field, t.neg[t.mul[half, idx]]).embed()
-            if np.linalg.norm(lhs - par @ proj) > tol:
-                ok = False
-        rep.add("marginal_alpha_sums", ok)
+    # p^-ell sum_alpha D(alpha, beta) = parity |k><k|, k = -beta / 2
+    betas = np.array([0, 1, q - 1])
+    family = disp(field, np.arange(q), betas[:, None])  # member (j, alpha)
+    sums = sum(family[:, s].embed().sum(axis=1) for s in hb.label_blocks(q, 3 * q * q))
+    points = np.array([hs.point_projector(field, k).embed() for k in t.neg[t.mul[half, betas]]])
+    rep.add("marginal_alpha_sums", close((sums / q, hb.parity_monomial(field).embed() @ points)))
 
-        total = np.zeros((q, q), dtype=complex)
-        q0 = hs.point_projector(field, 0).embed()
-        for a in range(q):
-            for b in range(q):
-                d = dfl(a, b)
-                total += d @ q0 @ d.conj().T
-        rep.add("resolution_of_identity",
-                np.linalg.norm(total / q - eye) <= tol)
+    # p^-ell sum_labels D |0><0| D+ = 1, as the sum of |D e_0><D e_0|
+    total, labels = np.zeros((q, q), dtype=complex), np.arange(q * q)
+    for s in hb.label_blocks(q * q, q):
+        block = disp(field, *np.divmod(labels[s], q))
+        cols = np.zeros((len(block.perm), q), dtype=complex)
+        cols[np.arange(len(cols)), block.perm[:, 0]] = np.exp(2j * np.pi / n * block.phase[:, 0])
+        total += cols.T @ cols.conj()
+    rep.add("resolution_of_identity", close((total / q, eye)))
 
-        ok = True
-        for row in sp.sample_group(field, rng, 2):
-            s_op = sp.synthesize(field, row).embed()
-            if np.linalg.norm(s_op @ s_op.conj().T - eye) > tol:
-                ok = False
-            za = hb.z_power(field, 1).embed()
-            target = hb.displacement(field, int(row[3]), int(row[2])).embed()  # D(u, t)
-            if np.linalg.norm(s_op @ za @ s_op.conj().T - target) > tol:
-                ok = False
-        rep.add("symplectic_action", ok)
+    # S S+ = 1 and S Z S+ = D(u, t) for two drawn elements (r, s, t, u)
+    rows = sp.sample_group(field, rng, 2)
+    s_ops = np.array([sp.synthesize(field, row).embed() for row in rows])
+    s_adj = s_ops.conj().transpose(0, 2, 1)
+    za, target = hb.z_monomial(field, 1).embed(), disp(field, rows[:, 3], rows[:, 2]).embed()
+    rep.add("symplectic_action", close((s_ops @ s_adj, eye), (s_ops @ za @ s_adj, target)))
     return rep
 
 

@@ -201,6 +201,27 @@ def test_float_backend(ring):
     assert np.linalg.norm(fa - a.embed()) == 0.0
 
 
+@pytest.mark.parametrize("pe", [(3, 2), (5, 2), (7, 2), (5, 3)], ids=str)
+def test_monomial_embed_matches_the_dense_embedding(pe):
+    from gfharmonic import frobenius, heisenberg
+    from gfharmonic.gf import make_field
+    field = make_field(*pe)
+    q, ring = field.order, heisenberg.ring_for(field)
+    rng = np.random.default_rng(q)
+    labels = rng.integers(q, size=(2, 2, 3))
+    family = Monomial(ring, rng.permuted(np.tile(np.arange(q), (2, 3, 1)), axis=-1),
+                      rng.integers(ring.order, size=(2, 3, q)))
+    cases = [family, family[1, 2], heisenberg.displacement_monomial(field, *labels),
+             heisenberg.displacement_monomial(field, 1, 2),
+             Monomial.permutation(ring, rng.permutation(q)),  # all phases zero
+             heisenberg.parity_monomial(field), frobenius.frobenius_monomial(field)]
+    for mono in cases:
+        got, lead = mono.embed(), mono.perm.shape[:-1]
+        assert got.shape == lead + (q, q) and got.dtype == complex
+        for at in np.ndindex(lead):
+            assert np.abs(got[at] - mono[at].to_matrix().embed()).max() <= 1e-12
+
+
 def test_conjugate_helper(ring):
     m = random_monomial(ring, 4, 18)
     a = random_matrix(ring, 4, 19)

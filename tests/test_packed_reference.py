@@ -44,6 +44,7 @@ zeros, and the ``big`` variants put one entry past the int64 bound so that
 the Python-int paths of ``root_sum``, ``add`` and ``matmul`` run.
 """
 
+import functools
 import json
 import math
 import random
@@ -68,9 +69,10 @@ from gfharmonic.linalg import (EXACT, Monomial, OperatorMatrix, StateVector, blo
                                conjugate, inner_product, outer,
                                proportionality_phase, root_matrix)
 from gfharmonic.symplectic import element_row, synthesize
-from gfharmonic.verify import (SuiteReport, VerifyConfig, _generator_laws, _random_entries,
-                               _random_matrix, _random_state, _ranks_item, _spectral_items,
-                               frobenius_suite, gf_suite, heisenberg_suite, symplectic_suite)
+from gfharmonic.verify import (SuiteReport, VerifyConfig, _desc, _generator_laws,
+                               _random_entries, _random_matrix, _random_state, _ranks_item,
+                               _spectral_items, float_suite, frobenius_suite, gf_suite,
+                               heisenberg_suite, symplectic_suite)
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3)]
 BIG = 10 ** 20  # past int64 once multiplied by any ring table entry
@@ -4318,3 +4320,152 @@ def test_random_entries_match_the_grouped_stack(pe):
             assert_same_stored(_random_entries(field, rng, count),
                                ref_random_entries(field, ref_rng, count))
         assert rng.random() == ref_rng.random()  # the same draws, in the same order
+
+
+# -- the float suite: one batched check per item -------------------------------
+
+
+def ref_float_suite(field, config=None):
+    """The float suite before each item became one batched check: every
+    operator embedded from its dense exact matrix, the displacements one
+    label at a time through ``displacement(...).embed()``, per-pair loops,
+    and the marginal sums read from the exact ``marginal_sum_alpha``."""
+    config = config or VerifyConfig()
+    tol = config.tolerance
+    rng = random.Random(config.seed + 4)
+    rep = SuiteReport("float", _desc(field))
+    q = field.order
+    f = fourier.fourier_matrix(field).embed()
+    eye = np.eye(q, dtype=complex)
+
+    rep.add("unitary", np.linalg.norm(f @ f.conj().T - eye) <= tol)
+    rep.add("fourth_power_is_identity",
+            np.linalg.norm(np.linalg.matrix_power(f, 4) - eye) <= tol)
+
+    projs = [pr.embed() for pr in fourier.fourier_spectrum(field).projectors]
+    ok = np.linalg.norm(sum(projs) - eye) <= tol
+    for r in range(4):
+        for s in range(4):
+            want = projs[r] if r == s else 0
+            ok = ok and np.linalg.norm(projs[r] @ projs[s] - want) <= tol
+    recon = projs[0] + 1j * projs[1] - projs[2] - 1j * projs[3]
+    ok = ok and np.linalg.norm(recon - f) <= tol
+    rep.add("fourier_spectral_algebra", ok)
+
+    g = frobenius.frobenius_matrix(field).embed()
+    rep.add("frobenius_order",
+            np.linalg.norm(np.linalg.matrix_power(g, field.ell) - eye) <= tol)
+    rep.add("frobenius_commutes_with_fourier",
+            np.linalg.norm(f @ g - g @ f) <= tol)
+    ok = True
+    for d in field.divisors():
+        pi = hilbert.subspace_projector(field, d).embed()
+        if np.linalg.norm(g @ pi - pi @ g) > tol:
+            ok = False
+    rep.add("frobenius_commutes_with_subspace_projectors", ok)
+
+    fprojs = [pr.embed() for pr in frobenius.frobenius_spectrum(field).projectors]
+    root = np.exp(2j * np.pi / field.ell)
+    recon = sum(fprojs[k] * root ** k for k in range(field.ell))
+    rep.add("frobenius_spectral_algebra",
+            np.linalg.norm(sum(fprojs) - eye) <= tol
+            and np.linalg.norm(recon - g) <= tol)
+
+    if field.p != 2:
+        dfl = functools.cache(lambda a, b: heisenberg.displacement(field, a, b).embed())
+        half = field.two_inverse
+        ok = True
+        for _ in range(40):
+            a1, b1, a2, b2 = (rng.randrange(q) for _ in range(4))
+            ph = half * (field.trace_index(field.mul_index(a1, b2))
+                         - field.trace_index(field.mul_index(b1, a2)))
+            w = np.exp(2j * np.pi * (ph % field.p) / field.p)
+            lhs = dfl(a1, b1) @ dfl(a2, b2)
+            rhs = w * dfl(field.add_index(a1, a2), field.add_index(b1, b2))
+            if np.linalg.norm(lhs - rhs) > tol:
+                ok = False
+        rep.add("displacement_composition", ok)
+
+        ok = True
+        for _ in range(20):
+            a, b = rng.randrange(q), rng.randrange(q)
+            lhs = f @ dfl(a, b) @ f.conj().T
+            if np.linalg.norm(lhs - dfl(b, field.neg_index(a))) > tol:
+                ok = False
+        rep.add("fourier_maps_labels", ok)
+
+        par = heisenberg.parity_monomial(field).to_matrix().embed()
+        t = field.tables()
+        ok = True
+        for idx in [0, 1, q - 1]:
+            lhs = heisenberg.marginal_sum_alpha(field, idx).embed()
+            proj = hilbert.point_projector(field, t.neg[t.mul[half, idx]]).embed()
+            if np.linalg.norm(lhs - par @ proj) > tol:
+                ok = False
+        rep.add("marginal_alpha_sums", ok)
+
+        total = np.zeros((q, q), dtype=complex)
+        q0 = hilbert.point_projector(field, 0).embed()
+        for a in range(q):
+            for b in range(q):
+                d = dfl(a, b)
+                total += d @ q0 @ d.conj().T
+        rep.add("resolution_of_identity",
+                np.linalg.norm(total / q - eye) <= tol)
+
+        ok = True
+        for row in sp.sample_group(field, rng, 2):
+            s_op = sp.synthesize(field, row).embed()
+            if np.linalg.norm(s_op @ s_op.conj().T - eye) > tol:
+                ok = False
+            za = heisenberg.z_power(field, 1).embed()
+            target = heisenberg.displacement(field, int(row[3]), int(row[2])).embed()  # D(u, t)
+            if np.linalg.norm(s_op @ za @ s_op.conj().T - target) > tol:
+                ok = False
+        rep.add("symplectic_action", ok)
+    return rep
+
+
+def float_verdicts(rep):
+    return [(item.name, item.status) for item in rep.items]
+
+
+# every field with q <= 49, p = 2 included
+FLOAT_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                (7, 1), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (29, 1), (31, 1),
+                (37, 1), (41, 1), (43, 1), (47, 1)]
+FLOAT_PHASE_ITEMS = {"displacement_composition", "fourier_maps_labels", "marginal_alpha_sums",
+                     "symplectic_action"}
+
+
+@pytest.mark.parametrize("pe", FLOAT_FIELDS, ids=str)
+def test_float_suite_matches_its_reference(pe):
+    field = make_field(*pe)
+    got = float_verdicts(float_suite(field))
+    assert got == float_verdicts(ref_float_suite(field))
+    assert {status for _, status in got} == {"pass"}
+
+
+@pytest.mark.parametrize("coeff", [1, 2])
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)], ids=str)
+def test_float_suite_matches_its_reference_under_a_planted_half_phase(pe, coeff, monkeypatch):
+    field = make_field(*pe)
+    half_trace_coefficient(coeff)(monkeypatch, field)
+    got = float_verdicts(float_suite(field))
+    assert got == float_verdicts(ref_float_suite(field))
+    failed = {name for name, status in got if status == "fail"}
+    assert failed == (set() if coeff == field.two_inverse else FLOAT_PHASE_ITEMS)
+
+
+def transposed_embed(monkeypatch):
+    """A fault: every Monomial embeds as its transpose."""
+    original = linalg.Monomial.embed
+    monkeypatch.setattr(linalg.Monomial, "embed",
+                        lambda self: np.swapaxes(original(self), -1, -2))
+
+
+@pytest.mark.parametrize("pe", [(5, 1), (5, 2), (2, 3)], ids=str)
+def test_float_suite_fails_on_a_transposed_monomial_embedding(pe, monkeypatch):
+    transposed_embed(monkeypatch)
+    rep = float_suite(make_field(*pe))
+    assert any(item.status == "fail" for item in rep.items)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from gfharmonic import verify
+from gfharmonic.errors import ConfigError
 from gfharmonic.gf import make_field
 from gfharmonic.verify import (SUITE_NAMES, VerifyConfig, run_all, run_suite)
 
@@ -36,6 +39,15 @@ def test_perturbed_phase_fails_at_library_level():
     assert "composition_law" in failed
     assert "fourier_maps_labels" in failed
     assert not report.passed
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -0.5])
+def test_float_suite_rejects_a_tolerance_that_decides_nothing(tol, monkeypatch):
+    # inf passed every item, a wrong half-phase too; nan or a negative value
+    # would fail them all.  The check comes before any operator is built.
+    monkeypatch.setattr(verify.fr, "fourier_matrix", lambda *args: pytest.fail("built F"))
+    with pytest.raises(ConfigError, match="tolerance must be a finite number >= 0"):
+        run_suite(make_field(3, 2), "float", VerifyConfig(tolerance=tol))
 
 
 def test_unknown_suite_rejected():
