@@ -198,16 +198,32 @@ def element_row(field: GFField, r, s, t, u=None) -> np.ndarray:
     return row
 
 
-def enumerate_group(field: GFField) -> np.ndarray:
-    """All q(q^2 - 1) group elements as an element array: a (G, 4) int64
-    array whose rows are the field indices (r, s, t, u) of G elements.  The
-    r != 0 chart comes first, ordered by (r, s, t), then the r = 0 chart
-    (s = -t^-1), ordered by (t, u)."""
+def group_block(field: GFField, r: int) -> np.ndarray:
+    """The elements with first entry r (a field index) as an element array,
+    ordered by (s, t) where r != 0, and by (t, u) where r = 0 (s = -t^-1)."""
     q = field.order
-    rst = np.indices((q - 1, q, q)).reshape(3, -1).T + (1, 0, 0)
-    tu = np.indices((q - 1, q)).reshape(2, -1).T + (1, 0)
-    return _complete_rows(field, np.concatenate([np.pad(rst, ((0, 0), (0, 1))),
-                                                 np.pad(tu, ((0, 0), (2, 0)))]))
+    a, b = np.indices((q, q) if r else (q - 1, q)).reshape(2, -1)
+    z = 0 * a
+    return _complete_rows(field, np.stack([z + r, a, b, z] if r else [z, z, a + 1, b], axis=1))
+
+
+def enumerate_group(field: GFField) -> np.ndarray:
+    """All q(q^2 - 1) group elements as a (G, 4) int64 array of field indices
+    (r, s, t, u): the blocks r = 1, ..., q - 1 of :func:`group_block`, then 0."""
+    return np.concatenate([group_block(field, r) for r in [*range(1, field.order), 0]])
+
+
+def group_order_count(field: GFField) -> tuple[int, int]:
+    """(distinct codes of the determinant-1 rows, rows), summed over the blocks
+    of :func:`group_block`; rows count only in the block of their r."""
+    q, count, rows = field.order, 0, 0
+    for r in range(q):
+        block = group_block(field, r)
+        keep = (block[:, 0] == r) & (determinant(field, block) == 1)
+        codes = np.sort(block[keep] @ q ** np.arange(3, -1, -1))
+        count += int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1]))
+        rows += len(block)
+    return count, rows
 
 
 def sample_group(field: GFField, rng, count: int) -> np.ndarray:
@@ -223,12 +239,17 @@ def sample_group(field: GFField, rng, count: int) -> np.ndarray:
     return _complete_rows(field, np.array(rows, dtype=np.int64).reshape(-1, 4))
 
 
-def closed_form_domain(field: GFField, elements) -> np.ndarray:
-    """Mask of the elements where :func:`closed_form_matrix` is defined:
-    r, t and 1 + s t all nonzero."""
-    tb = field.tables()
-    r, s, t, _ = elements.T
-    return (r != 0) & (t != 0) & (tb.add[tb.mul[s, t], 1] != 0)
+def closed_form_rows(field: GFField, ranks) -> np.ndarray:
+    """The rows of the given ranks among the (q - 1)^3 elements where
+    :func:`closed_form_matrix` is defined (r, t and 1 + s t nonzero), in
+    :func:`enumerate_group` order.  Each r holds (q - 1)^2: s = 0 with the q - 1
+    values t != 0, then each s != 0 with the q - 2 values t not in {0, -1/s}."""
+    q, tb = field.order, field.tables()
+    r, j = np.divmod(np.asarray(ranks, dtype=np.int64), (q - 1) ** 2)
+    (s, k), generic = np.divmod(j - (q - 1), q - 2), j >= q - 1
+    s, t = np.where(generic, s + 1, 0), np.where(generic, k, j) + 1
+    t += generic & (t >= tb.neg[tb.inv[s]])
+    return _complete_rows(field, np.stack([r + 1, s, t, np.zeros_like(t)], axis=1))
 
 
 @dataclass(frozen=True)
@@ -404,11 +425,11 @@ def _closed_form_parts(field: GFField, elements):
     b the (G, q, q) root exponents of Tr B(n, m)."""
     if field.p == 2:
         raise EvenCharacteristic("closed form needs odd characteristic")
-    if not closed_form_domain(field, elements).all():
-        raise DomainRestriction("closed form needs r != 0, t != 0 and 1 + s*t != 0")
     tb = field.tables()
     r, s, t, _ = elements.T
     w = tb.add[tb.mul[s, t], 1]
+    if not ((r != 0) & (t != 0) & (w != 0)).all():
+        raise DomainRestriction("closed form needs r != 0, t != 0 and 1 + s*t != 0")
     rt = tb.mul[r, t]
     a = tb.neg[tb.mul[field.two_inverse, tb.mul[tb.inv[w], rt]]]
     coef, r, w = (x[:, None, None] for x in (tb.inv[tb.add[rt, rt]], r, w))

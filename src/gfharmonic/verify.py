@@ -451,17 +451,14 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
     # action-law labels: the power basis {eps^k : k < ell}, which spans
     # GF(p^ell) over Z_p ({1, eps} does so only for ell <= 2)
     gen_labels = field.p ** np.arange(field.ell)
-    # the action law runs on every element at q <= 9, or at q <= 27 with
-    # --exhaustive, and on drawn elements otherwise; the group is enumerated
-    # on every field, for its order count and the closed-form draws
-    group = sp.enumerate_group(field)
-    # distinct codes of the determinant-1 rows, counted on the sorted codes
-    codes = np.sort(group[sp.determinant(field, group) == 1] @ q ** np.arange(3, -1, -1))
-    count = int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1]))
-    ok = count == len(group) == q * (q * q - 1)
+    # the group is counted one chart block at a time on every field; the
+    # action law runs on every element at q <= 9, or at q <= 27 with
+    # --exhaustive, and on drawn elements otherwise
+    count, rows = sp.group_order_count(field)
+    ok = count == rows == q * (q * q - 1)
     if q <= 9 or (config.exhaustive and q <= 27):
         rep.add("group_order_count", ok, detail=f"count={count}")
-        name, elements = "action_law_exhaustive", group
+        name, elements = "action_law_exhaustive", sp.enumerate_group(field)
     else:
         rep.add("group_order_count", ok)
         name = "action_law_sampled"
@@ -490,10 +487,10 @@ def symplectic_suite(field: GFField, config: VerifyConfig | None = None) -> Suit
             and np.array_equal(sp.label_images(field, prod, a, b),
                                sp.label_images(field, g1, *sp.label_images(field, g2, a, b))))
 
-    # closed form vs synthesis
-    valid = group[sp.closed_form_domain(field, group)]
-    if len(valid) > 50:
-        valid = valid[[rng.randrange(len(valid)) for _ in range(50)]]
+    # closed form vs synthesis, on 50 ranks drawn among its (q - 1)^3 rows
+    n = (q - 1) ** 3
+    valid = sp.closed_form_rows(field, range(n) if n <= 50 else
+                                [rng.randrange(n) for _ in range(50)])
     results = sp.closed_form_sweep(field, valid)
     bad = [row for row, res in zip(valid, results) if not res["proportional"]]
     detail = (f"triples={len(valid)}, phase_one={all(res['phase_is_one'] for res in results)}"

@@ -1016,6 +1016,8 @@ def test_closed_form_sweep_domain():
         sp.closed_form_sweep(field, element_row(field, 1, 1, 0)[None])
     with pytest.raises(DomainRestriction):
         sp.closed_form_elements_check(field, sp.fourier_params(field))
+    with pytest.raises(DomainRestriction):  # 1 + s t = 0
+        sp.closed_form_sweep(field, element_row(field, 1, 1, field.neg_index(1))[None])
     assert sp.closed_form_sweep(field, sp.enumerate_group(field)[:0]) == []
 
 
@@ -1275,21 +1277,136 @@ def test_synthesize_matches_recursive_synthesis_on_the_suite_draws(pe, monkeypat
     assert_same_synthesis(field, seen + list(draws))
 
 
-@pytest.mark.parametrize("plant", ["duplicate", "determinant"])
+@pytest.mark.parametrize("plant", ["duplicate", "r0_duplicate", "determinant"])
 def test_group_order_count_fails_on_a_planted_row(plant, monkeypatch):
     field = make_field(3, 1)
-    group = sp.enumerate_group(field)
     item = next(i for i in symplectic_suite(field).items if i.name == "group_order_count")
     assert (item.status, item.detail) == ("pass", "count=24")
-    planted = group.copy()
-    if plant == "duplicate":
-        planted[5] = planted[4]
-    else:  # u + 1 in the r = 1 chart: r u - s t = 2
-        assert planted[5, 0] == 1
-        planted[5, 3] = (planted[5, 3] + 1) % 3
-    monkeypatch.setattr(sp, "enumerate_group", lambda f: planted)
+    original = sp.group_block
+
+    def planted(f, r):
+        block = original(f, r)
+        # the duplicates are not next to their originals, so the count must sort
+        if plant == "duplicate" and r == 1:
+            block[5] = block[2]
+        elif plant == "r0_duplicate" and r == 0:  # (t, u) = (2, 1) repeats (1, 1)
+            block[4] = block[1]
+        elif plant == "determinant" and r == 1:  # u + 1: r u - s t = 2
+            block[5, 3] = (block[5, 3] + 1) % 3
+        return block
+
+    monkeypatch.setattr(sp, "group_block", planted)
     item = next(i for i in symplectic_suite(field).items if i.name == "group_order_count")
     assert (item.status, item.detail) == ("fail", "count=23")
+
+
+def test_group_order_count_does_not_count_a_row_outside_its_block(monkeypatch):
+    # a copy of an r = 1 row planted in the r = 2 block would collide with its
+    # original across blocks; the copy does not count
+    field = make_field(3, 1)
+    original = sp.group_block
+    monkeypatch.setattr(sp, "group_block", lambda f, r: np.vstack(
+        [original(f, r)[:-1], original(f, 1)[:1]]) if r == 2 else original(f, r))
+    assert sp.group_order_count(field) == (23, 24)
+
+
+# -- the group by chart blocks against the whole-group count and draws --------
+
+def ref_closed_form_domain(field, elements):
+    """Mask of the elements where closed_form_matrix is defined: r, t and
+    1 + s t all nonzero."""
+    tb = field.tables()
+    r, s, t, _ = elements.T
+    return (r != 0) & (t != 0) & (tb.add[tb.mul[s, t], 1] != 0)
+
+
+def ref_group_order_count(field):
+    """(distinct codes of the determinant-1 rows, rows) of the whole group,
+    counted on its sorted codes."""
+    group, q = sp.enumerate_group(field), field.order
+    codes = np.sort(group[sp.determinant(field, group) == 1] @ q ** np.arange(3, -1, -1))
+    return int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1])), len(group)
+
+
+def ref_closed_form_draws(field, rng):
+    """The group's rows in the closed form's domain, 50 of them drawn with
+    rng where there are more."""
+    group = sp.enumerate_group(field)
+    valid = group[ref_closed_form_domain(field, group)]
+    if len(valid) > 50:
+        valid = valid[[rng.randrange(len(valid)) for _ in range(50)]]
+    return valid
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)],
+                         ids=str)
+def test_group_order_count_matches_the_whole_group_count(pe):
+    field = make_field(*pe)
+    q = field.order
+    assert sp.group_order_count(field) == ref_group_order_count(field) == (q * (q * q - 1),) * 2
+
+
+def test_group_order_count_stays_within_one_block():
+    # the whole group of GF(49) as an int64 array alone takes 3.8 MB
+    field = make_field(7, 2)
+    sp.group_order_count(field)  # fill the field's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        count = sp.group_order_count(field)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == (117600, 117600)
+    assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
+                                (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (37, 1),
+                                (41, 1), (43, 1), (47, 1), (7, 2), (3, 4)], ids=str)
+def test_closed_form_rows_match_the_filtered_group(pe):
+    field = make_field(*pe)
+    group, n = sp.enumerate_group(field), (field.order - 1) ** 3
+    want = group[ref_closed_form_domain(field, group)]
+    got = sp.closed_form_rows(field, range(n))
+    assert len(want) == n and got.dtype == np.int64 and np.array_equal(got, want)
+    ranks = [n - 1, 0, *random.Random(n).choices(range(n), k=20)]
+    assert np.array_equal(sp.closed_form_rows(field, ranks), want[ranks])
+    assert sp.closed_form_rows(field, []).shape == (0, 4)
+
+
+class FirstDrawState(random.Random):
+    """A Random that keeps its state from before its first randrange call."""
+
+    def randrange(self, *args):
+        self.__dict__.setdefault("before", self.getstate())
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("seed", [12345, 1])
+@pytest.mark.parametrize("pe", [(5, 2), (3, 3), (7, 2)], ids=str)
+def test_suite_closed_form_draws_match_the_filtered_group_draws(pe, seed, monkeypatch):
+    # randrange draws only the closed-form ranks in the suite (choice does not
+    # call it), so the reference replays them from the state before the first
+    field = make_field(*pe)
+    rngs, seen = [], []
+
+    class Drawn(Exception):
+        pass
+
+    def capture(f, els):
+        seen.append(els.copy())
+        raise Drawn
+
+    monkeypatch.setattr(random, "Random", lambda s: rngs.append(FirstDrawState(s)) or rngs[-1])
+    monkeypatch.setattr(sp, "closed_form_sweep", capture)
+    with pytest.raises(Drawn):
+        symplectic_suite(field, VerifyConfig(seed=seed))
+    monkeypatch.undo()
+    rng = random.Random()
+    rng.setstate(rngs[0].before)
+    want = ref_closed_form_draws(field, rng)
+    assert len(want) == 50 and np.array_equal(seen[0], want)
 
 
 def test_label_action_homomorphism_checks_the_determinant(monkeypatch):
@@ -1605,7 +1722,7 @@ def test_shear_rows_match_the_dense_shear_paths(pe):
         got, want = synthesize(field, row).packed, dense_synthesize(field, row).packed
         assert got[0].dtype == want[0].dtype, row
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], row
-    generic = elements[sp.closed_form_domain(field, elements)]
+    generic = elements[ref_closed_form_domain(field, elements)]
     assert len(generic)
     assert_same_dicts(sp.closed_form_sweep(field, generic),
                       dense_closed_form_sweep(field, generic))
@@ -1631,7 +1748,7 @@ def test_shear_rows_match_the_dense_shear_paths_under_planted_faults(fault, acti
     for row in elements[::7]:
         got, want = synthesize(field, row).packed, dense_synthesize(field, row).packed
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], row
-    generic = elements[sp.closed_form_domain(field, elements)]
+    generic = elements[ref_closed_form_domain(field, elements)]
     got = sp.closed_form_sweep(field, generic)
     assert_same_dicts(got, dense_closed_form_sweep(field, generic))
     assert not all(r["proportional"] and r["phase_is_one"] for r in got)
